@@ -43,7 +43,7 @@ DEFAULT_MODELS = {
 
 _CONFIG_KEYS = ("dt", "horizon", "svd_threshold", "task_weight", "damping_weight",
                 "accel_weight", "input_weight", "terminal_pos_tol", "terminal_vel_tol",
-                "terminal_state_tol", "duration", "max_ticks", "substeps", "seed")
+                "terminal_state_tol", "duration", "max_ticks", "substeps")
 
 
 class ConfigError(click.ClickException):
@@ -106,15 +106,14 @@ def main():
 @click.option("--duration", type=float, default=None)
 @click.option("--max-ticks", type=int, default=None)
 @click.option("--out", type=click.Path(), default="out")
-@click.option("--seed", type=int, default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def cmd_run(model_arg, scenario, controller, horizon, dt, duration, max_ticks, out,
-            seed, config_path):
+            config_path):
     """Run one scenario and write log/timing CSVs plus a metrics report."""
     model = _resolve_model(model_arg, scenario)
     cfg = _load_config(scenario, controller, config_path, {
         "horizon": horizon, "dt": dt, "duration": duration,
-        "max_ticks": max_ticks, "seed": seed,
+        "max_ticks": max_ticks,
     })
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

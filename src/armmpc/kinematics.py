@@ -1,5 +1,9 @@
 """Forward kinematics, geometric Jacobians, and task-space error.
 
+This module also holds the one rigid-body chain representation: a cached
+per-model record of the chain constants and a per-state object whose joint
+pass the kinematics here and the dynamics in dynamics.py share.
+
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
 rotation vectors log(R_target R_current^T).
@@ -206,150 +210,178 @@ class TaskError:
         return self.value[3:]
 
 
-class _KinData:
-    """Per-model constants for the chain recursion (cached per RobotModel)."""
+def _spatial_inertia(mass: float, com: np.ndarray, inertia_com: np.ndarray) -> np.ndarray:
+    """6x6 spatial inertia about the link frame origin, [angular; linear] order."""
+    cx = _skew(com)
+    out = np.empty((6, 6))
+    out[:3, :3] = inertia_com + mass * (cx @ cx.T)
+    out[:3, 3:] = mass * cx
+    out[3:, :3] = mass * cx.T
+    out[3:, 3:] = mass * np.eye(3)
+    return out
 
-    __slots__ = ("n", "revolute", "rot_pt", "trans_pt", "axes", "skew", "skew2",
-                 "ee_rot", "ee_trans")
+
+class _Chain:
+    """Per-model constants of the rigid-body chain, for kinematics and dynamics."""
+
+    __slots__ = ("n", "revolute", "axes", "skew", "skew2", "rot_pt", "trans_pt",
+                 "ee_rot", "ee_trans", "subspace", "inertia", "a_base")
 
     def __init__(self, model: RobotModel):
-        self.n = model.n
+        n = model.n
+        self.n = n
         self.revolute = [j.kind == REVOLUTE for j in model.joints]
-        self.rot_pt = [j.parent_transform.rotation for j in model.joints]
-        self.trans_pt = [j.parent_transform.translation for j in model.joints]
         self.axes = [j.axis for j in model.joints]
         self.skew = [_skew(a) for a in self.axes]
         self.skew2 = [k @ k for k in self.skew]
+        self.rot_pt = [j.parent_transform.rotation for j in model.joints]
+        self.trans_pt = [j.parent_transform.translation for j in model.joints]
         self.ee_rot = model.ee_transform.rotation
         self.ee_trans = model.ee_transform.translation
+        # motion subspace of each joint, [angular; linear]
+        self.subspace = np.zeros((n, 6))
+        for k in range(n):
+            if self.revolute[k]:
+                self.subspace[k, :3] = self.axes[k]
+            else:
+                self.subspace[k, 3:] = self.axes[k]
+        self.inertia = [
+            _spatial_inertia(link.mass, link.com, link.inertia_tensor) for link in model.links
+        ]
+        # gravity enters as a fictitious base acceleration -g
+        self.a_base = np.zeros(6)
+        self.a_base[3:] = -model.gravity
 
 
-_kin_cache: "WeakKeyDictionary[RobotModel, _KinData]" = WeakKeyDictionary()
+_chain_cache: "WeakKeyDictionary[RobotModel, _Chain]" = WeakKeyDictionary()
 
 _EYE3 = np.eye(3)
 
 
-def _kin(model: RobotModel) -> _KinData:
-    data = _kin_cache.get(model)
-    if data is None:
-        data = _KinData(model)
-        _kin_cache[model] = data
-    return data
+def _chain(model: RobotModel) -> _Chain:
+    chain = _chain_cache.get(model)
+    if chain is None:
+        chain = _Chain(model)
+        _chain_cache[model] = chain
+    return chain
 
 
-def joint_rotation(model: RobotModel, k: int, qk: float) -> np.ndarray:
-    """Rotation of joint k's own motion (identity for prismatic joints)."""
-    data = _kin(model)
-    if not data.revolute[k]:
-        return _EYE3
-    return _EYE3 + math.sin(qk) * data.skew[k] + (1.0 - math.cos(qk)) * data.skew2[k]
+class ChainState:
+    """The chain at one configuration q (and velocity qd, when given).
 
+    Construction is the one joint pass: each revolute joint's own rotation
+    is evaluated once. The world frames behind FK, J and J-dot derive from
+    it on first use; dynamics.RigidBodyState adds the motion transforms
+    behind the dynamics recursions.
+    """
 
-class _Frames:
-    """World-frame chain state shared by fk / Jacobian / Jacobian-dot."""
+    def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
+        chain = _chain(model)
+        self.model = model
+        self.chain = chain
+        self.q = q
+        self.qd = qd
+        own = []
+        for k in range(chain.n):
+            if chain.revolute[k]:
+                qk = q[k]
+                own.append(_EYE3 + math.sin(qk) * chain.skew[k]
+                           + (1.0 - math.cos(qk)) * chain.skew2[k])
+            else:
+                own.append(_EYE3)
+        self.own = own
 
-    __slots__ = ("axis_w", "origin_w", "rot_w", "pos_w", "ee_rot", "ee_pos")
-
-    def __init__(self, model: RobotModel, q: np.ndarray):
-        data = _kin(model)
-        n = data.n
-        self.axis_w = np.empty((n, 3))
-        self.origin_w = np.empty((n, 3))
-        self.rot_w = np.empty((n, 3, 3))
-        self.pos_w = np.empty((n, 3))
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, ...]:
+        """World joint axes, joint origins and link-frame origins (n x 3 each),
+        then the end-effector rotation and position."""
+        c = self.chain
+        n = c.n
+        axis_w = np.empty((n, 3))
+        origin_w = np.empty((n, 3))
+        pos_w = np.empty((n, 3))
         rot = _EYE3
         pos = np.zeros(3)
         for k in range(n):
-            rot_j = rot @ data.rot_pt[k]
-            origin = pos + rot @ data.trans_pt[k]
-            axis_w = rot_j @ data.axes[k]
-            if data.revolute[k]:
-                qk = q[k]
-                own = _EYE3 + math.sin(qk) * data.skew[k] + (1.0 - math.cos(qk)) * data.skew2[k]
-                rot = rot_j @ own
+            rot_j = rot @ c.rot_pt[k]
+            origin = pos + rot @ c.trans_pt[k]
+            axis = rot_j @ c.axes[k]
+            if c.revolute[k]:
+                rot = rot_j @ self.own[k]
                 pos = origin
             else:
                 rot = rot_j
-                pos = origin + axis_w * q[k]
-            self.axis_w[k] = axis_w
-            self.origin_w[k] = origin
-            self.rot_w[k] = rot
-            self.pos_w[k] = pos
-        self.ee_rot = rot @ data.ee_rot
-        self.ee_pos = pos + rot @ data.ee_trans
+                pos = origin + axis * self.q[k]
+            axis_w[k] = axis
+            origin_w[k] = origin
+            pos_w[k] = pos
+        return axis_w, origin_w, pos_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
 
-    def jacobian(self, model: RobotModel) -> np.ndarray:
-        data = _kin(model)
-        n = data.n
-        jac = np.zeros((6, n))
-        arm = self.ee_pos[None, :] - self.origin_w
-        lin = _cross_rows(self.axis_w, arm)
-        for k in range(n):
-            if data.revolute[k]:
-                jac[:3, k] = lin[k]
-                jac[3:, k] = self.axis_w[k]
+    def jacobian(self) -> np.ndarray:
+        axis_w, origin_w, _, _, ee_pos = self.frames
+        return self._columns(axis_w, _cross_rows(axis_w, ee_pos[None, :] - origin_w))
+
+    def jacobian_dot(self) -> np.ndarray:
+        axis_w, origin_w, pos_w, _, ee_pos = self.frames
+        c = self.chain
+        q, qd = self.q, self.qd
+        omega = np.zeros(3)  # angular velocity of link k
+        vel = np.zeros(3)  # linear velocity of link-frame origin pos_w[k]
+        axis_dot = np.empty((c.n, 3))
+        origin_dot = np.empty((c.n, 3))
+        prev_pos = np.zeros(3)
+        for k in range(c.n):
+            z = axis_w[k]
+            o_dot = vel + np.cross(omega, origin_w[k] - prev_pos)
+            axis_dot[k] = np.cross(omega, z)
+            origin_dot[k] = o_dot
+            if c.revolute[k]:
+                omega = omega + z * qd[k]
+                vel = o_dot
             else:
-                jac[:3, k] = self.axis_w[k]
-        return jac
+                vel = o_dot + np.cross(omega, z * q[k]) + z * qd[k]
+            prev_pos = pos_w[k]
+
+        ee_vel = vel + np.cross(omega, ee_pos - prev_pos)
+        arm = ee_pos[None, :] - origin_w
+        lin = _cross_rows(axis_dot, arm) + _cross_rows(axis_w, ee_vel[None, :] - origin_dot)
+        return self._columns(axis_dot, lin)
+
+    def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
+        """6 x n [linear; angular] columns: (lin, axis) for revolute joints,
+        (axis, 0) for prismatic ones."""
+        out = np.zeros((6, self.chain.n))
+        for k in range(self.chain.n):
+            if self.chain.revolute[k]:
+                out[:3, k] = lin[k]
+                out[3:, k] = axis[k]
+            else:
+                out[:3, k] = axis[k]
+        return out
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose at configuration q."""
-    q = model.check_q(q)
-    fr = _Frames(model, q)
-    return Pose.from_matrix(fr.ee_rot, fr.ee_pos)
+    *_, rot, pos = ChainState(model, model.check_q(q)).frames
+    return Pose.from_matrix(rot, pos)
 
 
 def fk_jacobian_raw(model: RobotModel, q):
     """One chain pass: (ee rotation matrix, ee position, geometric Jacobian)."""
-    q = model.check_q(q)
-    fr = _Frames(model, q)
-    return fr.ee_rot, fr.ee_pos, fr.jacobian(model)
+    st = ChainState(model, model.check_q(q))
+    *_, rot, pos = st.frames
+    return rot, pos, st.jacobian()
 
 
 def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
     """World-frame geometric Jacobian at the end-effector, shape (6, n)."""
-    q = model.check_q(q)
-    return _Frames(model, q).jacobian(model)
+    return ChainState(model, model.check_q(q)).jacobian()
 
 
 def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
     """Time derivative of the geometric Jacobian along (q, qd), shape (6, n)."""
     q = model.check_q(q)
-    qd = model.check_q(qd, "qd")
-    data = _kin(model)
-    fr = _Frames(model, q)
-    n = data.n
-
-    omega = np.zeros(3)  # angular velocity of link k
-    vel = np.zeros(3)  # linear velocity of link-frame origin pos_w[k]
-    axis_dot = np.empty((n, 3))
-    origin_dot = np.empty((n, 3))
-    prev_pos = np.zeros(3)
-    for k in range(n):
-        z = fr.axis_w[k]
-        o_dot = vel + np.cross(omega, fr.origin_w[k] - prev_pos)
-        axis_dot[k] = np.cross(omega, z)
-        origin_dot[k] = o_dot
-        if data.revolute[k]:
-            omega = omega + z * qd[k]
-            vel = o_dot
-        else:
-            vel = o_dot + np.cross(omega, z * q[k]) + z * qd[k]
-        prev_pos = fr.pos_w[k]
-
-    ee_vel = vel + np.cross(omega, fr.ee_pos - prev_pos)
-
-    jd = np.zeros((6, n))
-    arm = fr.ee_pos[None, :] - fr.origin_w
-    lin = _cross_rows(axis_dot, arm) + _cross_rows(fr.axis_w, ee_vel[None, :] - origin_dot)
-    for k in range(n):
-        if data.revolute[k]:
-            jd[:3, k] = lin[k]
-            jd[3:, k] = axis_dot[k]
-        else:
-            jd[:3, k] = axis_dot[k]
-    return jd
+    return ChainState(model, q, model.check_q(qd, "qd")).jacobian_dot()
 
 
 def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,

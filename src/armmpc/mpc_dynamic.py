@@ -1,16 +1,12 @@
-"""Condensed dynamic MPC for torque-controlled robots.
+"""Dynamic MPC for torque-controlled robots.
 
 The plant model x = [q; qd], xdot = [qd; FD(q, qd, u)] is linearized along
 an operational-space-control rollout, discretized with explicit Euler, and
-stacked into prediction matrices. The QP decides z = [x_1..x_np; u_0..u_np-1]
-with the dynamics as equality rows, torque/state boxes as bounds, and the
-tracking cost expressed through the projected task Jacobians of the nominal.
-
-Time is bookkept in a normalized window coordinate with dilation sigma (the
-window duration); the normalized step is dt/sigma, so the discrete matrices
-reduce to the physical-time Euler map and are independent of sigma. A
-`literal_normalized_step` flag keeps the alternative reading (normalized
-step equal to dt) available for comparison.
+stacked into prediction matrices. The QP is not condensed: it keeps every
+state and input of the horizon as a variable, z = [x_1..x_np; u_0..u_np-1]
+(in deviations from the rollout), with the dynamics as equality rows,
+torque/state boxes as bounds, and the tracking cost expressed through the
+projected task Jacobians of the nominal.
 """
 
 from __future__ import annotations
@@ -21,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .dynamics import dynamics_derivatives, forward_dynamics
+from .dynamics import RigidBodyState
+from .mpc_kinematic import _tol_vector, _weight_matrix
 from .nominal import NominalRollout, PostureSpec, TaskSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
 from .trajgen import TaskTrajectory
@@ -31,24 +28,17 @@ from .trajgen import TaskTrajectory
 class DynamicMpcConfig:
     horizon: int = 10
     dt: float = 1e-3
-    sigma: float | None = None  # window duration; default horizon * dt
     task_weight: np.ndarray | float = 10.0
     damping_weight: np.ndarray | float = 1e-4
     input_weight: np.ndarray | float = 0.0
     terminal_state_tol: np.ndarray | float = 1e-2  # box around nominal x_N
     svd_threshold: float = 1e-2
-    literal_normalized_step: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def window_sigma(self) -> float:
-        return self.sigma if self.sigma is not None else self.horizon * self.dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +50,21 @@ class LinearizedStage:
     r: np.ndarray
 
 
-def linearize_stage(model: RobotModel, x_hat, u_hat, sigma: float, dt: float,
-                    literal_normalized_step: bool = False) -> LinearizedStage:
+def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float) -> LinearizedStage:
     """Linearize the state equation around one nominal point and discretize.
 
-    The continuous Jacobians are scaled by sigma (normalized time); the Euler
-    step uses dt/sigma so the physical-time map A = I + dt * dxdot/dx comes
-    out regardless of sigma unless the literal normalized step is requested.
+    Explicit Euler on the first-order model: A = I + dt df/dx, B = dt df/du,
+    r = dt (f - df/dx x_hat - df/du u_hat).
     """
     n = model.n
     x_hat = np.asarray(x_hat, dtype=float)
-    u_hat = np.asarray(u_hat, dtype=float)
+    u_hat = model.check_q(u_hat, "u_hat")
     if x_hat.shape != (2 * n,):
         raise ValueError(f"x_hat must have shape ({2 * n},)")
-    q, qd = x_hat[:n], x_hat[n:]
-    qdd = forward_dynamics(model, q, qd, u_hat)
-    der = dynamics_derivatives(model, q, qd, qdd)
+    qd = x_hat[n:]
+    st = RigidBodyState(model, x_hat[:n], qd)
+    qdd = st.forward_dynamics(u_hat)
+    der = st.derivatives(qdd)
 
     dfdx = np.zeros((2 * n, 2 * n))
     dfdx[:n, n:] = np.eye(n)
@@ -84,15 +73,10 @@ def linearize_stage(model: RobotModel, x_hat, u_hat, sigma: float, dt: float,
     dfdu = np.zeros((2 * n, n))
     dfdu[n:, :] = der.dqdd_du
     f_val = np.concatenate([qd, qdd])
-
-    a_cont = sigma * dfdx
-    b_cont = sigma * dfdu
-    r_cont = sigma * f_val - a_cont @ x_hat - b_cont @ u_hat
-    step = dt if literal_normalized_step else dt / sigma
     return LinearizedStage(
-        A=a_cont * step + np.eye(2 * n),
-        B=b_cont * step,
-        r=r_cont * step,
+        A=np.eye(2 * n) + dt * dfdx,
+        B=dt * dfdu,
+        r=dt * (f_val - dfdx @ x_hat - dfdu @ u_hat),
     )
 
 
@@ -191,9 +175,9 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout, stack: Predicti
         raise ValueError("rollout and stack horizons disagree")
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
-    w_task = _weight(cfg.task_weight, rollout.task_dim)
-    w_damp = _weight(cfg.damping_weight, n)
-    w_input = _weight(cfg.input_weight, n)
+    w_task = _weight_matrix(cfg.task_weight, rollout.task_dim)
+    w_damp = _weight_matrix(cfg.damping_weight, n)
+    w_input = _weight_matrix(cfg.input_weight, n)
 
     dim = n_p * nx + n_p * n
     hess = np.zeros((dim, dim))
@@ -237,35 +221,13 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout, stack: Predicti
         ub[u_blk] = limits.u_max - rollout.u_hat[k]
 
     if terminal is not None:
-        eps = _tol(cfg.terminal_state_tol, nx) * terminal.widen
+        eps = _tol_vector(cfg.terminal_state_tol, nx) * terminal.widen
         last = slice((n_p - 1) * nx, n_p * nx)
         dx_ref = terminal.x_ref - rollout.x_hat[-1]
         lb[last] = np.maximum(lb[last], dx_ref - eps)
         ub[last] = np.minimum(ub[last], dx_ref + eps)
 
     return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, Aeq=eq_a, beq=eq_b, lb=lb, ub=ub)
-
-
-def _weight(value, dim: int) -> np.ndarray:
-    w = np.asarray(value, dtype=float)
-    if w.ndim == 0:
-        w = np.full(dim, float(w))
-    if w.ndim == 1:
-        if w.shape != (dim,):
-            raise ValueError(f"weight vector must have length {dim}")
-        return np.diag(w)
-    if w.shape != (dim, dim):
-        raise ValueError(f"weight matrix must be ({dim}, {dim})")
-    return w
-
-
-def _tol(value, dim: int) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 0:
-        v = np.full(dim, float(v))
-    if v.shape != (dim,) or np.any(v <= 0):
-        raise ValueError(f"tolerance must be positive, scalar or length-{dim}")
-    return v
 
 
 @dataclass
@@ -315,12 +277,8 @@ class DynamicMpc:
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = osc_rollout(model, x_measured, window, cfg.dt, cfg.svd_threshold,
                               tasks, posture=self.posture)
-        sigma = cfg.window_sigma()
-        stages = [
-            linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], sigma, cfg.dt,
-                            literal_normalized_step=cfg.literal_normalized_step)
-            for k in range(cfg.horizon)
-        ]
+        stages = [linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], cfg.dt)
+                  for k in range(cfg.horizon)]
         stack = build_prediction(stages, x_measured)
         terminal = None
         if includes_end:

@@ -13,16 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .dynamics import bias_forces, forward_dynamics, mass_matrix
-from .kinematics import (
-    Pose,
-    fk_jacobian_raw,
-    geometric_jacobian,
-    jacobian_dot,
-    pose_error_raw,
-)
+from .dynamics import RigidBodyState
+from .kinematics import Pose, fk_jacobian_raw, geometric_jacobian, pose_error_raw
 from .robot_model import RobotModel
 
 POSITION = "position"
@@ -287,14 +281,19 @@ def osc_torque(model: RobotModel, q, qd, tasks, targets, rel_threshold: float,
     dynamically consistent null-space projectors, the posture impedance acts
     in the final null space, and the bias forces are compensated exactly.
     """
-    q = model.check_q(q)
-    qd = model.check_q(qd, "qd")
-    n = model.n
-    mass = mass_matrix(model, q)
-    factor = cho_factor(mass, lower=True)
-    minv = cho_solve(factor, np.eye(n))
-    rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
-    jdot_full = jacobian_dot(model, q, qd)
+    st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
+    return _osc_torque(st, tasks, targets, rel_threshold, posture, twists, accels, record)
+
+
+def _osc_torque(st: RigidBodyState, tasks, targets, rel_threshold: float,
+                posture: PostureSpec | None, twists, accels, record) -> np.ndarray:
+    """osc_torque at a chain state whose M, b and frames it shares with the caller."""
+    q, qd = st.q, st.qd
+    n = st.chain.n
+    minv = cho_solve(st.factor, np.eye(n))
+    *_, rot_c, pos_c = st.frames
+    jac_full = st.jacobian()
+    jdot_full = st.jacobian_dot()
 
     u = np.zeros(n)
     proj = np.eye(n)
@@ -326,7 +325,7 @@ def osc_torque(model: RobotModel, q, qd, tasks, targets, rel_threshold: float,
     if posture is not None:
         tau_posture = posture.kp * (posture.q_des - q) - posture.kd * qd
         u = u + proj.T @ tau_posture
-    return u + bias_forces(model, q, qd)
+    return u + st.bias
 
 
 def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
@@ -358,14 +357,14 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         record: list = []
         targets = [poses[k]] * len(tasks)
         step_twists = None if twists is None else [twists[k]] * len(tasks)
-        u = osc_torque(model, q, qd, tasks, targets, rel_threshold,
-                       posture=posture, twists=step_twists, record=record)
+        st = RigidBodyState(model, q, qd)
+        u = _osc_torque(st, tasks, targets, rel_threshold, posture, step_twists, None, record)
         j_stack[k] = np.vstack([jac for jac, _ in record])
         err_stack[k] = np.concatenate([err for _, err in record])
         if k + 1 < steps:
             u = np.clip(u, -u_max, u_max)
             u_hat[k] = u
-            qd = qd + dt * forward_dynamics(model, q, qd, u)
+            qd = qd + dt * st.forward_dynamics(u)
             q = q + dt * qd
     return NominalRollout(
         q_hat=x_hat[:, :n],

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import bias_forces, forward_dynamics, mass_matrix
+from .dynamics import RigidBodyState, integrate_semi_implicit
 from .kinematics import forward_kinematics, task_error
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
@@ -59,11 +59,7 @@ def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float,
     u_max = model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
     saturated = bool(np.any(u_applied != u))
-    q, qd = state.q, state.qd
-    h = dt / substeps
-    for _ in range(substeps):
-        qd = qd + h * forward_dynamics(model, q, qd, u_applied)
-        q = q + h * qd
+    q, qd = integrate_semi_implicit(model, state.q, state.qd, u_applied, dt, substeps)
     return PlantState(
         t=state.t + dt,
         q=q,
@@ -94,7 +90,8 @@ def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
     """
     q_cmd = model.check_q(q_cmd, "q_cmd")
     acc = gains.kp * (q_cmd - state.q) - gains.kd * state.qd
-    u = mass_matrix(model, state.q) @ acc + bias_forces(model, state.q, np.zeros(model.n))
+    st = RigidBodyState(model, state.q, np.zeros(model.n))
+    u = st.mass @ acc + st.bias
     return step_torque_plant(model, state, u, dt, substeps=substeps)
 
 
@@ -144,7 +141,6 @@ class ScenarioConfig:
     duration: float | None = None
     max_ticks: int | None = None  # truncate the run (benchmarks)
     substeps: int = 1  # plant integration substeps per control tick
-    seed: int = 0
 
 
 def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:

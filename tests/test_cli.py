@@ -46,6 +46,14 @@ def test_run_comparison_workflow(runner, tmp_path):
     assert "accumulated_pos_err_final" in a and "accumulated_pos_err_final" in b
 
 
+def test_run_rejects_seed(runner, tmp_path):
+    result = runner.invoke(main, [
+        "run", "--scenario", "circle_2dof", "--controller", "osc", "--seed", "1",
+        "--max-ticks", "5", "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"horizon": 2, "max_ticks": 25}))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from armmpc import qp
-from armmpc.dynamics import bias_forces, forward_dynamics
+from armmpc import dynamics, kinematics, qp
+from armmpc.dynamics import bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import (
     DynamicMpc,
@@ -13,7 +13,7 @@ from armmpc.mpc_dynamic import (
     linearize_stage,
     propagate,
 )
-from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout
+from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout, osc_torque
 from armmpc.trajgen import TaskTrajectory
 
 from conftest import random_config
@@ -30,7 +30,7 @@ def test_linearize_affine_identity(desk_model, rng):
     x_hat = random_state(desk_model, rng)
     u_hat = 10.0 * rng.standard_normal(6)
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, sigma=0.01, dt=dt)
+    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
     qdd = forward_dynamics(desk_model, x_hat[:6], x_hat[6:], u_hat)
     euler = x_hat + dt * np.concatenate([x_hat[6:], qdd])
     np.testing.assert_allclose(st.A @ x_hat + st.B @ u_hat + st.r, euler, atol=1e-12)
@@ -40,7 +40,7 @@ def test_linearize_block_structure(desk_model, rng):
     x_hat = random_state(desk_model, rng)
     u_hat = rng.standard_normal(6)
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, sigma=0.05, dt=dt)
+    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
     np.testing.assert_allclose(st.A[:6, :6], np.eye(6), atol=1e-15)
     np.testing.assert_allclose(st.A[:6, 6:], dt * np.eye(6), atol=1e-15)
     np.testing.assert_allclose(st.B[:6, :], 0.0, atol=1e-15)
@@ -51,29 +51,16 @@ def test_linearize_pendulum_symbolic(gravity_pendulum):
     theta = 0.3
     x_hat = np.array([theta, 0.0])
     u_hat = np.array([9.81 * np.cos(theta)])  # static hold
-    st = linearize_stage(gravity_pendulum, x_hat, u_hat, sigma=0.01, dt=1e-3)
+    st = linearize_stage(gravity_pendulum, x_hat, u_hat, dt=1e-3)
     dfdq = (st.A[1, 0]) / 1e-3  # lower-left of continuous jacobian
     assert dfdq == pytest.approx(9.81 * np.sin(theta), abs=1e-6)
-
-
-def test_linearize_sigma_invariance(desk_model, rng):
-    x_hat = random_state(desk_model, rng)
-    u_hat = rng.standard_normal(6)
-    a = linearize_stage(desk_model, x_hat, u_hat, sigma=0.01, dt=1e-3)
-    b = linearize_stage(desk_model, x_hat, u_hat, sigma=1.7, dt=1e-3)
-    np.testing.assert_allclose(a.A, b.A, atol=1e-12)
-    np.testing.assert_allclose(a.B, b.B, atol=1e-12)
-    np.testing.assert_allclose(a.r, b.r, atol=1e-12)
-    lit = linearize_stage(desk_model, x_hat, u_hat, sigma=1.7, dt=1e-3,
-                          literal_normalized_step=True)
-    assert not np.allclose(lit.A, a.A)
 
 
 def test_linearization_second_order_remainder(desk_model, rng):
     x_hat = random_state(desk_model, rng, vel_scale=0.2)
     u_hat = bias_forces(desk_model, x_hat[:6], x_hat[6:])
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, sigma=0.01, dt=dt)
+    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
 
     def nonlinear_step(x):
         qdd = forward_dynamics(desk_model, x[:6], x[6:], u_hat)
@@ -146,8 +133,8 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k],
-                              cfg.window_sigma(), cfg.dt) for k in range(cfg.horizon)]
+    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
+              for k in range(cfg.horizon)]
     stack = build_prediction(stages, x0)
     problem = build_dyn_qp(cfg, roll, stack, desk_model.limits)
     sol = qp.solve(problem)
@@ -162,8 +149,8 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k],
-                              cfg.window_sigma(), cfg.dt) for k in range(cfg.horizon)]
+    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
+              for k in range(cfg.horizon)]
     stack = build_prediction(stages, x0)
     problem = build_dyn_qp(cfg, roll, stack, desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
@@ -219,3 +206,54 @@ def test_dyn_terminal_constraint(desk_model, rng):
     assert not res.degraded
     dx = res.plan_states[-1] - res.rollout.x_hat[-1]
     assert np.abs(dx).max() <= 1e-3 + 1e-8
+
+
+@pytest.fixture
+def chain_counts(monkeypatch):
+    """Count joint passes (chain states built) and mass-matrix factorizations."""
+    counts = {"passes": 0, "factors": 0}
+    init = kinematics.ChainState.__init__
+    factor = dynamics.cho_factor
+
+    def counting_init(self, *args, **kwargs):
+        counts["passes"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_factor(*args, **kwargs):
+        counts["factors"] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
+    monkeypatch.setattr(dynamics, "cho_factor", counting_factor)
+    return counts
+
+
+@pytest.mark.parametrize("call", ["osc_torque", "forward_dynamics", "dynamics_derivatives",
+                                  "linearize_stage"])
+def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
+    x_hat = random_state(desk_model, rng)
+    q, qd = x_hat[:6], x_hat[6:]
+    u = 10.0 * rng.standard_normal(6)
+    pose = forward_kinematics(desk_model, q + 0.05)
+    calls = {
+        "osc_torque": lambda: osc_torque(desk_model, q, qd, default_task_hierarchy(),
+                                         [pose, pose], 1e-2, posture=default_posture(q)),
+        "forward_dynamics": lambda: forward_dynamics(desk_model, q, qd, u),
+        "dynamics_derivatives": lambda: dynamics_derivatives(desk_model, q, qd, u),
+        "linearize_stage": lambda: linearize_stage(desk_model, x_hat, u, dt=1e-3),
+    }
+    chain_counts.update(passes=0, factors=0)
+    calls[call]()
+    assert chain_counts["passes"] == 1
+    assert chain_counts["factors"] <= 1
+
+
+def test_osc_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
+    q = random_config(desk_model, rng)
+    pose = forward_kinematics(desk_model, q + 0.05)
+    x0 = np.concatenate([q, np.zeros(6)])
+    chain_counts.update(passes=0, factors=0)
+    osc_rollout(desk_model, x0, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy(),
+                posture=default_posture(q))
+    assert chain_counts["passes"] == 4
+    assert chain_counts["factors"] == 4

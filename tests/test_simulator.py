@@ -146,7 +146,7 @@ def test_ik_baseline_sequence_matches_rollout(desk_model_large):
 
 
 def test_logs_deterministic_across_runs(planar_2dof, tmp_path):
-    cfg = ScenarioConfig(task_weight=100.0, damping_weight=1e-3, duration=0.3, seed=11)
+    cfg = ScenarioConfig(task_weight=100.0, damping_weight=1e-3, duration=0.3)
     paths = []
     for tag in ("a", "b"):
         out = run_scenario("circle_2dof", "osc", planar_2dof, cfg)
