@@ -1,12 +1,12 @@
 """Dynamic MPC for torque-controlled robots.
 
 The plant model x = [q; qd], xdot = [qd; FD(q, qd, u)] is linearized along
-an operational-space-control rollout, discretized with explicit Euler, and
-stacked into prediction matrices. The QP is not condensed: it keeps every
-state and input of the horizon as a variable, z = [x_1..x_np; u_0..u_np-1]
-(in deviations from the rollout), with the dynamics as equality rows,
-torque/state boxes as bounds, and the tracking cost expressed through the
-projected task Jacobians of the nominal.
+an operational-space-control rollout and discretized with explicit Euler,
+one affine stage per step. The QP is not condensed: it keeps every state
+and input of the horizon as a variable, z = [x_1..x_np; u_0..u_np-1] (in
+deviations from the rollout), with one block row of equalities per stage,
+x_{k+1} - A_k x_k - B_k u_k = r_k, torque/state boxes as bounds, and the
+tracking cost expressed through the projected task Jacobians of the nominal.
 """
 
 from __future__ import annotations
@@ -80,71 +80,28 @@ def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float) -> LinearizedSta
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionStack:
-    """Stacked propagation x_stack = free_response @ x_i + input_map @ u + residual_map @ r."""
+def build_prediction(stages: list[LinearizedStage], x_init) -> tuple[np.ndarray, np.ndarray]:
+    """Stage dynamics x_{k+1} - A_k x_k - B_k u_k = r_k as banded equality rows.
 
-    free_response: np.ndarray  # ((n_p+1)*nx, nx)
-    input_map: np.ndarray  # ((n_p+1)*nx, n_p*nu)
-    residual_map: np.ndarray  # ((n_p+1)*nx, n_p*nx)
-    x_init: np.ndarray
-    residuals: np.ndarray  # (n_p, nx) stacked stage offsets
-    stages: tuple[LinearizedStage, ...] = ()
-
-    @property
-    def horizon(self) -> int:
-        return self.residuals.shape[0]
-
-    def defects(self, x_hat: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-        """Per-stage mismatch A_k xhat_k + B_k uhat_k + r_k - xhat_{k+1}."""
-        out = np.empty_like(self.residuals)
-        for k, st in enumerate(self.stages):
-            out[k] = st.A @ x_hat[k] + st.B @ u_hat[k] + st.r - x_hat[k + 1]
-        return out
-
-
-def build_prediction(stages: list[LinearizedStage], x_init) -> PredictionStack:
-    """Products of the stage transition matrices arranged into stacked form."""
+    Returns (eq_a, eq_b) over z = [x_1..x_np; u_0..u_np-1] in absolute
+    coordinates, one block row per stage; the known initial state enters the
+    first right-hand side as A_0 x_init.
+    """
     n_p = len(stages)
     if n_p < 1:
         raise ValueError("need at least one stage")
-    nx = stages[0].A.shape[0]
-    nu = stages[0].B.shape[1]
-    x_init = np.asarray(x_init, dtype=float)
-
-    # phi[j][s] = A_{j-1} ... A_s (identity when j == s), for 0 <= s <= j <= n_p
-    phi = [[None] * (n_p + 1) for _ in range(n_p + 1)]
-    for s in range(n_p + 1):
-        phi[s][s] = np.eye(nx)
-        for j in range(s + 1, n_p + 1):
-            phi[j][s] = stages[j - 1].A @ phi[j - 1][s]
-
-    free = np.vstack([phi[j][0] for j in range(n_p + 1)])
-    input_map = np.zeros(((n_p + 1) * nx, n_p * nu))
-    residual_map = np.zeros(((n_p + 1) * nx, n_p * nx))
-    for j in range(n_p + 1):
-        row = slice(j * nx, (j + 1) * nx)
-        for s in range(min(j, n_p)):
-            input_map[row, s * nu:(s + 1) * nu] = phi[j][s + 1] @ stages[s].B
-            residual_map[row, s * nx:(s + 1) * nx] = phi[j][s + 1]
-    residuals = np.vstack([st.r for st in stages])
-    return PredictionStack(
-        free_response=free,
-        input_map=input_map,
-        residual_map=residual_map,
-        x_init=x_init,
-        residuals=residuals,
-        stages=tuple(stages),
-    )
-
-
-def propagate(stack: PredictionStack, u_seq: np.ndarray) -> np.ndarray:
-    """Stacked states for an input sequence (testing convenience)."""
-    return (
-        stack.free_response @ stack.x_init
-        + stack.input_map @ u_seq.ravel()
-        + stack.residual_map @ stack.residuals.ravel()
-    )
+    nx, nu = stages[0].B.shape
+    eq_a = np.zeros((n_p * nx, n_p * (nx + nu)))
+    eq_b = np.concatenate([st.r for st in stages])
+    eq_b[:nx] += stages[0].A @ np.asarray(x_init, dtype=float)
+    eye = np.eye(nx)
+    for k, st in enumerate(stages):
+        row = slice(k * nx, (k + 1) * nx)
+        eq_a[row, k * nx:(k + 1) * nx] = eye
+        if k:
+            eq_a[row, (k - 1) * nx:k * nx] = -st.A
+        eq_a[row, n_p * nx + k * nu:n_p * nx + (k + 1) * nu] = -st.B
+    return eq_a, eq_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,28 +110,32 @@ class TerminalStateTarget:
     widen: float = 1.0
 
 
-def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout, stack: PredictionStack,
-                 limits: JointLimits, terminal: TerminalStateTarget | None = None) -> qp.QpProblem:
+def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
+                 rows: tuple[np.ndarray, np.ndarray], limits: JointLimits,
+                 terminal: TerminalStateTarget | None = None) -> qp.QpProblem:
     """Assemble the torque-MPC QP in deviations from the nominal rollout.
 
     The decision variable is z = [dx_1..dx_np; du_0..du_np-1] with
     dx_k = x_k - xhat_k and du_k = u_k - uhat_k. Deviation coordinates keep
     the solver's diagonal regularization centered on the nominal: with a
-    zero input weight an absolute-variable stack would bias the torque plan
+    zero input weight an absolute-variable QP would bias the torque plan
     toward zero (dropping gravity compensation), whereas here it only
     shrinks toward the operational-space rollout. Tracking weight acts on
     position deviations through the nominal's projected Jacobians, damping
-    on absolute velocities, an optional weight on absolute inputs; the
-    stacked dynamics enter as equality rows whose right-hand side carries
-    the Euler-vs-rollout defect.
+    on absolute velocities, an optional weight on input deviations. The
+    banded dynamics rows (eq_a, eq_b) of build_prediction, given in absolute
+    coordinates, are shifted to deviations as eq_b - eq_a @ z_hat with
+    z_hat = [xhat_1..xhat_np; uhat_0..uhat_np-1]; that right-hand side is the
+    Euler-vs-rollout defect of each stage.
     """
-    n_p = stack.horizon
-    nx = stack.free_response.shape[1]
-    n = nx // 2
-    if rollout.q_hat.shape[0] != n_p + 1:
-        raise ValueError("rollout and stack horizons disagree")
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
+    n_p = rollout.q_hat.shape[0] - 1
+    n = rollout.q_hat.shape[1]
+    nx = 2 * n
+    eq_a, eq_b = rows
+    if eq_a.shape != (n_p * nx, n_p * (nx + n)) or eq_b.shape != (n_p * nx,):
+        raise ValueError("dynamics rows and rollout horizon disagree")
     w_task = _weight_matrix(cfg.task_weight, rollout.task_dim)
     w_damp = _weight_matrix(cfg.damping_weight, n)
     w_input = _weight_matrix(cfg.input_weight, n)
@@ -199,13 +160,8 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout, stack: Predicti
             u_blk = slice(n_p * nx + k * n, n_p * nx + (k + 1) * n)
             hess[u_blk, u_blk] += w_input
 
-    # dynamics equalities over the state deviations (initial deviation is known)
-    defects = stack.defects(rollout.x_hat, rollout.u_hat)
-    dx_init = stack.x_init - rollout.x_hat[0]
-    eq_a = np.zeros((n_p * nx, dim))
-    eq_a[:, : n_p * nx] = np.eye(n_p * nx)
-    eq_a[:, n_p * nx:] = -stack.input_map[nx:, :]
-    eq_b = stack.free_response[nx:] @ dx_init + stack.residual_map[nx:] @ defects.ravel()
+    z_hat = np.concatenate([rollout.x_hat[1:].ravel(), rollout.u_hat.ravel()])
+    eq_b = eq_b - eq_a @ z_hat
 
     lb = np.empty(dim)
     ub = np.empty(dim)
@@ -279,13 +235,13 @@ class DynamicMpc:
                               tasks, posture=self.posture)
         stages = [linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], cfg.dt)
                   for k in range(cfg.horizon)]
-        stack = build_prediction(stages, x_measured)
+        rows = build_prediction(stages, x_measured)
         terminal = None
         if includes_end:
             widen = 10.0 if self._widen_next else 1.0
             terminal = TerminalStateTarget(x_ref=rollout.x_hat[-1], widen=widen)
         try:
-            problem = build_dyn_qp(cfg, rollout, stack, self.limits, terminal=terminal)
+            problem = build_dyn_qp(cfg, rollout, rows, self.limits, terminal=terminal)
             solution = self.solver.solve(problem, warm_start=self._warm)
         except qp.QpDataError:
             solution = None  # crossed terminal boxes: trivially infeasible tick

@@ -103,9 +103,11 @@ class KktResiduals:
     stationarity: float
     feasibility: float
     complementarity: float
+    dual_feasibility: float  # max(0, -min multiplier on active inequality rows)
 
     def max(self) -> float:
-        return max(self.stationarity, self.feasibility, self.complementarity)
+        return max(self.stationarity, self.feasibility, self.complementarity,
+                   self.dual_feasibility)
 
 
 @dataclass
@@ -207,6 +209,7 @@ def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
 
     feas = 0.0
     comp = 0.0
+    dual = 0.0
     if rows.n_eq:
         feas = float(np.abs(rows.a_eq @ z - rows.b_eq).max())
     if rows.n_in:
@@ -217,11 +220,17 @@ def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
             if idx >= rows.n_eq:
                 lam_in[idx - rows.n_eq] = lam
         comp = float(np.abs(lam_in * slack).max())
-    return KktResiduals(stationarity=stationarity, feasibility=feas, complementarity=comp)
+        dual = max(0.0, -float(lam_in.min()))
+    return KktResiduals(stationarity=stationarity, feasibility=feas, complementarity=comp,
+                        dual_feasibility=dual)
 
 
 def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> KktResiduals:
-    """Stationarity, primal feasibility, and complementarity residual norms.
+    """Stationarity, primal feasibility, complementarity and dual feasibility.
+
+    Dual feasibility is how far the most negative multiplier on an active
+    inequality row lies below zero; with it, a small max() certifies a
+    convex QP's optimum.
 
     active_set holds canonical row indices (equalities first) as produced by
     the solver; multipliers align with it.

@@ -11,7 +11,6 @@ from armmpc.mpc_dynamic import (
     build_dyn_qp,
     build_prediction,
     linearize_stage,
-    propagate,
 )
 from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout, osc_torque
 from armmpc.trajgen import TaskTrajectory
@@ -79,43 +78,38 @@ def test_linearization_second_order_remainder(desk_model, rng):
     assert 1.9 <= slope <= 2.1
 
 
-def test_prediction_frozen_dynamics():
-    nx, nu, n_p = 4, 2, 3
-    stages = [LinearizedStage(A=np.eye(nx), B=np.zeros((nx, nu)), r=np.zeros(nx))] * n_p
-    x0 = np.arange(nx, dtype=float)
-    stack = build_prediction(stages, x0)
-    out = propagate(stack, np.zeros((n_p, nu)))
-    np.testing.assert_allclose(out.reshape(n_p + 1, nx), np.tile(x0, (n_p + 1, 1)), atol=1e-15)
-
-
-def test_prediction_single_step(rng):
-    nx, nu = 4, 2
-    st = LinearizedStage(A=rng.standard_normal((nx, nx)), B=rng.standard_normal((nx, nu)),
-                         r=rng.standard_normal(nx))
+@pytest.mark.parametrize("kind, n_p", [("frozen", 3), ("random", 1), ("random", 5),
+                                       ("random", 0)])
+def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
+    nx, nu = 6, 3
+    if kind == "frozen":
+        stages = [LinearizedStage(A=np.eye(nx), B=np.zeros((nx, nu)), r=np.zeros(nx))] * n_p
+    else:
+        stages = [
+            LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((nx, nx)),
+                            B=rng.standard_normal((nx, nu)), r=0.1 * rng.standard_normal(nx))
+            for _ in range(n_p)
+        ]
     x0 = rng.standard_normal(nx)
-    u0 = rng.standard_normal(nu)
-    stack = build_prediction([st], x0)
-    out = propagate(stack, u0.reshape(1, nu)).reshape(2, nx)
-    np.testing.assert_allclose(out[0], x0, atol=1e-15)
-    np.testing.assert_allclose(out[1], st.A @ x0 + st.B @ u0 + st.r, atol=1e-13)
-
-
-def test_prediction_matches_sequential_rollout(rng):
-    nx, nu, n_p = 6, 3, 5
-    stages = [
-        LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((nx, nx)),
-                        B=rng.standard_normal((nx, nu)), r=0.1 * rng.standard_normal(nx))
-        for _ in range(n_p)
-    ]
-    x0 = rng.standard_normal(nx)
+    if n_p == 0:
+        with pytest.raises(ValueError):
+            build_prediction(stages, x0)
+        return
     u_seq = rng.standard_normal((n_p, nu))
-    stack = build_prediction(stages, x0)
-    out = propagate(stack, u_seq).reshape(n_p + 1, nx)
-    x = x0.copy()
-    np.testing.assert_allclose(out[0], x0, atol=1e-12)
-    for k, st in enumerate(stages):
-        x = st.A @ x + st.B @ u_seq[k] + st.r
-        np.testing.assert_allclose(out[k + 1], x, atol=1e-12)
+    states = []
+    x = x0
+    for st, u in zip(stages, u_seq):
+        x = st.A @ x + st.B @ u + st.r
+        states.append(x)
+    states = np.ravel(states)
+    eq_a, eq_b = build_prediction(stages, x0)
+    assert eq_a.shape == (n_p * nx, n_p * (nx + nu))
+    np.testing.assert_allclose(eq_a @ np.concatenate([states, u_seq.ravel()]), eq_b,
+                               rtol=0.0, atol=1e-12)
+    # the rows pin the states: given the inputs they reproduce the rollout
+    x_cols = n_p * nx
+    pinned = np.linalg.solve(eq_a[:, :x_cols], eq_b - eq_a[:, x_cols:] @ u_seq.ravel())
+    np.testing.assert_allclose(pinned, states, rtol=0.0, atol=1e-12)
 
 
 def equilibrium_setup(model, rng):
@@ -135,12 +129,13 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
                        posture=default_posture(q0))
     stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
               for k in range(cfg.horizon)]
-    stack = build_prediction(stages, x0)
-    problem = build_dyn_qp(cfg, roll, stack, desk_model.limits)
+    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
+    with pytest.raises(ValueError, match="horizon"):
+        build_dyn_qp(cfg, roll, build_prediction(stages[:-1], x0), desk_model.limits)
 
 
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
@@ -151,8 +146,7 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
                        posture=default_posture(q0))
     stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
               for k in range(cfg.horizon)]
-    stack = build_prediction(stages, x0)
-    problem = build_dyn_qp(cfg, roll, stack, desk_model.limits)
+    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
     u_max = desk_model.limits.u_max
     np.testing.assert_allclose(u_max, [239.0, 239.0, 124.5, 32.0, 40.96, 25.6])
@@ -161,6 +155,32 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
         blk = slice(cfg.horizon * nx + k * 6, cfg.horizon * nx + (k + 1) * 6)
         np.testing.assert_allclose(problem.ub[blk] + roll.u_hat[k], u_max, atol=1e-12)
         np.testing.assert_allclose(problem.lb[blk] + roll.u_hat[k], -u_max, atol=1e-12)
+
+
+def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
+    # stage k's rows touch only x_{k+1}, x_k and u_k
+    q0 = random_config(desk_model, rng)
+    x0 = np.concatenate([q0, 0.3 * rng.standard_normal(6)])
+    far = forward_kinematics(desk_model, q0 + 0.2 * rng.standard_normal(6))
+    traj = TaskTrajectory(dt=1e-3, poses=(far,) * 20, tasks=default_task_hierarchy())
+    cfg = DynamicMpcConfig(horizon=10, dt=1e-3)
+    window, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+                       posture=default_posture(q0))
+    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
+              for k in range(cfg.horizon)]
+    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
+    nx, n, n_p = 12, 6, cfg.horizon
+    assert problem.Aeq.shape == (n_p * nx, n_p * (nx + n))
+    for k in range(n_p):
+        row = problem.Aeq[k * nx:(k + 1) * nx]
+        for j in range(n_p):
+            x_blk = row[:, j * nx:(j + 1) * nx]
+            u_blk = row[:, n_p * nx + j * n:n_p * nx + (j + 1) * n]
+            if j not in (k, k - 1):
+                assert not x_blk.any(), f"state block ({k}, {j})"
+            if j != k:
+                assert not u_blk.any(), f"input block ({k}, {j})"
 
 
 def test_dyn_step_equilibrium_returns_bias(desk_model, rng):
@@ -187,13 +207,19 @@ def test_dyn_step_commands_within_limits(desk_model, rng):
 
 
 def test_dyn_step_solved_plan_satisfies_dynamics_rows(desk_model, rng):
-    q0, x0, traj = equilibrium_setup(desk_model, rng)
+    q0, _, traj = equilibrium_setup(desk_model, rng)
+    x0 = np.concatenate([q0, 0.3 * rng.standard_normal(6)])  # off the nominal's rest
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3)
     ctl = DynamicMpc(desk_model, cfg, posture=default_posture(q0))
     res = ctl.step(x0, traj, 0)
-    sol = res.solution
-    assert sol.status == qp.OPTIMAL
-    assert sol.kkt.feasibility <= 1e-8
+    assert res.solution.status == qp.OPTIMAL
+    roll = res.rollout
+    x = x0
+    for k in range(cfg.horizon):
+        st = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
+        np.testing.assert_allclose(res.plan_states[k], st.A @ x + st.B @ res.plan_inputs[k] + st.r,
+                                   rtol=0.0, atol=1e-8)
+        x = res.plan_states[k]
 
 
 def test_dyn_terminal_constraint(desk_model, rng):

@@ -156,6 +156,23 @@ def test_kkt_check_feasibility_residual():
     assert res.feasibility == pytest.approx(delta)
 
 
+def test_kkt_check_dual_feasibility():
+    # z = 1 on the bound z >= 1 is stationary with multiplier -1, yet the
+    # unconstrained minimum z = 2 is feasible: only the sign shows it
+    p = QpProblem(H=np.eye(1), g=np.array([-2.0]), lb=np.array([1.0]),
+                  ub=np.array([np.inf]))
+    res = kkt_check(p, np.array([1.0]), active_set=(0,), multipliers=(-1.0,))
+    assert res.stationarity <= 1e-8
+    assert res.feasibility == 0.0 and res.complementarity == 0.0
+    assert res.dual_feasibility == pytest.approx(1.0)
+    assert res.max() == pytest.approx(1.0)
+    # a solve whose bound is active carries a non-negative multiplier
+    p.g = np.array([0.0])
+    sol = solve(p)
+    assert sol.status == OPTIMAL and sol.active_set == (0,)
+    assert sol.kkt.dual_feasibility == 0.0
+
+
 def test_max_iter_returns_best_iterate():
     # a normal problem but with an absurdly low cap via monkeypatching is
     # intrusive; instead verify the field exists and is a sane count
