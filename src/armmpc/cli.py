@@ -10,7 +10,7 @@ import csv
 import json
 import statistics
 import sys
-import time
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -22,6 +22,7 @@ from .robot_model import ModelError, PayloadSpec
 from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
+    ScenarioConfig,
     default_scenario_config,
     run_scenario,
     write_log_csv,
@@ -41,9 +42,8 @@ DEFAULT_MODELS = {
     "circle_2dof": "rs007n",
 }
 
-_CONFIG_KEYS = ("dt", "horizon", "svd_threshold", "task_weight", "damping_weight",
-                "accel_weight", "input_weight", "terminal_pos_tol", "terminal_vel_tol",
-                "terminal_state_tol", "duration", "max_ticks", "substeps")
+# Scalar ScenarioConfig fields; payload and position_gains are parsed apart.
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"payload", "position_gains"}
 
 
 class ConfigError(click.ClickException):
@@ -89,6 +89,8 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
         raise ConfigError("horizon must be >= 1")
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
+    if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, int) and cfg.max_ticks >= 1):
+        raise ConfigError("max_ticks must be an integer >= 1")
     return cfg
 
 
@@ -151,6 +153,8 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
         raise ConfigError(f"bad horizon list {horizons!r}: {exc}") from exc
     if not horizon_list:
         raise ConfigError("horizon list is empty")
+    if ticks < 1:
+        raise ConfigError("ticks must be >= 1")
     model = _resolve_model(model_arg, scenario)
     rows = bench_horizon(model, scenario, horizon_list, ticks, dt=dt,
                          config_path=config_path)
@@ -175,16 +179,16 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
 
 
 def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
-                  config_path=None, repeats: int = 2) -> list[dict]:
+                  config_path=None) -> list[dict]:
     """Timing stats per horizon for the kinematic MPC on a fixed tick count.
 
-    Each horizon's run is repeated and the repetition with the faster median
-    is kept, damping transient machine-load noise.
+    Each horizon runs twice and the run with the faster median is kept,
+    damping transient machine-load noise.
     """
     rows = []
     for horizon in horizon_list:
         best = None
-        for _ in range(max(repeats, 1)):
+        for _ in range(2):
             cfg = _load_config(scenario, "kin_mpc", config_path,
                                {"horizon": horizon, "dt": dt, "max_ticks": ticks})
             result = run_scenario(scenario, "kin_mpc", model, cfg)

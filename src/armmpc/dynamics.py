@@ -289,13 +289,10 @@ def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
     return RigidBodyState(model, q, model.check_q(qd, "qd")).forward_dynamics(u)
 
 
-def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float, substeps: int = 1):
-    """Semi-implicit Euler step(s): velocity update first, then position."""
-    h = dt / substeps
-    for _ in range(substeps):
-        qd = qd + h * forward_dynamics(model, q, qd, u)
-        q = q + h * qd
-    return q, qd
+def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float):
+    """One semi-implicit Euler step: velocity update first, then position."""
+    qd = qd + dt * forward_dynamics(model, q, qd, u)
+    return q + dt * qd, qd
 
 
 def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):

@@ -25,12 +25,6 @@ from .robot_model import REVOLUTE, RobotModel, _frozen
 # quaternion / rotation-vector utilities (w, x, y, z ordering, w >= 0)
 
 
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q)
-    return canonical_quat(q)
-
-
 def canonical_quat(q: np.ndarray) -> np.ndarray:
     """Fix the double-cover sign: w > 0, ties broken by the first nonzero entry."""
     if q[0] < 0:
@@ -80,19 +74,6 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
                 [(rot[1, 0] - rot[0, 1]) / s, (rot[0, 2] + rot[2, 0]) / s, (rot[1, 2] + rot[2, 1]) / s, 0.25 * s]
             )
     return canonical_quat(q / np.linalg.norm(q))
-
-
-def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
 
 
 def rotvec_to_matrix(v) -> np.ndarray:

@@ -32,7 +32,6 @@ class KinematicMpcConfig:
     terminal_pos_tol: np.ndarray | float = 1e-3  # rad, box around nominal q_N
     terminal_vel_tol: np.ndarray | float = 1e-2  # rad/s
     svd_threshold: float = 1e-2
-    ik_gain: float = 20.0
 
     def __post_init__(self):
         if self.horizon < 1:

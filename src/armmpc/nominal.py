@@ -2,7 +2,9 @@
 
 Two generators: prioritized inverse-kinematics rollouts for the kinematic
 controller, and hierarchical operational-space torque rollouts for the
-dynamic controller. Both guard every pseudoinverse with the compact
+dynamic controller. Each step tracks one target pose (with an optional
+6-twist); every task level tracks its own rows of that pose, visited in
+priority order. Both guard every pseudoinverse with the compact
 (truncated) SVD so commands stay bounded near singular configurations, and
 both record the per-step stack of projected task Jacobians that the MPC
 cost linearizes around.
@@ -67,13 +69,11 @@ class TaskSpec:
         return r.stop - r.start
 
 
-def default_task_hierarchy(ik_gain: float = 20.0,
-                           kp_pos=(100.0, 100.0, 100.0), kd_pos=(7.0, 13.0, 7.0),
-                           kp_ori=(20.0, 20.0, 20.0), kd_ori=(1.5, 1.5, 1.5)) -> tuple[TaskSpec, ...]:
+def default_task_hierarchy() -> tuple[TaskSpec, ...]:
     """Position above orientation, with the reference controller gains."""
     return (
-        TaskSpec(priority=1, selector=POSITION, gain=ik_gain, kp=np.asarray(kp_pos), kd=np.asarray(kd_pos)),
-        TaskSpec(priority=2, selector=ORIENTATION, gain=ik_gain, kp=np.asarray(kp_ori), kd=np.asarray(kd_ori)),
+        TaskSpec(priority=1, selector=POSITION, gain=20.0, kp=np.full(3, 100.0), kd=np.array([7.0, 13.0, 7.0])),
+        TaskSpec(priority=2, selector=ORIENTATION, gain=20.0, kp=np.full(3, 20.0), kd=np.full(3, 1.5)),
     )
 
 
@@ -166,39 +166,30 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     return (vt[keep].T / sigma[keep]) @ u[:, keep].T
 
 
-def _stack_targets(tasks, targets) -> list[tuple[TaskSpec, Pose]]:
-    if len(targets) != len(tasks):
-        raise ValueError("need one target pose per task")
-    order = sorted(range(len(tasks)), key=lambda i: tasks[i].priority)
-    return [(tasks[i], targets[i]) for i in order]
-
-
-def prioritized_ik_step(model: RobotModel, q, tasks, targets, rel_threshold: float,
-                        twists=None, record=None) -> np.ndarray:
+def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold: float,
+                        twist=None, record=None) -> np.ndarray:
     """Joint velocity command executing the task hierarchy at configuration q.
 
-    Recursion over priority levels: each level's correction is computed with
-    the truncated-SVD pseudoinverse of its projected Jacobian and leaves all
-    higher-priority task velocities untouched. Optional twists add a task
-    velocity feedforward on top of the proportional error term.
+    Every level tracks its selected rows of the one target pose. Recursion
+    over priority levels: each level's correction is computed with the
+    truncated-SVD pseudoinverse of its projected Jacobian and leaves all
+    higher-priority task velocities untouched. An optional 6-twist adds a
+    task velocity feedforward on top of the proportional error term.
     """
     q = model.check_q(q)
     rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
+    if twist is not None:
+        twist = np.asarray(twist, dtype=float)
+    err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
     qd = np.zeros(model.n)
     proj = np.eye(model.n)
-    ordered = _stack_targets(tasks, targets)
-    err_cache: dict[int, np.ndarray] = {}
-    for level, (task, target) in enumerate(ordered):
+    for task in sorted(tasks, key=lambda t: t.priority):
         rows = task.rows
         jac_t = jac_full[rows]
-        err_full = err_cache.get(id(target))
-        if err_full is None:
-            err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
-            err_cache[id(target)] = err_full
         err = err_full[rows]
         ref_vel = task.gain * err
-        if twists is not None and twists[level] is not None:
-            ref_vel = ref_vel + np.asarray(twists[level], dtype=float)[rows]
+        if twist is not None:
+            ref_vel = ref_vel + twist[rows]
         jac_proj = jac_t @ proj
         pinv = compact_svd_pinv(jac_proj, rel_threshold)
         qd = qd + pinv @ (ref_vel - jac_t @ qd)
@@ -241,10 +232,8 @@ def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
     q = model.check_q(q0).copy()
     for k in range(steps):
         record: list = []
-        targets = [poses[k]] * len(tasks)
-        step_twists = None if twists is None else [twists[k]] * len(tasks)
-        qd = prioritized_ik_step(model, q, tasks, targets, rel_threshold,
-                                 twists=step_twists, record=record)
+        qd = prioritized_ik_step(model, q, tasks, poses[k], rel_threshold,
+                                 twist=twists[k], record=record)
         q_hat[k] = q
         qd_hat[k] = qd
         j_stack[k] = np.vstack([jac for jac, _ in record])
@@ -255,38 +244,35 @@ def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
 
 
 def _window_arrays(window):
-    """Accept a list of Poses or of (Pose, twist-or-None) pairs."""
+    """Accept a list of Poses or of (Pose, twist-or-None) pairs; return the
+    poses and one twist (or None) per step."""
     poses = []
     twists = []
-    has_twist = False
     for item in window:
-        if isinstance(item, Pose):
-            poses.append(item)
-            twists.append(None)
-        else:
-            pose, twist = item
-            poses.append(pose)
-            twists.append(None if twist is None else np.asarray(twist, dtype=float))
-            has_twist = has_twist or twist is not None
-    return poses, (twists if has_twist else None)
+        pose, twist = (item, None) if isinstance(item, Pose) else item
+        poses.append(pose)
+        twists.append(None if twist is None else np.asarray(twist, dtype=float))
+    return poses, twists
 
 
-def osc_torque(model: RobotModel, q, qd, tasks, targets, rel_threshold: float,
-               posture: PostureSpec | None = None, twists=None, accels=None,
-               record=None) -> np.ndarray:
-    """Hierarchical operational-space torque for the given task targets.
+def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: float,
+               posture: PostureSpec | None = None, twist=None, record=None) -> np.ndarray:
+    """Hierarchical operational-space torque tracking one target pose.
 
-    Per level: a task-space PD force weighted by the task-space inertia,
+    Every level tracks its selected rows of the target (and of the optional
+    6-twist): a task-space PD force weighted by the task-space inertia,
     mapped through the projected Jacobian transpose; lower levels act through
     dynamically consistent null-space projectors, the posture impedance acts
     in the final null space, and the bias forces are compensated exactly.
     """
     st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
-    return _osc_torque(st, tasks, targets, rel_threshold, posture, twists, accels, record)
+    if twist is not None:
+        twist = np.asarray(twist, dtype=float)
+    return _osc_torque(st, tasks, target, rel_threshold, posture, twist, record)
 
 
-def _osc_torque(st: RigidBodyState, tasks, targets, rel_threshold: float,
-                posture: PostureSpec | None, twists, accels, record) -> np.ndarray:
+def _osc_torque(st: RigidBodyState, tasks, target: Pose, rel_threshold: float,
+                posture: PostureSpec | None, twist, record) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the caller."""
     q, qd = st.q, st.qd
     n = st.chain.n
@@ -294,24 +280,19 @@ def _osc_torque(st: RigidBodyState, tasks, targets, rel_threshold: float,
     *_, rot_c, pos_c = st.frames
     jac_full = st.jacobian()
     jdot_full = st.jacobian_dot()
+    err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
 
     u = np.zeros(n)
     proj = np.eye(n)
-    ordered = _stack_targets(tasks, targets)
-    for level, (task, target) in enumerate(ordered):
+    for task in sorted(tasks, key=lambda t: t.priority):
         rows = task.rows
         jac_t = jac_full[rows]
-        err = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)[rows]
+        err = err_full[rows]
         vel = jac_t @ qd
-        ref_vel = np.zeros(task.dim)
-        if twists is not None and twists[level] is not None:
-            ref_vel = np.asarray(twists[level], dtype=float)[rows]
-        ref_acc = np.zeros(task.dim)
-        if accels is not None and accels[level] is not None:
-            ref_acc = np.asarray(accels[level], dtype=float)[rows]
+        ref_vel = np.zeros(task.dim) if twist is None else twist[rows]
         kp = task.kp if task.kp is not None else np.full(task.dim, 100.0)
         kd = task.kd if task.kd is not None else np.full(task.dim, 10.0)
-        acc_des = ref_acc + kd * (ref_vel - vel) + kp * err
+        acc_des = kd * (ref_vel - vel) + kp * err
 
         jac_proj = jac_t @ proj
         if record is not None:
@@ -355,10 +336,8 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     for k in range(steps):
         x_hat[k] = np.concatenate([q, qd])
         record: list = []
-        targets = [poses[k]] * len(tasks)
-        step_twists = None if twists is None else [twists[k]] * len(tasks)
         st = RigidBodyState(model, q, qd)
-        u = _osc_torque(st, tasks, targets, rel_threshold, posture, step_twists, None, record)
+        u = _osc_torque(st, tasks, poses[k], rel_threshold, posture, twists[k], record)
         j_stack[k] = np.vstack([jac for jac, _ in record])
         err_stack[k] = np.concatenate([err for _, err in record])
         if k + 1 < steps:

@@ -81,12 +81,6 @@ class RigidTransform:
     def from_xyz_rpy(xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "RigidTransform":
         return RigidTransform(rpy_to_matrix(rpy), np.asarray(xyz, dtype=float))
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def apply(self, point: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
@@ -169,14 +163,6 @@ class JointLimits:
     q_max: np.ndarray
     v_max: np.ndarray
     u_max: np.ndarray
-
-    @property
-    def v_min(self) -> np.ndarray:
-        return -self.v_max
-
-    @property
-    def u_min(self) -> np.ndarray:
-        return -self.u_max
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,8 +48,7 @@ def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
     return PlantState(t=0.0, q=q0.copy(), qd=qd0.copy(), last_u=np.zeros(model.n))
 
 
-def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float,
-                      substeps: int = 1) -> PlantState:
+def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float) -> PlantState:
     """Clamp the torque to the model limits and integrate one tick."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -59,7 +58,7 @@ def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float,
     u_max = model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
     saturated = bool(np.any(u_applied != u))
-    q, qd = integrate_semi_implicit(model, state.q, state.qd, u_applied, dt, substeps)
+    q, qd = integrate_semi_implicit(model, state.q, state.qd, u_applied, dt)
     return PlantState(
         t=state.t + dt,
         q=q,
@@ -81,8 +80,7 @@ class PositionLoopGains:
 
 
 def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
-                        gains: PositionLoopGains = PositionLoopGains(),
-                        substeps: int = 1) -> PlantState:
+                        gains: PositionLoopGains = PositionLoopGains()) -> PlantState:
     """Inner PD + gravity compensation tracking q_cmd, then the torque plant.
 
     Stands in for a vendor joint controller: inertia-scaled PD acceleration
@@ -92,7 +90,7 @@ def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
     acc = gains.kp * (q_cmd - state.q) - gains.kd * state.qd
     st = RigidBodyState(model, state.q, np.zeros(model.n))
     u = st.mass @ acc + st.bias
-    return step_torque_plant(model, state, u, dt, substeps=substeps)
+    return step_torque_plant(model, state, u, dt)
 
 
 @dataclass
@@ -140,7 +138,6 @@ class ScenarioConfig:
     position_gains: PositionLoopGains = field(default_factory=PositionLoopGains)
     duration: float | None = None
     max_ticks: int | None = None  # truncate the run (benchmarks)
-    substeps: int = 1  # plant integration substeps per control tick
 
 
 def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
@@ -240,14 +237,12 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         if controller == "osc":
             window, _ = traj.window(tick, 0)
             pose, twist = window[0]
-            twists = [twist] * len(traj.tasks) if twist is not None else None
-            targets = [pose] * len(traj.tasks)
             t0 = time.perf_counter()
-            u = osc_torque(model, state.q, state.qd, traj.tasks, targets,
-                           cfg.svd_threshold, posture=posture, twists=twists)
+            u = osc_torque(model, state.q, state.qd, traj.tasks, pose,
+                           cfg.svd_threshold, posture=posture, twist=twist)
             solve_t[tick] = time.perf_counter() - t0
             cmd_log[tick] = u
-            state = step_torque_plant(model, state, u, cfg.dt, substeps=cfg.substeps)
+            state = step_torque_plant(model, state, u, cfg.dt)
         elif controller == "dyn_mpc":
             x = np.concatenate([state.q, state.qd])
             res = dyn.step(x, traj, tick)
@@ -255,8 +250,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
             cmd_log[tick] = res.u_cmd
             if res.degraded:
                 flags[tick] |= 1
-            state = step_torque_plant(model, state, res.u_cmd, cfg.dt,
-                                      substeps=cfg.substeps)
+            state = step_torque_plant(model, state, res.u_cmd, cfg.dt)
         else:
             res = kin.step(state.q, traj, tick)
             solve_t[tick] = res.solve_time
@@ -264,7 +258,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
             if res.degraded:
                 flags[tick] |= 1
             state = step_position_plant(model, state, res.q_cmd, cfg.dt,
-                                        gains=cfg.position_gains, substeps=cfg.substeps)
+                                        gains=cfg.position_gains)
         u_log[tick] = state.last_u
         if state.saturation_count > sat_before:
             flags[tick] |= 2

@@ -68,14 +68,32 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert len(rows) - 1 == 15  # flag wins over the config file
 
 
-def test_bad_config_key(runner, tmp_path):
+@pytest.mark.parametrize("key", ["not_a_key", "substeps"])
+def test_bad_config_key(runner, tmp_path, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"not_a_key": 1}))
+    cfg.write_text(json.dumps({key: 1}))
     result = runner.invoke(main, [
         "run", "--scenario", "circle_2dof", "--controller", "osc",
         "--config", str(cfg),
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "0"],
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "-3"],
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--config", "CONFIG"],
+    ["bench-horizon", "--horizons", "3", "--ticks", "0"],
+], ids=["run-zero", "run-negative", "config-zero", "bench-zero"])
+def test_tick_count_below_one_is_config_error(runner, tmp_path, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_ticks": 0}))
+    args = [str(cfg) if a == "CONFIG" else a for a in args]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [result.output.strip()]
+    assert "ticks must be" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_horizon_single(runner, tmp_path):

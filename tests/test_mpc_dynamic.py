@@ -263,7 +263,7 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
     pose = forward_kinematics(desk_model, q + 0.05)
     calls = {
         "osc_torque": lambda: osc_torque(desk_model, q, qd, default_task_hierarchy(),
-                                         [pose, pose], 1e-2, posture=default_posture(q)),
+                                         pose, 1e-2, posture=default_posture(q)),
         "forward_dynamics": lambda: forward_dynamics(desk_model, q, qd, u),
         "dynamics_derivatives": lambda: dynamics_derivatives(desk_model, q, qd, u),
         "linearize_stage": lambda: linearize_stage(desk_model, x_hat, u, dt=1e-3),

@@ -112,7 +112,7 @@ def test_step_stationary_target_is_fixed_point(desk_model, rng):
 
 def test_step_velocity_limit_respected(desk_model, rng):
     q0 = random_config(desk_model, rng, margin=0.35)
-    cfg = KinematicMpcConfig(horizon=4, dt=1e-3, task_weight=500.0, ik_gain=50.0)
+    cfg = KinematicMpcConfig(horizon=4, dt=1e-3, task_weight=500.0)
     lim = desk_model.limits
     slow = JointLimits(q_min=lim.q_min, q_max=lim.q_max,
                        v_max=np.full(6, 0.1), u_max=lim.u_max)

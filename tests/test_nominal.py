@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armmpc import nominal
 from armmpc.dynamics import bias_forces, forward_dynamics
 from armmpc.kinematics import Pose, forward_kinematics, geometric_jacobian, jacobian_dot, task_error
 from armmpc.nominal import (
@@ -75,14 +76,14 @@ def test_pinv_truncation_monotone(thresh, factor, seed):
 def test_ik_step_zero_error(desk_model, rng):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
-    qd = prioritized_ik_step(desk_model, q, full_pose_task(), [pose], 1e-2)
+    qd = prioritized_ik_step(desk_model, q, full_pose_task(), pose, 1e-2)
     np.testing.assert_allclose(qd, 0.0, atol=1e-12)
 
 
 def test_ik_step_single_task_is_pinv(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
-    qd = prioritized_ik_step(desk_model, q, full_pose_task(gain=1.0), [target], 1e-6)
+    qd = prioritized_ik_step(desk_model, q, full_pose_task(gain=1.0), target, 1e-6)
     jac = geometric_jacobian(desk_model, q)
     err = task_error(target, forward_kinematics(desk_model, q)).value
     np.testing.assert_allclose(qd, compact_svd_pinv(jac, 1e-6) @ err, atol=1e-10)
@@ -92,8 +93,8 @@ def test_ik_hierarchy_secondary_in_primary_nullspace(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = pos_ori_tasks()
-    qd_both = prioritized_ik_step(desk_model, q, tasks, [target, target], 1e-6)
-    qd_first = prioritized_ik_step(desk_model, q, tasks[:1], [target], 1e-6)
+    qd_both = prioritized_ik_step(desk_model, q, tasks, target, 1e-6)
+    qd_first = prioritized_ik_step(desk_model, q, tasks[:1], target, 1e-6)
     jac_pos = geometric_jacobian(desk_model, q)[:3]
     assert np.linalg.norm(jac_pos @ (qd_both - qd_first)) <= 1e-9
 
@@ -140,11 +141,31 @@ def test_task_jacobian_stack_matches_recorded(desk_model, rng):
     tasks = pos_ori_tasks()
     pose = forward_kinematics(desk_model, q)
     record = []
-    prioritized_ik_step(desk_model, q, tasks, [pose, pose], 1e-2, record=record)
+    prioritized_ik_step(desk_model, q, tasks, pose, 1e-2, record=record)
     recorded = np.vstack([jac for jac, _ in record])
     np.testing.assert_allclose(task_jacobian_stack(desk_model, q, tasks, 1e-2), recorded, atol=1e-12)
     for _, err in record:
         np.testing.assert_allclose(err, 0.0, atol=1e-12)  # zero error at own pose
+
+
+@pytest.mark.parametrize("call", ["prioritized_ik_step", "osc_torque"])
+def test_one_pose_error_per_call(desk_model, rng, monkeypatch, call):
+    calls = []
+    pose_error_raw = nominal.pose_error_raw
+
+    def counting(*args):
+        calls.append(args)
+        return pose_error_raw(*args)
+
+    monkeypatch.setattr(nominal, "pose_error_raw", counting)
+    q = random_config(desk_model, rng)
+    target = forward_kinematics(desk_model, q + 0.05)
+    tasks = default_task_hierarchy()
+    if call == "osc_torque":
+        osc_torque(desk_model, q, np.zeros(6), tasks, target, 1e-2)
+    else:
+        prioritized_ik_step(desk_model, q, tasks, target, 1e-2)
+    assert len(calls) == 1
 
 
 def test_osc_equilibrium_pure_compensation(desk_model, rng):
@@ -152,7 +173,7 @@ def test_osc_equilibrium_pure_compensation(desk_model, rng):
     qd = np.zeros(6)
     pose = forward_kinematics(desk_model, q)
     tasks = default_task_hierarchy()
-    u = osc_torque(desk_model, q, qd, tasks, [pose, pose], 1e-2, posture=default_posture(q))
+    u = osc_torque(desk_model, q, qd, tasks, pose, 1e-2, posture=default_posture(q))
     np.testing.assert_allclose(u, bias_forces(desk_model, q, np.zeros(6)), atol=1e-8)
 
 
@@ -162,7 +183,7 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
     task = TaskSpec(priority=1, selector=FULL_POSE, gain=1.0,
                     kp=np.full(6, 50.0), kd=np.full(6, 8.0))
-    u = osc_torque(desk_model, q, qd, (task,), [target], 1e-9)
+    u = osc_torque(desk_model, q, qd, (task,), target, 1e-9)
     jac = geometric_jacobian(desk_model, q)
     err = task_error(target, forward_kinematics(desk_model, q)).value
     acc_des = task.kd * (-jac @ qd) + task.kp * err
@@ -191,7 +212,7 @@ def test_paper_gains_load_and_produce_finite_torque(desk_model, rng):
     tasks = default_task_hierarchy()
     posture = default_posture(q)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
-    u = osc_torque(desk_model, q, qd, tasks, [target, target], 1e-2, posture=posture)
+    u = osc_torque(desk_model, q, qd, tasks, target, 1e-2, posture=posture)
     assert np.all(np.isfinite(u))
     np.testing.assert_allclose(posture.kp, [100, 100, 100, 50, 50, 1])
     np.testing.assert_allclose(posture.kd, [3, 5, 5, 0.2, 0.2, 0.1])
