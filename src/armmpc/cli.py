@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import sys
 from dataclasses import fields
@@ -42,8 +43,7 @@ DEFAULT_MODELS = {
     "circle_2dof": "rs007n",
 }
 
-# Scalar ScenarioConfig fields; payload and position_gains are parsed apart.
-_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"payload", "position_gains"}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 class ConfigError(click.ClickException):
@@ -72,26 +72,49 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
             file_vals = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        if not isinstance(file_vals, dict):
+            raise ConfigError(f"config {config_path} must hold a JSON object")
     merged = {**file_vals, **{k: v for k, v in overrides.items() if v is not None}}
     for key, val in merged.items():
-        if key == "payload":
-            cfg.payload = None if val is None else PayloadSpec(
-                mass=float(val["mass"]),
-                com_offset=np.asarray(val.get("com_offset", (0, 0, 0)), dtype=float),
-            )
-        elif key == "position_gains":
-            cfg.position_gains = PositionLoopGains(kp=float(val[0]), kd=float(val[1]))
-        elif key in _CONFIG_KEYS:
-            setattr(cfg, key, type(getattr(cfg, key))(val) if getattr(cfg, key) is not None else val)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            _set_config_value(cfg, key, val)
+        except (TypeError, ValueError) as exc:  # ModelError is a ValueError
+            raise ConfigError(f"bad config value for {key!r}: {exc}") from exc
     if cfg.horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    if cfg.dt <= 0:
+    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
         raise ConfigError("dt must be positive")
+    if cfg.duration is not None and not (math.isfinite(cfg.duration) and cfg.duration > 0):
+        raise ConfigError("duration must be a positive number")
     if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, int) and cfg.max_ticks >= 1):
         raise ConfigError("max_ticks must be an integer >= 1")
     return cfg
+
+
+def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
+    """Store one config value, converted to the type of the field's default."""
+    if key == "payload":
+        if val is not None and not (isinstance(val, dict) and "mass" in val):
+            raise ValueError("payload must be null or an object with a 'mass'")
+        cfg.payload = None if val is None else PayloadSpec(
+            mass=float(val["mass"]),
+            com_offset=np.asarray(val.get("com_offset", (0, 0, 0)), dtype=float),
+        )
+    elif key == "position_gains":
+        kp, kd = val
+        cfg.position_gains = PositionLoopGains(kp=float(kp), kd=float(kd))
+    elif key == "duration":
+        cfg.duration = None if val is None else float(val)
+    else:
+        default = getattr(cfg, key)
+        if default is not None:
+            conv = type(default)(val)
+            if isinstance(default, int) and conv != float(val):
+                raise ValueError(f"{val!r} is not an integer")
+            val = conv
+        setattr(cfg, key, val)
 
 
 @click.group()

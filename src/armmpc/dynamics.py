@@ -18,27 +18,12 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .kinematics import ChainState, _skew
+from .kinematics import ChainState, _crm, _skew
 from .robot_model import RobotModel
 
 
 class FactorizationError(RuntimeError):
     """The mass matrix failed its SPD factorization (invalid inertias)."""
-
-
-def _crm(v: np.ndarray) -> np.ndarray:
-    """Motion cross-product operator: _crm(v) @ m = v x m."""
-    out = np.zeros((6, 6))
-    wx = _skew(v[:3])
-    out[:3, :3] = wx
-    out[3:, 3:] = wx
-    out[3:, :3] = _skew(v[3:])
-    return out
-
-
-def _crf(v: np.ndarray) -> np.ndarray:
-    """Force cross-product operator: _crf(v) = -_crm(v).T."""
-    return -_crm(v).T
 
 
 def _icrf(f: np.ndarray) -> np.ndarray:
@@ -136,13 +121,40 @@ class RigidBodyState(ChainState):
             raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: {exc}") from exc
 
     @cached_property
+    def minv(self) -> np.ndarray:
+        """Inverse mass matrix, solved from the Cholesky factor."""
+        return cho_solve(self.factor, np.eye(self.chain.n))
+
+    @cached_property
     def bias(self) -> np.ndarray:
         """Coriolis/centrifugal plus gravity forces b(q, qd)."""
         return self.inverse_dynamics(np.zeros(self.chain.n))
 
+    @cached_property
+    def gravity(self) -> np.ndarray:
+        """Gravity forces g(q) = b(q, 0): the Newton-Euler passes at rest."""
+        c = self.chain
+        xs = self.xs
+        f = []
+        a = c.a_base
+        for k in range(c.n):
+            a = xs[k] @ a
+            f.append(c.inertia[k] @ a)
+        u = np.empty(c.n)
+        for k in range(c.n - 1, -1, -1):
+            u[k] = c.subspace[k] @ f[k]
+            if k > 0:
+                f[k - 1] += xs[k].T @ f[k]
+        return u
+
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""
         return cho_solve(self.factor, u - self.bias)
+
+    def semi_implicit_step(self, u: np.ndarray, dt: float):
+        """One semi-implicit Euler step from this state: velocity first, then position."""
+        qd = self.qd + dt * self.forward_dynamics(u)
+        return self.q + dt * qd, qd
 
     def inverse_dynamics(self, qdd: np.ndarray) -> np.ndarray:
         """Recursive Newton-Euler: u = M(q) qdd + b(q, qd)."""
@@ -159,9 +171,11 @@ class RigidBodyState(ChainState):
             s = c.subspace[k]
             vj = s * qd[k]
             v[k] = xs[k] @ v_prev + vj
-            a[k] = xs[k] @ a_prev + s * qdd[k] + _crm(v[k]) @ vj
+            crm_v = _crm(v[k])
+            crf_v = -crm_v.T
+            a[k] = xs[k] @ a_prev + s * qdd[k] + crm_v @ vj
             iv = c.inertia[k] @ v[k]
-            f[k] = c.inertia[k] @ a[k] + _crf(v[k]) @ iv
+            f[k] = c.inertia[k] @ a[k] + crf_v @ iv
             v_prev = v[k]
             a_prev = a[k]
 
@@ -204,10 +218,11 @@ class RigidBodyState(ChainState):
             xa = x @ a_prev
             v[k] = xv + vj
             crm_vk = _crm(v[k])
+            crf_vk = -crm_vk.T
             a[k] = xa + s * qdd[k] + crm_vk @ vj
 
-            crm_s = _crm(s)
-            crm_vj = _crm(vj)
+            crm_s = chain.crm_s[k]
+            crm_vj = qd[k] * crm_s
 
             dv_q[k] = x @ dv_prev_q
             dv_q[k][:, k] += -crm_s @ xv
@@ -221,8 +236,8 @@ class RigidBodyState(ChainState):
 
             inertia = chain.inertia[k]
             iv = inertia @ v[k]
-            f[k] = inertia @ a[k] + _crf(v[k]) @ iv
-            mix = _icrf(iv) + _crf(v[k]) @ inertia
+            f[k] = inertia @ a[k] + crf_vk @ iv
+            mix = _icrf(iv) + crf_vk @ inertia
             df_q[k] = inertia @ da_q[k] + mix @ dv_q[k]
             df_qd[k] = inertia @ da_qd[k] + mix @ dv_qd[k]
 
@@ -239,7 +254,7 @@ class RigidBodyState(ChainState):
             if k > 0:
                 xt = xs[k].T
                 df_q[k - 1] += xt @ df_q[k]
-                df_q[k - 1][:, k] += xt @ (_crf(s) @ f[k])
+                df_q[k - 1][:, k] += xt @ (chain.crf_s[k] @ f[k])
                 df_qd[k - 1] += xt @ df_qd[k]
                 f[k - 1] += xt @ f[k]
         return dtau_dq, dtau_dqd
@@ -253,8 +268,7 @@ class RigidBodyState(ChainState):
         else:
             raise ValueError(f"unknown derivative method {method!r}")
         factor = self.factor
-        minv = cho_solve(factor, np.eye(self.chain.n))
-        minv = 0.5 * (minv + minv.T)
+        minv = 0.5 * (self.minv + self.minv.T)
         return DynamicsDerivatives(
             dtau_dq=dtau_dq,
             dtau_dqd=dtau_dqd,
@@ -291,8 +305,9 @@ def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
 
 def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float):
     """One semi-implicit Euler step: velocity update first, then position."""
-    qd = qd + dt * forward_dynamics(model, q, qd, u)
-    return q + dt * qd, qd
+    u = model.check_q(u, "u")
+    q = model.check_q(q)
+    return RigidBodyState(model, q, model.check_q(qd, "qd")).semi_implicit_step(u, dt)
 
 
 def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):

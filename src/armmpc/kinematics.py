@@ -124,6 +124,13 @@ def _skew(v) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors (np.cross without overhead)."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (k, 3) arrays (np.cross without overhead)."""
     out = np.empty_like(a)
@@ -131,6 +138,21 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
     out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
+
+
+def _crm(v: np.ndarray) -> np.ndarray:
+    """Motion cross-product operator: _crm(v) @ m = v x m."""
+    out = np.zeros((6, 6))
+    wx = _skew(v[:3])
+    out[:3, :3] = wx
+    out[3:, 3:] = wx
+    out[3:, :3] = _skew(v[3:])
+    return out
+
+
+def _crf(v: np.ndarray) -> np.ndarray:
+    """Force cross-product operator: _crf(v) = -_crm(v).T."""
+    return -_crm(v).T
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +228,7 @@ class _Chain:
     """Per-model constants of the rigid-body chain, for kinematics and dynamics."""
 
     __slots__ = ("n", "revolute", "axes", "skew", "skew2", "rot_pt", "trans_pt",
-                 "ee_rot", "ee_trans", "subspace", "inertia", "a_base")
+                 "ee_rot", "ee_trans", "subspace", "crm_s", "crf_s", "inertia", "a_base")
 
     def __init__(self, model: RobotModel):
         n = model.n
@@ -226,6 +248,9 @@ class _Chain:
                 self.subspace[k, :3] = self.axes[k]
             else:
                 self.subspace[k, 3:] = self.axes[k]
+        # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s
+        self.crm_s = [_crm(s) for s in self.subspace]
+        self.crf_s = [_crf(s) for s in self.subspace]
         self.inertia = [
             _spatial_inertia(link.mass, link.com, link.inertia_tensor) for link in model.links
         ]
@@ -313,17 +338,17 @@ class ChainState:
         prev_pos = np.zeros(3)
         for k in range(c.n):
             z = axis_w[k]
-            o_dot = vel + np.cross(omega, origin_w[k] - prev_pos)
-            axis_dot[k] = np.cross(omega, z)
+            o_dot = vel + _cross(omega, origin_w[k] - prev_pos)
+            axis_dot[k] = _cross(omega, z)
             origin_dot[k] = o_dot
             if c.revolute[k]:
                 omega = omega + z * qd[k]
                 vel = o_dot
             else:
-                vel = o_dot + np.cross(omega, z * q[k]) + z * qd[k]
+                vel = o_dot + _cross(omega, z * q[k]) + z * qd[k]
             prev_pos = pos_w[k]
 
-        ee_vel = vel + np.cross(omega, ee_pos - prev_pos)
+        ee_vel = vel + _cross(omega, ee_pos - prev_pos)
         arm = ee_pos[None, :] - origin_w
         lin = _cross_rows(axis_dot, arm) + _cross_rows(axis_w, ee_vel[None, :] - origin_dot)
         return self._columns(axis_dot, lin)

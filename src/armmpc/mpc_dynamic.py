@@ -50,11 +50,14 @@ class LinearizedStage:
     r: np.ndarray
 
 
-def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float) -> LinearizedStage:
+def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float,
+                    state: RigidBodyState | None = None) -> LinearizedStage:
     """Linearize the state equation around one nominal point and discretize.
 
     Explicit Euler on the first-order model: A = I + dt df/dx, B = dt df/du,
-    r = dt (f - df/dx x_hat - df/du u_hat).
+    r = dt (f - df/dx x_hat - df/du u_hat). state, when given, is the chain
+    state at x_hat (a rollout's own), whose mass matrix, factor and bias
+    forces are reused instead of evaluated again.
     """
     n = model.n
     x_hat = np.asarray(x_hat, dtype=float)
@@ -62,7 +65,13 @@ def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float) -> LinearizedSta
     if x_hat.shape != (2 * n,):
         raise ValueError(f"x_hat must have shape ({2 * n},)")
     qd = x_hat[n:]
-    st = RigidBodyState(model, x_hat[:n], qd)
+    if state is None:
+        st = RigidBodyState(model, x_hat[:n], qd)
+    elif (state.model is model and np.array_equal(state.q, x_hat[:n])
+          and np.array_equal(state.qd, qd)):
+        st = state
+    else:
+        raise ValueError("state is not the chain state of this model at x_hat")
     qdd = st.forward_dynamics(u_hat)
     der = st.derivatives(qdd)
 
@@ -233,7 +242,8 @@ class DynamicMpc:
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = osc_rollout(model, x_measured, window, cfg.dt, cfg.svd_threshold,
                               tasks, posture=self.posture)
-        stages = [linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], cfg.dt)
+        stages = [linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], cfg.dt,
+                                  state=rollout.states[k])
                   for k in range(cfg.horizon)]
         rows = build_prediction(stages, x_measured)
         terminal = None

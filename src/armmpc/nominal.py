@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .dynamics import RigidBodyState
 from .kinematics import Pose, fk_jacobian_raw, geometric_jacobian, pose_error_raw
@@ -101,7 +100,8 @@ class NominalRollout:
     q_hat/qd_hat are (n_p+1, n); j_stack is (n_p+1, n_g, n) projected task
     Jacobians; err_stack is (n_p+1, n_g), the nominal's own task errors in
     the same row order; u_hat is (n_p, n) and x_hat (n_p+1, 2n) for dynamic
-    rollouts.
+    rollouts, whose states hold the RigidBodyState at each x_hat row (empty
+    for kinematic rollouts).
     """
 
     q_hat: np.ndarray
@@ -110,6 +110,7 @@ class NominalRollout:
     err_stack: np.ndarray
     u_hat: np.ndarray | None = None
     x_hat: np.ndarray | None = None
+    states: tuple[RigidBodyState, ...] = ()
 
     def __post_init__(self):
         steps = self.q_hat.shape[0]
@@ -121,6 +122,8 @@ class NominalRollout:
             raise ValueError("err_stack rows must match j_stack")
         if self.u_hat is not None and self.u_hat.shape[0] != steps - 1:
             raise ValueError("u_hat must have n_p rows")
+        if self.states and len(self.states) != steps:
+            raise ValueError("states must hold one chain state per step")
         for arr in (self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("rollout has non-finite entries")
@@ -276,7 +279,7 @@ def _osc_torque(st: RigidBodyState, tasks, target: Pose, rel_threshold: float,
     """osc_torque at a chain state whose M, b and frames it shares with the caller."""
     q, qd = st.q, st.qd
     n = st.chain.n
-    minv = cho_solve(st.factor, np.eye(n))
+    minv = st.minv
     *_, rot_c, pos_c = st.frames
     jac_full = st.jacobian()
     jdot_full = st.jacobian_dot()
@@ -314,7 +317,9 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     """Simulate the OSC controller over the window with semi-implicit Euler.
 
     Torques are clamped to the model limits before integration, so the
-    recorded nominal is realizable by the torque-limited plant.
+    recorded nominal is realizable by the torque-limited plant. The chain
+    state of every step is kept on the rollout, so a linearization along it
+    reuses each state's mass matrix, factor and bias forces.
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
@@ -331,12 +336,14 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     u_hat = np.empty((max(steps - 1, 0), n))
     j_stack = np.empty((steps, n_g, n))
     err_stack = np.empty((steps, n_g))
+    states = []
     q = x0[:n].copy()
     qd = x0[n:].copy()
     for k in range(steps):
         x_hat[k] = np.concatenate([q, qd])
         record: list = []
         st = RigidBodyState(model, q, qd)
+        states.append(st)
         u = _osc_torque(st, tasks, poses[k], rel_threshold, posture, twists[k], record)
         j_stack[k] = np.vstack([jac for jac, _ in record])
         err_stack[k] = np.concatenate([err for _, err in record])
@@ -352,4 +359,5 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         err_stack=err_stack,
         u_hat=u_hat if steps > 1 else np.zeros((0, n)),
         x_hat=x_hat,
+        states=tuple(states),
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import RigidBodyState, integrate_semi_implicit
+from .dynamics import RigidBodyState
 from .kinematics import forward_kinematics, task_error
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
@@ -50,15 +50,21 @@ def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
 
 def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float) -> PlantState:
     """Clamp the torque to the model limits and integrate one tick."""
+    st = RigidBodyState(model, model.check_q(state.q), model.check_q(state.qd, "qd"))
+    return _apply_torque(st, state, u, dt)
+
+
+def _apply_torque(st: RigidBodyState, state: PlantState, u, dt: float) -> PlantState:
+    """step_torque_plant at st, the chain state of the plant state."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u = model.check_q(u, "u")
+    u = st.model.check_q(u, "u")
     if not np.all(np.isfinite(u)):
         raise ValueError("torque command has non-finite entries")
-    u_max = model.limits.u_max
+    u_max = st.model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
     saturated = bool(np.any(u_applied != u))
-    q, qd = integrate_semi_implicit(model, state.q, state.qd, u_applied, dt)
+    q, qd = st.semi_implicit_step(u_applied, dt)
     return PlantState(
         t=state.t + dt,
         q=q,
@@ -84,13 +90,14 @@ def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
     """Inner PD + gravity compensation tracking q_cmd, then the torque plant.
 
     Stands in for a vendor joint controller: inertia-scaled PD acceleration
-    plus exact gravity compensation, clamped by the torque plant.
+    plus exact gravity compensation, clamped by the torque plant. One chain
+    state at (q, qd) serves the PD torque and the integration step.
     """
     q_cmd = model.check_q(q_cmd, "q_cmd")
     acc = gains.kp * (q_cmd - state.q) - gains.kd * state.qd
-    st = RigidBodyState(model, state.q, np.zeros(model.n))
-    u = st.mass @ acc + st.bias
-    return step_torque_plant(model, state, u, dt)
+    st = RigidBodyState(model, model.check_q(state.q), model.check_q(state.qd, "qd"))
+    u = st.mass @ acc + st.gravity
+    return _apply_torque(st, state, u, dt)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armmpc import load_bundled_model
+from armmpc import dynamics, kinematics, load_bundled_model
 from armmpc.robot_model import (
     JointSpec,
     LinkInertia,
@@ -86,6 +86,48 @@ def make_planar_2dof(l1=0.5, l2=0.4, m1=2.0, m2=1.0):
     )
 
 
+def make_rpr():
+    """Revolute about z, prismatic along a tilted axis, revolute about y.
+
+    The prismatic joint rides on a rotating link, so its axis turns with a
+    nonzero angular velocity and its offset enters the velocity terms.
+    """
+    j1 = JointSpec(
+        kind="revolute",
+        axis=np.array([0.0, 0.0, 1.0]),
+        parent_transform=RigidTransform.identity(),
+        q_limits=(-3.1, 3.1),
+        v_limit=5.0,
+        u_limit=50.0,
+    )
+    j2 = JointSpec(
+        kind="prismatic",
+        axis=np.array([0.6, 0.0, 0.8]),
+        parent_transform=RigidTransform.from_xyz_rpy(xyz=(0.3, 0.1, 0.2), rpy=(0.2, 0.0, 0.4)),
+        q_limits=(-0.5, 0.5),
+        v_limit=1.0,
+        u_limit=100.0,
+    )
+    j3 = JointSpec(
+        kind="revolute",
+        axis=np.array([0.0, 1.0, 0.0]),
+        parent_transform=RigidTransform.from_xyz_rpy(xyz=(0.2, 0.0, 0.1)),
+        q_limits=(-3.1, 3.1),
+        v_limit=5.0,
+        u_limit=30.0,
+    )
+    links = tuple(
+        LinkInertia(mass=m, com=np.array([0.1, 0.0, 0.0]), inertia_tensor=np.eye(3) * 1e-2)
+        for m in (2.0, 1.5, 1.0)
+    )
+    return RobotModel(
+        joints=(j1, j2, j3),
+        links=links,
+        ee_transform=RigidTransform.from_xyz_rpy(xyz=(0.25, 0.0, 0.05)),
+        name="rpr",
+    )
+
+
 def make_prismatic_x():
     joint = JointSpec(
         kind="prismatic",
@@ -127,6 +169,26 @@ def desk_model():
 @pytest.fixture(scope="session")
 def desk_model_large():
     return load_bundled_model("rs020n")
+
+
+@pytest.fixture
+def chain_counts(monkeypatch):
+    """Count joint passes (chain states built) and mass-matrix factorizations."""
+    counts = {"passes": 0, "factors": 0}
+    init = kinematics.ChainState.__init__
+    factor = dynamics.cho_factor
+
+    def counting_init(self, *args, **kwargs):
+        counts["passes"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_factor(*args, **kwargs):
+        counts["factors"] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
+    monkeypatch.setattr(dynamics, "cho_factor", counting_factor)
+    return counts
 
 
 @pytest.fixture

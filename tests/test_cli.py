@@ -79,6 +79,46 @@ def test_bad_config_key(runner, tmp_path, key):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"horizon": "abc"},
+    {"horizon": 2.5},
+    {"svd_threshold": [1]},
+    {"payload": {"m": 1}},
+    {"payload": 3},
+    {"payload": {"mass": -1}},
+    {"position_gains": [1]},
+    {"position_gains": ["a", 2]},
+    {"duration": "x"},
+    {"duration": -1},
+    {"duration": 0},
+    {"dt": "nan"},
+    [1],
+], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
+        "payload-negative", "gains-short", "gains-str", "duration-str", "duration-negative",
+        "duration-zero", "dt-nan", "not-an-object"])
+def test_bad_config_value_is_config_error(runner, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, [
+        "run", "--scenario", "circle_2dof", "--controller", "osc",
+        "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [result.output.strip()]
+    assert "Error" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_duration_flag_is_config_error(runner, tmp_path):
+    result = runner.invoke(main, [
+        "run", "--scenario", "circle_2dof", "--controller", "osc",
+        "--duration", "-2", "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "duration must be a positive number" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "0"],
     ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "-3"],

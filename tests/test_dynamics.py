@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from armmpc.dynamics import (
-    _crf,
-    _crm,
+    RigidBodyState,
     _icrf,
     bias_forces,
     dynamics_derivatives,
@@ -14,8 +13,9 @@ from armmpc.dynamics import (
     inverse_dynamics,
     mass_matrix,
 )
+from armmpc.kinematics import _crf, _crm
 
-from conftest import random_config
+from conftest import make_rpr, random_config
 
 
 def fd_forward_dynamics_derivatives(model, q, qd, u, h=1e-6):
@@ -70,6 +70,15 @@ def test_mass_matrix_spd(desk_model, rng):
 def test_bias_zero_at_rest_no_gravity(planar_2dof):
     b = bias_forces(planar_2dof, np.array([0.3, -0.2]), np.zeros(2))
     np.testing.assert_allclose(b, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["desk", "rpr"])
+def test_gravity_equals_bias_at_rest(desk_model, rng, name):
+    # the gravity-only passes at (q, qd) give b(q, 0) to the last bit
+    model = desk_model if name == "desk" else make_rpr()
+    q = random_config(model, rng)
+    st = RigidBodyState(model, q, rng.standard_normal(model.n))
+    assert np.array_equal(st.gravity, bias_forces(model, q, np.zeros(model.n)))
 
 
 def test_bias_gravity_pendulum(gravity_pendulum):

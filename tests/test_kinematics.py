@@ -17,7 +17,7 @@ from armmpc.kinematics import (
     task_error,
 )
 
-from conftest import random_config
+from conftest import make_rpr, random_config
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -113,6 +113,18 @@ def test_jacobian_dot_matches_directional_fd(desk_model, rng):
         qd = rng.standard_normal(desk_model.n)
         fd = (geometric_jacobian(desk_model, q + qd * h) - geometric_jacobian(desk_model, q - qd * h)) / (2 * h)
         np.testing.assert_allclose(jacobian_dot(desk_model, q, qd), fd, atol=1e-5)
+
+
+def test_jacobian_dot_mixed_chain_matches_directional_fd():
+    # the prismatic joint's axis and offset turn with the first joint's omega
+    model = make_rpr()
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for _ in range(5):
+        q = random_config(model, rng)
+        qd = rng.standard_normal(model.n)
+        fd = (geometric_jacobian(model, q + qd * h) - geometric_jacobian(model, q - qd * h)) / (2 * h)
+        np.testing.assert_allclose(jacobian_dot(model, q, qd), fd, atol=1e-7)
 
 
 def test_jacobian_dot_pendulum_analytic(pendulum):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armmpc import dynamics, kinematics, qp
+from armmpc import qp
 from armmpc.dynamics import bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import (
@@ -234,26 +234,6 @@ def test_dyn_terminal_constraint(desk_model, rng):
     assert np.abs(dx).max() <= 1e-3 + 1e-8
 
 
-@pytest.fixture
-def chain_counts(monkeypatch):
-    """Count joint passes (chain states built) and mass-matrix factorizations."""
-    counts = {"passes": 0, "factors": 0}
-    init = kinematics.ChainState.__init__
-    factor = dynamics.cho_factor
-
-    def counting_init(self, *args, **kwargs):
-        counts["passes"] += 1
-        init(self, *args, **kwargs)
-
-    def counting_factor(*args, **kwargs):
-        counts["factors"] += 1
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
-    monkeypatch.setattr(dynamics, "cho_factor", counting_factor)
-    return counts
-
-
 @pytest.mark.parametrize("call", ["osc_torque", "forward_dynamics", "dynamics_derivatives",
                                   "linearize_stage"])
 def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
@@ -283,3 +263,48 @@ def test_osc_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
                 posture=default_posture(q))
     assert chain_counts["passes"] == 4
     assert chain_counts["factors"] == 4
+
+
+def off_rest_rollout(model, rng, horizon):
+    q = random_config(model, rng)
+    x0 = np.concatenate([q, 0.3 * rng.standard_normal(model.n)])
+    far = forward_kinematics(model, q + 0.2 * rng.standard_normal(model.n))
+    traj = TaskTrajectory(dt=1e-3, poses=(far,) * (horizon + 10), tasks=default_task_hierarchy())
+    return x0, traj
+
+
+def test_dyn_step_one_chain_pass_per_rollout_state(desk_model, rng, chain_counts):
+    # the rollout's n_p + 1 states serve the linearization too
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    chain_counts.update(passes=0, factors=0)
+    ctl.step(x0, traj, 0)
+    assert chain_counts["passes"] == 11
+    assert chain_counts["factors"] <= 11
+
+
+def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    window, _ = traj.window(0, 10)
+    roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks,
+                       posture=default_posture(x0[:6]))
+    assert len(roll.states) == 11
+    for k in range(10):
+        fresh = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3)
+        shared = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3,
+                                 state=roll.states[k])
+        for name in ("A", "B", "r"):
+            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), (k, name)
+
+
+def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
+    x0, traj = off_rest_rollout(desk_model, rng, 3)
+    window, _ = traj.window(0, 3)
+    roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks)
+    with pytest.raises(ValueError, match="x_hat"):
+        linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, state=roll.states[0])
+    moved = roll.x_hat[0].copy()
+    moved[8] += 1e-9  # velocity off by a hair
+    with pytest.raises(ValueError, match="x_hat"):
+        linearize_stage(desk_model, moved, roll.u_hat[0], 1e-3, state=roll.states[0])

@@ -75,6 +75,15 @@ def test_position_plant_fixed_point(desk_model, rng):
     np.testing.assert_allclose(state.q, q0, atol=1e-6)
 
 
+def test_position_plant_one_chain_pass(desk_model, rng, chain_counts):
+    q0 = random_config(desk_model, rng)
+    state = make_plant_state(desk_model, q0, 0.3 * rng.standard_normal(6))
+    chain_counts.update(passes=0, factors=0)
+    step_position_plant(desk_model, state, q0 + 0.01, 1e-3)
+    assert chain_counts["passes"] == 1
+    assert chain_counts["factors"] == 1
+
+
 def test_position_plant_step_settles():
     # acceleration-unit gains: stiff, critically damped, stable at dt=1e-3
     model = make_gravity_pendulum(mass=1.0, length=0.5)
