@@ -80,7 +80,7 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
             raise ConfigError(f"unknown config key {key!r}")
         try:
             _set_config_value(cfg, key, val)
-        except (TypeError, ValueError) as exc:  # ModelError is a ValueError
+        except (TypeError, ValueError, OverflowError) as exc:  # ModelError is a ValueError
             raise ConfigError(f"bad config value for {key!r}: {exc}") from exc
     if cfg.horizon < 1:
         raise ConfigError("horizon must be >= 1")

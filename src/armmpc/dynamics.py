@@ -133,19 +133,8 @@ class RigidBodyState(ChainState):
     @cached_property
     def gravity(self) -> np.ndarray:
         """Gravity forces g(q) = b(q, 0): the Newton-Euler passes at rest."""
-        c = self.chain
-        xs = self.xs
-        f = []
-        a = c.a_base
-        for k in range(c.n):
-            a = xs[k] @ a
-            f.append(c.inertia[k] @ a)
-        u = np.empty(c.n)
-        for k in range(c.n - 1, -1, -1):
-            u[k] = c.subspace[k] @ f[k]
-            if k > 0:
-                f[k - 1] += xs[k].T @ f[k]
-        return u
+        zeros = np.zeros(self.chain.n)
+        return self._rnea(zeros, zeros)
 
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""
@@ -158,9 +147,12 @@ class RigidBodyState(ChainState):
 
     def inverse_dynamics(self, qdd: np.ndarray) -> np.ndarray:
         """Recursive Newton-Euler: u = M(q) qdd + b(q, qd)."""
+        return self._rnea(self.qd, qdd)
+
+    def _rnea(self, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
+        """Newton-Euler passes at this state's q and the given qd and qdd."""
         c = self.chain
         xs = self.xs
-        qd = self.qd
         n = c.n
         v = np.zeros((n, 6))
         a = np.zeros((n, 6))
@@ -254,7 +246,7 @@ class RigidBodyState(ChainState):
             if k > 0:
                 xt = xs[k].T
                 df_q[k - 1] += xt @ df_q[k]
-                df_q[k - 1][:, k] += xt @ (chain.crf_s[k] @ f[k])
+                df_q[k - 1][:, k] += xt @ (-chain.crm_s[k].T @ f[k])
                 df_qd[k - 1] += xt @ df_qd[k]
                 f[k - 1] += xt @ f[k]
         return dtau_dq, dtau_dqd

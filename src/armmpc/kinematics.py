@@ -228,7 +228,7 @@ class _Chain:
     """Per-model constants of the rigid-body chain, for kinematics and dynamics."""
 
     __slots__ = ("n", "revolute", "axes", "skew", "skew2", "rot_pt", "trans_pt",
-                 "ee_rot", "ee_trans", "subspace", "crm_s", "crf_s", "inertia", "a_base")
+                 "ee_rot", "ee_trans", "subspace", "crm_s", "inertia", "a_base")
 
     def __init__(self, model: RobotModel):
         n = model.n
@@ -248,9 +248,9 @@ class _Chain:
                 self.subspace[k, :3] = self.axes[k]
             else:
                 self.subspace[k, 3:] = self.axes[k]
-        # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s
+        # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s,
+        # _crf(s) = -crm_s.T
         self.crm_s = [_crm(s) for s in self.subspace]
-        self.crf_s = [_crf(s) for s in self.subspace]
         self.inertia = [
             _spatial_inertia(link.mass, link.com, link.inertia_tensor) for link in model.links
         ]

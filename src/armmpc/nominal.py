@@ -350,8 +350,7 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         if k + 1 < steps:
             u = np.clip(u, -u_max, u_max)
             u_hat[k] = u
-            qd = qd + dt * st.forward_dynamics(u)
-            q = q + dt * qd
+            q, qd = st.semi_implicit_step(u, dt)
     return NominalRollout(
         q_hat=x_hat[:, :n],
         qd_hat=x_hat[:, n:],

@@ -93,12 +93,15 @@ def test_bad_config_key(runner, tmp_path, key):
     {"duration": 0},
     {"dt": "nan"},
     [1],
+    '{"horizon": Infinity}',
+    '{"horizon": 1e400}',
 ], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
         "payload-negative", "gains-short", "gains-str", "duration-str", "duration-negative",
-        "duration-zero", "dt-nan", "not-an-object"])
+        "duration-zero", "dt-nan", "not-an-object", "horizon-infinity", "horizon-overflow"])
 def test_bad_config_value_is_config_error(runner, tmp_path, doc):
+    # a str is the raw file text, for values json.dumps cannot write as such
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     result = runner.invoke(main, [
         "run", "--scenario", "circle_2dof", "--controller", "osc",
         "--config", str(cfg), "--out", str(tmp_path / "o"),
