@@ -4,21 +4,23 @@ Inverse dynamics is recursive Newton-Euler, the mass matrix comes from the
 composite-rigid-body algorithm, and forward dynamics solves M qdd = u - b
 through a Cholesky factorization (never an explicit inverse). The partial
 derivatives needed by trajectory linearization are produced analytically by
-differentiating the Newton-Euler recursions; a finite-difference fallback is
-kept behind a switch as an independent cross-check.
+differentiating the Newton-Euler recursions, batched over a stack of states:
+one pass with (B, 6, 2n) intermediates linearizes a whole horizon, and a
+single state is a batch of one. A finite-difference fallback is kept behind
+a switch as an independent cross-check.
 
 Spatial vectors are ordered [angular; linear] and expressed in body frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .kinematics import ChainState, _crm, _skew
+from .kinematics import ChainState, _crm, _cross_operator, _cross_slots
 from .robot_model import RobotModel
 
 
@@ -26,39 +28,32 @@ class FactorizationError(RuntimeError):
     """The mass matrix failed its SPD factorization (invalid inertias)."""
 
 
+_ICRF_SLOTS = _cross_slots(((0, 0, 0, -1.0), (0, 3, 3, -1.0), (3, 0, 3, -1.0)))
+
+
 def _icrf(f: np.ndarray) -> np.ndarray:
     """Matrix form of the force cross product in its first argument.
 
-    Satisfies _icrf(f) @ m = _crf(m) @ f for all motion vectors m.
+    Satisfies _icrf(f) @ m = _crf(m) @ f for all motion vectors m; f is one
+    6-vector or a (..., 6) stack, giving (..., 6, 6).
     """
-    out = np.zeros((6, 6))
-    nx = _skew(f[:3])
-    fx = _skew(f[3:])
-    out[:3, :3] = -nx
-    out[:3, 3:] = -fx
-    out[3:, :3] = -fx
-    return out
+    return _cross_operator(np.asarray(f), _ICRF_SLOTS)
 
 
-def _motion_transform(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Transform motion vectors from parent coords to child coords.
-
-    (rot, trans) is the child frame's pose expressed in the parent frame.
-    """
-    rt = rot.T
-    out = np.zeros((6, 6))
-    out[:3, :3] = rt
-    out[3:, 3:] = rt
-    out[3:, :3] = -rt @ _skew(trans)
-    return out
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row-wise matrix-vector products of (B, r, c) and (B, c) stacks."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
 class DynamicsDerivatives:
-    """Partial derivatives of inverse and forward dynamics at one state.
+    """Partial derivatives of inverse and forward dynamics.
 
-    Forward-dynamics blocks are obtained from the inverse-dynamics blocks
-    through dqdd_dx = -Minv @ dtau_dx, and dqdd_du = Minv.
+    Each block is (n, n) at one state, or (B, n, n) stacked over a batch of
+    states; indexing a batch gives one member's blocks. The forward-dynamics
+    blocks solve M dqdd_dx = -dtau_dx against the mass matrix, and dqdd_du is
+    Minv (from the Cholesky factor), so the identity dqdd_dx = -Minv dtau_dx
+    compares two separate computations.
     """
 
     dtau_dq: np.ndarray
@@ -67,6 +62,9 @@ class DynamicsDerivatives:
     dqdd_dq: np.ndarray
     dqdd_dqd: np.ndarray
     dqdd_du: np.ndarray
+
+    def __getitem__(self, k) -> "DynamicsDerivatives":
+        return DynamicsDerivatives(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 class RigidBodyState(ChainState):
@@ -78,17 +76,27 @@ class RigidBodyState(ChainState):
     """
 
     @cached_property
-    def xs(self) -> list[np.ndarray]:
+    def xs(self) -> np.ndarray:
+        """Motion transforms X_k (parent link frame into link k), shape (n, 6, 6)."""
         c = self.chain
-        xs = []
-        for k in range(c.n):
+        n = c.n
+        rot = np.empty((n, 3, 3))
+        trans = np.empty((n, 3))
+        for k in range(n):
             if c.revolute[k]:
-                rot = c.rot_pt[k] @ self.own[k]
-                trans = c.trans_pt[k]
+                rot[k] = c.rot_pt[k] @ self.own[k]
+                trans[k] = c.trans_pt[k]
             else:
-                rot = c.rot_pt[k]
-                trans = c.trans_pt[k] + c.rot_pt[k] @ (c.axes[k] * self.q[k])
-            xs.append(_motion_transform(rot, trans))
+                rot[k] = c.rot_pt[k]
+                trans[k] = c.trans_pt[k] + c.rot_pt[k] @ (c.axes[k] * self.q[k])
+        rt = rot.transpose(0, 2, 1)
+        xs = np.zeros((n, 6, 6))
+        xs[:, :3, :3] = rt
+        xs[:, 3:, 3:] = rt
+        skew = np.zeros((n, 3, 3))
+        skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -trans[:, 2], trans[:, 1], -trans[:, 0]
+        skew[:, 1, 0], skew[:, 2, 0], skew[:, 2, 1] = trans[:, 2], -trans[:, 1], trans[:, 0]
+        xs[:, 3:, :3] = -rt @ skew
         return xs
 
     @cached_property
@@ -141,9 +149,13 @@ class RigidBodyState(ChainState):
         return cho_solve(self.factor, u - self.bias)
 
     def semi_implicit_step(self, u: np.ndarray, dt: float):
-        """One semi-implicit Euler step from this state: velocity first, then position."""
-        qd = self.qd + dt * self.forward_dynamics(u)
-        return self.q + dt * qd, qd
+        """One semi-implicit Euler step from this state: velocity first, then position.
+
+        Returns the next q and qd, and the accelerations solved at this state.
+        """
+        qdd = self.forward_dynamics(u)
+        qd = self.qd + dt * qdd
+        return self.q + dt * qd, qd, qdd
 
     def inverse_dynamics(self, qdd: np.ndarray) -> np.ndarray:
         """Recursive Newton-Euler: u = M(q) qdd + b(q, qd)."""
@@ -178,97 +190,95 @@ class RigidBodyState(ChainState):
                 f[k - 1] += xs[k].T @ f[k]
         return u
 
-    def _id_derivatives(self, qdd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d(inverse dynamics)/dq and /dqd by differentiating the RNEA passes."""
-        chain = self.chain
-        xs = self.xs
-        qd = self.qd
-        n = chain.n
-
-        v = np.zeros((n, 6))
-        a = np.zeros((n, 6))
-        f = np.zeros((n, 6))
-        dv_q = np.zeros((n, 6, n))
-        da_q = np.zeros((n, 6, n))
-        df_q = np.zeros((n, 6, n))
-        dv_qd = np.zeros((n, 6, n))
-        da_qd = np.zeros((n, 6, n))
-        df_qd = np.zeros((n, 6, n))
-
-        v_prev = np.zeros(6)
-        a_prev = chain.a_base
-        dv_prev_q = np.zeros((6, n))
-        da_prev_q = np.zeros((6, n))
-        dv_prev_qd = np.zeros((6, n))
-        da_prev_qd = np.zeros((6, n))
-
-        for k in range(n):
-            x = xs[k]
-            s = chain.subspace[k]
-            vj = s * qd[k]
-            xv = x @ v_prev
-            xa = x @ a_prev
-            v[k] = xv + vj
-            crm_vk = _crm(v[k])
-            crf_vk = -crm_vk.T
-            a[k] = xa + s * qdd[k] + crm_vk @ vj
-
-            crm_s = chain.crm_s[k]
-            crm_vj = qd[k] * crm_s
-
-            dv_q[k] = x @ dv_prev_q
-            dv_q[k][:, k] += -crm_s @ xv
-            da_q[k] = x @ da_prev_q - crm_vj @ dv_q[k]
-            da_q[k][:, k] += -crm_s @ xa
-
-            dv_qd[k] = x @ dv_prev_qd
-            dv_qd[k][:, k] += s
-            da_qd[k] = x @ da_prev_qd - crm_vj @ dv_qd[k]
-            da_qd[k][:, k] += crm_vk @ s
-
-            inertia = chain.inertia[k]
-            iv = inertia @ v[k]
-            f[k] = inertia @ a[k] + crf_vk @ iv
-            mix = _icrf(iv) + crf_vk @ inertia
-            df_q[k] = inertia @ da_q[k] + mix @ dv_q[k]
-            df_qd[k] = inertia @ da_qd[k] + mix @ dv_qd[k]
-
-            v_prev, a_prev = v[k], a[k]
-            dv_prev_q, da_prev_q = dv_q[k], da_q[k]
-            dv_prev_qd, da_prev_qd = dv_qd[k], da_qd[k]
-
-        dtau_dq = np.zeros((n, n))
-        dtau_dqd = np.zeros((n, n))
-        for k in range(n - 1, -1, -1):
-            s = chain.subspace[k]
-            dtau_dq[k] = s @ df_q[k]
-            dtau_dqd[k] = s @ df_qd[k]
-            if k > 0:
-                xt = xs[k].T
-                df_q[k - 1] += xt @ df_q[k]
-                df_q[k - 1][:, k] += xt @ (-chain.crm_s[k].T @ f[k])
-                df_qd[k - 1] += xt @ df_qd[k]
-                f[k - 1] += xt @ f[k]
-        return dtau_dq, dtau_dqd
-
     def derivatives(self, qdd: np.ndarray, method: str = "analytic") -> DynamicsDerivatives:
-        """All dynamics derivative blocks at (q, qd, qdd); see dynamics_derivatives."""
-        if method == "analytic":
-            dtau_dq, dtau_dqd = self._id_derivatives(qdd)
-        elif method == "fd":
-            dtau_dq, dtau_dqd = _id_derivatives_fd(self.model, self.q, self.qd, qdd)
-        else:
-            raise ValueError(f"unknown derivative method {method!r}")
-        factor = self.factor
-        minv = 0.5 * (self.minv + self.minv.T)
-        return DynamicsDerivatives(
-            dtau_dq=dtau_dq,
-            dtau_dqd=dtau_dqd,
-            minv=minv,
-            dqdd_dq=-cho_solve(factor, dtau_dq),
-            dqdd_dqd=-cho_solve(factor, dtau_dqd),
-            dqdd_du=minv,
-        )
+        """All dynamics derivative blocks at (q, qd, qdd), as a batch of one."""
+        return stacked_derivatives((self,), np.asarray(qdd, dtype=float)[None], method)[0]
+
+
+def stacked_derivatives(states, qdd: np.ndarray, method: str = "analytic") -> DynamicsDerivatives:
+    """Dynamics derivative blocks at a stack of chain states of one model.
+
+    qdd is (B, n), one row per state, each consistent with that state's
+    nominal torque (the caller's contract). The analytic inverse-dynamics
+    blocks come from one batched pass over all states; method="fd" switches
+    them to the per-state finite-difference fallback. Every block is
+    returned with a leading batch axis.
+    """
+    n = states[0].chain.n
+    if method == "analytic":
+        dtau = _rnea_derivatives(states[0].chain, np.stack([st.xs for st in states]),
+                                 np.array([st.qd for st in states]), qdd)
+    elif method == "fd":
+        dtau = np.array([np.hstack(_id_derivatives_fd(st.model, st.q, st.qd, acc))
+                         for st, acc in zip(states, qdd)])
+    else:
+        raise ValueError(f"unknown derivative method {method!r}")
+    minv = np.array([st.minv for st in states])
+    minv = 0.5 * (minv + minv.transpose(0, 2, 1))
+    dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)
+    return DynamicsDerivatives(
+        dtau_dq=dtau[:, :, :n],
+        dtau_dqd=dtau[:, :, n:],
+        minv=minv,
+        dqdd_dq=dqdd[:, :, :n],
+        dqdd_dqd=dqdd[:, :, n:],
+        dqdd_du=minv,
+    )
+
+
+def _rnea_derivatives(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
+    """d(inverse dynamics)/d[q, qd] at a stack of B states, shape (B, n, 2n).
+
+    Differentiates the Newton-Euler passes for all states at once: xs is the
+    (B, n, 6, 6) stack of motion transforms, qd and qdd are (B, n). Columns
+    0..n-1 of every (B, 6, 2n) intermediate are derivatives by q, columns
+    n..2n-1 by qd; the only Python loops run over the joints.
+    """
+    b, n = qd.shape
+    v_prev = np.zeros((b, 6))
+    a_prev = np.broadcast_to(chain.a_base, (b, 6))
+    dv_prev = np.zeros((b, 6, 2 * n))
+    da_prev = np.zeros((b, 6, 2 * n))
+    # per link: [df | f], the force derivatives with the force as last column
+    forces = []
+    for k in range(n):
+        x = xs[:, k]
+        s = chain.subspace[k]
+        crm_s = chain.crm_s[k]
+        inertia = chain.inertia[k]
+        qd_k = qd[:, k, None]
+        vj = qd_k * s
+        xv = _mv(x, v_prev)
+        xa = _mv(x, a_prev)
+        v = xv + vj
+        crm_v = _crm(v)
+        crf_v = -crm_v.transpose(0, 2, 1)
+        a = xa + qdd[:, k, None] * s + _mv(crm_v, vj)
+
+        dv = x @ dv_prev
+        dv[:, :, k] -= xv @ crm_s.T
+        dv[:, :, n + k] += s
+        da = x @ da_prev - qd_k[..., None] * (crm_s @ dv)
+        da[:, :, k] -= xa @ crm_s.T
+        da[:, :, n + k] += crm_v @ s
+
+        iv = v @ inertia.T
+        blk = np.empty((b, 6, 2 * n + 1))
+        blk[:, :, -1] = a @ inertia.T + _mv(crf_v, iv)
+        blk[:, :, :-1] = inertia @ da + (_icrf(iv) + crf_v @ inertia) @ dv
+        forces.append(blk)
+        v_prev, a_prev, dv_prev, da_prev = v, a, dv, da
+
+    dtau = np.empty((b, n, 2 * n))
+    for k in range(n - 1, -1, -1):
+        blk = forces[k]
+        dtau[:, k] = chain.subspace[k] @ blk[:, :, :-1]
+        if k > 0:
+            # the joint-k rotation also turns the force passed to the parent
+            blk[:, :, k] -= blk[:, :, -1] @ chain.crm_s[k]
+            forces[k - 1] += xs[:, k].transpose(0, 2, 1) @ blk
+    return dtau
+
 
 def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
     """Joint forces u = M(q) qdd + b(q, qd) via recursive Newton-Euler."""
@@ -299,7 +309,7 @@ def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float):
     """One semi-implicit Euler step: velocity update first, then position."""
     u = model.check_q(u, "u")
     q = model.check_q(q)
-    return RigidBodyState(model, q, model.check_q(qd, "qd")).semi_implicit_step(u, dt)
+    return RigidBodyState(model, q, model.check_q(qd, "qd")).semi_implicit_step(u, dt)[:2]
 
 
 def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):

@@ -140,19 +140,45 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross_slots(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat 6x6 slots, source entries and signs of a spatial cross operator.
+
+    Each block (row, col, src, sign) places sign * _skew(v[src:src + 3]) at
+    rows row:row+3 and columns col:col+3.
+    """
+    skew_entries = ((0, 1, 2, -1.0), (0, 2, 1, 1.0), (1, 0, 2, 1.0),
+                    (1, 2, 0, -1.0), (2, 0, 1, -1.0), (2, 1, 0, 1.0))
+    slots, src, sign = [], [], []
+    for row, col, first, block_sign in blocks:
+        for i, j, e, s in skew_entries:
+            slots.append((row + i) * 6 + col + j)
+            src.append(first + e)
+            sign.append(block_sign * s)
+    return np.array(slots), np.array(src), np.array(sign)
+
+
+def _cross_operator(v: np.ndarray, slots) -> np.ndarray:
+    """The 6x6 operator with the given _cross_slots, for v of shape (..., 6)."""
+    idx, src, sign = slots
+    out = np.zeros(v.shape[:-1] + (36,))
+    out[..., idx] = v[..., src] * sign
+    return out.reshape(v.shape[:-1] + (6, 6))
+
+
+_CRM_SLOTS = _cross_slots(((0, 0, 0, 1.0), (3, 3, 0, 1.0), (3, 0, 3, 1.0)))
+
+
 def _crm(v: np.ndarray) -> np.ndarray:
-    """Motion cross-product operator: _crm(v) @ m = v x m."""
-    out = np.zeros((6, 6))
-    wx = _skew(v[:3])
-    out[:3, :3] = wx
-    out[3:, 3:] = wx
-    out[3:, :3] = _skew(v[3:])
-    return out
+    """Motion cross-product operator: _crm(v) @ m = v x m.
+
+    v is one 6-vector or a (..., 6) stack, giving (..., 6, 6).
+    """
+    return _cross_operator(np.asarray(v), _CRM_SLOTS)
 
 
 def _crf(v: np.ndarray) -> np.ndarray:
-    """Force cross-product operator: _crf(v) = -_crm(v).T."""
-    return -_crm(v).T
+    """Force cross-product operator: _crf(v) = -_crm(v).T, batched like _crm."""
+    return -np.swapaxes(_crm(v), -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .dynamics import RigidBodyState
+from .dynamics import RigidBodyState, _mv, stacked_derivatives
 from .mpc_kinematic import _tol_vector, _weight_matrix
 from .nominal import NominalRollout, PostureSpec, TaskSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
@@ -43,7 +43,11 @@ class DynamicMpcConfig:
 
 @dataclass(frozen=True, eq=False)
 class LinearizedStage:
-    """One discrete stage x_{k+1} = A x_k + B u_k + r."""
+    """Discrete stages x_{k+1} = A x_k + B u_k + r.
+
+    One stage holds A (2n, 2n), B (2n, n) and r (2n,); a horizon stacks n_p
+    of them along a leading stage axis.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -51,65 +55,79 @@ class LinearizedStage:
 
 
 def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float,
-                    state: RigidBodyState | None = None) -> LinearizedStage:
-    """Linearize the state equation around one nominal point and discretize.
+                    states=None, qdd=None) -> LinearizedStage:
+    """Linearize the state equation around nominal points and discretize.
 
     Explicit Euler on the first-order model: A = I + dt df/dx, B = dt df/du,
-    r = dt (f - df/dx x_hat - df/du u_hat). state, when given, is the chain
-    state at x_hat (a rollout's own), whose mass matrix, factor and bias
-    forces are reused instead of evaluated again.
+    r = dt (f - df/dx x_hat - df/du u_hat). x_hat (2n,) and u_hat (n,) give
+    one stage; (n_p, 2n) and (n_p, n) give a horizon of n_p stages, whose
+    derivatives come from one batched pass, and a stacked LinearizedStage.
+    states, when given, holds the chain state at each x_hat row (a
+    rollout's own), whose mass matrix, factor and bias forces are reused
+    instead of evaluated again; qdd, when given, holds the accelerations
+    u_hat drives at each row (the rollout's own), which are then not solved
+    again.
     """
     n = model.n
     x_hat = np.asarray(x_hat, dtype=float)
-    u_hat = model.check_q(u_hat, "u_hat")
-    if x_hat.shape != (2 * n,):
-        raise ValueError(f"x_hat must have shape ({2 * n},)")
-    qd = x_hat[n:]
-    if state is None:
-        st = RigidBodyState(model, x_hat[:n], qd)
-    elif (state.model is model and np.array_equal(state.q, x_hat[:n])
-          and np.array_equal(state.qd, qd)):
-        st = state
-    else:
-        raise ValueError("state is not the chain state of this model at x_hat")
-    qdd = st.forward_dynamics(u_hat)
-    der = st.derivatives(qdd)
+    single = x_hat.ndim == 1
+    x_hat, u_hat = np.atleast_2d(x_hat, np.asarray(u_hat, dtype=float))
+    n_p = x_hat.shape[0]
+    if x_hat.shape != (n_p, 2 * n):
+        raise ValueError(f"x_hat must have shape ({2 * n},) or (n_p, {2 * n})")
+    if u_hat.shape != (n_p, n):
+        raise ValueError(f"u_hat must hold one ({n},) row per x_hat row")
+    q, qd = x_hat[:, :n], x_hat[:, n:]
+    if states is None:
+        states = [RigidBodyState(model, q[k], qd[k]) for k in range(n_p)]
+    elif not (len(states) == n_p and all(st.model is model for st in states)
+              and np.array_equal([st.q for st in states], q)
+              and np.array_equal([st.qd for st in states], qd)):
+        raise ValueError("states are not the chain states of this model at x_hat")
+    if qdd is None:
+        qdd = np.array([st.forward_dynamics(u) for st, u in zip(states, u_hat)])
+    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
+    if qdd.shape != (n_p, n):
+        raise ValueError(f"qdd must hold one ({n},) row per x_hat row")
+    der = stacked_derivatives(states, qdd)
 
-    dfdx = np.zeros((2 * n, 2 * n))
-    dfdx[:n, n:] = np.eye(n)
-    dfdx[n:, :n] = der.dqdd_dq
-    dfdx[n:, n:] = der.dqdd_dqd
-    dfdu = np.zeros((2 * n, n))
-    dfdu[n:, :] = der.dqdd_du
-    f_val = np.concatenate([qd, qdd])
-    return LinearizedStage(
+    dfdx = np.zeros((n_p, 2 * n, 2 * n))
+    dfdx[:, :n, n:] = np.eye(n)
+    dfdx[:, n:, :n] = der.dqdd_dq
+    dfdx[:, n:, n:] = der.dqdd_dqd
+    dfdu = np.zeros((n_p, 2 * n, n))
+    dfdu[:, n:, :] = der.dqdd_du
+    f_val = np.concatenate([qd, qdd], axis=1)
+    stage = LinearizedStage(
         A=np.eye(2 * n) + dt * dfdx,
         B=dt * dfdu,
-        r=dt * (f_val - dfdx @ x_hat - dfdu @ u_hat),
+        r=dt * (f_val - _mv(dfdx, x_hat) - _mv(dfdu, u_hat)),
     )
+    return LinearizedStage(stage.A[0], stage.B[0], stage.r[0]) if single else stage
 
 
-def build_prediction(stages: list[LinearizedStage], x_init) -> tuple[np.ndarray, np.ndarray]:
+def build_prediction(stages: LinearizedStage, x_init) -> tuple[np.ndarray, np.ndarray]:
     """Stage dynamics x_{k+1} - A_k x_k - B_k u_k = r_k as banded equality rows.
 
-    Returns (eq_a, eq_b) over z = [x_1..x_np; u_0..u_np-1] in absolute
-    coordinates, one block row per stage; the known initial state enters the
-    first right-hand side as A_0 x_init.
+    stages is a horizon of n_p stages stacked along their first axis, as
+    linearize_stage returns it. Returns (eq_a, eq_b) over
+    z = [x_1..x_np; u_0..u_np-1] in absolute coordinates, one block row per
+    stage written by slices; the known initial state enters the first
+    right-hand side as A_0 x_init.
     """
-    n_p = len(stages)
+    n_p, nx, nu = stages.B.shape
     if n_p < 1:
         raise ValueError("need at least one stage")
-    nx, nu = stages[0].B.shape
     eq_a = np.zeros((n_p * nx, n_p * (nx + nu)))
-    eq_b = np.concatenate([st.r for st in stages])
-    eq_b[:nx] += stages[0].A @ np.asarray(x_init, dtype=float)
+    eq_b = stages.r.flatten()
+    eq_b[:nx] += stages.A[0] @ np.asarray(x_init, dtype=float)
     eye = np.eye(nx)
-    for k, st in enumerate(stages):
+    for k in range(n_p):
         row = slice(k * nx, (k + 1) * nx)
         eq_a[row, k * nx:(k + 1) * nx] = eye
         if k:
-            eq_a[row, (k - 1) * nx:k * nx] = -st.A
-        eq_a[row, n_p * nx + k * nu:n_p * nx + (k + 1) * nu] = -st.B
+            eq_a[row, (k - 1) * nx:k * nx] = -stages.A[k]
+        eq_a[row, n_p * nx + k * nu:n_p * nx + (k + 1) * nu] = -stages.B[k]
     return eq_a, eq_b
 
 
@@ -242,9 +260,8 @@ class DynamicMpc:
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = osc_rollout(model, x_measured, window, cfg.dt, cfg.svd_threshold,
                               tasks, posture=self.posture)
-        stages = [linearize_stage(model, rollout.x_hat[k], rollout.u_hat[k], cfg.dt,
-                                  state=rollout.states[k])
-                  for k in range(cfg.horizon)]
+        stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
+                                 states=rollout.states[:-1], qdd=rollout.qdd_hat)
         rows = build_prediction(stages, x_measured)
         terminal = None
         if includes_end:

@@ -99,9 +99,9 @@ class NominalRollout:
 
     q_hat/qd_hat are (n_p+1, n); j_stack is (n_p+1, n_g, n) projected task
     Jacobians; err_stack is (n_p+1, n_g), the nominal's own task errors in
-    the same row order; u_hat is (n_p, n) and x_hat (n_p+1, 2n) for dynamic
-    rollouts, whose states hold the RigidBodyState at each x_hat row (empty
-    for kinematic rollouts).
+    the same row order; u_hat and qdd_hat (the accelerations u_hat drives)
+    are (n_p, n) and x_hat (n_p+1, 2n) for dynamic rollouts, whose states
+    hold the RigidBodyState at each x_hat row (empty for kinematic rollouts).
     """
 
     q_hat: np.ndarray
@@ -110,6 +110,7 @@ class NominalRollout:
     err_stack: np.ndarray
     u_hat: np.ndarray | None = None
     x_hat: np.ndarray | None = None
+    qdd_hat: np.ndarray | None = None
     states: tuple[RigidBodyState, ...] = ()
 
     def __post_init__(self):
@@ -120,8 +121,10 @@ class NominalRollout:
             raise ValueError("j_stack must hold one (n_g, n) slice per step")
         if self.err_stack.shape != self.j_stack.shape[:2]:
             raise ValueError("err_stack rows must match j_stack")
-        if self.u_hat is not None and self.u_hat.shape[0] != steps - 1:
-            raise ValueError("u_hat must have n_p rows")
+        for name in ("u_hat", "qdd_hat"):
+            arr = getattr(self, name)
+            if arr is not None and arr.shape[0] != steps - 1:
+                raise ValueError(f"{name} must have n_p rows")
         if self.states and len(self.states) != steps:
             raise ValueError("states must hold one chain state per step")
         for arr in (self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
@@ -318,8 +321,9 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
 
     Torques are clamped to the model limits before integration, so the
     recorded nominal is realizable by the torque-limited plant. The chain
-    state of every step is kept on the rollout, so a linearization along it
-    reuses each state's mass matrix, factor and bias forces.
+    state and the solved accelerations of every step are kept on the
+    rollout, so a linearization along it reuses each state's mass matrix,
+    factor and bias forces and solves no forward dynamics again.
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
@@ -333,7 +337,8 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     n_g = sum(t.dim for t in tasks)
 
     x_hat = np.empty((steps, 2 * n))
-    u_hat = np.empty((max(steps - 1, 0), n))
+    u_hat = np.empty((steps - 1, n))
+    qdd_hat = np.empty_like(u_hat)
     j_stack = np.empty((steps, n_g, n))
     err_stack = np.empty((steps, n_g))
     states = []
@@ -350,13 +355,14 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         if k + 1 < steps:
             u = np.clip(u, -u_max, u_max)
             u_hat[k] = u
-            q, qd = st.semi_implicit_step(u, dt)
+            q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
     return NominalRollout(
         q_hat=x_hat[:, :n],
         qd_hat=x_hat[:, n:],
         j_stack=j_stack,
         err_stack=err_stack,
-        u_hat=u_hat if steps > 1 else np.zeros((0, n)),
+        u_hat=u_hat,
         x_hat=x_hat,
+        qdd_hat=qdd_hat,
         states=tuple(states),
     )

@@ -124,26 +124,38 @@ class QpSolution:
 
 @dataclass
 class _Rows:
-    """Canonical one-sided form: eq rows a'z = b, then ineq rows a'z >= b."""
+    """Canonical one-sided form: eq rows a'z = b, then ineq rows a'z >= b.
 
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_in: np.ndarray
-    b_in: np.ndarray
+    a and b stack all rows in active-set index order; a_eq/a_in and
+    b_eq/b_in are views of their two parts.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    n_eq: int
 
     @property
-    def n_eq(self) -> int:
-        return self.b_eq.shape[0]
+    def a_eq(self) -> np.ndarray:
+        return self.a[:self.n_eq]
+
+    @property
+    def b_eq(self) -> np.ndarray:
+        return self.b[:self.n_eq]
+
+    @property
+    def a_in(self) -> np.ndarray:
+        return self.a[self.n_eq:]
+
+    @property
+    def b_in(self) -> np.ndarray:
+        return self.b[self.n_eq:]
 
     @property
     def n_in(self) -> int:
-        return self.b_in.shape[0]
+        return self.b.shape[0] - self.n_eq
 
     def normal(self, idx: int) -> np.ndarray:
-        return self.a_eq[idx] if idx < self.n_eq else self.a_in[idx - self.n_eq]
-
-    def rhs(self, idx: int) -> float:
-        return float(self.b_eq[idx] if idx < self.n_eq else self.b_in[idx - self.n_eq])
+        return self.a[idx]
 
 
 def expand_constraints(p: QpProblem) -> _Rows:
@@ -190,11 +202,11 @@ def expand_constraints(p: QpProblem) -> _Rows:
         if keep.any():
             in_blocks.append(-p.Ain[keep])
             in_vals.append(-p.uin[keep])
+    blocks = eq_blocks + in_blocks
     return _Rows(
-        a_eq=np.vstack(eq_blocks) if eq_blocks else np.empty((0, d)),
-        b_eq=np.concatenate(eq_vals) if eq_vals else np.empty(0),
-        a_in=np.vstack(in_blocks) if in_blocks else np.empty((0, d)),
-        b_in=np.concatenate(in_vals) if in_vals else np.empty(0),
+        a=np.vstack(blocks) if blocks else np.empty((0, d)),
+        b=np.concatenate(eq_vals + in_vals) if blocks else np.empty(0),
+        n_eq=sum(blk.shape[0] for blk in eq_blocks),
     )
 
 
@@ -425,10 +437,10 @@ class QpSolver:
         kkt = np.zeros((d + k, d + k))
         kkt[:d, :d] = h_reg
         if k:
-            a_mat = np.array([rows.normal(i) for i in row_ids])
+            a_mat = rows.a[row_ids]
             kkt[:d, d:] = a_mat.T
             kkt[d:, :d] = a_mat
-        rhs = np.concatenate([-p.g, np.array([rows.rhs(i) for i in row_ids])])
+        rhs = np.concatenate([-p.g, rows.b[row_ids]])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
@@ -450,10 +462,10 @@ class QpSolver:
         kkt = np.zeros((d + k, d + k))
         kkt[:d, :d] = h_reg
         if k:
-            a_mat = np.array([rows.normal(i) for i in ids])
+            a_mat = rows.a[ids]
             kkt[:d, d:] = a_mat.T
             kkt[d:, :d] = a_mat
-        rhs = np.concatenate([-p.g, np.array([rows.rhs(i) for i in ids])])
+        rhs = np.concatenate([-p.g, rows.b[ids]])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:

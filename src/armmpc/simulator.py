@@ -15,6 +15,7 @@ holds wall-clock solve times.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +65,7 @@ def _apply_torque(st: RigidBodyState, state: PlantState, u, dt: float) -> PlantS
     u_max = st.model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
     saturated = bool(np.any(u_applied != u))
-    q, qd = st.semi_implicit_step(u_applied, dt)
+    q, qd, _ = st.semi_implicit_step(u_applied, dt)
     return PlantState(
         t=state.t + dt,
         q=q,
@@ -83,6 +84,11 @@ class PositionLoopGains:
 
     kp: float = 400.0
     kd: float = 40.0
+
+    def __post_init__(self):
+        for name, gain in (("kp", self.kp), ("kd", self.kd)):
+            if not (math.isfinite(gain) and gain >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {gain}")
 
 
 def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,

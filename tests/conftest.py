@@ -173,10 +173,12 @@ def desk_model_large():
 
 @pytest.fixture
 def chain_counts(monkeypatch):
-    """Count joint passes (chain states built) and mass-matrix factorizations."""
-    counts = {"passes": 0, "factors": 0}
+    """Count joint passes (chain states built), mass-matrix factorizations and
+    batched dynamics-derivative passes."""
+    counts = {"passes": 0, "factors": 0, "derivatives": 0}
     init = kinematics.ChainState.__init__
     factor = dynamics.cho_factor
+    derivatives = dynamics._rnea_derivatives
 
     def counting_init(self, *args, **kwargs):
         counts["passes"] += 1
@@ -186,8 +188,13 @@ def chain_counts(monkeypatch):
         counts["factors"] += 1
         return factor(*args, **kwargs)
 
+    def counting_derivatives(*args, **kwargs):
+        counts["derivatives"] += 1
+        return derivatives(*args, **kwargs)
+
     monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
     monkeypatch.setattr(dynamics, "cho_factor", counting_factor)
+    monkeypatch.setattr(dynamics, "_rnea_derivatives", counting_derivatives)
     return counts
 
 

@@ -88,6 +88,8 @@ def test_bad_config_key(runner, tmp_path, key):
     {"payload": {"mass": -1}},
     {"position_gains": [1]},
     {"position_gains": ["a", 2]},
+    {"position_gains": [-5, 2]},
+    {"position_gains": [5, "nan"]},
     {"duration": "x"},
     {"duration": -1},
     {"duration": 0},
@@ -96,8 +98,9 @@ def test_bad_config_key(runner, tmp_path, key):
     '{"horizon": Infinity}',
     '{"horizon": 1e400}',
 ], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
-        "payload-negative", "gains-short", "gains-str", "duration-str", "duration-negative",
-        "duration-zero", "dt-nan", "not-an-object", "horizon-infinity", "horizon-overflow"])
+        "payload-negative", "gains-short", "gains-str", "gains-negative", "gains-nan",
+        "duration-str", "duration-negative", "duration-zero", "dt-nan", "not-an-object",
+        "horizon-infinity", "horizon-overflow"])
 def test_bad_config_value_is_config_error(runner, tmp_path, doc):
     # a str is the raw file text, for values json.dumps cannot write as such
     cfg = tmp_path / "cfg.json"

@@ -12,6 +12,7 @@ from armmpc.dynamics import (
     integrate_semi_implicit,
     inverse_dynamics,
     mass_matrix,
+    stacked_derivatives,
 )
 from armmpc.kinematics import _crf, _crm
 
@@ -34,11 +35,40 @@ def fd_forward_dynamics_derivatives(model, q, qd, u, h=1e-6):
 
 
 def test_icrf_identity(rng):
-    for _ in range(10):
-        m = rng.standard_normal(6)
-        f = rng.standard_normal(6)
-        np.testing.assert_allclose(_icrf(f) @ m, _crf(m) @ f, atol=1e-12)
-        np.testing.assert_allclose(_crf(m), -_crm(m).T, atol=1e-15)
+    # the cross operators build a whole (10, 6) stack at once
+    m = rng.standard_normal((10, 6))
+    f = rng.standard_normal((10, 6))
+    np.testing.assert_allclose((_icrf(f) @ m[..., None])[..., 0], (_crf(m) @ f[..., None])[..., 0],
+                               atol=1e-12)
+    np.testing.assert_allclose(_crf(m), -np.swapaxes(_crm(m), 1, 2), atol=1e-15)
+    for k in range(10):
+        np.testing.assert_array_equal(_icrf(f)[k], _icrf(f[k]))
+        np.testing.assert_array_equal(_crm(m)[k], _crm(m[k]))
+
+
+def test_stacked_derivatives_mixed_chain_and_batch(rng):
+    # revolute-prismatic-revolute chain; a rest state among moving ones
+    model = make_rpr()
+    states, qdds = [], []
+    for qd_scale in (0.0, 1.0, 0.5, 2.0):
+        q = random_config(model, rng)
+        qd = qd_scale * rng.standard_normal(model.n)
+        states.append(RigidBodyState(model, q, qd))
+        qdds.append(rng.standard_normal(model.n))
+    qdds = np.array(qdds)
+    batch = stacked_derivatives(states, qdds)
+    assert batch.dtau_dq.shape == (4, 3, 3)
+    for k, st in enumerate(states):
+        fd = dynamics_derivatives(model, st.q, st.qd, qdds[k], method="fd")
+        one = st.derivatives(qdds[k])
+        for name in ("dtau_dq", "dtau_dqd"):
+            got = getattr(batch, name)[k]
+            ref = getattr(fd, name)
+            assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref), (k, name)
+        for name in ("dtau_dq", "dtau_dqd", "dqdd_dq", "dqdd_dqd", "dqdd_du"):
+            got = getattr(batch, name)[k]
+            ref = getattr(one, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
 
 
 def test_mass_matrix_pendulum(pendulum):

@@ -83,13 +83,12 @@ def test_linearization_second_order_remainder(desk_model, rng):
 def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
     nx, nu = 6, 3
     if kind == "frozen":
-        stages = [LinearizedStage(A=np.eye(nx), B=np.zeros((nx, nu)), r=np.zeros(nx))] * n_p
+        stages = LinearizedStage(A=np.tile(np.eye(nx), (n_p, 1, 1)), B=np.zeros((n_p, nx, nu)),
+                                 r=np.zeros((n_p, nx)))
     else:
-        stages = [
-            LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((nx, nx)),
-                            B=rng.standard_normal((nx, nu)), r=0.1 * rng.standard_normal(nx))
-            for _ in range(n_p)
-        ]
+        stages = LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((n_p, nx, nx)),
+                                 B=rng.standard_normal((n_p, nx, nu)),
+                                 r=0.1 * rng.standard_normal((n_p, nx)))
     x0 = rng.standard_normal(nx)
     if n_p == 0:
         with pytest.raises(ValueError):
@@ -98,8 +97,8 @@ def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
     u_seq = rng.standard_normal((n_p, nu))
     states = []
     x = x0
-    for st, u in zip(stages, u_seq):
-        x = st.A @ x + st.B @ u + st.r
+    for a, b, r, u in zip(stages.A, stages.B, stages.r, u_seq):
+        x = a @ x + b @ u + r
         states.append(x)
     states = np.ravel(states)
     eq_a, eq_b = build_prediction(stages, x0)
@@ -127,15 +126,15 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
-              for k in range(cfg.horizon)]
+    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
     with pytest.raises(ValueError, match="horizon"):
-        build_dyn_qp(cfg, roll, build_prediction(stages[:-1], x0), desk_model.limits)
+        short = linearize_stage(desk_model, roll.x_hat[:-2], roll.u_hat[:-1], cfg.dt)
+        build_dyn_qp(cfg, roll, build_prediction(short, x0), desk_model.limits)
 
 
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
@@ -144,8 +143,7 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
-              for k in range(cfg.horizon)]
+    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
     u_max = desk_model.limits.u_max
@@ -167,8 +165,7 @@ def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = [linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
-              for k in range(cfg.horizon)]
+    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
     nx, n, n_p = 12, 6, cfg.horizon
     assert problem.Aeq.shape == (n_p * nx, n_p * (nx + n))
@@ -252,6 +249,8 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
     calls[call]()
     assert chain_counts["passes"] == 1
     assert chain_counts["factors"] <= 1
+    # a single point is a batch of one through the same derivative core
+    assert chain_counts["derivatives"] == int(call in ("dynamics_derivatives", "linearize_stage"))
 
 
 def test_osc_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
@@ -284,18 +283,33 @@ def test_dyn_step_one_chain_pass_per_rollout_state(desk_model, rng, chain_counts
     assert chain_counts["factors"] <= 11
 
 
+def test_dyn_step_one_derivative_pass_per_tick(desk_model, rng, chain_counts):
+    # the whole horizon is linearized in one batched pass, not one per stage
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    ctl.step(x0, traj, 0)
+    assert chain_counts["derivatives"] == 1
+
+
 def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     window, _ = traj.window(0, 10)
     roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks,
                        posture=default_posture(x0[:6]))
     assert len(roll.states) == 11
+    horizon = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3,
+                              states=roll.states[:-1], qdd=roll.qdd_hat)
+    assert horizon.A.shape == (10, 12, 12) and horizon.B.shape == (10, 12, 6)
     for k in range(10):
         fresh = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3)
         shared = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3,
-                                 state=roll.states[k])
+                                 states=roll.states[k:k + 1])
         for name in ("A", "B", "r"):
-            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), (k, name)
+            one = getattr(fresh, name)
+            assert np.array_equal(getattr(shared, name), one), (k, name)
+            row = getattr(horizon, name)[k]
+            assert np.abs(row - one).max() <= 1e-12 * np.abs(one).max(), (k, name)
 
 
 def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
@@ -303,8 +317,10 @@ def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
     window, _ = traj.window(0, 3)
     roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks)
     with pytest.raises(ValueError, match="x_hat"):
-        linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, state=roll.states[0])
+        linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, states=roll.states[:1])
     moved = roll.x_hat[0].copy()
     moved[8] += 1e-9  # velocity off by a hair
     with pytest.raises(ValueError, match="x_hat"):
-        linearize_stage(desk_model, moved, roll.u_hat[0], 1e-3, state=roll.states[0])
+        linearize_stage(desk_model, moved, roll.u_hat[0], 1e-3, states=roll.states[:1])
+    with pytest.raises(ValueError, match="x_hat"):  # states shifted by one stage
+        linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3, states=roll.states[1:])
