@@ -206,12 +206,13 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
     """Timing stats per horizon for the kinematic MPC on a fixed tick count.
 
     Each horizon runs twice and the run with the faster median is kept,
-    damping transient machine-load noise.
+    damping transient machine-load noise. The repeats go round-robin (every
+    horizon once, then every horizon again), so a change of machine speed
+    between two horizons' runs does not decide their order.
     """
-    rows = []
-    for horizon in horizon_list:
-        best = None
-        for _ in range(2):
+    best: dict[int, dict] = {}
+    for _ in range(2):
+        for horizon in horizon_list:
             cfg = _load_config(scenario, "kin_mpc", config_path,
                                {"horizon": horizon, "dt": dt, "max_ticks": ticks})
             result = run_scenario(scenario, "kin_mpc", model, cfg)
@@ -224,10 +225,9 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
                 "median_ms": float(statistics.median(warm) * 1e3),
                 "p99_ms": float(np.percentile(warm, 99) * 1e3),
             }
-            if best is None or row["median_ms"] < best["median_ms"]:
-                best = row
-        rows.append(best)
-    return rows
+            if horizon not in best or row["median_ms"] < best[horizon]["median_ms"]:
+                best[horizon] = row
+    return [best[horizon] for horizon in horizon_list]
 
 
 @main.command("check")

@@ -3,10 +3,14 @@
 The plant model x = [q; qd], xdot = [qd; FD(q, qd, u)] is linearized along
 an operational-space-control rollout and discretized with explicit Euler,
 one affine stage per step. The QP is not condensed: it keeps every state
-and input of the horizon as a variable, z = [x_1..x_np; u_0..u_np-1] (in
-deviations from the rollout), with one block row of equalities per stage,
+and input of the horizon as a variable, ordered stage by stage as
+z = [u_0, x_1, u_1, x_2, ..., u_np-1, x_np] (in deviations from the
+rollout), with one block row of equalities per stage,
 x_{k+1} - A_k x_k - B_k u_k = r_k, torque/state boxes as bounds, and the
 tracking cost expressed through the projected task Jacobians of the nominal.
+In that order every dynamics row and every cost block stays within a band
+of a few stages, so the solver's banded KKT factorization costs the same
+per stage at any horizon.
 """
 
 from __future__ import annotations
@@ -110,24 +114,25 @@ def build_prediction(stages: LinearizedStage, x_init) -> tuple[np.ndarray, np.nd
     """Stage dynamics x_{k+1} - A_k x_k - B_k u_k = r_k as banded equality rows.
 
     stages is a horizon of n_p stages stacked along their first axis, as
-    linearize_stage returns it. Returns (eq_a, eq_b) over
-    z = [x_1..x_np; u_0..u_np-1] in absolute coordinates, one block row per
-    stage written by slices; the known initial state enters the first
-    right-hand side as A_0 x_init.
+    linearize_stage returns it. Returns (eq_a, eq_b) over the stage-wise
+    z = [u_0, x_1, u_1, x_2, ..., u_np-1, x_np] in absolute coordinates, one
+    block row per stage written by slices; the known initial state enters
+    the first right-hand side as A_0 x_init.
     """
     n_p, nx, nu = stages.B.shape
     if n_p < 1:
         raise ValueError("need at least one stage")
-    eq_a = np.zeros((n_p * nx, n_p * (nx + nu)))
+    ns = nu + nx
+    eq_a = np.zeros((n_p * nx, n_p * ns))
     eq_b = stages.r.flatten()
     eq_b[:nx] += stages.A[0] @ np.asarray(x_init, dtype=float)
     eye = np.eye(nx)
     for k in range(n_p):
         row = slice(k * nx, (k + 1) * nx)
-        eq_a[row, k * nx:(k + 1) * nx] = eye
         if k:
-            eq_a[row, (k - 1) * nx:k * nx] = -stages.A[k]
-        eq_a[row, n_p * nx + k * nu:n_p * nx + (k + 1) * nu] = -stages.B[k]
+            eq_a[row, k * ns - nx:k * ns] = -stages.A[k]
+        eq_a[row, k * ns:k * ns + nu] = -stages.B[k]
+        eq_a[row, k * ns + nu:(k + 1) * ns] = eye
     return eq_a, eq_b
 
 
@@ -142,37 +147,38 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
                  terminal: TerminalStateTarget | None = None) -> qp.QpProblem:
     """Assemble the torque-MPC QP in deviations from the nominal rollout.
 
-    The decision variable is z = [dx_1..dx_np; du_0..du_np-1] with
-    dx_k = x_k - xhat_k and du_k = u_k - uhat_k. Deviation coordinates keep
-    the solver's diagonal regularization centered on the nominal: with a
-    zero input weight an absolute-variable QP would bias the torque plan
-    toward zero (dropping gravity compensation), whereas here it only
-    shrinks toward the operational-space rollout. Tracking weight acts on
-    position deviations through the nominal's projected Jacobians, damping
-    on absolute velocities, an optional weight on input deviations. The
-    banded dynamics rows (eq_a, eq_b) of build_prediction, given in absolute
-    coordinates, are shifted to deviations as eq_b - eq_a @ z_hat with
-    z_hat = [xhat_1..xhat_np; uhat_0..uhat_np-1]; that right-hand side is the
-    Euler-vs-rollout defect of each stage.
+    The decision variable is z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np]
+    with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage.
+    Deviation coordinates keep the solver's diagonal regularization centered
+    on the nominal: with a zero input weight an absolute-variable QP would
+    bias the torque plan toward zero (dropping gravity compensation),
+    whereas here it only shrinks toward the operational-space rollout.
+    Tracking weight acts on position deviations through the nominal's
+    projected Jacobians, damping on absolute velocities, an optional weight
+    on input deviations. The banded dynamics rows (eq_a, eq_b) of
+    build_prediction, given in absolute coordinates, are shifted to
+    deviations as eq_b - eq_a @ z_hat with z_hat the rollout in the same
+    order; that right-hand side is the Euler-vs-rollout defect of each stage.
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
     n_p = rollout.q_hat.shape[0] - 1
     n = rollout.q_hat.shape[1]
     nx = 2 * n
+    ns = n + nx
     eq_a, eq_b = rows
-    if eq_a.shape != (n_p * nx, n_p * (nx + n)) or eq_b.shape != (n_p * nx,):
+    if eq_a.shape != (n_p * nx, n_p * ns) or eq_b.shape != (n_p * nx,):
         raise ValueError("dynamics rows and rollout horizon disagree")
     w_task = _weight_matrix(cfg.task_weight, rollout.task_dim)
     w_damp = _weight_matrix(cfg.damping_weight, n)
     w_input = _weight_matrix(cfg.input_weight, n)
 
-    dim = n_p * nx + n_p * n
+    dim = n_p * ns
     hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
     for k in range(1, n_p + 1):
-        q_blk = slice((k - 1) * nx, (k - 1) * nx + n)
-        v_blk = slice((k - 1) * nx + n, k * nx)
+        q_blk = slice(k * ns - nx, k * ns - n)
+        v_blk = slice(k * ns - n, k * ns)
         jk = rollout.j_stack[k]
         hess[q_blk, q_blk] += jk.T @ w_task @ jk
         # task error to first order: err_hat_k - J dq; the gradient drives
@@ -184,31 +190,23 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
         # input weight acts on the deviation from the nominal torque, so it
         # regularizes the plan without taxing gravity compensation
         for k in range(n_p):
-            u_blk = slice(n_p * nx + k * n, n_p * nx + (k + 1) * n)
+            u_blk = slice(k * ns, k * ns + n)
             hess[u_blk, u_blk] += w_input
 
-    z_hat = np.concatenate([rollout.x_hat[1:].ravel(), rollout.u_hat.ravel()])
+    z_hat = np.concatenate([rollout.u_hat, rollout.x_hat[1:]], axis=1).ravel()
     eq_b = eq_b - eq_a @ z_hat
 
-    lb = np.empty(dim)
-    ub = np.empty(dim)
-    for k in range(n_p):
-        q_blk = slice(k * nx, k * nx + n)
-        v_blk = slice(k * nx + n, (k + 1) * nx)
-        lb[q_blk] = limits.q_min - rollout.q_hat[k + 1]
-        ub[q_blk] = limits.q_max - rollout.q_hat[k + 1]
-        lb[v_blk] = -limits.v_max - rollout.qd_hat[k + 1]
-        ub[v_blk] = limits.v_max - rollout.qd_hat[k + 1]
-        u_blk = slice(n_p * nx + k * n, n_p * nx + (k + 1) * n)
-        lb[u_blk] = -limits.u_max - rollout.u_hat[k]
-        ub[u_blk] = limits.u_max - rollout.u_hat[k]
-
+    x_lo = np.concatenate([limits.q_min - rollout.q_hat[1:],
+                           -limits.v_max - rollout.qd_hat[1:]], axis=1)
+    x_hi = np.concatenate([limits.q_max - rollout.q_hat[1:],
+                           limits.v_max - rollout.qd_hat[1:]], axis=1)
     if terminal is not None:
         eps = _tol_vector(cfg.terminal_state_tol, nx) * terminal.widen
-        last = slice((n_p - 1) * nx, n_p * nx)
         dx_ref = terminal.x_ref - rollout.x_hat[-1]
-        lb[last] = np.maximum(lb[last], dx_ref - eps)
-        ub[last] = np.minimum(ub[last], dx_ref + eps)
+        x_lo[-1] = np.maximum(x_lo[-1], dx_ref - eps)
+        x_hi[-1] = np.minimum(x_hi[-1], dx_ref + eps)
+    lb = np.concatenate([-limits.u_max - rollout.u_hat, x_lo], axis=1).ravel()
+    ub = np.concatenate([limits.u_max - rollout.u_hat, x_hi], axis=1).ravel()
 
     return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, Aeq=eq_a, beq=eq_b, lb=lb, ub=ub)
 
@@ -273,12 +271,13 @@ class DynamicMpc:
         except qp.QpDataError:
             solution = None  # crossed terminal boxes: trivially infeasible tick
 
-        nx = 2 * n
         fallback = np.clip(rollout.u_hat[0], -self.limits.u_max, self.limits.u_max)
         if solution is not None and solution.status == qp.OPTIMAL:
-            # solution is in deviations from the rollout; restore absolutes
-            states = solution.z_star[: cfg.horizon * nx].reshape(cfg.horizon, nx) + rollout.x_hat[1:]
-            inputs = solution.z_star[cfg.horizon * nx:].reshape(cfg.horizon, n) + rollout.u_hat
+            # solution is in deviations from the rollout, stage by stage
+            # [du_k, dx_k+1]; restore absolutes
+            plan = solution.z_star.reshape(cfg.horizon, 3 * n)
+            states = plan[:, n:] + rollout.x_hat[1:]
+            inputs = plan[:, :n] + rollout.u_hat
             u_cmd = np.clip(inputs[0], -self.limits.u_max, self.limits.u_max)
             degraded = False
             self._warm = solution.active_set

@@ -1,4 +1,4 @@
-"""Dense strictly convex QP solver (dual active-set, Goldfarb-Idnani family).
+"""Strictly convex QP solver (dual active-set, Goldfarb-Idnani family).
 
 Solves
     min  0.5 z' H z + g' z
@@ -13,15 +13,32 @@ rows in one batched KKT step, then repeatedly adds the most violated
 inequality, taking dual steps and dropping blocking constraints as in the
 classical dual method; the dual objective is nondecreasing across
 iterations. After convergence the iterate is polished by one exact KKT
-solve on the final active set whenever the residuals ask for it.
+solve on the final active set whenever the residuals ask for it. A warm
+active set is first tried by one such solve (the hot start) and kept when
+it is optimal.
+
+Every one of those KKT systems goes through one banded LU (LAPACK dgbsv,
+partial pivoting). Active bound rows, pinned bounds included, become fixed
+variables: their KKT row and column are replaced by a unit diagonal, the
+fixed values move to the right-hand side, and each bound's multiplier is
+read back from the stationarity residual. The other active rows keep a
+multiplier, placed right after the last variable the row touches, with the
+variables in their natural order. A problem whose variables are ordered by
+stage (the MPC QPs) then gives a band whose width does not grow with the
+horizon; a dense problem is a band of full width. A singular system
+rejects a hot start, keeps the unpolished iterate, and, for the equality
+rows alone, means they are linearly dependent: a QpDataError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -40,7 +57,10 @@ def regularized_hessian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     d = h.shape[0]
     eps = 1e-9 * max(np.trace(h), d) / d
-    return 0.5 * (h + h.T) + eps * np.eye(d)
+    reg = h + h.T
+    reg *= 0.5
+    reg.flat[::d + 1] += eps
+    return reg
 
 
 @dataclass
@@ -127,12 +147,15 @@ class _Rows:
     """Canonical one-sided form: eq rows a'z = b, then ineq rows a'z >= b.
 
     a and b stack all rows in active-set index order; a_eq/a_in and
-    b_eq/b_in are views of their two parts.
+    b_eq/b_in are views of their two parts. bound_var holds, for each row
+    that comes from a bound (a = +-e_i), its variable i, and -1 for the
+    general rows.
     """
 
     a: np.ndarray
     b: np.ndarray
     n_eq: int
+    bound_var: np.ndarray
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -154,9 +177,6 @@ class _Rows:
     def n_in(self) -> int:
         return self.b.shape[0] - self.n_eq
 
-    def normal(self, idx: int) -> np.ndarray:
-        return self.a[idx]
-
 
 def expand_constraints(p: QpProblem) -> _Rows:
     """Expand a problem into canonical rows with a stable ordering.
@@ -166,57 +186,177 @@ def expand_constraints(p: QpProblem) -> _Rows:
     and pins). Active-set indices refer to this ordering.
     """
     d = p.dim
-    eye = np.eye(d)
-    eq_blocks, eq_vals, in_blocks, in_vals = [], [], [], []
+    every = np.arange(d)
+    # blocks of (values, general rows or None, bound variables, bound sign)
+    eq, ineq = [], []
     pinned_bounds = np.zeros(d, dtype=bool)
     if p.Aeq is not None:
-        eq_blocks.append(p.Aeq)
-        eq_vals.append(p.beq)
+        eq.append((p.beq, p.Aeq, None, 0.0))
     if p.lb is not None and p.ub is not None:
         pinned_bounds = np.isfinite(p.lb) & (p.lb == p.ub)
-        if pinned_bounds.any():
-            eq_blocks.append(eye[pinned_bounds])
-            eq_vals.append(p.lb[pinned_bounds])
-    pinned_rows = np.zeros(0, dtype=bool)
+        eq.append((p.lb[pinned_bounds], None, every[pinned_bounds], 1.0))
     if p.Ain is not None:
         pinned_rows = np.isfinite(p.lin) & (p.lin == p.uin)
-        if pinned_rows.any():
-            eq_blocks.append(p.Ain[pinned_rows])
-            eq_vals.append(p.lin[pinned_rows])
+        eq.append((p.lin[pinned_rows], p.Ain[pinned_rows], None, 0.0))
     if p.lb is not None:
         keep = np.isfinite(p.lb) & ~pinned_bounds
-        if keep.any():
-            in_blocks.append(eye[keep])
-            in_vals.append(p.lb[keep])
+        ineq.append((p.lb[keep], None, every[keep], 1.0))
     if p.ub is not None:
         keep = np.isfinite(p.ub) & ~pinned_bounds
-        if keep.any():
-            in_blocks.append(-eye[keep])
-            in_vals.append(-p.ub[keep])
+        ineq.append((-p.ub[keep], None, every[keep], -1.0))
     if p.Ain is not None:
         keep = np.isfinite(p.lin) & ~pinned_rows
-        if keep.any():
-            in_blocks.append(p.Ain[keep])
-            in_vals.append(p.lin[keep])
+        ineq.append((p.lin[keep], p.Ain[keep], None, 0.0))
         keep = np.isfinite(p.uin) & ~pinned_rows
-        if keep.any():
-            in_blocks.append(-p.Ain[keep])
-            in_vals.append(-p.uin[keep])
-    blocks = eq_blocks + in_blocks
-    return _Rows(
-        a=np.vstack(blocks) if blocks else np.empty((0, d)),
-        b=np.concatenate(eq_vals + in_vals) if blocks else np.empty(0),
-        n_eq=sum(blk.shape[0] for blk in eq_blocks),
-    )
+        ineq.append((-p.uin[keep], -p.Ain[keep], None, 0.0))
+    blocks = eq + ineq
+    b = np.concatenate([values for values, _, _, _ in blocks]) if blocks else np.empty(0)
+    a = np.zeros((b.size, d))
+    bound_var = np.full(b.size, -1)
+    start = 0
+    for values, general, var, sign in blocks:
+        stop = start + values.size
+        if general is None:
+            a[np.arange(start, stop), var] = sign
+            bound_var[start:stop] = var
+        else:
+            a[start:stop] = general
+        start = stop
+    return _Rows(a=a, b=b, n_eq=sum(values.size for values, _, _, _ in eq),
+                 bound_var=bound_var)
+
+
+class _Band(NamedTuple):
+    """Where the variables and the general active rows sit in the banded KKT.
+
+    h_take gathers H's lower band twice (flat indices into H) and h_put
+    scatters it below and above the diagonal of dgbsv's band storage,
+    transposed (flat indices into it); a_take/a_put do the same for the
+    general rows.
+    """
+
+    var_pos: np.ndarray  # KKT position of each variable
+    row_pos: np.ndarray  # KKT position of each general row
+    width: int  # half-bandwidth of the KKT matrix in this order
+    h_take: np.ndarray
+    h_put: np.ndarray
+    a_take: np.ndarray
+    a_put: np.ndarray
+
+
+def _band_order(h: np.ndarray, a_gen: np.ndarray) -> _Band:
+    """Interleaved KKT order of the variables and the general active rows.
+
+    Variables keep their natural order; each row of a_gen is placed right
+    after the last variable it touches (rows with the same last variable
+    keep their given order). The half-bandwidth of [[h, a_gen'], [a_gen, 0]]
+    in that order is read off the full nonzero pattern, so it does not
+    depend on which variables are fixed. The order depends only on that
+    pattern, so it is built once per pattern.
+    """
+    nz = a_gen != 0
+    h_first = np.argmax(h != 0, axis=1)  # a regularized H has a nonzero diagonal
+    first = np.argmax(nz, axis=1)
+    last = h.shape[0] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    return _band_layout(h_first.tobytes(), first.tobytes(), last.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
+    h_first, first, last = (np.frombuffer(x, dtype=np.intp) for x in (h_first, first, last))
+    d = h_first.size
+    m = first.size
+    order = np.argsort(last, kind="stable")
+    last_sorted = last[order]
+    var_pos = np.arange(d) + np.searchsorted(last_sorted, np.arange(d))
+    row_pos = np.empty(m, dtype=np.intp)
+    row_pos[order] = last_sorted + 1 + np.arange(m)
+    # rows sit after their last variable, so their first one is the far end
+    width = max(int((var_pos - var_pos[h_first]).max(initial=0)),
+                int((row_pos - var_pos[first]).max(initial=0)))
+
+    # band storage entry (i, j) sits at ab[2w + i - j, j], flat j*(3w+1) + 2w + i - j
+    # of its transpose; each row's entries are taken over its nonzero span,
+    # clipped indices repeating an entry where a span is shorter than the longest
+    def flat(i, j):
+        return j * 3 * width + i + 2 * width
+
+    at = np.arange(d)[:, None]
+    cols = np.maximum(at - np.arange(int((at[:, 0] - h_first).max(initial=0)) + 1),
+                      h_first[:, None])
+    i, j = var_pos[at], var_pos[cols]
+    span = int((last - first).max(initial=0))
+    a_cols = np.minimum(first[:, None] + np.arange(span + 1), last[:, None])
+    r, c = row_pos[:, None], var_pos[a_cols]
+    h_take = (at * d + cols).ravel()
+    a_take = (np.arange(m)[:, None] * d + a_cols).ravel()
+    band = _Band(var_pos, row_pos, width,
+                 np.concatenate([h_take, h_take]),
+                 np.concatenate([flat(i, j).ravel(), flat(j, i).ravel()]),
+                 np.concatenate([a_take, a_take]),
+                 np.concatenate([flat(r, c).ravel(), flat(c, r).ravel()]))
+    for arr in band:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)  # every caller shares the cached layout
+    return band
+
+
+def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize 0.5 z'hz + g'z with the rows ids held at equality.
+
+    Bound rows among ids fix their variable; the remaining rows enter a
+    banded KKT system in the order of _band_order, factored by one dgbsv.
+    Returns z and the multipliers aligned with ids (a'z >= b convention:
+    h z + g = sum lam_i a_i). Raises LinAlgError when the system is
+    singular, which includes a variable fixed by two rows.
+    """
+    d = g.shape[0]
+    ids = np.asarray(ids, dtype=np.intp)
+    var = rows.bound_var[ids]
+    bound = var >= 0
+    fixed = var[bound]
+    if np.bincount(fixed, minlength=1).max() > 1:
+        raise LinAlgError("a variable is fixed by two active rows")
+    sign = rows.a[ids[bound], fixed]
+    z_fixed = np.zeros(d)
+    z_fixed[fixed] = sign * rows.b[ids[bound]]
+    gen = ids[~bound]
+    a_gen = rows.a[gen]
+    band = _band_order(h, a_gen)
+    var_pos, row_pos, width = band.var_pos, band.row_pos, band.width
+
+    # the fixed variables' rows and columns are left empty but for a unit
+    # diagonal, and their values move to the right-hand side
+    rhs = np.empty(d + gen.size)
+    rhs[var_pos] = -g - h @ z_fixed
+    rhs[var_pos[fixed]] = z_fixed[fixed]
+    rhs[row_pos] = rows.b[gen] - a_gen @ z_fixed
+    h_free = h.copy()
+    h_free[fixed] = 0.0
+    h_free[:, fixed] = 0.0
+    a_free = a_gen.copy()
+    a_free[:, fixed] = 0.0
+    ab_t = np.zeros((rhs.size, 3 * width + 1))  # dgbsv's band storage, transposed
+    np.put(ab_t, band.h_put, np.take(h_free, band.h_take))
+    np.put(ab_t, band.a_put, np.take(a_free, band.a_take))
+    ab_t[var_pos[fixed], 2 * width] = 1.0
+
+    _, _, sol, info = dgbsv(width, width, ab_t.T, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError(f"singular KKT system (zero pivot {info})")
+    z = sol[var_pos]
+    lam_gen = -sol[row_pos]
+    lam = np.empty(ids.size)
+    lam[~bound] = lam_gen
+    lam[bound] = sign * (h @ z + g - a_gen.T @ lam_gen)[fixed]
+    return z, lam
 
 
 def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers) -> KktResiduals:
-    grad = h_reg @ z + g
-    active_set = list(active_set)
-    multipliers = np.asarray(multipliers, dtype=float)
-    for idx, lam in zip(active_set, multipliers):
-        grad = grad - lam * rows.normal(idx)
+    ids = np.asarray(active_set, dtype=np.intp)
+    lam = np.asarray(multipliers, dtype=float)
+    grad = h_reg @ z + g - rows.a[ids].T @ lam
     stationarity = float(np.linalg.norm(grad, ord=np.inf)) if z.size else 0.0
 
     feas = 0.0
@@ -228,9 +368,8 @@ def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
         slack = rows.a_in @ z - rows.b_in
         feas = max(feas, float(np.clip(-slack, 0.0, None).max()))
         lam_in = np.zeros(rows.n_in)
-        for idx, lam in zip(active_set, multipliers):
-            if idx >= rows.n_eq:
-                lam_in[idx - rows.n_eq] = lam
+        ineq = ids >= rows.n_eq
+        lam_in[ids[ineq] - rows.n_eq] = lam[ineq]
         comp = float(np.abs(lam_in * slack).max())
         dual = max(0.0, -float(lam_in.min()))
     return KktResiduals(stationarity=stationarity, feasibility=feas, complementarity=comp,
@@ -328,24 +467,16 @@ class QpSolver:
 
         # batched equality activation: one KKT solve replaces m_e dual iterations
         if rows.n_eq:
-            a_eq = rows.a_eq
-            kkt = np.zeros((d + rows.n_eq, d + rows.n_eq))
-            kkt[:d, :d] = h_reg
-            kkt[:d, d:] = a_eq.T
-            kkt[d:, :d] = a_eq
-            rhs = np.concatenate([-p.g, rows.b_eq])
             try:
-                sol_eq = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol_eq, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            z = sol_eq[:d]
-            if np.abs(a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
+                z, lam_eq = _kkt_solve(rows, h_reg, p.g, np.arange(rows.n_eq))
+            except LinAlgError as exc:
+                raise QpDataError(f"equality rows are linearly dependent: {exc}") from exc
+            if np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
                 res = _residuals(rows, h_reg, p.g, z, [], [])
                 return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), history)
-            hinv_eq = cho_solve(h_factor, a_eq.T)
-            # KKT block system yields y = -lambda in this sign convention
+            hinv_eq = cho_solve(h_factor, rows.a_eq.T)
             for i in range(rows.n_eq):
-                active.add(a_eq[i], hinv_eq[:, i], float(-sol_eq[d + i]), i)
+                active.add(rows.a_eq[i], hinv_eq[:, i], float(lam_eq[i]), i)
             n_eq_active = rows.n_eq
             iterations += 1
         if self.debug:
@@ -432,20 +563,10 @@ class QpSolver:
 
     def _polish(self, p, rows, h_reg, row_ids, n_eq_active, z0, mult0, kkt0):
         """Exact KKT re-solve on the final active set to remove drift."""
-        d = p.dim
-        k = len(row_ids)
-        kkt = np.zeros((d + k, d + k))
-        kkt[:d, :d] = h_reg
-        if k:
-            a_mat = rows.a[row_ids]
-            kkt[:d, d:] = a_mat.T
-            kkt[d:, :d] = a_mat
-        rhs = np.concatenate([-p.g, rows.b[row_ids]])
         try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        z, lam = sol[:d], -sol[d:]
+            z, lam = _kkt_solve(rows, h_reg, p.g, row_ids)
+        except LinAlgError:
+            return z0, mult0, kkt0  # degenerate final active set; keep iterate
         if np.any(lam[n_eq_active:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
         res = _residuals(rows, h_reg, p.g, z, row_ids, lam)
@@ -455,24 +576,16 @@ class QpSolver:
 
     def _try_hot_start(self, p, rows, h_reg, warm_start, objective):
         """Directly test the warm active set via one KKT solve; None on reject."""
-        d = p.dim
-        ids = [i for i in warm_start if 0 <= i < rows.n_eq + rows.n_in]
-        ids = sorted(set(range(rows.n_eq)) | set(ids))
-        k = len(ids)
-        kkt = np.zeros((d + k, d + k))
-        kkt[:d, :d] = h_reg
-        if k:
-            a_mat = rows.a[ids]
-            kkt[:d, d:] = a_mat.T
-            kkt[d:, :d] = a_mat
-        rhs = np.concatenate([-p.g, rows.b[ids]])
+        warm = np.asarray(warm_start, dtype=np.intp)
+        keep = np.zeros(rows.b.size, dtype=bool)
+        keep[:rows.n_eq] = True
+        keep[warm[(warm >= 0) & (warm < keep.size)]] = True
+        ids = np.flatnonzero(keep)
         try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
+            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
+        except LinAlgError:
             return None
-        z, lam = sol[:d], -sol[d:]
-        ineq_lams = [lam[j] for j, i in enumerate(ids) if i >= rows.n_eq]
-        if ineq_lams and min(ineq_lams) < -1e-10:
+        if np.any(lam[ids >= rows.n_eq] < -1e-10):
             return None
         if rows.n_in:
             slack = rows.a_in @ z - rows.b_in
@@ -485,8 +598,8 @@ class QpSolver:
             z_star=z,
             status=OPTIMAL,
             kkt=res,
-            active_set=tuple(ids),
-            multipliers=np.asarray(lam, dtype=float),
+            active_set=tuple(ids.tolist()),
+            multipliers=lam,
             iterations=1,
             objective=objective(z),
             dual_objective_history=[objective(z)] if self.debug else [],

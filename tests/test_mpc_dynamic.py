@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,15 +102,16 @@ def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
     for a, b, r, u in zip(stages.A, stages.B, stages.r, u_seq):
         x = a @ x + b @ u + r
         states.append(x)
-    states = np.ravel(states)
+    states = np.array(states)
     eq_a, eq_b = build_prediction(stages, x0)
     assert eq_a.shape == (n_p * nx, n_p * (nx + nu))
-    np.testing.assert_allclose(eq_a @ np.concatenate([states, u_seq.ravel()]), eq_b,
-                               rtol=0.0, atol=1e-12)
+    # z is stage-wise: [u_0, x_1, u_1, x_2, ...]
+    z = np.concatenate([u_seq, states], axis=1).ravel()
+    np.testing.assert_allclose(eq_a @ z, eq_b, rtol=0.0, atol=1e-12)
     # the rows pin the states: given the inputs they reproduce the rollout
-    x_cols = n_p * nx
-    pinned = np.linalg.solve(eq_a[:, :x_cols], eq_b - eq_a[:, x_cols:] @ u_seq.ravel())
-    np.testing.assert_allclose(pinned, states, rtol=0.0, atol=1e-12)
+    x_cols = (np.arange(n_p * (nx + nu)) % (nx + nu)) >= nu
+    pinned = np.linalg.solve(eq_a[:, x_cols], eq_b - eq_a[:, ~x_cols] @ u_seq.ravel())
+    np.testing.assert_allclose(pinned, states.ravel(), rtol=0.0, atol=1e-12)
 
 
 def equilibrium_setup(model, rng):
@@ -148,36 +151,51 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     # bounds are deviations; adding the nominal back recovers the physical limits
     u_max = desk_model.limits.u_max
     np.testing.assert_allclose(u_max, [239.0, 239.0, 124.5, 32.0, 40.96, 25.6])
-    nx = 12
     for k in range(cfg.horizon):
-        blk = slice(cfg.horizon * nx + k * 6, cfg.horizon * nx + (k + 1) * 6)
+        blk = slice(k * 18, k * 18 + 6)  # u_k leads stage k of z
         np.testing.assert_allclose(problem.ub[blk] + roll.u_hat[k], u_max, atol=1e-12)
         np.testing.assert_allclose(problem.lb[blk] + roll.u_hat[k], -u_max, atol=1e-12)
 
 
-def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
-    # stage k's rows touch only x_{k+1}, x_k and u_k
-    q0 = random_config(desk_model, rng)
+def dyn_problem(model, rng, horizon):
+    q0 = random_config(model, rng)
     x0 = np.concatenate([q0, 0.3 * rng.standard_normal(6)])
-    far = forward_kinematics(desk_model, q0 + 0.2 * rng.standard_normal(6))
-    traj = TaskTrajectory(dt=1e-3, poses=(far,) * 20, tasks=default_task_hierarchy())
-    cfg = DynamicMpcConfig(horizon=10, dt=1e-3)
+    far = forward_kinematics(model, q0 + 0.2 * rng.standard_normal(6))
+    traj = TaskTrajectory(dt=1e-3, poses=(far,) * (horizon + 10), tasks=default_task_hierarchy())
+    cfg = DynamicMpcConfig(horizon=horizon, dt=1e-3)
     window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+    roll = osc_rollout(model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
-    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
-    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
-    nx, n, n_p = 12, 6, cfg.horizon
-    assert problem.Aeq.shape == (n_p * nx, n_p * (nx + n))
+    stages = linearize_stage(model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
+    return build_dyn_qp(cfg, roll, build_prediction(stages, x0), model.limits)
+
+
+def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
+    # z = [u_0, x_1, u_1, x_2, ...]: stage k's rows touch only x_k, u_k and
+    # x_{k+1}, which are contiguous, and hold the identity on x_{k+1}
+    problem = dyn_problem(desk_model, rng, 10)
+    nx, n, n_p = 12, 6, 10
+    ns = nx + n
+    assert problem.Aeq.shape == (n_p * nx, n_p * ns)
     for k in range(n_p):
         row = problem.Aeq[k * nx:(k + 1) * nx]
-        for j in range(n_p):
-            x_blk = row[:, j * nx:(j + 1) * nx]
-            u_blk = row[:, n_p * nx + j * n:n_p * nx + (j + 1) * n]
-            if j not in (k, k - 1):
-                assert not x_blk.any(), f"state block ({k}, {j})"
-            if j != k:
-                assert not u_blk.any(), f"input block ({k}, {j})"
+        lo = max(k * ns - nx, 0)  # x_k (x_0 is the measured state, not in z)
+        hi = (k + 1) * ns
+        assert not row[:, :lo].any() and not row[:, hi:].any(), f"stage {k}"
+        np.testing.assert_array_equal(row[:, hi - nx:hi], np.eye(nx))
+        assert row[:, k * ns:k * ns + n].any()  # -B_k on u_k
+
+
+def test_dyn_qp_kkt_band_does_not_grow_with_horizon(desk_model, rng):
+    # under the solver's order the KKT band of the dynamics rows (and of
+    # every active bound) has one width at any horizon
+    widths = []
+    for horizon in (5, 10, 20):
+        problem = dyn_problem(desk_model, rng, horizon)
+        band = qp._band_order(qp.regularized_hessian(problem.H), problem.Aeq)
+        widths.append(band.width)
+    assert widths[0] == widths[1] == widths[2]
+    assert widths[0] < 3 * 18
 
 
 def test_dyn_step_equilibrium_returns_bias(desk_model, rng):
@@ -324,3 +342,36 @@ def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
         linearize_stage(desk_model, moved, roll.u_hat[0], 1e-3, states=roll.states[:1])
     with pytest.raises(ValueError, match="x_hat"):  # states shifted by one stage
         linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3, states=roll.states[1:])
+
+
+@pytest.fixture
+def kkt_counts(monkeypatch):
+    """Count banded KKT factorizations and dense solves called from the QP solver."""
+    counts = {"banded": 0, "dense": 0}
+    dgbsv = qp.dgbsv
+
+    def counting_dgbsv(*args, **kwargs):
+        counts["banded"] += 1
+        return dgbsv(*args, **kwargs)
+
+    def counting_dense(fn):
+        def call(*args, **kwargs):
+            counts["dense"] += sys._getframe(1).f_globals.get("__name__") == qp.__name__
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(qp, "dgbsv", counting_dgbsv)
+    for name in ("solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting_dense(getattr(np.linalg, name)))
+    return counts
+
+
+def test_hot_started_dyn_step_makes_one_banded_factorization(desk_model, rng, kkt_counts):
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    ctl.step(x0, traj, 0)
+    kkt_counts.update(banded=0, dense=0)
+    res = ctl.step(x0, traj, 0)  # the same problem: its own active set is optimal
+    assert res.solution.status == qp.OPTIMAL and res.solution.iterations == 1
+    assert kkt_counts == {"banded": 1, "dense": 0}

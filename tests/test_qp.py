@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from armmpc.checks import random_qp, solve_qp_by_enumeration
 from armmpc.qp import (
@@ -8,7 +9,11 @@ from armmpc.qp import (
     QpDataError,
     QpProblem,
     QpSolver,
+    _kkt_solve,
+    _residuals,
+    expand_constraints,
     kkt_check,
+    regularized_hessian,
     solve,
 )
 
@@ -179,3 +184,161 @@ def test_max_iter_returns_best_iterate():
     sol = solve(QpProblem(H=np.eye(3), g=np.ones(3), lb=-np.ones(3), ub=np.ones(3)))
     assert sol.status == OPTIMAL
     assert sol.iterations >= 0
+
+
+def test_indefinite_hessian_rejected_with_and_without_warm_start():
+    # z_2 is held at its lower bound by the warm active set, where the KKT
+    # solve is stationary, feasible and has a positive multiplier; but H is
+    # indefinite, so the problem has no minimum and must be refused
+    p = QpProblem(H=np.diag([1.0, -1.0]), g=np.array([0.5, 1.0]),
+                  lb=np.array([-np.inf, 0.5]), ub=np.array([np.inf, np.inf]))
+    warm = (0,)  # the one canonical row: z_2 >= 0.5
+    rows = expand_constraints(p)
+    h_reg = regularized_hessian(p.H)
+    accepted = QpSolver()._try_hot_start(p, rows, h_reg, warm, lambda z: 0.0)
+    assert accepted is not None and accepted.multipliers[0] > 0
+    with pytest.raises(QpDataError, match="positive definite"):
+        QpSolver().solve(p)
+    with pytest.raises(QpDataError, match="positive definite"):
+        QpSolver().solve(p, warm_start=warm)
+
+
+def test_dependent_equality_rows_rejected():
+    p = QpProblem(H=np.eye(2), g=np.zeros(2), Aeq=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                  beq=np.array([1.0, 2.0]))
+    with pytest.raises(QpDataError, match="linearly dependent"):
+        solve(p)
+
+
+def dense_kkt(p, ids):
+    """Reference: z and multipliers of the active rows ids from one dense solve."""
+    rows = expand_constraints(p)
+    h = regularized_hessian(p.H)
+    a = rows.a[list(ids)]
+    d, k = p.dim, len(ids)
+    kkt = np.block([[h, a.T], [a, np.zeros((k, k))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-p.g, rows.b[list(ids)]]))
+    return sol[:d], -sol[d:]
+
+
+def assert_matches_dense(p, ids):
+    rows = expand_constraints(p)
+    z, lam = _kkt_solve(rows, regularized_hessian(p.H), p.g, ids)
+    z_ref, lam_ref = dense_kkt(p, ids)
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-9 * np.abs(z_ref).max())
+    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-9 * np.abs(lam_ref).max())
+    return rows
+
+
+def stage_qp(rng, n_p):
+    """A stage-ordered QP over z = [u_0, x_1, ..., u_np-1, x_np] with two
+    inputs and four states per stage: block-diagonal H and bidiagonal
+    dynamics rows x_{k+1} - A_k x_k - B_k u_k = r_k."""
+    nx, nu = 4, 2
+    ns = nx + nu
+    d = n_p * ns
+    h = np.zeros((d, d))
+    aeq = np.zeros((n_p * nx, d))
+    for k in range(n_p):
+        m = rng.standard_normal((ns, ns))
+        h[k * ns:(k + 1) * ns, k * ns:(k + 1) * ns] = m @ m.T + np.eye(ns)
+        rows = slice(k * nx, (k + 1) * nx)
+        if k:
+            aeq[rows, k * ns - nx:k * ns] = -(np.eye(nx) + 0.1 * rng.standard_normal((nx, nx)))
+        aeq[rows, k * ns:k * ns + nu] = -rng.standard_normal((nx, nu))
+        aeq[rows, k * ns + nu:(k + 1) * ns] = np.eye(nx)
+    return QpProblem(H=h, g=rng.standard_normal(d), Aeq=aeq, beq=rng.standard_normal(n_p * nx),
+                     lb=-1.0 - rng.random(d), ub=1.0 + rng.random(d))
+
+
+@pytest.mark.parametrize("n_p", [1, 3, 10])
+def test_banded_kkt_matches_dense_on_stage_qps(rng, n_p):
+    for _ in range(5):
+        p = stage_qp(rng, n_p)
+        rows = expand_constraints(p)
+        d = p.dim
+        # fix a random quarter of the inputs at a random side of their box
+        # (fixing states too could leave a stage's rows without free columns)
+        inputs = np.flatnonzero(np.arange(d) % 6 < 2)  # u_k leads each stage
+        pick = rng.choice(inputs, size=max(1, inputs.size // 4), replace=False)
+        lower = rng.random(pick.size) < 0.5
+        bound_ids = np.where(lower, rows.n_eq + pick, rows.n_eq + d + pick)
+        ids = list(range(rows.n_eq)) + sorted(bound_ids.tolist())
+        assert_matches_dense(p, ids)
+
+
+def test_banded_kkt_matches_dense_on_kinematic_style_qp(rng):
+    # z = [q_0..q_np], q_0 pinned, banded velocity rows as two-sided Ain
+    n, n_p, dt = 3, 6, 0.1
+    d = (n_p + 1) * n
+    vel = (np.eye(d, k=n) - np.eye(d))[:-n] / dt
+    jac = [rng.standard_normal((2, n)) for _ in range(n_p + 1)]
+    h = 1e-2 * vel.T @ vel
+    for k, jk in enumerate(jac):
+        h[k * n:(k + 1) * n, k * n:(k + 1) * n] += jk.T @ jk + 1e-3 * np.eye(n)
+    lb, ub = -np.ones(d), np.ones(d)
+    lb[:n] = ub[:n] = 0.2
+    p = QpProblem(H=h, g=rng.standard_normal(d), lb=lb, ub=ub, Ain=vel,
+                  lin=-np.full(d - n, 3.0), uin=np.full(d - n, 3.0))
+    rows = expand_constraints(p)
+    n_free = d - n
+    lowers = rows.n_eq + 2 * n_free  # first Ain-lower row
+    uppers = lowers + vel.shape[0]
+    ids = (list(range(rows.n_eq))  # the pinned block
+           + [rows.n_eq + 4, rows.n_eq + n_free + 9]  # a lower and an upper bound
+           + [lowers + 1, lowers + 7, uppers + 3, uppers + 12])  # two-sided Ain rows
+    assert rows.bound_var[ids[-4:]].max() == -1
+    assert_matches_dense(p, ids)
+
+
+def test_singular_hot_start_falls_back_to_cold_path():
+    # the same row twice: both copies are active at the optimum, and their
+    # KKT system is singular
+    p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                  lin=np.array([3.0, 3.0]), uin=np.array([np.inf, np.inf]))
+    rows = expand_constraints(p)
+    with pytest.raises(LinAlgError):
+        _kkt_solve(rows, regularized_hessian(p.H), p.g, [0, 1])
+    solver = QpSolver()
+    assert solver._try_hot_start(p, rows, regularized_hessian(p.H), (0, 1), lambda z: 0.0) is None
+    sol = solver.solve(p, warm_start=(0, 1))
+    assert sol.status == OPTIMAL
+    np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-9)
+    assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= 1e-9
+
+
+def test_residuals_match_row_by_row_reference(rng):
+    # the gathered product and index assignment against a per-row loop
+    for _ in range(20):
+        prob = random_qp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)),
+                         with_eq=bool(rng.integers(0, 2)))
+        rows = expand_constraints(prob)
+        h = regularized_hessian(prob.H)
+        z = rng.standard_normal(prob.dim)
+        ids = rng.choice(rows.b.size, size=int(rng.integers(0, rows.b.size + 1)), replace=False)
+        lam = rng.standard_normal(ids.size)
+        res = _residuals(rows, h, prob.g, z, ids, lam)
+        grad = h @ z + prob.g
+        lam_in = np.zeros(rows.n_in)
+        for idx, val in zip(ids, lam):
+            grad = grad - val * rows.a[idx]
+            if idx >= rows.n_eq:
+                lam_in[idx - rows.n_eq] = val
+        scale = 1e-12 * (1.0 + np.abs(h @ z).max() + np.abs(prob.g).max() + np.abs(lam).sum())
+        assert abs(res.stationarity - np.abs(grad).max()) <= scale
+        if rows.n_in:
+            slack = rows.a_in @ z - rows.b_in
+            assert res.complementarity == np.abs(lam_in * slack).max()
+            assert res.dual_feasibility == max(0.0, -lam_in.min())
+
+
+def test_variable_fixed_twice_is_singular():
+    # lower and upper bound of z_1 both active: dependent rows, as in a dense KKT
+    p = QpProblem(H=np.eye(2), g=np.ones(2), lb=np.zeros(2), ub=np.ones(2))
+    rows = expand_constraints(p)
+    both = [0, 2]
+    assert rows.bound_var[both].tolist() == [0, 0]
+    with pytest.raises(LinAlgError):
+        _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
+    assert QpSolver()._try_hot_start(p, rows, regularized_hessian(p.H), both,
+                                     lambda z: 0.0) is None
