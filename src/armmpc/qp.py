@@ -337,8 +337,9 @@ def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarr
     a_free = a_gen.copy()
     a_free[:, fixed] = 0.0
     ab_t = np.zeros((rhs.size, 3 * width + 1))  # dgbsv's band storage, transposed
-    np.put(ab_t, band.h_put, np.take(h_free, band.h_take))
-    np.put(ab_t, band.a_put, np.take(a_free, band.a_take))
+    flat = ab_t.reshape(-1)
+    flat[band.h_put] = h_free.reshape(-1)[band.h_take]
+    flat[band.a_put] = a_free.reshape(-1)[band.a_take]
     ab_t[var_pos[fixed], 2 * width] = 1.0
 
     _, _, sol, info = dgbsv(width, width, ab_t.T, rhs, overwrite_ab=1, overwrite_b=1)
