@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+from armmpc import qp
 from armmpc.checks import random_qp, solve_qp_by_enumeration
 from armmpc.qp import (
     INFEASIBLE,
@@ -267,8 +268,9 @@ def test_banded_kkt_matches_dense_on_stage_qps(rng, n_p):
         assert_matches_dense(p, ids)
 
 
-def test_banded_kkt_matches_dense_on_kinematic_style_qp(rng):
-    # z = [q_0..q_np], q_0 pinned, banded velocity rows as two-sided Ain
+def kinematic_style_qp(rng):
+    """z = [q_0..q_np], q_0 pinned, banded velocity rows as two-sided Ain,
+    and an active set holding the pinned block, two bounds and four Ain rows."""
     n, n_p, dt = 3, 6, 0.1
     d = (n_p + 1) * n
     vel = (np.eye(d, k=n) - np.eye(d))[:-n] / dt
@@ -288,7 +290,25 @@ def test_banded_kkt_matches_dense_on_kinematic_style_qp(rng):
            + [rows.n_eq + 4, rows.n_eq + n_free + 9]  # a lower and an upper bound
            + [lowers + 1, lowers + 7, uppers + 3, uppers + 12])  # two-sided Ain rows
     assert rows.bound_var[ids[-4:]].max() == -1
-    assert_matches_dense(p, ids)
+    return p, ids
+
+
+def test_banded_kkt_matches_dense_on_kinematic_style_qp(rng):
+    assert_matches_dense(*kinematic_style_qp(rng))
+
+
+def test_banded_kkt_does_not_depend_on_activation_order(rng):
+    # the cold path activates rows in its own order; the same set must give
+    # the same solve and reuse the same cached layout
+    p, ids = kinematic_style_qp(rng)
+    rows = expand_constraints(p)
+    h = regularized_hessian(p.H)
+    z, lam = _kkt_solve(rows, h, p.g, ids)
+    misses = qp._band_layout.cache_info().misses
+    z2, lam2 = _kkt_solve(rows, h, p.g, ids[::-1])
+    assert qp._band_layout.cache_info().misses == misses
+    np.testing.assert_array_equal(z2, z)
+    np.testing.assert_array_equal(lam2, lam[::-1])
 
 
 def test_singular_hot_start_falls_back_to_cold_path():
