@@ -1,15 +1,21 @@
-"""Rigid-body dynamics of serial chains via spatial vector algebra.
+"""Rigid-body dynamics of serial chains.
 
-Inverse dynamics is recursive Newton-Euler, the mass matrix comes from the
-composite-rigid-body algorithm, and forward dynamics solves M qdd = u - b
-through a Cholesky factorization (never an explicit inverse). The partial
-derivatives needed by trajectory linearization are produced analytically by
-differentiating the Newton-Euler recursions, batched over a stack of states:
-one pass with (B, 6, 2n) intermediates linearizes a whole horizon, and a
-single state is a batch of one. A finite-difference fallback is kept behind
-a switch as an independent cross-check.
+The mass matrix M and the bias forces b come from one world-frame pass per
+chain state, batched over the links: the linear and angular Jacobians of
+every link's centre of mass give M = sum_i m_i Jv_i'Jv_i + Jw_i'I_i Jw_i and,
+with the accelerations that qd alone causes, b (Featherstone, Rigid Body
+Dynamics Algorithms, 2008, the Jacobian forms of M and C qd). Forward
+dynamics solves M qdd = u - b through a Cholesky factorization (LAPACK
+dpotrf/dpotrs, never an explicit inverse).
 
-Spatial vectors are ordered [angular; linear] and expressed in body frames.
+Recursive Newton-Euler, in spatial vector algebra, stays as the reference
+inverse dynamics and as the core of the derivatives that trajectory
+linearization needs: those are produced analytically by differentiating the
+Newton-Euler recursions, batched over a stack of states, so one pass with
+(B, 6, 2n) intermediates linearizes a whole horizon and a single state is a
+batch of one. A finite-difference fallback is kept behind a switch as an
+independent cross-check. Spatial vectors are ordered [angular; linear] and
+expressed in body frames.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kinematics import ChainState, _crm, _cross_operator, _cross_slots
+from .kinematics import ChainState, _crm, _cross_operator, _cross, _cross_slots
 from .robot_model import RobotModel
 
 
@@ -70,9 +76,10 @@ class DynamicsDerivatives:
 class RigidBodyState(ChainState):
     """A chain state with the dynamics at it, each quantity computed once.
 
-    The motion transforms X_k (parent link frame into link k) come from the
-    same joint pass as the kinematic frames; the mass matrix, its Cholesky
-    factor and the bias forces are evaluated on first use.
+    The mass matrix, its Cholesky factor, the bias and the gravity forces
+    derive on first use from the world frames of the joint pass; the motion
+    transforms X_k behind the Newton-Euler passes (inverse dynamics and the
+    derivatives) are built only when those ask for them.
     """
 
     @cached_property
@@ -100,53 +107,89 @@ class RigidBodyState(ChainState):
         return xs
 
     @cached_property
-    def mass(self) -> np.ndarray:
-        """Joint-space inertia matrix via the composite-rigid-body algorithm."""
+    def _com_jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each link's COM minus every joint origin, and the linear and angular
+        Jacobians of every link's COM, (n_links, n, 3) each, [link, joint]."""
         c = self.chain
-        xs = self.xs
-        n = c.n
-        composite = [inertia.copy() for inertia in c.inertia]
-        mass = np.zeros((n, n))
-        for k in range(n - 1, -1, -1):
-            s = c.subspace[k]
-            if k > 0:
-                composite[k - 1] += xs[k].T @ composite[k] @ xs[k]
-            fh = composite[k] @ s
-            mass[k, k] = s @ fh
-            j = k
-            while j > 0:
-                fh = xs[j].T @ fh
-                j -= 1
-                mass[k, j] = mass[j, k] = c.subspace[j] @ fh
-        return mass
+        axis_w, origin_w, pos_w, rot_w = self.frames[:4]
+        com_w = pos_w + (rot_w @ c.com[:, :, None])[:, :, 0]
+        arm = com_w[:, None, :] - origin_w
+        return arm, self._point_columns(arm) * c.moves[:, :, None], c.turns[:, :, None] * axis_w
 
     @cached_property
-    def factor(self):
-        """Lower Cholesky factor of the mass matrix, in cho_factor form."""
-        try:
-            return cho_factor(self.mass, lower=True)
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
-            raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: {exc}") from exc
+    def _world_inertia_root(self) -> np.ndarray:
+        """K_i = R_i L_i, so that K_i K_i' = R_i I_i R_i' is link i's world
+        inertia about its COM, (n_links, 3, 3)."""
+        return self.frames[3] @ self.chain.root_inertia
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Joint-space inertia M = sum_i m_i Jv_i'Jv_i + Jw_i'(R_i I_i R_i')Jw_i.
+
+        One Gram product A A' over the COM Jacobians, with A's rows the joints
+        and its columns sqrt(m_i) Jv_i and Jw_i K_i for every link i.
+        """
+        c = self.chain
+        n = c.n
+        _, jv, jw = self._com_jacobians
+        a = np.empty((n, n, 6))  # [joint, link, 6]
+        a[:, :, :3] = (jv * c.root_mass[:, None, None]).transpose(1, 0, 2)
+        a[:, :, 3:] = (jw @ self._world_inertia_root).transpose(1, 0, 2)
+        a = a.reshape(n, 6 * n)
+        return a @ a.T
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of the mass matrix (upper triangle not cleared)."""
+        mass = self.mass
+        if not np.isfinite(mass).all():
+            raise ValueError(f"mass matrix is not finite at q={self.q!r}")
+        factor, info = dpotrf(mass, lower=1, clean=0)
+        if info != 0:
+            raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: dpotrf info {info}")
+        return factor
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 rhs through the Cholesky factor."""
+        return dpotrs(self.factor, rhs, lower=1)[0]
 
     @cached_property
     def minv(self) -> np.ndarray:
         """Inverse mass matrix, solved from the Cholesky factor."""
-        return cho_solve(self.factor, np.eye(self.chain.n))
+        return self._solve(np.eye(self.chain.n))
 
     @cached_property
     def bias(self) -> np.ndarray:
-        """Coriolis/centrifugal plus gravity forces b(q, qd)."""
-        return self.inverse_dynamics(np.zeros(self.chain.n))
+        """Coriolis/centrifugal plus gravity forces b(q, qd), at qdd = 0.
+
+        b = g(q) + sum_i Jv_i' m_i a_i + Jw_i'(I_i alpha_i + omega_i x I_i omega_i),
+        with a_i and alpha_i the COM and angular accelerations that qd alone
+        causes; at qd = 0 the sum is zero and b is g(q) to the bit.
+        """
+        c = self.chain
+        arm, jv, jw = self._com_jacobians
+        omega, axis_dot, _ = self.rates
+        qd = self.qd
+        alpha = np.cumsum(np.where(c.rev, axis_dot * qd[:, None], 0.0), axis=0)
+        jv_dot = self._point_column_rates(arm, (qd @ jv)[:, None, :])
+        acc = ((c.moves * qd)[:, None, :] @ jv_dot)[:, 0]
+        k = self._world_inertia_root
+        kt = k.transpose(0, 2, 1)
+        spin = k @ (kt @ np.stack([omega[1:], alpha], axis=2))  # I omega, I alpha
+        torque = spin[:, :, 1] + _cross(omega[1:], spin[:, :, 0])
+        force = (jv @ (c.link_mass[:, None] * acc)[:, :, None]).sum(axis=0)
+        force += (jw @ torque[:, :, None]).sum(axis=0)
+        return self.gravity + force[:, 0]
 
     @cached_property
     def gravity(self) -> np.ndarray:
-        """Gravity forces g(q) = b(q, 0): the Newton-Euler passes at rest."""
-        zeros = np.zeros(self.chain.n)
-        return self._rnea(zeros, zeros)
+        """Gravity forces g(q) = -sum_i m_i Jv_i' g, the part of b that gravity alone causes."""
+        _, jv, _ = self._com_jacobians
+        return self.chain.link_mass @ (jv @ self.chain.a_base[3:])
 
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""
-        return cho_solve(self.factor, u - self.bias)
+        return self._solve(u - self.bias)
 
     def semi_implicit_step(self, u: np.ndarray, dt: float):
         """One semi-implicit Euler step from this state: velocity first, then position.
@@ -290,11 +333,12 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
 
 def bias_forces(model: RobotModel, q, qd) -> np.ndarray:
     """Coriolis/centrifugal plus gravity forces b(q, qd) = ID(q, qd, 0)."""
-    return inverse_dynamics(model, q, qd, np.zeros(model.n))
+    q = model.check_q(q)
+    return RigidBodyState(model, q, model.check_q(qd, "qd")).bias
 
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
-    """Joint-space inertia matrix via the composite-rigid-body algorithm."""
+    """Joint-space inertia matrix from the COM Jacobians of every link."""
     return RigidBodyState(model, model.check_q(q)).mass
 
 

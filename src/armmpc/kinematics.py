@@ -124,20 +124,14 @@ def _skew(v) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (np.cross without overhead)."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (k, 3) arrays (np.cross without overhead)."""
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+    """Cross product along the last axis of broadcastable (..., 3) arrays
+    (np.cross without overhead)."""
+    return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
 
 
 def _cross_slots(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,13 +247,15 @@ def _spatial_inertia(mass: float, com: np.ndarray, inertia_com: np.ndarray) -> n
 class _Chain:
     """Per-model constants of the rigid-body chain, for kinematics and dynamics."""
 
-    __slots__ = ("n", "revolute", "axes", "skew", "skew2", "rot_pt", "trans_pt",
-                 "ee_rot", "ee_trans", "subspace", "crm_s", "inertia", "a_base")
+    __slots__ = ("n", "revolute", "rev", "axes", "skew", "skew2", "rot_pt", "trans_pt",
+                 "ee_rot", "ee_trans", "subspace", "crm_s", "inertia", "a_base",
+                 "moves", "turns", "link_mass", "root_mass", "com", "root_inertia")
 
     def __init__(self, model: RobotModel):
         n = model.n
         self.n = n
         self.revolute = [j.kind == REVOLUTE for j in model.joints]
+        self.rev = np.array(self.revolute)[:, None]  # (n, 1) mask over joint rows
         self.axes = [j.axis for j in model.joints]
         self.skew = [_skew(a) for a in self.axes]
         self.skew2 = [k @ k for k in self.skew]
@@ -283,6 +279,15 @@ class _Chain:
         # gravity enters as a fictitious base acceleration -g
         self.a_base = np.zeros(6)
         self.a_base[3:] = -model.gravity
+        # [link i, joint j]: joint j moves link i (j <= i), and turns it too
+        # when revolute
+        self.moves = np.tril(np.ones((n, n)))
+        self.turns = self.moves * self.rev.T
+        self.link_mass = np.array([link.mass for link in model.links])
+        self.root_mass = np.sqrt(self.link_mass)
+        self.com = np.array([link.com for link in model.links])
+        # L L' = each link's inertia about its COM, in the link frame
+        self.root_inertia = np.linalg.cholesky([link.inertia_tensor for link in model.links])
 
 
 _chain_cache: "WeakKeyDictionary[RobotModel, _Chain]" = WeakKeyDictionary()
@@ -303,8 +308,8 @@ class ChainState:
 
     Construction is the one joint pass: each revolute joint's own rotation
     is evaluated once. The world frames behind FK, J and J-dot derive from
-    it on first use; dynamics.RigidBodyState adds the motion transforms
-    behind the dynamics recursions.
+    it on first use, and J and J-dot are array operations over the world
+    joint axes and origins; dynamics.RigidBodyState adds the dynamics.
     """
 
     def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
@@ -326,12 +331,13 @@ class ChainState:
     @cached_property
     def frames(self) -> tuple[np.ndarray, ...]:
         """World joint axes, joint origins and link-frame origins (n x 3 each),
-        then the end-effector rotation and position."""
+        link rotations (n x 3 x 3), then the end-effector rotation and position."""
         c = self.chain
         n = c.n
         axis_w = np.empty((n, 3))
         origin_w = np.empty((n, 3))
         pos_w = np.empty((n, 3))
+        rot_w = np.empty((n, 3, 3))
         rot = _EYE3
         pos = np.zeros(3)
         for k in range(n):
@@ -347,48 +353,67 @@ class ChainState:
             axis_w[k] = axis
             origin_w[k] = origin
             pos_w[k] = pos
-        return axis_w, origin_w, pos_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
+            rot_w[k] = rot
+        return axis_w, origin_w, pos_w, rot_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
+
+    def _point_columns(self, arm: np.ndarray) -> np.ndarray:
+        """Linear-velocity Jacobian columns of world points, (..., n, 3).
+
+        arm holds each point minus every joint origin; column j is
+        z_j x arm_j for a revolute joint and z_j for a prismatic one.
+        """
+        axis_w = self.frames[0]
+        return np.where(self.chain.rev, _cross(axis_w, arm), axis_w)
+
+    def _point_column_rates(self, arm: np.ndarray, point_vel: np.ndarray) -> np.ndarray:
+        """Time derivatives of _point_columns along qd, for points moving at
+        point_vel (broadcast against arm); the caller drops the columns of
+        joints that do not move a point."""
+        axis_w = self.frames[0]
+        _, axis_dot, origin_dot = self.rates
+        return np.where(self.chain.rev,
+                        _cross(axis_dot, arm) + _cross(axis_w, point_vel - origin_dot),
+                        axis_dot)
+
+    @cached_property
+    def rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Angular velocities of the base and the n links ((n+1) x 3), then the
+        rates of the world joint axes and joint origins (n x 3 each)."""
+        c = self.chain
+        n = c.n
+        axis_w, origin_w = self.frames[:2]
+        omega = np.zeros((n + 1, 3))
+        np.cumsum(np.where(c.rev, axis_w * self.qd[:, None], 0.0), axis=0, out=omega[1:])
+        # each axis is fixed in the link before its joint
+        axis_dot = _cross(omega[:-1], axis_w)
+        # joint k's origin rides on link k-1: the joints before k move it,
+        # one column each of the lower-triangular stack
+        cols = self._point_columns(origin_w[1:, None, :] - origin_w)
+        origin_dot = np.zeros((n, 3))
+        origin_dot[1:] = ((c.moves[:-1] * self.qd)[:, None, :] @ cols)[:, 0]
+        return omega, axis_dot, origin_dot
+
+    @cached_property
+    def _ee_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """End-effector position minus each joint origin, and the linear
+        Jacobian columns there (n x 3 each)."""
+        _, origin_w, *_, ee_pos = self.frames
+        arm = ee_pos - origin_w
+        return arm, self._point_columns(arm)
 
     def jacobian(self) -> np.ndarray:
-        axis_w, origin_w, _, _, ee_pos = self.frames
-        return self._columns(axis_w, _cross_rows(axis_w, ee_pos[None, :] - origin_w))
+        return self._columns(self.frames[0], self._ee_columns[1])
 
     def jacobian_dot(self) -> np.ndarray:
-        axis_w, origin_w, pos_w, _, ee_pos = self.frames
-        c = self.chain
-        q, qd = self.q, self.qd
-        omega = np.zeros(3)  # angular velocity of link k
-        vel = np.zeros(3)  # linear velocity of link-frame origin pos_w[k]
-        axis_dot = np.empty((c.n, 3))
-        origin_dot = np.empty((c.n, 3))
-        prev_pos = np.zeros(3)
-        for k in range(c.n):
-            z = axis_w[k]
-            o_dot = vel + _cross(omega, origin_w[k] - prev_pos)
-            axis_dot[k] = _cross(omega, z)
-            origin_dot[k] = o_dot
-            if c.revolute[k]:
-                omega = omega + z * qd[k]
-                vel = o_dot
-            else:
-                vel = o_dot + _cross(omega, z * q[k]) + z * qd[k]
-            prev_pos = pos_w[k]
-
-        ee_vel = vel + _cross(omega, ee_pos - prev_pos)
-        arm = ee_pos[None, :] - origin_w
-        lin = _cross_rows(axis_dot, arm) + _cross_rows(axis_w, ee_vel[None, :] - origin_dot)
-        return self._columns(axis_dot, lin)
+        arm, lin = self._ee_columns
+        return self._columns(self.rates[1], self._point_column_rates(arm, self.qd @ lin))
 
     def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
-        """6 x n [linear; angular] columns: (lin, axis) for revolute joints,
-        (axis, 0) for prismatic ones."""
-        out = np.zeros((6, self.chain.n))
-        for k in range(self.chain.n):
-            if self.chain.revolute[k]:
-                out[:3, k] = lin[k]
-                out[3:, k] = axis[k]
-            else:
-                out[:3, k] = axis[k]
+        """6 x n [linear; angular] columns: the angular rows are the axis rows
+        of the revolute joints, zero for prismatic ones."""
+        out = np.empty((6, self.chain.n))
+        out[:3] = lin.T
+        out[3:] = np.where(self.chain.rev, axis, 0.0).T
         return out
 
 

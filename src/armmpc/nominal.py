@@ -155,12 +155,12 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     m, n = jac.shape
     if 0 < m <= 3 and m <= n:
         vals, vecs = np.linalg.eigh(jac @ jac.T)
-        vals = np.clip(vals, 0.0, None)
         if vals[-1] <= 0.0:
             return np.zeros((n, m))
-        keep = vals >= (rel_threshold**2) * vals[-1]
-        if not np.any(keep):
-            return np.zeros((n, m))
+        floor = (rel_threshold**2) * vals[-1]
+        if vals[0] >= floor:  # ascending, so every direction is kept
+            return jac.T @ (vecs / vals) @ vecs.T
+        keep = vals >= floor
         basis = vecs[:, keep]
         return jac.T @ (basis / vals[keep]) @ basis.T
     u, sigma, vt = np.linalg.svd(jac, full_matrices=False)
@@ -274,12 +274,24 @@ def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: flo
     st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
     if twist is not None:
         twist = np.asarray(twist, dtype=float)
-    return _osc_torque(st, tasks, target, rel_threshold, posture, twist, record)
+    return _osc_torque(st, _osc_levels(tasks), target, rel_threshold, posture, twist, record)
 
 
-def _osc_torque(st: RigidBodyState, tasks, target: Pose, rel_threshold: float,
+def _osc_levels(tasks) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
+    """The task levels in priority order, as (rows, kp, kd) with the default
+    gains filled in."""
+    return tuple(
+        (task.rows,
+         task.kp if task.kp is not None else np.full(task.dim, 100.0),
+         task.kd if task.kd is not None else np.full(task.dim, 10.0))
+        for task in sorted(tasks, key=lambda t: t.priority)
+    )
+
+
+def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
                 posture: PostureSpec | None, twist, record) -> np.ndarray:
-    """osc_torque at a chain state whose M, b and frames it shares with the caller."""
+    """osc_torque at a chain state whose M, b and frames it shares with the
+    caller, over the _osc_levels of the task hierarchy."""
     q, qd = st.q, st.qd
     n = st.chain.n
     minv = st.minv
@@ -290,14 +302,11 @@ def _osc_torque(st: RigidBodyState, tasks, target: Pose, rel_threshold: float,
 
     u = np.zeros(n)
     proj = np.eye(n)
-    for task in sorted(tasks, key=lambda t: t.priority):
-        rows = task.rows
+    for rows, kp, kd in levels:
         jac_t = jac_full[rows]
         err = err_full[rows]
         vel = jac_t @ qd
-        ref_vel = np.zeros(task.dim) if twist is None else twist[rows]
-        kp = task.kp if task.kp is not None else np.full(task.dim, 100.0)
-        kd = task.kd if task.kd is not None else np.full(task.dim, 10.0)
+        ref_vel = np.zeros(kp.size) if twist is None else twist[rows]
         acc_des = kd * (ref_vel - vel) + kp * err
 
         jac_proj = jac_t @ proj
@@ -335,6 +344,7 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         raise ValueError(f"x0 must have shape ({2 * n},)")
     u_max = model.limits.u_max
     n_g = sum(t.dim for t in tasks)
+    levels = _osc_levels(tasks)
 
     x_hat = np.empty((steps, 2 * n))
     u_hat = np.empty((steps - 1, n))
@@ -349,7 +359,7 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         record: list = []
         st = RigidBodyState(model, q, qd)
         states.append(st)
-        u = _osc_torque(st, tasks, poses[k], rel_threshold, posture, twists[k], record)
+        u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k], record)
         j_stack[k] = np.vstack([jac for jac, _ in record])
         err_stack[k] = np.concatenate([err for _, err in record])
         if k + 1 < steps:

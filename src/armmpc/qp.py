@@ -37,8 +37,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dpotrf, dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -357,6 +357,22 @@ def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarr
     return z, lam
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix by LAPACK dpotrf (its
+    upper triangle is left as it was); LinAlgError unless positive definite."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise LinAlgError(f"leading minor {info} is not positive definite")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a _cholesky factor (LAPACK dpotrs)."""
+    return dpotrs(factor, rhs, lower=1)[0]
+
+
 def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers) -> KktResiduals:
     ids = np.asarray(active_set, dtype=np.intp)
@@ -420,6 +436,17 @@ class _ActiveSet:
         self.row_ids.append(row_id)
         self.k += 1
 
+    def add_first(self, normals, hinv_cols, mult):
+        """Activate rows 0..m-1 of an empty set at once: the normals are the
+        rows of normals, and the Gram block is one product."""
+        m = mult.size
+        self.normals[:, :m] = normals.T
+        self.hinv[:, :m] = hinv_cols
+        self.gram[:m, :m] = normals @ hinv_cols
+        self.mult[:m] = mult
+        self.row_ids.extend(range(m))
+        self.k = m
+
     def drop(self, j):
         k = self.k
         keep = [i for i in range(k) if i != j]
@@ -434,8 +461,8 @@ class _ActiveSet:
         k = self.k
         gram = self.gram[:k, :k]
         try:
-            return cho_solve(cho_factor(gram, lower=True), rhs)
-        except (LinAlgError, np.linalg.LinAlgError):
+            return _cho_solve(_cholesky(gram), rhs)
+        except LinAlgError:
             return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
@@ -450,8 +477,8 @@ class QpSolver:
         d = p.dim
         h_reg = regularized_hessian(p.H)
         try:
-            h_factor = cho_factor(h_reg, lower=True)
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
+            h_factor = _cholesky(h_reg)
+        except LinAlgError as exc:
             raise QpDataError(f"Hessian is not positive definite: {exc}") from exc
 
         def objective(zv):
@@ -462,7 +489,7 @@ class QpSolver:
             if sol is not None:
                 return sol
 
-        z = -cho_solve(h_factor, p.g)
+        z = -_cho_solve(h_factor, p.g)
         history: list[float] = []
         active = _ActiveSet(d, rows.n_eq + min(d, rows.n_in) + 2)
         n_eq_active = 0
@@ -479,9 +506,7 @@ class QpSolver:
             if np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
                 res = _residuals(rows, h_reg, p.g, z, [], [])
                 return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), history)
-            hinv_eq = cho_solve(h_factor, rows.a_eq.T)
-            for i in range(rows.n_eq):
-                active.add(rows.a_eq[i], hinv_eq[:, i], float(lam_eq[i]), i)
+            active.add_first(rows.a_eq, _cho_solve(h_factor, rows.a_eq.T), lam_eq)
             n_eq_active = rows.n_eq
             iterations += 1
         if self.debug:
@@ -501,7 +526,7 @@ class QpSolver:
             n_plus = rows.a_in[worst]
             slack = float(slacks[worst])
             u_plus = 0.0
-            w = cho_solve(h_factor, n_plus)
+            w = _cho_solve(h_factor, n_plus)
 
             while True:
                 iterations += 1

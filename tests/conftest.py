@@ -177,7 +177,7 @@ def chain_counts(monkeypatch):
     batched dynamics-derivative passes."""
     counts = {"passes": 0, "factors": 0, "derivatives": 0}
     init = kinematics.ChainState.__init__
-    factor = dynamics.cho_factor
+    factor = dynamics.dpotrf
     derivatives = dynamics._rnea_derivatives
 
     def counting_init(self, *args, **kwargs):
@@ -193,7 +193,7 @@ def chain_counts(monkeypatch):
         return derivatives(*args, **kwargs)
 
     monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
-    monkeypatch.setattr(dynamics, "cho_factor", counting_factor)
+    monkeypatch.setattr(dynamics, "dpotrf", counting_factor)
     monkeypatch.setattr(dynamics, "_rnea_derivatives", counting_derivatives)
     return counts
 

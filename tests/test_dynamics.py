@@ -15,8 +15,22 @@ from armmpc.dynamics import (
     stacked_derivatives,
 )
 from armmpc.kinematics import _crf, _crm
+from armmpc.robot_model import PayloadSpec, attach_payload
 
 from conftest import make_rpr, random_config
+
+
+def chain_model(name, desk_model):
+    """The rs007n arm, the revolute-prismatic-revolute chain, or the arm
+    with a 12 kg payload composed into its last link."""
+    if name == "rpr":
+        return make_rpr()
+    if name == "payload":
+        return attach_payload(desk_model, PayloadSpec(mass=12.0, com_offset=np.array([0.0, 0.0, 0.1])))
+    return desk_model
+
+
+CHAINS = ["desk", "rpr", "payload"]
 
 
 def fd_forward_dynamics_derivatives(model, q, qd, u, h=1e-6):
@@ -77,15 +91,18 @@ def test_mass_matrix_pendulum(pendulum):
     assert m[0, 0] == pytest.approx(1.0, abs=1e-9)  # m * l^2
 
 
-def test_mass_matrix_id_column_oracle(desk_model, rng):
-    q = random_config(desk_model, rng)
-    m = mass_matrix(desk_model, q)
-    zero = np.zeros(desk_model.n)
-    base = inverse_dynamics(desk_model, q, zero, zero)
-    for i in range(desk_model.n):
-        e = np.zeros(desk_model.n)
+@pytest.mark.parametrize("name", CHAINS)
+def test_mass_matrix_id_column_oracle(desk_model, rng, name):
+    # the COM-Jacobian mass matrix against Newton-Euler columns
+    model = chain_model(name, desk_model)
+    q = random_config(model, rng)
+    m = mass_matrix(model, q)
+    zero = np.zeros(model.n)
+    base = inverse_dynamics(model, q, zero, zero)
+    for i in range(model.n):
+        e = np.zeros(model.n)
         e[i] = 1.0
-        col = inverse_dynamics(desk_model, q, zero, e) - base
+        col = inverse_dynamics(model, q, zero, e) - base
         np.testing.assert_allclose(m[:, i], col, atol=1e-10)
 
 
@@ -117,12 +134,15 @@ def test_bias_gravity_pendulum(gravity_pendulum):
     assert b[0] == pytest.approx(9.81, abs=1e-9)
 
 
-def test_bias_equals_id_with_zero_accel(desk_model, rng):
-    q = random_config(desk_model, rng)
-    qd = rng.standard_normal(desk_model.n)
+@pytest.mark.parametrize("name", CHAINS)
+def test_bias_equals_id_with_zero_accel(desk_model, rng, name):
+    # the COM-Jacobian bias forces against the Newton-Euler passes
+    model = chain_model(name, desk_model)
+    q = random_config(model, rng)
+    qd = rng.standard_normal(model.n)
     np.testing.assert_allclose(
-        bias_forces(desk_model, q, qd),
-        inverse_dynamics(desk_model, q, qd, np.zeros(desk_model.n)),
+        bias_forces(model, q, qd),
+        inverse_dynamics(model, q, qd, np.zeros(model.n)),
         atol=1e-12,
     )
 
@@ -147,12 +167,14 @@ def test_id_all_zero_no_gravity(planar_2dof):
     np.testing.assert_allclose(u, 0.0, atol=1e-15)
 
 
-def test_id_decomposes_into_mass_and_bias(desk_model, rng):
-    q = random_config(desk_model, rng)
-    qd = rng.standard_normal(desk_model.n)
-    qdd = rng.standard_normal(desk_model.n)
-    lhs = inverse_dynamics(desk_model, q, qd, qdd) - inverse_dynamics(desk_model, q, qd, np.zeros(6))
-    np.testing.assert_allclose(lhs, mass_matrix(desk_model, q) @ qdd, atol=1e-10)
+@pytest.mark.parametrize("name", CHAINS)
+def test_id_decomposes_into_mass_and_bias(desk_model, rng, name):
+    model = chain_model(name, desk_model)
+    q = random_config(model, rng)
+    qd = rng.standard_normal(model.n)
+    qdd = rng.standard_normal(model.n)
+    lhs = inverse_dynamics(model, q, qd, qdd) - inverse_dynamics(model, q, qd, np.zeros(model.n))
+    np.testing.assert_allclose(lhs, mass_matrix(model, q) @ qdd, atol=1e-10)
 
 
 def test_fd_equilibrium(desk_model, rng):

@@ -57,6 +57,27 @@ def test_pinv_zero_matrix():
     np.testing.assert_allclose(out, 0.0)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
+def test_pinv_gram_path_matches_svd_path_at_threshold(rng, rows, side, rel_threshold):
+    # the smallest singular value sits just below or just above the cut; a
+    # 6 x rows input takes the SVD path, and pinv(J') = pinv(J)'. The Gram
+    # path squares the condition number, so a kept direction at the cut
+    # carries about eps / rel_threshold**2 relative error (3e-12 seen at 1e-2)
+    tol = 100 * np.finfo(float).eps / rel_threshold**2
+    kept = rows if rows == 1 or side > 1 else rows - 1
+    sigma = 3.0 * np.geomspace(1.0, rel_threshold * side, rows)
+    for _ in range(20):
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((6, rows)))[0]
+        jac = (u * sigma) @ v.T
+        gram_path = compact_svd_pinv(jac, rel_threshold)
+        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
+        assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
+
+
 def test_pinv_bad_threshold():
     with pytest.raises(ValueError):
         compact_svd_pinv(np.eye(2), 1.5)

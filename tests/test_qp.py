@@ -362,3 +362,23 @@ def test_variable_fixed_twice_is_singular():
         _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
     assert QpSolver()._try_hot_start(p, rows, regularized_hessian(p.H), both,
                                      lambda z: 0.0) is None
+
+
+def test_equality_block_matches_row_by_row_activation(rng):
+    # the batched activation fills the same active set as one add per row
+    d, m = 9, 4
+    half = rng.standard_normal((d, d))
+    h_inv = np.linalg.inv(half @ half.T + d * np.eye(d))
+    normals = rng.standard_normal((m, d))
+    hinv = h_inv @ normals.T
+    mult = rng.standard_normal(m)
+    block = qp._ActiveSet(d, m + 2)
+    block.add_first(normals, hinv, mult)
+    rows = qp._ActiveSet(d, m + 2)
+    for i in range(m):
+        rows.add(normals[i], hinv[:, i], mult[i], i)
+    assert block.k == rows.k == m
+    assert block.row_ids == rows.row_ids
+    for name in ("normals", "hinv", "mult"):
+        assert np.array_equal(getattr(block, name), getattr(rows, name)), name
+    np.testing.assert_allclose(block.gram, rows.gram, rtol=1e-13, atol=1e-15)
