@@ -243,8 +243,10 @@ def cmd_check(model_arg, which, seed, tol_scale):
     unknown = [w for w in names if w not in CHECK_NAMES]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {CHECK_NAMES}")
-    if tol_scale <= 0:
-        raise ConfigError("tol-scale must be positive")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ConfigError("tol-scale must be a positive finite number")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     model = _resolve_model(model_arg, "payload_pick_place")
     results = run_checks(model, which=names, seed=seed, tol_scale=tol_scale)
     failed = False

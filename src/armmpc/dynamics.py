@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kinematics import ChainState, _crm, _cross_operator, _cross, _cross_slots
+from .kinematics import ChainState, _crm, _cross_operator, _cross, _cross_slots, _skew
 from .robot_model import RobotModel
 
 
@@ -85,25 +85,11 @@ class RigidBodyState(ChainState):
     @cached_property
     def xs(self) -> np.ndarray:
         """Motion transforms X_k (parent link frame into link k), shape (n, 6, 6)."""
-        c = self.chain
-        n = c.n
-        rot = np.empty((n, 3, 3))
-        trans = np.empty((n, 3))
-        for k in range(n):
-            if c.revolute[k]:
-                rot[k] = c.rot_pt[k] @ self.own[k]
-                trans[k] = c.trans_pt[k]
-            else:
-                rot[k] = c.rot_pt[k]
-                trans[k] = c.trans_pt[k] + c.rot_pt[k] @ (c.axes[k] * self.q[k])
-        rt = rot.transpose(0, 2, 1)
-        xs = np.zeros((n, 6, 6))
+        rt = self.rot_local.transpose(0, 2, 1)
+        xs = np.zeros((self.chain.n, 6, 6))
         xs[:, :3, :3] = rt
         xs[:, 3:, 3:] = rt
-        skew = np.zeros((n, 3, 3))
-        skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -trans[:, 2], trans[:, 1], -trans[:, 0]
-        skew[:, 1, 0], skew[:, 2, 0], skew[:, 2, 1] = trans[:, 2], -trans[:, 1], trans[:, 0]
-        xs[:, 3:, :3] = -rt @ skew
+        xs[:, 3:, :3] = -rt @ _skew(self.trans_local)
         return xs
 
     @cached_property
@@ -111,8 +97,8 @@ class RigidBodyState(ChainState):
         """Each link's COM minus every joint origin, and the linear and angular
         Jacobians of every link's COM, (n_links, n, 3) each, [link, joint]."""
         c = self.chain
-        axis_w, origin_w, pos_w, rot_w = self.frames[:4]
-        com_w = pos_w + (rot_w @ c.com[:, :, None])[:, :, 0]
+        axis_w, origin_w, rot_w = self.frames[:3]
+        com_w = origin_w + (rot_w @ c.com[:, :, None])[:, :, 0]
         arm = com_w[:, None, :] - origin_w
         return arm, self._point_columns(arm) * c.moves[:, :, None], c.turns[:, :, None] * axis_w
 
@@ -120,7 +106,7 @@ class RigidBodyState(ChainState):
     def _world_inertia_root(self) -> np.ndarray:
         """K_i = R_i L_i, so that K_i K_i' = R_i I_i R_i' is link i's world
         inertia about its COM, (n_links, 3, 3)."""
-        return self.frames[3] @ self.chain.root_inertia
+        return self.frames[2] @ self.chain.root_inertia
 
     @cached_property
     def mass(self) -> np.ndarray:

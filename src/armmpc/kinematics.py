@@ -1,8 +1,11 @@
 """Forward kinematics, geometric Jacobians, and task-space error.
 
 This module also holds the one rigid-body chain representation: a cached
-per-model record of the chain constants and a per-state object whose joint
-pass the kinematics here and the dynamics in dynamics.py share.
+per-model record of the chain constants, as (n, ...) arrays over the joints,
+and a per-state object that computes every joint's local transform from its
+parent link, X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008,
+ch. 4), in one batched pass. The world frames here and the Newton-Euler
+motion transforms in dynamics.py both read those local transforms.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -120,10 +123,6 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
     return skew_part * (angle / math.sin(angle))
 
 
-def _skew(v) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
 _YZX = np.array([1, 2, 0])
 _ZXY = np.array([2, 0, 1])
 
@@ -134,8 +133,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
 
 
-def _cross_slots(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat 6x6 slots, source entries and signs of a spatial cross operator.
+def _cross_slots(blocks, width: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Flat slots, source entries and signs of a width x width cross operator.
 
     Each block (row, col, src, sign) places sign * _skew(v[src:src + 3]) at
     rows row:row+3 and columns col:col+3.
@@ -145,18 +144,26 @@ def _cross_slots(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slots, src, sign = [], [], []
     for row, col, first, block_sign in blocks:
         for i, j, e, s in skew_entries:
-            slots.append((row + i) * 6 + col + j)
+            slots.append((row + i) * width + col + j)
             src.append(first + e)
             sign.append(block_sign * s)
-    return np.array(slots), np.array(src), np.array(sign)
+    return np.array(slots), np.array(src), np.array(sign), width
 
 
 def _cross_operator(v: np.ndarray, slots) -> np.ndarray:
-    """The 6x6 operator with the given _cross_slots, for v of shape (..., 6)."""
-    idx, src, sign = slots
-    out = np.zeros(v.shape[:-1] + (36,))
+    """The operator with the given _cross_slots, for v of shape (..., 3 or 6)."""
+    idx, src, sign, width = slots
+    out = np.zeros(v.shape[:-1] + (width * width,))
     out[..., idx] = v[..., src] * sign
-    return out.reshape(v.shape[:-1] + (6, 6))
+    return out.reshape(v.shape[:-1] + (width, width))
+
+
+_SKEW_SLOTS = _cross_slots(((0, 0, 0, 1.0),), width=3)
+
+
+def _skew(v) -> np.ndarray:
+    """Cross-product matrix: _skew(v) @ w = v x w, for v of shape (..., 3)."""
+    return _cross_operator(np.asarray(v, dtype=float), _SKEW_SLOTS)
 
 
 _CRM_SLOTS = _cross_slots(((0, 0, 0, 1.0), (3, 3, 0, 1.0), (3, 0, 3, 1.0)))
@@ -233,49 +240,38 @@ class TaskError:
         return self.value[3:]
 
 
-def _spatial_inertia(mass: float, com: np.ndarray, inertia_com: np.ndarray) -> np.ndarray:
-    """6x6 spatial inertia about the link frame origin, [angular; linear] order."""
-    cx = _skew(com)
-    out = np.empty((6, 6))
-    out[:3, :3] = inertia_com + mass * (cx @ cx.T)
-    out[:3, 3:] = mass * cx
-    out[3:, :3] = mass * cx.T
-    out[3:, 3:] = mass * np.eye(3)
-    return out
+_EYE3 = np.eye(3)
 
 
 class _Chain:
-    """Per-model constants of the rigid-body chain, for kinematics and dynamics."""
+    """Per-model constants of the rigid-body chain, for kinematics and dynamics.
 
-    __slots__ = ("n", "revolute", "rev", "axes", "skew", "skew2", "rot_pt", "trans_pt",
+    Every per-joint constant is an (n, ...) array over the joints, and every
+    per-link one an (n, ...) array over the links.
+    """
+
+    __slots__ = ("n", "rev", "axes", "skew", "skew2", "rot_pt", "trans_pt",
                  "ee_rot", "ee_trans", "subspace", "crm_s", "inertia", "a_base",
                  "moves", "turns", "link_mass", "root_mass", "com", "root_inertia")
 
     def __init__(self, model: RobotModel):
         n = model.n
         self.n = n
-        self.revolute = [j.kind == REVOLUTE for j in model.joints]
-        self.rev = np.array(self.revolute)[:, None]  # (n, 1) mask over joint rows
-        self.axes = [j.axis for j in model.joints]
-        self.skew = [_skew(a) for a in self.axes]
-        self.skew2 = [k @ k for k in self.skew]
-        self.rot_pt = [j.parent_transform.rotation for j in model.joints]
-        self.trans_pt = [j.parent_transform.translation for j in model.joints]
+        # (n, 1) mask over joint rows
+        self.rev = np.array([[j.kind == REVOLUTE] for j in model.joints])
+        self.axes = np.array([j.axis for j in model.joints])
+        self.skew = _skew(self.axes)
+        self.skew2 = self.skew @ self.skew
+        self.rot_pt = np.array([j.parent_transform.rotation for j in model.joints])
+        self.trans_pt = np.array([j.parent_transform.translation for j in model.joints])
         self.ee_rot = model.ee_transform.rotation
         self.ee_trans = model.ee_transform.translation
         # motion subspace of each joint, [angular; linear]
-        self.subspace = np.zeros((n, 6))
-        for k in range(n):
-            if self.revolute[k]:
-                self.subspace[k, :3] = self.axes[k]
-            else:
-                self.subspace[k, 3:] = self.axes[k]
+        self.subspace = np.hstack([np.where(self.rev, self.axes, 0.0),
+                                   np.where(self.rev, 0.0, self.axes)])
         # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s,
         # _crf(s) = -crm_s.T
-        self.crm_s = [_crm(s) for s in self.subspace]
-        self.inertia = [
-            _spatial_inertia(link.mass, link.com, link.inertia_tensor) for link in model.links
-        ]
+        self.crm_s = _crm(self.subspace)
         # gravity enters as a fictitious base acceleration -g
         self.a_base = np.zeros(6)
         self.a_base[3:] = -model.gravity
@@ -286,13 +282,20 @@ class _Chain:
         self.link_mass = np.array([link.mass for link in model.links])
         self.root_mass = np.sqrt(self.link_mass)
         self.com = np.array([link.com for link in model.links])
+        inertia_com = np.array([link.inertia_tensor for link in model.links])
         # L L' = each link's inertia about its COM, in the link frame
-        self.root_inertia = np.linalg.cholesky([link.inertia_tensor for link in model.links])
+        self.root_inertia = np.linalg.cholesky(inertia_com)
+        # 6x6 spatial inertia of each link about its frame origin, [angular; linear]
+        m = self.link_mass[:, None, None]
+        cx = _skew(self.com)
+        self.inertia = np.empty((n, 6, 6))
+        self.inertia[:, :3, :3] = inertia_com + m * (cx @ cx.transpose(0, 2, 1))
+        self.inertia[:, :3, 3:] = m * cx
+        self.inertia[:, 3:, :3] = m * cx.transpose(0, 2, 1)
+        self.inertia[:, 3:, 3:] = m * _EYE3
 
 
 _chain_cache: "WeakKeyDictionary[RobotModel, _Chain]" = WeakKeyDictionary()
-
-_EYE3 = np.eye(3)
 
 
 def _chain(model: RobotModel) -> _Chain:
@@ -306,55 +309,45 @@ def _chain(model: RobotModel) -> _Chain:
 class ChainState:
     """The chain at one configuration q (and velocity qd, when given).
 
-    Construction is the one joint pass: each revolute joint's own rotation
-    is evaluated once. The world frames behind FK, J and J-dot derive from
-    it on first use, and J and J-dot are array operations over the world
-    joint axes and origins; dynamics.RigidBodyState adds the dynamics.
+    Construction is the one joint pass, and the only place where a joint's
+    kind becomes its transform: every joint's local rotation
+    rot_pt exp(q [a]x) and translation trans_pt + rot_pt a q from its parent
+    link, as array operations over all joints (the exponential only for
+    revolute joints, the slide only for prismatic ones). The world frames
+    behind FK, J and J-dot are their running product, derived on first use;
+    dynamics.RigidBodyState reads them for its motion transforms.
     """
 
     def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
-        chain = _chain(model)
+        c = _chain(model)
         self.model = model
-        self.chain = chain
+        self.chain = c
         self.q = q
         self.qd = qd
-        own = []
-        for k in range(chain.n):
-            if chain.revolute[k]:
-                qk = q[k]
-                own.append(_EYE3 + math.sin(qk) * chain.skew[k]
-                           + (1.0 - math.cos(qk)) * chain.skew2[k])
-            else:
-                own.append(_EYE3)
-        self.own = own
+        turn = np.where(c.rev[:, 0], q, 0.0)[:, None, None]
+        slide = np.where(c.rev, 0.0, c.axes * q[:, None])
+        self.rot_local = c.rot_pt @ (_EYE3 + np.sin(turn) * c.skew + (1.0 - np.cos(turn)) * c.skew2)
+        self.trans_local = c.trans_pt + (c.rot_pt @ slide[:, :, None])[:, :, 0]
 
     @cached_property
     def frames(self) -> tuple[np.ndarray, ...]:
-        """World joint axes, joint origins and link-frame origins (n x 3 each),
-        link rotations (n x 3 x 3), then the end-effector rotation and position."""
+        """World joint axes and link-frame origins (n x 3 each), link rotations
+        (n x 3 x 3), then the end-effector rotation and position.
+
+        Link k's frame origin lies on joint k's axis, so it serves as the
+        joint's origin: a revolute joint turns about it, and a prismatic
+        joint's Jacobian columns do not depend on where its origin is taken.
+        """
         c = self.chain
-        n = c.n
-        axis_w = np.empty((n, 3))
-        origin_w = np.empty((n, 3))
-        pos_w = np.empty((n, 3))
-        rot_w = np.empty((n, 3, 3))
+        pos_w = np.empty((c.n, 3))
+        rot_w = np.empty((c.n, 3, 3))
         rot = _EYE3
         pos = np.zeros(3)
-        for k in range(n):
-            rot_j = rot @ c.rot_pt[k]
-            origin = pos + rot @ c.trans_pt[k]
-            axis = rot_j @ c.axes[k]
-            if c.revolute[k]:
-                rot = rot_j @ self.own[k]
-                pos = origin
-            else:
-                rot = rot_j
-                pos = origin + axis * self.q[k]
-            axis_w[k] = axis
-            origin_w[k] = origin
-            pos_w[k] = pos
-            rot_w[k] = rot
-        return axis_w, origin_w, pos_w, rot_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
+        for k in range(c.n):
+            pos_w[k] = pos = pos + rot @ self.trans_local[k]
+            rot_w[k] = rot = rot @ self.rot_local[k]
+        axis_w = (rot_w @ c.axes[:, :, None])[:, :, 0]
+        return axis_w, pos_w, rot_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
 
     def _point_columns(self, arm: np.ndarray) -> np.ndarray:
         """Linear-velocity Jacobian columns of world points, (..., n, 3).
@@ -378,7 +371,8 @@ class ChainState:
     @cached_property
     def rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Angular velocities of the base and the n links ((n+1) x 3), then the
-        rates of the world joint axes and joint origins (n x 3 each)."""
+        rates of the world joint axes and joint origins (n x 3 each; only the
+        revolute joints' origin rates are read)."""
         c = self.chain
         n = c.n
         axis_w, origin_w = self.frames[:2]

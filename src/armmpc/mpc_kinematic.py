@@ -279,13 +279,13 @@ class KinematicMpc:
         n = model.n
         if solution is not None and solution.status == qp.OPTIMAL:
             plan = solution.z_star.reshape(cfg.horizon + 1, n)
-            q_cmd = plan[1] if cfg.horizon >= 1 else plan[0]
+            q_cmd = plan[1]
             degraded = False
             self._warm = solution.active_set
             self._widen_next = False
         else:
             plan = None
-            q_cmd = self._last_cmd if self._last_cmd is not None else q_measured.copy()
+            q_cmd = self._last_cmd
             degraded = True
             self.degraded_ticks += 1
             self._warm = None

@@ -40,7 +40,6 @@ class PlantState:
     qd: np.ndarray
     last_u: np.ndarray
     saturation_count: int = 0
-    degraded_ticks: int = 0
 
 
 def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
@@ -72,7 +71,6 @@ def _apply_torque(st: RigidBodyState, state: PlantState, u, dt: float) -> PlantS
         qd=qd,
         last_u=u_applied,
         saturation_count=state.saturation_count + int(saturated),
-        degraded_ticks=state.degraded_ticks,
     )
 
 
@@ -292,8 +290,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         max_abs_qdd=float(np.abs(qdd).max()) if qdd.size else 0.0,
         limit_violations=limit_violations,
         saturated_ticks=state.saturation_count,
-        degraded_ticks=state.degraded_ticks + (kin.degraded_ticks if kin else 0)
-        + (dyn.degraded_ticks if dyn else 0),
+        degraded_ticks=(kin.degraded_ticks if kin else 0) + (dyn.degraded_ticks if dyn else 0),
     )
     return RunResult(metrics, t_log, q_log, qd_log, u_log, cmd_log, pos_err, ori_err,
                      flags, controller, name)

@@ -189,6 +189,18 @@ def test_check_failure_exit_code(runner):
     assert "FAIL" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["--tol-scale", "nan"],
+    ["--tol-scale", "inf"],
+    ["--tol-scale", "0"],
+    ["--seed", "-1"],
+], ids=["tol-nan", "tol-inf", "tol-zero", "seed-negative"])
+def test_check_bad_option_is_config_error(runner, args):
+    result = runner.invoke(main, ["check", "--checks", "identity"] + args)
+    assert result.exit_code == 2, result.output
+    assert "PASS" not in result.output
+
+
 def test_check_detects_corrupted_model(runner, tmp_path):
     doc = {
         "joints": [

@@ -46,9 +46,14 @@ def test_fk_pendulum_quarter_turn(pendulum):
     np.testing.assert_allclose(pose.translation, [0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_fk_matches_homogeneous_matrix_oracle(desk_model):
+@pytest.mark.parametrize("name, q", [
+    ("desk", [0.0, 0.0, -math.pi / 2, 0.0, -math.pi / 2, math.pi / 2]),
+    ("rpr", [0.7, 0.3, -1.1]),
+], ids=["desk", "rpr"])
+def test_fk_matches_homogeneous_matrix_oracle(desk_model, name, q):
     # independent chain composition with plain 4x4 homogeneous matrices
-    q = np.array([0.0, 0.0, -math.pi / 2, 0.0, -math.pi / 2, math.pi / 2])
+    model = make_rpr() if name == "rpr" else desk_model
+    q = np.array(q)
 
     def hom(rot, trans):
         out = np.eye(4)
@@ -57,12 +62,15 @@ def test_fk_matches_homogeneous_matrix_oracle(desk_model):
         return out
 
     t_world = np.eye(4)
-    for joint, qk in zip(desk_model.joints, q):
+    for joint, qk in zip(model.joints, q):
         t_world = t_world @ hom(joint.parent_transform.rotation, joint.parent_transform.translation)
-        t_world = t_world @ hom(rotvec_to_matrix(joint.axis * qk), np.zeros(3))
-    t_world = t_world @ hom(desk_model.ee_transform.rotation, desk_model.ee_transform.translation)
+        if joint.kind == "prismatic":
+            t_world = t_world @ hom(np.eye(3), joint.axis * qk)
+        else:
+            t_world = t_world @ hom(rotvec_to_matrix(joint.axis * qk), np.zeros(3))
+    t_world = t_world @ hom(model.ee_transform.rotation, model.ee_transform.translation)
 
-    pose = forward_kinematics(desk_model, q)
+    pose = forward_kinematics(model, q)
     np.testing.assert_allclose(pose.translation, t_world[:3, 3], atol=1e-12)
     np.testing.assert_allclose(pose.rotation_matrix, t_world[:3, :3], atol=1e-12)
 
