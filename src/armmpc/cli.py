@@ -24,6 +24,7 @@ from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
     ScenarioConfig,
+    controller_config,
     default_scenario_config,
     run_scenario,
     write_log_csv,
@@ -82,15 +83,19 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
             _set_config_value(cfg, key, val)
         except (TypeError, ValueError, OverflowError) as exc:  # ModelError is a ValueError
             raise ConfigError(f"bad config value for {key!r}: {exc}") from exc
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ConfigError("dt must be positive")
-    if cfg.duration is not None and not (math.isfinite(cfg.duration) and cfg.duration > 0):
-        raise ConfigError("duration must be a positive number")
+    try:
+        controller_config(cfg, controller)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+    _check_positive("duration", cfg.duration)
     if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, int) and cfg.max_ticks >= 1):
         raise ConfigError("max_ticks must be an integer >= 1")
     return cfg
+
+
+def _check_positive(name: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a positive number")
 
 
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
@@ -264,6 +269,8 @@ def cmd_check(model_arg, which, seed, tol_scale):
 @click.option("--out", type=click.Path(), default="trajectory.csv")
 def cmd_export_traj(model_arg, scenario, dt, duration, out):
     """Write a scenario trajectory as CSV (t, px, py, pz, qw, qx, qy, qz)."""
+    _check_positive("dt", dt)
+    _check_positive("duration", duration)
     model = _resolve_model(model_arg, scenario)
     traj = scenario_trajectory(scenario, model, dt, duration=duration)
     export_trajectory_csv(traj, out)

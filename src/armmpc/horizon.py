@@ -1,0 +1,90 @@
+"""Receding-horizon core shared by the kinematic and the dynamic MPC.
+
+Both run one scheme: each tick, linearize around a hierarchical controller's
+nominal, solve one QP and apply its first command. HorizonConfig checks the
+settings both read; RecedingHorizon owns the policy around the QP.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+from . import qp
+from .robot_model import JointLimits, RobotModel
+
+TERMINAL_WIDEN = 10.0  # terminal box scale on the tick after a degraded one
+
+
+@dataclass
+class HorizonConfig:
+    """Settings of both MPCs (defaults are the dynamic MPC's).
+
+    Weights and tolerances are scalars. Every field named *_weight must be
+    finite and >= 0 and every *_tol finite and > 0, subclass fields included.
+    """
+
+    horizon: int = 10
+    dt: float = 1e-3
+    task_weight: float = 10.0  # on stacked task-error rows
+    damping_weight: float = 1e-4  # on joint velocities
+    svd_threshold: float = 1e-2  # relative truncation of the nominal's pseudoinverses
+
+    def __post_init__(self):
+        if not self.horizon >= 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 < self.svd_threshold < 1:
+            raise ValueError(f"svd_threshold must lie in (0, 1), got {self.svd_threshold}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_weight") and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+            if f.name.endswith("_tol") and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and > 0, got {value}")
+
+
+class RecedingHorizon:
+    """Tick policy around the one QP per tick.
+
+    A subclass's step builds the nominal and calls _solve once. The QP is
+    warm-started from the active set of the last optimal solve. A tick whose
+    QP data is rejected (crossed terminal boxes) or whose solve is not
+    optimal is degraded: the subclass applies its fallback command, the warm
+    start is dropped, and the next tick that reaches the trajectory end
+    builds its terminal box TERMINAL_WIDEN times wider.
+    """
+
+    def __init__(self, model: RobotModel, cfg: HorizonConfig, tasks=None,
+                 limits: JointLimits | None = None):
+        self.model = model
+        self.cfg = cfg
+        self.tasks = tasks
+        self.limits = limits or model.limits
+        self.solver = qp.QpSolver()
+        self.reset()
+
+    def reset(self):
+        """Forget the warm start and a pending terminal widening."""
+        self._warm: tuple[int, ...] | None = None  # active set of the last optimal solve
+        self._widen_next = False
+
+    def _solve(self, build, includes_end: bool) -> tuple[qp.QpSolution | None, bool]:
+        """Build and solve this tick's QP; returns (solution, degraded).
+
+        build(terminal_widen) returns the QpProblem, with a terminal box
+        scaled by terminal_widen, or none for None (a window short of the
+        trajectory end). The solution is None when its data was rejected.
+        """
+        widen = None
+        if includes_end:
+            widen = TERMINAL_WIDEN if self._widen_next else 1.0
+        try:
+            solution = self.solver.solve(build(widen), warm_start=self._warm)
+        except qp.QpDataError:
+            solution = None  # crossed terminal boxes: trivially infeasible tick
+        degraded = solution is None or solution.status != qp.OPTIMAL
+        self._warm = None if degraded else solution.active_set
+        self._widen_next = degraded
+        return solution, degraded

@@ -22,27 +22,16 @@ import numpy as np
 
 from . import qp
 from .dynamics import RigidBodyState, _mv, stacked_derivatives
-from .mpc_kinematic import _tol_vector, _weight_matrix
+from .horizon import HorizonConfig, RecedingHorizon
 from .nominal import NominalRollout, PostureSpec, TaskSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
 from .trajgen import TaskTrajectory
 
 
 @dataclass
-class DynamicMpcConfig:
-    horizon: int = 10
-    dt: float = 1e-3
-    task_weight: np.ndarray | float = 10.0
-    damping_weight: np.ndarray | float = 1e-4
-    input_weight: np.ndarray | float = 0.0
-    terminal_state_tol: np.ndarray | float = 1e-2  # box around nominal x_N
-    svd_threshold: float = 1e-2
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+class DynamicMpcConfig(HorizonConfig):
+    input_weight: float = 0.0
+    terminal_state_tol: float = 1e-2  # box around nominal x_N
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +125,9 @@ def build_prediction(stages: LinearizedStage, x_init) -> tuple[np.ndarray, np.nd
     return eq_a, eq_b
 
 
-@dataclass(frozen=True, eq=False)
-class TerminalStateTarget:
-    x_ref: np.ndarray
-    widen: float = 1.0
-
-
 def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
                  rows: tuple[np.ndarray, np.ndarray], limits: JointLimits,
-                 terminal: TerminalStateTarget | None = None) -> qp.QpProblem:
+                 terminal_widen: float | None = None) -> qp.QpProblem:
     """Assemble the torque-MPC QP in deviations from the nominal rollout.
 
     The decision variable is z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np]
@@ -159,6 +142,8 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     build_prediction, given in absolute coordinates, are shifted to
     deviations as eq_b - eq_a @ z_hat with z_hat the rollout in the same
     order; that right-hand side is the Euler-vs-rollout defect of each stage.
+    terminal_widen, unless None, adds a box of that many tolerances around
+    the rollout's end state.
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
@@ -169,9 +154,8 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     eq_a, eq_b = rows
     if eq_a.shape != (n_p * nx, n_p * ns) or eq_b.shape != (n_p * nx,):
         raise ValueError("dynamics rows and rollout horizon disagree")
-    w_task = _weight_matrix(cfg.task_weight, rollout.task_dim)
-    w_damp = _weight_matrix(cfg.damping_weight, n)
-    w_input = _weight_matrix(cfg.input_weight, n)
+    w_task = cfg.task_weight * np.eye(rollout.task_dim)
+    w_damp = cfg.damping_weight * np.eye(n)
 
     dim = n_p * ns
     hess = np.zeros((dim, dim))
@@ -186,9 +170,10 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
         grad[q_blk] -= jk.T @ (w_task @ rollout.err_stack[k])
         hess[v_blk, v_blk] += w_damp
         grad[v_blk] += w_damp @ rollout.qd_hat[k]  # damping acts on absolute velocity
-    if w_input.any():
+    if cfg.input_weight:
         # input weight acts on the deviation from the nominal torque, so it
         # regularizes the plan without taxing gravity compensation
+        w_input = cfg.input_weight * np.eye(n)
         for k in range(n_p):
             u_blk = slice(k * ns, k * ns + n)
             hess[u_blk, u_blk] += w_input
@@ -200,11 +185,10 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
                            -limits.v_max - rollout.qd_hat[1:]], axis=1)
     x_hi = np.concatenate([limits.q_max - rollout.q_hat[1:],
                            limits.v_max - rollout.qd_hat[1:]], axis=1)
-    if terminal is not None:
-        eps = _tol_vector(cfg.terminal_state_tol, nx) * terminal.widen
-        dx_ref = terminal.x_ref - rollout.x_hat[-1]
-        x_lo[-1] = np.maximum(x_lo[-1], dx_ref - eps)
-        x_hi[-1] = np.minimum(x_hi[-1], dx_ref + eps)
+    if terminal_widen is not None:
+        eps = cfg.terminal_state_tol * terminal_widen
+        x_lo[-1] = np.maximum(x_lo[-1], -eps)
+        x_hi[-1] = np.minimum(x_hi[-1], eps)
     lb = np.concatenate([-limits.u_max - rollout.u_hat, x_lo], axis=1).ravel()
     ub = np.concatenate([limits.u_max - rollout.u_hat, x_hi], axis=1).ravel()
 
@@ -222,30 +206,22 @@ class DynStepResult:
     plan_inputs: np.ndarray | None = None  # (n_p, n)
 
 
-class DynamicMpc:
+class DynamicMpc(RecedingHorizon):
     """Receding-horizon torque controller; one instance per robot."""
 
     def __init__(self, model: RobotModel, cfg: DynamicMpcConfig,
                  tasks: tuple[TaskSpec, ...] | None = None,
                  posture: PostureSpec | None = None,
                  limits: JointLimits | None = None):
-        self.model = model
-        self.cfg = cfg
-        self.tasks = tasks
+        super().__init__(model, cfg, tasks, limits)
         self.posture = posture
-        self.limits = limits or model.limits
-        self.solver = qp.QpSolver()
-        self._warm: tuple[int, ...] | None = None
-        self._widen_next = False
-        self.degraded_ticks = 0
-
-    def reset(self):
-        self._warm = None
-        self._widen_next = False
-        self.degraded_ticks = 0
 
     def step(self, x_measured, traj: TaskTrajectory, tick: int) -> DynStepResult:
-        """One control tick: returns the torque command for the next interval."""
+        """One control tick: returns the torque command for the next interval.
+
+        A degraded tick applies the rollout's first torque, clipped to the
+        limits.
+        """
         t0 = time.perf_counter()
         model = self.model
         cfg = self.cfg
@@ -261,34 +237,19 @@ class DynamicMpc:
         stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
                                  states=rollout.states[:-1], qdd=rollout.qdd_hat)
         rows = build_prediction(stages, x_measured)
-        terminal = None
-        if includes_end:
-            widen = 10.0 if self._widen_next else 1.0
-            terminal = TerminalStateTarget(x_ref=rollout.x_hat[-1], widen=widen)
-        try:
-            problem = build_dyn_qp(cfg, rollout, rows, self.limits, terminal=terminal)
-            solution = self.solver.solve(problem, warm_start=self._warm)
-        except qp.QpDataError:
-            solution = None  # crossed terminal boxes: trivially infeasible tick
-
-        fallback = np.clip(rollout.u_hat[0], -self.limits.u_max, self.limits.u_max)
-        if solution is not None and solution.status == qp.OPTIMAL:
+        solution, degraded = self._solve(
+            lambda widen: build_dyn_qp(cfg, rollout, rows, self.limits, terminal_widen=widen),
+            includes_end)
+        if degraded:
+            states = inputs = None
+            u_cmd = np.clip(rollout.u_hat[0], -self.limits.u_max, self.limits.u_max)
+        else:
             # solution is in deviations from the rollout, stage by stage
             # [du_k, dx_k+1]; restore absolutes
             plan = solution.z_star.reshape(cfg.horizon, 3 * n)
             states = plan[:, n:] + rollout.x_hat[1:]
             inputs = plan[:, :n] + rollout.u_hat
             u_cmd = np.clip(inputs[0], -self.limits.u_max, self.limits.u_max)
-            degraded = False
-            self._warm = solution.active_set
-            self._widen_next = False
-        else:
-            states = inputs = None
-            u_cmd = fallback
-            degraded = True
-            self.degraded_ticks += 1
-            self._warm = None
-            self._widen_next = True
         return DynStepResult(
             u_cmd=u_cmd,
             solution=solution,

@@ -13,53 +13,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import qp
-from .nominal import NominalRollout, TaskSpec, ik_rollout
+from .horizon import HorizonConfig, RecedingHorizon
+from .nominal import NominalRollout, ik_rollout
 from .robot_model import JointLimits, RobotModel
 from .trajgen import TaskTrajectory
 
 
 @dataclass
-class KinematicMpcConfig:
-    horizon: int = 10
-    dt: float = 1e-3
-    task_weight: np.ndarray | float = 2000.0  # on stacked task-error rows
-    damping_weight: np.ndarray | float = 0.01  # on joint velocities
-    accel_weight: np.ndarray | float = 0.0  # on joint accelerations
-    terminal_pos_tol: np.ndarray | float = 1e-3  # rad, box around nominal q_N
-    terminal_vel_tol: np.ndarray | float = 1e-2  # rad/s
-    svd_threshold: float = 1e-2
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
-def _weight_matrix(value, dim: int) -> np.ndarray:
-    w = np.asarray(value, dtype=float)
-    if w.ndim == 0:
-        w = np.full(dim, float(w))
-    if w.ndim == 1:
-        if w.shape != (dim,):
-            raise ValueError(f"weight vector must have length {dim}")
-        return np.diag(w)
-    if w.shape != (dim, dim):
-        raise ValueError(f"weight matrix must be ({dim}, {dim})")
-    return w
-
-
-def _tol_vector(value, dim: int) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 0:
-        v = np.full(dim, float(v))
-    if v.shape != (dim,) or np.any(v <= 0):
-        raise ValueError(f"tolerance must be a positive scalar or length-{dim} vector")
-    return v
+class KinematicMpcConfig(HorizonConfig):
+    task_weight: float = 2000.0
+    damping_weight: float = 0.01
+    accel_weight: float = 0.0  # on joint accelerations
+    terminal_pos_tol: float = 1e-3  # rad, box around nominal q_N
+    terminal_vel_tol: float = 1e-2  # rad/s
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +57,9 @@ def _diff_offsets(n: int, horizon: int, dt: float, q_prev, q_prev2):
     return vel_off, acc_off
 
 
+@lru_cache(maxsize=8)
 def _diff_matrices(n: int, horizon: int, dt: float):
-    """Constant banded operator matrices (cacheable per controller)."""
+    """Constant banded operator matrices, shared read-only by every caller."""
     steps = horizon + 1
     dim = steps * n
     eye = np.eye(n)
@@ -104,68 +76,60 @@ def _diff_matrices(n: int, horizon: int, dt: float):
         if k >= 2:
             prev2 = slice((k - 2) * n, (k - 1) * n)
             acc_op[row, prev2] = eye / dt**2
+    vel_op.setflags(write=False)
+    acc_op.setflags(write=False)
     return vel_op, acc_op
 
 
-def build_diff_ops(n: int, horizon: int, dt: float, q_prev, q_prev2,
-                   matrices=None) -> StackedDiffOps:
+@lru_cache(maxsize=8)
+def _diff_cost(n: int, horizon: int, dt: float, weight: float, order: int):
+    """Constant blocks (op.T W op, W) of the cost weight·|op z + off|^2, with op
+    the velocity (order 1) or acceleration (order 2) operator and W = weight·I;
+    None for a zero weight. Shared read-only by every caller."""
+    if not weight:
+        return None
+    op = _diff_matrices(n, horizon, dt)[order - 1]
+    big = np.kron(np.eye(horizon + 1), np.diag(np.full(n, float(weight))))
+    quad = op.T @ big @ op
+    big.setflags(write=False)
+    quad.setflags(write=False)
+    return quad, big
+
+
+def build_diff_ops(n: int, horizon: int, dt: float, q_prev, q_prev2) -> StackedDiffOps:
     """Backward-difference operators over the (horizon+1)-step position stack.
 
     q_prev and q_prev2 are the two positions before the stack start; they
-    appear only in the constant offsets. matrices optionally supplies cached
-    (vel_op, acc_op) from _diff_matrices.
+    appear only in the constant offsets.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vel_op, acc_op = matrices if matrices is not None else _diff_matrices(n, horizon, dt)
+    vel_op, acc_op = _diff_matrices(n, horizon, dt)
     vel_off, acc_off = _diff_offsets(n, horizon, dt, q_prev, q_prev2)
     return StackedDiffOps(vel_op=vel_op, vel_off=vel_off, acc_op=acc_op, acc_off=acc_off)
 
 
-@dataclass(frozen=True, eq=False)
-class TerminalTarget:
-    q_ref: np.ndarray
-    qd_ref: np.ndarray
-    widen: float = 1.0
-
-
 def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRollout,
                  diff: StackedDiffOps, limits: JointLimits,
-                 terminal: TerminalTarget | None = None,
-                 cost_cache: dict | None = None,
+                 terminal_widen: float | None = None,
                  q_pin: np.ndarray | None = None) -> qp.QpProblem:
     """Assemble the tracking QP around the IK nominal.
 
     Cost: sum_k |err_k - J_k (q_k - qhat_k)|^2_We + |qdot|^2_Wd + |qddot|^2_Wa
-    with the difference operators supplying qdot/qddot; box bounds on
-    positions and two-sided rows on the stacked velocity map. The first
-    block is pinned to q_pin (the already-applied command; defaults to the
-    rollout start) so the decision stack is the continuation of the command
-    signal. cost_cache lets a controller reuse the constant damping and
-    acceleration quadratic blocks across ticks.
+    with the difference operators of build_diff_ops at cfg's horizon and dt
+    supplying qdot/qddot; box bounds on positions and two-sided rows on the
+    stacked velocity map. The first block is pinned to q_pin (the
+    already-applied command; defaults to the rollout start) so the decision
+    stack is the continuation of the command signal. terminal_widen, unless
+    None, adds boxes of that many tolerances around the rollout's end
+    position and velocity.
     """
     n = model.n
     steps = rollout.q_hat.shape[0]
     if steps != cfg.horizon + 1:
         raise ValueError(f"rollout holds {steps} steps, config horizon needs {cfg.horizon + 1}")
     dim = steps * n
-    w_task = _weight_matrix(cfg.task_weight, rollout.task_dim)
-    w_damp = _weight_matrix(cfg.damping_weight, n)
-    w_acc = _weight_matrix(cfg.accel_weight, n)
-
-    if cost_cache is not None and "vel_quad" in cost_cache:
-        vel_quad = cost_cache["vel_quad"]
-        acc_quad = cost_cache["acc_quad"]
-        damp_big = cost_cache["damp_big"]
-        acc_big = cost_cache["acc_big"]
-    else:
-        damp_big = np.kron(np.eye(steps), w_damp) if w_damp.any() else None
-        acc_big = np.kron(np.eye(steps), w_acc) if w_acc.any() else None
-        vel_quad = diff.vel_op.T @ damp_big @ diff.vel_op if damp_big is not None else None
-        acc_quad = diff.acc_op.T @ acc_big @ diff.acc_op if acc_big is not None else None
-        if cost_cache is not None:
-            cost_cache.update(vel_quad=vel_quad, acc_quad=acc_quad,
-                              damp_big=damp_big, acc_big=acc_big)
+    w_task = cfg.task_weight * np.eye(rollout.task_dim)
 
     hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
@@ -177,12 +141,13 @@ def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRol
         # first-order task error e(q) ~ err_hat - J (q - qhat): the target
         # vector keeps the nominal's own residual so the plan can beat it
         grad[blk] -= jk.T @ (w_task @ rollout.err_stack[k]) + jtqj @ rollout.q_hat[k]
-    if vel_quad is not None:
-        hess += vel_quad
-        grad += diff.vel_op.T @ (damp_big @ diff.vel_off)
-    if acc_quad is not None:
-        hess += acc_quad
-        grad += diff.acc_op.T @ (acc_big @ diff.acc_off)
+    for op, off, weight, order in ((diff.vel_op, diff.vel_off, cfg.damping_weight, 1),
+                                   (diff.acc_op, diff.acc_off, cfg.accel_weight, 2)):
+        blocks = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
+        if blocks is not None:
+            quad, big = blocks
+            hess += quad
+            grad += op.T @ (big @ off)
 
     lb = np.tile(limits.q_min, steps)
     ub = np.tile(limits.q_max, steps)
@@ -192,14 +157,14 @@ def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRol
     lin = -vmax - diff.vel_off
     uin = vmax - diff.vel_off
 
-    if terminal is not None:
-        eps_q = _tol_vector(cfg.terminal_pos_tol, n) * terminal.widen
-        eps_v = _tol_vector(cfg.terminal_vel_tol, n) * terminal.widen
+    if terminal_widen is not None:
+        eps_q = cfg.terminal_pos_tol * terminal_widen
+        eps_v = cfg.terminal_vel_tol * terminal_widen
         last = slice(dim - n, dim)
-        lb[last] = np.maximum(lb[last], terminal.q_ref - eps_q)
-        ub[last] = np.minimum(ub[last], terminal.q_ref + eps_q)
-        lin[last] = np.maximum(lin[last], terminal.qd_ref - eps_v - diff.vel_off[last])
-        uin[last] = np.minimum(uin[last], terminal.qd_ref + eps_v - diff.vel_off[last])
+        lb[last] = np.maximum(lb[last], rollout.q_hat[-1] - eps_q)
+        ub[last] = np.minimum(ub[last], rollout.q_hat[-1] + eps_q)
+        lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - diff.vel_off[last])
+        uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - diff.vel_off[last])
 
     return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, lb=lb, ub=ub,
                         Ain=diff.vel_op, lin=lin, uin=uin)
@@ -215,30 +180,12 @@ class KinStepResult:
     plan: np.ndarray | None = None  # (horizon+1, n) solved position stack
 
 
-class KinematicMpc:
+class KinematicMpc(RecedingHorizon):
     """Receding-horizon position controller; one instance per robot."""
 
-    def __init__(self, model: RobotModel, cfg: KinematicMpcConfig,
-                 tasks: tuple[TaskSpec, ...] | None = None,
-                 limits: JointLimits | None = None):
-        self.model = model
-        self.cfg = cfg
-        self.tasks = tasks
-        self.limits = limits or model.limits
-        self.solver = qp.QpSolver()
-        self._hist1: np.ndarray | None = None  # q at t-1
-        self._hist2: np.ndarray | None = None  # q at t-2
-        self._last_cmd: np.ndarray | None = None
-        self._warm: tuple[int, ...] | None = None
-        self._widen_next = False
-        self._cost_cache: dict = {}
-        self.degraded_ticks = 0
-
     def reset(self):
-        self._hist1 = self._hist2 = self._last_cmd = None
-        self._warm = None
-        self._widen_next = False
-        self.degraded_ticks = 0
+        super().reset()
+        self._hist1 = self._hist2 = self._last_cmd = None  # commands at t-1, t-2 and t
 
     def step(self, q_measured, traj: TaskTrajectory, tick: int) -> KinStepResult:
         """One control tick: returns the next commanded joint position.
@@ -246,7 +193,8 @@ class KinematicMpc:
         The plan continues the command signal (first block pinned to the
         previously applied command, difference history over past commands);
         the measured state feeds back through the IK rollout that the
-        tracking cost linearizes around.
+        tracking cost linearizes around. A degraded tick holds the last
+        command.
         """
         t0 = time.perf_counter()
         model = self.model
@@ -260,36 +208,17 @@ class KinematicMpc:
 
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, tasks)
-        if "diff_matrices" not in self._cost_cache:
-            self._cost_cache["diff_matrices"] = _diff_matrices(model.n, cfg.horizon, cfg.dt)
-        diff = build_diff_ops(model.n, cfg.horizon, cfg.dt, self._hist1, self._hist2,
-                              matrices=self._cost_cache["diff_matrices"])
-        terminal = None
-        if includes_end:
-            widen = 10.0 if self._widen_next else 1.0
-            terminal = TerminalTarget(q_ref=rollout.q_hat[-1], qd_ref=rollout.qd_hat[-1],
-                                      widen=widen)
-        try:
-            problem = build_kin_qp(model, cfg, rollout, diff, self.limits, terminal=terminal,
-                                   cost_cache=self._cost_cache, q_pin=self._last_cmd)
-            solution = self.solver.solve(problem, warm_start=self._warm)
-        except qp.QpDataError:
-            solution = None  # crossed terminal boxes: trivially infeasible tick
-
-        n = model.n
-        if solution is not None and solution.status == qp.OPTIMAL:
-            plan = solution.z_star.reshape(cfg.horizon + 1, n)
-            q_cmd = plan[1]
-            degraded = False
-            self._warm = solution.active_set
-            self._widen_next = False
-        else:
+        diff = build_diff_ops(model.n, cfg.horizon, cfg.dt, self._hist1, self._hist2)
+        solution, degraded = self._solve(
+            lambda widen: build_kin_qp(model, cfg, rollout, diff, self.limits,
+                                       terminal_widen=widen, q_pin=self._last_cmd),
+            includes_end)
+        if degraded:
             plan = None
             q_cmd = self._last_cmd
-            degraded = True
-            self.degraded_ticks += 1
-            self._warm = None
-            self._widen_next = True
+        else:
+            plan = solution.z_star.reshape(cfg.horizon + 1, model.n)
+            q_cmd = plan[1]
 
         self._hist2 = self._hist1
         self._hist1 = self._last_cmd.copy()

@@ -17,12 +17,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import RigidBodyState
+from .horizon import HorizonConfig
 from .kinematics import forward_kinematics, task_error
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
@@ -176,6 +177,18 @@ def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
     return ScenarioConfig(task_weight=100.0, damping_weight=1e-3)
 
 
+def controller_config(cfg: ScenarioConfig, controller: str) -> HorizonConfig:
+    """The controller's own settings, taken from cfg by field name and checked.
+
+    The MPCs get their config classes; osc, which reads dt and svd_threshold,
+    is checked through the shared HorizonConfig. Raises ValueError for a
+    value out of range.
+    """
+    kind = {"kin_mpc": KinematicMpcConfig, "dyn_mpc": DynamicMpcConfig}.get(
+        controller, HorizonConfig)
+    return kind(**{f.name: getattr(cfg, f.name) for f in fields(kind)})
+
+
 def run_scenario(scenario, controller: str, model: RobotModel,
                  cfg: ScenarioConfig | None = None) -> RunResult:
     """Tick the chosen controller against the matching plant over a scenario.
@@ -186,6 +199,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; choose from {CONTROLLERS}")
     cfg = cfg or default_scenario_config(scenario if isinstance(scenario, str) else "", controller)
+    ctl_cfg = controller_config(cfg, controller)
 
     if isinstance(scenario, str):
         name = scenario
@@ -214,19 +228,10 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     solve_t = np.zeros(ticks)
     flags = np.zeros(ticks, dtype=int)
 
-    kin = dyn = None
     if controller == "kin_mpc":
-        kin = KinematicMpc(model, KinematicMpcConfig(
-            horizon=cfg.horizon, dt=cfg.dt, task_weight=cfg.task_weight,
-            damping_weight=cfg.damping_weight, accel_weight=cfg.accel_weight,
-            terminal_pos_tol=cfg.terminal_pos_tol, terminal_vel_tol=cfg.terminal_vel_tol,
-            svd_threshold=cfg.svd_threshold))
+        mpc = KinematicMpc(model, ctl_cfg)
     elif controller == "dyn_mpc":
-        dyn = DynamicMpc(model, DynamicMpcConfig(
-            horizon=cfg.horizon, dt=cfg.dt, task_weight=cfg.task_weight,
-            damping_weight=cfg.damping_weight, input_weight=cfg.input_weight,
-            terminal_state_tol=cfg.terminal_state_tol, svd_threshold=cfg.svd_threshold),
-            posture=posture)
+        mpc = DynamicMpc(model, ctl_cfg, posture=posture)
 
     if ticks == 0:
         empty = np.empty(0)
@@ -256,14 +261,14 @@ def run_scenario(scenario, controller: str, model: RobotModel,
             state = step_torque_plant(model, state, u, cfg.dt)
         elif controller == "dyn_mpc":
             x = np.concatenate([state.q, state.qd])
-            res = dyn.step(x, traj, tick)
+            res = mpc.step(x, traj, tick)
             solve_t[tick] = res.solve_time
             cmd_log[tick] = res.u_cmd
             if res.degraded:
                 flags[tick] |= 1
             state = step_torque_plant(model, state, res.u_cmd, cfg.dt)
         else:
-            res = kin.step(state.q, traj, tick)
+            res = mpc.step(state.q, traj, tick)
             solve_t[tick] = res.solve_time
             cmd_log[tick] = res.q_cmd
             if res.degraded:
@@ -290,7 +295,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         max_abs_qdd=float(np.abs(qdd).max()) if qdd.size else 0.0,
         limit_violations=limit_violations,
         saturated_ticks=state.saturation_count,
-        degraded_ticks=(kin.degraded_ticks if kin else 0) + (dyn.degraded_ticks if dyn else 0),
+        degraded_ticks=int(np.count_nonzero(flags & 1)),
     )
     return RunResult(metrics, t_log, q_log, qd_log, u_log, cmd_log, pos_err, ori_err,
                      flags, controller, name)

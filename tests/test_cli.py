@@ -79,34 +79,45 @@ def test_bad_config_key(runner, tmp_path, key):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("doc", [
-    {"horizon": "abc"},
-    {"horizon": 2.5},
-    {"svd_threshold": [1]},
-    {"payload": {"m": 1}},
-    {"payload": 3},
-    {"payload": {"mass": -1}},
-    {"position_gains": [1]},
-    {"position_gains": ["a", 2]},
-    {"position_gains": [-5, 2]},
-    {"position_gains": [5, "nan"]},
-    {"duration": "x"},
-    {"duration": -1},
-    {"duration": 0},
-    {"dt": "nan"},
-    [1],
-    '{"horizon": Infinity}',
-    '{"horizon": 1e400}',
+@pytest.mark.parametrize("doc, controller", [
+    ({"horizon": "abc"}, "osc"),
+    ({"horizon": 2.5}, "osc"),
+    ({"svd_threshold": [1]}, "osc"),
+    ({"payload": {"m": 1}}, "osc"),
+    ({"payload": 3}, "osc"),
+    ({"payload": {"mass": -1}}, "osc"),
+    ({"position_gains": [1]}, "osc"),
+    ({"position_gains": ["a", 2]}, "osc"),
+    ({"position_gains": [-5, 2]}, "osc"),
+    ({"position_gains": [5, "nan"]}, "osc"),
+    ({"duration": "x"}, "osc"),
+    ({"duration": -1}, "osc"),
+    ({"duration": 0}, "osc"),
+    ({"dt": "nan"}, "osc"),
+    ([1], "osc"),
+    ('{"horizon": Infinity}', "osc"),
+    ('{"horizon": 1e400}', "osc"),
+    ({"svd_threshold": 2}, "osc"),
+    ({"svd_threshold": 0}, "kin_mpc"),
+    ({"damping_weight": "nan"}, "kin_mpc"),
+    ({"task_weight": "inf"}, "dyn_mpc"),
+    ({"accel_weight": -1}, "kin_mpc"),
+    ({"input_weight": "nan"}, "dyn_mpc"),
+    ({"terminal_pos_tol": -1}, "kin_mpc"),
+    ({"terminal_vel_tol": 0}, "kin_mpc"),
+    ({"terminal_state_tol": "inf"}, "dyn_mpc"),
 ], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
         "payload-negative", "gains-short", "gains-str", "gains-negative", "gains-nan",
         "duration-str", "duration-negative", "duration-zero", "dt-nan", "not-an-object",
-        "horizon-infinity", "horizon-overflow"])
-def test_bad_config_value_is_config_error(runner, tmp_path, doc):
+        "horizon-infinity", "horizon-overflow", "svd-above-one", "svd-zero", "damping-nan",
+        "task-inf", "accel-negative", "input-nan", "terminal-pos-negative",
+        "terminal-vel-zero", "terminal-state-inf"])
+def test_bad_config_value_is_config_error(runner, tmp_path, doc, controller):
     # a str is the raw file text, for values json.dumps cannot write as such
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     result = runner.invoke(main, [
-        "run", "--scenario", "circle_2dof", "--controller", "osc",
+        "run", "--scenario", "circle_2dof", "--controller", controller,
         "--config", str(cfg), "--out", str(tmp_path / "o"),
     ])
     assert result.exit_code == 2, result.output
@@ -226,3 +237,15 @@ def test_export_traj(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
     assert len(rows) == 402  # 4 s at 10 ms + header
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--dt", "0"), ("--dt", "nan"),
+                                         ("--duration", "-1"), ("--duration", "inf")])
+def test_export_traj_bad_step_or_duration_is_config_error(runner, tmp_path, flag, value):
+    out = tmp_path / "traj.csv"
+    result = runner.invoke(main, [
+        "export-traj", "--scenario", "circle_2dof", flag, value, "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"{flag[2:]} must be a positive number" in result.output
+    assert not out.exists()

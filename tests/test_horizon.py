@@ -1,0 +1,80 @@
+"""The tick policy both MPCs share: hold, widen, warm start, reset."""
+
+import numpy as np
+import pytest
+
+from armmpc import mpc_dynamic, mpc_kinematic, qp
+from armmpc.horizon import TERMINAL_WIDEN
+from armmpc.kinematics import forward_kinematics
+from armmpc.nominal import default_posture, default_task_hierarchy
+from armmpc.trajgen import TaskTrajectory
+
+from conftest import random_config
+
+
+def hold(model, q, steps):
+    pose = forward_kinematics(model, q)
+    return TaskTrajectory(dt=1e-3, poses=(pose,) * steps, tasks=default_task_hierarchy())
+
+
+@pytest.mark.parametrize("kind", ["kinematic", "dynamic"])
+def test_degraded_tick_holds_widens_and_resets(desk_model, rng, monkeypatch, kind):
+    q0 = random_config(desk_model, rng)
+    q_bad = q0.copy()
+    q_bad[1] = desk_model.limits.q_max[1] + 0.01
+    qd_bad = np.zeros(6)
+    qd_bad[1] = 0.5
+    if kind == "kinematic":
+        module, builder = mpc_kinematic, "build_kin_qp"
+        ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=4))
+
+        def step(q, qd, traj):
+            return ctl.step(q, traj, 0)
+    else:
+        module, builder = mpc_dynamic, "build_dyn_qp"
+        ctl = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=4),
+                                     posture=default_posture(q0))
+
+        def step(q, qd, traj):
+            return ctl.step(np.concatenate([q, qd]), traj, 0)
+
+    widens, warm_starts = [], []
+    build, solve = getattr(module, builder), ctl.solver.solve
+
+    def recording_build(*args, terminal_widen=None, **kwargs):
+        widens.append(terminal_widen)
+        return build(*args, terminal_widen=terminal_widen, **kwargs)
+
+    def recording_solve(problem, warm_start=None):
+        warm_starts.append(warm_start)
+        return solve(problem, warm_start=warm_start)
+
+    monkeypatch.setattr(module, builder, recording_build)
+    monkeypatch.setattr(ctl.solver, "solve", recording_solve)
+    rest = np.zeros(6)
+
+    first = step(q0, rest, hold(desk_model, q0, 40))  # window short of the end
+    assert not first.degraded and widens == [None] and warm_starts == [None]
+
+    # the rollout ends past q_max[1], so the terminal box crosses the bound
+    # and the problem is rejected before it reaches the solver
+    bad = step(q_bad, qd_bad, hold(desk_model, q_bad, 3))
+    assert bad.degraded and bad.solution is None
+    assert widens[-1] == 1.0 and len(warm_starts) == 1
+    if kind == "kinematic":
+        np.testing.assert_array_equal(bad.q_cmd, first.q_cmd)  # the last command
+    else:
+        u_max = desk_model.limits.u_max
+        np.testing.assert_array_equal(bad.u_cmd, np.clip(bad.rollout.u_hat[0], -u_max, u_max))
+
+    widened = step(q0, rest, hold(desk_model, q0, 3))
+    assert widens[-1] == TERMINAL_WIDEN == 10.0 and warm_starts[-1] is None
+    assert not widened.degraded and widened.solution.status == qp.OPTIMAL
+
+    again = step(q0, rest, hold(desk_model, q0, 3))
+    assert widens[-1] == 1.0 and warm_starts[-1] == widened.solution.active_set
+    assert not again.degraded
+
+    ctl.reset()
+    step(q0, rest, hold(desk_model, q0, 3))
+    assert warm_starts[-1] is None and widens[-1] == 1.0
