@@ -8,6 +8,7 @@ settings both read; RecedingHorizon owns the policy around the QP.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from . import qp
@@ -31,8 +32,8 @@ class HorizonConfig:
     svd_threshold: float = 1e-2  # relative truncation of the nominal's pseudoinverses
 
     def __post_init__(self):
-        if not self.horizon >= 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 1):
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.svd_threshold < 1:
@@ -48,7 +49,8 @@ class HorizonConfig:
 class RecedingHorizon:
     """Tick policy around the one QP per tick.
 
-    A subclass's step builds the nominal and calls _solve once. The QP is
+    A subclass's step builds the nominal along the trajectory's own task
+    hierarchy (TaskTrajectory.tasks) and calls _solve once. The QP is
     warm-started from the active set of the last optimal solve. A tick whose
     QP data is rejected (crossed terminal boxes) or whose solve is not
     optimal is degraded: the subclass applies its fallback command, the warm
@@ -56,11 +58,9 @@ class RecedingHorizon:
     builds its terminal box TERMINAL_WIDEN times wider.
     """
 
-    def __init__(self, model: RobotModel, cfg: HorizonConfig, tasks=None,
-                 limits: JointLimits | None = None):
+    def __init__(self, model: RobotModel, cfg: HorizonConfig, limits: JointLimits | None = None):
         self.model = model
         self.cfg = cfg
-        self.tasks = tasks
         self.limits = limits or model.limits
         self.solver = qp.QpSolver()
         self.reset()

@@ -23,7 +23,7 @@ import numpy as np
 from . import qp
 from .dynamics import RigidBodyState, _mv, stacked_derivatives
 from .horizon import HorizonConfig, RecedingHorizon
-from .nominal import NominalRollout, PostureSpec, TaskSpec, osc_rollout
+from .nominal import NominalRollout, PostureSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
 from .trajgen import TaskTrajectory
 
@@ -210,10 +210,9 @@ class DynamicMpc(RecedingHorizon):
     """Receding-horizon torque controller; one instance per robot."""
 
     def __init__(self, model: RobotModel, cfg: DynamicMpcConfig,
-                 tasks: tuple[TaskSpec, ...] | None = None,
                  posture: PostureSpec | None = None,
                  limits: JointLimits | None = None):
-        super().__init__(model, cfg, tasks, limits)
+        super().__init__(model, cfg, limits)
         self.posture = posture
 
     def step(self, x_measured, traj: TaskTrajectory, tick: int) -> DynStepResult:
@@ -229,11 +228,9 @@ class DynamicMpc(RecedingHorizon):
         x_measured = np.asarray(x_measured, dtype=float)
         if x_measured.shape != (2 * n,):
             raise ValueError(f"x_measured must have shape ({2 * n},)")
-        tasks = self.tasks if self.tasks is not None else traj.tasks
-
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = osc_rollout(model, x_measured, window, cfg.dt, cfg.svd_threshold,
-                              tasks, posture=self.posture)
+                              traj.tasks, posture=self.posture)
         stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
                                  states=rollout.states[:-1], qdd=rollout.qdd_hat)
         rows = build_prediction(stages, x_measured)

@@ -83,17 +83,15 @@ def _diff_matrices(n: int, horizon: int, dt: float):
 
 @lru_cache(maxsize=8)
 def _diff_cost(n: int, horizon: int, dt: float, weight: float, order: int):
-    """Constant blocks (op.T W op, W) of the cost weight·|op z + off|^2, with op
-    the velocity (order 1) or acceleration (order 2) operator and W = weight·I;
-    None for a zero weight. Shared read-only by every caller."""
+    """Constant Hessian block weight·op.T op of the cost weight·|op z + off|^2,
+    with op the velocity (order 1) or acceleration (order 2) operator; None
+    for a zero weight. Shared read-only by every caller."""
     if not weight:
         return None
     op = _diff_matrices(n, horizon, dt)[order - 1]
-    big = np.kron(np.eye(horizon + 1), np.diag(np.full(n, float(weight))))
-    quad = op.T @ big @ op
-    big.setflags(write=False)
+    quad = (weight * op.T) @ op
     quad.setflags(write=False)
-    return quad, big
+    return quad
 
 
 def build_diff_ops(n: int, horizon: int, dt: float, q_prev, q_prev2) -> StackedDiffOps:
@@ -143,11 +141,10 @@ def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRol
         grad[blk] -= jk.T @ (w_task @ rollout.err_stack[k]) + jtqj @ rollout.q_hat[k]
     for op, off, weight, order in ((diff.vel_op, diff.vel_off, cfg.damping_weight, 1),
                                    (diff.acc_op, diff.acc_off, cfg.accel_weight, 2)):
-        blocks = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
-        if blocks is not None:
-            quad, big = blocks
+        quad = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
+        if quad is not None:
             hess += quad
-            grad += op.T @ (big @ off)
+            grad += op.T @ (weight * off)
 
     lb = np.tile(limits.q_min, steps)
     ub = np.tile(limits.q_max, steps)
@@ -204,10 +201,8 @@ class KinematicMpc(RecedingHorizon):
             self._hist1 = q_measured.copy()
             self._hist2 = q_measured.copy()
             self._last_cmd = q_measured.copy()
-        tasks = self.tasks if self.tasks is not None else traj.tasks
-
         window, includes_end = traj.window(tick, cfg.horizon)
-        rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, tasks)
+        rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, traj.tasks)
         diff = build_diff_ops(model.n, cfg.horizon, cfg.dt, self._hist1, self._hist2)
         solution, degraded = self._solve(
             lambda widen: build_kin_qp(model, cfg, rollout, diff, self.limits,

@@ -3,21 +3,23 @@
 Two generators: prioritized inverse-kinematics rollouts for the kinematic
 controller, and hierarchical operational-space torque rollouts for the
 dynamic controller. Each step tracks one target pose (with an optional
-6-twist); every task level tracks its own rows of that pose, visited in
-priority order. Both guard every pseudoinverse with the compact
-(truncated) SVD so commands stay bounded near singular configurations, and
-both record the per-step stack of projected task Jacobians that the MPC
-cost linearizes around.
+6-twist); every task level tracks its own rows of that pose. Both guard
+every pseudoinverse with the compact (truncated) SVD so commands stay
+bounded near singular configurations. The task hierarchy is resolved once
+per rollout or single-step call (_levels), and each step writes every
+level's projected Jacobian and error in place into its rows of the
+per-step stack that the MPC cost linearizes around.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import RigidBodyState
-from .kinematics import Pose, fk_jacobian_raw, geometric_jacobian, pose_error_raw
+from .kinematics import Pose, fk_jacobian_raw, pose_error_raw
 from .robot_model import RobotModel
 
 POSITION = "position"
@@ -46,16 +48,16 @@ class TaskSpec:
             raise ValueError("priority must be >= 1 (1 = highest)")
         if self.selector not in _SELECTOR_ROWS:
             raise ValueError(f"unknown selector {self.selector!r}")
-        if not self.gain > 0:
-            raise ValueError("gain must be positive")
+        if not (math.isfinite(self.gain) and self.gain > 0):
+            raise ValueError(f"gain must be finite and positive, got {self.gain}")
         for name in ("kp", "kd"):
             val = getattr(self, name)
             if val is not None:
                 arr = np.asarray(val, dtype=float)
                 if arr.shape != (self.dim,):
                     raise ValueError(f"{name} must have shape ({self.dim},)")
-                if np.any(arr < 0):
-                    raise ValueError(f"{name} must be entrywise nonnegative")
+                if not np.all(np.isfinite(arr) & (arr >= 0)):
+                    raise ValueError(f"{name} must be finite and entrywise nonnegative")
                 object.__setattr__(self, name, arr)
 
     @property
@@ -172,8 +174,24 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     return (vt[keep].T / sigma[keep]) @ u[:, keep].T
 
 
+def _levels(tasks) -> tuple[tuple, int]:
+    """The task hierarchy resolved once: one (rows, out, gain, kp, kd) per
+    level in priority order, with rows the level's rows of the 6-pose, out
+    its rows in the stacked task Jacobian and error, and the default OSC
+    gains filled in; and n_g, the stacked row count."""
+    levels = []
+    n_g = 0
+    for task in sorted(tasks, key=lambda t: t.priority):
+        dim = task.dim
+        levels.append((task.rows, slice(n_g, n_g + dim), task.gain,
+                       task.kp if task.kp is not None else np.full(dim, 100.0),
+                       task.kd if task.kd is not None else np.full(dim, 10.0)))
+        n_g += dim
+    return tuple(levels), n_g
+
+
 def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold: float,
-                        twist=None, record=None) -> np.ndarray:
+                        twist=None) -> np.ndarray:
     """Joint velocity command executing the task hierarchy at configuration q.
 
     Every level tracks its selected rows of the one target pose. Recursion
@@ -182,40 +200,32 @@ def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold
     higher-priority task velocities untouched. An optional 6-twist adds a
     task velocity feedforward on top of the proportional error term.
     """
-    q = model.check_q(q)
-    rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
+    levels, n_g = _levels(tasks)
     if twist is not None:
         twist = np.asarray(twist, dtype=float)
+    return _ik_step(model, q, levels, target, rel_threshold, twist,
+                    np.empty((n_g, model.n)), np.empty(n_g))
+
+
+def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
+             twist, jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
+    """prioritized_ik_step over resolved levels; writes each level's projected
+    Jacobian and error into its rows of jac_out and err_out."""
+    rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
     qd = np.zeros(model.n)
     proj = np.eye(model.n)
-    for task in sorted(tasks, key=lambda t: t.priority):
-        rows = task.rows
+    for rows, out, gain, _, _ in levels:
         jac_t = jac_full[rows]
-        err = err_full[rows]
-        ref_vel = task.gain * err
+        err = err_out[out] = err_full[rows]
+        ref_vel = gain * err
         if twist is not None:
             ref_vel = ref_vel + twist[rows]
-        jac_proj = jac_t @ proj
+        jac_proj = jac_out[out] = jac_t @ proj
         pinv = compact_svd_pinv(jac_proj, rel_threshold)
         qd = qd + pinv @ (ref_vel - jac_t @ qd)
         proj = proj - pinv @ jac_proj
-        if record is not None:
-            record.append((jac_proj, err))
     return qd
-
-
-def task_jacobian_stack(model: RobotModel, q, tasks, rel_threshold: float) -> np.ndarray:
-    """Stack of projected task Jacobians at q, ordered by priority."""
-    jac_full = geometric_jacobian(model, q)
-    proj = np.eye(model.n)
-    blocks = []
-    for task in sorted(tasks, key=lambda t: t.priority):
-        jac_proj = jac_full[task.rows] @ proj
-        blocks.append(jac_proj)
-        pinv = compact_svd_pinv(jac_proj, rel_threshold)
-        proj = proj - pinv @ jac_proj
-    return np.vstack(blocks)
 
 
 def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
@@ -230,20 +240,17 @@ def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
     if steps < 1:
         raise ValueError("window must contain at least one target")
     n = model.n
-    n_g = sum(t.dim for t in tasks)
+    levels, n_g = _levels(tasks)
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
     j_stack = np.empty((steps, n_g, n))
     err_stack = np.empty((steps, n_g))
     q = model.check_q(q0).copy()
     for k in range(steps):
-        record: list = []
-        qd = prioritized_ik_step(model, q, tasks, poses[k], rel_threshold,
-                                 twist=twists[k], record=record)
+        qd = _ik_step(model, q, levels, poses[k], rel_threshold, twists[k],
+                      j_stack[k], err_stack[k])
         q_hat[k] = q
         qd_hat[k] = qd
-        j_stack[k] = np.vstack([jac for jac, _ in record])
-        err_stack[k] = np.concatenate([err for _, err in record])
         if k + 1 < steps:
             q = q + dt * qd
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
@@ -262,7 +269,7 @@ def _window_arrays(window):
 
 
 def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: float,
-               posture: PostureSpec | None = None, twist=None, record=None) -> np.ndarray:
+               posture: PostureSpec | None = None, twist=None) -> np.ndarray:
     """Hierarchical operational-space torque tracking one target pose.
 
     Every level tracks its selected rows of the target (and of the optional
@@ -272,26 +279,19 @@ def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: flo
     in the final null space, and the bias forces are compensated exactly.
     """
     st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
+    levels, n_g = _levels(tasks)
     if twist is not None:
         twist = np.asarray(twist, dtype=float)
-    return _osc_torque(st, _osc_levels(tasks), target, rel_threshold, posture, twist, record)
-
-
-def _osc_levels(tasks) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
-    """The task levels in priority order, as (rows, kp, kd) with the default
-    gains filled in."""
-    return tuple(
-        (task.rows,
-         task.kp if task.kp is not None else np.full(task.dim, 100.0),
-         task.kd if task.kd is not None else np.full(task.dim, 10.0))
-        for task in sorted(tasks, key=lambda t: t.priority)
-    )
+    return _osc_torque(st, levels, target, rel_threshold, posture, twist,
+                       np.empty((n_g, model.n)), np.empty(n_g))
 
 
 def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
-                posture: PostureSpec | None, twist, record) -> np.ndarray:
+                posture: PostureSpec | None, twist, jac_out: np.ndarray,
+                err_out: np.ndarray) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the
-    caller, over the _osc_levels of the task hierarchy."""
+    caller, over resolved levels; writes each level's projected Jacobian and
+    error into its rows of jac_out and err_out."""
     q, qd = st.q, st.qd
     n = st.chain.n
     minv = st.minv
@@ -302,16 +302,14 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
 
     u = np.zeros(n)
     proj = np.eye(n)
-    for rows, kp, kd in levels:
+    for rows, out, _, kp, kd in levels:
         jac_t = jac_full[rows]
-        err = err_full[rows]
+        err = err_out[out] = err_full[rows]
         vel = jac_t @ qd
         ref_vel = np.zeros(kp.size) if twist is None else twist[rows]
         acc_des = kd * (ref_vel - vel) + kp * err
 
-        jac_proj = jac_t @ proj
-        if record is not None:
-            record.append((jac_proj, err))
+        jac_proj = jac_out[out] = jac_t @ proj
         lam = compact_svd_pinv(jac_proj @ minv @ jac_proj.T, rel_threshold)
         force = lam @ (acc_des - jdot_full[rows] @ qd)
         u = u + jac_proj.T @ force
@@ -343,8 +341,7 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     if x0.shape != (2 * n,):
         raise ValueError(f"x0 must have shape ({2 * n},)")
     u_max = model.limits.u_max
-    n_g = sum(t.dim for t in tasks)
-    levels = _osc_levels(tasks)
+    levels, n_g = _levels(tasks)
 
     x_hat = np.empty((steps, 2 * n))
     u_hat = np.empty((steps - 1, n))
@@ -356,12 +353,10 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     qd = x0[n:].copy()
     for k in range(steps):
         x_hat[k] = np.concatenate([q, qd])
-        record: list = []
         st = RigidBodyState(model, q, qd)
         states.append(st)
-        u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k], record)
-        j_stack[k] = np.vstack([jac for jac, _ in record])
-        err_stack[k] = np.concatenate([err for _, err in record])
+        u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k],
+                        j_stack[k], err_stack[k])
         if k + 1 < steps:
             u = np.clip(u, -u_max, u_max)
             u_hat[k] = u

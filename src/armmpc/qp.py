@@ -97,11 +97,7 @@ class QpProblem:
                 raise QpDataError("beq length must match Aeq rows")
             if not (np.all(np.isfinite(self.Aeq)) and np.all(np.isfinite(self.beq))):
                 raise QpDataError("equality data must be finite")
-        for lo, hi in ((self.lb, self.ub), (self.lin, self.uin)):
-            if lo is not None and hi is not None:
-                both = np.isfinite(lo) & np.isfinite(hi)
-                if np.any(lo[both] > hi[both] + 1e-12):
-                    raise QpDataError("lower bound exceeds upper bound")
+        m = 0
         if self.Ain is not None:
             if self.Ain.ndim != 2 or self.Ain.shape[1] != d:
                 raise QpDataError(f"Ain must have {d} columns")
@@ -109,6 +105,20 @@ class QpProblem:
                 raise QpDataError("Ain must be finite")
             if self.lin is None or self.uin is None:
                 raise QpDataError("Ain requires lin and uin")
+            m = self.Ain.shape[0]
+        for name, size in (("lb", d), ("ub", d), ("lin", m), ("uin", m)):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            if val.shape != (size,):
+                raise QpDataError(f"{name} must have shape ({size},), got {val.shape}")
+            if np.isnan(val).any():
+                raise QpDataError(f"{name} holds NaN (+-inf means no bound)")
+        for lo, hi in ((self.lb, self.ub), (self.lin, self.uin)):
+            if lo is not None and hi is not None:
+                both = np.isfinite(lo) & np.isfinite(hi)
+                if np.any(lo[both] > hi[both] + 1e-12):
+                    raise QpDataError("lower bound exceeds upper bound")
 
     @property
     def dim(self) -> int:

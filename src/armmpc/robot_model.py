@@ -142,8 +142,8 @@ class PayloadSpec:
     inertia_tensor: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ModelError("payload mass must be nonnegative")
+        if not (math.isfinite(self.mass) and self.mass >= 0):
+            raise ModelError(f"payload mass must be finite and nonnegative, got {self.mass}")
         object.__setattr__(self, "com_offset", _vec3(self.com_offset, "com_offset"))
         tensor = np.asarray(self.inertia_tensor, dtype=float)
         if tensor.shape != (3, 3):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .kinematics import Pose, canonical_quat, forward_kinematics
-from .nominal import TaskSpec, default_task_hierarchy
+from .nominal import POSITION, TaskSpec, default_task_hierarchy
 from .robot_model import RobotModel
 
 SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
@@ -121,8 +121,7 @@ def _smooth_profile(duration: float, dt: float):
     return ts, pos[:, 0], vel[:, 0]
 
 
-def pose_trajectory_between(start: Pose, end: Pose, duration: float, dt: float,
-                            tasks=None) -> TaskTrajectory:
+def pose_trajectory_between(start: Pose, end: Pose, duration: float, dt: float) -> TaskTrajectory:
     """Spline position + slerp orientation from start to end, at rest at both ends."""
     ts, s_prof, sd_prof = _smooth_profile(duration, dt)
     rotvec = _slerp_axis_angle(start.quaternion, end.quaternion)
@@ -135,11 +134,10 @@ def pose_trajectory_between(start: Pose, end: Pose, duration: float, dt: float,
         poses.append(Pose(quat, pos))
         twists[i, :3] = sd * delta
         twists[i, 3:] = sd * rotvec
-    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists,
-                          tasks=tuple(tasks) if tasks is not None else default_task_hierarchy())
+    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists)
 
 
-def waypoint_trajectory(waypoints, quats, dt: float, tasks=None) -> TaskTrajectory:
+def waypoint_trajectory(waypoints, quats, dt: float) -> TaskTrajectory:
     """Spline through timed position waypoints with piecewise slerp orientation.
 
     waypoints: list of (t, xyz); quats: list of (t, quaternion) keyframes
@@ -161,8 +159,7 @@ def waypoint_trajectory(waypoints, quats, dt: float, tasks=None) -> TaskTrajecto
     # angular feedforward is the constant segment rate; zero it at the rest ends
     twists[0, 3:] = 0.0
     twists[-1, 3:] = 0.0
-    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists,
-                          tasks=tuple(tasks) if tasks is not None else default_task_hierarchy())
+    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists)
 
 
 SINGULARITY_START_CONFIG = np.array([0.0, 0.0, -math.pi / 2, 0.0, -math.pi / 2, math.pi / 2])
@@ -216,8 +213,6 @@ def scenario_trajectory(name: str, model: RobotModel, dt: float,
             offset = radius * np.array([math.cos(ang) - 1.0, math.sin(ang), 0.0])
             poses.append(Pose(center_pose.quaternion, center_pose.translation + offset))
             twists[k, :3] = radius * omega * np.array([-math.sin(ang), math.cos(ang), 0.0])
-        from .nominal import POSITION
-
         tasks = (TaskSpec(priority=1, selector=POSITION, gain=20.0,
                           kp=np.full(3, 100.0), kd=np.full(3, 10.0)),)
         return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists, tasks=tasks)
@@ -234,7 +229,7 @@ def export_trajectory_csv(traj: TaskTrajectory, path) -> None:
             writer.writerow([f"{x:.17g}" for x in row])
 
 
-def import_trajectory_csv(path, tasks=None) -> TaskTrajectory:
+def import_trajectory_csv(path) -> TaskTrajectory:
     """Read a trajectory written by export_trajectory_csv (twists not stored)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -251,5 +246,4 @@ def import_trajectory_csv(path, tasks=None) -> TaskTrajectory:
         dt = 1.0
     else:
         dt = times[1] - times[0]
-    return TaskTrajectory(dt=dt, poses=tuple(poses),
-                          tasks=tuple(tasks) if tasks is not None else default_task_hierarchy())
+    return TaskTrajectory(dt=dt, poses=tuple(poses))

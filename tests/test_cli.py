@@ -86,6 +86,8 @@ def test_bad_config_key(runner, tmp_path, key):
     ({"payload": {"m": 1}}, "osc"),
     ({"payload": 3}, "osc"),
     ({"payload": {"mass": -1}}, "osc"),
+    ({"payload": {"mass": "nan"}}, "osc"),
+    ({"payload": {"mass": "inf"}}, "osc"),
     ({"position_gains": [1]}, "osc"),
     ({"position_gains": ["a", 2]}, "osc"),
     ({"position_gains": [-5, 2]}, "osc"),
@@ -107,7 +109,7 @@ def test_bad_config_key(runner, tmp_path, key):
     ({"terminal_vel_tol": 0}, "kin_mpc"),
     ({"terminal_state_tol": "inf"}, "dyn_mpc"),
 ], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
-        "payload-negative", "gains-short", "gains-str", "gains-negative", "gains-nan",
+        "payload-negative", "payload-nan", "payload-inf", "gains-short", "gains-str", "gains-negative", "gains-nan",
         "duration-str", "duration-negative", "duration-zero", "dt-nan", "not-an-object",
         "horizon-infinity", "horizon-overflow", "svd-above-one", "svd-zero", "damping-nan",
         "task-inf", "accel-negative", "input-nan", "terminal-pos-negative",

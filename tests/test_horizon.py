@@ -78,3 +78,10 @@ def test_degraded_tick_holds_widens_and_resets(desk_model, rng, monkeypatch, kin
     ctl.reset()
     step(q0, rest, hold(desk_model, q0, 3))
     assert warm_starts[-1] is None and widens[-1] == 1.0
+
+
+@pytest.mark.parametrize("horizon", [2.5, 3.0, "4"])
+def test_horizon_must_be_an_integer(horizon):
+    # 2.5 used to construct and fail with TypeError at the first step
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        mpc_kinematic.KinematicMpcConfig(horizon=horizon)

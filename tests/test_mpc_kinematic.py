@@ -8,11 +8,19 @@ from armmpc.mpc_kinematic import (
     build_diff_ops,
     build_kin_qp,
 )
-from armmpc.nominal import ik_rollout
+from armmpc.nominal import default_task_hierarchy, ik_rollout
 from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory, scenario_trajectory
 
 from conftest import random_config
+
+
+def test_ik_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
+    q = random_config(desk_model, rng)
+    pose = forward_kinematics(desk_model, q + 0.05)
+    chain_counts.update(passes=0)
+    ik_rollout(desk_model, q, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy())
+    assert chain_counts["passes"] == 4
 
 
 def test_diff_ops_rest_history(rng):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armmpc import nominal
-from armmpc.dynamics import bias_forces, forward_dynamics
+from armmpc.dynamics import bias_forces, forward_dynamics, mass_matrix
 from armmpc.kinematics import Pose, forward_kinematics, geometric_jacobian, jacobian_dot, task_error
 from armmpc.nominal import (
     FULL_POSE,
@@ -19,7 +19,6 @@ from armmpc.nominal import (
     osc_rollout,
     osc_torque,
     prioritized_ik_step,
-    task_jacobian_stack,
 )
 
 from conftest import random_config
@@ -157,16 +156,54 @@ def test_ik_rollout_degenerate_window(desk_model, rng):
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
 
-def test_task_jacobian_stack_matches_recorded(desk_model, rng):
+def hand_projected_stack(jac, order, rel_threshold, minv=None):
+    """Projected task Jacobians of the levels' pose rows in priority order,
+    through the IK projector I - J+ J, or the dynamically consistent one
+    I - M^-1 J^T (J M^-1 J^T)+ J when minv is given."""
+    proj = np.eye(jac.shape[1])
+    blocks = []
+    for rows in order:
+        jac_proj = jac[rows] @ proj
+        blocks.append(jac_proj)
+        if minv is None:
+            proj = proj - compact_svd_pinv(jac_proj, rel_threshold) @ jac_proj
+        else:
+            lam = compact_svd_pinv(jac_proj @ minv @ jac_proj.T, rel_threshold)
+            proj = proj - minv @ jac_proj.T @ lam @ jac_proj
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("first", [POSITION, ORIENTATION])
+def test_rollout_stacks_match_hand_built_projection(desk_model, rng, first):
+    # levels passed out of priority order; the stacks follow the priorities
     q = random_config(desk_model, rng)
-    tasks = pos_ori_tasks()
-    pose = forward_kinematics(desk_model, q)
-    record = []
-    prioritized_ik_step(desk_model, q, tasks, pose, 1e-2, record=record)
-    recorded = np.vstack([jac for jac, _ in record])
-    np.testing.assert_allclose(task_jacobian_stack(desk_model, q, tasks, 1e-2), recorded, atol=1e-12)
-    for _, err in record:
-        np.testing.assert_allclose(err, 0.0, atol=1e-12)  # zero error at own pose
+    qd = 0.2 * rng.standard_normal(6)
+    target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
+    second = ORIENTATION if first == POSITION else POSITION
+    tasks = (TaskSpec(priority=2, selector=second, gain=3.0),
+             TaskSpec(priority=1, selector=first, gain=5.0))
+    order = [tasks[1].rows, tasks[0].rows]
+    jac = geometric_jacobian(desk_model, q)
+    err = task_error(target, forward_kinematics(desk_model, q)).value
+    err_hand = np.concatenate([err[rows] for rows in order])
+
+    ik = ik_rollout(desk_model, q, [target] * 3, 1e-3, 1e-2, tasks)
+    np.testing.assert_allclose(ik.j_stack[0], hand_projected_stack(jac, order, 1e-2), atol=1e-12)
+    np.testing.assert_allclose(ik.err_stack[0], err_hand, atol=1e-12)
+
+    minv = np.linalg.inv(mass_matrix(desk_model, q))
+    osc = osc_rollout(desk_model, np.concatenate([q, qd]), [target] * 3, 1e-3, 1e-2, tasks)
+    np.testing.assert_allclose(osc.j_stack[0], hand_projected_stack(jac, order, 1e-2, minv),
+                               atol=1e-9)
+    np.testing.assert_allclose(osc.err_stack[0], err_hand, atol=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [("gain", np.inf), ("gain", np.nan),
+                                          ("kp", [1.0, np.nan, 1.0]), ("kd", [np.inf, 1.0, 1.0])],
+                         ids=["gain-inf", "gain-nan", "kp-nan", "kd-inf"])
+def test_task_spec_rejects_non_finite_gains(field, value):
+    with pytest.raises(ValueError, match=field):
+        TaskSpec(priority=1, selector=POSITION, **{field: value})
 
 
 @pytest.mark.parametrize("call", ["prioritized_ik_step", "osc_torque"])
@@ -213,8 +250,6 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
 
 
 def test_osc_secondary_does_not_disturb_primary(desk_model, rng):
-    from armmpc.dynamics import mass_matrix
-
     q = random_config(desk_model, rng)
     qd = 0.2 * rng.standard_normal(6)
     jac_pos = geometric_jacobian(desk_model, q)[:3]

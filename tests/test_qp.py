@@ -98,9 +98,22 @@ def test_crossed_bounds_rejected():
         QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
 
 
-def test_nonfinite_rejected():
+@pytest.mark.parametrize("data", [
+    {"H": np.array([[np.nan]]), "g": np.zeros(1)},
+    {"ub": np.array([np.nan, 1.0])},
+    {"lb": np.array([0.0, np.nan]), "ub": np.array([1.0, 1.0])},
+    {"lb": np.zeros(3)},
+    {"ub": np.zeros((2, 1))},
+    {"Ain": np.ones((1, 2)), "lin": np.array([np.nan]), "uin": np.array([1.0])},
+    {"Ain": np.ones((1, 2)), "lin": np.zeros(2), "uin": np.ones(2)},
+    {"Ain": np.ones((2, 2)), "lin": np.zeros(2), "uin": np.ones(1)},
+    {"lin": np.zeros(1)},
+], ids=["H-nan", "ub-nan", "lb-nan", "lb-long", "ub-column", "lin-nan", "lin-long", "uin-short",
+        "lin-without-Ain"])
+def test_nonfinite_rejected(data):
+    # NaN and mis-shaped bound vectors are malformed data, not dropped bounds
     with pytest.raises(QpDataError):
-        QpProblem(H=np.array([[np.nan]]), g=np.zeros(1))
+        QpProblem(**{"H": np.eye(2), "g": np.ones(2), **data})
 
 
 def test_warm_start_identical_problem(rng):
