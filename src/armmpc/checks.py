@@ -3,7 +3,7 @@
 These back the `check` CLI command and are reused by the test suite. The
 oracles here are deliberately independent of the implementations they judge:
 the QP reference enumerates active sets instead of iterating, and the
-dynamics reference differentiates numerically.
+dynamics references differentiate numerically.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import dynamics_derivatives, forward_dynamics
+from .dynamics import dynamics_derivatives, forward_dynamics, inverse_dynamics
 from .qp import QpProblem, QpSolver, expand_constraints, regularized_hessian
 from .robot_model import RobotModel
 
@@ -127,6 +127,19 @@ def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,
             detail = f"problem {i} (dim={dim}, m={n_ineq})"
             return CheckResult("qp_vs_enumeration", False, worst, tol, detail)
     return CheckResult("qp_vs_enumeration", True, worst, tol, f"{n_problems} problems")
+
+
+def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
+    """Central finite differences of inverse dynamics, d tau/dq and d tau/dqd."""
+    n = model.n
+    dtau_dq = np.empty((n, n))
+    dtau_dqd = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        dtau_dq[:, j] = (inverse_dynamics(model, q + e, qd, qdd) - inverse_dynamics(model, q - e, qd, qdd)) / (2 * h)
+        dtau_dqd[:, j] = (inverse_dynamics(model, q, qd + e, qdd) - inverse_dynamics(model, q, qd - e, qdd)) / (2 * h)
+    return dtau_dq, dtau_dqd
 
 
 def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: int = 0,

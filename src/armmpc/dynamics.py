@@ -13,9 +13,8 @@ inverse dynamics and as the core of the derivatives that trajectory
 linearization needs: those are produced analytically by differentiating the
 Newton-Euler recursions, batched over a stack of states, so one pass with
 (B, 6, 2n) intermediates linearizes a whole horizon and a single state is a
-batch of one. A finite-difference fallback is kept behind a switch as an
-independent cross-check. Spatial vectors are ordered [angular; linear] and
-expressed in body frames.
+batch of one; their finite-difference oracle lives in checks.py. Spatial
+vectors are ordered [angular; linear] and expressed in body frames.
 """
 
 from __future__ import annotations
@@ -219,29 +218,22 @@ class RigidBodyState(ChainState):
                 f[k - 1] += xs[k].T @ f[k]
         return u
 
-    def derivatives(self, qdd: np.ndarray, method: str = "analytic") -> DynamicsDerivatives:
+    def derivatives(self, qdd: np.ndarray) -> DynamicsDerivatives:
         """All dynamics derivative blocks at (q, qd, qdd), as a batch of one."""
-        return stacked_derivatives((self,), np.asarray(qdd, dtype=float)[None], method)[0]
+        return stacked_derivatives((self,), np.asarray(qdd, dtype=float)[None])[0]
 
 
-def stacked_derivatives(states, qdd: np.ndarray, method: str = "analytic") -> DynamicsDerivatives:
+def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
     """Dynamics derivative blocks at a stack of chain states of one model.
 
     qdd is (B, n), one row per state, each consistent with that state's
     nominal torque (the caller's contract). The analytic inverse-dynamics
-    blocks come from one batched pass over all states; method="fd" switches
-    them to the per-state finite-difference fallback. Every block is
+    blocks come from one batched pass over all states. Every block is
     returned with a leading batch axis.
     """
     n = states[0].chain.n
-    if method == "analytic":
-        dtau = _rnea_derivatives(states[0].chain, np.stack([st.xs for st in states]),
-                                 np.array([st.qd for st in states]), qdd)
-    elif method == "fd":
-        dtau = np.array([np.hstack(_id_derivatives_fd(st.model, st.q, st.qd, acc))
-                         for st, acc in zip(states, qdd)])
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
+    dtau = _rnea_derivatives(states[0].chain, np.stack([st.xs for st in states]),
+                             np.array([st.qd for st in states]), qdd)
     minv = np.array([st.minv for st in states])
     minv = 0.5 * (minv + minv.transpose(0, 2, 1))
     dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)
@@ -342,27 +334,12 @@ def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float):
     return RigidBodyState(model, q, model.check_q(qd, "qd")).semi_implicit_step(u, dt)[:2]
 
 
-def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
-    """Central finite differences of inverse dynamics (cross-check path)."""
-    n = model.n
-    dtau_dq = np.empty((n, n))
-    dtau_dqd = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        dtau_dq[:, j] = (inverse_dynamics(model, q + e, qd, qdd) - inverse_dynamics(model, q - e, qd, qdd)) / (2 * h)
-        dtau_dqd[:, j] = (inverse_dynamics(model, q, qd + e, qdd) - inverse_dynamics(model, q, qd - e, qdd)) / (2 * h)
-    return dtau_dq, dtau_dqd
-
-
-def dynamics_derivatives(model: RobotModel, q, qd, qdd, method: str = "analytic") -> DynamicsDerivatives:
+def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
     """All dynamics derivative blocks at (q, qd, qdd).
 
     qdd must be consistent with the nominal torque (the caller's contract).
-    method="fd" switches the inverse-dynamics blocks to the finite-difference
-    fallback; the forward-dynamics blocks always follow from them.
     """
     q = model.check_q(q)
     qd = model.check_q(qd, "qd")
     qdd = model.check_q(qdd, "qdd")
-    return RigidBodyState(model, q, qd).derivatives(qdd, method)
+    return RigidBodyState(model, q, qd).derivatives(qdd)

@@ -2,15 +2,14 @@
 
 The plant model x = [q; qd], xdot = [qd; FD(q, qd, u)] is linearized along
 an operational-space-control rollout and discretized with explicit Euler,
-one affine stage per step. The QP is not condensed: it keeps every state
-and input of the horizon as a variable, ordered stage by stage as
-z = [u_0, x_1, u_1, x_2, ..., u_np-1, x_np] (in deviations from the
-rollout), with one block row of equalities per stage,
-x_{k+1} - A_k x_k - B_k u_k = r_k, torque/state boxes as bounds, and the
-tracking cost expressed through the projected task Jacobians of the nominal.
-In that order every dynamics row and every cost block stays within a band
-of a few stages, so the solver's banded KKT factorization costs the same
-per stage at any horizon.
+one affine stage per step. The QP, posed in deviations from the rollout, is
+not condensed: z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np] keeps every
+input and state of the horizon, stage by stage, with one block row of
+equalities per stage (build_prediction), torque/state boxes as bounds, and
+the tracking cost expressed through the projected task Jacobians of the
+nominal. In that order every dynamics row and every cost block stays within
+a band of a few stages, so the solver's banded KKT factorization costs the
+same per stage at any horizon.
 """
 
 from __future__ import annotations
@@ -99,22 +98,25 @@ def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float,
     return LinearizedStage(stage.A[0], stage.B[0], stage.r[0]) if single else stage
 
 
-def build_prediction(stages: LinearizedStage, x_init) -> tuple[np.ndarray, np.ndarray]:
-    """Stage dynamics x_{k+1} - A_k x_k - B_k u_k = r_k as banded equality rows.
+def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray, np.ndarray]:
+    """Stage dynamics in deviations from the rollout, as banded equality rows.
 
     stages is a horizon of n_p stages stacked along their first axis, as
-    linearize_stage returns it. Returns (eq_a, eq_b) over the stage-wise
-    z = [u_0, x_1, u_1, x_2, ..., u_np-1, x_np] in absolute coordinates, one
-    block row per stage written by slices; the known initial state enters
-    the first right-hand side as A_0 x_init.
+    linearize_stage returns it, taken at the rollout's states x_hat
+    (n_p+1, 2n) and inputs u_hat (n_p, n). Returns (eq_a, eq_b) over the
+    stage-wise z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np], one block
+    row dx_{k+1} - A_k dx_k - B_k du_k = d_k per stage written by slices,
+    with d_k = A_k x_hat_k + B_k u_hat_k + r_k - x_hat_{k+1}, the rollout's
+    defect against the Euler stage. dx_0 = 0: x_hat_0 is the known initial
+    state (a rollout starts at the measured one).
     """
     n_p, nx, nu = stages.B.shape
     if n_p < 1:
         raise ValueError("need at least one stage")
+    x_hat, u_hat = np.asarray(x_hat, dtype=float), np.asarray(u_hat, dtype=float)
     ns = nu + nx
     eq_a = np.zeros((n_p * nx, n_p * ns))
-    eq_b = stages.r.flatten()
-    eq_b[:nx] += stages.A[0] @ np.asarray(x_init, dtype=float)
+    eq_b = (_mv(stages.A, x_hat[:-1]) + _mv(stages.B, u_hat) + stages.r - x_hat[1:]).ravel()
     eye = np.eye(nx)
     for k in range(n_p):
         row = slice(k * nx, (k + 1) * nx)
@@ -131,19 +133,16 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     """Assemble the torque-MPC QP in deviations from the nominal rollout.
 
     The decision variable is z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np]
-    with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage.
+    with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage, and
+    rows are build_prediction's dynamics rows over it.
     Deviation coordinates keep the solver's diagonal regularization centered
     on the nominal: with a zero input weight an absolute-variable QP would
     bias the torque plan toward zero (dropping gravity compensation),
     whereas here it only shrinks toward the operational-space rollout.
     Tracking weight acts on position deviations through the nominal's
-    projected Jacobians, damping on absolute velocities, an optional weight
-    on input deviations. The banded dynamics rows (eq_a, eq_b) of
-    build_prediction, given in absolute coordinates, are shifted to
-    deviations as eq_b - eq_a @ z_hat with z_hat the rollout in the same
-    order; that right-hand side is the Euler-vs-rollout defect of each stage.
-    terminal_widen, unless None, adds a box of that many tolerances around
-    the rollout's end state.
+    projected Jacobians, damping on absolute velocities, the input weight
+    on input deviations. terminal_widen, unless None, adds a box of that
+    many tolerances around the rollout's end state.
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
@@ -154,32 +153,25 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     eq_a, eq_b = rows
     if eq_a.shape != (n_p * nx, n_p * ns) or eq_b.shape != (n_p * nx,):
         raise ValueError("dynamics rows and rollout horizon disagree")
-    w_task = cfg.task_weight * np.eye(rollout.task_dim)
-    w_damp = cfg.damping_weight * np.eye(n)
 
     dim = n_p * ns
     hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
-    for k in range(1, n_p + 1):
-        q_blk = slice(k * ns - nx, k * ns - n)
-        v_blk = slice(k * ns - n, k * ns)
-        jk = rollout.j_stack[k]
-        hess[q_blk, q_blk] += jk.T @ w_task @ jk
+    for k in range(n_p):
+        q_blk = slice(k * ns + n, k * ns + nx)
+        jk = rollout.j_stack[k + 1]
+        hess[q_blk, q_blk] += (cfg.task_weight * jk.T) @ jk
         # task error to first order: err_hat_k - J dq; the gradient drives
         # the plan to shrink the nominal's own residual error
-        grad[q_blk] -= jk.T @ (w_task @ rollout.err_stack[k])
-        hess[v_blk, v_blk] += w_damp
-        grad[v_blk] += w_damp @ rollout.qd_hat[k]  # damping acts on absolute velocity
-    if cfg.input_weight:
-        # input weight acts on the deviation from the nominal torque, so it
-        # regularizes the plan without taxing gravity compensation
-        w_input = cfg.input_weight * np.eye(n)
-        for k in range(n_p):
-            u_blk = slice(k * ns, k * ns + n)
-            hess[u_blk, u_blk] += w_input
-
-    z_hat = np.concatenate([rollout.u_hat, rollout.x_hat[1:]], axis=1).ravel()
-    eq_b = eq_b - eq_a @ z_hat
+        grad[q_blk] -= jk.T @ (cfg.task_weight * rollout.err_stack[k + 1])
+    # stage k holds du_k, then dx_k+1's position and velocity parts
+    u_at = np.arange(n_p)[:, None] * ns + np.arange(n)
+    v_at = u_at + nx
+    # the input weight acts on the deviation from the nominal torque, so it
+    # regularizes the plan without taxing gravity compensation
+    hess[u_at, u_at] += cfg.input_weight
+    hess[v_at, v_at] += cfg.damping_weight
+    grad[v_at] += cfg.damping_weight * rollout.qd_hat[1:]  # damping acts on absolute velocity
 
     x_lo = np.concatenate([limits.q_min - rollout.q_hat[1:],
                            -limits.v_max - rollout.qd_hat[1:]], axis=1)
@@ -233,7 +225,7 @@ class DynamicMpc(RecedingHorizon):
                               traj.tasks, posture=self.posture)
         stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
                                  states=rollout.states[:-1], qdd=rollout.qdd_hat)
-        rows = build_prediction(stages, x_measured)
+        rows = build_prediction(stages, rollout.x_hat, rollout.u_hat)
         solution, degraded = self._solve(
             lambda widen: build_dyn_qp(cfg, rollout, rows, self.limits, terminal_widen=widen),
             includes_end)

@@ -1,12 +1,14 @@
 """Condensed kinematic MPC for position-controlled robots.
 
 The decision variable stacks the joint positions over the horizon
-(q_i .. q_{i+n_p}, with q_i pinned to the measured value). Velocities and
-accelerations are affine in that stack through banded difference operators
-that fold the two-sample history into constant offsets, so the tracking +
-damping + acceleration cost is one dense strictly convex QP with joint
-position and velocity bounds, plus terminal boxes when the window reaches
-the end of the trajectory.
+(q_i .. q_{i+n_p}, with q_i pinned to the command already applied).
+Velocities and accelerations are affine in that stack: banded
+backward-difference operators, built once per (n, horizon, dt) of the
+config, plus constant offsets that fold in the two commands before the
+stack. The tracking + damping + acceleration cost, each with a scalar
+weight, is one dense strictly convex QP with joint position and velocity
+bounds, plus terminal boxes when the window reaches the end of the
+trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import qp
 from .horizon import HorizonConfig, RecedingHorizon
 from .nominal import NominalRollout, ik_rollout
-from .robot_model import JointLimits, RobotModel
+from .robot_model import JointLimits
 from .trajgen import TaskTrajectory
 
 
@@ -33,18 +35,9 @@ class KinematicMpcConfig(HorizonConfig):
     terminal_vel_tol: float = 1e-2  # rad/s
 
 
-@dataclass(frozen=True, eq=False)
-class StackedDiffOps:
-    """Affine maps from the position stack to stacked velocities/accelerations."""
-
-    vel_op: np.ndarray
-    vel_off: np.ndarray
-    acc_op: np.ndarray
-    acc_off: np.ndarray
-
-
 def _diff_offsets(n: int, horizon: int, dt: float, q_prev, q_prev2):
-    """History-dependent offsets of the difference operators."""
+    """Constant offsets of the difference operators: the two positions
+    before the stack start, q_prev and q_prev2, enter only here."""
     q_prev = np.asarray(q_prev, dtype=float)
     q_prev2 = np.asarray(q_prev2, dtype=float)
     dim = (horizon + 1) * n
@@ -94,53 +87,41 @@ def _diff_cost(n: int, horizon: int, dt: float, weight: float, order: int):
     return quad
 
 
-def build_diff_ops(n: int, horizon: int, dt: float, q_prev, q_prev2) -> StackedDiffOps:
-    """Backward-difference operators over the (horizon+1)-step position stack.
-
-    q_prev and q_prev2 are the two positions before the stack start; they
-    appear only in the constant offsets.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    vel_op, acc_op = _diff_matrices(n, horizon, dt)
-    vel_off, acc_off = _diff_offsets(n, horizon, dt, q_prev, q_prev2)
-    return StackedDiffOps(vel_op=vel_op, vel_off=vel_off, acc_op=acc_op, acc_off=acc_off)
-
-
-def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRollout,
-                 diff: StackedDiffOps, limits: JointLimits,
-                 terminal_widen: float | None = None,
+def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
+                 limits: JointLimits, terminal_widen: float | None = None,
                  q_pin: np.ndarray | None = None) -> qp.QpProblem:
     """Assemble the tracking QP around the IK nominal.
 
-    Cost: sum_k |err_k - J_k (q_k - qhat_k)|^2_We + |qdot|^2_Wd + |qddot|^2_Wa
-    with the difference operators of build_diff_ops at cfg's horizon and dt
-    supplying qdot/qddot; box bounds on positions and two-sided rows on the
-    stacked velocity map. The first block is pinned to q_pin (the
+    Cost: sum_k w_task |err_k - J_k (q_k - qhat_k)|^2 + w_damp |qdot|^2
+    + w_accel |qddot|^2, with qdot/qddot the backward differences of the
+    position stack at cfg's horizon and dt; history = (q_prev, q_prev2)
+    holds the two positions before the stack start, which enter only the
+    differences' constant offsets. Box bounds on positions and two-sided
+    rows on the stacked velocities. The first block is pinned to q_pin (the
     already-applied command; defaults to the rollout start) so the decision
     stack is the continuation of the command signal. terminal_widen, unless
     None, adds boxes of that many tolerances around the rollout's end
     position and velocity.
     """
-    n = model.n
-    steps = rollout.q_hat.shape[0]
+    steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:
         raise ValueError(f"rollout holds {steps} steps, config horizon needs {cfg.horizon + 1}")
     dim = steps * n
-    w_task = cfg.task_weight * np.eye(rollout.task_dim)
+    vel_op, acc_op = _diff_matrices(n, cfg.horizon, cfg.dt)
+    vel_off, acc_off = _diff_offsets(n, cfg.horizon, cfg.dt, *history)
 
     hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
     for k in range(steps):
         blk = slice(k * n, (k + 1) * n)
         jk = rollout.j_stack[k]
-        jtqj = jk.T @ w_task @ jk
+        jtqj = (cfg.task_weight * jk.T) @ jk
         hess[blk, blk] += jtqj
         # first-order task error e(q) ~ err_hat - J (q - qhat): the target
         # vector keeps the nominal's own residual so the plan can beat it
-        grad[blk] -= jk.T @ (w_task @ rollout.err_stack[k]) + jtqj @ rollout.q_hat[k]
-    for op, off, weight, order in ((diff.vel_op, diff.vel_off, cfg.damping_weight, 1),
-                                   (diff.acc_op, diff.acc_off, cfg.accel_weight, 2)):
+        grad[blk] -= jk.T @ (cfg.task_weight * rollout.err_stack[k]) + jtqj @ rollout.q_hat[k]
+    for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
+                                   (acc_op, acc_off, cfg.accel_weight, 2)):
         quad = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
         if quad is not None:
             hess += quad
@@ -151,8 +132,8 @@ def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRol
     pin = rollout.q_hat[0] if q_pin is None else np.asarray(q_pin, dtype=float)
     lb[:n] = ub[:n] = pin
     vmax = np.tile(limits.v_max, steps)
-    lin = -vmax - diff.vel_off
-    uin = vmax - diff.vel_off
+    lin = -vmax - vel_off
+    uin = vmax - vel_off
 
     if terminal_widen is not None:
         eps_q = cfg.terminal_pos_tol * terminal_widen
@@ -160,11 +141,11 @@ def build_kin_qp(model: RobotModel, cfg: KinematicMpcConfig, rollout: NominalRol
         last = slice(dim - n, dim)
         lb[last] = np.maximum(lb[last], rollout.q_hat[-1] - eps_q)
         ub[last] = np.minimum(ub[last], rollout.q_hat[-1] + eps_q)
-        lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - diff.vel_off[last])
-        uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - diff.vel_off[last])
+        lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - vel_off[last])
+        uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - vel_off[last])
 
     return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, lb=lb, ub=ub,
-                        Ain=diff.vel_op, lin=lin, uin=uin)
+                        Ain=vel_op, lin=lin, uin=uin)
 
 
 @dataclass
@@ -203,9 +184,8 @@ class KinematicMpc(RecedingHorizon):
             self._last_cmd = q_measured.copy()
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, traj.tasks)
-        diff = build_diff_ops(model.n, cfg.horizon, cfg.dt, self._hist1, self._hist2)
         solution, degraded = self._solve(
-            lambda widen: build_kin_qp(model, cfg, rollout, diff, self.limits,
+            lambda widen: build_kin_qp(cfg, rollout, (self._hist1, self._hist2), self.limits,
                                        terminal_widen=widen, q_pin=self._last_cmd),
             includes_end)
         if degraded:

@@ -133,14 +133,6 @@ class NominalRollout:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("rollout has non-finite entries")
 
-    @property
-    def horizon(self) -> int:
-        return self.q_hat.shape[0] - 1
-
-    @property
-    def task_dim(self) -> int:
-        return self.j_stack.shape[1]
-
 
 def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     """Moore-Penrose pseudoinverse with small singular values truncated.

@@ -42,6 +42,9 @@ class TaskTrajectory:
             if tw.shape != (len(self.poses), 6):
                 raise ValueError(f"twists must be ({len(self.poses)}, 6), got {tw.shape}")
             object.__setattr__(self, "twists", tw)
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        if not self.tasks or not all(isinstance(t, TaskSpec) for t in self.tasks):
+            raise ValueError("tasks must be a non-empty sequence of TaskSpec")
 
     @property
     def n_samples(self) -> int:

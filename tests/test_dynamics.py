@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from armmpc.checks import _id_derivatives_fd
 from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
@@ -73,11 +74,11 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
     batch = stacked_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
     for k, st in enumerate(states):
-        fd = dynamics_derivatives(model, st.q, st.qd, qdds[k], method="fd")
+        fd = dict(zip(("dtau_dq", "dtau_dqd"), _id_derivatives_fd(model, st.q, st.qd, qdds[k])))
         one = st.derivatives(qdds[k])
         for name in ("dtau_dq", "dtau_dqd"):
             got = getattr(batch, name)[k]
-            ref = getattr(fd, name)
+            ref = fd[name]
             assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref), (k, name)
         for name in ("dtau_dq", "dtau_dqd", "dqdd_dq", "dqdd_dqd", "dqdd_du"):
             got = getattr(batch, name)[k]
@@ -219,10 +220,10 @@ def test_derivatives_fd_switch_agrees(desk_model, rng):
     qd = rng.standard_normal(desk_model.n)
     u = rng.standard_normal(desk_model.n)
     qdd = forward_dynamics(desk_model, q, qd, u)
-    ana = dynamics_derivatives(desk_model, q, qd, qdd, method="analytic")
-    num = dynamics_derivatives(desk_model, q, qd, qdd, method="fd")
-    np.testing.assert_allclose(ana.dtau_dq, num.dtau_dq, atol=1e-4)
-    np.testing.assert_allclose(ana.dtau_dqd, num.dtau_dqd, atol=1e-4)
+    ana = dynamics_derivatives(desk_model, q, qd, qdd)
+    num_dq, num_dqd = _id_derivatives_fd(desk_model, q, qd, qdd)
+    np.testing.assert_allclose(ana.dtau_dq, num_dq, atol=1e-4)
+    np.testing.assert_allclose(ana.dtau_dqd, num_dqd, atol=1e-4)
 
 
 def test_pendulum_symbolic_gravity_derivative(gravity_pendulum):

@@ -91,27 +91,40 @@ def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
         stages = LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((n_p, nx, nx)),
                                  B=rng.standard_normal((n_p, nx, nu)),
                                  r=0.1 * rng.standard_normal((n_p, nx)))
-    x0 = rng.standard_normal(nx)
+    x_hat = rng.standard_normal((n_p + 1, nx))  # a nominal that need not obey the stages
+    u_hat = rng.standard_normal((n_p, nu))
     if n_p == 0:
         with pytest.raises(ValueError):
-            build_prediction(stages, x0)
+            build_prediction(stages, x_hat, u_hat)
         return
-    u_seq = rng.standard_normal((n_p, nu))
-    states = []
-    x = x0
-    for a, b, r, u in zip(stages.A, stages.B, stages.r, u_seq):
-        x = a @ x + b @ u + r
-        states.append(x)
-    states = np.array(states)
-    eq_a, eq_b = build_prediction(stages, x0)
+    du = rng.standard_normal((n_p, nu))
+    # propagate the stages from the nominal's start, then take deviations
+    dx = []
+    x = x_hat[0]
+    for k, (a, b, r) in enumerate(zip(stages.A, stages.B, stages.r)):
+        x = a @ x + b @ (u_hat[k] + du[k]) + r
+        dx.append(x - x_hat[k + 1])
+    dx = np.array(dx)
+    eq_a, eq_b = build_prediction(stages, x_hat, u_hat)
     assert eq_a.shape == (n_p * nx, n_p * (nx + nu))
-    # z is stage-wise: [u_0, x_1, u_1, x_2, ...]
-    z = np.concatenate([u_seq, states], axis=1).ravel()
+    # z is stage-wise: [du_0, dx_1, du_1, dx_2, ...], and dx_0 = 0
+    z = np.concatenate([du, dx], axis=1).ravel()
     np.testing.assert_allclose(eq_a @ z, eq_b, rtol=0.0, atol=1e-12)
-    # the rows pin the states: given the inputs they reproduce the rollout
+    # the rows pin the state deviations: given du they reproduce the recursion
     x_cols = (np.arange(n_p * (nx + nu)) % (nx + nu)) >= nu
-    pinned = np.linalg.solve(eq_a[:, x_cols], eq_b - eq_a[:, ~x_cols] @ u_seq.ravel())
-    np.testing.assert_allclose(pinned, states.ravel(), rtol=0.0, atol=1e-12)
+    pinned = np.linalg.solve(eq_a[:, x_cols], eq_b - eq_a[:, ~x_cols] @ du.ravel())
+    np.testing.assert_allclose(pinned, dx.ravel(), rtol=0.0, atol=1e-12)
+
+
+def test_prediction_defects_of_an_osc_rollout(desk_model, rng):
+    # the rollout steps semi-implicitly, the stages explicitly: per stage the
+    # velocity rows agree and the position rows differ by -dt^2 qdd_hat
+    cfg, roll, stages = off_rest_stages(desk_model, rng, 10)
+    _, eq_b = build_prediction(stages, roll.x_hat, roll.u_hat)
+    defect = eq_b.reshape(cfg.horizon, 2 * desk_model.n)
+    np.testing.assert_allclose(defect[:, desk_model.n:], 0.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(defect[:, :desk_model.n], -cfg.dt**2 * roll.qdd_hat,
+                               rtol=0.0, atol=1e-14)
 
 
 def equilibrium_setup(model, rng):
@@ -130,14 +143,16 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
-    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
+    rows = build_prediction(stages, roll.x_hat, roll.u_hat)
+    problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
     with pytest.raises(ValueError, match="horizon"):
         short = linearize_stage(desk_model, roll.x_hat[:-2], roll.u_hat[:-1], cfg.dt)
-        build_dyn_qp(cfg, roll, build_prediction(short, x0), desk_model.limits)
+        rows = build_prediction(short, roll.x_hat[:-1], roll.u_hat[:-1])
+        build_dyn_qp(cfg, roll, rows, desk_model.limits)
 
 
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
@@ -147,7 +162,8 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
-    problem = build_dyn_qp(cfg, roll, build_prediction(stages, x0), desk_model.limits)
+    rows = build_prediction(stages, roll.x_hat, roll.u_hat)
+    problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
     u_max = desk_model.limits.u_max
     np.testing.assert_allclose(u_max, [239.0, 239.0, 124.5, 32.0, 40.96, 25.6])
@@ -157,29 +173,31 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
         np.testing.assert_allclose(problem.lb[blk] + roll.u_hat[k], -u_max, atol=1e-12)
 
 
-def dyn_problem(model, rng, horizon):
-    q0 = random_config(model, rng)
-    x0 = np.concatenate([q0, 0.3 * rng.standard_normal(6)])
-    far = forward_kinematics(model, q0 + 0.2 * rng.standard_normal(6))
-    traj = TaskTrajectory(dt=1e-3, poses=(far,) * (horizon + 10), tasks=default_task_hierarchy())
+def off_rest_stages(model, rng, horizon):
+    x0, traj = off_rest_rollout(model, rng, horizon)
     cfg = DynamicMpcConfig(horizon=horizon, dt=1e-3)
     window, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(q0))
+                       posture=default_posture(x0[:model.n]))
     stages = linearize_stage(model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
-    return build_dyn_qp(cfg, roll, build_prediction(stages, x0), model.limits)
+    return cfg, roll, stages
+
+
+def dyn_problem(model, rng, horizon):
+    cfg, roll, stages = off_rest_stages(model, rng, horizon)
+    return build_dyn_qp(cfg, roll, build_prediction(stages, roll.x_hat, roll.u_hat), model.limits)
 
 
 def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
-    # z = [u_0, x_1, u_1, x_2, ...]: stage k's rows touch only x_k, u_k and
-    # x_{k+1}, which are contiguous, and hold the identity on x_{k+1}
+    # z = [du_0, dx_1, du_1, dx_2, ...]: stage k's rows touch only dx_k, du_k
+    # and dx_{k+1}, which are contiguous, and hold the identity on dx_{k+1}
     problem = dyn_problem(desk_model, rng, 10)
     nx, n, n_p = 12, 6, 10
     ns = nx + n
     assert problem.Aeq.shape == (n_p * nx, n_p * ns)
     for k in range(n_p):
         row = problem.Aeq[k * nx:(k + 1) * nx]
-        lo = max(k * ns - nx, 0)  # x_k (x_0 is the measured state, not in z)
+        lo = max(k * ns - nx, 0)  # dx_k (dx_0 = 0 is not in z)
         hi = (k + 1) * ns
         assert not row[:, :lo].any() and not row[:, hi:].any(), f"stage {k}"
         np.testing.assert_array_equal(row[:, hi - nx:hi], np.eye(nx))

@@ -5,7 +5,8 @@ from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_kinematic import (
     KinematicMpc,
     KinematicMpcConfig,
-    build_diff_ops,
+    _diff_matrices,
+    _diff_offsets,
     build_kin_qp,
 )
 from armmpc.nominal import default_task_hierarchy, ik_rollout
@@ -13,6 +14,13 @@ from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory, scenario_trajectory
 
 from conftest import random_config
+
+
+def diff_ops(n, horizon, dt, q_prev, q_prev2):
+    """(vel_op, vel_off, acc_op, acc_off) of the position stack."""
+    vel_op, acc_op = _diff_matrices(n, horizon, dt)
+    vel_off, acc_off = _diff_offsets(n, horizon, dt, q_prev, q_prev2)
+    return vel_op, vel_off, acc_op, acc_off
 
 
 def test_ik_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
@@ -26,10 +34,10 @@ def test_ik_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
 def test_diff_ops_rest_history(rng):
     n, horizon, dt = 3, 4, 1e-2
     q_prev = rng.standard_normal(n)
-    ops = build_diff_ops(n, horizon, dt, q_prev, q_prev)
+    vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, q_prev, q_prev)
     stack = np.tile(q_prev, horizon + 1)
-    np.testing.assert_allclose(ops.vel_op @ stack + ops.vel_off, 0.0, atol=1e-10)
-    np.testing.assert_allclose(ops.acc_op @ stack + ops.acc_off, 0.0, atol=1e-8)
+    np.testing.assert_allclose(vel_op @ stack + vel_off, 0.0, atol=1e-10)
+    np.testing.assert_allclose(acc_op @ stack + acc_off, 0.0, atol=1e-8)
 
 
 def test_diff_ops_linear_ramp():
@@ -37,9 +45,9 @@ def test_diff_ops_linear_ramp():
     rate = np.array([0.3, -0.7])
     # q_k = k * dt * c for k = 0.., history at k = -1, -2
     stack = np.concatenate([k * dt * rate for k in range(horizon + 1)])
-    ops = build_diff_ops(n, horizon, dt, -1 * dt * rate, -2 * dt * rate)
-    vel = ops.vel_op @ stack + ops.vel_off
-    acc = ops.acc_op @ stack + ops.acc_off
+    vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, -1 * dt * rate, -2 * dt * rate)
+    vel = vel_op @ stack + vel_off
+    acc = acc_op @ stack + acc_off
     np.testing.assert_allclose(vel, np.tile(rate, horizon + 1), atol=1e-10)
     np.testing.assert_allclose(acc, 0.0, atol=1e-8)
 
@@ -49,11 +57,11 @@ def test_diff_ops_match_indexwise_oracle(rng):
     q_prev = rng.standard_normal(n)
     q_prev2 = rng.standard_normal(n)
     stack = rng.standard_normal((horizon + 1) * n)
-    ops = build_diff_ops(n, horizon, dt, q_prev, q_prev2)
+    vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, q_prev, q_prev2)
     blocks = stack.reshape(horizon + 1, n)
     ext = np.vstack([q_prev2, q_prev, blocks])  # indices shifted by 2
-    vel = ops.vel_op @ stack + ops.vel_off
-    acc = ops.acc_op @ stack + ops.acc_off
+    vel = vel_op @ stack + vel_off
+    acc = acc_op @ stack + acc_off
     for k in range(horizon + 1):
         np.testing.assert_allclose(vel[k * n:(k + 1) * n], (ext[k + 2] - ext[k + 1]) / dt, atol=1e-9)
         np.testing.assert_allclose(
@@ -76,8 +84,7 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     traj = make_traj_holding(desk_model, q0, 10, cfg.dt)
     window, _ = traj.window(0, cfg.horizon)
     rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
-    ops = build_diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
-    problem = build_kin_qp(desk_model, cfg, rollout, ops, desk_model.limits)
+    problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
     np.testing.assert_allclose(sol.z_star, np.tile(q0, cfg.horizon + 1), atol=1e-8)
@@ -91,8 +98,7 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
     traj = make_traj_holding(desk_model, q0, 5, cfg.dt)
     window, _ = traj.window(0, cfg.horizon)
     rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
-    ops = build_diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
-    problem = build_kin_qp(desk_model, cfg, rollout, ops, desk_model.limits)
+    problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     np.testing.assert_allclose(sol.z_star.reshape(2, -1)[1], rollout.q_hat[1], atol=1e-7)
 
@@ -143,8 +149,8 @@ def test_step_full_plan_respects_bounds(desk_model, rng):
     traj = TaskTrajectory(dt=cfg.dt, poses=(pose,) * 30)
     controller = KinematicMpc(desk_model, cfg, limits=slow)
     res = controller.step(q0, traj, 0)
-    ops = build_diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
-    vel = ops.vel_op @ res.solution.z_star + ops.vel_off
+    vel_op, vel_off, _, _ = diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
+    vel = vel_op @ res.solution.z_star + vel_off
     assert np.abs(vel).max() <= 0.2 + 1e-8
     assert np.all(res.solution.z_star <= np.tile(lim.q_max, cfg.horizon + 1) + 1e-8)
     assert np.all(res.solution.z_star >= np.tile(lim.q_min, cfg.horizon + 1) - 1e-8)
@@ -161,8 +167,8 @@ def test_terminal_constraint_enforced(desk_model, rng):
     q_n = res.plan[-1]
     q_hat_n = res.rollout.q_hat[-1]
     assert np.abs(q_n - q_hat_n).max() <= 1e-4 + 1e-8
-    ops = build_diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
-    vel = (ops.vel_op @ res.solution.z_star + ops.vel_off)[-6:]
+    vel_op, vel_off, _, _ = diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
+    vel = (vel_op @ res.solution.z_star + vel_off)[-6:]
     assert np.abs(vel - res.rollout.qd_hat[-1]).max() <= 1e-3 + 1e-8
 
 
@@ -179,15 +185,16 @@ def test_infeasible_tick_holds_and_widens(desk_model):
     assert controller._widen_next
 
 
-def plan_cost(cfg, rollout, diff, plan):
+def plan_cost(cfg, rollout, history, plan):
     """Full tracking + damping + accel objective of a position plan."""
     stack = plan.ravel()
+    vel_op, vel_off, acc_op, acc_off = diff_ops(plan.shape[1], cfg.horizon, cfg.dt, *history)
     cost = 0.0
     for k in range(plan.shape[0]):
         e = rollout.err_stack[k] - rollout.j_stack[k] @ (plan[k] - rollout.q_hat[k])
         cost += cfg.task_weight * (e @ e)
-    vel = diff.vel_op @ stack + diff.vel_off
-    acc = diff.acc_op @ stack + diff.acc_off
+    vel = vel_op @ stack + vel_off
+    acc = acc_op @ stack + acc_off
     return cost + cfg.damping_weight * (vel @ vel) + cfg.accel_weight * (acc @ acc)
 
 
@@ -203,12 +210,11 @@ def test_cost_horizon_monotonicity(desk_model, rng):
                                  damping_weight=0.01, accel_weight=1e-5)
         window, _ = traj.window(0, horizon)
         rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
-        diff = build_diff_ops(desk_model.n, horizon, cfg.dt, q0, q0)
-        problem = build_kin_qp(desk_model, cfg, rollout, diff, desk_model.limits)
+        problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
         sol = qp.solve(problem)
         assert sol.status == qp.OPTIMAL
         plan = sol.z_star.reshape(horizon + 1, 6)
-        costs[horizon] = plan_cost(cfg, rollout, diff, plan)
+        costs[horizon] = plan_cost(cfg, rollout, (q0, q0), plan)
         if horizon == 6:
             nominal_stage = rollout.err_stack[6] @ np.diag(np.full(6, 100.0)) @ rollout.err_stack[6]
     assert costs[6] <= costs[5] + nominal_stage + 0.05 * abs(costs[5]) + 1e-9

@@ -54,6 +54,22 @@ def test_matches_enumeration_oracle(rng):
         np.testing.assert_allclose(sol.z_star, ref, atol=1e-8)
 
 
+def test_vertex_optimum_with_large_multipliers():
+    # problem 189 of run_qp_check(seed=0): a vertex optimum whose multipliers
+    # of 1.5e5-3.6e5 magnify the round-off left in the active rows' slacks
+    rng = np.random.default_rng(0)
+    for _ in range(190):
+        d = int(rng.integers(2, 7))
+        m_in = int(rng.integers(0, 9))
+        prob = random_qp(rng, d, m_in, with_eq=bool(rng.integers(0, 2)))
+    sol = QpSolver().solve(prob)
+    ref, _ = solve_qp_by_enumeration(prob)
+    assert np.abs(sol.multipliers).max() > 1e5
+    assert sol.status == OPTIMAL
+    np.testing.assert_allclose(sol.z_star, ref, atol=1e-8)
+    assert sol.kkt.max() <= 1e-8 * (1 + np.linalg.norm(prob.g))
+
+
 def test_kkt_residuals_within_contract(rng):
     solver = QpSolver()
     for _ in range(40):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armmpc.kinematics import forward_kinematics, quat_to_matrix, rotvec_to_matrix
+from armmpc.nominal import default_task_hierarchy
 from armmpc.trajgen import (
     SINGULARITY_END_CONFIG,
     SINGULARITY_START_CONFIG,
+    TaskTrajectory,
     cubic_spline_position,
     export_trajectory_csv,
     import_trajectory_csv,
@@ -134,6 +136,14 @@ def test_window_padding(desk_model):
     np.testing.assert_allclose(items[-1][0].translation, traj.poses[-1].translation)
     items2, includes_end2 = traj.window(0, 10)
     assert not includes_end2
+
+
+@pytest.mark.parametrize("tasks", [(), ("position",), (default_task_hierarchy()[0], "orientation")],
+                         ids=["empty", "str", "mixed"])
+def test_tasks_must_be_task_specs(desk_model, tasks):
+    pose = forward_kinematics(desk_model, np.zeros(desk_model.n))
+    with pytest.raises(ValueError, match="TaskSpec"):
+        TaskTrajectory(dt=1e-3, poses=(pose,), tasks=tasks)
 
 
 def test_csv_roundtrip(tmp_path, desk_model):
