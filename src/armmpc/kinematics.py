@@ -4,8 +4,10 @@ This module also holds the one rigid-body chain representation: a cached
 per-model record of the chain constants, as (n, ...) arrays over the joints,
 and a per-state object that computes every joint's local transform from its
 parent link, X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008,
-ch. 4), in one batched pass. The world frames here and the Newton-Euler
-motion transforms in dynamics.py both read those local transforms.
+ch. 4), in one batched pass into an (n, 4, 4) stack of homogeneous
+transforms. The world frames here are the prefix products of that stack,
+formed by a parallel prefix scan in ceil(log2 n) batched products, and the
+Newton-Euler motion transforms in dynamics.py read the same local transforms.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -98,11 +100,14 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
     largest-magnitude diagonal entry.
     """
     rot = np.asarray(rot, dtype=float)
-    cos_angle = max(-1.0, min(1.0, (np.trace(rot) - 1.0) * 0.5))
+    # read once into Python floats: the generic branch makes no small numpy
+    # temporaries
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    cos_angle = max(-1.0, min(1.0, (r00 + r11 + r22 - 1.0) * 0.5))
     angle = math.acos(cos_angle)
-    skew_part = 0.5 * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
     if angle < 1e-7:
-        return skew_part  # sin(a)/a ~ 1 to second order
+        # sin(a)/a ~ 1 to second order
+        return np.array([0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01)])
     if angle > math.pi - 1e-6:
         # near pi: extract the axis from R + I, sign fixed by the dominant diagonal
         bb = 0.5 * (rot + np.eye(3))
@@ -120,7 +125,9 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
             flip = axis[lead] < 0
             axis = -axis if flip else axis
         return axis * angle
-    return skew_part * (angle / math.sin(angle))
+    scale = angle / math.sin(angle)
+    return np.array([0.5 * (r21 - r12) * scale, 0.5 * (r02 - r20) * scale,
+                     0.5 * (r10 - r01) * scale])
 
 
 _YZX = np.array([1, 2, 0])
@@ -241,6 +248,7 @@ class TaskError:
 
 
 _EYE3 = np.eye(3)
+_HOMOGENEOUS_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 class _Chain:
@@ -250,8 +258,8 @@ class _Chain:
     per-link one an (n, ...) array over the links.
     """
 
-    __slots__ = ("n", "rev", "axes", "skew", "skew2", "rot_pt", "trans_pt",
-                 "ee_rot", "ee_trans", "subspace", "crm_s", "inertia", "a_base",
+    __slots__ = ("n", "rev", "axes", "rot_pt", "rot_skew", "rot_skew2", "trans_pt",
+                 "slide", "ee", "subspace", "crm_s", "inertia", "a_base",
                  "moves", "turns", "link_mass", "root_mass", "com", "root_inertia")
 
     def __init__(self, model: RobotModel):
@@ -260,12 +268,18 @@ class _Chain:
         # (n, 1) mask over joint rows
         self.rev = np.array([[j.kind == REVOLUTE] for j in model.joints])
         self.axes = np.array([j.axis for j in model.joints])
-        self.skew = _skew(self.axes)
-        self.skew2 = self.skew @ self.skew
+        # rot_pt exp(q [a]x) = rot_pt + sin q rot_pt [a]x + (1 - cos q) rot_pt [a]x^2
+        skew = _skew(self.axes)
         self.rot_pt = np.array([j.parent_transform.rotation for j in model.joints])
+        self.rot_skew = self.rot_pt @ skew
+        self.rot_skew2 = self.rot_skew @ skew
         self.trans_pt = np.array([j.parent_transform.translation for j in model.joints])
-        self.ee_rot = model.ee_transform.rotation
-        self.ee_trans = model.ee_transform.translation
+        # a prismatic joint slides its link along rot_pt a, in the parent frame
+        self.slide = np.where(self.rev, 0.0, (self.rot_pt @ self.axes[:, :, None])[:, :, 0])
+        # end-effector transform from the last link, homogeneous 4 x 4
+        self.ee = np.eye(4)
+        self.ee[:3, :3] = model.ee_transform.rotation
+        self.ee[:3, 3] = model.ee_transform.translation
         # motion subspace of each joint, [angular; linear]
         self.subspace = np.hstack([np.where(self.rev, self.axes, 0.0),
                                    np.where(self.rev, 0.0, self.axes)])
@@ -313,9 +327,12 @@ class ChainState:
     kind becomes its transform: every joint's local rotation
     rot_pt exp(q [a]x) and translation trans_pt + rot_pt a q from its parent
     link, as array operations over all joints (the exponential only for
-    revolute joints, the slide only for prismatic ones). The world frames
-    behind FK, J and J-dot are their running product, derived on first use;
-    dynamics.RigidBodyState reads them for its motion transforms.
+    revolute joints, the slide only for prismatic ones), written into one
+    (n, 4, 4) stack of homogeneous transforms; rot_local and trans_local are
+    views of it. The world frames behind FK, J and J-dot are the prefix
+    products of that stack, derived on first use by a parallel prefix scan;
+    dynamics.RigidBodyState reads the local transforms for its motion
+    transforms.
     """
 
     def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
@@ -325,29 +342,38 @@ class ChainState:
         self.q = q
         self.qd = qd
         turn = np.where(c.rev[:, 0], q, 0.0)[:, None, None]
-        slide = np.where(c.rev, 0.0, c.axes * q[:, None])
-        self.rot_local = c.rot_pt @ (_EYE3 + np.sin(turn) * c.skew + (1.0 - np.cos(turn)) * c.skew2)
-        self.trans_local = c.trans_pt + (c.rot_pt @ slide[:, :, None])[:, :, 0]
+        local = np.empty((c.n, 4, 4))
+        local[:, 3] = _HOMOGENEOUS_ROW
+        self.local = local
+        self.rot_local = local[:, :3, :3]
+        self.trans_local = local[:, :3, 3]
+        np.add(c.rot_pt, np.sin(turn) * c.rot_skew + (1.0 - np.cos(turn)) * c.rot_skew2,
+               out=self.rot_local)
+        np.add(c.trans_pt, c.slide * q[:, None], out=self.trans_local)
 
     @cached_property
     def frames(self) -> tuple[np.ndarray, ...]:
         """World joint axes and link-frame origins (n x 3 each), link rotations
         (n x 3 x 3), then the end-effector rotation and position.
 
-        Link k's frame origin lies on joint k's axis, so it serves as the
-        joint's origin: a revolute joint turns about it, and a prismatic
-        joint's Jacobian columns do not depend on where its origin is taken.
+        Link k's world transform is the product of the local transforms of
+        joints 0..k, all n of them formed by a Hillis-Steele prefix scan
+        (Hillis & Steele, 1986): ceil(log2 n) batched products of the stack
+        with itself shifted by 1, 2, 4, ... joints. Link k's frame origin lies
+        on joint k's axis, so it serves as the joint's origin: a revolute
+        joint turns about it, and a prismatic joint's Jacobian columns do not
+        depend on where its origin is taken.
         """
         c = self.chain
-        pos_w = np.empty((c.n, 3))
-        rot_w = np.empty((c.n, 3, 3))
-        rot = _EYE3
-        pos = np.zeros(3)
-        for k in range(c.n):
-            pos_w[k] = pos = pos + rot @ self.trans_local[k]
-            rot_w[k] = rot = rot @ self.rot_local[k]
+        world = self.local.copy()
+        shift = 1
+        while shift < c.n:
+            world[shift:] = world[:-shift] @ world[shift:]
+            shift *= 2
+        rot_w = world[:, :3, :3]
+        ee = world[-1] @ c.ee
         axis_w = (rot_w @ c.axes[:, :, None])[:, :, 0]
-        return axis_w, pos_w, rot_w, rot @ c.ee_rot, pos + rot @ c.ee_trans
+        return axis_w, world[:, :3, 3], rot_w, ee[:3, :3], ee[:3, 3]
 
     def _point_columns(self, arm: np.ndarray) -> np.ndarray:
         """Linear-velocity Jacobian columns of world points, (..., n, 3).

@@ -108,12 +108,16 @@ def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray,
     row dx_{k+1} - A_k dx_k - B_k du_k = d_k per stage written by slices,
     with d_k = A_k x_hat_k + B_k u_hat_k + r_k - x_hat_{k+1}, the rollout's
     defect against the Euler stage. dx_0 = 0: x_hat_0 is the known initial
-    state (a rollout starts at the measured one).
+    state (a rollout starts at the measured one). Raises ValueError for an
+    empty horizon or an x_hat or u_hat of another shape.
     """
     n_p, nx, nu = stages.B.shape
     if n_p < 1:
         raise ValueError("need at least one stage")
     x_hat, u_hat = np.asarray(x_hat, dtype=float), np.asarray(u_hat, dtype=float)
+    if x_hat.shape != (n_p + 1, nx) or u_hat.shape != (n_p, nu):
+        raise ValueError(f"x_hat must be ({n_p + 1}, {nx}) and u_hat ({n_p}, {nu}) for "
+                         f"{n_p} stages, got {x_hat.shape} and {u_hat.shape}")
     ns = nu + nx
     eq_a = np.zeros((n_p * nx, n_p * ns))
     eq_b = (_mv(stages.A, x_hat[:-1]) + _mv(stages.B, u_hat) + stages.r - x_hat[1:]).ravel()

@@ -139,24 +139,20 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
 
     Singular values below rel_threshold * sigma_max are dropped, bounding
     the inverse's norm near singularities. All-zero input (or everything
-    truncated) yields the zero matrix. Small row counts take a Gram
-    eigendecomposition shortcut; kept directions are far from the squared
-    floor by construction, so the result matches the SVD path.
+    truncated) yields the zero matrix. Up to 3 rows take the Gram shortcut
+    J' pinv(J J') through _psd_pinv, with the cut at rel_threshold**2 on the
+    Gram eigenvalues: a 3-row Gram matrix whose eigenvalues all clear that
+    cut by _psd_pinv's margin is inverted in closed form, anything nearer
+    the cut (or with fewer rows) is eigendecomposed. Kept directions are far
+    from the squared floor by construction, so the result matches the SVD
+    path.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     jac = np.asarray(jac, dtype=float)
     m, n = jac.shape
     if 0 < m <= 3 and m <= n:
-        vals, vecs = np.linalg.eigh(jac @ jac.T)
-        if vals[-1] <= 0.0:
-            return np.zeros((n, m))
-        floor = (rel_threshold**2) * vals[-1]
-        if vals[0] >= floor:  # ascending, so every direction is kept
-            return jac.T @ (vecs / vals) @ vecs.T
-        keep = vals >= floor
-        basis = vecs[:, keep]
-        return jac.T @ (basis / vals[keep]) @ basis.T
+        return jac.T @ _psd_pinv(jac @ jac.T, rel_threshold**2)
     u, sigma, vt = np.linalg.svd(jac, full_matrices=False)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return np.zeros((n, m))
@@ -164,6 +160,56 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     if not np.any(keep):
         return np.zeros((n, m))
     return (vt[keep].T / sigma[keep]) @ u[:, keep].T
+
+
+# The closed-form 3 x 3 path is taken only when the smallest eigenvalue
+# clears the cut by this factor, and never below _CLOSED_FORM_FLOOR of the
+# largest: the trigonometric eigenvalues err by up to about 1e-8 of the
+# largest one next to a double eigenvalue (acos is steep at +-1), so a
+# smallest eigenvalue within that of the cut is left to eigh.
+_CLOSED_FORM_MARGIN = 2.0
+_CLOSED_FORM_FLOOR = 1e-6
+
+
+def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
+    """Pseudoinverse of a symmetric positive semidefinite matrix with its
+    eigenvalues below floor * lambda_max dropped (the zero matrix if
+    lambda_max <= 0).
+
+    A 3 x 3 matrix first gets its extreme eigenvalues in closed form, by the
+    trigonometric solution of the characteristic cubic (Smith, 1961), on
+    Python floats from its upper triangle; when the smallest clears the cut
+    by _CLOSED_FORM_MARGIN (and _CLOSED_FORM_FLOOR), every direction is
+    kept and the inverse is the adjugate over the determinant. Otherwise,
+    and for other sizes, the truncation runs on eigh.
+    """
+    if not 0.0 < floor < 1.0:
+        raise ValueError("the relative eigenvalue floor must lie in (0, 1)")
+    if sym.shape[0] == 3:
+        (a, b, c), (_, d, e), (_, _, f) = sym.tolist()
+        mean = (a + d + f) / 3.0
+        a0, d0, f0 = a - mean, d - mean, f - mean
+        p = math.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0)
+        if p > 0.0:
+            # eigenvalues mean + 2 p cos(phi + 2 pi k / 3), with cos(3 phi)
+            # half the determinant of (sym - mean I) / p
+            det0 = a0 * (d0 * f0 - e * e) - b * (b * f0 - c * e) + c * (b * e - c * d0)
+            phi = math.acos(max(-1.0, min(1.0, det0 / (2.0 * p * p * p)))) / 3.0
+            hi = mean + 2.0 * p * math.cos(phi)
+            lo = mean + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+        else:
+            hi = lo = mean
+        if hi > 0.0 and lo >= max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR) * hi:
+            c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+            c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+            inv_det = 1.0 / (a * c00 + b * c01 + c * c02)
+            return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) * inv_det
+    vals, vecs = np.linalg.eigh(sym)
+    if vals[-1] <= 0.0:
+        return np.zeros_like(sym)
+    keep = vals >= floor * vals[-1]
+    basis = vecs[:, keep]
+    return (basis / vals[keep]) @ basis.T
 
 
 def _levels(tasks) -> tuple[tuple, int]:
@@ -206,17 +252,17 @@ def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
     rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
     qd = np.zeros(model.n)
-    proj = np.eye(model.n)
+    proj = None  # the identity, until the first level has acted
     for rows, out, gain, _, _ in levels:
         jac_t = jac_full[rows]
         err = err_out[out] = err_full[rows]
         ref_vel = gain * err
         if twist is not None:
             ref_vel = ref_vel + twist[rows]
-        jac_proj = jac_out[out] = jac_t @ proj
+        jac_proj = jac_out[out] = jac_t if proj is None else jac_t @ proj
         pinv = compact_svd_pinv(jac_proj, rel_threshold)
         qd = qd + pinv @ (ref_vel - jac_t @ qd)
-        proj = proj - pinv @ jac_proj
+        proj = (np.eye(model.n) if proj is None else proj) - pinv @ jac_proj
     return qd
 
 
@@ -293,7 +339,7 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
 
     u = np.zeros(n)
-    proj = np.eye(n)
+    proj = None  # the identity, until the first level has acted
     for rows, out, _, kp, kd in levels:
         jac_t = jac_full[rows]
         err = err_out[out] = err_full[rows]
@@ -301,16 +347,19 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
         ref_vel = np.zeros(kp.size) if twist is None else twist[rows]
         acc_des = kd * (ref_vel - vel) + kp * err
 
-        jac_proj = jac_out[out] = jac_t @ proj
-        lam = compact_svd_pinv(jac_proj @ minv @ jac_proj.T, rel_threshold)
+        jac_proj = jac_out[out] = jac_t if proj is None else jac_t @ proj
+        minv_jt = minv @ jac_proj.T
+        # task-space inertia: the truncated inverse of the symmetric
+        # J_p M^-1 J_p', cut on its own eigenvalues
+        lam = _psd_pinv(jac_proj @ minv_jt, rel_threshold)
         force = lam @ (acc_des - jdot_full[rows] @ qd)
         u = u + jac_proj.T @ force
-        jbar = minv @ jac_proj.T @ lam  # dynamically consistent inverse
-        proj = proj - jbar @ jac_proj
+        jbar = minv_jt @ lam  # dynamically consistent inverse
+        proj = (np.eye(n) if proj is None else proj) - jbar @ jac_proj
 
     if posture is not None:
         tau_posture = posture.kp * (posture.q_des - q) - posture.kd * qd
-        u = u + proj.T @ tau_posture
+        u = u + (tau_posture if proj is None else proj.T @ tau_posture)
     return u + st.bias
 
 

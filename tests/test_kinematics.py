@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armmpc import load_bundled_model
+from armmpc.dynamics import RigidBodyState
 from armmpc.kinematics import (
+    ChainState,
     Pose,
     forward_kinematics,
     geometric_jacobian,
@@ -16,8 +19,9 @@ from armmpc.kinematics import (
     rotvec_to_matrix,
     task_error,
 )
+from armmpc.kinematics import _skew
 
-from conftest import make_rpr, random_config
+from conftest import make_pendulum, make_prismatic_x, make_rpr, random_config
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -73,6 +77,69 @@ def test_fk_matches_homogeneous_matrix_oracle(desk_model, name, q):
     pose = forward_kinematics(model, q)
     np.testing.assert_allclose(pose.translation, t_world[:3, 3], atol=1e-12)
     np.testing.assert_allclose(pose.rotation_matrix, t_world[:3, :3], atol=1e-12)
+
+
+CHAIN_MODELS = {
+    "rs020n": lambda: load_bundled_model("rs020n"),
+    "rs007n": lambda: load_bundled_model("rs007n"),
+    "rpr": make_rpr,
+    "prismatic_x": make_prismatic_x,
+    "pendulum": make_pendulum,  # one joint: the scan does zero rounds
+}
+
+
+def sequential_frames(model, rot_local, trans_local):
+    """The world frames as the running product of the local transforms, one
+    joint at a time (the loop the prefix scan replaced)."""
+    rot = np.eye(3)
+    pos = np.zeros(3)
+    axes, origins, rots = [], [], []
+    for joint, rot_k, trans_k in zip(model.joints, rot_local, trans_local):
+        pos = pos + rot @ trans_k
+        rot = rot @ rot_k
+        axes.append(rot @ joint.axis)
+        origins.append(pos)
+        rots.append(rot)
+    ee = model.ee_transform
+    return (np.array(axes), np.array(origins), np.array(rots),
+            rot @ ee.rotation, pos + rot @ ee.translation)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_MODELS))
+def test_frames_prefix_scan_matches_sequential_product(name, rng):
+    model = CHAIN_MODELS[name]()
+    for _ in range(200):
+        st = ChainState(model, random_config(model, rng, margin=0.0))
+        expected = sequential_frames(model, st.rot_local, st.trans_local)
+        for got, want in zip(st.frames, expected):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_MODELS))
+def test_local_transforms_feed_motion_transforms(name, rng):
+    # rot_local and trans_local are views of the homogeneous stack, hold each
+    # joint's transform from its parent link, and are what xs is built from
+    model = CHAIN_MODELS[name]()
+    for _ in range(20):
+        q = random_config(model, rng, margin=0.0)
+        st = RigidBodyState(model, q, rng.standard_normal(model.n))
+        assert np.shares_memory(st.rot_local, st.local)
+        assert np.shares_memory(st.trans_local, st.local)
+        np.testing.assert_array_equal(st.local[:, 3], np.tile([0.0, 0.0, 0.0, 1.0], (model.n, 1)))
+        for k, (joint, qk) in enumerate(zip(model.joints, q)):
+            pt = joint.parent_transform
+            if joint.kind == "prismatic":
+                rot, trans = pt.rotation, pt.translation + pt.rotation @ joint.axis * qk
+            else:
+                rot, trans = pt.rotation @ rotvec_to_matrix(joint.axis * qk), pt.translation
+            np.testing.assert_allclose(st.rot_local[k], rot, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(st.trans_local[k], trans, rtol=0.0, atol=1e-15)
+            rt = st.rot_local[k].T
+            x_k = np.zeros((6, 6))
+            x_k[:3, :3] = x_k[3:, 3:] = rt
+            x_k[3:, :3] = -rt @ _skew(st.trans_local[k])
+            np.testing.assert_array_equal(st.xs[k], x_k)
 
 
 def test_fk_dimension_mismatch(desk_model):
@@ -204,6 +271,53 @@ def test_rotvec_near_pi_deterministic():
     np.testing.assert_allclose(v1, v2)
     assert np.linalg.norm(v1) <= math.pi + 1e-12
     np.testing.assert_allclose(rotvec_to_matrix(v1), rot, atol=1e-9)
+
+
+def numpy_rotvec_from_matrix(rot):
+    """The logarithm map on numpy arrays, as it was written before the
+    generic branch moved to Python floats."""
+    rot = np.asarray(rot, dtype=float)
+    cos_angle = max(-1.0, min(1.0, (np.trace(rot) - 1.0) * 0.5))
+    angle = math.acos(cos_angle)
+    skew_part = 0.5 * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
+    if angle < 1e-7:
+        return skew_part
+    if angle > math.pi - 1e-6:
+        bb = 0.5 * (rot + np.eye(3))
+        axis = np.sqrt(np.clip(np.diag(bb), 0.0, None))
+        lead = int(np.argmax(np.abs(np.diag(bb))))
+        signs = np.sign(bb[:, lead])
+        signs[signs == 0] = 1.0
+        axis = axis * signs * (1.0 if axis[lead] >= 0 else -1.0)
+        norm = np.linalg.norm(axis)
+        if norm > 0:
+            axis = axis / norm
+        if angle >= math.pi:
+            axis = -axis if axis[lead] < 0 else axis
+        return axis * angle
+    return skew_part * (angle / math.sin(angle))
+
+
+def test_rotvec_from_matrix_matches_numpy_reference_bit_for_bit(rng):
+    for _ in range(2000):
+        v = rng.standard_normal(3)
+        rot = rotvec_to_matrix(v * rng.uniform(0.0, math.pi) / np.linalg.norm(v))
+        np.testing.assert_array_equal(rotvec_from_matrix(rot), numpy_rotvec_from_matrix(rot))
+
+
+# each angle on its intended side of a branch threshold (1e-7 and pi - 1e-6)
+# once computed back from the matrix's trace
+@pytest.mark.parametrize("angle, branch", [
+    (0.0, "zero"), (0.5e-7, "zero"), (2e-7, "generic"),
+    (math.pi - 2e-6, "generic"), (math.pi - 0.5e-6, "pi"), (math.pi, "pi"),
+])
+def test_rotvec_from_matrix_branches_match_numpy_reference(rng, angle, branch):
+    for _ in range(50):
+        v = rng.standard_normal(3)
+        rot = rotvec_to_matrix(v * angle / np.linalg.norm(v))
+        seen = math.acos(max(-1.0, min(1.0, (np.trace(rot) - 1.0) * 0.5)))
+        assert branch == ("zero" if seen < 1e-7 else "pi" if seen > math.pi - 1e-6 else "generic")
+        np.testing.assert_array_equal(rotvec_from_matrix(rot), numpy_rotvec_from_matrix(rot))
 
 
 def test_quat_matrix_roundtrip(rng):

@@ -116,6 +116,19 @@ def test_prediction_rows_hold_along_stage_rollout(rng, kind, n_p):
     np.testing.assert_allclose(pinned, dx.ravel(), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("x_rows, u_rows", [(2, 2), (3, 1), (3, 3)])
+def test_prediction_rejects_nominal_of_another_horizon(rng, x_rows, u_rows):
+    # 2 stages need 3 nominal states and 2 inputs; a 2-row x_hat would
+    # broadcast x_hat[:-1] over both stages without this check
+    nx, nu, n_p = 4, 2, 2
+    stages = LinearizedStage(A=np.eye(nx) + 0.1 * rng.standard_normal((n_p, nx, nx)),
+                             B=rng.standard_normal((n_p, nx, nu)),
+                             r=0.1 * rng.standard_normal((n_p, nx)))
+    with pytest.raises(ValueError, match="x_hat must be"):
+        build_prediction(stages, rng.standard_normal((x_rows, nx)),
+                         rng.standard_normal((u_rows, nu)))
+
+
 def test_prediction_defects_of_an_osc_rollout(desk_model, rng):
     # the rollout steps semi-implicitly, the stages explicitly: per stage the
     # velocity rows agree and the position rows differ by -dt^2 qdd_hat

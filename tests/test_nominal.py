@@ -77,6 +77,92 @@ def test_pinv_gram_path_matches_svd_path_at_threshold(rng, rows, side, rel_thres
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count np.linalg.eigh calls: the closed-form 3 x 3 path makes none."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+MARGIN = nominal._CLOSED_FORM_MARGIN
+
+
+@pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
+def test_pinv_closed_form_hands_off_at_its_margin(rng, eigh_calls, ratio, rel_threshold):
+    # 3 x 6 inputs whose Gram eigenvalues have lambda_min / (rel**2 lambda_max)
+    # = ratio: just around the closed-form path's hand-off margin, or just
+    # around the cut itself. Above the margin the Gram matrix is inverted in
+    # closed form (no eigh), below it eigh truncates; either way the result
+    # matches the SVD path within the Gram path's tolerance
+    tol = 100 * np.finfo(float).eps / rel_threshold**2
+    kept = 3 if ratio > 1 else 2
+    sigma = 3.0 * np.geomspace(1.0, rel_threshold * np.sqrt(ratio), 3)
+    for _ in range(20):
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        jac = (u * sigma) @ v.T
+        del eigh_calls[:]
+        gram_path = compact_svd_pinv(jac, rel_threshold)
+        assert len(eigh_calls) == (0 if ratio > MARGIN else 1)
+        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
+        assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
+def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):
+    # a rank-1 or all-zero 3 x 6 input: the closed form hands off, and eigh
+    # keeps the one direction or returns the zero matrix
+    tol = 100 * np.finfo(float).eps / rel_threshold**2
+    for _ in range(20):
+        jac = rank * 3.0 * np.outer(rng.standard_normal(3), rng.standard_normal(6))
+        gram_path = compact_svd_pinv(jac, rel_threshold)
+        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        assert gram_path.shape == (6, 3)
+        assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == rank
+        if rank == 0:
+            assert not gram_path.any()
+        else:
+            assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
+
+
+@pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
+def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, eigh_calls, ratio, rel_threshold):
+    # the task-space inertia's input J M^-1 J' (3 x 3, J 3 x 6), built so its
+    # eigenvalues have lambda_min / (rel lambda_max) = ratio; the truncation
+    # acts on the matrix's own eigenvalues, so a kept direction at the cut
+    # carries about eps / rel_threshold relative error
+    tol = 100 * np.finfo(float).eps / rel_threshold
+    kept = 3 if ratio > 1 else 2
+    lam = 3.0 * np.geomspace(1.0, rel_threshold * ratio, 3)
+    for _ in range(20):
+        a = rng.standard_normal((6, 6))
+        minv = a @ a.T + 6.0 * np.eye(6)
+        root = np.linalg.cholesky(minv)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        jac = np.linalg.solve(root.T, v @ (np.sqrt(lam)[:, None] * u.T)).T
+        sym = jac @ minv @ jac.T
+        del eigh_calls[:]
+        got = nominal._psd_pinv(sym, rel_threshold)
+        assert len(eigh_calls) == (0 if ratio > MARGIN else 1)
+        left, sv, right = np.linalg.svd(sym)
+        keep = sv >= rel_threshold * sv[0]
+        ref = (right[keep].T / sv[keep]) @ left[:, keep].T
+        assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(ref) == kept
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
 def test_pinv_bad_threshold():
     with pytest.raises(ValueError):
         compact_svd_pinv(np.eye(2), 1.5)
