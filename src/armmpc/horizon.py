@@ -29,7 +29,7 @@ class HorizonConfig:
     dt: float = 1e-3
     task_weight: float = 10.0  # on stacked task-error rows
     damping_weight: float = 1e-4  # on joint velocities
-    svd_threshold: float = 1e-2  # relative truncation of the nominal's pseudoinverses
+    svd_threshold: float = 1e-2  # relative cut: J_p's singular values (IK), J_p M^-1 J_p' eigenvalues (OSC)
 
     def __post_init__(self):
         if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 1):

@@ -3,12 +3,13 @@
 Two generators: prioritized inverse-kinematics rollouts for the kinematic
 controller, and hierarchical operational-space torque rollouts for the
 dynamic controller. Each step tracks one target pose (with an optional
-6-twist); every task level tracks its own rows of that pose. Both guard
-every pseudoinverse with the compact (truncated) SVD so commands stay
-bounded near singular configurations. The task hierarchy is resolved once
-per rollout or single-step call (_levels), and each step writes every
-level's projected Jacobian and error in place into its rows of the
-per-step stack that the MPC cost linearizes around.
+6-twist); every task level tracks its own rows of that pose. Both run one
+task-priority recursion (_prioritize), weighted by the identity for the IK
+and by M^-1 for the OSC, whose truncated level inverses keep commands
+bounded near singular configurations. The hierarchy is resolved once per
+rollout or single-step call (_levels), and each step writes every level's
+projected Jacobian and error in place into its rows of the per-step stack
+that the MPC cost linearizes around.
 """
 
 from __future__ import annotations
@@ -86,12 +87,24 @@ class PostureSpec:
     kp: np.ndarray
     kd: np.ndarray
 
+    def __post_init__(self):
+        for name in ("q_des", "kp", "kd"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or arr.shape != np.shape(self.q_des):
+                raise ValueError(f"{name} must be a vector as long as q_des")
+            if not np.all(np.isfinite(arr) & ((arr >= 0) | (name == "q_des"))):
+                raise ValueError(f"{name} must be finite" + ("" if name == "q_des" else " and nonnegative"))
+            object.__setattr__(self, name, arr)
+
 
 def default_posture(q_des) -> PostureSpec:
+    """The reference posture impedance about q_des; joints past the sixth take its gains."""
+    q_des = np.asarray(q_des, dtype=float)
+    joint = np.minimum(np.arange(q_des.size), 5)
     return PostureSpec(
-        q_des=np.asarray(q_des, dtype=float),
-        kp=np.array([100.0, 100.0, 100.0, 50.0, 50.0, 1.0][: len(q_des)]),
-        kd=np.array([3.0, 5.0, 5.0, 0.2, 0.2, 0.1][: len(q_des)]),
+        q_des=q_des,
+        kp=np.array([100.0, 100.0, 100.0, 50.0, 50.0, 1.0])[joint],
+        kd=np.array([3.0, 5.0, 5.0, 0.2, 0.2, 0.1])[joint],
     )
 
 
@@ -139,13 +152,10 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
 
     Singular values below rel_threshold * sigma_max are dropped, bounding
     the inverse's norm near singularities. All-zero input (or everything
-    truncated) yields the zero matrix. Up to 3 rows take the Gram shortcut
-    J' pinv(J J') through _psd_pinv, with the cut at rel_threshold**2 on the
-    Gram eigenvalues: a 3-row Gram matrix whose eigenvalues all clear that
-    cut by _psd_pinv's margin is inverted in closed form, anything nearer
-    the cut (or with fewer rows) is eigendecomposed. Kept directions are far
-    from the squared floor by construction, so the result matches the SVD
-    path.
+    truncated) yields the zero matrix. Up to 3 rows (and no more than
+    columns) take the Gram shortcut J' pinv(J J') through _psd_pinv, the cut
+    at rel_threshold**2 on the Gram eigenvalues; kept directions are far
+    from that squared floor by construction, so it matches the SVD path.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
@@ -212,11 +222,11 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     return (basis / vals[keep]) @ basis.T
 
 
-def _levels(tasks) -> tuple[tuple, int]:
+def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The task hierarchy resolved once: one (rows, out, gain, kp, kd) per
     level in priority order, with rows the level's rows of the 6-pose, out
-    its rows in the stacked task Jacobian and error, and the default OSC
-    gains filled in; and n_g, the stacked row count."""
+    its rows of the stacks and the default OSC gains filled in; and the
+    empty (steps, n_g, n) projected-Jacobian and (steps, n_g) error stacks."""
     levels = []
     n_g = 0
     for task in sorted(tasks, key=lambda t: t.priority):
@@ -225,7 +235,35 @@ def _levels(tasks) -> tuple[tuple, int]:
                        task.kp if task.kp is not None else np.full(dim, 100.0),
                        task.kd if task.kd is not None else np.full(dim, 10.0)))
         n_g += dim
-    return tuple(levels), n_g
+    if not levels:
+        raise ValueError("the task hierarchy needs at least one level")
+    return tuple(levels), np.empty((steps, n_g, n)), np.empty((steps, n_g))
+
+
+def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
+                err_out: np.ndarray, minv=None, last_projector: bool = False):
+    """The task-priority recursion, the one walk over the task levels.
+
+    Per level in priority order: writes its error rows and projected
+    Jacobian J_p = J P into err_out and jac_out, and yields (level, J_p,
+    lam, jbar, P - jbar J_p), with lam the inverse of J_p W J_p' truncated
+    below floor * lambda_max and jbar = W J_p' lam. The metric W is minv
+    (the OSC's dynamically consistent inverse; Khatib, 1987) or, if None,
+    the identity (the IK's; Siciliano & Slotine, 1991). P starts as the
+    identity, never formed; the last projector is None unless asked for.
+    """
+    proj = None
+    last = len(levels) - 1
+    for i, level in enumerate(levels):
+        rows, out = level[0], level[1]
+        err_out[out] = err_full[rows]
+        jac_proj = jac_out[out] = jac_full[rows] if proj is None else jac_full[rows] @ proj
+        w_jt = jac_proj.T if minv is None else minv @ jac_proj.T
+        lam = _psd_pinv(jac_proj @ w_jt, floor)
+        jbar = w_jt @ lam
+        wanted = i < last or last_projector
+        proj = ((np.eye(jac_full.shape[1]) if proj is None else proj) - jbar @ jac_proj) if wanted else None
+        yield level, jac_proj, lam, jbar, proj
 
 
 def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold: float,
@@ -233,16 +271,15 @@ def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold
     """Joint velocity command executing the task hierarchy at configuration q.
 
     Every level tracks its selected rows of the one target pose. Recursion
-    over priority levels: each level's correction is computed with the
-    truncated-SVD pseudoinverse of its projected Jacobian and leaves all
-    higher-priority task velocities untouched. An optional 6-twist adds a
-    task velocity feedforward on top of the proportional error term.
+    over priority levels: each level's correction goes through the
+    pseudoinverse of its projected Jacobian, with singular values below
+    rel_threshold * sigma_max truncated, and leaves all higher-priority task
+    velocities untouched. An optional 6-twist adds a task velocity
+    feedforward on top of the proportional error term.
     """
-    levels, n_g = _levels(tasks)
-    if twist is not None:
-        twist = np.asarray(twist, dtype=float)
-    return _ik_step(model, q, levels, target, rel_threshold, twist,
-                    np.empty((n_g, model.n)), np.empty(n_g))
+    levels, jac, err = _levels(tasks, 1, model.n)
+    twist = None if twist is None else np.asarray(twist, dtype=float)
+    return _ik_step(model, q, levels, target, rel_threshold, twist, jac[0], err[0])
 
 
 def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
@@ -251,18 +288,13 @@ def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
     Jacobian and error into its rows of jac_out and err_out."""
     rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
-    qd = np.zeros(model.n)
-    proj = None  # the identity, until the first level has acted
-    for rows, out, gain, _, _ in levels:
-        jac_t = jac_full[rows]
-        err = err_out[out] = err_full[rows]
-        ref_vel = gain * err
-        if twist is not None:
-            ref_vel = ref_vel + twist[rows]
-        jac_proj = jac_out[out] = jac_t if proj is None else jac_t @ proj
-        pinv = compact_svd_pinv(jac_proj, rel_threshold)
-        qd = qd + pinv @ (ref_vel - jac_t @ qd)
-        proj = (np.eye(model.n) if proj is None else proj) - pinv @ jac_proj
+    qd = None
+    # the cut at rel_threshold**2 on J_p J_p' is the cut at rel_threshold on
+    # J_p's singular values; a negative rel_threshold clips to 0, rejected
+    for (rows, _, gain, _, _), _, _, jbar, _ in _prioritize(
+            levels, jac_full, err_full, max(rel_threshold, 0.0)**2, jac_out, err_out):
+        ref_vel = gain * err_full[rows] if twist is None else gain * err_full[rows] + twist[rows]
+        qd = jbar @ ref_vel if qd is None else qd + jbar @ (ref_vel - jac_full[rows] @ qd)
     return qd
 
 
@@ -275,14 +307,10 @@ def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
-    if steps < 1:
-        raise ValueError("window must contain at least one target")
     n = model.n
-    levels, n_g = _levels(tasks)
+    levels, j_stack, err_stack = _levels(tasks, steps, n)
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
-    j_stack = np.empty((steps, n_g, n))
-    err_stack = np.empty((steps, n_g))
     q = model.check_q(q0).copy()
     for k in range(steps):
         qd = _ik_step(model, q, levels, poses[k], rel_threshold, twists[k],
@@ -295,15 +323,12 @@ def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
 
 
 def _window_arrays(window):
-    """Accept a list of Poses or of (Pose, twist-or-None) pairs; return the
-    poses and one twist (or None) per step."""
-    poses = []
-    twists = []
-    for item in window:
-        pose, twist = (item, None) if isinstance(item, Pose) else item
-        poses.append(pose)
-        twists.append(None if twist is None else np.asarray(twist, dtype=float))
-    return poses, twists
+    """Accept a non-empty list of Poses or of (Pose, twist-or-None) pairs;
+    return the poses and one twist (or None) per step."""
+    pairs = [(item, None) if isinstance(item, Pose) else item for item in window]
+    if not pairs:
+        raise ValueError("window must contain at least one target")
+    return [p for p, _ in pairs], [None if t is None else np.asarray(t, dtype=float) for _, t in pairs]
 
 
 def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: float,
@@ -317,11 +342,9 @@ def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: flo
     in the final null space, and the bias forces are compensated exactly.
     """
     st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
-    levels, n_g = _levels(tasks)
-    if twist is not None:
-        twist = np.asarray(twist, dtype=float)
-    return _osc_torque(st, levels, target, rel_threshold, posture, twist,
-                       np.empty((n_g, model.n)), np.empty(n_g))
+    levels, jac, err = _levels(tasks, 1, model.n)
+    twist = None if twist is None else np.asarray(twist, dtype=float)
+    return _osc_torque(st, levels, target, rel_threshold, posture, twist, jac[0], err[0])
 
 
 def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
@@ -331,35 +354,24 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     caller, over resolved levels; writes each level's projected Jacobian and
     error into its rows of jac_out and err_out."""
     q, qd = st.q, st.qd
-    n = st.chain.n
-    minv = st.minv
     *_, rot_c, pos_c = st.frames
     jac_full = st.jacobian()
     jdot_full = st.jacobian_dot()
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
 
-    u = np.zeros(n)
-    proj = None  # the identity, until the first level has acted
-    for rows, out, _, kp, kd in levels:
-        jac_t = jac_full[rows]
-        err = err_out[out] = err_full[rows]
-        vel = jac_t @ qd
-        ref_vel = np.zeros(kp.size) if twist is None else twist[rows]
-        acc_des = kd * (ref_vel - vel) + kp * err
-
-        jac_proj = jac_out[out] = jac_t if proj is None else jac_t @ proj
-        minv_jt = minv @ jac_proj.T
-        # task-space inertia: the truncated inverse of the symmetric
-        # J_p M^-1 J_p', cut on its own eigenvalues
-        lam = _psd_pinv(jac_proj @ minv_jt, rel_threshold)
-        force = lam @ (acc_des - jdot_full[rows] @ qd)
-        u = u + jac_proj.T @ force
-        jbar = minv_jt @ lam  # dynamically consistent inverse
-        proj = (np.eye(n) if proj is None else proj) - jbar @ jac_proj
+    u = None
+    # lam is the task-space inertia, the inverse of J_p M^-1 J_p' truncated
+    # on its own eigenvalues; proj is left at the last level's projector
+    for (rows, _, _, kp, kd), jac_proj, lam, _, proj in _prioritize(
+            levels, jac_full, err_full, rel_threshold, jac_out, err_out, st.minv,
+            last_projector=posture is not None):
+        vel = jac_full[rows] @ qd
+        acc_des = kd * (-vel if twist is None else twist[rows] - vel) + kp * err_full[rows]
+        tau = jac_proj.T @ (lam @ (acc_des - jdot_full[rows] @ qd))
+        u = tau if u is None else u + tau
 
     if posture is not None:
-        tau_posture = posture.kp * (posture.q_des - q) - posture.kd * qd
-        u = u + (tau_posture if proj is None else proj.T @ tau_posture)
+        u = u + proj.T @ (posture.kp * (posture.q_des - q) - posture.kd * qd)
     return u + st.bias
 
 
@@ -375,23 +387,18 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
-    if steps < 1:
-        raise ValueError("window must contain at least one target")
     n = model.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2 * n,):
         raise ValueError(f"x0 must have shape ({2 * n},)")
     u_max = model.limits.u_max
-    levels, n_g = _levels(tasks)
+    levels, j_stack, err_stack = _levels(tasks, steps, n)
 
     x_hat = np.empty((steps, 2 * n))
     u_hat = np.empty((steps - 1, n))
     qdd_hat = np.empty_like(u_hat)
-    j_stack = np.empty((steps, n_g, n))
-    err_stack = np.empty((steps, n_g))
     states = []
-    q = x0[:n].copy()
-    qd = x0[n:].copy()
+    q, qd = x0[:n].copy(), x0[n:].copy()
     for k in range(steps):
         x_hat[k] = np.concatenate([q, qd])
         st = RigidBodyState(model, q, qd)
@@ -402,13 +409,6 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
             u = np.clip(u, -u_max, u_max)
             u_hat[k] = u
             q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
-    return NominalRollout(
-        q_hat=x_hat[:, :n],
-        qd_hat=x_hat[:, n:],
-        j_stack=j_stack,
-        err_stack=err_stack,
-        u_hat=u_hat,
-        x_hat=x_hat,
-        qdd_hat=qdd_hat,
-        states=tuple(states),
-    )
+    return NominalRollout(q_hat=x_hat[:, :n], qd_hat=x_hat[:, n:], j_stack=j_stack,
+                          err_stack=err_stack, u_hat=u_hat, x_hat=x_hat, qdd_hat=qdd_hat,
+                          states=tuple(states))

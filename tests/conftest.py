@@ -171,6 +171,15 @@ def desk_model_large():
     return load_bundled_model("rs020n")
 
 
+@pytest.fixture(scope="session")
+def seven_joint_model(desk_model):
+    """rs007n with its last joint and link repeated: a seventh wrist joint."""
+    return RobotModel(joints=desk_model.joints + desk_model.joints[-1:],
+                      links=desk_model.links + desk_model.links[-1:],
+                      gravity=desk_model.gravity, ee_transform=desk_model.ee_transform,
+                      name="rs007n_7")
+
+
 @pytest.fixture
 def chain_counts(monkeypatch):
     """Count joint passes (chain states built), mass-matrix factorizations and

@@ -186,6 +186,13 @@ def test_ik_step_zero_error(desk_model, rng):
     np.testing.assert_allclose(qd, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rel_threshold", [-0.5, 0.0, 1.5])
+def test_ik_step_bad_threshold(desk_model, rel_threshold):
+    pose = forward_kinematics(desk_model, np.zeros(6))
+    with pytest.raises(ValueError):
+        prioritized_ik_step(desk_model, np.zeros(6), pos_ori_tasks(), pose, rel_threshold)
+
+
 def test_ik_step_single_task_is_pinv(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
@@ -242,46 +249,93 @@ def test_ik_rollout_degenerate_window(desk_model, rng):
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
 
-def hand_projected_stack(jac, order, rel_threshold, minv=None):
+def hand_recursion(jac, err, tasks, rel_threshold, minv=None):
     """Projected task Jacobians of the levels' pose rows in priority order,
     through the IK projector I - J+ J, or the dynamically consistent one
-    I - M^-1 J^T (J M^-1 J^T)+ J when minv is given."""
+    I - M^-1 J^T (J M^-1 J^T)+ J when minv is given; and the IK's joint
+    velocity, each level adding J_p+ (gain e - J qd)."""
     proj = np.eye(jac.shape[1])
+    qd = np.zeros(jac.shape[1])
     blocks = []
-    for rows in order:
-        jac_proj = jac[rows] @ proj
+    for task in sorted(tasks, key=lambda t: t.priority):
+        jac_t = jac[task.rows]
+        jac_proj = jac_t @ proj
         blocks.append(jac_proj)
         if minv is None:
-            proj = proj - compact_svd_pinv(jac_proj, rel_threshold) @ jac_proj
+            jbar = compact_svd_pinv(jac_proj, rel_threshold)
+            qd = qd + jbar @ (task.gain * err[task.rows] - jac_t @ qd)
         else:
-            lam = compact_svd_pinv(jac_proj @ minv @ jac_proj.T, rel_threshold)
-            proj = proj - minv @ jac_proj.T @ lam @ jac_proj
-    return np.vstack(blocks)
+            jbar = minv @ jac_proj.T @ compact_svd_pinv(jac_proj @ minv @ jac_proj.T, rel_threshold)
+        proj = proj - jbar @ jac_proj
+    return np.vstack(blocks), qd
 
 
-@pytest.mark.parametrize("first", [POSITION, ORIENTATION])
-def test_rollout_stacks_match_hand_built_projection(desk_model, rng, first):
-    # levels passed out of priority order; the stacks follow the priorities
+HIERARCHIES = {  # the two orders of position and orientation by their first level
+    "position": (POSITION, ORIENTATION),
+    "orientation": (ORIENTATION, POSITION),
+    "full_pose": (FULL_POSE,),
+    # nothing is left for the third level: its projected Jacobian is
+    # roundoff, which the relative cut keeps (see the xfail test below)
+    "position-orientation-full_pose": (POSITION, ORIENTATION, FULL_POSE),
+}
+
+
+@pytest.mark.parametrize("selectors", HIERARCHIES.values(), ids=HIERARCHIES.keys())
+def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
+    # levels passed in reverse priority order; the stacks follow the priorities
     q = random_config(desk_model, rng)
     qd = 0.2 * rng.standard_normal(6)
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
-    second = ORIENTATION if first == POSITION else POSITION
-    tasks = (TaskSpec(priority=2, selector=second, gain=3.0),
-             TaskSpec(priority=1, selector=first, gain=5.0))
-    order = [tasks[1].rows, tasks[0].rows]
+    tasks = tuple(TaskSpec(priority=level + 1, selector=selector, gain=5.0 - 2.0 * level)
+                  for level, selector in reversed(list(enumerate(selectors))))
     jac = geometric_jacobian(desk_model, q)
     err = task_error(target, forward_kinematics(desk_model, q)).value
-    err_hand = np.concatenate([err[rows] for rows in order])
+    err_hand = np.concatenate([err[task.rows] for task in tasks[::-1]])
+    stack_hand, qd_hand = hand_recursion(jac, err, tasks, 1e-2)
 
     ik = ik_rollout(desk_model, q, [target] * 3, 1e-3, 1e-2, tasks)
-    np.testing.assert_allclose(ik.j_stack[0], hand_projected_stack(jac, order, 1e-2), atol=1e-12)
+    np.testing.assert_allclose(ik.j_stack[0], stack_hand, atol=1e-12)
     np.testing.assert_allclose(ik.err_stack[0], err_hand, atol=1e-12)
+    # the reference inverts a level of more than 3 rows by SVD, the IK by its
+    # Gram matrix, whose squared condition number bounds the difference
+    svd_path = FULL_POSE in selectors
+    tol = 100 * np.finfo(float).eps / 1e-2**2 * np.abs(qd_hand).max() if svd_path else 1e-12
+    qd_ik = prioritized_ik_step(desk_model, q, tasks, target, 1e-2)
+    assert np.abs(qd_ik - qd_hand).max() <= tol
 
     minv = np.linalg.inv(mass_matrix(desk_model, q))
     osc = osc_rollout(desk_model, np.concatenate([q, qd]), [target] * 3, 1e-3, 1e-2, tasks)
-    np.testing.assert_allclose(osc.j_stack[0], hand_projected_stack(jac, order, 1e-2, minv),
+    np.testing.assert_allclose(osc.j_stack[0], hand_recursion(jac, err, tasks, 1e-2, minv)[0],
                                atol=1e-9)
     np.testing.assert_allclose(osc.err_stack[0], err_hand, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="a level with no freedom left inverts the roundoff "
+                                       "of its projected Jacobian")
+def test_ik_level_without_freedom_adds_nothing(desk_model, rng):
+    # after position and orientation no joint motion is left on six joints,
+    # so a full-pose third level should leave the command as it is
+    q = random_config(desk_model, rng)
+    target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
+    two = pos_ori_tasks()
+    three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
+    np.testing.assert_allclose(prioritized_ik_step(desk_model, q, three, target, 1e-2),
+                               prioritized_ik_step(desk_model, q, two, target, 1e-2), atol=1e-9)
+
+
+@pytest.mark.parametrize("field, value", [("kp", np.ones(5)), ("kd", [1.0, np.nan, 1, 1, 1, 1]),
+                                          ("kp", -np.ones(6)), ("q_des", np.full(6, np.inf))],
+                         ids=["kp-short", "kd-nan", "kp-negative", "q_des-inf"])
+def test_posture_spec_rejects_bad_fields(field, value):
+    fields = {"q_des": np.zeros(6), "kp": np.ones(6), "kd": np.ones(6), field: value}
+    with pytest.raises(ValueError, match=field):
+        PostureSpec(**fields)
+
+
+def test_default_posture_gives_extra_joints_the_sixth_gains():
+    posture = default_posture(np.zeros(8))
+    np.testing.assert_allclose(posture.kp, [100, 100, 100, 50, 50, 1, 1, 1])
+    np.testing.assert_allclose(posture.kd, [3, 5, 5, 0.2, 0.2, 0.1, 0.1, 0.1])
 
 
 @pytest.mark.parametrize("field, value", [("gain", np.inf), ("gain", np.nan),
@@ -290,6 +344,15 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, first):
 def test_task_spec_rejects_non_finite_gains(field, value):
     with pytest.raises(ValueError, match=field):
         TaskSpec(priority=1, selector=POSITION, **{field: value})
+
+
+@pytest.mark.parametrize("call", [prioritized_ik_step, osc_torque], ids=lambda f: f.__name__)
+def test_empty_hierarchy_is_rejected(desk_model, call):
+    q = np.zeros(6)
+    pose = forward_kinematics(desk_model, q)
+    args = (q,) if call is prioritized_ik_step else (q, q)
+    with pytest.raises(ValueError, match="at least one level"):
+        call(desk_model, *args, (), pose, 1e-2)
 
 
 @pytest.mark.parametrize("call", ["prioritized_ik_step", "osc_torque"])

@@ -143,6 +143,16 @@ def test_run_scenario_kin_mpc_short(desk_model_large):
     assert np.all(np.isfinite(out.cmd))
 
 
+@pytest.mark.parametrize("controller", ["osc", "dyn_mpc"])
+def test_torque_controllers_run_past_six_joints(seven_joint_model, controller):
+    # circle_2dof pads q0 to the model's joints; the posture gains must too
+    cfg = default_scenario_config("circle_2dof", controller)
+    cfg.max_ticks = 3
+    out = run_scenario("circle_2dof", controller, seven_joint_model, cfg)
+    assert out.cmd.shape == (3, 7)
+    assert np.all(np.isfinite(out.cmd))
+
+
 def test_ik_baseline_sequence_matches_rollout(desk_model_large):
     from armmpc.trajgen import SINGULARITY_START_CONFIG
 
