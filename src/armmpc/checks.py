@@ -129,48 +129,46 @@ def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,
     return CheckResult("qp_vs_enumeration", True, worst, tol, f"{n_problems} problems")
 
 
+def _central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central finite differences of fn at x, column j (fn(x + h e_j) - fn(x - h e_j)) / 2h."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((fn(x + e) - fn(x - e)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
 def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
     """Central finite differences of inverse dynamics, d tau/dq and d tau/dqd."""
+    return (_central_difference(lambda x: inverse_dynamics(model, x, qd, qdd), q, h),
+            _central_difference(lambda x: inverse_dynamics(model, q, x, qdd), qd, h))
+
+
+def _random_states(model: RobotModel, n_states: int, seed: int):
+    """n_states random (q, qd, u) inside the joint ranges, each with the
+    derivative blocks at the accelerations that u drives."""
+    rng = np.random.default_rng(seed)
     n = model.n
-    dtau_dq = np.empty((n, n))
-    dtau_dqd = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        dtau_dq[:, j] = (inverse_dynamics(model, q + e, qd, qdd) - inverse_dynamics(model, q - e, qd, qdd)) / (2 * h)
-        dtau_dqd[:, j] = (inverse_dynamics(model, q, qd + e, qdd) - inverse_dynamics(model, q, qd - e, qdd)) / (2 * h)
-    return dtau_dq, dtau_dqd
+    lo, hi = model.limits.q_min, model.limits.q_max
+    for _ in range(n_states):
+        q = lo + (hi - lo) * (0.1 + 0.8 * rng.random(n))
+        qd = rng.standard_normal(n)
+        u = 10.0 * rng.standard_normal(n)
+        yield q, qd, u, dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
 
 
 def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: int = 0,
                                   tol: float = 1e-5) -> CheckResult:
     """Analytic forward-dynamics derivatives vs central finite differences."""
-    rng = np.random.default_rng(seed)
-    n = model.n
-    lo, hi = model.limits.q_min, model.limits.q_max
     worst = 0.0
     h = 1e-6
-    for i in range(n_states):
-        q = lo + (hi - lo) * (0.1 + 0.8 * rng.random(n))
-        qd = rng.standard_normal(n)
-        u = 10.0 * rng.standard_normal(n)
-        qdd = forward_dynamics(model, q, qd, u)
-        der = dynamics_derivatives(model, q, qd, qdd)
-        for block, wrt in ((der.dqdd_dq, "q"), (der.dqdd_dqd, "qd"), (der.dqdd_du, "u")):
-            fd = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h
-                if wrt == "q":
-                    hi_v = forward_dynamics(model, q + e, qd, u)
-                    lo_v = forward_dynamics(model, q - e, qd, u)
-                elif wrt == "qd":
-                    hi_v = forward_dynamics(model, q, qd + e, u)
-                    lo_v = forward_dynamics(model, q, qd - e, u)
-                else:
-                    hi_v = forward_dynamics(model, q, qd, u + e)
-                    lo_v = forward_dynamics(model, q, qd, u - e)
-                fd[:, j] = (hi_v - lo_v) / (2 * h)
+    for i, (q, qd, u, der) in enumerate(_random_states(model, n_states, seed)):
+        for block, wrt, fn, x in (
+                (der.dqdd_dq, "q", lambda x: forward_dynamics(model, x, qd, u), q),
+                (der.dqdd_dqd, "qd", lambda x: forward_dynamics(model, q, x, u), qd),
+                (der.dqdd_du, "u", lambda x: forward_dynamics(model, q, qd, x), u)):
+            fd = _central_difference(fn, x, h)
             rel = float(np.linalg.norm(block - fd) / (1.0 + np.linalg.norm(fd)))
             worst = max(worst, rel)
             if rel > tol:
@@ -182,16 +180,8 @@ def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: 
 def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
                        tol: float = 1e-10) -> CheckResult:
     """Forward/inverse derivative identity dqdd_dx = -Minv dtau_dx."""
-    rng = np.random.default_rng(seed)
-    n = model.n
-    lo, hi = model.limits.q_min, model.limits.q_max
     worst = 0.0
-    for i in range(n_states):
-        q = lo + (hi - lo) * (0.1 + 0.8 * rng.random(n))
-        qd = rng.standard_normal(n)
-        u = 10.0 * rng.standard_normal(n)
-        qdd = forward_dynamics(model, q, qd, u)
-        der = dynamics_derivatives(model, q, qd, qdd)
+    for i, (_, _, _, der) in enumerate(_random_states(model, n_states, seed)):
         for dfd, did in ((der.dqdd_dq, der.dtau_dq), (der.dqdd_dqd, der.dtau_dqd)):
             res = float(np.linalg.norm(dfd + der.minv @ did) / (1.0 + np.linalg.norm(did)))
             worst = max(worst, res)

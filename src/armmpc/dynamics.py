@@ -8,13 +8,14 @@ Dynamics Algorithms, 2008, the Jacobian forms of M and C qd). Forward
 dynamics solves M qdd = u - b through a Cholesky factorization (LAPACK
 dpotrf/dpotrs, never an explicit inverse).
 
-Recursive Newton-Euler, in spatial vector algebra, stays as the reference
-inverse dynamics and as the core of the derivatives that trajectory
-linearization needs: those are produced analytically by differentiating the
-Newton-Euler recursions, batched over a stack of states, so one pass with
-(B, 6, 2n) intermediates linearizes a whole horizon and a single state is a
-batch of one; their finite-difference oracle lives in checks.py. Spatial
-vectors are ordered [angular; linear] and expressed in body frames.
+Inverse dynamics and the derivatives that trajectory linearization needs
+come from one recursive Newton-Euler pass in spatial vector algebra, batched
+over a stack of states: it carries each link force beside its derivatives by
+q and qd (Carpentier & Mansard, Analytical derivatives of rigid body dynamics
+algorithms, 2018), so one pass linearizes a whole horizon and a single state,
+or a single inverse-dynamics call, is a batch of one. Its finite-difference
+oracle lives in checks.py. Spatial vectors are ordered [angular; linear] and
+expressed in body frames.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ _ICRF_SLOTS = _cross_slots(((0, 0, 0, -1.0), (0, 3, 3, -1.0), (3, 0, 3, -1.0)))
 def _icrf(f: np.ndarray) -> np.ndarray:
     """Matrix form of the force cross product in its first argument.
 
-    Satisfies _icrf(f) @ m = _crf(m) @ f for all motion vectors m; f is one
-    6-vector or a (..., 6) stack, giving (..., 6, 6).
+    Satisfies _icrf(f) @ m = -_crm(m)' @ f, the force cross product m x* f,
+    for all motion vectors m; f is one 6-vector or a (..., 6) stack, giving
+    (..., 6, 6).
     """
     return _cross_operator(np.asarray(f), _ICRF_SLOTS)
 
@@ -77,8 +79,8 @@ class RigidBodyState(ChainState):
 
     The mass matrix, its Cholesky factor, the bias and the gravity forces
     derive on first use from the world frames of the joint pass; the motion
-    transforms X_k behind the Newton-Euler passes (inverse dynamics and the
-    derivatives) are built only when those ask for them.
+    transforms X_k behind the Newton-Euler pass (inverse dynamics and its
+    derivatives) are built only when that asks for them.
     """
 
     @cached_property
@@ -186,37 +188,9 @@ class RigidBodyState(ChainState):
         return self.q + dt * qd, qd, qdd
 
     def inverse_dynamics(self, qdd: np.ndarray) -> np.ndarray:
-        """Recursive Newton-Euler: u = M(q) qdd + b(q, qd)."""
-        return self._rnea(self.qd, qdd)
-
-    def _rnea(self, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
-        """Newton-Euler passes at this state's q and the given qd and qdd."""
-        c = self.chain
-        xs = self.xs
-        n = c.n
-        v = np.zeros((n, 6))
-        a = np.zeros((n, 6))
-        f = np.zeros((n, 6))
-        v_prev = np.zeros(6)
-        a_prev = c.a_base
-        for k in range(n):
-            s = c.subspace[k]
-            vj = s * qd[k]
-            v[k] = xs[k] @ v_prev + vj
-            crm_v = _crm(v[k])
-            crf_v = -crm_v.T
-            a[k] = xs[k] @ a_prev + s * qdd[k] + crm_v @ vj
-            iv = c.inertia[k] @ v[k]
-            f[k] = c.inertia[k] @ a[k] + crf_v @ iv
-            v_prev = v[k]
-            a_prev = a[k]
-
-        u = np.empty(n)
-        for k in range(n - 1, -1, -1):
-            u[k] = c.subspace[k] @ f[k]
-            if k > 0:
-                f[k - 1] += xs[k].T @ f[k]
-        return u
+        """Recursive Newton-Euler: u = M(q) qdd + b(q, qd), as a batch of one."""
+        qdd = np.asarray(qdd, dtype=float)
+        return _rnea(self.chain, self.xs[None], self.qd[None], qdd[None])[0, :, -1]
 
     def derivatives(self, qdd: np.ndarray) -> DynamicsDerivatives:
         """All dynamics derivative blocks at (q, qd, qdd), as a batch of one."""
@@ -232,8 +206,8 @@ def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
     returned with a leading batch axis.
     """
     n = states[0].chain.n
-    dtau = _rnea_derivatives(states[0].chain, np.stack([st.xs for st in states]),
-                             np.array([st.qd for st in states]), qdd)
+    dtau = _rnea(states[0].chain, np.stack([st.xs for st in states]),
+                 np.array([st.qd for st in states]), qdd)[:, :, :-1]
     minv = np.array([st.minv for st in states])
     minv = 0.5 * (minv + minv.transpose(0, 2, 1))
     dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)
@@ -247,13 +221,15 @@ def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
     )
 
 
-def _rnea_derivatives(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
-    """d(inverse dynamics)/d[q, qd] at a stack of B states, shape (B, n, 2n).
+def _rnea(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
+    """Inverse dynamics and its derivatives at a stack of B states,
+    [d tau/dq | d tau/dqd | tau], shape (B, n, 2n + 1).
 
-    Differentiates the Newton-Euler passes for all states at once: xs is the
-    (B, n, 6, 6) stack of motion transforms, qd and qdd are (B, n). Columns
-    0..n-1 of every (B, 6, 2n) intermediate are derivatives by q, columns
-    n..2n-1 by qd; the only Python loops run over the joints.
+    The Newton-Euler passes and their derivatives for all states at once
+    (Carpentier & Mansard, 2018): xs is the (B, n, 6, 6) stack of motion
+    transforms, qd and qdd are (B, n). Columns 0..n-1 of every (B, 6, 2n)
+    intermediate are derivatives by q, columns n..2n-1 by qd; the only
+    Python loops run over the joints.
     """
     b, n = qd.shape
     v_prev = np.zeros((b, 6))
@@ -290,15 +266,15 @@ def _rnea_derivatives(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) ->
         forces.append(blk)
         v_prev, a_prev, dv_prev, da_prev = v, a, dv, da
 
-    dtau = np.empty((b, n, 2 * n))
+    tau = np.empty((b, n, 2 * n + 1))
     for k in range(n - 1, -1, -1):
         blk = forces[k]
-        dtau[:, k] = chain.subspace[k] @ blk[:, :, :-1]
+        tau[:, k] = chain.subspace[k] @ blk
         if k > 0:
             # the joint-k rotation also turns the force passed to the parent
             blk[:, :, k] -= blk[:, :, -1] @ chain.crm_s[k]
             forces[k - 1] += xs[:, k].transpose(0, 2, 1) @ blk
-    return dtau
+    return tau
 
 
 def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:

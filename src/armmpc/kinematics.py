@@ -184,11 +184,6 @@ def _crm(v: np.ndarray) -> np.ndarray:
     return _cross_operator(np.asarray(v), _CRM_SLOTS)
 
 
-def _crf(v: np.ndarray) -> np.ndarray:
-    """Force cross-product operator: _crf(v) = -_crm(v).T, batched like _crm."""
-    return -np.swapaxes(_crm(v), -1, -2)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -203,12 +198,14 @@ class Pose:
         q = np.asarray(self.quaternion, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-            raise ValueError("quaternion is not unit norm")
+        if not abs(math.hypot(*q.tolist()) - 1.0) <= 1e-9:
+            raise ValueError("quaternion is not finite with unit norm")
         object.__setattr__(self, "quaternion", _frozen(canonical_quat(q)))
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,):
             raise ValueError(f"translation must have shape (3,), got {t.shape}")
+        if not all(map(math.isfinite, t.tolist())):
+            raise ValueError("translation has non-finite entries")
         object.__setattr__(self, "translation", _frozen(t))
 
     @staticmethod
@@ -284,7 +281,7 @@ class _Chain:
         self.subspace = np.hstack([np.where(self.rev, self.axes, 0.0),
                                    np.where(self.rev, 0.0, self.axes)])
         # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s,
-        # _crf(s) = -crm_s.T
+        # and the force cross operator of s is -crm_s.T
         self.crm_s = _crm(self.subspace)
         # gravity enters as a fictitious base acceleration -g
         self.a_base = np.zeros(6)

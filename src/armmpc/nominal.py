@@ -240,6 +240,14 @@ def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuple(levels), np.empty((steps, n_g, n)), np.empty((steps, n_g))
 
 
+# A level after the first whose projected Jacobian is below this fraction of
+# its own rows (Frobenius norms) has no freedom left: the levels above span
+# its rows, and a cut relative to J_p's own scale would invert the roundoff
+# of J P. That roundoff reads 1e-16..2e-9 of J on the bundled arms, and a
+# second level of position/orientation 0.25 and above (see CHANGES.md).
+_NO_FREEDOM = 1e-8
+
+
 def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
                 err_out: np.ndarray, minv=None, last_projector: bool = False):
     """The task-priority recursion, the one walk over the task levels.
@@ -251,13 +259,19 @@ def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
     (the OSC's dynamically consistent inverse; Khatib, 1987) or, if None,
     the identity (the IK's; Siciliano & Slotine, 1991). P starts as the
     identity, never formed; the last projector is None unless asked for.
+    A level with no freedom left (_NO_FREEDOM) gets J_p = 0, so lam = 0,
+    jbar = 0 and P passes on unchanged.
     """
     proj = None
     last = len(levels) - 1
     for i, level in enumerate(levels):
         rows, out = level[0], level[1]
         err_out[out] = err_full[rows]
-        jac_proj = jac_out[out] = jac_full[rows] if proj is None else jac_full[rows] @ proj
+        jac = jac_full[rows]
+        jac_proj = jac if proj is None else jac @ proj
+        if proj is not None and np.vdot(jac_proj, jac_proj) <= _NO_FREEDOM**2 * np.vdot(jac, jac):
+            jac_proj = np.zeros_like(jac_proj)
+        jac_out[out] = jac_proj
         w_jt = jac_proj.T if minv is None else minv @ jac_proj.T
         lam = _psd_pinv(jac_proj @ w_jt, floor)
         jbar = w_jt @ lam

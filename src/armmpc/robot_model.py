@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -300,60 +300,35 @@ def _composite_inertia(bodies: list[tuple[float, np.ndarray, np.ndarray]]) -> Li
     return LinkInertia(mass=total, com=com, inertia_tensor=0.5 * (tensor + tensor.T))
 
 
+def _compose_last_link(model: RobotModel, payload: PayloadSpec, sign: float) -> RobotModel:
+    """The model with sign times the payload, mapped from the end-effector
+    frame into the last link frame, composed into its last link; sign -1
+    composes the negated body (-m, com, -I), which removes the payload."""
+    if payload.mass == 0.0 and not payload.inertia_tensor.any():
+        return model
+    last = model.links[-1]
+    ee = model.ee_transform
+    payload_inertia = ee.rotation @ payload.inertia_tensor @ ee.rotation.T
+    combined = _composite_inertia(
+        [
+            (last.mass, last.com, last.inertia_tensor),
+            (sign * payload.mass, ee.apply(payload.com_offset), sign * payload_inertia),
+        ]
+    )
+    return replace(model, links=model.links[:-1] + (combined,))
+
+
 def attach_payload(model: RobotModel, payload: PayloadSpec) -> RobotModel:
     """Rigidly compose the payload with the last link (parallel-axis theorem).
 
     The payload com offset and inertia are expressed in the end-effector
-    frame and mapped into the last link frame before composition. A zero
-    payload returns the model unchanged.
+    frame. A zero payload returns the model unchanged.
     """
-    if payload.mass == 0.0 and not payload.inertia_tensor.any():
-        return model
-    last = model.links[-1]
-    ee = model.ee_transform
-    payload_com = ee.apply(payload.com_offset)
-    payload_inertia = ee.rotation @ payload.inertia_tensor @ ee.rotation.T
-    combined = _composite_inertia(
-        [
-            (last.mass, last.com.copy(), last.inertia_tensor.copy()),
-            (payload.mass, payload_com, payload_inertia),
-        ]
-    )
-    return RobotModel(
-        joints=model.joints,
-        links=model.links[:-1] + (combined,),
-        gravity=model.gravity,
-        ee_transform=model.ee_transform,
-        name=model.name,
-    )
+    return _compose_last_link(model, payload, 1.0)
 
 
 def detach_payload(model: RobotModel, payload: PayloadSpec) -> RobotModel:
     """Inverse of attach_payload: subtract the same payload from the last link."""
-    if payload.mass == 0.0 and not payload.inertia_tensor.any():
-        return model
-    last = model.links[-1]
-    ee = model.ee_transform
-    payload_com = ee.apply(payload.com_offset)
-    payload_inertia = ee.rotation @ payload.inertia_tensor @ ee.rotation.T
-    mass = last.mass - payload.mass
-    if mass <= 0:
+    if model.links[-1].mass - payload.mass <= 0:
         raise ModelError("detaching payload would leave nonpositive link mass")
-    com = (last.mass * last.com - payload.mass * payload_com) / mass
-    tensor = last.inertia_tensor.copy()
-    d_pay = payload_com - last.com
-    d_link = com - last.com
-    # move the composite tensor back: remove payload (about the old composite com),
-    # then shift the remainder from the old com to the recovered link com
-    tensor = tensor - (
-        payload_inertia + payload.mass * (np.dot(d_pay, d_pay) * np.eye(3) - np.outer(d_pay, d_pay))
-    )
-    tensor = tensor - mass * (np.dot(d_link, d_link) * np.eye(3) - np.outer(d_link, d_link))
-    recovered = LinkInertia(mass=mass, com=com, inertia_tensor=0.5 * (tensor + tensor.T))
-    return RobotModel(
-        joints=model.joints,
-        links=model.links[:-1] + (recovered,),
-        gravity=model.gravity,
-        ee_transform=model.ee_transform,
-        name=model.name,
-    )
+    return _compose_last_link(model, payload, -1.0)

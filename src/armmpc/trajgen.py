@@ -32,8 +32,8 @@ class TaskTrajectory:
     tasks: tuple[TaskSpec, ...] = field(default_factory=default_task_hierarchy)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "poses", tuple(self.poses))
         if len(self.poses) < 1:
             raise ValueError("trajectory needs at least one sample")
@@ -41,6 +41,8 @@ class TaskTrajectory:
             tw = np.asarray(self.twists, dtype=float)
             if tw.shape != (len(self.poses), 6):
                 raise ValueError(f"twists must be ({len(self.poses)}, 6), got {tw.shape}")
+            if not np.all(np.isfinite(tw)):
+                raise ValueError("twists have non-finite entries")
             object.__setattr__(self, "twists", tw)
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks or not all(isinstance(t, TaskSpec) for t in self.tasks):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from armmpc.checks import _id_derivatives_fd
+from armmpc.checks import _central_difference, _id_derivatives_fd
 from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
+    _rnea,
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,
@@ -15,7 +16,7 @@ from armmpc.dynamics import (
     mass_matrix,
     stacked_derivatives,
 )
-from armmpc.kinematics import _crf, _crm
+from armmpc.kinematics import _crm
 from armmpc.robot_model import PayloadSpec, attach_payload
 
 from conftest import make_rpr, random_config
@@ -34,28 +35,13 @@ def chain_model(name, desk_model):
 CHAINS = ["desk", "rpr", "payload"]
 
 
-def fd_forward_dynamics_derivatives(model, q, qd, u, h=1e-6):
-    """Central finite differences of forward dynamics (independent oracle)."""
-    n = model.n
-    dq = np.empty((n, n))
-    dqd = np.empty((n, n))
-    du = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        dq[:, j] = (forward_dynamics(model, q + e, qd, u) - forward_dynamics(model, q - e, qd, u)) / (2 * h)
-        dqd[:, j] = (forward_dynamics(model, q, qd + e, u) - forward_dynamics(model, q, qd - e, u)) / (2 * h)
-        du[:, j] = (forward_dynamics(model, q, qd, u + e) - forward_dynamics(model, q, qd, u - e)) / (2 * h)
-    return dq, dqd, du
-
-
 def test_icrf_identity(rng):
     # the cross operators build a whole (10, 6) stack at once
     m = rng.standard_normal((10, 6))
     f = rng.standard_normal((10, 6))
-    np.testing.assert_allclose((_icrf(f) @ m[..., None])[..., 0], (_crf(m) @ f[..., None])[..., 0],
+    crf = -np.swapaxes(_crm(m), -1, -2)  # force cross operator of m
+    np.testing.assert_allclose((_icrf(f) @ m[..., None])[..., 0], (crf @ f[..., None])[..., 0],
                                atol=1e-12)
-    np.testing.assert_allclose(_crf(m), -np.swapaxes(_crm(m), 1, 2), atol=1e-15)
     for k in range(10):
         np.testing.assert_array_equal(_icrf(f)[k], _icrf(f[k]))
         np.testing.assert_array_equal(_crm(m)[k], _crm(m[k]))
@@ -73,9 +59,13 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
     qdds = np.array(qdds)
     batch = stacked_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
+    # the same pass carries the joint torques in its last column
+    tau = _rnea(states[0].chain, np.stack([st.xs for st in states]),
+                np.array([st.qd for st in states]), qdds)[:, :, -1]
     for k, st in enumerate(states):
         fd = dict(zip(("dtau_dq", "dtau_dqd"), _id_derivatives_fd(model, st.q, st.qd, qdds[k])))
         one = st.derivatives(qdds[k])
+        np.testing.assert_allclose(tau[k], st.mass @ qdds[k] + st.bias, rtol=0, atol=1e-10)
         for name in ("dtau_dq", "dtau_dqd"):
             got = getattr(batch, name)[k]
             ref = fd[name]
@@ -209,7 +199,9 @@ def test_derivatives_match_fd_of_forward_dynamics(desk_model, rng):
         u = 15.0 * rng.standard_normal(desk_model.n)
         qdd = forward_dynamics(desk_model, q, qd, u)
         der = dynamics_derivatives(desk_model, q, qd, qdd)
-        fd_q, fd_qd, fd_u = fd_forward_dynamics_derivatives(desk_model, q, qd, u)
+        fd_q = _central_difference(lambda x: forward_dynamics(desk_model, x, qd, u), q, 1e-6)
+        fd_qd = _central_difference(lambda x: forward_dynamics(desk_model, q, x, u), qd, 1e-6)
+        fd_u = _central_difference(lambda x: forward_dynamics(desk_model, q, qd, x), u, 1e-6)
         for got, ref in ((der.dqdd_dq, fd_q), (der.dqdd_dqd, fd_qd), (der.dqdd_du, fd_u)):
             rel = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
             assert rel <= 1e-5

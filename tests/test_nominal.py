@@ -253,13 +253,18 @@ def hand_recursion(jac, err, tasks, rel_threshold, minv=None):
     """Projected task Jacobians of the levels' pose rows in priority order,
     through the IK projector I - J+ J, or the dynamically consistent one
     I - M^-1 J^T (J M^-1 J^T)+ J when minv is given; and the IK's joint
-    velocity, each level adding J_p+ (gain e - J qd)."""
+    velocity, each level adding J_p+ (gain e - J qd). As in the controllers,
+    a level after the first whose J_p is below nominal._NO_FREEDOM of its J
+    (Frobenius norms) has no freedom left: its J_p is zero and it adds
+    nothing."""
     proj = np.eye(jac.shape[1])
     qd = np.zeros(jac.shape[1])
     blocks = []
-    for task in sorted(tasks, key=lambda t: t.priority):
+    for i, task in enumerate(sorted(tasks, key=lambda t: t.priority)):
         jac_t = jac[task.rows]
         jac_proj = jac_t @ proj
+        if i and np.linalg.norm(jac_proj) <= nominal._NO_FREEDOM * np.linalg.norm(jac_t):
+            jac_proj = np.zeros_like(jac_proj)
         blocks.append(jac_proj)
         if minv is None:
             jbar = compact_svd_pinv(jac_proj, rel_threshold)
@@ -275,7 +280,7 @@ HIERARCHIES = {  # the two orders of position and orientation by their first lev
     "orientation": (ORIENTATION, POSITION),
     "full_pose": (FULL_POSE,),
     # nothing is left for the third level: its projected Jacobian is
-    # roundoff, which the relative cut keeps (see the xfail test below)
+    # roundoff, and the level adds nothing
     "position-orientation-full_pose": (POSITION, ORIENTATION, FULL_POSE),
 }
 
@@ -297,8 +302,9 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     np.testing.assert_allclose(ik.j_stack[0], stack_hand, atol=1e-12)
     np.testing.assert_allclose(ik.err_stack[0], err_hand, atol=1e-12)
     # the reference inverts a level of more than 3 rows by SVD, the IK by its
-    # Gram matrix, whose squared condition number bounds the difference
-    svd_path = FULL_POSE in selectors
+    # Gram matrix, whose squared condition number bounds the difference; a
+    # full pose after position and orientation is inverted by neither
+    svd_path = selectors == (FULL_POSE,)
     tol = 100 * np.finfo(float).eps / 1e-2**2 * np.abs(qd_hand).max() if svd_path else 1e-12
     qd_ik = prioritized_ik_step(desk_model, q, tasks, target, 1e-2)
     assert np.abs(qd_ik - qd_hand).max() <= tol
@@ -310,8 +316,6 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     np.testing.assert_allclose(osc.err_stack[0], err_hand, atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="a level with no freedom left inverts the roundoff "
-                                       "of its projected Jacobian")
 def test_ik_level_without_freedom_adds_nothing(desk_model, rng):
     # after position and orientation no joint motion is left on six joints,
     # so a full-pose third level should leave the command as it is
@@ -321,6 +325,22 @@ def test_ik_level_without_freedom_adds_nothing(desk_model, rng):
     three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
     np.testing.assert_allclose(prioritized_ik_step(desk_model, q, three, target, 1e-2),
                                prioritized_ik_step(desk_model, q, two, target, 1e-2), atol=1e-9)
+
+
+def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
+    # the OSC twin: the posture still acts through the projector of the two
+    # levels that use up the joints. The cut is 1e-4, because at this q the
+    # default 1e-2 drops two eigenvalues of the orientation level's J_p M^-1
+    # J_p' (at 2e-3 and 3e-3 of its largest) and leaves their motion free
+    q = random_config(desk_model, rng)
+    qd = 0.2 * rng.standard_normal(6)
+    target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
+    posture = default_posture(q + 0.1 * rng.standard_normal(6))
+    two = pos_ori_tasks()
+    three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
+    np.testing.assert_allclose(osc_torque(desk_model, q, qd, three, target, 1e-4, posture=posture),
+                               osc_torque(desk_model, q, qd, two, target, 1e-4, posture=posture),
+                               atol=1e-9)
 
 
 @pytest.mark.parametrize("field, value", [("kp", np.ones(5)), ("kd", [1.0, np.nan, 1, 1, 1, 1]),

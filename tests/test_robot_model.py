@@ -129,6 +129,12 @@ def test_attach_then_detach_roundtrip(desk_model):
     np.testing.assert_allclose(rec.inertia_tensor, last.inertia_tensor, atol=1e-12)
 
 
+def test_detach_rejects_payload_as_heavy_as_the_link(desk_model):
+    payload = PayloadSpec(mass=desk_model.links[-1].mass, com_offset=np.zeros(3))
+    with pytest.raises(ModelError, match="nonpositive link mass"):
+        detach_payload(desk_model, payload)
+
+
 def test_loaded_model_mass_matrix_spd(desk_model, rng):
     for _ in range(5):
         q = random_config(desk_model, rng)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc.kinematics import forward_kinematics, quat_to_matrix, rotvec_to_matrix
+from armmpc.kinematics import Pose, forward_kinematics, quat_to_matrix, rotvec_to_matrix
 from armmpc.nominal import default_task_hierarchy
 from armmpc.trajgen import (
     SINGULARITY_END_CONFIG,
@@ -156,6 +156,36 @@ def test_csv_roundtrip(tmp_path, desk_model):
     for a, b in zip(traj.poses, back.poses):
         np.testing.assert_allclose(a.translation, b.translation, atol=1e-15)
         np.testing.assert_allclose(a.quaternion, b.quaternion, atol=1e-15)
+
+
+def csv_with_nan(path, row, column):
+    """A trajectory CSV of three identity poses with one cell set to nan."""
+    export_trajectory_csv(TaskTrajectory(dt=1e-2, poses=(Pose.identity(),) * 3), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[row][column] = "nan"
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    return path
+
+
+NON_FINITE = {
+    "quaternion-nan": lambda tmp: Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3)),
+    "quaternion-inf": lambda tmp: Pose(np.array([np.inf, 0.0, 0.0, 0.0]), np.zeros(3)),
+    "translation-nan": lambda tmp: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])),
+    "translation-inf": lambda tmp: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, np.inf])),
+    "dt-nan": lambda tmp: TaskTrajectory(dt=np.nan, poses=(Pose.identity(),)),
+    "dt-inf": lambda tmp: TaskTrajectory(dt=np.inf, poses=(Pose.identity(),)),
+    "twists-nan": lambda tmp: TaskTrajectory(dt=1e-3, poses=(Pose.identity(),) * 2,
+                                             twists=[[0.0] * 6, [np.nan] + [0.0] * 5]),
+    "csv-t": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 1, 0)),
+    "csv-px": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 2, 1)),
+    "csv-qw": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 3, 4)),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_poses_and_trajectories_are_rejected(tmp_path, build):
+    with pytest.raises(ValueError, match="finite"):
+        build(tmp_path)
 
 
 def test_circle_scenario(planar_2dof):
