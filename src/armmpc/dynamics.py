@@ -303,13 +303,6 @@ def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
     return RigidBodyState(model, q, model.check_q(qd, "qd")).forward_dynamics(u)
 
 
-def integrate_semi_implicit(model: RobotModel, q, qd, u, dt: float):
-    """One semi-implicit Euler step: velocity update first, then position."""
-    u = model.check_q(u, "u")
-    q = model.check_q(q)
-    return RigidBodyState(model, q, model.check_q(qd, "qd")).semi_implicit_step(u, dt)[:2]
-
-
 def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
     """All dynamics derivative blocks at (q, qd, qdd).
 

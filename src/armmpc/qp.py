@@ -8,15 +8,15 @@ H must be symmetric; a fixed diagonal regularization of 1e-9 * trace(H)/d is
 always added before factorization so the solver sees a strictly convex
 problem even when the caller's Hessian is only semidefinite.
 
-The solver starts from the unconstrained minimum, activates all equality
-rows in one batched KKT step, then repeatedly adds the most violated
-inequality, taking dual steps and dropping blocking constraints as in the
-classical dual method; the dual objective is nondecreasing across
-iterations. After convergence the iterate is polished by one exact KKT
-solve on the final active set, plus one step of iterative refinement,
-whenever the residuals ask for it. A warm
-active set is first tried by one such solve (the hot start) and kept when
-it is optimal.
+The solver makes one start: a KKT solve with the equality rows and the rows
+of the warm active set, if one is given, held at equality. A start that is
+already optimal is the solution (the hot start). Otherwise the warm rows
+with negative multipliers are dropped, which leaves a dual-feasible working
+set, and the classical dual method resumes from it: it adds the most
+violated inequality, taking dual steps and dropping blocking constraints,
+and the dual objective is nondecreasing across iterations. The converged
+iterate is polished by one exact KKT solve on the final active set, plus
+one step of iterative refinement, whenever the residuals ask for it.
 
 Every one of those KKT systems goes through one banded LU (LAPACK dgbsv,
 partial pivoting). Active bound rows, pinned bounds included, become fixed
@@ -26,9 +26,9 @@ read back from the stationarity residual. The other active rows keep a
 multiplier, placed right after the last variable the row touches, with the
 variables in their natural order. A problem whose variables are ordered by
 stage (the MPC QPs) then gives a band whose width does not grow with the
-horizon; a dense problem is a band of full width. A singular system
-rejects a hot start, keeps the unpolished iterate, and, for the equality
-rows alone, means they are linearly dependent: a QpDataError.
+horizon; a dense problem is a band of full width. A singular warm set
+leaves the equality rows alone as the start; singular equality rows are
+linearly dependent, a QpDataError; a singular polish keeps the iterate.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ def _band_order(h: np.ndarray, a_gen: np.ndarray) -> _Band:
     depend on which variables are fixed. The layout depends only on that
     pattern and is cached by it: a controller's QPs share one pattern for
     H, and their general active rows come in few patterns (at most two
-    layouts per closed-loop run of either MPC, one of them the cold path's
-    equality rows), and a rebuild would add 25-70% to each KKT solve.
+    layouts per closed-loop run of either MPC, one of them the first tick's
+    equality rows alone), and a rebuild would add 25-70% to each KKT solve.
     """
     nz = a_gen != 0
     h_first = np.argmax(h != 0, axis=1)  # a regularized H has a nonzero diagonal
@@ -368,6 +368,14 @@ def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarr
     return z, lam
 
 
+def _kkt_start(rows: _Rows, h: np.ndarray, g: np.ndarray, ids):
+    """(ids, z, lam) of the KKT solve with the rows ids active; None when singular."""
+    try:
+        return (ids, *_kkt_solve(rows, h, g, ids))
+    except LinAlgError:
+        return None
+
+
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix by LAPACK dpotrf (its
     upper triangle is left as it was); LinAlgError unless positive definite."""
@@ -447,15 +455,15 @@ class _ActiveSet:
         self.row_ids.append(row_id)
         self.k += 1
 
-    def add_first(self, normals, hinv_cols, mult):
-        """Activate rows 0..m-1 of an empty set at once: the normals are the
-        rows of normals, and the Gram block is one product."""
+    def add_first(self, normals, hinv_cols, mult, row_ids):
+        """Activate the rows row_ids of an empty set at once: the normals are
+        the rows of normals, and the Gram block is one product."""
         m = mult.size
         self.normals[:, :m] = normals.T
         self.hinv[:, :m] = hinv_cols
         self.gram[:m, :m] = normals @ hinv_cols
         self.mult[:m] = mult
-        self.row_ids.extend(range(m))
+        self.row_ids.extend(int(i) for i in row_ids)
         self.k = m
 
     def drop(self, j):
@@ -495,40 +503,40 @@ class QpSolver:
         def objective(zv):
             return float(0.5 * zv @ (h_reg @ zv) + p.g @ zv)
 
+        # one start: the equality rows plus the valid warm rows
+        ids = np.arange(rows.n_eq)
         if warm_start:
-            sol = self._try_hot_start(p, rows, h_reg, warm_start, objective)
+            warm = np.asarray(warm_start, dtype=np.intp)
+            ids = np.union1d(ids, warm[(warm >= 0) & (warm < rows.b.size)])
+        start = _kkt_start(rows, h_reg, p.g, ids)
+        if warm_start:
+            sol = self._try_hot_start(p, rows, h_reg, start, objective)
             if sol is not None:
                 return sol
-
-        z = -_cho_solve(h_factor, p.g)
-        history: list[float] = []
+        if start is None:  # a singular warm set leaves the equality rows alone
+            start = _kkt_start(rows, h_reg, p.g, np.arange(rows.n_eq))
+        if start is None:
+            raise QpDataError("equality rows are linearly dependent")
+        ids, z, lam = start
+        # the dual method resumes from any dual-feasible working set (Goldfarb
+        # & Idnani, 1983): drop the warm rows with negative multipliers
+        while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
+            ids = ids[~negative]
+            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
+        if rows.n_eq and np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
+            res = _residuals(rows, h_reg, p.g, z, [], [])
+            return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), [])
         active = _ActiveSet(d, rows.n_eq + min(d, rows.n_in) + 2)
-        n_eq_active = 0
-        iterations = 0
+        active.add_first(rows.a[ids], _cho_solve(h_factor, rows.a[ids].T), lam, ids)
+        iterations = 1
         max_iterations = 10 * (d + rows.n_in + rows.n_eq)
         status = OPTIMAL
-
-        # batched equality activation: one KKT solve replaces m_e dual iterations
-        if rows.n_eq:
-            try:
-                z, lam_eq = _kkt_solve(rows, h_reg, p.g, np.arange(rows.n_eq))
-            except LinAlgError as exc:
-                raise QpDataError(f"equality rows are linearly dependent: {exc}") from exc
-            if np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
-                res = _residuals(rows, h_reg, p.g, z, [], [])
-                return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), history)
-            active.add_first(rows.a_eq, _cho_solve(h_factor, rows.a_eq.T), lam_eq)
-            n_eq_active = rows.n_eq
-            iterations += 1
-        if self.debug:
-            history.append(objective(z))
+        history = [objective(z)] if self.debug else []
 
         in_norms = np.linalg.norm(rows.a_in, axis=1) if rows.n_in else np.empty(0)
         in_scale = 1.0 + np.abs(rows.b_in)
 
-        while status == OPTIMAL:
-            if rows.n_in == 0:
-                break
+        while status == OPTIMAL and rows.n_in:
             slacks = rows.a_in @ z - rows.b_in
             scale = in_scale + in_norms * float(np.linalg.norm(z))
             worst = int(np.argmin(slacks / scale))
@@ -554,14 +562,11 @@ class QpSolver:
                 denom = float(n_plus @ dz)
                 full_possible = denom > _DEGENERACY_TOL * (1 + float(n_plus @ n_plus))
 
-                t1 = np.inf
-                drop = -1
-                for jj in range(n_eq_active, k):
-                    if r[jj] > _DEGENERACY_TOL:
-                        ratio = active.mult[jj] / r[jj]
-                        if ratio < t1:
-                            t1 = ratio
-                            drop = jj
+                # the first blocking inequality row (the equality rows never block)
+                r_in = r[rows.n_eq:]
+                ratios = np.divide(active.mult[rows.n_eq:k], r_in, out=np.full(r_in.size, np.inf),
+                                   where=r_in > _DEGENERACY_TOL)
+                t1 = ratios.min(initial=np.inf)
                 t2 = -slack / denom if full_possible else np.inf
                 t = min(t1, t2)
                 if not np.isfinite(t):
@@ -571,21 +576,20 @@ class QpSolver:
                     z = z + t * dz
                     slack += t * denom
                 u_plus += t
-                if k:
-                    active.mult[:k] -= t * r
+                active.mult[:k] -= t * r
                 if self.debug:
                     history.append(objective(z))
-                if t == t2 and np.isfinite(t2):
+                if t == t2:
                     active.add(n_plus, w, u_plus, rows.n_eq + worst)
                     break
-                active.drop(drop)
+                active.drop(rows.n_eq + int(np.argmin(ratios)))
 
         row_ids = list(active.row_ids)
         mult_arr = active.mult[: active.k].copy()
         kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
         if status == OPTIMAL and kkt_res.max() > threshold:
-            z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, n_eq_active, z, mult_arr, kkt_res)
+            z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, z, mult_arr, kkt_res)
         if status == OPTIMAL and kkt_res.max() > 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
         if self.debug:
@@ -602,7 +606,7 @@ class QpSolver:
             dual_objective_history=history,
         )
 
-    def _polish(self, p, rows, h_reg, row_ids, n_eq_active, z0, mult0, kkt0):
+    def _polish(self, p, rows, h_reg, row_ids, z0, mult0, kkt0):
         """Exact KKT re-solve on the final active set to remove drift.
 
         One step of iterative refinement follows: the same KKT system solved
@@ -620,24 +624,19 @@ class QpSolver:
         except LinAlgError:
             return z0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
-        if np.any(lam[n_eq_active:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
+        if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
         res = _residuals(rows, h_reg, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
             return z, lam, res
         return z0, mult0, kkt0
 
-    def _try_hot_start(self, p, rows, h_reg, warm_start, objective):
-        """Directly test the warm active set via one KKT solve; None on reject."""
-        warm = np.asarray(warm_start, dtype=np.intp)
-        keep = np.zeros(rows.b.size, dtype=bool)
-        keep[:rows.n_eq] = True
-        keep[warm[(warm >= 0) & (warm < keep.size)]] = True
-        ids = np.flatnonzero(keep)
-        try:
-            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
-        except LinAlgError:
+    def _try_hot_start(self, p, rows, h_reg, start, objective):
+        """The warm start (ids, z, lam) as the solution when it is already
+        optimal; None when it is rejected, or singular (start None)."""
+        if start is None:
             return None
+        ids, z, lam = start
         if np.any(lam[ids >= rows.n_eq] < -1e-10):
             return None
         if rows.n_in:

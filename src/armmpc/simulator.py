@@ -57,8 +57,8 @@ def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float) -> Pla
 
 def _apply_torque(st: RigidBodyState, state: PlantState, u, dt: float) -> PlantState:
     """step_torque_plant at st, the chain state of the plant state."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
     u = st.model.check_q(u, "u")
     if not np.all(np.isfinite(u)):
         raise ValueError("torque command has non-finite entries")

@@ -232,23 +232,3 @@ def export_trajectory_csv(traj: TaskTrajectory, path) -> None:
         for k, pose in enumerate(traj.poses):
             row = [k * traj.dt, *pose.translation, *pose.quaternion]
             writer.writerow([f"{x:.17g}" for x in row])
-
-
-def import_trajectory_csv(path) -> TaskTrajectory:
-    """Read a trajectory written by export_trajectory_csv (twists not stored)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["t", "px", "py", "pz"]:
-            raise ValueError(f"unexpected trajectory header {header!r}")
-        times = []
-        poses = []
-        for row in reader:
-            vals = [float(x) for x in row]
-            times.append(vals[0])
-            poses.append(Pose(np.asarray(vals[4:8]), np.asarray(vals[1:4])))
-    if len(times) < 2:
-        dt = 1.0
-    else:
-        dt = times[1] - times[0]
-    return TaskTrajectory(dt=dt, poses=tuple(poses))

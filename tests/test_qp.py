@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from armmpc import qp
+from armmpc import load_bundled_model, qp, simulator
 from armmpc.checks import random_qp, solve_qp_by_enumeration
 from armmpc.qp import (
     INFEASIBLE,
@@ -11,6 +11,7 @@ from armmpc.qp import (
     QpProblem,
     QpSolver,
     _kkt_solve,
+    _kkt_start,
     _residuals,
     expand_constraints,
     kkt_check,
@@ -225,7 +226,8 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
     warm = (0,)  # the one canonical row: z_2 >= 0.5
     rows = expand_constraints(p)
     h_reg = regularized_hessian(p.H)
-    accepted = QpSolver()._try_hot_start(p, rows, h_reg, warm, lambda z: 0.0)
+    start = _kkt_start(rows, h_reg, p.g, np.array(warm))
+    accepted = QpSolver()._try_hot_start(p, rows, h_reg, start, lambda z: 0.0)
     assert accepted is not None and accepted.multipliers[0] > 0
     with pytest.raises(QpDataError, match="positive definite"):
         QpSolver().solve(p)
@@ -327,7 +329,7 @@ def test_banded_kkt_matches_dense_on_kinematic_style_qp(rng):
 
 
 def test_banded_kkt_does_not_depend_on_activation_order(rng):
-    # the cold path activates rows in its own order; the same set must give
+    # the dual loop activates rows in its own order; the same set must give
     # the same solve and reuse the same cached layout
     p, ids = kinematic_style_qp(rng)
     rows = expand_constraints(p)
@@ -348,8 +350,9 @@ def test_singular_hot_start_falls_back_to_cold_path():
     rows = expand_constraints(p)
     with pytest.raises(LinAlgError):
         _kkt_solve(rows, regularized_hessian(p.H), p.g, [0, 1])
+    assert _kkt_start(rows, regularized_hessian(p.H), p.g, [0, 1]) is None
     solver = QpSolver()
-    assert solver._try_hot_start(p, rows, regularized_hessian(p.H), (0, 1), lambda z: 0.0) is None
+    assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None, lambda z: 0.0) is None
     sol = solver.solve(p, warm_start=(0, 1))
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-9)
@@ -389,25 +392,110 @@ def test_variable_fixed_twice_is_singular():
     assert rows.bound_var[both].tolist() == [0, 0]
     with pytest.raises(LinAlgError):
         _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
-    assert QpSolver()._try_hot_start(p, rows, regularized_hessian(p.H), both,
-                                     lambda z: 0.0) is None
+    assert _kkt_start(rows, regularized_hessian(p.H), p.g, both) is None
+    sol = QpSolver().solve(p, warm_start=both)  # falls back to the equality rows alone
+    assert sol.status == OPTIMAL and sol.active_set == (0, 1)
 
 
 def test_equality_block_matches_row_by_row_activation(rng):
-    # the batched activation fills the same active set as one add per row
+    # the batched start fills the same active set as one add per row
     d, m = 9, 4
     half = rng.standard_normal((d, d))
     h_inv = np.linalg.inv(half @ half.T + d * np.eye(d))
     normals = rng.standard_normal((m, d))
     hinv = h_inv @ normals.T
     mult = rng.standard_normal(m)
+    ids = np.sort(rng.choice(20, size=m, replace=False))
     block = qp._ActiveSet(d, m + 2)
-    block.add_first(normals, hinv, mult)
+    block.add_first(normals, hinv, mult, ids)
     rows = qp._ActiveSet(d, m + 2)
     for i in range(m):
-        rows.add(normals[i], hinv[:, i], mult[i], i)
+        rows.add(normals[i], hinv[:, i], mult[i], int(ids[i]))
     assert block.k == rows.k == m
     assert block.row_ids == rows.row_ids
     for name in ("normals", "hinv", "mult"):
         assert np.array_equal(getattr(block, name), getattr(rows, name)), name
     np.testing.assert_allclose(block.gram, rows.gram, rtol=1e-13, atol=1e-15)
+
+
+@pytest.fixture
+def hot_starts(monkeypatch):
+    """What each _try_hot_start call returned: None for a rejected warm set."""
+    seen = []
+    judge = QpSolver._try_hot_start
+
+    def spy(self, *args):
+        seen.append(judge(self, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(QpSolver, "_try_hot_start", spy)
+    return seen
+
+
+def assert_matches_warm_free_solve(p, sol):
+    ref = QpSolver().solve(p)
+    assert sol.status == ref.status
+    if ref.status != OPTIMAL:
+        return False
+    np.testing.assert_allclose(sol.z_star, ref.z_star, rtol=0,
+                               atol=1e-8 * (1 + np.abs(ref.z_star).max()))
+    assert abs(sol.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
+    res = kkt_check(p, sol.z_star, sol.active_set, sol.multipliers)
+    assert res.dual_feasibility == 0.0
+    assert res.max() <= 1e-8 * (1 + np.linalg.norm(p.g))
+    return True
+
+
+@pytest.fixture(scope="module")
+def dyn_mpc_qps():
+    """(problem, warm start) of each QP of the first 50 ticks of the payload
+    move under the dynamic MPC, whose hot start is rejected on some of them."""
+    recorded = []
+    solve_qp = QpSolver.solve
+
+    def record(self, p, warm_start=None):
+        recorded.append((p, warm_start))
+        return solve_qp(self, p, warm_start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QpSolver, "solve", record)
+        cfg = simulator.default_scenario_config("payload_pick_place", "dyn_mpc")
+        cfg.max_ticks = 50
+        simulator.run_scenario("payload_pick_place", "dyn_mpc", load_bundled_model("rs007n"), cfg)
+    return recorded
+
+
+def test_rejected_hot_start_resumes_to_the_warm_free_optimum(dyn_mpc_qps, hot_starts):
+    resumed = 0
+    for p, warm in dyn_mpc_qps[1:]:
+        sol = QpSolver().solve(p, warm_start=warm)
+        if hot_starts[-1] is None:
+            resumed += 1
+            assert assert_matches_warm_free_solve(p, sol)
+    assert len(hot_starts) == len(dyn_mpc_qps) - 1  # one judgement per warm-started solve
+    assert resumed >= 3
+
+
+def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
+    dropped = optimal = 0
+    for _ in range(20):
+        other, p = stage_qp(rng, 3), stage_qp(rng, 3)
+        warm = QpSolver().solve(other).active_set
+        rows = expand_constraints(p)
+        ids, _, lam = _kkt_start(rows, regularized_hessian(p.H), p.g, np.array(warm))
+        dropped += np.any(lam[ids >= rows.n_eq] < 0)
+        optimal += assert_matches_warm_free_solve(p, QpSolver().solve(p, warm_start=warm))
+    assert dropped >= 5 and optimal >= 5
+
+
+def test_optimal_warm_set_of_equality_rows_alone_is_accepted(hot_starts):
+    # no inequality row is active at the optimum, so the warm set holds only
+    # the equality rows; its one KKT solve is the optimum and must be accepted
+    p = QpProblem(H=np.diag([1.0, 2.0, 3.0]), g=np.ones(3), Aeq=np.array([[1.0, 1.0, 1.0]]),
+                  beq=np.array([1.0]), lb=-np.full(3, 10.0), ub=np.full(3, 10.0))
+    cold = QpSolver().solve(p)
+    assert cold.status == OPTIMAL and cold.active_set == (0,)
+    warm = QpSolver().solve(p, warm_start=cold.active_set)
+    assert hot_starts == [warm]
+    assert warm.iterations == 1 and warm.active_set == (0,)
+    np.testing.assert_array_equal(warm.z_star, cold.z_star)

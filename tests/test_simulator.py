@@ -48,6 +48,15 @@ def test_torque_plant_rejects_nan(desk_model):
         step_torque_plant(desk_model, state, np.full(6, np.nan), 1e-3)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("step", [step_torque_plant, step_position_plant])
+def test_plants_reject_bad_dt(desk_model, step, dt):
+    # NaN fails every comparison, so dt <= 0 alone would let it turn t and q into NaN
+    state = make_plant_state(desk_model, np.zeros(6))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        step(desk_model, state, np.zeros(6), dt)
+
+
 def test_pendulum_energy_drift_shrinks_with_dt():
     model = make_gravity_pendulum()
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from armmpc.trajgen import (
     TaskTrajectory,
     cubic_spline_position,
     export_trajectory_csv,
-    import_trajectory_csv,
     quaternion_interp,
     scenario_initial_config,
     scenario_trajectory,
@@ -146,46 +146,37 @@ def test_tasks_must_be_task_specs(desk_model, tasks):
         TaskTrajectory(dt=1e-3, poses=(pose,), tasks=tasks)
 
 
-def test_csv_roundtrip(tmp_path, desk_model):
+def test_csv_export(tmp_path, desk_model):
     traj = scenario_trajectory("payload_pick_place", desk_model, 1e-2)
     path = tmp_path / "traj.csv"
     export_trajectory_csv(traj, path)
-    back = import_trajectory_csv(path)
-    assert back.n_samples == traj.n_samples
-    assert back.dt == pytest.approx(traj.dt)
-    for a, b in zip(traj.poses, back.poses):
-        np.testing.assert_allclose(a.translation, b.translation, atol=1e-15)
-        np.testing.assert_allclose(a.quaternion, b.quaternion, atol=1e-15)
-
-
-def csv_with_nan(path, row, column):
-    """A trajectory CSV of three identity poses with one cell set to nan."""
-    export_trajectory_csv(TaskTrajectory(dt=1e-2, poses=(Pose.identity(),) * 3), path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[row][column] = "nan"
-    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
-    return path
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
+    assert len(rows) == traj.n_samples
+    for k, (row, pose) in enumerate(zip(rows, traj.poses)):
+        vals = np.array(row, dtype=float)
+        assert vals[0] == pytest.approx(k * traj.dt)
+        np.testing.assert_allclose(vals[1:4], pose.translation, atol=1e-15)
+        np.testing.assert_allclose(vals[4:], pose.quaternion, atol=1e-15)
 
 
 NON_FINITE = {
-    "quaternion-nan": lambda tmp: Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3)),
-    "quaternion-inf": lambda tmp: Pose(np.array([np.inf, 0.0, 0.0, 0.0]), np.zeros(3)),
-    "translation-nan": lambda tmp: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])),
-    "translation-inf": lambda tmp: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, np.inf])),
-    "dt-nan": lambda tmp: TaskTrajectory(dt=np.nan, poses=(Pose.identity(),)),
-    "dt-inf": lambda tmp: TaskTrajectory(dt=np.inf, poses=(Pose.identity(),)),
-    "twists-nan": lambda tmp: TaskTrajectory(dt=1e-3, poses=(Pose.identity(),) * 2,
-                                             twists=[[0.0] * 6, [np.nan] + [0.0] * 5]),
-    "csv-t": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 1, 0)),
-    "csv-px": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 2, 1)),
-    "csv-qw": lambda tmp: import_trajectory_csv(csv_with_nan(tmp / "traj.csv", 3, 4)),
+    "quaternion-nan": lambda: Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3)),
+    "quaternion-inf": lambda: Pose(np.array([np.inf, 0.0, 0.0, 0.0]), np.zeros(3)),
+    "translation-nan": lambda: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])),
+    "translation-inf": lambda: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, np.inf])),
+    "dt-nan": lambda: TaskTrajectory(dt=np.nan, poses=(Pose.identity(),)),
+    "dt-inf": lambda: TaskTrajectory(dt=np.inf, poses=(Pose.identity(),)),
+    "twists-nan": lambda: TaskTrajectory(dt=1e-3, poses=(Pose.identity(),) * 2,
+                                         twists=[[0.0] * 6, [np.nan] + [0.0] * 5]),
 }
 
 
 @pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_non_finite_poses_and_trajectories_are_rejected(tmp_path, build):
+def test_non_finite_poses_and_trajectories_are_rejected(build):
     with pytest.raises(ValueError, match="finite"):
-        build(tmp_path)
+        build()
 
 
 def test_circle_scenario(planar_2dof):
