@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import dynamics_derivatives, forward_dynamics, inverse_dynamics
-from .qp import QpProblem, QpSolver, expand_constraints, regularized_hessian
+from .qp import QpProblem, QpSolver, regularized_hessian
 from .robot_model import RobotModel
 
 
@@ -31,6 +31,31 @@ class CheckResult:
         return f"[{tag}] {self.name}: worst {self.worst:.3e} (tol {self.tolerance:.1e}) {self.detail}"
 
 
+def dense_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray, int]:
+    """The canonical rows of p written out densely, as (a, b, n_eq): a z >= b
+    row by row, the first n_eq rows held at equality, in the solver's order
+    (Aeq, pinned bounds, pinned Ain rows; then finite lower and upper bounds,
+    finite Ain lowers and uppers, pins skipped). Built here, apart from the
+    solver's own rows, so that the oracles share no row code with it."""
+    d = p.dim
+    eye = np.eye(d)
+    lb = np.full(d, -np.inf) if p.lb is None else p.lb
+    ub = np.full(d, np.inf) if p.ub is None else p.ub
+    ain = np.zeros((0, d)) if p.Ain is None else p.Ain
+    lin = np.zeros(0) if p.Ain is None else p.lin
+    uin = np.zeros(0) if p.Ain is None else p.uin
+    pinned = np.isfinite(lb) & (lb == ub)
+    pinned_rows = np.isfinite(lin) & (lin == uin)
+    eq = [(np.zeros((0, d)), np.zeros(0)) if p.Aeq is None else (p.Aeq, p.beq),
+          (eye[pinned], lb[pinned]), (ain[pinned_rows], lin[pinned_rows])]
+    lower, upper = np.isfinite(lb) & ~pinned, np.isfinite(ub) & ~pinned
+    low_rows, up_rows = np.isfinite(lin) & ~pinned_rows, np.isfinite(uin) & ~pinned_rows
+    ineq = [(eye[lower], lb[lower]), (-eye[upper], -ub[upper]),
+            (ain[low_rows], lin[low_rows]), (-ain[up_rows], -uin[up_rows])]
+    return (np.vstack([a for a, _ in eq + ineq]), np.concatenate([b for _, b in eq + ineq]),
+            sum(b.size for _, b in eq))
+
+
 def solve_qp_by_enumeration(p: QpProblem):
     """Global optimum by exhaustive active-set enumeration.
 
@@ -41,16 +66,17 @@ def solve_qp_by_enumeration(p: QpProblem):
     Returns (z, objective) or (None, inf) when no subset yields a feasible
     point.
     """
-    rows = expand_constraints(p)
+    a, b, n_eq = dense_rows(p)
+    a_eq, b_eq, a_in, b_in = a[:n_eq], b[:n_eq], a[n_eq:], b[n_eq:]
     d = p.dim
     h_reg = regularized_hessian(p.H)
     best = None
     best_obj = np.inf
-    all_in = range(rows.n_in)
-    for size in range(0, min(d - rows.n_eq, rows.n_in) + 1):
+    all_in = range(b_in.size)
+    for size in range(0, min(d - n_eq, b_in.size) + 1):
         for subset in itertools.combinations(all_in, size):
-            a_act = np.vstack([rows.a_eq, rows.a_in[list(subset)]]) if subset else rows.a_eq
-            b_act = np.concatenate([rows.b_eq, rows.b_in[list(subset)]]) if subset else rows.b_eq
+            a_act = np.vstack([a_eq, a_in[list(subset)]])
+            b_act = np.concatenate([b_eq, b_in[list(subset)]])
             k = a_act.shape[0]
             kkt = np.zeros((d + k, d + k))
             kkt[:d, :d] = h_reg
@@ -63,9 +89,9 @@ def solve_qp_by_enumeration(p: QpProblem):
             except np.linalg.LinAlgError:
                 continue
             z = sol[:d]
-            if rows.n_eq and np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-8:
+            if n_eq and np.abs(a_eq @ z - b_eq).max() > 1e-8:
                 continue
-            if rows.n_in and np.min(rows.a_in @ z - rows.b_in) < -1e-9 * (1 + np.abs(rows.b_in).max()):
+            if b_in.size and np.min(a_in @ z - b_in) < -1e-9 * (1 + np.abs(b_in).max()):
                 continue
             obj = float(0.5 * z @ h_reg @ z + p.g @ z)
             if obj < best_obj:

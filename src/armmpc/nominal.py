@@ -397,7 +397,9 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     recorded nominal is realizable by the torque-limited plant. The chain
     state and the solved accelerations of every step are kept on the
     rollout, so a linearization along it reuses each state's mass matrix,
-    factor and bias forces and solves no forward dynamics again.
+    factor and bias forces and solves no forward dynamics again. The last
+    step's torque would never be applied, so that step only fills its rows
+    of the task stacks.
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
@@ -417,12 +419,18 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         x_hat[k] = np.concatenate([q, qd])
         st = RigidBodyState(model, q, qd)
         states.append(st)
+        if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
+            *_, rot_c, pos_c = st.frames
+            err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation, rot_c, pos_c)
+            for _ in _prioritize(levels, st.jacobian(), err_full, rel_threshold, j_stack[k],
+                                 err_stack[k], st.minv):
+                pass
+            break
         u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k],
                         j_stack[k], err_stack[k])
-        if k + 1 < steps:
-            u = np.clip(u, -u_max, u_max)
-            u_hat[k] = u
-            q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
+        u = np.clip(u, -u_max, u_max)
+        u_hat[k] = u
+        q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
     return NominalRollout(q_hat=x_hat[:, :n], qd_hat=x_hat[:, n:], j_stack=j_stack,
                           err_stack=err_stack, u_hat=u_hat, x_hat=x_hat, qdd_hat=qdd_hat,
                           states=tuple(states))

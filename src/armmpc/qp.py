@@ -5,8 +5,14 @@ Solves
     s.t. Aeq z = beq,  lb <= z <= ub,  lin <= Ain z <= uin
 
 H must be symmetric; a fixed diagonal regularization of 1e-9 * trace(H)/d is
-always added before factorization so the solver sees a strictly convex
-problem even when the caller's Hessian is only semidefinite.
+always added, so the solver sees a strictly convex problem even when the
+caller's Hessian is only semidefinite. That matrix is factored once per
+solve as a band (LAPACK dpbtrf) at the half-bandwidth of its nonzero
+pattern, the full width for a dense H; the factor is the convexity check
+and gives the dual method its H^-1 columns. Bounds stay bounds (as in
+qpOASES; Ferreau et al., 2014): a canonical row is a sign and a source,
+either a variable or a general row (Aeq or Ain, kept dense), so a bound's
+slack is sign * z_i - value, and only the dual method writes out a +-e_i.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -18,28 +24,27 @@ and the dual objective is nondecreasing across iterations. The converged
 iterate is polished by one exact KKT solve on the final active set, plus
 one step of iterative refinement, whenever the residuals ask for it.
 
-Every one of those KKT systems goes through one banded LU (LAPACK dgbsv,
-partial pivoting). Active bound rows, pinned bounds included, become fixed
-variables: their KKT row and column are replaced by a unit diagonal, the
-fixed values move to the right-hand side, and each bound's multiplier is
-read back from the stationarity residual. The other active rows keep a
-multiplier, placed right after the last variable the row touches, with the
-variables in their natural order. A problem whose variables are ordered by
-stage (the MPC QPs) then gives a band whose width does not grow with the
-horizon; a dense problem is a band of full width. A singular warm set
-leaves the equality rows alone as the start; singular equality rows are
-linearly dependent, a QpDataError; a singular polish keeps the iterate.
+Every one of those KKT systems is one banded LU (LAPACK dgbsv). Active
+bounds, pinned ones included, fix their variable: its KKT row and column
+become a unit diagonal and its value moves to the right-hand side; the
+bound's multiplier is read back from the stationarity residual. Each other
+active row keeps a multiplier placed right after the last variable it
+touches, so a problem ordered by stage (the MPC QPs) gives a band whose
+width does not grow with the horizon. A singular warm set leaves the
+equality rows alone as the start; singular equality rows are linearly
+dependent, a QpDataError; a singular polish keeps the iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbsv, dpbtrf, dpbtrs, dpotrf, dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -58,7 +63,10 @@ def regularized_hessian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     d = h.shape[0]
     eps = 1e-9 * max(np.trace(h), d) / d
-    return 0.5 * (h + h.T) + eps * np.eye(d)
+    out = h + h.T
+    out *= 0.5
+    out.reshape(-1)[::d + 1] += eps
+    return out
 
 
 @dataclass
@@ -81,9 +89,11 @@ class QpProblem:
         d = self.g.shape[0]
         if self.H.shape != (d, d):
             raise QpDataError(f"H must be ({d}, {d}), got {self.H.shape}")
-        if not np.all(np.isfinite(self.H)) or not np.all(np.isfinite(self.g)):
+        h_max, h_min = float(self.H.max()), float(self.H.min())  # NaN propagates into both
+        if not (math.isfinite(h_max) and math.isfinite(h_min) and np.isfinite(self.g).all()):
             raise QpDataError("H and g must be finite")
-        if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-8 * (1 + np.abs(self.H).max()):
+        asym = self.H - self.H.T
+        if max(asym.max(), -asym.min()) > 1e-8 * (1 + max(h_max, -h_min)):
             raise QpDataError("H must be symmetric")
         for name in ("Aeq", "beq", "lb", "ub", "Ain", "lin", "uin"):
             val = getattr(self, name)
@@ -107,19 +117,23 @@ class QpProblem:
             if self.lin is None or self.uin is None:
                 raise QpDataError("Ain requires lin and uin")
             m = self.Ain.shape[0]
-        for name, size in (("lb", d), ("ub", d), ("lin", m), ("uin", m)):
+        for name, size, never, strict in (("lb", d, np.inf, np.less),
+                                          ("ub", d, -np.inf, np.greater),
+                                          ("lin", m, np.inf, np.less),
+                                          ("uin", m, -np.inf, np.greater)):
             val = getattr(self, name)
             if val is None:
                 continue
             if val.shape != (size,):
                 raise QpDataError(f"{name} must have shape ({size},), got {val.shape}")
-            if np.isnan(val).any():
-                raise QpDataError(f"{name} holds NaN (+-inf means no bound)")
+            if not strict(val, never).all():  # false on NaN and on the infinity no z meets
+                if np.isnan(val).any():
+                    raise QpDataError(f"{name} holds NaN (+-inf means no bound)")
+                raise QpDataError(f"{name} holds {never:+}, which no point satisfies")
         for lo, hi in ((self.lb, self.ub), (self.lin, self.uin)):
-            if lo is not None and hi is not None:
-                both = np.isfinite(lo) & np.isfinite(hi)
-                if np.any(lo[both] > hi[both] + 1e-12):
-                    raise QpDataError("lower bound exceeds upper bound")
+            # neither holds NaN, lo no +inf and hi no -inf, so only finite pairs can cross
+            if lo is not None and hi is not None and np.any(lo > hi + 1e-12):
+                raise QpDataError("lower bound exceeds upper bound")
 
     @property
     def dim(self) -> int:
@@ -152,34 +166,21 @@ class QpSolution:
 
 @dataclass
 class _Rows:
-    """Canonical one-sided form: eq rows a'z = b, then ineq rows a'z >= b.
+    """Canonical one-sided rows a'z >= b; the first n_eq are held at equality.
 
-    a and b stack all rows in active-set index order; a_eq/a_in and
-    b_eq/b_in are views of their two parts. bound_var holds, for each row
-    that comes from a bound (a = +-e_i), its variable i, and -1 for the
-    general rows.
+    Row i reads sign[i] * s[src[i]] >= b[i] with s = [z; gen z]: a source
+    src < d is a bound on that variable, src >= d the general row src - d
+    of gen (the rows of Aeq, then of Ain, as given). first and last are the
+    first and last nonzero column of each general row.
     """
 
-    a: np.ndarray
     b: np.ndarray
     n_eq: int
-    bound_var: np.ndarray
-
-    @property
-    def a_eq(self) -> np.ndarray:
-        return self.a[:self.n_eq]
-
-    @property
-    def b_eq(self) -> np.ndarray:
-        return self.b[:self.n_eq]
-
-    @property
-    def a_in(self) -> np.ndarray:
-        return self.a[self.n_eq:]
-
-    @property
-    def b_in(self) -> np.ndarray:
-        return self.b[self.n_eq:]
+    src: np.ndarray
+    sign: np.ndarray
+    gen: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
 
     @property
     def n_in(self) -> int:
@@ -195,53 +196,83 @@ def expand_constraints(p: QpProblem) -> _Rows:
     """
     d = p.dim
     every = np.arange(d)
-    # blocks of (values, general rows or None, bound variables, bound sign)
-    eq, ineq = [], []
-    pinned_bounds = np.zeros(d, dtype=bool)
-    if p.Aeq is not None:
-        eq.append((p.beq, p.Aeq, None, 0.0))
-    if p.lb is not None and p.ub is not None:
-        pinned_bounds = np.isfinite(p.lb) & (p.lb == p.ub)
-        eq.append((p.lb[pinned_bounds], None, every[pinned_bounds], 1.0))
-    if p.Ain is not None:
-        pinned_rows = np.isfinite(p.lin) & (p.lin == p.uin)
-        eq.append((p.lin[pinned_rows], p.Ain[pinned_rows], None, 0.0))
-    if p.lb is not None:
-        keep = np.isfinite(p.lb) & ~pinned_bounds
-        ineq.append((p.lb[keep], None, every[keep], 1.0))
-    if p.ub is not None:
-        keep = np.isfinite(p.ub) & ~pinned_bounds
-        ineq.append((-p.ub[keep], None, every[keep], -1.0))
-    if p.Ain is not None:
-        keep = np.isfinite(p.lin) & ~pinned_rows
-        ineq.append((p.lin[keep], p.Ain[keep], None, 0.0))
-        keep = np.isfinite(p.uin) & ~pinned_rows
-        ineq.append((-p.uin[keep], -p.Ain[keep], None, 0.0))
-    blocks = eq + ineq
-    b = np.concatenate([values for values, _, _, _ in blocks]) if blocks else np.empty(0)
-    a = np.zeros((b.size, d))
-    bound_var = np.full(b.size, -1)
-    start = 0
-    for values, general, var, sign in blocks:
-        stop = start + values.size
-        if general is None:
-            a[np.arange(start, stop), var] = sign
-            bound_var[start:stop] = var
-        else:
-            a[start:stop] = general
-        start = stop
-    return _Rows(a=a, b=b, n_eq=sum(values.size for values, _, _, _ in eq),
-                 bound_var=bound_var)
+    mats = [m for m in (p.Aeq, p.Ain) if m is not None]
+    gen = np.vstack(mats) if len(mats) > 1 else mats[0] if mats else np.zeros((0, d))
+    beq = np.empty(0) if p.Aeq is None else p.beq
+    lb = np.full(d, -np.inf) if p.lb is None else p.lb
+    ub = np.full(d, np.inf) if p.ub is None else p.ub
+    lin, uin = (np.empty(0), np.empty(0)) if p.Ain is None else (p.lin, p.uin)
+    ain = d + beq.size + np.arange(lin.size)
+    pinned, pinned_rows = np.isfinite(lb) & (lb == ub), np.isfinite(lin) & (lin == uin)
+    lower, upper = np.isfinite(lb) & ~pinned, np.isfinite(ub) & ~pinned
+    low_rows, up_rows = np.isfinite(lin) & ~pinned_rows, np.isfinite(uin) & ~pinned_rows
+    # (values, sources): equality rows, then lower and upper bounds, Ain lowers and uppers
+    blocks = [(beq, d + np.arange(beq.size)), (lb[pinned], every[pinned]),
+              (lin[pinned_rows], ain[pinned_rows]), (lb[lower], every[lower]),
+              (-ub[upper], every[upper]), (lin[low_rows], ain[low_rows]),
+              (-uin[up_rows], ain[up_rows])]
+    sizes = [values.size for values, _ in blocks]
+    nz = gen != 0
+    return _Rows(b=np.concatenate([values for values, _ in blocks]), n_eq=sum(sizes[:3]),
+                 src=np.concatenate([src for _, src in blocks]),
+                 sign=np.repeat([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0], sizes),
+                 gen=gen, first=np.argmax(nz, axis=1),
+                 last=d - 1 - np.argmax(nz[:, ::-1], axis=1))
+
+
+def _values(rows: _Rows, z: np.ndarray) -> np.ndarray:
+    """a'z of every canonical row."""
+    return rows.sign * np.concatenate([z, rows.gen @ z])[rows.src]
+
+
+def _combine(rows: _Rows, ids, lam) -> np.ndarray:
+    """sum_i lam_i a_i over the canonical rows ids."""
+    d = rows.gen.shape[1]
+    per_src = np.bincount(rows.src[ids], weights=rows.sign[ids] * lam,
+                          minlength=d + rows.gen.shape[0])
+    return per_src[:d] + per_src[d:] @ rows.gen
+
+
+def _normals(rows: _Rows, ids) -> np.ndarray:
+    """The canonical rows ids written out densely, one row each."""
+    d = rows.gen.shape[1]
+    ids = np.asarray(ids, dtype=np.intp)
+    src, sign = rows.src[ids], rows.sign[ids]
+    bound = src < d
+    out = np.zeros((ids.size, d))
+    out[np.flatnonzero(bound), src[bound]] = sign[bound]
+    out[~bound] = rows.gen[src[~bound] - d] * sign[~bound, None]
+    return out
+
+
+class _Hessian(NamedTuple):
+    """H + eps I as the solver uses it, scanned once: first is each row's first
+    nonzero column, which every KKT layout reads; factor is the lower band
+    Cholesky factor (dpbtrf) at the half-bandwidth max_i (i - first_i), None
+    unless H + eps I is positive definite."""
+
+    dense: np.ndarray
+    first: np.ndarray
+    factor: np.ndarray | None
+
+
+def _hessian(h: np.ndarray) -> _Hessian:
+    dense = regularized_hessian(h)
+    d = dense.shape[0]
+    at = np.arange(d)
+    first = np.argmax(dense != 0, axis=1)  # a regularized H has a nonzero diagonal
+    width = int((at - first).max(initial=0))
+    # band storage ab[o, j] = h[j + o, j], transposed; clipped entries are never read
+    take = np.minimum(at[:, None] * (d + 1) + np.arange(width + 1) * d, d * d - 1)
+    factor, info = dpbtrf(dense.reshape(-1)[take].T, lower=1, overwrite_ab=1)
+    return _Hessian(dense, first, factor if info == 0 and np.isfinite(factor).all() else None)
 
 
 class _Band(NamedTuple):
     """Where the variables and the general active rows sit in the banded KKT.
-
-    h_take gathers H's lower band twice (flat indices into H) and h_put
-    scatters it below and above the diagonal of dgbsv's band storage,
-    transposed (flat indices into it); a_take/a_put do the same for the
-    general rows.
-    """
+    h_take gathers H's lower band twice (flat indices into H), h_put scatters
+    it below and above the diagonal of dgbsv's band storage, transposed; a_take
+    and a_put do the same for the general rows."""
 
     var_pos: np.ndarray  # KKT position of each variable
     row_pos: np.ndarray  # KKT position of each general row
@@ -252,28 +283,19 @@ class _Band(NamedTuple):
     a_put: np.ndarray
 
 
-def _band_order(h: np.ndarray, a_gen: np.ndarray) -> _Band:
-    """Interleaved KKT order of the variables and the general active rows.
-
-    Variables keep their natural order; each row of a_gen is placed right
-    after the last variable it touches (rows with the same last variable
-    keep their given order). The half-bandwidth of [[h, a_gen'], [a_gen, 0]]
-    in that order is read off the full nonzero pattern, so it does not
-    depend on which variables are fixed. The layout depends only on that
-    pattern and is cached by it: a controller's QPs share one pattern for
-    H, and their general active rows come in few patterns (at most two
-    layouts per closed-loop run of either MPC, one of them the first tick's
-    equality rows alone), and a rebuild would add 25-70% to each KKT solve.
-    """
-    nz = a_gen != 0
-    h_first = np.argmax(h != 0, axis=1)  # a regularized H has a nonzero diagonal
-    first = np.argmax(nz, axis=1)
-    last = h.shape[0] - 1 - np.argmax(nz[:, ::-1], axis=1)
-    return _band_layout(h_first.tobytes(), first.tobytes(), last.tobytes())
-
-
 @lru_cache(maxsize=4)  # two controllers' layouts
 def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
+    """Interleaved KKT order of the variables and the general active rows.
+
+    Variables keep their natural order; each general row is placed right
+    after the last variable it touches (ties keep their given order). The
+    half-bandwidth of [[h, a'], [a, 0]] is read off the nonzero spans (each
+    row of H from h_first, each general row from first to last), whatever
+    variables are fixed. The layout is cached by those spans, never by row
+    ids alone: a controller's QPs share one pattern for H, their general
+    active rows come in few patterns (at most two layouts per closed-loop
+    run of either MPC), and a rebuild would add 25-70% to each KKT solve.
+    """
     h_first, first, last = (np.frombuffer(x, dtype=np.intp) for x in (h_first, first, last))
     d = h_first.size
     m = first.size
@@ -312,23 +334,24 @@ def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
     return band
 
 
-def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+def _kkt_solve(rows: _Rows, hess: _Hessian, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 0.5 z'hz + g'z with the rows ids held at equality.
 
-    Bound rows among ids fix their variable; the remaining rows enter a
-    banded KKT system in the order of _band_order, factored by one dgbsv.
+    Bound rows among ids fix their variable; the general rows enter a
+    banded KKT system in the order of _band_layout, factored by one dgbsv.
     Returns z and the multipliers aligned with ids (a'z >= b convention:
     h z + g = sum lam_i a_i). Raises LinAlgError when the system is
     singular, which includes a variable fixed by two rows.
     """
     d = g.shape[0]
+    h = hess.dense
     ids = np.asarray(ids, dtype=np.intp)
-    var = rows.bound_var[ids]
-    bound = var >= 0
-    fixed = var[bound]
+    src = rows.src[ids]
+    bound = src < d
+    fixed = src[bound]
     if np.bincount(fixed, minlength=1).max() > 1:
         raise LinAlgError("a variable is fixed by two active rows")
-    sign = rows.a[ids[bound], fixed]
+    sign = rows.sign[ids[bound]]
     z_fixed = np.zeros(d)
     z_fixed[fixed] = sign * rows.b[ids[bound]]
     # general rows in canonical order, so one active set gives one layout
@@ -336,26 +359,31 @@ def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarr
     gen_at = np.flatnonzero(~bound)
     gen_at = gen_at[np.argsort(ids[gen_at])]
     gen = ids[gen_at]
-    a_gen = rows.a[gen]
-    band = _band_order(h, a_gen)
+    base = rows.src[gen] - d
+    a_gen = rows.gen[base]
+    upper = rows.sign[gen] < 0
+    a_gen[upper] = -a_gen[upper]
+    band = _band_layout(hess.first.tobytes(), rows.first[base].tobytes(),
+                        rows.last[base].tobytes())
     var_pos, row_pos, width = band.var_pos, band.row_pos, band.width
 
-    # the fixed variables' rows and columns are left empty but for a unit
-    # diagonal, and their values move to the right-hand side
+    # the fixed variables' values move to the right-hand side
     rhs = np.empty(d + gen.size)
     rhs[var_pos] = -g - h @ z_fixed
     rhs[var_pos[fixed]] = z_fixed[fixed]
     rhs[row_pos] = rows.b[gen] - a_gen @ z_fixed
-    h_free = h.copy()
-    h_free[fixed] = 0.0
-    h_free[:, fixed] = 0.0
-    a_free = a_gen.copy()
-    a_free[:, fixed] = 0.0
-    ab_t = np.zeros((rhs.size, 3 * width + 1))  # dgbsv's band storage, transposed
+    # dgbsv's band storage, transposed ((i, j) at [j, 2w + i - j]), with w spare rows each side
+    margin = np.zeros((rhs.size + 2 * width, 3 * width + 1))
+    ab_t = margin[width:width + rhs.size]
     flat = ab_t.reshape(-1)
-    flat[band.h_put] = h_free.reshape(-1)[band.h_take]
-    flat[band.a_put] = a_free.reshape(-1)[band.a_take]
-    ab_t[var_pos[fixed], 2 * width] = 1.0
+    flat[band.h_put] = h.reshape(-1)[band.h_take]
+    flat[band.a_put] = a_gen.reshape(-1)[band.a_take]
+    # a fixed variable's KKT column and row are empty but for a unit diagonal
+    at = var_pos[fixed]
+    ab_t[at] = 0.0
+    off = np.arange(-width, width + 1)
+    margin[width + at[:, None] + off, 2 * width - off] = 0.0
+    ab_t[at, 2 * width] = 1.0
 
     _, _, sol, info = dgbsv(width, width, ab_t.T, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
@@ -368,52 +396,30 @@ def _kkt_solve(rows: _Rows, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarr
     return z, lam
 
 
-def _kkt_start(rows: _Rows, h: np.ndarray, g: np.ndarray, ids):
+def _kkt_start(rows: _Rows, hess: _Hessian, g: np.ndarray, ids):
     """(ids, z, lam) of the KKT solve with the rows ids active; None when singular."""
     try:
-        return (ids, *_kkt_solve(rows, h, g, ids))
+        return (ids, *_kkt_solve(rows, hess, g, ids))
     except LinAlgError:
         return None
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix by LAPACK dpotrf (its
-    upper triangle is left as it was); LinAlgError unless positive definite."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    factor, info = dpotrf(a, lower=1, clean=0)
-    if info != 0:
-        raise LinAlgError(f"leading minor {info} is not positive definite")
-    return factor
-
-
-def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a _cholesky factor (LAPACK dpotrs)."""
-    return dpotrs(factor, rhs, lower=1)[0]
 
 
 def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers) -> KktResiduals:
     ids = np.asarray(active_set, dtype=np.intp)
     lam = np.asarray(multipliers, dtype=float)
-    grad = h_reg @ z + g - rows.a[ids].T @ lam
-    stationarity = float(np.linalg.norm(grad, ord=np.inf)) if z.size else 0.0
-
-    feas = 0.0
-    comp = 0.0
-    dual = 0.0
-    if rows.n_eq:
-        feas = float(np.abs(rows.a_eq @ z - rows.b_eq).max())
-    if rows.n_in:
-        slack = rows.a_in @ z - rows.b_in
-        feas = max(feas, float(np.clip(-slack, 0.0, None).max()))
-        lam_in = np.zeros(rows.n_in)
-        ineq = ids >= rows.n_eq
-        lam_in[ids[ineq] - rows.n_eq] = lam[ineq]
-        comp = float(np.abs(lam_in * slack).max())
-        dual = max(0.0, -float(lam_in.min()))
-    return KktResiduals(stationarity=stationarity, feasibility=feas, complementarity=comp,
-                        dual_feasibility=dual)
+    grad = h_reg @ z + g - _combine(rows, ids, lam)
+    slack = _values(rows, z) - rows.b
+    slack_in = slack[rows.n_eq:]
+    lam_in = np.zeros(rows.n_in)
+    ineq = ids >= rows.n_eq
+    lam_in[ids[ineq] - rows.n_eq] = lam[ineq]
+    return KktResiduals(
+        stationarity=float(np.abs(grad).max(initial=0.0)),
+        feasibility=float(max(np.abs(slack[:rows.n_eq]).max(initial=0.0),
+                              (-slack_in).max(initial=0.0))),
+        complementarity=float(np.abs(lam_in * slack_in).max(initial=0.0)),
+        dual_feasibility=max(0.0, -float(lam_in.min(initial=0.0))))
 
 
 def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> KktResiduals:
@@ -421,13 +427,22 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
 
     Dual feasibility is how far the most negative multiplier on an active
     inequality row lies below zero; with it, a small max() certifies a
-    convex QP's optimum.
-
-    active_set holds canonical row indices (equalities first) as produced by
-    the solver; multipliers align with it.
+    convex QP's optimum. active_set holds distinct canonical row indices
+    (equalities first) as the solver produces them, multipliers align with
+    it; anything else is a ValueError, since a repeated or wrapped-around id
+    would count a multiplier twice or on the wrong row and hide its sign.
     """
-    return _residuals(expand_constraints(p), regularized_hessian(p.H), p.g,
-                      np.asarray(z, dtype=float), active_set, multipliers)
+    rows = expand_constraints(p)
+    ids = np.asarray(active_set)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("active_set must be a sequence of integer row ids")
+    ids = ids.astype(np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= rows.b.size or np.unique(ids).size < ids.size):
+        raise ValueError(f"active_set must hold distinct row ids in [0, {rows.b.size})")
+    lam = np.asarray(multipliers, dtype=float)
+    if lam.shape != ids.shape:
+        raise ValueError(f"{ids.size} active rows need as many multipliers, got shape {lam.shape}")
+    return _residuals(rows, regularized_hessian(p.H), p.g, np.asarray(z, dtype=float), ids, lam)
 
 
 class _ActiveSet:
@@ -479,10 +494,10 @@ class _ActiveSet:
     def solve_gram(self, rhs):
         k = self.k
         gram = self.gram[:k, :k]
-        try:
-            return _cho_solve(_cholesky(gram), rhs)
-        except LinAlgError:
-            return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        factor, info = dpotrf(gram, lower=1, clean=0)
+        if info == 0:
+            return dpotrs(factor, rhs, lower=1)[0]
+        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
 class QpSolver:
@@ -494,27 +509,26 @@ class QpSolver:
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
         rows = expand_constraints(p)
         d = p.dim
-        h_reg = regularized_hessian(p.H)
-        try:
-            h_factor = _cholesky(h_reg)
-        except LinAlgError as exc:
-            raise QpDataError(f"Hessian is not positive definite: {exc}") from exc
+        hess = _hessian(p.H)
+        if hess.factor is None:
+            raise QpDataError("Hessian is not positive definite")
+        h_reg = hess.dense
 
         def objective(zv):
             return float(0.5 * zv @ (h_reg @ zv) + p.g @ zv)
 
         # one start: the equality rows plus the valid warm rows
-        ids = np.arange(rows.n_eq)
+        start_rows = np.arange(rows.b.size) < rows.n_eq
         if warm_start:
             warm = np.asarray(warm_start, dtype=np.intp)
-            ids = np.union1d(ids, warm[(warm >= 0) & (warm < rows.b.size)])
-        start = _kkt_start(rows, h_reg, p.g, ids)
+            start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
+        start = _kkt_start(rows, hess, p.g, np.flatnonzero(start_rows))
         if warm_start:
             sol = self._try_hot_start(p, rows, h_reg, start, objective)
             if sol is not None:
                 return sol
         if start is None:  # a singular warm set leaves the equality rows alone
-            start = _kkt_start(rows, h_reg, p.g, np.arange(rows.n_eq))
+            start = _kkt_start(rows, hess, p.g, np.arange(rows.n_eq))
         if start is None:
             raise QpDataError("equality rows are linearly dependent")
         ids, z, lam = start
@@ -522,30 +536,32 @@ class QpSolver:
         # & Idnani, 1983): drop the warm rows with negative multipliers
         while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
             ids = ids[~negative]
-            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
-        if rows.n_eq and np.abs(rows.a_eq @ z - rows.b_eq).max() > 1e-6 * (1 + np.abs(rows.b_eq).max()):
+            z, lam = _kkt_solve(rows, hess, p.g, ids)
+        b_eq, b_in = rows.b[:rows.n_eq], rows.b[rows.n_eq:]
+        if rows.n_eq and np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max() > 1e-6 * (1 + np.abs(b_eq).max()):
             res = _residuals(rows, h_reg, p.g, z, [], [])
             return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), [])
         active = _ActiveSet(d, rows.n_eq + min(d, rows.n_in) + 2)
-        active.add_first(rows.a[ids], _cho_solve(h_factor, rows.a[ids].T), lam, ids)
+        normals = _normals(rows, ids)
+        active.add_first(normals, dpbtrs(hess.factor, normals.T, lower=1)[0], lam, ids)
         iterations = 1
         max_iterations = 10 * (d + rows.n_in + rows.n_eq)
         status = OPTIMAL
         history = [objective(z)] if self.debug else []
 
-        in_norms = np.linalg.norm(rows.a_in, axis=1) if rows.n_in else np.empty(0)
-        in_scale = 1.0 + np.abs(rows.b_in)
+        norms = np.concatenate([np.ones(d), np.linalg.norm(rows.gen, axis=1)])
+        in_norms, in_scale = norms[rows.src[rows.n_eq:]], 1.0 + np.abs(b_in)
 
         while status == OPTIMAL and rows.n_in:
-            slacks = rows.a_in @ z - rows.b_in
+            slacks = _values(rows, z)[rows.n_eq:] - b_in
             scale = in_scale + in_norms * float(np.linalg.norm(z))
             worst = int(np.argmin(slacks / scale))
             if slacks[worst] >= -_VIOLATION_TOL * scale[worst]:
                 break
-            n_plus = rows.a_in[worst]
+            n_plus = _normals(rows, [rows.n_eq + worst])[0]
             slack = float(slacks[worst])
             u_plus = 0.0
-            w = _cho_solve(h_factor, n_plus)
+            w = dpbtrs(hess.factor, n_plus, lower=1)[0]
 
             while True:
                 iterations += 1
@@ -589,44 +605,34 @@ class QpSolver:
         kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
         if status == OPTIMAL and kkt_res.max() > threshold:
-            z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, z, mult_arr, kkt_res)
+            z, mult_arr, kkt_res = self._polish(p, rows, hess, row_ids, z, mult_arr, kkt_res)
         if status == OPTIMAL and kkt_res.max() > 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
         if self.debug:
             history.append(objective(z))
             self._assert_monotone(history)
-        return QpSolution(
-            z_star=z,
-            status=status,
-            kkt=kkt_res,
-            active_set=tuple(row_ids),
-            multipliers=mult_arr,
-            iterations=iterations,
-            objective=objective(z),
-            dual_objective_history=history,
-        )
+        return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, objective(z),
+                          history)
 
-    def _polish(self, p, rows, h_reg, row_ids, z0, mult0, kkt0):
-        """Exact KKT re-solve on the final active set to remove drift.
-
-        One step of iterative refinement follows: the same KKT system solved
-        for the correction of its residuals, with b - a z on the general
-        rows, 0 on the bound rows (whose variables the solve fixes exactly)
-        and the stationarity residual as the gradient. Large multipliers
-        magnify the round-off left in the active rows' slacks, which the
-        complementarity residual would otherwise report.
+    def _polish(self, p, rows, hess, row_ids, z0, mult0, kkt0):
+        """Exact KKT re-solve on the final active set to remove drift, then one
+        step of iterative refinement: the same KKT system solved for the
+        correction, with b - a z on the general rows, 0 on the bound rows
+        (whose variables the solve fixes exactly) and the stationarity
+        residual as the gradient. Large multipliers magnify the round-off
+        left in the active rows' slacks, which complementarity would report.
         """
         try:
-            z, lam = _kkt_solve(rows, h_reg, p.g, row_ids)
-            residual = replace(rows, b=np.where(rows.bound_var < 0, rows.b - rows.a @ z, 0.0))
-            grad = h_reg @ z + p.g - rows.a[row_ids].T @ lam
-            dz, dlam = _kkt_solve(residual, h_reg, grad, row_ids)
+            z, lam = _kkt_solve(rows, hess, p.g, row_ids)
+            residual = replace(rows, b=np.where(rows.src < p.dim, 0.0, rows.b - _values(rows, z)))
+            grad = hess.dense @ z + p.g - _combine(rows, row_ids, lam)
+            dz, dlam = _kkt_solve(residual, hess, grad, row_ids)
         except LinAlgError:
             return z0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
         if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
-        res = _residuals(rows, h_reg, p.g, z, row_ids, lam)
+        res = _residuals(rows, hess.dense, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
             return z, lam, res
         return z0, mult0, kkt0
@@ -639,23 +645,14 @@ class QpSolver:
         ids, z, lam = start
         if np.any(lam[ids >= rows.n_eq] < -1e-10):
             return None
-        if rows.n_in:
-            slack = rows.a_in @ z - rows.b_in
-            if np.any(slack < -1e-9 * (1.0 + np.abs(rows.b_in))):
-                return None
+        b_in = rows.b[rows.n_eq:]
+        if np.any(_values(rows, z)[rows.n_eq:] - b_in < -1e-9 * (1.0 + np.abs(b_in))):
+            return None
         res = _residuals(rows, h_reg, p.g, z, ids, lam)
         if res.max() > 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             return None
-        return QpSolution(
-            z_star=z,
-            status=OPTIMAL,
-            kkt=res,
-            active_set=tuple(ids.tolist()),
-            multipliers=lam,
-            iterations=1,
-            objective=objective(z),
-            dual_objective_history=[objective(z)] if self.debug else [],
-        )
+        return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, objective(z),
+                          [objective(z)] if self.debug else [])
 
     @staticmethod
     def _assert_monotone(history):

@@ -7,11 +7,18 @@ points. The benchmark's files are only imported here, never changed.
 """
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from armmpc import qp
+from armmpc import load_bundled_model, qp
+from armmpc.checks import dense_rows
+from armmpc.kinematics import forward_kinematics
+from armmpc.mpc_dynamic import DynamicMpc, DynamicMpcConfig
+from armmpc.nominal import default_posture, default_task_hierarchy
+from armmpc.trajgen import TaskTrajectory
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,3 +43,35 @@ def test_probe_targets_resolve(perfbench):
     for workload in bench.WORKLOADS.values():
         assert resolves(*workload.entry), workload.name
     assert {"solve", "_try_hot_start"} <= set(vars(qp.QpSolver))
+
+
+def test_certificate_sees_the_bound_rows(perfbench, monkeypatch):
+    # a far target drives the dynamic MPC into its torque box; the benchmark
+    # certifies that optimal solve, and must refuse it once the multiplier
+    # of one active bound has the wrong sign
+    probes, _ = perfbench
+    solves = []
+    solve = qp.QpSolver.solve
+
+    def keep(self, p, warm_start=None):
+        solves.append((p, solve(self, p, warm_start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(qp.QpSolver, "solve", keep)
+    model = load_bundled_model("rs007n")
+    q0 = 0.5 * (model.limits.q_min + model.limits.q_max)
+    far = forward_kinematics(model, q0 + 0.4)
+    traj = TaskTrajectory(dt=1e-3, poses=(far,) * 30, tasks=default_task_hierarchy())
+    cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=1e4, damping_weight=1e-4)
+    DynamicMpc(model, cfg, posture=default_posture(q0)).step(
+        np.concatenate([q0, np.zeros(model.n)]), traj, 0)
+    problem, sol = solves[-1]
+    assert sol.status == qp.OPTIMAL and probes.certified(problem, sol)
+    a, _, n_eq = dense_rows(problem)
+    ids = np.asarray(sol.active_set)
+    bound = (ids >= n_eq) & (np.count_nonzero(a[ids], axis=1) == 1)
+    strongest = int(np.argmax(np.where(bound, sol.multipliers, -np.inf)))
+    assert bound[strongest] and sol.multipliers[strongest] > 1.0
+    flipped = sol.multipliers.copy()
+    flipped[strongest] *= -1.0
+    assert not probes.certified(problem, replace(sol, multipliers=flipped))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from armmpc import load_bundled_model, qp, simulator
-from armmpc.checks import random_qp, solve_qp_by_enumeration
+from armmpc.checks import dense_rows, random_qp, solve_qp_by_enumeration
 from armmpc.qp import (
     INFEASIBLE,
     OPTIMAL,
     QpDataError,
     QpProblem,
     QpSolver,
+    _hessian,
     _kkt_solve,
     _kkt_start,
     _residuals,
@@ -133,6 +136,18 @@ def test_nonfinite_rejected(data):
         QpProblem(**{"H": np.eye(2), "g": np.ones(2), **data})
 
 
+@pytest.mark.parametrize("data", [
+    {"lb": np.array([np.inf, -1.0]), "ub": np.array([np.inf, 1.0])},
+    {"ub": np.array([-np.inf, 1.0])},
+    {"Ain": np.ones((1, 2)), "lin": np.array([np.inf]), "uin": np.array([np.inf])},
+    {"Ain": np.ones((1, 2)), "lin": np.array([-np.inf]), "uin": np.array([-np.inf])},
+], ids=["lb-plus-inf", "ub-minus-inf", "lin-plus-inf", "uin-minus-inf"])
+def test_unsatisfiable_infinite_bound_rejected(data):
+    # z >= +inf or z <= -inf holds for no z; it must not be dropped as "no bound"
+    with pytest.raises(QpDataError, match="no point satisfies"):
+        QpProblem(**{"H": np.eye(2), "g": np.zeros(2), **data})
+
+
 def test_warm_start_identical_problem(rng):
     solver = QpSolver()
     prob = random_qp(rng, 5, 6)
@@ -209,6 +224,26 @@ def test_kkt_check_dual_feasibility():
     assert sol.kkt.dual_feasibility == 0.0
 
 
+@pytest.mark.parametrize("active_set, multipliers", [
+    ((0, 0), (-2.0, 3.0)),
+    ((-1,), (1.0,)),
+    ((1,), (1.0,)),
+    ((0.0,), (1.0,)),
+    (((0,),), (1.0,)),
+    ((0,), (1.0, 2.0)),
+    ((0,), ()),
+], ids=["repeated", "negative", "past-the-end", "float", "nested", "extra-multiplier",
+        "missing-multiplier"])
+def test_kkt_check_rejects_malformed_active_sets(active_set, multipliers):
+    # z = 1 on the bound z >= 1 with multiplier 1 is the optimum. A repeated
+    # id used to count both multipliers in stationarity but only the last in
+    # the sign check, so (-2, 3) passed; a negative id wrapped to another row
+    p = QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]))
+    assert kkt_check(p, np.ones(1), (0,), (1.0,)).max() <= 1e-8
+    with pytest.raises(ValueError, match="active|multipliers"):
+        kkt_check(p, np.ones(1), active_set, multipliers)
+
+
 def test_max_iter_returns_best_iterate():
     # a normal problem but with an absurdly low cap via monkeypatching is
     # intrusive; instead verify the field exists and is a sane count
@@ -225,9 +260,10 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
                   lb=np.array([-np.inf, 0.5]), ub=np.array([np.inf, np.inf]))
     warm = (0,)  # the one canonical row: z_2 >= 0.5
     rows = expand_constraints(p)
-    h_reg = regularized_hessian(p.H)
-    start = _kkt_start(rows, h_reg, p.g, np.array(warm))
-    accepted = QpSolver()._try_hot_start(p, rows, h_reg, start, lambda z: 0.0)
+    hess = _hessian(p.H)
+    assert hess.factor is None
+    start = _kkt_start(rows, hess, p.g, np.array(warm))
+    accepted = QpSolver()._try_hot_start(p, rows, hess.dense, start, lambda z: 0.0)
     assert accepted is not None and accepted.multipliers[0] > 0
     with pytest.raises(QpDataError, match="positive definite"):
         QpSolver().solve(p)
@@ -244,18 +280,18 @@ def test_dependent_equality_rows_rejected():
 
 def dense_kkt(p, ids):
     """Reference: z and multipliers of the active rows ids from one dense solve."""
-    rows = expand_constraints(p)
+    a, b, _ = dense_rows(p)
     h = regularized_hessian(p.H)
-    a = rows.a[list(ids)]
+    a = a[list(ids)]
     d, k = p.dim, len(ids)
     kkt = np.block([[h, a.T], [a, np.zeros((k, k))]])
-    sol = np.linalg.solve(kkt, np.concatenate([-p.g, rows.b[list(ids)]]))
+    sol = np.linalg.solve(kkt, np.concatenate([-p.g, b[list(ids)]]))
     return sol[:d], -sol[d:]
 
 
 def assert_matches_dense(p, ids):
     rows = expand_constraints(p)
-    z, lam = _kkt_solve(rows, regularized_hessian(p.H), p.g, ids)
+    z, lam = _kkt_solve(rows, _hessian(p.H), p.g, ids)
     z_ref, lam_ref = dense_kkt(p, ids)
     np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-9 * np.abs(z_ref).max())
     np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-9 * np.abs(lam_ref).max())
@@ -320,7 +356,7 @@ def kinematic_style_qp(rng):
     ids = (list(range(rows.n_eq))  # the pinned block
            + [rows.n_eq + 4, rows.n_eq + n_free + 9]  # a lower and an upper bound
            + [lowers + 1, lowers + 7, uppers + 3, uppers + 12])  # two-sided Ain rows
-    assert rows.bound_var[ids[-4:]].max() == -1
+    assert rows.src[ids[-4:]].min() >= d  # general rows
     return p, ids
 
 
@@ -333,7 +369,7 @@ def test_banded_kkt_does_not_depend_on_activation_order(rng):
     # the same solve and reuse the same cached layout
     p, ids = kinematic_style_qp(rng)
     rows = expand_constraints(p)
-    h = regularized_hessian(p.H)
+    h = _hessian(p.H)
     z, lam = _kkt_solve(rows, h, p.g, ids)
     misses = qp._band_layout.cache_info().misses
     z2, lam2 = _kkt_solve(rows, h, p.g, ids[::-1])
@@ -349,8 +385,8 @@ def test_singular_hot_start_falls_back_to_cold_path():
                   lin=np.array([3.0, 3.0]), uin=np.array([np.inf, np.inf]))
     rows = expand_constraints(p)
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, regularized_hessian(p.H), p.g, [0, 1])
-    assert _kkt_start(rows, regularized_hessian(p.H), p.g, [0, 1]) is None
+        _kkt_solve(rows, _hessian(p.H), p.g, [0, 1])
+    assert _kkt_start(rows, _hessian(p.H), p.g, [0, 1]) is None
     solver = QpSolver()
     assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None, lambda z: 0.0) is None
     sol = solver.solve(p, warm_start=(0, 1))
@@ -360,26 +396,27 @@ def test_singular_hot_start_falls_back_to_cold_path():
 
 
 def test_residuals_match_row_by_row_reference(rng):
-    # the gathered product and index assignment against a per-row loop
+    # the solver's bound and general rows against a per-row loop over rows
+    # written out densely
     for _ in range(20):
         prob = random_qp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)),
                          with_eq=bool(rng.integers(0, 2)))
-        rows = expand_constraints(prob)
+        a, b, n_eq = dense_rows(prob)
         h = regularized_hessian(prob.H)
         z = rng.standard_normal(prob.dim)
-        ids = rng.choice(rows.b.size, size=int(rng.integers(0, rows.b.size + 1)), replace=False)
+        ids = rng.choice(b.size, size=int(rng.integers(0, b.size + 1)), replace=False)
         lam = rng.standard_normal(ids.size)
-        res = _residuals(rows, h, prob.g, z, ids, lam)
+        res = _residuals(expand_constraints(prob), h, prob.g, z, ids, lam)
         grad = h @ z + prob.g
-        lam_in = np.zeros(rows.n_in)
+        lam_in = np.zeros(b.size - n_eq)
         for idx, val in zip(ids, lam):
-            grad = grad - val * rows.a[idx]
-            if idx >= rows.n_eq:
-                lam_in[idx - rows.n_eq] = val
+            grad = grad - val * a[idx]
+            if idx >= n_eq:
+                lam_in[idx - n_eq] = val
         scale = 1e-12 * (1.0 + np.abs(h @ z).max() + np.abs(prob.g).max() + np.abs(lam).sum())
         assert abs(res.stationarity - np.abs(grad).max()) <= scale
-        if rows.n_in:
-            slack = rows.a_in @ z - rows.b_in
+        if lam_in.size:
+            slack = a[n_eq:] @ z - b[n_eq:]
             assert res.complementarity == np.abs(lam_in * slack).max()
             assert res.dual_feasibility == max(0.0, -lam_in.min())
 
@@ -389,10 +426,10 @@ def test_variable_fixed_twice_is_singular():
     p = QpProblem(H=np.eye(2), g=np.ones(2), lb=np.zeros(2), ub=np.ones(2))
     rows = expand_constraints(p)
     both = [0, 2]
-    assert rows.bound_var[both].tolist() == [0, 0]
+    assert rows.src[both].tolist() == [0, 0] and rows.sign[both].tolist() == [1.0, -1.0]
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
-    assert _kkt_start(rows, regularized_hessian(p.H), p.g, both) is None
+        _kkt_solve(rows, _hessian(p.H), p.g, both)
+    assert _kkt_start(rows, _hessian(p.H), p.g, both) is None
     sol = QpSolver().solve(p, warm_start=both)  # falls back to the equality rows alone
     assert sol.status == OPTIMAL and sol.active_set == (0, 1)
 
@@ -482,7 +519,7 @@ def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
         other, p = stage_qp(rng, 3), stage_qp(rng, 3)
         warm = QpSolver().solve(other).active_set
         rows = expand_constraints(p)
-        ids, _, lam = _kkt_start(rows, regularized_hessian(p.H), p.g, np.array(warm))
+        ids, _, lam = _kkt_start(rows, _hessian(p.H), p.g, np.array(warm))
         dropped += np.any(lam[ids >= rows.n_eq] < 0)
         optimal += assert_matches_warm_free_solve(p, QpSolver().solve(p, warm_start=warm))
     assert dropped >= 5 and optimal >= 5
@@ -499,3 +536,95 @@ def test_optimal_warm_set_of_equality_rows_alone_is_accepted(hot_starts):
     assert hot_starts == [warm]
     assert warm.iterations == 1 and warm.active_set == (0,)
     np.testing.assert_array_equal(warm.z_star, cold.z_star)
+
+
+def dense_residuals(p, z, ids, lam):
+    """KktResiduals fields from the rows written out densely, row by row."""
+    a, b, n_eq = dense_rows(p)
+    ids, lam = np.asarray(ids, dtype=int), np.asarray(lam, dtype=float)
+    slack = a @ z - b
+    lam_in = np.zeros(b.size - n_eq)
+    lam_in[ids[ids >= n_eq] - n_eq] = lam[ids >= n_eq]
+    grad = regularized_hessian(p.H) @ z + p.g - a[ids].T @ lam
+    return (np.abs(grad).max(),
+            max(np.abs(slack[:n_eq]).max(initial=0.0), (-slack[n_eq:]).max(initial=0.0)),
+            np.abs(lam_in * slack[n_eq:]).max(initial=0.0),
+            max(0.0, -lam_in.min(initial=0.0)))
+
+
+BOUND_KINDS = ("free", "lower", "upper", "box", "pinned")
+ROW_KINDS = ("pinned", "two-sided", "lower", "upper")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bound_and_general_rows_match_the_dense_oracle(data):
+    # bounds that are finite, infinite or pinned, and Ain rows that are
+    # pinned or one- or two-sided: the solver's objective against active-set
+    # enumeration over dense rows, and kkt_check against dense residuals
+    d = data.draw(st.integers(1, 6), label="d")
+    bounds = np.array(data.draw(st.lists(st.sampled_from(BOUND_KINDS), min_size=d, max_size=d)))
+    general = np.array(data.draw(st.lists(st.sampled_from(ROW_KINDS), max_size=2)), dtype=str)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    half = rng.standard_normal((d, d))
+    lo = rng.uniform(-1.5, 0.5, d)
+    hi = lo + rng.uniform(0.1, 2.0, d)
+    lb = np.where(np.isin(bounds, ("lower", "box", "pinned")), lo, -np.inf)
+    ub = np.where(np.isin(bounds, ("upper", "box")), hi, np.inf)
+    ub[bounds == "pinned"] = lo[bounds == "pinned"]
+    mid, width = rng.uniform(-1.0, 1.0, len(general)), rng.uniform(0.2, 2.0, len(general))
+    lin = np.where(np.isin(general, ("two-sided", "lower")), mid - width, -np.inf)
+    uin = np.where(np.isin(general, ("two-sided", "upper")), mid + width, np.inf)
+    pinned = general == "pinned"
+    lin[pinned] = uin[pinned] = mid[pinned]
+    ain = rng.standard_normal((general.size, d)) if general.size else None
+    p = QpProblem(H=half @ half.T + 0.1 * np.eye(d), g=3.0 * rng.standard_normal(d), lb=lb,
+                  ub=ub, Ain=ain, lin=lin if general.size else None,
+                  uin=uin if general.size else None)
+
+    ref, ref_objective = solve_qp_by_enumeration(p)
+    try:
+        sol = QpSolver().solve(p)
+    except QpDataError:  # more equality rows than variables
+        assert ref is None and dense_rows(p)[2] > d
+        return
+    if ref is None:
+        assert sol.status != OPTIMAL
+    else:
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective - ref_objective) <= 1e-9 * (1 + abs(ref_objective))
+    n_rows = dense_rows(p)[1].size
+    ids = rng.choice(n_rows, size=int(rng.integers(0, n_rows + 1)), replace=False)
+    for z, active, lam in ((sol.z_star, sol.active_set, sol.multipliers),
+                           (rng.standard_normal(d), ids, rng.standard_normal(ids.size))):
+        res = kkt_check(p, z, active, lam)
+        ref_res = dense_residuals(p, z, active, lam)
+        scale = 1e-12 * (1 + np.abs(z).max() + np.abs(p.g).max() + np.abs(lam).sum())
+        for got, want in zip((res.stationarity, res.feasibility, res.complementarity,
+                              res.dual_feasibility), ref_res):
+            assert abs(got - want) <= scale * (1 + abs(want))
+
+
+def test_far_off_diagonal_hessian_entry_is_kept(rng):
+    # a tridiagonal H has half-bandwidth 1; one more entry couples the first
+    # and last variables. Solved after the tridiagonal problem with its
+    # active set as the warm start, the coupled problem must see that entry
+    d = 6
+    tri = np.diag(np.full(d, 2.0)) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    coupled = tri.copy()
+    coupled[0, -1] = coupled[-1, 0] = 0.9
+    assert _hessian(tri).factor.shape[0] == 2 and _hessian(coupled).factor.shape[0] == d
+    g = 3.0 * rng.standard_normal(d)
+    aeq = np.zeros((1, d))
+    aeq[0, :2] = 1.0
+    warm = None
+    for h in (tri, coupled):
+        p = QpProblem(H=h, g=g, Aeq=aeq, beq=np.array([0.2]), lb=np.full(d, -0.3),
+                      ub=np.full(d, np.inf))
+        sol = QpSolver().solve(p, warm_start=warm)
+        ref, ref_objective = solve_qp_by_enumeration(p)
+        assert sol.status == OPTIMAL
+        np.testing.assert_allclose(sol.z_star, ref, atol=1e-9)
+        assert abs(sol.objective - ref_objective) <= 1e-9 * (1 + abs(ref_objective))
+        warm = sol.active_set
+    assert_matches_dense(p, list(warm))
