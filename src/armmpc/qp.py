@@ -4,15 +4,16 @@ Solves
     min  0.5 z' H z + g' z
     s.t. Aeq z = beq,  lb <= z <= ub,  lin <= Ain z <= uin
 
-H must be symmetric; a fixed diagonal regularization of 1e-9 * trace(H)/d is
-always added, so the solver sees a strictly convex problem even when the
-caller's Hessian is only semidefinite. That matrix is factored once per
-solve as a band (LAPACK dpbtrf) at the half-bandwidth of its nonzero
-pattern, the full width for a dense H; the factor is the convexity check
-and gives the dual method its H^-1 columns. Bounds stay bounds (as in
-qpOASES; Ferreau et al., 2014): a canonical row is a sign and a source,
-either a variable or a general row (Aeq or Ain, kept dense), so a bound's
-slack is sign * z_i - value, and only the dual method writes out a +-e_i.
+H must be symmetric; a fixed diagonal regularization of
+1e-9 * max(trace(H), d)/d is always added, so the solver sees a strictly
+convex problem even when the caller's Hessian is only semidefinite. That
+matrix is factored once per solve as a band (LAPACK dpbtrf) at the
+half-bandwidth of its nonzero pattern, the full width for a dense H; that
+factor is only the convexity check, and no linear system is solved with
+it. Bounds stay bounds (as in qpOASES; Ferreau et al., 2014): a canonical
+row is a sign and a source, either a variable or a general row (Aeq or
+Ain, kept dense), so a bound's slack is sign * z_i - value, and no row is
+written out as a dense +-e_i.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -20,7 +21,11 @@ already optimal is the solution (the hot start). Otherwise the warm rows
 with negative multipliers are dropped, which leaves a dual-feasible working
 set, and the classical dual method resumes from it: it adds the most
 violated inequality, taking dual steps and dropping blocking constraints,
-and the dual objective is nondecreasing across iterations. The converged
+and the dual objective is nondecreasing across iterations. The working set
+is a list of row ids and their multipliers; each dual step is the KKT
+system of the working rows held at zero with the entering row's normal as
+the negative gradient, which is the Goldfarb-Idnani step in full-space form
+(Nocedal & Wright, 2006, ch. 16), so no Gram matrix is kept. The converged
 iterate is polished by one exact KKT solve on the final active set, plus
 one step of iterative refinement, whenever the residuals ask for it.
 
@@ -32,7 +37,9 @@ active row keeps a multiplier placed right after the last variable it
 touches, so a problem ordered by stage (the MPC QPs) gives a band whose
 width does not grow with the horizon. A singular warm set leaves the
 equality rows alone as the start; singular equality rows are linearly
-dependent, a QpDataError; a singular polish keeps the iterate.
+dependent, a QpDataError; a singular dual step ends the solve as MAX_ITER
+(no certificate) at the current iterate; a singular polish keeps the
+iterate.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dpbtrf, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbsv, dpbtrf
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,7 +66,7 @@ class QpDataError(ValueError):
 
 
 def regularized_hessian(h: np.ndarray) -> np.ndarray:
-    """The Hessian the solver actually optimizes: H + eps*I, eps = 1e-9 tr(H)/d."""
+    """The Hessian the solver actually optimizes: H + eps*I, eps = 1e-9 max(tr(H), d)/d."""
     h = np.asarray(h, dtype=float)
     d = h.shape[0]
     eps = 1e-9 * max(np.trace(h), d) / d
@@ -233,23 +240,11 @@ def _combine(rows: _Rows, ids, lam) -> np.ndarray:
     return per_src[:d] + per_src[d:] @ rows.gen
 
 
-def _normals(rows: _Rows, ids) -> np.ndarray:
-    """The canonical rows ids written out densely, one row each."""
-    d = rows.gen.shape[1]
-    ids = np.asarray(ids, dtype=np.intp)
-    src, sign = rows.src[ids], rows.sign[ids]
-    bound = src < d
-    out = np.zeros((ids.size, d))
-    out[np.flatnonzero(bound), src[bound]] = sign[bound]
-    out[~bound] = rows.gen[src[~bound] - d] * sign[~bound, None]
-    return out
-
-
 class _Hessian(NamedTuple):
     """H + eps I as the solver uses it, scanned once: first is each row's first
     nonzero column, which every KKT layout reads; factor is the lower band
     Cholesky factor (dpbtrf) at the half-bandwidth max_i (i - first_i), None
-    unless H + eps I is positive definite."""
+    unless H + eps I is positive definite (the convexity check)."""
 
     dense: np.ndarray
     first: np.ndarray
@@ -445,61 +440,6 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
     return _residuals(rows, regularized_hessian(p.H), p.g, np.asarray(z, dtype=float), ids, lam)
 
 
-class _ActiveSet:
-    """Active normals with H^-1 columns and the Gram matrix kept incrementally."""
-
-    def __init__(self, dim: int, capacity: int):
-        cap = max(capacity, 1)
-        self.normals = np.zeros((dim, cap))
-        self.hinv = np.zeros((dim, cap))
-        self.gram = np.zeros((cap, cap))
-        self.mult = np.zeros(cap)
-        self.row_ids: list[int] = []
-        self.k = 0
-
-    def add(self, normal, hinv_col, mult, row_id):
-        k = self.k
-        self.normals[:, k] = normal
-        self.hinv[:, k] = hinv_col
-        if k:
-            cross = self.normals[:, :k].T @ hinv_col
-            self.gram[:k, k] = cross
-            self.gram[k, :k] = cross
-        self.gram[k, k] = normal @ hinv_col
-        self.mult[k] = mult
-        self.row_ids.append(row_id)
-        self.k += 1
-
-    def add_first(self, normals, hinv_cols, mult, row_ids):
-        """Activate the rows row_ids of an empty set at once: the normals are
-        the rows of normals, and the Gram block is one product."""
-        m = mult.size
-        self.normals[:, :m] = normals.T
-        self.hinv[:, :m] = hinv_cols
-        self.gram[:m, :m] = normals @ hinv_cols
-        self.mult[:m] = mult
-        self.row_ids.extend(int(i) for i in row_ids)
-        self.k = m
-
-    def drop(self, j):
-        k = self.k
-        keep = [i for i in range(k) if i != j]
-        self.normals[:, : k - 1] = self.normals[:, keep]
-        self.hinv[:, : k - 1] = self.hinv[:, keep]
-        self.gram[: k - 1, : k - 1] = self.gram[np.ix_(keep, keep)]
-        self.mult[: k - 1] = self.mult[keep]
-        del self.row_ids[j]
-        self.k = k - 1
-
-    def solve_gram(self, rhs):
-        k = self.k
-        gram = self.gram[:k, :k]
-        factor, info = dpotrf(gram, lower=1, clean=0)
-        if info == 0:
-            return dpotrs(factor, rhs, lower=1)[0]
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
-
 class QpSolver:
     """One active-set solver instance per controller; not shareable concurrently."""
 
@@ -541,9 +481,10 @@ class QpSolver:
         if rows.n_eq and np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max() > 1e-6 * (1 + np.abs(b_eq).max()):
             res = _residuals(rows, h_reg, p.g, z, [], [])
             return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), [])
-        active = _ActiveSet(d, rows.n_eq + min(d, rows.n_in) + 2)
-        normals = _normals(rows, ids)
-        active.add_first(normals, dpbtrs(hess.factor, normals.T, lower=1)[0], lam, ids)
+        # the working set: row ids, the equality rows first, and their multipliers
+        row_ids, mult_arr = ids.tolist(), lam
+        # a dual step holds every working row at zero (see the loop below)
+        held = replace(rows, b=np.zeros_like(rows.b))
         iterations = 1
         max_iterations = 10 * (d + rows.n_in + rows.n_eq)
         status = OPTIMAL
@@ -558,29 +499,31 @@ class QpSolver:
             worst = int(np.argmin(slacks / scale))
             if slacks[worst] >= -_VIOLATION_TOL * scale[worst]:
                 break
-            n_plus = _normals(rows, [rows.n_eq + worst])[0]
+            n_plus = _combine(rows, [rows.n_eq + worst], [1.0])
             slack = float(slacks[worst])
             u_plus = 0.0
-            w = dpbtrs(hess.factor, n_plus, lower=1)[0]
 
             while True:
                 iterations += 1
                 if iterations > max_iterations:
                     status = MAX_ITER
                     break
-                k = active.k
-                if k:
-                    r = active.solve_gram(active.normals[:, :k].T @ w)
-                    dz = w - active.hinv[:, :k] @ r
-                else:
-                    r = np.empty(0)
-                    dz = w
+                # the step dz = H^-1 n+ - H^-1 N r, with (N'H^-1 N) r = N'H^-1 n+,
+                # solves [[H, N], [N', 0]] (dz, r) = (n+, 0) (Nocedal & Wright,
+                # 2006, ch. 16): the KKT system of gradient -n+ with the working
+                # rows at zero, whose multipliers are -r
+                try:
+                    dz, neg_r = _kkt_solve(held, hess, -n_plus, row_ids)
+                except LinAlgError:
+                    status = MAX_ITER  # no certificate; keep the iterate
+                    break
+                r = -neg_r
                 denom = float(n_plus @ dz)
                 full_possible = denom > _DEGENERACY_TOL * (1 + float(n_plus @ n_plus))
 
                 # the first blocking inequality row (the equality rows never block)
                 r_in = r[rows.n_eq:]
-                ratios = np.divide(active.mult[rows.n_eq:k], r_in, out=np.full(r_in.size, np.inf),
+                ratios = np.divide(mult_arr[rows.n_eq:], r_in, out=np.full(r_in.size, np.inf),
                                    where=r_in > _DEGENERACY_TOL)
                 t1 = ratios.min(initial=np.inf)
                 t2 = -slack / denom if full_possible else np.inf
@@ -592,16 +535,17 @@ class QpSolver:
                     z = z + t * dz
                     slack += t * denom
                 u_plus += t
-                active.mult[:k] -= t * r
+                mult_arr -= t * r
                 if self.debug:
                     history.append(objective(z))
                 if t == t2:
-                    active.add(n_plus, w, u_plus, rows.n_eq + worst)
+                    row_ids.append(rows.n_eq + worst)
+                    mult_arr = np.append(mult_arr, u_plus)
                     break
-                active.drop(rows.n_eq + int(np.argmin(ratios)))
+                drop = rows.n_eq + int(np.argmin(ratios))
+                del row_ids[drop]
+                mult_arr = np.delete(mult_arr, drop)
 
-        row_ids = list(active.row_ids)
-        mult_arr = active.mult[: active.k].copy()
         kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
         if status == OPTIMAL and kkt_res.max() > threshold:

@@ -60,7 +60,10 @@ class TaskTrajectory:
         """Targets for steps start..start+horizon, padded with the final sample.
 
         Returns (window items, includes_end); items are (Pose, twist) pairs.
+        A negative start or horizon is a ValueError: it names no tick.
         """
+        if start < 0 or horizon < 0:
+            raise ValueError(f"start and horizon must be >= 0, got {start} and {horizon}")
         last = self.n_samples - 1
         items = []
         for k in range(start, start + horizon + 1):

@@ -85,3 +85,25 @@ def test_horizon_must_be_an_integer(horizon):
     # 2.5 used to construct and fail with TypeError at the first step
     with pytest.raises(ValueError, match="horizon must be an integer"):
         mpc_kinematic.KinematicMpcConfig(horizon=horizon)
+
+
+def test_negative_tick_is_rejected(desk_model, rng):
+    # window(-1, 2) used to wrap around and plan toward the last pose
+    q0 = random_config(desk_model, rng)
+    far = random_config(desk_model, rng)
+    traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 5
+                          + (forward_kinematics(desk_model, far),),
+                          tasks=default_task_hierarchy())
+    for start, horizon in ((-1, 2), (0, -1), (-3, -3)):
+        with pytest.raises(ValueError, match="start and horizon"):
+            traj.window(start, horizon)
+    items, includes_end = traj.window(0, 0)
+    assert len(items) == 1 and not includes_end
+    kin = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
+    dyn = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
+                                 posture=default_posture(q0))
+    x0 = np.concatenate([q0, np.zeros(6)])
+    for step, state in ((kin.step, q0), (dyn.step, x0)):
+        with pytest.raises(ValueError, match="start and horizon"):
+            step(state, traj, -1)
+        assert not step(state, traj, 0).degraded

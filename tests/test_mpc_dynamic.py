@@ -1,7 +1,9 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, lapack
 
 from armmpc import qp
 from armmpc.dynamics import bias_forces, dynamics_derivatives, forward_dynamics
@@ -377,15 +379,25 @@ def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
         linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3, states=roll.states[1:])
 
 
+def is_dual_step(rows):
+    """A dual step of the QP solver holds every working row at zero."""
+    return not rows.b.any()
+
+
 @pytest.fixture
 def kkt_counts(monkeypatch):
-    """Count banded KKT factorizations and dense solves called from the QP solver."""
-    counts = {"banded": 0, "dense": 0}
-    dgbsv = qp.dgbsv
+    """Count what the QP solver factors: the calls of each LAPACK routine it
+    holds (by name), the dense numpy solves and factorizations called from it
+    ("dense"), and its KKT solves by caller ("kkt"; a dual step is keyed
+    "dual step", while "solve" holds the re-solves after dropping warm rows)."""
+    routines = [name for name, fn in vars(qp).items() if isinstance(fn, type(lapack.dgbsv))]
+    counts = {**dict.fromkeys(routines, 0), "dense": 0, "kkt": Counter()}
 
-    def counting_dgbsv(*args, **kwargs):
-        counts["banded"] += 1
-        return dgbsv(*args, **kwargs)
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
     def counting_dense(fn):
         def call(*args, **kwargs):
@@ -393,8 +405,17 @@ def kkt_counts(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(qp, "dgbsv", counting_dgbsv)
-    for name in ("solve", "lstsq", "inv"):
+    kkt_solve = qp._kkt_solve
+
+    def counting_kkt(rows, *args):
+        caller = sys._getframe(1).f_code.co_name
+        counts["kkt"]["dual step" if is_dual_step(rows) else caller] += 1
+        return kkt_solve(rows, *args)
+
+    for name in routines:
+        monkeypatch.setattr(qp, name, counting(name, getattr(qp, name)))
+    monkeypatch.setattr(qp, "_kkt_solve", counting_kkt)
+    for name in ("solve", "lstsq", "inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting_dense(getattr(np.linalg, name)))
     return counts
 
@@ -404,7 +425,61 @@ def test_hot_started_dyn_step_makes_one_banded_factorization(desk_model, rng, kk
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
     ctl.step(x0, traj, 0)
-    kkt_counts.update(banded=0, dense=0)
+    kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
     res = ctl.step(x0, traj, 0)  # the same problem: its own active set is optimal
     assert res.solution.status == qp.OPTIMAL and res.solution.iterations == 1
-    assert kkt_counts == {"banded": 1, "dense": 0}
+    assert kkt_counts == {"dgbsv": 1, "dpbtrf": 1, "dense": 0, "kkt": {"_kkt_start": 1}}
+
+
+def test_rejected_hot_start_makes_one_banded_factorization_per_kkt_system(
+        desk_model, rng, kkt_counts, monkeypatch):
+    # the start, each drop of a warm row, each dual step and the polish are
+    # one KKT system each, and each is one dgbsv; H is factored once, as a
+    # band, and nothing is factored densely
+    judged = []
+    judge = qp.QpSolver._try_hot_start
+    monkeypatch.setattr(qp.QpSolver, "_try_hot_start",
+                        lambda self, *args: judged.append(judge(self, *args)) or judged[-1])
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    ctl.step(x0, traj, 0)
+    x1 = x0.copy()
+    x1[6:] += rng.standard_normal(6)
+    kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
+    sol = ctl.step(x1, traj, 0).solution
+    assert judged[-1] is None and sol.status == qp.OPTIMAL  # rejected, then resumed
+    kkt = kkt_counts["kkt"]
+    assert set(kkt) <= {"_kkt_start", "solve", "dual step", "_polish"}
+    assert kkt["_kkt_start"] == 1 and kkt["solve"] >= 1  # a warm row was dropped
+    assert kkt["_polish"] in (0, 2)  # the polish runs when the residuals ask for it
+    assert kkt["dual step"] == sol.iterations - 1 >= 1
+    assert kkt_counts == {"dgbsv": sum(kkt.values()), "dpbtrf": 1, "dense": 0, "kkt": kkt}
+
+
+def test_singular_dual_step_ends_the_solve_without_a_certificate(desk_model, rng, monkeypatch):
+    # a LinAlgError from a dual step's KKT solve ends the solve with MAX_ITER
+    # at the current iterate, and the controller reports the tick degraded
+    kkt_solve, failed = qp._kkt_solve, []
+
+    def failing(rows, *args):
+        if is_dual_step(rows):
+            failed.append(rows)
+            raise LinAlgError("singular dual step")
+        return kkt_solve(rows, *args)
+
+    monkeypatch.setattr(qp, "_kkt_solve", failing)
+    p = qp.QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
+                     lin=np.array([1.0]), uin=np.array([np.inf]))
+    sol = qp.QpSolver().solve(p)
+    assert len(failed) == 1 and sol.status == qp.MAX_ITER
+    np.testing.assert_array_equal(sol.z_star, [0.0, 0.0])  # the iterate before the step
+    assert sol.active_set == () and sol.iterations == 2
+
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    res = ctl.step(x0, traj, 0)  # cold: rows beyond the dynamics enter by dual steps
+    assert len(failed) == 2 and res.degraded
+    assert res.solution.status == qp.MAX_ITER and np.isfinite(res.solution.z_star).all()
+    assert np.isfinite(res.u_cmd).all()

@@ -434,27 +434,6 @@ def test_variable_fixed_twice_is_singular():
     assert sol.status == OPTIMAL and sol.active_set == (0, 1)
 
 
-def test_equality_block_matches_row_by_row_activation(rng):
-    # the batched start fills the same active set as one add per row
-    d, m = 9, 4
-    half = rng.standard_normal((d, d))
-    h_inv = np.linalg.inv(half @ half.T + d * np.eye(d))
-    normals = rng.standard_normal((m, d))
-    hinv = h_inv @ normals.T
-    mult = rng.standard_normal(m)
-    ids = np.sort(rng.choice(20, size=m, replace=False))
-    block = qp._ActiveSet(d, m + 2)
-    block.add_first(normals, hinv, mult, ids)
-    rows = qp._ActiveSet(d, m + 2)
-    for i in range(m):
-        rows.add(normals[i], hinv[:, i], mult[i], int(ids[i]))
-    assert block.k == rows.k == m
-    assert block.row_ids == rows.row_ids
-    for name in ("normals", "hinv", "mult"):
-        assert np.array_equal(getattr(block, name), getattr(rows, name)), name
-    np.testing.assert_allclose(block.gram, rows.gram, rtol=1e-13, atol=1e-15)
-
-
 @pytest.fixture
 def hot_starts(monkeypatch):
     """What each _try_hot_start call returned: None for a rejected warm set."""
@@ -485,8 +464,9 @@ def assert_matches_warm_free_solve(p, sol):
 
 @pytest.fixture(scope="module")
 def dyn_mpc_qps():
-    """(problem, warm start) of each QP of the first 50 ticks of the payload
-    move under the dynamic MPC, whose hot start is rejected on some of them."""
+    """(problem, warm start) of each QP of the first 150 ticks of the payload
+    move under the dynamic MPC (d = 180), whose hot start is rejected on some
+    of them; solved cold, some of the later ones drop rows on their way."""
     recorded = []
     solve_qp = QpSolver.solve
 
@@ -497,7 +477,7 @@ def dyn_mpc_qps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(QpSolver, "solve", record)
         cfg = simulator.default_scenario_config("payload_pick_place", "dyn_mpc")
-        cfg.max_ticks = 50
+        cfg.max_ticks = 150
         simulator.run_scenario("payload_pick_place", "dyn_mpc", load_bundled_model("rs007n"), cfg)
     return recorded
 
@@ -511,6 +491,40 @@ def test_rejected_hot_start_resumes_to_the_warm_free_optimum(dyn_mpc_qps, hot_st
             assert assert_matches_warm_free_solve(p, sol)
     assert len(hot_starts) == len(dyn_mpc_qps) - 1  # one judgement per warm-started solve
     assert resumed >= 3
+
+
+def dense_certificate(p, sol):
+    """max(stationarity, feasibility, complementarity, -least inequality
+    multiplier) of sol, in plain numpy from the rows written out densely and
+    H + eps I, eps = 1e-9 max(tr H, d) / d, the Hessian the module documents."""
+    a, b, n_eq = dense_rows(p)
+    d = p.dim
+    h = 0.5 * (p.H + p.H.T) + 1e-9 * max(np.trace(p.H), d) / d * np.eye(d)
+    ids = np.asarray(sol.active_set, dtype=int)
+    lam = np.zeros(b.size)
+    lam[ids] = sol.multipliers
+    slack = a @ sol.z_star - b
+    return max(np.abs(h @ sol.z_star + p.g - a.T @ lam).max(), np.abs(slack[:n_eq]).max(),
+               -slack[n_eq:].min(), np.abs(lam[n_eq:] * slack[n_eq:]).max(), -lam[n_eq:].min())
+
+
+def test_cold_dual_paths_carry_an_independent_certificate(dyn_mpc_qps):
+    # every recorded QP solved without a warm start, so each row beyond the
+    # equality rows enters by a dual step: a cold solve starts from the n_eq
+    # equality rows and each further iteration adds a row or drops one
+    drops = []
+    for p, warm in dyn_mpc_qps:
+        cold = QpSolver().solve(p, warm_start=None)
+        assert cold.status == OPTIMAL
+        assert dense_certificate(p, cold) <= 1e-8 * (1 + np.linalg.norm(p.g))
+        n_eq = dense_rows(p)[2]
+        added_net = len(cold.active_set) - n_eq
+        assert (cold.iterations - 1 - added_net) % 2 == 0
+        drops.append((cold.iterations - 1 - added_net) // 2)
+        hot = QpSolver().solve(p, warm_start=warm)
+        np.testing.assert_allclose(cold.z_star, hot.z_star, rtol=0,
+                                   atol=1e-8 * (1 + np.abs(hot.z_star).max()))
+    assert p.dim == 180 and max(drops) >= 1 and min(drops) >= 0
 
 
 def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
