@@ -14,7 +14,6 @@ same per stage at any horizon.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +196,6 @@ class DynStepResult:
     solution: qp.QpSolution | None
     rollout: NominalRollout
     degraded: bool
-    solve_time: float
     plan_states: np.ndarray | None = None  # (n_p, 2n)
     plan_inputs: np.ndarray | None = None  # (n_p, n)
 
@@ -217,7 +215,6 @@ class DynamicMpc(RecedingHorizon):
         A degraded tick applies the rollout's first torque, clipped to the
         limits.
         """
-        t0 = time.perf_counter()
         model = self.model
         cfg = self.cfg
         n = model.n
@@ -248,7 +245,6 @@ class DynamicMpc(RecedingHorizon):
             solution=solution,
             rollout=rollout,
             degraded=degraded,
-            solve_time=time.perf_counter() - t0,
             plan_states=states,
             plan_inputs=inputs,
         )

@@ -151,8 +151,8 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     """Moore-Penrose pseudoinverse with small singular values truncated.
 
     Singular values below rel_threshold * sigma_max are dropped, bounding
-    the inverse's norm near singularities. All-zero input (or everything
-    truncated) yields the zero matrix. Up to 3 rows (and no more than
+    the inverse's norm near singularities; sigma_max itself is always kept.
+    All-zero input yields the zero matrix. Up to 3 rows (and no more than
     columns) take the Gram shortcut J' pinv(J J') through _psd_pinv, the cut
     at rel_threshold**2 on the Gram eigenvalues; kept directions are far
     from that squared floor by construction, so it matches the SVD path.
@@ -167,8 +167,6 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     if sigma.size == 0 or sigma[0] <= 0.0:
         return np.zeros((n, m))
     keep = sigma >= rel_threshold * sigma[0]
-    if not np.any(keep):
-        return np.zeros((n, m))
     return (vt[keep].T / sigma[keep]) @ u[:, keep].T
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import RigidBodyState
 from .horizon import HorizonConfig
-from .kinematics import forward_kinematics, task_error
+from .kinematics import Pose, task_error
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
 from .nominal import default_posture, ik_rollout, osc_torque
@@ -36,42 +36,50 @@ CONTROLLERS = ("osc", "kin_mpc", "dyn_mpc")
 
 @dataclass
 class PlantState:
+    """The plant at time t: its chain state at (q, qd), which the error log
+    and the next plant step both read, the torque applied last and the
+    number of steps whose torque was clamped."""
+
     t: float
-    q: np.ndarray
-    qd: np.ndarray
+    chain: RigidBodyState
     last_u: np.ndarray
     saturation_count: int = 0
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.chain.q
+
+    @property
+    def qd(self) -> np.ndarray:
+        return self.chain.qd
 
 
 def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
     q0 = model.check_q(q0)
     qd0 = np.zeros(model.n) if qd0 is None else model.check_q(qd0, "qd0")
-    return PlantState(t=0.0, q=q0.copy(), qd=qd0.copy(), last_u=np.zeros(model.n))
+    return PlantState(t=0.0, chain=RigidBodyState(model, q0.copy(), qd0.copy()),
+                      last_u=np.zeros(model.n))
 
 
 def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float) -> PlantState:
-    """Clamp the torque to the model limits and integrate one tick."""
-    st = RigidBodyState(model, model.check_q(state.q), model.check_q(state.qd, "qd"))
-    return _apply_torque(st, state, u, dt)
-
-
-def _apply_torque(st: RigidBodyState, state: PlantState, u, dt: float) -> PlantState:
-    """step_torque_plant at st, the chain state of the plant state."""
+    """Clamp the torque to the model limits and integrate one tick at the
+    plant's chain state; building the next state's chain is the step's one
+    joint pass. A state of another model is a ValueError."""
+    if state.chain.model is not model:
+        raise ValueError("plant state belongs to another model")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
-    u = st.model.check_q(u, "u")
+    u = model.check_q(u, "u")
     if not np.all(np.isfinite(u)):
         raise ValueError("torque command has non-finite entries")
-    u_max = st.model.limits.u_max
+    u_max = model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
-    saturated = bool(np.any(u_applied != u))
-    q, qd, _ = st.semi_implicit_step(u_applied, dt)
+    q, qd, _ = state.chain.semi_implicit_step(u_applied, dt)
     return PlantState(
         t=state.t + dt,
-        q=q,
-        qd=qd,
+        chain=RigidBodyState(model, q, qd),
         last_u=u_applied,
-        saturation_count=state.saturation_count + int(saturated),
+        saturation_count=state.saturation_count + int(np.any(u_applied != u)),
     )
 
 
@@ -95,14 +103,13 @@ def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
     """Inner PD + gravity compensation tracking q_cmd, then the torque plant.
 
     Stands in for a vendor joint controller: inertia-scaled PD acceleration
-    plus exact gravity compensation, clamped by the torque plant. One chain
-    state at (q, qd) serves the PD torque and the integration step.
+    plus exact gravity compensation, clamped by the torque plant. The
+    plant's chain state serves the PD torque and the integration step.
     """
     q_cmd = model.check_q(q_cmd, "q_cmd")
-    acc = gains.kp * (q_cmd - state.q) - gains.kd * state.qd
-    st = RigidBodyState(model, model.check_q(state.q), model.check_q(state.qd, "qd"))
-    u = st.mass @ acc + st.gravity
-    return _apply_torque(st, state, u, dt)
+    st = state.chain
+    acc = gains.kp * (q_cmd - st.q) - gains.kd * st.qd
+    return step_torque_plant(model, state, st.mass @ acc + st.gravity, dt)
 
 
 @dataclass
@@ -233,16 +240,9 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     elif controller == "dyn_mpc":
         mpc = DynamicMpc(model, ctl_cfg, posture=posture)
 
-    if ticks == 0:
-        empty = np.empty(0)
-        metrics = RunMetrics(empty, empty, empty, 0.0, 0, 0, 0)
-        return RunResult(metrics, empty, np.empty((0, n)), np.empty((0, n)), np.empty((0, n)),
-                         np.empty((0, n)), empty, empty, np.empty(0, dtype=int),
-                         controller, name)
-
     for tick in range(ticks):
-        target = traj.poses[tick]
-        err = task_error(target, forward_kinematics(model, state.q)).value
+        *_, rot, pos = state.chain.frames
+        err = task_error(traj.poses[tick], Pose.from_matrix(rot, pos)).value
         t_log[tick] = state.t
         q_log[tick] = state.q
         qd_log[tick] = state.qd
@@ -250,39 +250,31 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         ori_err[tick] = np.linalg.norm(err[3:])
 
         sat_before = state.saturation_count
+        t0 = time.perf_counter()
         if controller == "osc":
-            window, _ = traj.window(tick, 0)
-            pose, twist = window[0]
-            t0 = time.perf_counter()
-            u = osc_torque(model, state.q, state.qd, traj.tasks, pose,
-                           cfg.svd_threshold, posture=posture, twist=twist)
-            solve_t[tick] = time.perf_counter() - t0
-            cmd_log[tick] = u
-            state = step_torque_plant(model, state, u, cfg.dt)
+            pose, twist = traj.window(tick, 0)[0][0]
+            cmd = osc_torque(model, state.q, state.qd, traj.tasks, pose,
+                             cfg.svd_threshold, posture=posture, twist=twist)
+            degraded = False
         elif controller == "dyn_mpc":
-            x = np.concatenate([state.q, state.qd])
-            res = mpc.step(x, traj, tick)
-            solve_t[tick] = res.solve_time
-            cmd_log[tick] = res.u_cmd
-            if res.degraded:
-                flags[tick] |= 1
-            state = step_torque_plant(model, state, res.u_cmd, cfg.dt)
+            res = mpc.step(np.concatenate([state.q, state.qd]), traj, tick)
+            cmd, degraded = res.u_cmd, res.degraded
         else:
             res = mpc.step(state.q, traj, tick)
-            solve_t[tick] = res.solve_time
-            cmd_log[tick] = res.q_cmd
-            if res.degraded:
-                flags[tick] |= 1
-            state = step_position_plant(model, state, res.q_cmd, cfg.dt,
-                                        gains=cfg.position_gains)
+            cmd, degraded = res.q_cmd, res.degraded
+        solve_t[tick] = time.perf_counter() - t0
+        cmd_log[tick] = cmd
+        if controller == "kin_mpc":
+            state = step_position_plant(model, state, cmd, cfg.dt, gains=cfg.position_gains)
+        else:
+            state = step_torque_plant(model, state, cmd, cfg.dt)
         u_log[tick] = state.last_u
-        if state.saturation_count > sat_before:
-            flags[tick] |= 2
+        flags[tick] = degraded | 2 * (state.saturation_count > sat_before)
 
     if controller == "kin_mpc":
-        qdd = np.diff(cmd_log, 2, axis=0) / cfg.dt**2 if ticks >= 3 else np.zeros((0, n))
+        qdd = np.diff(cmd_log, 2, axis=0) / cfg.dt**2
     else:
-        qdd = np.diff(qd_log, axis=0) / cfg.dt if ticks >= 2 else np.zeros((0, n))
+        qdd = np.diff(qd_log, axis=0) / cfg.dt
     limit_violations = int(
         np.sum(np.abs(qd_log) > model.limits.v_max[None, :] + 1e-8)
         + np.sum(q_log > model.limits.q_max[None, :] + 1e-8)
@@ -292,7 +284,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         accumulated_pos_err=np.cumsum(pos_err),
         accumulated_ori_err=np.cumsum(ori_err),
         per_tick_solve_time=solve_t,
-        max_abs_qdd=float(np.abs(qdd).max()) if qdd.size else 0.0,
+        max_abs_qdd=float(np.abs(qdd).max(initial=0.0)),
         limit_violations=limit_violations,
         saturated_ticks=state.saturation_count,
         degraded_ticks=int(np.count_nonzero(flags & 1)),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from armmpc import qp
 from armmpc.kinematics import forward_kinematics
@@ -67,6 +68,31 @@ def test_diff_ops_match_indexwise_oracle(rng):
         np.testing.assert_allclose(
             acc[k * n:(k + 1) * n], (ext[k + 2] - 2 * ext[k + 1] + ext[k]) / dt**2, atol=1e-6
         )
+
+
+@pytest.mark.parametrize("n,horizon", [(6, 10), (2, 2), (7, 20), (1, 0), (3, 1)])
+def test_diff_matrices_match_blockwise_loop(n, horizon):
+    # the block-by-block construction, kept as the reference: same values and
+    # the same signs of zero
+    dt = 1e-3
+    dim = (horizon + 1) * n
+    eye = np.eye(n)
+    vel_ref = np.zeros((dim, dim))
+    acc_ref = np.zeros((dim, dim))
+    for k in range(horizon + 1):
+        row = slice(k * n, (k + 1) * n)
+        vel_ref[row, row] = eye / dt
+        acc_ref[row, row] = eye / dt**2
+        if k >= 1:
+            prev = slice((k - 1) * n, k * n)
+            vel_ref[row, prev] = -eye / dt
+            acc_ref[row, prev] += -2 * eye / dt**2
+        if k >= 2:
+            acc_ref[row, (k - 2) * n:(k - 1) * n] = eye / dt**2
+    for op, ref in zip(_diff_matrices(n, horizon, dt), (vel_ref, acc_ref)):
+        np.testing.assert_array_equal(op, ref)
+        np.testing.assert_array_equal(np.signbit(op), np.signbit(ref))
+        assert not op.flags.writeable
 
 
 def make_traj_holding(model, q0, steps, dt, tasks=None):

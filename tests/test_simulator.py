@@ -3,9 +3,11 @@ import filecmp
 import numpy as np
 import pytest
 
+from armmpc import load_bundled_model
 from armmpc.dynamics import bias_forces, mass_matrix
 from armmpc.kinematics import forward_kinematics
 from armmpc.nominal import default_task_hierarchy
+from armmpc.robot_model import PayloadSpec, attach_payload
 from armmpc.simulator import (
     PositionLoopGains,
     ScenarioConfig,
@@ -55,6 +57,15 @@ def test_plants_reject_bad_dt(desk_model, step, dt):
     state = make_plant_state(desk_model, np.zeros(6))
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         step(desk_model, state, np.zeros(6), dt)
+
+
+@pytest.mark.parametrize("step", [step_torque_plant, step_position_plant])
+def test_plants_reject_another_models_state(desk_model, step):
+    # same joints, other inertia: the state's chain would integrate the wrong plant
+    heavier = attach_payload(desk_model, PayloadSpec(mass=5.0, com_offset=np.zeros(3)))
+    state = make_plant_state(desk_model, np.zeros(6))
+    with pytest.raises(ValueError, match="another model"):
+        step(heavier, state, np.zeros(6), 1e-3)
 
 
 def test_pendulum_energy_drift_shrinks_with_dt():
@@ -131,6 +142,46 @@ def test_run_scenario_zero_length(desk_model):
     cfg = ScenarioConfig(horizon=2)
     out = run_scenario((traj, np.zeros(6)), "osc", desk_model, cfg)
     assert out.t.shape[0] == 1  # single-sample trajectory runs one tick
+
+
+def test_run_scenario_flags_degraded_ticks_and_runs_empty(desk_model):
+    # a terminal box far tighter than one tick can meet makes the QP infeasible
+    q0 = np.zeros(6)
+    traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0 + 0.5),) * 2)
+    cfg = ScenarioConfig(horizon=2, terminal_pos_tol=1e-9, terminal_vel_tol=1e-9)
+    out = run_scenario((traj, q0), "kin_mpc", desk_model, cfg)
+    np.testing.assert_array_equal(out.flags, [1, 1])  # degraded, not saturated
+    assert out.metrics.degraded_ticks == 2
+
+    cfg.max_ticks = 0
+    out = run_scenario((traj, q0), "kin_mpc", desk_model, cfg)
+    for arr in (out.t, out.pos_err, out.ori_err, out.flags, out.metrics.accumulated_pos_err,
+                out.metrics.accumulated_ori_err, out.metrics.per_tick_solve_time):
+        assert arr.shape == (0,)
+    for arr in (out.q, out.qd, out.u, out.cmd):
+        assert arr.shape == (0, 6)
+    assert out.flags.dtype.kind == "i"
+    m = out.metrics
+    assert (m.max_abs_qdd, m.limit_violations, m.saturated_ticks, m.degraded_ticks) == (0.0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("scenario,controller,robot,per_tick", [
+    ("payload_pick_place", "osc", "rs007n", 2),  # the OSC's state, the plant's next
+    ("singularity_pass", "kin_mpc", "rs020n", 12),  # 11 IK rollout states, the plant's next
+    ("payload_pick_place", "dyn_mpc", "rs007n", 12),  # 11 OSC rollout states, the plant's next
+])
+def test_run_scenario_chain_states_per_tick(chain_counts, scenario, controller, robot, per_tick):
+    # per tick: the controller's states and the plant's next; the error log
+    # reads the plant's state it already has
+    model = load_bundled_model(robot)
+    passes = []
+    for ticks in (20, 40):
+        cfg = default_scenario_config(scenario, controller)
+        cfg.max_ticks = ticks
+        chain_counts.update(passes=0)
+        run_scenario(scenario, controller, model, cfg)
+        passes.append(chain_counts["passes"])
+    assert passes[1] - passes[0] == 20 * per_tick
 
 
 def test_run_scenario_osc_accumulates_monotone(planar_2dof):
