@@ -1,9 +1,11 @@
-"""Self-verification suites: derivative cross-checks and QP brute-force oracle.
+"""Self-verification suites: derivative cross-checks, the world-frame pass of
+the dynamics and the QP brute-force oracle.
 
 These back the `check` CLI command and are reused by the test suite. The
 oracles here are deliberately independent of the implementations they judge:
-the QP reference enumerates active sets instead of iterating, and the
-dynamics references differentiate numerically.
+the QP reference enumerates active sets instead of iterating, the dynamics
+references differentiate numerically, and the world-frame pass is judged by
+the Newton-Euler pass and by a difference of the Jacobian.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import dynamics_derivatives, forward_dynamics, inverse_dynamics
+from .dynamics import RigidBodyState, dynamics_derivatives, forward_dynamics, inverse_dynamics
+from .kinematics import geometric_jacobian
 from .qp import QpProblem, QpSolver, regularized_hessian
 from .robot_model import RobotModel
 
@@ -172,16 +175,13 @@ def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
 
 
 def _random_states(model: RobotModel, n_states: int, seed: int):
-    """n_states random (q, qd, u) inside the joint ranges, each with the
-    derivative blocks at the accelerations that u drives."""
+    """n_states random (q, qd, u) inside the joint ranges."""
     rng = np.random.default_rng(seed)
     n = model.n
     lo, hi = model.limits.q_min, model.limits.q_max
     for _ in range(n_states):
         q = lo + (hi - lo) * (0.1 + 0.8 * rng.random(n))
-        qd = rng.standard_normal(n)
-        u = 10.0 * rng.standard_normal(n)
-        yield q, qd, u, dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
+        yield q, rng.standard_normal(n), 10.0 * rng.standard_normal(n)
 
 
 def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: int = 0,
@@ -189,7 +189,8 @@ def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: 
     """Analytic forward-dynamics derivatives vs central finite differences."""
     worst = 0.0
     h = 1e-6
-    for i, (q, qd, u, der) in enumerate(_random_states(model, n_states, seed)):
+    for i, (q, qd, u) in enumerate(_random_states(model, n_states, seed)):
+        der = dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
         for block, wrt, fn, x in (
                 (der.dqdd_dq, "q", lambda x: forward_dynamics(model, x, qd, u), q),
                 (der.dqdd_dqd, "qd", lambda x: forward_dynamics(model, q, x, u), qd),
@@ -207,7 +208,8 @@ def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
                        tol: float = 1e-10) -> CheckResult:
     """Forward/inverse derivative identity dqdd_dx = -Minv dtau_dx."""
     worst = 0.0
-    for i, (_, _, _, der) in enumerate(_random_states(model, n_states, seed)):
+    for i, (q, qd, u) in enumerate(_random_states(model, n_states, seed)):
+        der = dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
         for dfd, did in ((der.dqdd_dq, der.dtau_dq), (der.dqdd_dqd, der.dtau_dqd)):
             res = float(np.linalg.norm(dfd + der.minv @ did) / (1.0 + np.linalg.norm(did)))
             worst = max(worst, res)
@@ -216,7 +218,26 @@ def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
     return CheckResult("fd_id_derivative_identity", True, worst, tol, f"{n_states} states")
 
 
-CHECK_NAMES = ("dynamics", "qp", "identity")
+def run_world_pass_check(model: RobotModel, n_states: int = 200, seed: int = 0,
+                         tol_bias: float = 1e-10, tol_jdot: float = 1e-8) -> list[CheckResult]:
+    """RigidBodyState's b against Newton-Euler inverse dynamics at qdd = 0,
+    and its J-dot qd against a central difference of J along qd (step 1e-6,
+    good to about 1e-10), as |got - ref| / (1 + |ref|) over random states."""
+    worst = np.zeros(2)
+    for q, qd, _ in _random_states(model, n_states, seed):
+        st = RigidBodyState(model, q, qd)
+        rnea = inverse_dynamics(model, q, qd, np.zeros(model.n))
+        fd = _central_difference(lambda t: geometric_jacobian(model, q + t * qd) @ qd,
+                                 np.zeros(1), 1e-6)[:, 0]
+        for i, (got, ref) in enumerate(((st.bias, rnea), (st.jdot_qd, fd))):
+            # np.maximum keeps a NaN, so that it fails the check
+            worst[i] = np.maximum(worst[i], np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref)))
+    return [CheckResult(name, bool(w <= tol), float(w), tol, f"{n_states} states")
+            for name, w, tol in (("world_pass_bias_vs_rnea", worst[0], tol_bias),
+                                 ("world_pass_jdot_qd_vs_fd", worst[1], tol_jdot))]
+
+
+CHECK_NAMES = ("dynamics", "qp", "identity", "world_pass")
 
 
 def run_checks(model: RobotModel, which=CHECK_NAMES, seed: int = 0,
@@ -228,4 +249,7 @@ def run_checks(model: RobotModel, which=CHECK_NAMES, seed: int = 0,
         results.append(run_qp_check(seed=seed, tol=1e-8 * tol_scale))
     if "identity" in which:
         results.append(run_identity_check(model, seed=seed + 1, tol=1e-10 * tol_scale))
+    if "world_pass" in which:
+        results += run_world_pass_check(model, seed=seed, tol_bias=1e-10 * tol_scale,
+                                        tol_jdot=1e-8 * tol_scale)
     return results

@@ -243,7 +243,8 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
 @click.option("--tol-scale", type=float, default=1.0,
               help="scale the suite tolerances (testing affordance)")
 def cmd_check(model_arg, which, seed, tol_scale):
-    """Run the self-verification suites (derivatives, QP oracle, identities)."""
+    """Run the self-verification suites (derivatives, QP oracle, identities,
+    world-frame pass)."""
     names = tuple(w.strip() for w in which.split(",") if w.strip())
     unknown = [w for w in names if w not in CHECK_NAMES]
     if unknown:

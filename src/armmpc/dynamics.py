@@ -1,12 +1,12 @@
 """Rigid-body dynamics of serial chains.
 
-The mass matrix M and the bias forces b come from one world-frame pass per
-chain state, batched over the links: the linear and angular Jacobians of
-every link's centre of mass give M = sum_i m_i Jv_i'Jv_i + Jw_i'I_i Jw_i and,
-with the accelerations that qd alone causes, b (Featherstone, Rigid Body
-Dynamics Algorithms, 2008, the Jacobian forms of M and C qd). Forward
-dynamics solves M qdd = u - b through a Cholesky factorization (LAPACK
-dpotrf/dpotrs, never an explicit inverse).
+M, b, g, the end-effector Jacobian J and J-dot qd come from one world-frame
+pass per chain state over a stack of points (the joint origins after the
+first, the link COMs and the end effector): their Jacobians give
+M = sum_i m_i Jv_i'Jv_i + Jw_i'I_i Jw_i and, with the accelerations that qd
+alone causes, b and J-dot qd (Featherstone, Rigid Body Dynamics Algorithms,
+2008, the Jacobian forms of M and C qd). Forward dynamics solves
+M qdd = u - b through a Cholesky factorization (LAPACK dpotrf/dpotrs).
 
 Inverse dynamics and the derivatives that trajectory linearization needs
 come from one recursive Newton-Euler pass in spatial vector algebra, batched
@@ -52,6 +52,17 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
 
+def _motion_transforms(local: np.ndarray) -> np.ndarray:
+    """Motion transforms X_k (parent link frame into link k) of a (B, n, 4, 4)
+    stack of local homogeneous transforms, shape (B, n, 6, 6)."""
+    rt = local[..., :3, :3].swapaxes(-1, -2)
+    xs = np.zeros(local.shape[:-2] + (6, 6))
+    xs[..., :3, :3] = rt
+    xs[..., 3:, 3:] = rt
+    xs[..., 3:, :3] = -rt @ _skew(local[..., :3, 3])
+    return xs
+
+
 @dataclass(frozen=True, eq=False)
 class DynamicsDerivatives:
     """Partial derivatives of inverse and forward dynamics.
@@ -77,37 +88,37 @@ class DynamicsDerivatives:
 class RigidBodyState(ChainState):
     """A chain state with the dynamics at it, each quantity computed once.
 
-    The mass matrix, its Cholesky factor, the bias and the gravity forces
-    derive on first use from the world frames of the joint pass; the motion
-    transforms X_k behind the Newton-Euler pass (inverse dynamics and its
-    derivatives) are built only when that asks for them.
+    The world-frame pass takes the linear Jacobian columns of all its 2n
+    points in one cross product, masked by the joints that move each point;
+    the COM rows give M and the last row J. b, g and J-dot qd follow from
+    the point velocities and column rates, formed once. The motion
+    transforms X_k behind the Newton-Euler pass are built only when it asks.
     """
 
     @cached_property
     def xs(self) -> np.ndarray:
         """Motion transforms X_k (parent link frame into link k), shape (n, 6, 6)."""
-        rt = self.rot_local.transpose(0, 2, 1)
-        xs = np.zeros((self.chain.n, 6, 6))
-        xs[:, :3, :3] = rt
-        xs[:, 3:, 3:] = rt
-        xs[:, 3:, :3] = -rt @ _skew(self.trans_local)
-        return xs
+        return _motion_transforms(self.local[None])[0]
 
     @cached_property
-    def _com_jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each link's COM minus every joint origin, and the linear and angular
-        Jacobians of every link's COM, (n_links, n, 3) each, [link, joint]."""
+    def _points(self) -> tuple[np.ndarray, ...]:
+        """Each point minus every joint origin, and its linear Jacobian columns
+        (zero for the joints that do not move it), (2n, n, 3) each, [point,
+        joint], over the joint origins 1..n-1, the link COMs and the end
+        effector; the COMs' [Jv | Jw], (n, n, 6), [link, joint]; and the
+        K_i = R_i L_i with K_i K_i' = R_i I_i R_i', the world inertias."""
         c = self.chain
-        axis_w, origin_w, rot_w = self.frames[:3]
+        n = c.n
+        axis_w, origin_w, rot_w, _, ee_pos = self.frames
         com_w = origin_w + (rot_w @ c.com[:, :, None])[:, :, 0]
-        arm = com_w[:, None, :] - origin_w
-        return arm, self._point_columns(arm) * c.moves[:, :, None], c.turns[:, :, None] * axis_w
+        arm = np.concatenate([origin_w[1:], com_w, ee_pos[None]])[:, None, :] - origin_w
+        cols = self._point_columns(arm) * c.point_moves[:, :, None]
+        jac = np.concatenate([cols[n - 1:-1], c.turns[:, :, None] * axis_w], axis=2)
+        return arm, cols, jac, rot_w @ c.root_inertia
 
-    @cached_property
-    def _world_inertia_root(self) -> np.ndarray:
-        """K_i = R_i L_i, so that K_i K_i' = R_i I_i R_i' is link i's world
-        inertia about its COM, (n_links, 3, 3)."""
-        return self.frames[2] @ self.chain.root_inertia
+    def jacobian(self) -> np.ndarray:
+        """ChainState's J to the bit, from the pass's end-effector row."""
+        return self._columns(self.frames[0], self._points[1][-1])
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -118,11 +129,9 @@ class RigidBodyState(ChainState):
         """
         c = self.chain
         n = c.n
-        _, jv, jw = self._com_jacobians
-        a = np.empty((n, n, 6))  # [joint, link, 6]
-        a[:, :, :3] = (jv * c.root_mass[:, None, None]).transpose(1, 0, 2)
-        a[:, :, 3:] = (jw @ self._world_inertia_root).transpose(1, 0, 2)
-        a = a.reshape(n, 6 * n)
+        _, _, jac, k = self._points
+        a = np.concatenate([jac[:, :, :3] * c.root_mass[:, None, None], jac[:, :, 3:] @ k], axis=2)
+        a = a.transpose(1, 0, 2).reshape(n, 6 * n)
         return a @ a.T
 
     @cached_property
@@ -146,33 +155,49 @@ class RigidBodyState(ChainState):
         return self._solve(np.eye(self.chain.n))
 
     @cached_property
-    def bias(self) -> np.ndarray:
-        """Coriolis/centrifugal plus gravity forces b(q, qd), at qdd = 0.
-
-        b = g(q) + sum_i Jv_i' m_i a_i + Jw_i'(I_i alpha_i + omega_i x I_i omega_i),
-        with a_i and alpha_i the COM and angular accelerations that qd alone
-        causes; at qd = 0 the sum is zero and b is g(q) to the bit.
-        """
+    def _velocity_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b, g and J-dot qd, from the accelerations a_i, alpha_i that qd alone
+        causes: b - g and g are one contraction of the COMs' [Jv | Jw] with the
+        wrenches (m_i a_i; I_i alpha_i + omega_i x I_i omega_i) and (-m_i g; 0)."""
         c = self.chain
-        arm, jv, jw = self._com_jacobians
-        omega, axis_dot, _ = self.rates
+        n = c.n
         qd = self.qd
-        alpha = np.cumsum(np.where(c.rev, axis_dot * qd[:, None], 0.0), axis=0)
-        jv_dot = self._point_column_rates(arm, (qd @ jv)[:, None, :])
-        acc = ((c.moves * qd)[:, None, :] @ jv_dot)[:, 0]
-        k = self._world_inertia_root
-        kt = k.transpose(0, 2, 1)
-        spin = k @ (kt @ np.stack([omega[1:], alpha], axis=2))  # I omega, I alpha
-        torque = spin[:, :, 1] + _cross(omega[1:], spin[:, :, 0])
-        force = (jv @ (c.link_mass[:, None] * acc)[:, :, None]).sum(axis=0)
-        force += (jw @ torque[:, :, None]).sum(axis=0)
-        return self.gravity + force[:, 0]
+        axis_w = self.frames[0]
+        arm, cols, jac, k = self._points
+        spin = np.zeros((n + 1, 3, 2))  # [omega | alpha] of the base and the n links
+        np.add.accumulate(np.where(c.rev, axis_w * qd[:, None], 0.0), axis=0, out=spin[1:, :, 0])
+        # each axis is fixed in the link before its joint
+        axis_dot = _cross(spin[:-1, :, 0], axis_w)
+        np.add.accumulate(np.where(c.rev, axis_dot * qd[:, None], 0.0), axis=0, out=spin[1:, :, 1])
+        vel = qd @ cols
+        origin_dot = np.zeros((n, 3))  # joint k's origin is point k - 1; joint 0's is fixed
+        origin_dot[1:] = vel[:n - 1]
+        body = slice(n - 1, None)  # the COMs and the end effector
+        rates = np.where(c.rev, _cross(axis_dot, arm[body])
+                         + _cross(axis_w, vel[body, None] - origin_dot), axis_dot)
+        acc = ((c.point_moves[body] * qd)[:, None, :] @ rates)[:, 0]
+        inertial = k @ (k.transpose(0, 2, 1) @ spin[1:])  # I omega, I alpha
+        wrench = np.zeros((n, 6, 2))
+        wrench[:, :3, 0] = c.link_mass[:, None] * acc[:-1]
+        wrench[:, 3:, 0] = inertial[:, :, 1] + _cross(spin[1:, :, 0], inertial[:, :, 0])
+        wrench[:, :3, 1] = c.link_mass[:, None] * c.a_base[3:]
+        forces = jac.transpose(1, 0, 2).reshape(n, 6 * n) @ wrench.reshape(6 * n, 2)
+        return forces[:, 1] + forces[:, 0], forces[:, 1], np.concatenate([acc[-1], spin[-1, :, 1]])
 
-    @cached_property
+    @property
+    def bias(self) -> np.ndarray:
+        """b(q, qd), the joint forces at qdd = 0; b(q, 0) is g(q) to the bit."""
+        return self._velocity_pass[0]
+
+    @property
     def gravity(self) -> np.ndarray:
-        """Gravity forces g(q) = -sum_i m_i Jv_i' g, the part of b that gravity alone causes."""
-        _, jv, _ = self._com_jacobians
-        return self.chain.link_mass @ (jv @ self.chain.a_base[3:])
+        """g(q) = -sum_i m_i Jv_i' g, the part of b that gravity alone causes."""
+        return self._velocity_pass[1]
+
+    @property
+    def jdot_qd(self) -> np.ndarray:
+        """J-dot qd = [a_ee; alpha_n], the end effector's acceleration at qdd = 0."""
+        return self._velocity_pass[2]
 
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""
@@ -201,13 +226,13 @@ def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
     """Dynamics derivative blocks at a stack of chain states of one model.
 
     qdd is (B, n), one row per state, each consistent with that state's
-    nominal torque (the caller's contract). The analytic inverse-dynamics
-    blocks come from one batched pass over all states. Every block is
-    returned with a leading batch axis.
+    nominal torque (the caller's contract). The motion transforms of all
+    states come from one call, and the analytic inverse-dynamics blocks from
+    one batched pass. Every block is returned with a leading batch axis.
     """
     n = states[0].chain.n
-    dtau = _rnea(states[0].chain, np.stack([st.xs for st in states]),
-                 np.array([st.qd for st in states]), qdd)[:, :, :-1]
+    xs = _motion_transforms(np.stack([st.local for st in states]))
+    dtau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdd)[:, :, :-1]
     minv = np.array([st.minv for st in states])
     minv = 0.5 * (minv + minv.transpose(0, 2, 1))
     dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)

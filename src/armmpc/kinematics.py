@@ -257,7 +257,8 @@ class _Chain:
 
     __slots__ = ("n", "rev", "axes", "rot_pt", "rot_skew", "rot_skew2", "trans_pt",
                  "slide", "ee", "subspace", "crm_s", "inertia", "a_base",
-                 "moves", "turns", "link_mass", "root_mass", "com", "root_inertia")
+                 "moves", "turns", "point_moves", "link_mass", "root_mass", "com",
+                 "root_inertia")
 
     def __init__(self, model: RobotModel):
         n = model.n
@@ -290,6 +291,9 @@ class _Chain:
         # when revolute
         self.moves = np.tril(np.ones((n, n)))
         self.turns = self.moves * self.rev.T
+        # [point, joint] over the world points of the dynamics pass (joint
+        # origins 1..n-1, link COMs, end effector): joint j moves the point
+        self.point_moves = np.vstack([self.moves[:-1], self.moves, np.ones((1, n))])
         self.link_mass = np.array([link.mass for link in model.links])
         self.root_mass = np.sqrt(self.link_mass)
         self.com = np.array([link.com for link in model.links])

@@ -368,7 +368,6 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     q, qd = st.q, st.qd
     *_, rot_c, pos_c = st.frames
     jac_full = st.jacobian()
-    jdot_full = st.jacobian_dot()
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
 
     u = None
@@ -379,7 +378,7 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
             last_projector=posture is not None):
         vel = jac_full[rows] @ qd
         acc_des = kd * (-vel if twist is None else twist[rows] - vel) + kp * err_full[rows]
-        tau = jac_proj.T @ (lam @ (acc_des - jdot_full[rows] @ qd))
+        tau = jac_proj.T @ (lam @ (acc_des - st.jdot_qd[rows]))
         u = tau if u is None else u + tau
 
     if posture is not None:

@@ -123,6 +123,9 @@ class RunMetrics:
     degraded_ticks: int
 
     def final_errors(self) -> tuple[float, float]:
+        """The accumulated errors at the last tick, (0.0, 0.0) for a run of no ticks."""
+        if not self.accumulated_pos_err.size:
+            return 0.0, 0.0
         return float(self.accumulated_pos_err[-1]), float(self.accumulated_ori_err[-1])
 
 
@@ -202,10 +205,14 @@ def run_scenario(scenario, controller: str, model: RobotModel,
 
     scenario is a name from trajgen.SCENARIOS or a (TaskTrajectory, q0) pair;
     osc/dyn_mpc run on the torque plant, kin_mpc on the position plant.
+    cfg.max_ticks, when set, is a nonnegative integer (0: no ticks).
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; choose from {CONTROLLERS}")
     cfg = cfg or default_scenario_config(scenario if isinstance(scenario, str) else "", controller)
+    if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, (int, np.integer))
+                                          and cfg.max_ticks >= 0):
+        raise ValueError(f"max_ticks must be a nonnegative integer, got {cfg.max_ticks!r}")
     ctl_cfg = controller_config(cfg, controller)
 
     if isinstance(scenario, str):
@@ -342,19 +349,16 @@ def write_timing_csv(result: RunResult, path) -> None:
 def write_metrics_report(result: RunResult, path) -> None:
     """Human-readable summary; deterministic fields only."""
     m = result.metrics
+    pos_final, ori_final = m.final_errors()
     lines = [
         f"scenario: {result.scenario}",
         f"controller: {result.controller}",
         f"ticks: {result.t.shape[0]}",
+        f"accumulated_pos_err_final: {_fmt(pos_final)}",
+        f"accumulated_ori_err_final: {_fmt(ori_final)}",
+        f"max_abs_qdd: {_fmt(m.max_abs_qdd)}",
+        f"limit_violations: {m.limit_violations}",
+        f"saturated_ticks: {m.saturated_ticks}",
+        f"degraded_ticks: {m.degraded_ticks}",
     ]
-    if result.t.shape[0]:
-        pos_final, ori_final = m.final_errors()
-        lines += [
-            f"accumulated_pos_err_final: {_fmt(pos_final)}",
-            f"accumulated_ori_err_final: {_fmt(ori_final)}",
-            f"max_abs_qdd: {_fmt(m.max_abs_qdd)}",
-            f"limit_violations: {m.limit_violations}",
-            f"saturated_ticks: {m.saturated_ticks}",
-            f"degraded_ticks: {m.degraded_ticks}",
-        ]
     Path(path).write_text("\n".join(lines) + "\n")

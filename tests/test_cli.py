@@ -190,6 +190,13 @@ def test_check_filtered_qp(runner):
     assert "PASS" in result.output
 
 
+def test_check_world_pass(runner):
+    result = runner.invoke(main, ["check", "--checks", "world_pass"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 2 and all(line.startswith("[PASS] world_pass_") for line in lines)
+
+
 def test_check_unknown_name(runner):
     result = runner.invoke(main, ["check", "--checks", "bogus"])
     assert result.exit_code == 2

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from armmpc.checks import _central_difference, _id_derivatives_fd
+from armmpc.checks import _central_difference, _id_derivatives_fd, run_world_pass_check
 from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
+    _motion_transforms,
     _rnea,
     bias_forces,
     dynamics_derivatives,
@@ -15,7 +16,7 @@ from armmpc.dynamics import (
     mass_matrix,
     stacked_derivatives,
 )
-from armmpc.kinematics import _crm
+from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.robot_model import PayloadSpec, attach_payload
 
 from conftest import make_rpr, random_config
@@ -58,6 +59,9 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
     qdds = np.array(qdds)
     batch = stacked_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
+    # the horizon's motion transforms, built in one call, are each state's own
+    assert np.array_equal(_motion_transforms(np.stack([st.local for st in states])),
+                          np.stack([st.xs for st in states]))
     # the same pass carries the joint torques in its last column
     tau = _rnea(states[0].chain, np.stack([st.xs for st in states]),
                 np.array([st.qd for st in states]), qdds)[:, :, -1]
@@ -73,6 +77,68 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
             got = getattr(batch, name)[k]
             ref = getattr(one, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
+
+
+# the world-frame pass of RigidBodyState against its independent oracles:
+# the arm with its payload, a chain with a prismatic joint, and seven joints
+PASS_CHAINS = ["payload", "rpr", "seven"]
+
+
+def pass_model(name, request):
+    if name == "seven":
+        return request.getfixturevalue("seven_joint_model")
+    return chain_model(name, request.getfixturevalue("desk_model"))
+
+
+@pytest.mark.parametrize("name", PASS_CHAINS)
+def test_world_pass_jdot_qd_matches_jacobian_dot(request, rng, name):
+    # J-dot qd from the pass's point accelerations against the column rates
+    # of kinematics.jacobian_dot, a separate computation
+    model = pass_model(name, request)
+    for _ in range(5):
+        q = random_config(model, rng)
+        qd = 2.0 * rng.standard_normal(model.n)
+        got = RigidBodyState(model, q, qd).jdot_qd
+        ref = jacobian_dot(model, q, qd) @ qd
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", PASS_CHAINS)
+def test_world_pass_jacobian_is_the_chain_jacobian(request, rng, name):
+    model = pass_model(name, request)
+    q = random_config(model, rng)
+    st = RigidBodyState(model, q, rng.standard_normal(model.n))
+    assert np.array_equal(st.jacobian(), ChainState(model, q).jacobian())
+
+
+@pytest.mark.parametrize("name", PASS_CHAINS)
+def test_world_pass_bias_matches_newton_euler(request, rng, name):
+    model = pass_model(name, request)
+    for _ in range(5):
+        q = random_config(model, rng)
+        qd = 2.0 * rng.standard_normal(model.n)
+        got = RigidBodyState(model, q, qd).bias
+        ref = inverse_dynamics(model, q, qd, np.zeros(model.n))
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", PASS_CHAINS)
+def test_world_pass_mass_needs_no_velocity(request, rng, name):
+    # M, its factor and J come from the velocity-free half of the pass
+    model = pass_model(name, request)
+    q = random_config(model, rng)
+    st = RigidBodyState(model, q)
+    moving = RigidBodyState(model, q, rng.standard_normal(model.n))
+    assert np.array_equal(mass_matrix(model, q), moving.mass)
+    np.testing.assert_allclose(st.minv @ st.mass, np.eye(model.n), atol=1e-10)
+    assert np.array_equal(st.jacobian(), moving.jacobian())
+
+
+@pytest.mark.parametrize("name", PASS_CHAINS)
+def test_world_pass_check_passes(request, name):
+    # the check suite's oracles, on chains beyond the one the CLI loads
+    for res in run_world_pass_check(pass_model(name, request), n_states=20, seed=3):
+        assert res.passed, res.line()
 
 
 def test_mass_matrix_pendulum(pendulum):

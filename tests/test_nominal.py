@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc import nominal
+from armmpc import kinematics, nominal
 from armmpc.dynamics import bias_forces, forward_dynamics, mass_matrix
 from armmpc.kinematics import Pose, forward_kinematics, geometric_jacobian, jacobian_dot, task_error
 from armmpc.nominal import (
@@ -453,6 +453,27 @@ def test_osc_rollout_fixed_point(desk_model, rng):
     for k in range(4):
         np.testing.assert_allclose(roll.u_hat[k], bias, atol=1e-4)
     np.testing.assert_allclose(roll.q_hat[-1], q, atol=1e-6)
+
+
+def test_osc_reads_jacobian_and_jdot_qd_from_the_world_pass(desk_model, rng, monkeypatch):
+    # J and J-dot qd come out of RigidBodyState's one pass over its points;
+    # the separate column passes of ChainState are never reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a second column pass ran")
+
+    for name in ("jacobian_dot", "_point_column_rates"):
+        monkeypatch.setattr(kinematics.ChainState, name, unreachable)
+    for name in ("rates", "_ee_columns"):
+        monkeypatch.setattr(kinematics.ChainState, name, property(unreachable))
+    q = random_config(desk_model, rng)
+    qd = rng.standard_normal(6)
+    target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
+    tasks = default_task_hierarchy()
+    posture = default_posture(q)
+    u = osc_torque(desk_model, q, qd, tasks, target, 1e-2, posture=posture)
+    roll = osc_rollout(desk_model, np.concatenate([q, qd]), [target] * 3, 1e-3, 1e-2, tasks,
+                       posture=posture)
+    assert np.isfinite(u).all() and np.isfinite(roll.x_hat).all()
 
 
 def test_osc_rollout_clamps_torque(desk_model):

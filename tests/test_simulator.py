@@ -163,6 +163,34 @@ def test_run_scenario_flags_degraded_ticks_and_runs_empty(desk_model):
     assert out.flags.dtype.kind == "i"
     m = out.metrics
     assert (m.max_abs_qdd, m.limit_violations, m.saturated_ticks, m.degraded_ticks) == (0.0, 0, 0, 0)
+    assert m.final_errors() == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("max_ticks", [-1, 2.5, "3"])
+def test_run_scenario_rejects_bad_max_ticks(desk_model, max_ticks):
+    q0 = np.zeros(6)
+    traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
+    cfg = ScenarioConfig(max_ticks=max_ticks)
+    with pytest.raises(ValueError, match="max_ticks must be a nonnegative integer"):
+        run_scenario((traj, q0), "osc", desk_model, cfg)
+
+
+def test_metrics_report_of_an_empty_run(desk_model, tmp_path):
+    q0 = np.zeros(6)
+    traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
+    out = run_scenario((traj, q0), "osc", desk_model, ScenarioConfig(max_ticks=0))
+    write_metrics_report(out, tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    assert "ticks: 0" in lines and "accumulated_pos_err_final: 0" in lines
+
+
+def test_final_errors_of_a_run(desk_model):
+    # the last accumulated value of each error series
+    q0 = np.zeros(6)
+    traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0 + 0.1),) * 3)
+    m = run_scenario((traj, q0), "osc", desk_model, ScenarioConfig()).metrics
+    assert m.final_errors() == (m.accumulated_pos_err[-1], m.accumulated_ori_err[-1])
+    assert m.final_errors()[0] > 0.0
 
 
 @pytest.mark.parametrize("scenario,controller,robot,per_tick", [
