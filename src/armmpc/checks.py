@@ -151,8 +151,8 @@ def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,
                                f"problem {i}: solver status {sol.status}, oracle solved")
         err = float(np.linalg.norm(sol.z_star - ref, ord=np.inf))
         kkt_max = sol.kkt.max() / (1.0 + float(np.linalg.norm(prob.g)))
-        worst = max(worst, err, kkt_max)
-        if err > tol or kkt_max > tol:
+        worst = float(np.max([worst, err, kkt_max]))  # keeps a NaN, which fails below
+        if not (err <= tol and kkt_max <= tol):
             detail = f"problem {i} (dim={dim}, m={n_ineq})"
             return CheckResult("qp_vs_enumeration", False, worst, tol, detail)
     return CheckResult("qp_vs_enumeration", True, worst, tol, f"{n_problems} problems")
@@ -197,8 +197,8 @@ def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: 
                 (der.dqdd_du, "u", lambda x: forward_dynamics(model, q, qd, x), u)):
             fd = _central_difference(fn, x, h)
             rel = float(np.linalg.norm(block - fd) / (1.0 + np.linalg.norm(fd)))
-            worst = max(worst, rel)
-            if rel > tol:
+            worst = float(np.maximum(worst, rel))  # keeps a NaN, which fails below
+            if not rel <= tol:
                 return CheckResult("dynamics_derivatives_vs_fd", False, worst, tol,
                                    f"state {i}, block d/d{wrt}")
     return CheckResult("dynamics_derivatives_vs_fd", True, worst, tol, f"{n_states} states")
@@ -206,14 +206,15 @@ def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: 
 
 def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
                        tol: float = 1e-10) -> CheckResult:
-    """Forward/inverse derivative identity dqdd_dx = -Minv dtau_dx."""
+    """Forward/inverse derivative identity dqdd_dx = -Minv dtau_dx, with
+    Minv = dqdd_du."""
     worst = 0.0
     for i, (q, qd, u) in enumerate(_random_states(model, n_states, seed)):
         der = dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
         for dfd, did in ((der.dqdd_dq, der.dtau_dq), (der.dqdd_dqd, der.dtau_dqd)):
-            res = float(np.linalg.norm(dfd + der.minv @ did) / (1.0 + np.linalg.norm(did)))
-            worst = max(worst, res)
-            if res > tol:
+            res = float(np.linalg.norm(dfd + der.dqdd_du @ did) / (1.0 + np.linalg.norm(did)))
+            worst = float(np.maximum(worst, res))  # keeps a NaN, which fails below
+            if not res <= tol:
                 return CheckResult("fd_id_derivative_identity", False, worst, tol, f"state {i}")
     return CheckResult("fd_id_derivative_identity", True, worst, tol, f"{n_states} states")
 

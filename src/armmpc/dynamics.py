@@ -76,7 +76,6 @@ class DynamicsDerivatives:
 
     dtau_dq: np.ndarray
     dtau_dqd: np.ndarray
-    minv: np.ndarray
     dqdd_dq: np.ndarray
     dqdd_dqd: np.ndarray
     dqdd_du: np.ndarray
@@ -239,7 +238,6 @@ def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
     return DynamicsDerivatives(
         dtau_dq=dtau[:, :, :n],
         dtau_dqd=dtau[:, :, n:],
-        minv=minv,
         dqdd_dq=dqdd[:, :, :n],
         dqdd_dqd=dqdd[:, :, n:],
         dqdd_du=minv,

@@ -51,11 +51,13 @@ class RecedingHorizon:
 
     A subclass's step builds the nominal along the trajectory's own task
     hierarchy (TaskTrajectory.tasks) and calls _solve once. The QP is
-    warm-started from the active set of the last optimal solve. A tick whose
-    QP data is rejected (crossed terminal boxes) or whose solve is not
-    optimal is degraded: the subclass applies its fallback command, the warm
-    start is dropped, and the next tick that reaches the trajectory end
-    builds its terminal box TERMINAL_WIDEN times wider.
+    warm-started from the active set of the last optimal solve, and solved by
+    the controller's own QpSolver, which keeps the QP's structure from tick
+    to tick (see qp). A tick whose QP data is rejected (crossed terminal
+    boxes) or whose solve is not optimal is degraded: the subclass applies
+    its fallback command, the warm start is dropped, and the next tick that
+    reaches the trajectory end builds its terminal box TERMINAL_WIDEN times
+    wider.
     """
 
     def __init__(self, model: RobotModel, cfg: HorizonConfig, limits: JointLimits | None = None):

@@ -89,11 +89,8 @@ def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float,
     dfdu = np.zeros((n_p, 2 * n, n))
     dfdu[:, n:, :] = der.dqdd_du
     f_val = np.concatenate([qd, qdd], axis=1)
-    stage = LinearizedStage(
-        A=np.eye(2 * n) + dt * dfdx,
-        B=dt * dfdu,
-        r=dt * (f_val - _mv(dfdx, x_hat) - _mv(dfdu, u_hat)),
-    )
+    stage = LinearizedStage(A=np.eye(2 * n) + dt * dfdx, B=dt * dfdu,
+                            r=dt * (f_val - _mv(dfdx, x_hat) - _mv(dfdu, u_hat)))
     return LinearizedStage(stage.A[0], stage.B[0], stage.r[0]) if single else stage
 
 
@@ -104,11 +101,11 @@ def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray,
     linearize_stage returns it, taken at the rollout's states x_hat
     (n_p+1, 2n) and inputs u_hat (n_p, n). Returns (eq_a, eq_b) over the
     stage-wise z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np], one block
-    row dx_{k+1} - A_k dx_k - B_k du_k = d_k per stage written by slices,
-    with d_k = A_k x_hat_k + B_k u_hat_k + r_k - x_hat_{k+1}, the rollout's
-    defect against the Euler stage. dx_0 = 0: x_hat_0 is the known initial
-    state (a rollout starts at the measured one). Raises ValueError for an
-    empty horizon or an x_hat or u_hat of another shape.
+    row dx_{k+1} - A_k dx_k - B_k du_k = d_k per stage, with d_k = A_k
+    x_hat_k + B_k u_hat_k + r_k - x_hat_{k+1}, the rollout's defect against
+    the Euler stage. dx_0 = 0: x_hat_0 is the known initial state (a
+    rollout starts at the measured one). Raises ValueError for an empty
+    horizon or an x_hat or u_hat of another shape.
     """
     n_p, nx, nu = stages.B.shape
     if n_p < 1:
@@ -117,17 +114,13 @@ def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray,
     if x_hat.shape != (n_p + 1, nx) or u_hat.shape != (n_p, nu):
         raise ValueError(f"x_hat must be ({n_p + 1}, {nx}) and u_hat ({n_p}, {nu}) for "
                          f"{n_p} stages, got {x_hat.shape} and {u_hat.shape}")
-    ns = nu + nx
-    eq_a = np.zeros((n_p * nx, n_p * ns))
+    eq_a = np.zeros((n_p, nx, n_p, nu + nx))  # [stage row, row, stage column, column]
     eq_b = (_mv(stages.A, x_hat[:-1]) + _mv(stages.B, u_hat) + stages.r - x_hat[1:]).ravel()
-    eye = np.eye(nx)
-    for k in range(n_p):
-        row = slice(k * nx, (k + 1) * nx)
-        if k:
-            eq_a[row, k * ns - nx:k * ns] = -stages.A[k]
-        eq_a[row, k * ns:k * ns + nu] = -stages.B[k]
-        eq_a[row, k * ns + nu:(k + 1) * ns] = eye
-    return eq_a, eq_b
+    k = np.arange(n_p)
+    eq_a[k[1:], :, k[:-1], nu:] = -stages.A[1:]
+    eq_a[k, :, k, :nu] = -stages.B
+    eq_a[k, :, k, nu:] = np.eye(nx)
+    return eq_a.reshape(n_p * nx, n_p * (nu + nx)), eq_b
 
 
 def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
@@ -145,14 +138,13 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     Tracking weight acts on position deviations through the nominal's
     projected Jacobians, damping on absolute velocities, the input weight
     on input deviations. terminal_widen, unless None, adds a box of that
-    many tolerances around the rollout's end state.
+    many tolerances around the rollout's end state. H is S + S' for the
+    cost's Hessian S, exactly symmetric, so the solver takes it as it is.
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
-    n_p = rollout.q_hat.shape[0] - 1
-    n = rollout.q_hat.shape[1]
-    nx = 2 * n
-    ns = n + nx
+    n_p, n = rollout.u_hat.shape
+    nx, ns = 2 * n, 3 * n
     eq_a, eq_b = rows
     if eq_a.shape != (n_p * nx, n_p * ns) or eq_b.shape != (n_p * nx,):
         raise ValueError("dynamics rows and rollout horizon disagree")
@@ -160,26 +152,23 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     dim = n_p * ns
     hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
-    for k in range(n_p):
-        q_blk = slice(k * ns + n, k * ns + nx)
-        jk = rollout.j_stack[k + 1]
-        hess[q_blk, q_blk] += (cfg.task_weight * jk.T) @ jk
-        # task error to first order: err_hat_k - J dq; the gradient drives
-        # the plan to shrink the nominal's own residual error
-        grad[q_blk] -= jk.T @ (cfg.task_weight * rollout.err_stack[k + 1])
     # stage k holds du_k, then dx_k+1's position and velocity parts
     u_at = np.arange(n_p)[:, None] * ns + np.arange(n)
-    v_at = u_at + nx
+    q_at, v_at = u_at + n, u_at + nx
+    jac_t = rollout.j_stack[1:].transpose(0, 2, 1)
+    jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack[1:])  # one block per stage
+    hess[q_at[:, :, None], q_at[:, None, :]] = jtj + jtj.transpose(0, 2, 1)
+    # task error to first order: err_hat_k - J dq; the gradient drives the
+    # plan to shrink the nominal's own residual error
+    grad[q_at] -= np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])[:, :, 0]
     # the input weight acts on the deviation from the nominal torque, so it
     # regularizes the plan without taxing gravity compensation
-    hess[u_at, u_at] += cfg.input_weight
-    hess[v_at, v_at] += cfg.damping_weight
+    hess[u_at, u_at] = 2.0 * cfg.input_weight
+    hess[v_at, v_at] = 2.0 * cfg.damping_weight
     grad[v_at] += cfg.damping_weight * rollout.qd_hat[1:]  # damping acts on absolute velocity
 
-    x_lo = np.concatenate([limits.q_min - rollout.q_hat[1:],
-                           -limits.v_max - rollout.qd_hat[1:]], axis=1)
-    x_hi = np.concatenate([limits.q_max - rollout.q_hat[1:],
-                           limits.v_max - rollout.qd_hat[1:]], axis=1)
+    x_lo = np.concatenate([limits.q_min, -limits.v_max]) - rollout.x_hat[1:]
+    x_hi = np.concatenate([limits.q_max, limits.v_max]) - rollout.x_hat[1:]
     if terminal_widen is not None:
         eps = cfg.terminal_state_tol * terminal_widen
         x_lo[-1] = np.maximum(x_lo[-1], -eps)
@@ -187,7 +176,7 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     lb = np.concatenate([-limits.u_max - rollout.u_hat, x_lo], axis=1).ravel()
     ub = np.concatenate([limits.u_max - rollout.u_hat, x_hi], axis=1).ravel()
 
-    return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, Aeq=eq_a, beq=eq_b, lb=lb, ub=ub)
+    return qp.QpProblem(H=hess, g=2.0 * grad, Aeq=eq_a, beq=eq_b, lb=lb, ub=ub)
 
 
 @dataclass
@@ -230,21 +219,14 @@ class DynamicMpc(RecedingHorizon):
         solution, degraded = self._solve(
             lambda widen: build_dyn_qp(cfg, rollout, rows, self.limits, terminal_widen=widen),
             includes_end)
-        if degraded:
-            states = inputs = None
-            u_cmd = np.clip(rollout.u_hat[0], -self.limits.u_max, self.limits.u_max)
-        else:
+        states = inputs = None
+        if not degraded:
             # solution is in deviations from the rollout, stage by stage
             # [du_k, dx_k+1]; restore absolutes
             plan = solution.z_star.reshape(cfg.horizon, 3 * n)
             states = plan[:, n:] + rollout.x_hat[1:]
             inputs = plan[:, :n] + rollout.u_hat
-            u_cmd = np.clip(inputs[0], -self.limits.u_max, self.limits.u_max)
-        return DynStepResult(
-            u_cmd=u_cmd,
-            solution=solution,
-            rollout=rollout,
-            degraded=degraded,
-            plan_states=states,
-            plan_inputs=inputs,
-        )
+        u_cmd = np.clip(rollout.u_hat[0] if degraded else inputs[0], -self.limits.u_max,
+                        self.limits.u_max)
+        return DynStepResult(u_cmd=u_cmd, solution=solution, rollout=rollout, degraded=degraded,
+                             plan_states=states, plan_inputs=inputs)

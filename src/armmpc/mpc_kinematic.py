@@ -37,11 +37,8 @@ class KinematicMpcConfig(HorizonConfig):
 def _diff_offsets(n: int, horizon: int, dt: float, q_prev, q_prev2):
     """Constant offsets of the difference operators: the two positions
     before the stack start, q_prev and q_prev2, enter only here."""
-    q_prev = np.asarray(q_prev, dtype=float)
-    q_prev2 = np.asarray(q_prev2, dtype=float)
-    dim = (horizon + 1) * n
-    vel_off = np.zeros(dim)
-    acc_off = np.zeros(dim)
+    q_prev, q_prev2 = np.asarray(q_prev, dtype=float), np.asarray(q_prev2, dtype=float)
+    vel_off, acc_off = np.zeros((2, (horizon + 1) * n))
     vel_off[:n] = -q_prev / dt
     acc_off[:n] = (-2 * q_prev + q_prev2) / dt**2
     if horizon >= 1:
@@ -91,7 +88,8 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     already-applied command; defaults to the rollout start) so the decision
     stack is the continuation of the command signal. terminal_widen, unless
     None, adds boxes of that many tolerances around the rollout's end
-    position and velocity.
+    position and velocity. H is S + S' for the cost's Hessian S, exactly
+    symmetric, so the solver takes it as it is.
     """
     steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:
@@ -101,15 +99,14 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     vel_off, acc_off = _diff_offsets(n, cfg.horizon, cfg.dt, *history)
 
     hess = np.zeros((dim, dim))
-    grad = np.zeros(dim)
-    for k in range(steps):
-        blk = slice(k * n, (k + 1) * n)
-        jk = rollout.j_stack[k]
-        jtqj = (cfg.task_weight * jk.T) @ jk
-        hess[blk, blk] += jtqj
-        # first-order task error e(q) ~ err_hat - J (q - qhat): the target
-        # vector keeps the nominal's own residual so the plan can beat it
-        grad[blk] -= jk.T @ (cfg.task_weight * rollout.err_stack[k]) + jtqj @ rollout.q_hat[k]
+    jac_t = rollout.j_stack.transpose(0, 2, 1)
+    jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack)  # one block per step
+    at = np.arange(dim).reshape(steps, n)
+    hess[at[:, :, None], at[:, None, :]] = jtj
+    # first-order task error e(q) ~ err_hat - J (q - qhat): the target
+    # vector keeps the nominal's own residual so the plan can beat it
+    grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack)[:, :, None])
+                  + np.matmul(jtj, rollout.q_hat[:, :, None])).ravel()
     for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
                                    (acc_op, acc_off, cfg.accel_weight, 2)):
         quad = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
@@ -117,11 +114,9 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
             hess += quad
             grad += op.T @ (weight * off)
 
-    lb = np.tile(limits.q_min, steps)
-    ub = np.tile(limits.q_max, steps)
-    pin = rollout.q_hat[0] if q_pin is None else np.asarray(q_pin, dtype=float)
-    lb[:n] = ub[:n] = pin
-    vmax = np.tile(limits.v_max, steps)
+    limit_rows = [[limits.q_min], [limits.q_max], [limits.v_max]]
+    lb, ub, vmax = np.repeat(limit_rows, steps, axis=1).reshape(3, dim)  # one block per step
+    lb[:n] = ub[:n] = rollout.q_hat[0] if q_pin is None else q_pin
     lin = -vmax - vel_off
     uin = vmax - vel_off
 
@@ -134,7 +129,7 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
         lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - vel_off[last])
         uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - vel_off[last])
 
-    return qp.QpProblem(H=2.0 * hess, g=2.0 * grad, lb=lb, ub=ub,
+    return qp.QpProblem(H=hess + hess.T, g=2.0 * grad, lb=lb, ub=ub,
                         Ain=vel_op, lin=lin, uin=uin)
 
 
@@ -176,20 +171,11 @@ class KinematicMpc(RecedingHorizon):
             lambda widen: build_kin_qp(cfg, rollout, (self._hist1, self._hist2), self.limits,
                                        terminal_widen=widen, q_pin=self._last_cmd),
             includes_end)
-        if degraded:
-            plan = None
-            q_cmd = self._last_cmd
-        else:
-            plan = solution.z_star.reshape(cfg.horizon + 1, model.n)
-            q_cmd = plan[1]
+        plan = None if degraded else solution.z_star.reshape(cfg.horizon + 1, model.n)
+        q_cmd = self._last_cmd if degraded else plan[1]
 
         self._hist2 = self._hist1
         self._hist1 = self._last_cmd.copy()
         self._last_cmd = q_cmd.copy()
-        return KinStepResult(
-            q_cmd=q_cmd,
-            solution=solution,
-            rollout=rollout,
-            degraded=degraded,
-            plan=plan,
-        )
+        return KinStepResult(q_cmd=q_cmd, solution=solution, rollout=rollout, degraded=degraded,
+                             plan=plan)

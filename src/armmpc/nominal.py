@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +247,14 @@ def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 _NO_FREEDOM = 1e-8
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, shared read-only by every chain of n joints."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
                 err_out: np.ndarray, minv=None, last_projector: bool = False):
     """The task-priority recursion, the one walk over the task levels.
@@ -274,7 +283,7 @@ def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
         lam = _psd_pinv(jac_proj @ w_jt, floor)
         jbar = w_jt @ lam
         wanted = i < last or last_projector
-        proj = ((np.eye(jac_full.shape[1]) if proj is None else proj) - jbar @ jac_proj) if wanted else None
+        proj = ((_identity(jac_full.shape[1]) if proj is None else proj) - jbar @ jac_proj) if wanted else None
         yield level, jac_proj, lam, jbar, proj
 
 

@@ -15,6 +15,16 @@ row is a sign and a source, either a variable or a general row (Aeq or
 Ain, kept dense), so a bound's slack is sign * z_i - value, and no row is
 written out as a dense +-e_i.
 
+Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
+from the dense arrays a QpStructure, all that depends only on the pattern
+(the canonical row order, from which bounds are finite or pinned; each
+general row's nonzero span; H's pattern and band indices). A QpSolver
+keeps its last problem's structure, so an MPC's solver sets its QP up once
+and then, for each tick's problem of exactly that pattern and an exactly
+symmetric H, only fills in values; a new pattern (a newly pinned or
+infinite bound, a new nonzero) is set up afresh. solve() sets up each
+problem, kkt_check its own.
+
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
 already optimal is the solution (the hot start). Otherwise the warm rows
@@ -27,7 +37,8 @@ system of the working rows held at zero with the entering row's normal as
 the negative gradient, which is the Goldfarb-Idnani step in full-space form
 (Nocedal & Wright, 2006, ch. 16), so no Gram matrix is kept. The converged
 iterate is polished by one exact KKT solve on the final active set, plus
-one step of iterative refinement, whenever the residuals ask for it.
+one step of iterative refinement, whenever the residuals ask for it. Each
+residual test fails on a NaN, so a NaN is never optimal.
 
 Every one of those KKT systems is one banded LU (LAPACK dgbsv). Active
 bounds, pinned ones included, fix their variable: its KKT row and column
@@ -45,7 +56,7 @@ iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -78,7 +89,8 @@ def regularized_hessian(h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QpProblem:
-    """Strictly convex QP with equalities, bounds, and two-sided inequalities."""
+    """Strictly convex QP with equalities, bounds, and two-sided inequalities.
+    Its values are checked here, H's symmetry by setup."""
 
     H: np.ndarray
     g: np.ndarray
@@ -91,56 +103,34 @@ class QpProblem:
     uin: np.ndarray | None = None
 
     def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
-        d = self.g.shape[0]
-        if self.H.shape != (d, d):
-            raise QpDataError(f"H must be ({d}, {d}), got {self.H.shape}")
-        h_max, h_min = float(self.H.max()), float(self.H.min())  # NaN propagates into both
-        if not (math.isfinite(h_max) and math.isfinite(h_min) and np.isfinite(self.g).all()):
-            raise QpDataError("H and g must be finite")
-        asym = self.H - self.H.T
-        if max(asym.max(), -asym.min()) > 1e-8 * (1 + max(h_max, -h_min)):
-            raise QpDataError("H must be symmetric")
-        for name in ("Aeq", "beq", "lb", "ub", "Ain", "lin", "uin"):
-            val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, np.asarray(val, dtype=float))
+        for name in ("H", "g", "Aeq", "beq", "lb", "ub", "Ain", "lin", "uin"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if (self.Aeq is None) != (self.beq is None):
             raise QpDataError("Aeq and beq must be given together")
-        if self.Aeq is not None:
-            if self.Aeq.ndim != 2 or self.Aeq.shape[1] != d:
-                raise QpDataError(f"Aeq must have {d} columns")
-            if self.beq.shape != (self.Aeq.shape[0],):
-                raise QpDataError("beq length must match Aeq rows")
-            if not (np.all(np.isfinite(self.Aeq)) and np.all(np.isfinite(self.beq))):
-                raise QpDataError("equality data must be finite")
-        m = 0
-        if self.Ain is not None:
-            if self.Ain.ndim != 2 or self.Ain.shape[1] != d:
-                raise QpDataError(f"Ain must have {d} columns")
-            if not np.all(np.isfinite(self.Ain)):
-                raise QpDataError("Ain must be finite")
-            if self.lin is None or self.uin is None:
-                raise QpDataError("Ain requires lin and uin")
-            m = self.Ain.shape[0]
-        for name, size, never, strict in (("lb", d, np.inf, np.less),
-                                          ("ub", d, -np.inf, np.greater),
-                                          ("lin", m, np.inf, np.less),
-                                          ("uin", m, -np.inf, np.greater)):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            if val.shape != (size,):
-                raise QpDataError(f"{name} must have shape ({size},), got {val.shape}")
-            if not strict(val, never).all():  # false on NaN and on the infinity no z meets
-                if np.isnan(val).any():
+        if self.Ain is not None and (self.lin is None or self.uin is None):
+            raise QpDataError("Ain requires lin and uin")
+        d = self.g.shape[0]
+        e, m = (0 if a is None or a.ndim == 0 else a.shape[0] for a in (self.Aeq, self.Ain))
+        for name, shape in (("H", (d, d)), ("g", (d,)), ("Aeq", (e, d)), ("beq", (e,)),
+                            ("lb", (d,)), ("ub", (d,)), ("Ain", (m, d)), ("lin", (m,)), ("uin", (m,))):
+            if getattr(self, name) is not None and getattr(self, name).shape != shape:
+                raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Aeq, self.beq, self.Ain)
+                   if a is not None):
+            raise QpDataError("H, g, Aeq, beq and Ain must be finite")
+        sides = _sides(self)[e:]
+        lo, hi = sides[:d + m], sides[d + m:]  # [lb; lin] and [ub; uin], absent ones infinite
+        if not ((lo < np.inf).all() and (hi > -np.inf).all()):  # false on NaN too
+            for name, never in (("lb", np.inf), ("ub", -np.inf), ("lin", np.inf), ("uin", -np.inf)):
+                val = getattr(self, name)
+                if val is not None and np.isnan(val).any():
                     raise QpDataError(f"{name} holds NaN (+-inf means no bound)")
-                raise QpDataError(f"{name} holds {never:+}, which no point satisfies")
-        for lo, hi in ((self.lb, self.ub), (self.lin, self.uin)):
-            # neither holds NaN, lo no +inf and hi no -inf, so only finite pairs can cross
-            if lo is not None and hi is not None and np.any(lo > hi + 1e-12):
-                raise QpDataError("lower bound exceeds upper bound")
+                if val is not None and (val == never).any():
+                    raise QpDataError(f"{name} holds {never:+}, which no point satisfies")
+        # neither holds NaN, lo no +inf and hi no -inf, so only finite pairs can cross
+        if (lo > hi + 1e-12).any():
+            raise QpDataError("lower bound exceeds upper bound")
 
     @property
     def dim(self) -> int:
@@ -155,8 +145,9 @@ class KktResiduals:
     dual_feasibility: float  # max(0, -min multiplier on active inequality rows)
 
     def max(self) -> float:
-        return max(self.stationarity, self.feasibility, self.complementarity,
-                   self.dual_feasibility)
+        """The largest residual; NaN if any is NaN."""
+        vals = (self.stationarity, self.feasibility, self.complementarity, self.dual_feasibility)
+        return math.nan if any(map(math.isnan, vals)) else max(vals)
 
 
 @dataclass
@@ -171,68 +162,118 @@ class QpSolution:
     dual_objective_history: list[float] = field(default_factory=list)
 
 
-@dataclass
-class _Rows:
-    """Canonical one-sided rows a'z >= b; the first n_eq are held at equality.
+def _sides(p: QpProblem) -> np.ndarray:
+    """[beq; lb; lin; ub; uin], absent bounds as -inf and +inf."""
+    d, none = p.dim, np.empty(0)
+    lb = np.full(d, -np.inf) if p.lb is None else p.lb
+    ub = np.full(d, np.inf) if p.ub is None else p.ub
+    lin, uin = (none, none) if p.Ain is None else (p.lin, p.uin)
+    return np.concatenate([none if p.Aeq is None else p.beq, lb, lin, ub, uin])
 
-    Row i reads sign[i] * s[src[i]] >= b[i] with s = [z; gen z]: a source
-    src < d is a bound on that variable, src >= d the general row src - d
-    of gen (the rows of Aeq, then of Ain, as given). first and last are the
-    first and last nonzero column of each general row.
-    """
 
-    b: np.ndarray
+def _general_rows(p: QpProblem) -> np.ndarray:
+    mats = [m for m in (p.Aeq, p.Ain) if m is not None]
+    return np.vstack(mats) if len(mats) > 1 else mats[0] if mats else np.zeros((0, p.dim))
+
+
+def _pattern(p: QpProblem) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Whether each lower and upper side of the bounds, then of the Ain rows,
+    is finite and whether the two are pinned (equal); and these with the
+    shape (d, Aeq rows, Ain rows) and the nonzeros of H and the general rows."""
+    shape = d, e, m = (p.dim, *(0 if a is None else a.shape[0] for a in (p.Aeq, p.Ain)))
+    sides = _sides(p)[e:].reshape(2, d + m)
+    finite, pinned = np.isfinite(sides), sides[0] == sides[1]
+    arrays = (finite, pinned, p.H != 0, _general_rows(p) != 0)
+    return finite, pinned, (shape, b"".join(a.tobytes() for a in arrays))
+
+
+class QpStructure(NamedTuple):
+    """A QP's canonical rows a'z >= b, the first n_eq held at equality, as
+    setup derives them from its pattern, b and gen left for _rows to fill.
+
+    Row i reads sign[i] * s[src[i]] >= b[i] = sign[i] * _sides(p)[take[i]],
+    s = [z; gen z]: src < d is a bound on that variable, src >= d the
+    general row src - d of gen (Aeq's rows, then Ain's), nonzero from first
+    to last. h_first is each row's first nonzero column of H + eps I; h_band
+    gathers H's lower band as dpbtrf stores it (transposed), h_mirror the
+    entries mirroring it. pattern: _pattern's key, None unless H was
+    exactly symmetric."""
+
+    b: np.ndarray | None
     n_eq: int
     src: np.ndarray
     sign: np.ndarray
-    gen: np.ndarray
+    gen: np.ndarray | None
     first: np.ndarray
     last: np.ndarray
+    take: np.ndarray
+    h_first: np.ndarray
+    h_band: np.ndarray
+    h_mirror: np.ndarray
+    pattern: tuple | None
 
     @property
     def n_in(self) -> int:
         return self.b.shape[0] - self.n_eq
 
+    def fits(self, p: QpProblem) -> bool:
+        """Whether setup(p) would give this structure: the same pattern and
+        an H symmetric bit for bit."""
+        h = p.H.reshape(-1)
+        return (self.pattern == _pattern(p)[2]
+                and h[self.h_band].tobytes() == h[self.h_mirror].tobytes())
 
-def expand_constraints(p: QpProblem) -> _Rows:
-    """Expand a problem into canonical rows with a stable ordering.
 
-    Order: Aeq rows, pinned bounds (lb == ub), pinned Ain rows; then bound
-    lowers, bound uppers, Ain lowers, Ain uppers (each skipping infinities
-    and pins). Active-set indices refer to this ordering.
+def setup(p: QpProblem) -> QpStructure:
+    """The structure of p from its dense arrays alone; a QpDataError unless
+    H is symmetric to 1e-8 relative. Canonical row order (active-set ids):
+    Aeq rows, pinned bounds (lb == ub), pinned Ain rows; then bound lowers,
+    bound uppers, Ain lowers, Ain uppers (each skipping infinities and pins).
     """
-    d = p.dim
-    every = np.arange(d)
-    mats = [m for m in (p.Aeq, p.Ain) if m is not None]
-    gen = np.vstack(mats) if len(mats) > 1 else mats[0] if mats else np.zeros((0, d))
-    beq = np.empty(0) if p.Aeq is None else p.beq
-    lb = np.full(d, -np.inf) if p.lb is None else p.lb
-    ub = np.full(d, np.inf) if p.ub is None else p.ub
-    lin, uin = (np.empty(0), np.empty(0)) if p.Ain is None else (p.lin, p.uin)
-    ain = d + beq.size + np.arange(lin.size)
-    pinned, pinned_rows = np.isfinite(lb) & (lb == ub), np.isfinite(lin) & (lin == uin)
-    lower, upper = np.isfinite(lb) & ~pinned, np.isfinite(ub) & ~pinned
-    low_rows, up_rows = np.isfinite(lin) & ~pinned_rows, np.isfinite(uin) & ~pinned_rows
-    # (values, sources): equality rows, then lower and upper bounds, Ain lowers and uppers
-    blocks = [(beq, d + np.arange(beq.size)), (lb[pinned], every[pinned]),
-              (lin[pinned_rows], ain[pinned_rows]), (lb[lower], every[lower]),
-              (-ub[upper], every[upper]), (lin[low_rows], ain[low_rows]),
-              (-uin[up_rows], ain[up_rows])]
-    sizes = [values.size for values, _ in blocks]
-    nz = gen != 0
-    return _Rows(b=np.concatenate([values for values, _ in blocks]), n_eq=sum(sizes[:3]),
-                 src=np.concatenate([src for _, src in blocks]),
-                 sign=np.repeat([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0], sizes),
-                 gen=gen, first=np.argmax(nz, axis=1),
-                 last=d - 1 - np.argmax(nz[:, ::-1], axis=1))
+    h = p.H
+    asym = h - h.T
+    if max(asym.max(), -asym.min()) > 1e-8 * (1 + np.abs(h).max()):
+        raise QpDataError("H must be symmetric")
+    finite, pinned, pattern = _pattern(p)
+    (d, e, m), at = pattern[0], np.arange(finite.shape[1])
+    bound, (lower, upper) = at < d, finite & ~pinned
+    picks = [np.flatnonzero(rows) for rows in
+             (pinned, lower & bound, upper & bound, lower & ~bound, upper & ~bound)]
+    offsets = (e, e, e + d + m, e, e + d + m)  # of the lower and the upper sides in _sides
+    take = np.concatenate([np.arange(e), *(off + pick for off, pick in zip(offsets, picks))])
+    src = np.concatenate([d + np.arange(e), *(np.where(bound, at, at + e)[pick] for pick in picks)])
+    nz = _general_rows(p) != 0
+    h_first = np.argmax(regularized_hessian(h) != 0, axis=1)  # the diagonal is nonzero
+    col = np.arange(d)[:, None]
+    row = col + np.arange(int((col[:, 0] - h_first).max(initial=0)) + 1)
+    # band storage ab[o, j] = h[j + o, j], transposed; clipped entries are never read
+    structure = QpStructure(
+        None, e + picks[0].size, src, np.where(take < e + d + m, 1.0, -1.0), None,
+        np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, h_first,
+        np.where(row < d, row * d + col, d * d - 1), np.where(row < d, col * d + row, d * d - 1),
+        None if asym.any() else pattern)
+    for arr in structure:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)  # every problem of the pattern shares them
+    return structure
 
 
-def _values(rows: _Rows, z: np.ndarray) -> np.ndarray:
+def _rows(s: QpStructure, p: QpProblem) -> QpStructure:
+    """s with p's values filled in."""
+    return s._replace(b=s.sign * _sides(p)[s.take], gen=_general_rows(p))
+
+
+def expand_constraints(p: QpProblem) -> QpStructure:
+    """p's canonical rows, set up from its dense arrays alone (see setup)."""
+    return _rows(setup(p), p)
+
+
+def _values(rows: QpStructure, z: np.ndarray) -> np.ndarray:
     """a'z of every canonical row."""
     return rows.sign * np.concatenate([z, rows.gen @ z])[rows.src]
 
 
-def _combine(rows: _Rows, ids, lam) -> np.ndarray:
+def _combine(rows: QpStructure, ids, lam) -> np.ndarray:
     """sum_i lam_i a_i over the canonical rows ids."""
     d = rows.gen.shape[1]
     per_src = np.bincount(rows.src[ids], weights=rows.sign[ids] * lam,
@@ -240,27 +281,15 @@ def _combine(rows: _Rows, ids, lam) -> np.ndarray:
     return per_src[:d] + per_src[d:] @ rows.gen
 
 
-class _Hessian(NamedTuple):
-    """H + eps I as the solver uses it, scanned once: first is each row's first
-    nonzero column, which every KKT layout reads; factor is the lower band
-    Cholesky factor (dpbtrf) at the half-bandwidth max_i (i - first_i), None
-    unless H + eps I is positive definite (the convexity check)."""
-
-    dense: np.ndarray
-    first: np.ndarray
-    factor: np.ndarray | None
-
-
-def _hessian(h: np.ndarray) -> _Hessian:
-    dense = regularized_hessian(h)
-    d = dense.shape[0]
-    at = np.arange(d)
-    first = np.argmax(dense != 0, axis=1)  # a regularized H has a nonzero diagonal
-    width = int((at - first).max(initial=0))
-    # band storage ab[o, j] = h[j + o, j], transposed; clipped entries are never read
-    take = np.minimum(at[:, None] * (d + 1) + np.arange(width + 1) * d, d * d - 1)
-    factor, info = dpbtrf(dense.reshape(-1)[take].T, lower=1, overwrite_ab=1)
-    return _Hessian(dense, first, factor if info == 0 and np.isfinite(factor).all() else None)
+def _hessian(h: np.ndarray, s: QpStructure) -> tuple[np.ndarray, np.ndarray | None]:
+    """H + eps I (an exactly symmetric H, s.pattern set, copied rather than
+    averaged with H') and its band Cholesky factor (dpbtrf) on s's pattern,
+    None unless positive definite (the convexity check)."""
+    d = h.shape[0]
+    dense = 0.5 * (h + h.T) if s.pattern is None else h.copy()
+    dense.reshape(-1)[::d + 1] += 1e-9 * max(np.trace(h), d) / d
+    factor, info = dpbtrf(dense.reshape(-1)[s.h_band].T, lower=1, overwrite_ab=1)
+    return dense, factor if info == 0 and np.isfinite(factor).all() else None
 
 
 class _Band(NamedTuple):
@@ -329,7 +358,7 @@ def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
     return band
 
 
-def _kkt_solve(rows: _Rows, hess: _Hessian, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+def _kkt_solve(rows: QpStructure, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 0.5 z'hz + g'z with the rows ids held at equality.
 
     Bound rows among ids fix their variable; the general rows enter a
@@ -339,7 +368,6 @@ def _kkt_solve(rows: _Rows, hess: _Hessian, g: np.ndarray, ids) -> tuple[np.ndar
     singular, which includes a variable fixed by two rows.
     """
     d = g.shape[0]
-    h = hess.dense
     ids = np.asarray(ids, dtype=np.intp)
     src = rows.src[ids]
     bound = src < d
@@ -358,7 +386,7 @@ def _kkt_solve(rows: _Rows, hess: _Hessian, g: np.ndarray, ids) -> tuple[np.ndar
     a_gen = rows.gen[base]
     upper = rows.sign[gen] < 0
     a_gen[upper] = -a_gen[upper]
-    band = _band_layout(hess.first.tobytes(), rows.first[base].tobytes(),
+    band = _band_layout(rows.h_first.tobytes(), rows.first[base].tobytes(),
                         rows.last[base].tobytes())
     var_pos, row_pos, width = band.var_pos, band.row_pos, band.width
 
@@ -391,20 +419,21 @@ def _kkt_solve(rows: _Rows, hess: _Hessian, g: np.ndarray, ids) -> tuple[np.ndar
     return z, lam
 
 
-def _kkt_start(rows: _Rows, hess: _Hessian, g: np.ndarray, ids):
+def _kkt_start(rows: QpStructure, h: np.ndarray, g: np.ndarray, ids):
     """(ids, z, lam) of the KKT solve with the rows ids active; None when singular."""
     try:
-        return (ids, *_kkt_solve(rows, hess, g, ids))
+        return (ids, *_kkt_solve(rows, h, g, ids))
     except LinAlgError:
         return None
 
 
-def _residuals(rows: _Rows, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
-               active_set, multipliers) -> KktResiduals:
+def _residuals(rows: QpStructure, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
+               active_set, multipliers, slack=None) -> KktResiduals:
+    """KktResiduals of z; slack, if given, holds the rows' a'z - b at z."""
     ids = np.asarray(active_set, dtype=np.intp)
     lam = np.asarray(multipliers, dtype=float)
     grad = h_reg @ z + g - _combine(rows, ids, lam)
-    slack = _values(rows, z) - rows.b
+    slack = _values(rows, z) - rows.b if slack is None else slack
     slack_in = slack[rows.n_eq:]
     lam_in = np.zeros(rows.n_in)
     ineq = ids >= rows.n_eq
@@ -441,18 +470,21 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
 
 
 class QpSolver:
-    """One active-set solver instance per controller; not shareable concurrently."""
+    """One solver per controller, not shareable concurrently; keeps its last QpStructure."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
+        self.structure: QpStructure | None = None
 
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
-        rows = expand_constraints(p)
+        """Solve p, warm-started from an active set if one is given."""
+        if self.structure is None or not self.structure.fits(p):
+            self.structure = setup(p)
+        rows = _rows(self.structure, p)
         d = p.dim
-        hess = _hessian(p.H)
-        if hess.factor is None:
+        h_reg, factor = _hessian(p.H, self.structure)
+        if factor is None:
             raise QpDataError("Hessian is not positive definite")
-        h_reg = hess.dense
 
         def objective(zv):
             return float(0.5 * zv @ (h_reg @ zv) + p.g @ zv)
@@ -462,13 +494,13 @@ class QpSolver:
         if warm_start:
             warm = np.asarray(warm_start, dtype=np.intp)
             start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
-        start = _kkt_start(rows, hess, p.g, np.flatnonzero(start_rows))
+        start = _kkt_start(rows, h_reg, p.g, np.flatnonzero(start_rows))
         if warm_start:
             sol = self._try_hot_start(p, rows, h_reg, start, objective)
             if sol is not None:
                 return sol
         if start is None:  # a singular warm set leaves the equality rows alone
-            start = _kkt_start(rows, hess, p.g, np.arange(rows.n_eq))
+            start = _kkt_start(rows, h_reg, p.g, np.arange(rows.n_eq))
         if start is None:
             raise QpDataError("equality rows are linearly dependent")
         ids, z, lam = start
@@ -476,15 +508,16 @@ class QpSolver:
         # & Idnani, 1983): drop the warm rows with negative multipliers
         while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
             ids = ids[~negative]
-            z, lam = _kkt_solve(rows, hess, p.g, ids)
+            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
         b_eq, b_in = rows.b[:rows.n_eq], rows.b[rows.n_eq:]
-        if rows.n_eq and np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max() > 1e-6 * (1 + np.abs(b_eq).max()):
+        eq_gap = np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max(initial=0.0)
+        if not eq_gap <= 1e-6 * (1 + np.abs(b_eq).max(initial=0.0)):
             res = _residuals(rows, h_reg, p.g, z, [], [])
             return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), [])
         # the working set: row ids, the equality rows first, and their multipliers
         row_ids, mult_arr = ids.tolist(), lam
         # a dual step holds every working row at zero (see the loop below)
-        held = replace(rows, b=np.zeros_like(rows.b))
+        held = rows._replace(b=np.zeros_like(rows.b))
         iterations = 1
         max_iterations = 10 * (d + rows.n_in + rows.n_eq)
         status = OPTIMAL
@@ -513,7 +546,7 @@ class QpSolver:
                 # 2006, ch. 16): the KKT system of gradient -n+ with the working
                 # rows at zero, whose multipliers are -r
                 try:
-                    dz, neg_r = _kkt_solve(held, hess, -n_plus, row_ids)
+                    dz, neg_r = _kkt_solve(held, h_reg, -n_plus, row_ids)
                 except LinAlgError:
                     status = MAX_ITER  # no certificate; keep the iterate
                     break
@@ -548,9 +581,9 @@ class QpSolver:
 
         kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
-        if status == OPTIMAL and kkt_res.max() > threshold:
-            z, mult_arr, kkt_res = self._polish(p, rows, hess, row_ids, z, mult_arr, kkt_res)
-        if status == OPTIMAL and kkt_res.max() > 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
+        if status == OPTIMAL and not kkt_res.max() <= threshold:
+            z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, z, mult_arr, kkt_res)
+        if status == OPTIMAL and not kkt_res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
         if self.debug:
             history.append(objective(z))
@@ -558,7 +591,7 @@ class QpSolver:
         return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, objective(z),
                           history)
 
-    def _polish(self, p, rows, hess, row_ids, z0, mult0, kkt0):
+    def _polish(self, p, rows, h_reg, row_ids, z0, mult0, kkt0):
         """Exact KKT re-solve on the final active set to remove drift, then one
         step of iterative refinement: the same KKT system solved for the
         correction, with b - a z on the general rows, 0 on the bound rows
@@ -567,16 +600,16 @@ class QpSolver:
         left in the active rows' slacks, which complementarity would report.
         """
         try:
-            z, lam = _kkt_solve(rows, hess, p.g, row_ids)
-            residual = replace(rows, b=np.where(rows.src < p.dim, 0.0, rows.b - _values(rows, z)))
-            grad = hess.dense @ z + p.g - _combine(rows, row_ids, lam)
-            dz, dlam = _kkt_solve(residual, hess, grad, row_ids)
+            z, lam = _kkt_solve(rows, h_reg, p.g, row_ids)
+            residual = rows._replace(b=np.where(rows.src < p.dim, 0.0, rows.b - _values(rows, z)))
+            grad = h_reg @ z + p.g - _combine(rows, row_ids, lam)
+            dz, dlam = _kkt_solve(residual, h_reg, grad, row_ids)
         except LinAlgError:
             return z0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
         if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
-        res = _residuals(rows, hess.dense, p.g, z, row_ids, lam)
+        res = _residuals(rows, h_reg, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
             return z, lam, res
         return z0, mult0, kkt0
@@ -587,13 +620,12 @@ class QpSolver:
         if start is None:
             return None
         ids, z, lam = start
-        if np.any(lam[ids >= rows.n_eq] < -1e-10):
+        slack = _values(rows, z) - rows.b
+        if not ((lam[ids >= rows.n_eq] >= -1e-10).all()
+                and (slack[rows.n_eq:] >= -1e-9 * (1.0 + np.abs(rows.b[rows.n_eq:]))).all()):
             return None
-        b_in = rows.b[rows.n_eq:]
-        if np.any(_values(rows, z)[rows.n_eq:] - b_in < -1e-9 * (1.0 + np.abs(b_in))):
-            return None
-        res = _residuals(rows, h_reg, p.g, z, ids, lam)
-        if res.max() > 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
+        res = _residuals(rows, h_reg, p.g, z, ids, lam, slack)
+        if not res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             return None
         return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, objective(z),
                           [objective(z)] if self.debug else [])

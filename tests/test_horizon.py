@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from armmpc import mpc_dynamic, mpc_kinematic, qp
+from armmpc import load_bundled_model, mpc_dynamic, mpc_kinematic, qp, simulator, trajgen
 from armmpc.horizon import TERMINAL_WIDEN
 from armmpc.kinematics import forward_kinematics
 from armmpc.nominal import default_posture, default_task_hierarchy
+from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory
 
 from conftest import random_config
@@ -107,3 +108,61 @@ def test_negative_tick_is_rejected(desk_model, rng):
         with pytest.raises(ValueError, match="start and horizon"):
             step(state, traj, -1)
         assert not step(state, traj, 0).degraded
+
+
+@pytest.fixture
+def setups(monkeypatch):
+    """The problems qp.setup was called on."""
+    seen = []
+    setup = qp.setup
+    monkeypatch.setattr(qp, "setup", lambda p: seen.append(p) or setup(p))
+    return seen
+
+
+@pytest.mark.parametrize("scenario, controller, model", [
+    ("singularity_pass", "kin_mpc", "rs020n"), ("payload_pick_place", "dyn_mpc", "rs007n")])
+def test_qp_is_set_up_once_per_controller(setups, scenario, controller, model):
+    # off the scenario's rest start every tick's QP has one pattern: the
+    # controller sets it up on its first tick and then only fills in values
+    robot = load_bundled_model(model)
+    cfg = simulator.default_scenario_config(scenario, controller)
+    cfg.max_ticks = 50
+    traj = trajgen.scenario_trajectory(scenario, robot, cfg.dt, duration=cfg.duration)
+    q0 = trajgen.scenario_initial_config(scenario, robot) + 1e-3
+    result = simulator.run_scenario((traj, q0), controller, robot, cfg)
+    assert len(result.q) == 50 and result.metrics.degraded_ticks == 0
+    assert len(setups) == 1
+
+
+def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
+    # with no upper limit on joint 0, the terminal box that appears when the
+    # window reaches the trajectory end makes that bound finite: a new
+    # pattern, set up afresh, whose active sets name the new rows
+    limits = desk_model.limits
+    q_max = limits.q_max.copy()
+    q_max[0] = np.inf
+    ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=4),
+                                     limits=JointLimits(limits.q_min, q_max, limits.v_max,
+                                                        limits.u_max))
+    problems, kept = [], []
+    build = mpc_kinematic.build_kin_qp
+
+    def recording_build(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    q = random_config(desk_model, rng)
+    traj = hold(desk_model, q, 8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc_kinematic, "build_kin_qp", recording_build)
+        for tick in range(6):
+            res = ctl.step(q, traj, tick)
+            assert not res.degraded
+            sol = res.solution
+            assert qp.kkt_check(problems[-1], sol.z_star, sol.active_set,
+                                sol.multipliers).max() <= 1e-8 * (1 + np.linalg.norm(problems[-1].g))
+            q = res.q_cmd
+            kept.append(ctl.solver.structure)
+    ends = [np.isfinite(p.ub).sum() for p in problems]
+    assert ends[:3] == [ends[0]] * 3 and ends[3:] == [ends[0] + 1] * 3  # the box from tick 3 on
+    assert kept[0] is kept[1] is kept[2] is not kept[3] is kept[4] is kept[5]

@@ -226,7 +226,7 @@ def test_dyn_qp_kkt_band_does_not_grow_with_horizon(desk_model, rng):
     for horizon in (5, 10, 20):
         problem = dyn_problem(desk_model, rng, horizon)
         rows = qp.expand_constraints(problem)  # the dynamics rows are all its general rows
-        band = qp._band_layout(qp._hessian(problem.H).first.tobytes(), rows.first.tobytes(),
+        band = qp._band_layout(qp.setup(problem).h_first.tobytes(), rows.first.tobytes(),
                                rows.last.tobytes())
         widths.append(band.width)
     assert widths[0] == widths[1] == widths[2]

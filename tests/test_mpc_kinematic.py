@@ -269,3 +269,19 @@ def test_smoothing_vs_raw_ik_nominal(desk_model_large):
         cmds.append(q.copy())
     cmd_acc = np.abs(np.diff(np.asarray(cmds), 2, axis=0) / dt**2).max()
     assert cmd_acc <= nominal_acc
+
+
+def test_nan_kkt_solve_degrades_and_holds(desk_model, rng, monkeypatch):
+    # a KKT solve that returns NaN is never optimal: the tick degrades and
+    # holds the last command
+    q0 = random_config(desk_model, rng)
+    cfg = KinematicMpcConfig(horizon=4)
+    traj = make_traj_holding(desk_model, q0, 20, cfg.dt)
+    ctl = KinematicMpc(desk_model, cfg)
+    first = ctl.step(q0, traj, 0)
+    assert not first.degraded
+    monkeypatch.setattr(qp, "_kkt_solve", lambda rows, hess, g, ids: (
+        np.full(g.size, np.nan), np.full(len(ids), np.nan)))
+    res = ctl.step(first.q_cmd, traj, 1)
+    assert res.degraded and res.solution.status != qp.OPTIMAL
+    np.testing.assert_array_equal(res.q_cmd, first.q_cmd)

@@ -260,10 +260,10 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
                   lb=np.array([-np.inf, 0.5]), ub=np.array([np.inf, np.inf]))
     warm = (0,)  # the one canonical row: z_2 >= 0.5
     rows = expand_constraints(p)
-    hess = _hessian(p.H)
-    assert hess.factor is None
-    start = _kkt_start(rows, hess, p.g, np.array(warm))
-    accepted = QpSolver()._try_hot_start(p, rows, hess.dense, start, lambda z: 0.0)
+    dense, factor = _hessian(p.H, qp.setup(p))
+    assert factor is None
+    start = _kkt_start(rows, dense, p.g, np.array(warm))
+    accepted = QpSolver()._try_hot_start(p, rows, dense, start, lambda z: 0.0)
     assert accepted is not None and accepted.multipliers[0] > 0
     with pytest.raises(QpDataError, match="positive definite"):
         QpSolver().solve(p)
@@ -291,7 +291,7 @@ def dense_kkt(p, ids):
 
 def assert_matches_dense(p, ids):
     rows = expand_constraints(p)
-    z, lam = _kkt_solve(rows, _hessian(p.H), p.g, ids)
+    z, lam = _kkt_solve(rows, regularized_hessian(p.H), p.g, ids)
     z_ref, lam_ref = dense_kkt(p, ids)
     np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-9 * np.abs(z_ref).max())
     np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-9 * np.abs(lam_ref).max())
@@ -369,7 +369,7 @@ def test_banded_kkt_does_not_depend_on_activation_order(rng):
     # the same solve and reuse the same cached layout
     p, ids = kinematic_style_qp(rng)
     rows = expand_constraints(p)
-    h = _hessian(p.H)
+    h = regularized_hessian(p.H)
     z, lam = _kkt_solve(rows, h, p.g, ids)
     misses = qp._band_layout.cache_info().misses
     z2, lam2 = _kkt_solve(rows, h, p.g, ids[::-1])
@@ -385,8 +385,8 @@ def test_singular_hot_start_falls_back_to_cold_path():
                   lin=np.array([3.0, 3.0]), uin=np.array([np.inf, np.inf]))
     rows = expand_constraints(p)
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, _hessian(p.H), p.g, [0, 1])
-    assert _kkt_start(rows, _hessian(p.H), p.g, [0, 1]) is None
+        _kkt_solve(rows, regularized_hessian(p.H), p.g, [0, 1])
+    assert _kkt_start(rows, regularized_hessian(p.H), p.g, [0, 1]) is None
     solver = QpSolver()
     assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None, lambda z: 0.0) is None
     sol = solver.solve(p, warm_start=(0, 1))
@@ -428,8 +428,8 @@ def test_variable_fixed_twice_is_singular():
     both = [0, 2]
     assert rows.src[both].tolist() == [0, 0] and rows.sign[both].tolist() == [1.0, -1.0]
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, _hessian(p.H), p.g, both)
-    assert _kkt_start(rows, _hessian(p.H), p.g, both) is None
+        _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
+    assert _kkt_start(rows, regularized_hessian(p.H), p.g, both) is None
     sol = QpSolver().solve(p, warm_start=both)  # falls back to the equality rows alone
     assert sol.status == OPTIMAL and sol.active_set == (0, 1)
 
@@ -533,7 +533,7 @@ def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
         other, p = stage_qp(rng, 3), stage_qp(rng, 3)
         warm = QpSolver().solve(other).active_set
         rows = expand_constraints(p)
-        ids, _, lam = _kkt_start(rows, _hessian(p.H), p.g, np.array(warm))
+        ids, _, lam = _kkt_start(rows, regularized_hessian(p.H), p.g, np.array(warm))
         dropped += np.any(lam[ids >= rows.n_eq] < 0)
         optimal += assert_matches_warm_free_solve(p, QpSolver().solve(p, warm_start=warm))
     assert dropped >= 5 and optimal >= 5
@@ -627,7 +627,9 @@ def test_far_off_diagonal_hessian_entry_is_kept(rng):
     tri = np.diag(np.full(d, 2.0)) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
     coupled = tri.copy()
     coupled[0, -1] = coupled[-1, 0] = 0.9
-    assert _hessian(tri).factor.shape[0] == 2 and _hessian(coupled).factor.shape[0] == d
+    for h, width in ((tri, 1), (coupled, d - 1)):
+        p = QpProblem(H=h, g=np.zeros(d))
+        assert _hessian(h, qp.setup(p))[1].shape[0] == width + 1
     g = 3.0 * rng.standard_normal(d)
     aeq = np.zeros((1, d))
     aeq[0, :2] = 1.0
@@ -642,3 +644,108 @@ def test_far_off_diagonal_hessian_entry_is_kept(rng):
         assert abs(sol.objective - ref_objective) <= 1e-9 * (1 + abs(ref_objective))
         warm = sol.active_set
     assert_matches_dense(p, list(warm))
+
+
+@pytest.mark.parametrize("field", ["stationarity", "feasibility", "complementarity",
+                                   "dual_feasibility"])
+def test_kkt_residuals_max_keeps_a_nan(field):
+    # Python's max drops a NaN anywhere but in the first place
+    values = dict(stationarity=1e-12, feasibility=0.0, complementarity=0.0, dual_feasibility=0.0)
+    values[field] = np.nan
+    assert np.isnan(qp.KktResiduals(**values).max())
+
+
+def test_nan_kkt_solve_is_never_optimal(monkeypatch):
+    # every residual test fails on a NaN, so a NaN iterate is never optimal
+    p = QpProblem(H=np.eye(2), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
+    warm = solve(p).active_set
+    monkeypatch.setattr(qp, "_kkt_solve", lambda rows, hess, g, ids: (
+        np.full(g.size, np.nan), np.full(len(ids), np.nan)))
+    for warm_start in (warm, None):
+        sol = QpSolver().solve(p, warm_start=warm_start)
+        assert sol.status != OPTIMAL
+
+
+@pytest.fixture(scope="module")
+def kin_mpc_qps():
+    """(problem, warm start) of each QP of the first 100 ticks of the
+    singularity pass under the kinematic MPC (d = 66), recorded as solved."""
+    recorded = []
+    solve_qp = QpSolver.solve
+
+    def record(self, p, warm_start=None):
+        recorded.append((p, warm_start))
+        return solve_qp(self, p, warm_start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QpSolver, "solve", record)
+        cfg = simulator.default_scenario_config("singularity_pass", "kin_mpc")
+        cfg.max_ticks = 100
+        simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
+    return recorded
+
+
+def one_shot(p):
+    """p rebuilt from its dense arrays, to be solved on a structure of its own."""
+    return QpProblem(H=p.H.copy(), g=p.g.copy(), Aeq=p.Aeq, beq=p.beq, lb=p.lb, ub=p.ub,
+                     Ain=p.Ain, lin=p.lin, uin=p.uin)
+
+
+@pytest.mark.parametrize("recorded", ["kin_mpc_qps", "dyn_mpc_qps"])
+def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts, recorded):
+    # one solver over a run keeps its QP's structure and fills in values;
+    # the one-shot solve sets every problem up from its dense arrays. On
+    # accepted hot starts the two agree bit for bit
+    setups = []
+    setup = qp.setup
+    monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
+    solver, accepted, own_setups = QpSolver(), 0, 0
+    for p, warm in request.getfixturevalue(recorded):
+        judged, before = len(hot_starts), len(setups)
+        sol = solver.solve(p, warm_start=warm)
+        own_setups += len(setups) - before
+        if hot_starts[judged:] in ([], [None]):
+            continue
+        accepted += 1
+        ref = qp.solve(one_shot(p), warm_start=warm)
+        assert hot_starts[-1] is not None and sol.status == ref.status == OPTIMAL
+        np.testing.assert_array_equal(sol.z_star, ref.z_star)
+        np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
+        assert sol.active_set == ref.active_set
+    assert accepted >= 90
+    # the run starts at rest, where the Jacobians hold exact zeros, so its
+    # first QP is sparser than the rest: set up twice, then filled in
+    assert own_setups == 2
+
+
+def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
+    # a pinned or infinite bound, a new nonzero or an H that is symmetric
+    # only to round-off does not fit the kept structure: that problem is set
+    # up afresh, so its active set names its own rows, never stale ones
+    setups = []
+    setup = qp.setup
+    monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
+    d = 5
+    half = rng.standard_normal((d, d))
+    base = dict(H=np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1)),
+                g=3.0 * rng.standard_normal(d), lb=-np.full(d, 0.2), ub=np.full(d, 0.3),
+                Ain=half[:2], lin=-np.ones(2), uin=np.ones(2))
+    pinned, infinite, coupled, rough = ({key: val.copy() for key, val in base.items()}
+                                        for _ in range(4))
+    pinned["lb"][1] = pinned["ub"][1] = 0.1
+    infinite["ub"][3] = np.inf
+    coupled["H"][0, -1] = coupled["H"][-1, 0] = 0.4
+    rough["H"][0, 1] += 1e-15
+    solver = QpSolver()
+    warm, last = solver.solve(QpProblem(**base)).active_set, base
+    for data in (base, pinned, base, infinite, coupled, rough, base):
+        p = QpProblem(**data)
+        before = len(setups)
+        sol = solver.solve(p, warm_start=warm)
+        assert len(setups) - before == (data is not last)  # once per change of pattern
+        last = data
+        ref = QpSolver().solve(one_shot(p))
+        assert sol.status == ref.status == OPTIMAL
+        np.testing.assert_allclose(sol.z_star, ref.z_star, rtol=0, atol=1e-9)
+        assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= 1e-9
+        warm = sol.active_set
