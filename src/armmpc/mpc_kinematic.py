@@ -1,14 +1,15 @@
 """Condensed kinematic MPC for position-controlled robots.
 
-The decision variable stacks the joint positions over the horizon
-(q_i .. q_{i+n_p}, with q_i pinned to the command already applied).
-Velocities and accelerations are affine in that stack: banded
-backward-difference operators, built once per (n, horizon, dt) of the
-config, plus constant offsets that fold in the two commands before the
-stack. The tracking + damping + acceleration cost, each with a scalar
-weight, is one dense strictly convex QP with joint position and velocity
-bounds, plus terminal boxes when the window reaches the end of the
-trajectory.
+The decision variable stacks the joint positions the plan can still
+change, q_{i+1} .. q_{i+n_p}; the command already applied, q_i, and the
+one before it are known. Velocities and accelerations are affine in that
+stack: banded backward-difference operators, built once per (n, horizon,
+dt) of the config, plus constant offsets into which those two past
+commands fold. The tracking + damping + acceleration cost, each with a
+scalar weight, is one dense strictly convex QP with joint position and
+velocity bounds, plus terminal boxes when the window reaches the end of
+the trajectory. Like the dynamic MPC's known initial state, the applied
+command is no variable, so the QP has no equality rows.
 """
 
 from __future__ import annotations
@@ -34,25 +35,24 @@ class KinematicMpcConfig(HorizonConfig):
     terminal_vel_tol: float = 1e-2  # rad/s
 
 
-def _diff_offsets(n: int, horizon: int, dt: float, q_prev, q_prev2):
-    """Constant offsets of the difference operators: the two positions
-    before the stack start, q_prev and q_prev2, enter only here."""
+def _diff_offsets(n: int, steps: int, dt: float, q_prev, q_prev2):
+    """Constant offsets of the difference operators over steps blocks: the
+    two positions before them, q_prev and q_prev2, enter only here."""
     q_prev, q_prev2 = np.asarray(q_prev, dtype=float), np.asarray(q_prev2, dtype=float)
-    vel_off, acc_off = np.zeros((2, (horizon + 1) * n))
+    vel_off, acc_off = np.zeros((2, steps * n))
     vel_off[:n] = -q_prev / dt
     acc_off[:n] = (-2 * q_prev + q_prev2) / dt**2
-    if horizon >= 1:
+    if steps >= 2:
         acc_off[n:2 * n] = q_prev / dt**2
     return vel_off, acc_off
 
 
 @lru_cache(maxsize=8)
-def _diff_matrices(n: int, horizon: int, dt: float):
-    """Constant banded operator matrices, shared read-only by every caller:
-    the first and second backward differences D and D^2 of the steps, one
-    n x n identity block per entry. Adding 0.0 clears the negative zeros
-    that the -2 band of D^2 leaves off the block diagonals."""
-    steps = horizon + 1
+def _diff_matrices(n: int, steps: int, dt: float):
+    """Constant banded operator matrices over a stack of steps blocks, shared
+    read-only by every caller: the first and second backward differences D
+    and D^2, one n x n identity block per entry. Adding 0.0 clears the
+    negative zeros that the -2 band of D^2 leaves off the block diagonals."""
     diff = np.eye(steps) - np.eye(steps, k=-1)
     vel_op = np.kron(diff, np.eye(n)) / dt
     acc_op = np.kron(diff @ diff, np.eye(n)) / dt**2 + 0.0
@@ -62,51 +62,51 @@ def _diff_matrices(n: int, horizon: int, dt: float):
 
 
 @lru_cache(maxsize=8)
-def _diff_cost(n: int, horizon: int, dt: float, weight: float, order: int):
+def _diff_cost(n: int, steps: int, dt: float, weight: float, order: int):
     """Constant Hessian block weight·op.T op of the cost weight·|op z + off|^2,
     with op the velocity (order 1) or acceleration (order 2) operator; None
     for a zero weight. Shared read-only by every caller."""
     if not weight:
         return None
-    op = _diff_matrices(n, horizon, dt)[order - 1]
+    op = _diff_matrices(n, steps, dt)[order - 1]
     quad = (weight * op.T) @ op
     quad.setflags(write=False)
     return quad
 
 
 def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
-                 limits: JointLimits, terminal_widen: float | None = None,
-                 q_pin: np.ndarray | None = None) -> qp.QpProblem:
+                 limits: JointLimits, terminal_widen: float | None = None) -> qp.QpProblem:
     """Assemble the tracking QP around the IK nominal.
 
-    Cost: sum_k w_task |err_k - J_k (q_k - qhat_k)|^2 + w_damp |qdot|^2
-    + w_accel |qddot|^2, with qdot/qddot the backward differences of the
-    position stack at cfg's horizon and dt; history = (q_prev, q_prev2)
-    holds the two positions before the stack start, which enter only the
-    differences' constant offsets. Box bounds on positions and two-sided
-    rows on the stacked velocities. The first block is pinned to q_pin (the
-    already-applied command; defaults to the rollout start) so the decision
-    stack is the continuation of the command signal. terminal_widen, unless
-    None, adds boxes of that many tolerances around the rollout's end
-    position and velocity. H is S + S' for the cost's Hessian S, exactly
-    symmetric, so the solver takes it as it is.
+    The variable stacks the positions q_1 .. q_{n_p} of the plan; q_0, the
+    command already applied, and the one before it are history = (q_0,
+    q_-1), which enter only the constant offsets of the differences. Cost:
+    sum_{k>=1} w_task |err_k - J_k (q_k - qhat_k)|^2 + w_damp |qdot|^2 +
+    w_accel |qddot|^2, with qdot/qddot the backward differences of the
+    stack at cfg's horizon and dt; the terms that only q_0 and the history
+    fix are constant and left out. Box bounds on positions and two-sided
+    rows on the stacked velocities. terminal_widen, unless None, adds boxes
+    of that many tolerances around the rollout's end position and velocity.
+    H is S + S' for the cost's Hessian S, exactly symmetric, so the solver
+    takes it as it is.
     """
     steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:
         raise ValueError(f"rollout holds {steps} steps, config horizon needs {cfg.horizon + 1}")
-    dim = steps * n
+    dim = cfg.horizon * n
     vel_op, acc_op = _diff_matrices(n, cfg.horizon, cfg.dt)
     vel_off, acc_off = _diff_offsets(n, cfg.horizon, cfg.dt, *history)
 
     hess = np.zeros((dim, dim))
-    jac_t = rollout.j_stack.transpose(0, 2, 1)
-    jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack)  # one block per step
-    at = np.arange(dim).reshape(steps, n)
+    jac = rollout.j_stack[1:]
+    jac_t = jac.transpose(0, 2, 1)
+    jtj = np.matmul(cfg.task_weight * jac_t, jac)  # one block per step
+    at = np.arange(dim).reshape(cfg.horizon, n)
     hess[at[:, :, None], at[:, None, :]] = jtj
     # first-order task error e(q) ~ err_hat - J (q - qhat): the target
     # vector keeps the nominal's own residual so the plan can beat it
-    grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack)[:, :, None])
-                  + np.matmul(jtj, rollout.q_hat[:, :, None])).ravel()
+    grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])
+                  + np.matmul(jtj, rollout.q_hat[1:, :, None])).ravel()
     for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
                                    (acc_op, acc_off, cfg.accel_weight, 2)):
         quad = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
@@ -115,8 +115,7 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
             grad += op.T @ (weight * off)
 
     limit_rows = [[limits.q_min], [limits.q_max], [limits.v_max]]
-    lb, ub, vmax = np.repeat(limit_rows, steps, axis=1).reshape(3, dim)  # one block per step
-    lb[:n] = ub[:n] = rollout.q_hat[0] if q_pin is None else q_pin
+    lb, ub, vmax = np.repeat(limit_rows, cfg.horizon, axis=1).reshape(3, dim)  # one block per step
     lin = -vmax - vel_off
     uin = vmax - vel_off
 
@@ -139,7 +138,7 @@ class KinStepResult:
     solution: qp.QpSolution | None
     rollout: NominalRollout
     degraded: bool
-    plan: np.ndarray | None = None  # (horizon+1, n) solved position stack
+    plan: np.ndarray | None = None  # (horizon+1, n): the applied command, then the solved stack
 
 
 class KinematicMpc(RecedingHorizon):
@@ -147,35 +146,29 @@ class KinematicMpc(RecedingHorizon):
 
     def reset(self):
         super().reset()
-        self._hist1 = self._hist2 = self._last_cmd = None  # commands at t-1, t-2 and t
+        self._history = None  # (last command, the one before)
 
     def step(self, q_measured, traj: TaskTrajectory, tick: int) -> KinStepResult:
         """One control tick: returns the next commanded joint position.
 
-        The plan continues the command signal (first block pinned to the
-        previously applied command, difference history over past commands);
-        the measured state feeds back through the IK rollout that the
-        tracking cost linearizes around. A degraded tick holds the last
-        command.
+        The plan continues the command signal from the last two commands
+        (the measured position before the first tick); the measured state
+        feeds back through the IK rollout that the tracking cost linearizes
+        around. A degraded tick holds the last command.
         """
-        model = self.model
-        cfg = self.cfg
+        model, cfg = self.model, self.cfg
         q_measured = model.check_q(q_measured)
-        if self._hist1 is None:
-            self._hist1 = q_measured.copy()
-            self._hist2 = q_measured.copy()
-            self._last_cmd = q_measured.copy()
+        if self._history is None:
+            self._history = (q_measured.copy(), q_measured.copy())
         window, includes_end = traj.window(tick, cfg.horizon)
         rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, traj.tasks)
         solution, degraded = self._solve(
-            lambda widen: build_kin_qp(cfg, rollout, (self._hist1, self._hist2), self.limits,
-                                       terminal_widen=widen, q_pin=self._last_cmd),
+            lambda widen: build_kin_qp(cfg, rollout, self._history, self.limits,
+                                       terminal_widen=widen),
             includes_end)
-        plan = None if degraded else solution.z_star.reshape(cfg.horizon + 1, model.n)
-        q_cmd = self._last_cmd if degraded else plan[1]
-
-        self._hist2 = self._hist1
-        self._hist1 = self._last_cmd.copy()
-        self._last_cmd = q_cmd.copy()
+        last = self._history[0]
+        plan = None if degraded else np.vstack([last, solution.z_star.reshape(cfg.horizon, model.n)])
+        q_cmd = last.copy() if degraded else plan[1]
+        self._history = (q_cmd.copy(), last)
         return KinStepResult(q_cmd=q_cmd, solution=solution, rollout=rollout, degraded=degraded,
                              plan=plan)

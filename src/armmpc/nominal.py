@@ -149,21 +149,18 @@ class NominalRollout:
 
 
 def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with small singular values truncated.
+    """Moore-Penrose pseudoinverse with small singular values truncated, by SVD.
 
     Singular values below rel_threshold * sigma_max are dropped, bounding
     the inverse's norm near singularities; sigma_max itself is always kept.
-    All-zero input yields the zero matrix. Up to 3 rows (and no more than
-    columns) take the Gram shortcut J' pinv(J J') through _psd_pinv, the cut
-    at rel_threshold**2 on the Gram eigenvalues; kept directions are far
-    from that squared floor by construction, so it matches the SVD path.
+    All-zero input yields the zero matrix. The IK forms J' pinv(J J') through
+    _psd_pinv instead, with the cut at rel_threshold**2 on the Gram
+    eigenvalues; this is the plain reference it is checked against.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     jac = np.asarray(jac, dtype=float)
     m, n = jac.shape
-    if 0 < m <= 3 and m <= n:
-        return jac.T @ _psd_pinv(jac @ jac.T, rel_threshold**2)
     u, sigma, vt = np.linalg.svd(jac, full_matrices=False)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return np.zeros((n, m))

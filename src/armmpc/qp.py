@@ -76,14 +76,16 @@ class QpDataError(ValueError):
     """Problem data is malformed (shapes, non-finite entries, crossed bounds)."""
 
 
+def _regularization(h: np.ndarray) -> float:
+    """The solver's diagonal regularization eps = 1e-9 max(tr(H), d)/d."""
+    return 1e-9 * max(np.trace(h), h.shape[0]) / h.shape[0]
+
+
 def regularized_hessian(h: np.ndarray) -> np.ndarray:
-    """The Hessian the solver actually optimizes: H + eps*I, eps = 1e-9 max(tr(H), d)/d."""
+    """The Hessian the solver actually optimizes: (H + H')/2 + eps*I."""
     h = np.asarray(h, dtype=float)
-    d = h.shape[0]
-    eps = 1e-9 * max(np.trace(h), d) / d
-    out = h + h.T
-    out *= 0.5
-    out.reshape(-1)[::d + 1] += eps
+    out = 0.5 * (h + h.T)
+    out.reshape(-1)[::h.shape[0] + 1] += _regularization(h)
     return out
 
 
@@ -285,9 +287,8 @@ def _hessian(h: np.ndarray, s: QpStructure) -> tuple[np.ndarray, np.ndarray | No
     """H + eps I (an exactly symmetric H, s.pattern set, copied rather than
     averaged with H') and its band Cholesky factor (dpbtrf) on s's pattern,
     None unless positive definite (the convexity check)."""
-    d = h.shape[0]
     dense = 0.5 * (h + h.T) if s.pattern is None else h.copy()
-    dense.reshape(-1)[::d + 1] += 1e-9 * max(np.trace(h), d) / d
+    dense.reshape(-1)[::h.shape[0] + 1] += _regularization(h)
     factor, info = dpbtrf(dense.reshape(-1)[s.h_band].T, lower=1, overwrite_ab=1)
     return dense, factor if info == 0 and np.isfinite(factor).all() else None
 
@@ -477,7 +478,7 @@ class QpSolver:
         self.structure: QpStructure | None = None
 
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
-        """Solve p, warm-started from an active set if one is given."""
+        """Solve p, warm-started from an active set if one is given, an empty one included."""
         if self.structure is None or not self.structure.fits(p):
             self.structure = setup(p)
         rows = _rows(self.structure, p)
@@ -491,11 +492,11 @@ class QpSolver:
 
         # one start: the equality rows plus the valid warm rows
         start_rows = np.arange(rows.b.size) < rows.n_eq
-        if warm_start:
+        if warm_start is not None:
             warm = np.asarray(warm_start, dtype=np.intp)
             start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
         start = _kkt_start(rows, h_reg, p.g, np.flatnonzero(start_rows))
-        if warm_start:
+        if warm_start is not None:
             sol = self._try_hot_start(p, rows, h_reg, start, objective)
             if sol is not None:
                 return sol

@@ -203,8 +203,9 @@ def run_scenario(scenario, controller: str, model: RobotModel,
                  cfg: ScenarioConfig | None = None) -> RunResult:
     """Tick the chosen controller against the matching plant over a scenario.
 
-    scenario is a name from trajgen.SCENARIOS or a (TaskTrajectory, q0) pair;
-    osc/dyn_mpc run on the torque plant, kin_mpc on the position plant.
+    scenario is a name from trajgen.SCENARIOS or a (TaskTrajectory, q0) pair,
+    the trajectory sampled at cfg.dt; osc/dyn_mpc run on the torque plant,
+    kin_mpc on the position plant.
     cfg.max_ticks, when set, is a nonnegative integer (0: no ticks).
     """
     if controller not in CONTROLLERS:
@@ -222,6 +223,8 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     else:
         traj, q0 = scenario
         name = "custom"
+        if not math.isclose(traj.dt, cfg.dt, rel_tol=1e-9):  # one sample per tick
+            raise ValueError(f"trajectory is sampled at dt = {traj.dt}, the run ticks at {cfg.dt}")
     if cfg.payload is not None:
         model = attach_payload(model, cfg.payload)
 

@@ -191,7 +191,10 @@ def scenario_initial_config(name: str, model: RobotModel) -> np.ndarray:
 
 def scenario_trajectory(name: str, model: RobotModel, dt: float,
                         duration: float | None = None) -> TaskTrajectory:
-    """Build one of the bundled scenario trajectories on the given model."""
+    """Build one of the bundled scenario trajectories on the given model;
+    duration, finite and > 0, defaults to the scenario's own."""
+    if duration is not None and not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     if name == "singularity_pass":
         start = forward_kinematics(model, SINGULARITY_START_CONFIG)
         end = forward_kinematics(model, SINGULARITY_END_CONFIG)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armmpc import load_bundled_model, qp
+from armmpc import load_bundled_model, qp, simulator
 from armmpc.checks import dense_rows
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import DynamicMpc, DynamicMpcConfig
@@ -43,6 +43,38 @@ def test_probe_targets_resolve(perfbench):
     for workload in bench.WORKLOADS.values():
         assert resolves(*workload.entry), workload.name
     assert {"solve", "_try_hot_start"} <= set(vars(qp.QpSolver))
+
+
+def test_kin_singularity_accepts_one_hot_start_per_tick(monkeypatch):
+    # the workload's character: after the first tick, each kinematic MPC
+    # tick judges one hot start, from the last tick's active set, and
+    # accepts it, also when that set is empty; a solve without a warm start
+    # judges none
+    judged, solves = [], []
+    judge, solve = qp.QpSolver._try_hot_start, qp.QpSolver.solve
+
+    def spy(self, *args):
+        judged.append(judge(self, *args))
+        return judged[-1]
+
+    def keep(self, p, warm_start=None):
+        before = len(judged)
+        sol = solve(self, p, warm_start)
+        solves.append((p, warm_start, judged[before:]))
+        return sol
+
+    monkeypatch.setattr(qp.QpSolver, "_try_hot_start", spy)
+    monkeypatch.setattr(qp.QpSolver, "solve", keep)
+    cfg = simulator.default_scenario_config("singularity_pass", "kin_mpc")
+    cfg.max_ticks = 40
+    simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
+    assert len(solves) == 40 and solves[0][1] is None and solves[0][2] == []
+    for _, warm, tick_judged in solves[1:]:
+        assert warm is not None and len(tick_judged) == 1 and tick_judged[0] is not None
+    assert any(warm == () for _, warm, _ in solves[1:])
+    del judged[:]
+    qp.QpSolver().solve(solves[-1][0], warm_start=None)
+    assert judged == []
 
 
 def test_certificate_sees_the_bound_rows(perfbench, monkeypatch):

@@ -10,7 +10,7 @@ from armmpc.mpc_kinematic import (
     _diff_offsets,
     build_kin_qp,
 )
-from armmpc.nominal import default_task_hierarchy, ik_rollout
+from armmpc.nominal import NominalRollout, default_task_hierarchy, ik_rollout
 from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory, scenario_trajectory
 
@@ -18,7 +18,8 @@ from conftest import random_config
 
 
 def diff_ops(n, horizon, dt, q_prev, q_prev2):
-    """(vel_op, vel_off, acc_op, acc_off) of the position stack."""
+    """(vel_op, vel_off, acc_op, acc_off) of a position stack of horizon
+    blocks, after q_prev2 and q_prev."""
     vel_op, acc_op = _diff_matrices(n, horizon, dt)
     vel_off, acc_off = _diff_offsets(n, horizon, dt, q_prev, q_prev2)
     return vel_op, vel_off, acc_op, acc_off
@@ -36,7 +37,7 @@ def test_diff_ops_rest_history(rng):
     n, horizon, dt = 3, 4, 1e-2
     q_prev = rng.standard_normal(n)
     vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, q_prev, q_prev)
-    stack = np.tile(q_prev, horizon + 1)
+    stack = np.tile(q_prev, horizon)
     np.testing.assert_allclose(vel_op @ stack + vel_off, 0.0, atol=1e-10)
     np.testing.assert_allclose(acc_op @ stack + acc_off, 0.0, atol=1e-8)
 
@@ -45,11 +46,11 @@ def test_diff_ops_linear_ramp():
     n, horizon, dt = 2, 5, 0.1
     rate = np.array([0.3, -0.7])
     # q_k = k * dt * c for k = 0.., history at k = -1, -2
-    stack = np.concatenate([k * dt * rate for k in range(horizon + 1)])
+    stack = np.concatenate([k * dt * rate for k in range(horizon)])
     vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, -1 * dt * rate, -2 * dt * rate)
     vel = vel_op @ stack + vel_off
     acc = acc_op @ stack + acc_off
-    np.testing.assert_allclose(vel, np.tile(rate, horizon + 1), atol=1e-10)
+    np.testing.assert_allclose(vel, np.tile(rate, horizon), atol=1e-10)
     np.testing.assert_allclose(acc, 0.0, atol=1e-8)
 
 
@@ -57,13 +58,13 @@ def test_diff_ops_match_indexwise_oracle(rng):
     n, horizon, dt = 3, 6, 1e-3
     q_prev = rng.standard_normal(n)
     q_prev2 = rng.standard_normal(n)
-    stack = rng.standard_normal((horizon + 1) * n)
+    stack = rng.standard_normal(horizon * n)
     vel_op, vel_off, acc_op, acc_off = diff_ops(n, horizon, dt, q_prev, q_prev2)
-    blocks = stack.reshape(horizon + 1, n)
+    blocks = stack.reshape(horizon, n)
     ext = np.vstack([q_prev2, q_prev, blocks])  # indices shifted by 2
     vel = vel_op @ stack + vel_off
     acc = acc_op @ stack + acc_off
-    for k in range(horizon + 1):
+    for k in range(horizon):
         np.testing.assert_allclose(vel[k * n:(k + 1) * n], (ext[k + 2] - ext[k + 1]) / dt, atol=1e-9)
         np.testing.assert_allclose(
             acc[k * n:(k + 1) * n], (ext[k + 2] - 2 * ext[k + 1] + ext[k]) / dt**2, atol=1e-6
@@ -73,13 +74,13 @@ def test_diff_ops_match_indexwise_oracle(rng):
 @pytest.mark.parametrize("n,horizon", [(6, 10), (2, 2), (7, 20), (1, 0), (3, 1)])
 def test_diff_matrices_match_blockwise_loop(n, horizon):
     # the block-by-block construction, kept as the reference: same values and
-    # the same signs of zero
+    # the same signs of zero; one block per free step (none at horizon 0)
     dt = 1e-3
-    dim = (horizon + 1) * n
+    dim = horizon * n
     eye = np.eye(n)
     vel_ref = np.zeros((dim, dim))
     acc_ref = np.zeros((dim, dim))
-    for k in range(horizon + 1):
+    for k in range(horizon):
         row = slice(k * n, (k + 1) * n)
         vel_ref[row, row] = eye / dt
         acc_ref[row, row] = eye / dt**2
@@ -113,7 +114,7 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
-    np.testing.assert_allclose(sol.z_star, np.tile(q0, cfg.horizon + 1), atol=1e-8)
+    np.testing.assert_allclose(sol.z_star, np.tile(q0, cfg.horizon), atol=1e-8)
 
 
 def test_kin_qp_least_squares_fixed_point(desk_model, rng):
@@ -126,7 +127,7 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
     rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
-    np.testing.assert_allclose(sol.z_star.reshape(2, -1)[1], rollout.q_hat[1], atol=1e-7)
+    np.testing.assert_allclose(sol.z_star, rollout.q_hat[1], atol=1e-7)
 
 
 def test_singularity_scenario_weights_accepted(desk_model_large):
@@ -178,8 +179,8 @@ def test_step_full_plan_respects_bounds(desk_model, rng):
     vel_op, vel_off, _, _ = diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
     vel = vel_op @ res.solution.z_star + vel_off
     assert np.abs(vel).max() <= 0.2 + 1e-8
-    assert np.all(res.solution.z_star <= np.tile(lim.q_max, cfg.horizon + 1) + 1e-8)
-    assert np.all(res.solution.z_star >= np.tile(lim.q_min, cfg.horizon + 1) - 1e-8)
+    assert np.all(res.solution.z_star <= np.tile(lim.q_max, cfg.horizon) + 1e-8)
+    assert np.all(res.solution.z_star >= np.tile(lim.q_min, cfg.horizon) - 1e-8)
 
 
 def test_terminal_constraint_enforced(desk_model, rng):
@@ -212,8 +213,10 @@ def test_infeasible_tick_holds_and_widens(desk_model):
 
 
 def plan_cost(cfg, rollout, history, plan):
-    """Full tracking + damping + accel objective of a position plan."""
-    stack = plan.ravel()
+    """Tracking + damping + accel objective of a position plan whose plan[0]
+    is the applied command history[0]: the task terms of every step, the
+    velocities and accelerations of the free steps plan[1:]."""
+    stack = plan[1:].ravel()
     vel_op, vel_off, acc_op, acc_off = diff_ops(plan.shape[1], cfg.horizon, cfg.dt, *history)
     cost = 0.0
     for k in range(plan.shape[0]):
@@ -239,11 +242,87 @@ def test_cost_horizon_monotonicity(desk_model, rng):
         problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
         sol = qp.solve(problem)
         assert sol.status == qp.OPTIMAL
-        plan = sol.z_star.reshape(horizon + 1, 6)
+        plan = np.vstack([q0, sol.z_star.reshape(horizon, 6)])
         costs[horizon] = plan_cost(cfg, rollout, (q0, q0), plan)
         if horizon == 6:
             nominal_stage = rollout.err_stack[6] @ np.diag(np.full(6, 100.0)) @ rollout.err_stack[6]
     assert costs[6] <= costs[5] + nominal_stage + 0.05 * abs(costs[5]) + 1e-9
+
+
+def stacked_residuals(cfg, rollout, history, free):
+    """Task, velocity and acceleration residuals of the free steps, written
+    out step by step; their squared norm is the QP's objective up to a constant."""
+    plan = np.vstack([history[1], history[0], free.reshape(cfg.horizon, -1)])  # from q_-1
+    rows = []
+    for k in range(1, cfg.horizon + 1):
+        q_k, q_km1, q_km2 = plan[k + 1], plan[k], plan[k - 1]
+        task = rollout.err_stack[k] - rollout.j_stack[k] @ (q_k - rollout.q_hat[k])
+        rows += [np.sqrt(cfg.task_weight) * task,
+                 np.sqrt(cfg.damping_weight) * (q_k - q_km1) / cfg.dt,
+                 np.sqrt(cfg.accel_weight) * (q_k - 2 * q_km1 + q_km2) / cfg.dt**2]
+    return np.concatenate(rows)
+
+
+def least_squares_free_steps(cfg, rollout, history):
+    """The free steps that minimize the squared stacked residuals, by lstsq;
+    the residuals are affine in them, so column j is r(e_j) - r(0)."""
+    dim = cfg.horizon * rollout.q_hat.shape[1]
+    offset = stacked_residuals(cfg, rollout, history, np.zeros(dim))
+    columns = np.array([stacked_residuals(cfg, rollout, history, e) - offset
+                        for e in np.eye(dim)]).T
+    return np.linalg.lstsq(columns, -offset, rcond=None)[0]
+
+
+def test_free_stack_plan_matches_least_squares_oracle(desk_model_large, monkeypatch):
+    # on a tick with no active inequality the plan minimizes the full
+    # objective with plan[0] fixed to the applied command. The oracle has no
+    # eps: lstsq over the stacked residuals, an affine map of the free steps.
+    # The solver's own eps (about 1.1 here, against 1.7e5 for H's smallest
+    # eigenvalue) moves the plan by eps |z| / lambda_min, about 1.4e-5 rad
+    # at |z| = pi/2, so the solver runs at a hundredth of it
+    from armmpc.simulator import controller_config, default_scenario_config
+    from armmpc.trajgen import SINGULARITY_START_CONFIG
+
+    regularization = qp._regularization
+    monkeypatch.setattr(qp, "_regularization", lambda h: 1e-2 * regularization(h))
+    cfg = controller_config(default_scenario_config("singularity_pass", "kin_mpc"), "kin_mpc")
+    traj = scenario_trajectory("singularity_pass", desk_model_large, cfg.dt)
+    controller = KinematicMpc(desk_model_large, cfg)
+    q, compared = SINGULARITY_START_CONFIG, 0
+    for tick in range(0, 400, 10):
+        history = controller._history or (q, q)
+        res = controller.step(q, traj, tick)
+        assert not res.degraded
+        np.testing.assert_array_equal(res.plan[0], history[0])
+        q = res.q_cmd
+        if res.solution.active_set:
+            continue
+        free = least_squares_free_steps(cfg, res.rollout, history)
+        np.testing.assert_allclose(res.plan[1:].ravel(), free, rtol=0, atol=1e-6)
+        oracle = np.vstack([history[0], free.reshape(cfg.horizon, -1)])
+        assert plan_cost(cfg, res.rollout, history, oracle) <= (
+            plan_cost(cfg, res.rollout, history, res.plan) * (1 + 1e-12))
+        compared += 1
+    assert compared >= 20
+
+
+def test_kin_qp_matches_least_squares_oracle_on_a_random_rollout(rng):
+    # Jacobians, errors and positions drawn independently for each step, so
+    # a step of the rollout paired with the wrong block of the stack shows
+    n, steps = 3, 5
+    cfg = KinematicMpcConfig(horizon=steps - 1, dt=1e-2, task_weight=10.0,
+                             damping_weight=1e-2, accel_weight=1e-7)
+    q_hat = rng.standard_normal((steps, n))
+    rollout = NominalRollout(q_hat=q_hat, qd_hat=np.zeros((steps, n)),
+                             j_stack=rng.standard_normal((steps, 2, n)),
+                             err_stack=rng.standard_normal((steps, 2)))
+    history = (q_hat[0], q_hat[0] + 0.01 * rng.standard_normal(n))
+    loose = JointLimits(q_min=np.full(n, -1e3), q_max=np.full(n, 1e3), v_max=np.full(n, 1e6),
+                        u_max=np.ones(n))
+    sol = qp.solve(build_kin_qp(cfg, rollout, history, loose))
+    assert sol.status == qp.OPTIMAL and sol.active_set == ()
+    free = least_squares_free_steps(cfg, rollout, history)
+    np.testing.assert_allclose(sol.z_star, free, rtol=0, atol=1e-6)
 
 
 def test_smoothing_vs_raw_ik_nominal(desk_model_large):

@@ -56,14 +56,19 @@ def test_pinv_zero_matrix():
     np.testing.assert_allclose(out, 0.0)
 
 
+def gram_pinv(jac, rel_threshold):
+    """The IK's truncated pseudoinverse, J' pinv(J J') at rel_threshold**2."""
+    return jac.T @ nominal._psd_pinv(jac @ jac.T, rel_threshold**2)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
 @pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
 def test_pinv_gram_path_matches_svd_path_at_threshold(rng, rows, side, rel_threshold):
-    # the smallest singular value sits just below or just above the cut; a
-    # 6 x rows input takes the SVD path, and pinv(J') = pinv(J)'. The Gram
-    # path squares the condition number, so a kept direction at the cut
-    # carries about eps / rel_threshold**2 relative error (3e-12 seen at 1e-2)
+    # the smallest singular value sits just below or just above the cut; the
+    # IK's Gram path J' pinv(J J') against the plain SVD. The Gram path
+    # squares the condition number, so a kept direction at the cut carries
+    # about eps / rel_threshold**2 relative error (3e-12 seen at 1e-2)
     tol = 100 * np.finfo(float).eps / rel_threshold**2
     kept = rows if rows == 1 or side > 1 else rows - 1
     sigma = 3.0 * np.geomspace(1.0, rel_threshold * side, rows)
@@ -71,8 +76,8 @@ def test_pinv_gram_path_matches_svd_path_at_threshold(rng, rows, side, rel_thres
         u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
         v = np.linalg.qr(rng.standard_normal((6, rows)))[0]
         jac = (u * sigma) @ v.T
-        gram_path = compact_svd_pinv(jac, rel_threshold)
-        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        gram_path = gram_pinv(jac, rel_threshold)
+        svd_path = compact_svd_pinv(jac, rel_threshold)
         assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
 
@@ -110,9 +115,9 @@ def test_pinv_closed_form_hands_off_at_its_margin(rng, eigh_calls, ratio, rel_th
         v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         jac = (u * sigma) @ v.T
         del eigh_calls[:]
-        gram_path = compact_svd_pinv(jac, rel_threshold)
+        gram_path = gram_pinv(jac, rel_threshold)
         assert len(eigh_calls) == (0 if ratio > MARGIN else 1)
-        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        svd_path = compact_svd_pinv(jac, rel_threshold)
         assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
 
@@ -125,8 +130,8 @@ def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):
     tol = 100 * np.finfo(float).eps / rel_threshold**2
     for _ in range(20):
         jac = rank * 3.0 * np.outer(rng.standard_normal(3), rng.standard_normal(6))
-        gram_path = compact_svd_pinv(jac, rel_threshold)
-        svd_path = compact_svd_pinv(jac.T, rel_threshold).T
+        gram_path = gram_pinv(jac, rel_threshold)
+        svd_path = compact_svd_pinv(jac, rel_threshold)
         assert gram_path.shape == (6, 3)
         assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == rank
         if rank == 0:

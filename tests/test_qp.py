@@ -669,7 +669,7 @@ def test_nan_kkt_solve_is_never_optimal(monkeypatch):
 @pytest.fixture(scope="module")
 def kin_mpc_qps():
     """(problem, warm start) of each QP of the first 100 ticks of the
-    singularity pass under the kinematic MPC (d = 66), recorded as solved."""
+    singularity pass under the kinematic MPC (d = 60), recorded as solved."""
     recorded = []
     solve_qp = QpSolver.solve
 
@@ -713,9 +713,34 @@ def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts,
         np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
         assert sol.active_set == ref.active_set
     assert accepted >= 90
-    # the run starts at rest, where the Jacobians hold exact zeros, so its
-    # first QP is sparser than the rest: set up twice, then filled in
-    assert own_setups == 2
+    # the dynamic MPC's run starts at rest, where the Jacobians hold exact
+    # zeros, so its first QP is sparser than the rest: set up twice, then
+    # filled in. The kinematic MPC's QP has no step-0 block, where its
+    # zeros sat, so its one pattern is set up once
+    assert own_setups == {"kin_mpc_qps": 1, "dyn_mpc_qps": 2}[recorded]
+
+
+def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_mpc_qps, rng,
+                                                               monkeypatch):
+    # the solver's H + eps I, a copy of an exactly symmetric H or the mean of
+    # H and H' otherwise, is regularized_hessian's bit for bit, which
+    # kkt_check and the certificates read; both take eps from
+    # qp._regularization, so scaling eps there moves both
+    half = rng.standard_normal((6, 6))
+    rough = QpProblem(H=half @ half.T + np.eye(6), g=np.zeros(6))
+    rough.H[0, 1] += 1e-15
+    problems = [p for p, _ in kin_mpc_qps[:3] + dyn_mpc_qps[:3]] + [rough]
+    unscaled = [regularized_hessian(p.H) for p in problems]
+    regularization = qp._regularization
+    for scale in (1.0, 10.0):
+        monkeypatch.setattr(qp, "_regularization", lambda h: scale * regularization(h))
+        for p, base in zip(problems, unscaled):
+            structure = qp.setup(p)
+            assert (structure.pattern is None) == (p is rough)
+            want = regularized_hessian(p.H)
+            np.testing.assert_array_equal(_hessian(p.H, structure)[0], want)
+            np.testing.assert_allclose(np.diag(want - base), (scale - 1) * regularization(p.H),
+                                       rtol=1e-6)
 
 
 def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):

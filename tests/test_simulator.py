@@ -175,6 +175,30 @@ def test_run_scenario_rejects_bad_max_ticks(desk_model, max_ticks):
         run_scenario((traj, q0), "osc", desk_model, cfg)
 
 
+def test_run_scenario_rejects_a_trajectory_at_another_dt(desk_model):
+    # the controllers read one sample per tick and predict with cfg.dt, so a
+    # trajectory sampled at another dt would play at the wrong speed
+    q0 = np.zeros(6)
+    pose = forward_kinematics(desk_model, q0)
+    cfg = ScenarioConfig(max_ticks=1)
+    for traj_dt in (2e-3, 1e-3 * (1 + 1e-6)):
+        with pytest.raises(ValueError, match="sampled at dt"):
+            run_scenario((TaskTrajectory(dt=traj_dt, poses=(pose,) * 2), q0), "osc", desk_model,
+                         cfg)
+    # a dt equal to cfg.dt up to round-off runs
+    near = TaskTrajectory(dt=0.1 * 3 / 300, poses=(pose,) * 2)
+    assert near.dt != cfg.dt
+    assert run_scenario((near, q0), "osc", desk_model, cfg).t.shape == (1,)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_scenario_rejects_a_duration_not_above_zero(desk_model_large, duration):
+    # None takes the scenario's default duration; zero is no alias for it
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        run_scenario("singularity_pass", "kin_mpc", desk_model_large,
+                     ScenarioConfig(duration=duration))
+
+
 def test_metrics_report_of_an_empty_run(desk_model, tmp_path):
     q0 = np.zeros(6)
     traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
