@@ -100,6 +100,8 @@ def _check_positive(name: str, value: float | None) -> None:
 
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
     """Store one config value, converted to the type of the field's default."""
+    if isinstance(val, bool):  # a bool is an int to Python, not a number here
+        raise ValueError(f"{val!r} is not a number")
     if key == "payload":
         if val is not None and not (isinstance(val, dict) and "mass" in val):
             raise ValueError("payload must be null or an object with a 'mass'")

@@ -1,12 +1,13 @@
 """Rigid-body dynamics of serial chains.
 
-M, b, g, the end-effector Jacobian J and J-dot qd come from one world-frame
-pass per chain state over a stack of points (the joint origins after the
-first, the link COMs and the end effector): their Jacobians give
-M = sum_i m_i Jv_i'Jv_i + Jw_i'I_i Jw_i and, with the accelerations that qd
-alone causes, b and J-dot qd (Featherstone, Rigid Body Dynamics Algorithms,
-2008, the Jacobian forms of M and C qd). Forward dynamics solves
-M qdd = u - b through a Cholesky factorization (LAPACK dpotrf/dpotrs).
+M, b, g, the end-effector Jacobian J, J-dot and J-dot qd come from one
+world-frame pass per chain state over a stack of points (the joint origins
+after the first, the link COMs and the end effector): their Jacobians give
+M = sum_i m_i Jv_i'Jv_i + Jw_i'I_i Jw_i and, with the accelerations and
+column rates that qd alone causes, b, J-dot and J-dot qd (Featherstone,
+Rigid Body Dynamics Algorithms, 2008, the Jacobian forms of M and C qd).
+Forward dynamics solves M qdd = u - b through a Cholesky factorization
+(LAPACK dpotrf/dpotrs).
 
 Inverse dynamics and the derivatives that trajectory linearization needs
 come from one recursive Newton-Euler pass in spatial vector algebra, batched
@@ -85,19 +86,18 @@ class DynamicsDerivatives:
 
 
 class RigidBodyState(ChainState):
-    """A chain state with the dynamics at it, each quantity computed once.
+    """A chain state at (q, qd) with the dynamics at it, each quantity
+    computed once; without qd the chain is at rest.
 
     The world-frame pass takes the linear Jacobian columns of all its 2n
     points in one cross product, masked by the joints that move each point;
-    the COM rows give M and the last row J. b, g and J-dot qd follow from
-    the point velocities and column rates, formed once. The motion
-    transforms X_k behind the Newton-Euler pass are built only when it asks.
+    the COM rows give M and the last row J. b, g, J-dot and J-dot qd follow
+    from the point velocities and column rates, formed once.
     """
 
-    @cached_property
-    def xs(self) -> np.ndarray:
-        """Motion transforms X_k (parent link frame into link k), shape (n, 6, 6)."""
-        return _motion_transforms(self.local[None])[0]
+    def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
+        super().__init__(model, q)
+        self.qd = np.zeros(self.chain.n) if qd is None else qd
 
     @cached_property
     def _points(self) -> tuple[np.ndarray, ...]:
@@ -154,10 +154,12 @@ class RigidBodyState(ChainState):
         return self._solve(np.eye(self.chain.n))
 
     @cached_property
-    def _velocity_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _velocity_pass(self) -> tuple[np.ndarray, ...]:
         """b, g and J-dot qd, from the accelerations a_i, alpha_i that qd alone
         causes: b - g and g are one contraction of the COMs' [Jv | Jw] with the
-        wrenches (m_i a_i; I_i alpha_i + omega_i x I_i omega_i) and (-m_i g; 0)."""
+        wrenches (m_i a_i; I_i alpha_i + omega_i x I_i omega_i) and (-m_i g; 0).
+        Then the rates of the world joint axes and of the end effector's
+        linear Jacobian columns (n x 3 each), J-dot's angular and linear rows."""
         c = self.chain
         n = c.n
         qd = self.qd
@@ -181,7 +183,8 @@ class RigidBodyState(ChainState):
         wrench[:, 3:, 0] = inertial[:, :, 1] + _cross(spin[1:, :, 0], inertial[:, :, 0])
         wrench[:, :3, 1] = c.link_mass[:, None] * c.a_base[3:]
         forces = jac.transpose(1, 0, 2).reshape(n, 6 * n) @ wrench.reshape(6 * n, 2)
-        return forces[:, 1] + forces[:, 0], forces[:, 1], np.concatenate([acc[-1], spin[-1, :, 1]])
+        return (forces[:, 1] + forces[:, 0], forces[:, 1],
+                np.concatenate([acc[-1], spin[-1, :, 1]]), axis_dot, rates[-1])
 
     @property
     def bias(self) -> np.ndarray:
@@ -198,6 +201,10 @@ class RigidBodyState(ChainState):
         """J-dot qd = [a_ee; alpha_n], the end effector's acceleration at qdd = 0."""
         return self._velocity_pass[2]
 
+    def jacobian_dot(self) -> np.ndarray:
+        """J-dot along qd, 6 x n, from the pass's axis and column rates."""
+        return self._columns(*self._velocity_pass[3:])
+
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""
         return self._solve(u - self.bias)
@@ -210,15 +217,6 @@ class RigidBodyState(ChainState):
         qdd = self.forward_dynamics(u)
         qd = self.qd + dt * qdd
         return self.q + dt * qd, qd, qdd
-
-    def inverse_dynamics(self, qdd: np.ndarray) -> np.ndarray:
-        """Recursive Newton-Euler: u = M(q) qdd + b(q, qd), as a batch of one."""
-        qdd = np.asarray(qdd, dtype=float)
-        return _rnea(self.chain, self.xs[None], self.qd[None], qdd[None])[0, :, -1]
-
-    def derivatives(self, qdd: np.ndarray) -> DynamicsDerivatives:
-        """All dynamics derivative blocks at (q, qd, qdd), as a batch of one."""
-        return stacked_derivatives((self,), np.asarray(qdd, dtype=float)[None])[0]
 
 
 def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
@@ -305,7 +303,8 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
     q = model.check_q(q)
     qd = model.check_q(qd, "qd")
     qdd = model.check_q(qdd, "qdd")
-    return RigidBodyState(model, q, qd).inverse_dynamics(qdd)
+    st = ChainState(model, q)
+    return _rnea(st.chain, _motion_transforms(st.local[None]), qd[None], qdd[None])[0, :, -1]
 
 
 def bias_forces(model: RobotModel, q, qd) -> np.ndarray:
@@ -334,4 +333,4 @@ def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
     q = model.check_q(q)
     qd = model.check_q(qd, "qd")
     qdd = model.check_q(qdd, "qdd")
-    return RigidBodyState(model, q, qd).derivatives(qdd)
+    return stacked_derivatives((RigidBodyState(model, q, qd),), qdd[None])[0]

@@ -32,7 +32,8 @@ class HorizonConfig:
     svd_threshold: float = 1e-2  # relative cut: J_p's singular values (IK), J_p M^-1 J_p' eigenvalues (OSC)
 
     def __post_init__(self):
-        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 1):
+        if not (isinstance(self.horizon, numbers.Integral) and not isinstance(self.horizon, bool)
+                and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")

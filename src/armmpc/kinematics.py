@@ -2,12 +2,14 @@
 
 This module also holds the one rigid-body chain representation: a cached
 per-model record of the chain constants, as (n, ...) arrays over the joints,
-and a per-state object that computes every joint's local transform from its
-parent link, X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008,
-ch. 4), in one batched pass into an (n, 4, 4) stack of homogeneous
-transforms. The world frames here are the prefix products of that stack,
-formed by a parallel prefix scan in ceil(log2 n) batched products, and the
-Newton-Euler motion transforms in dynamics.py read the same local transforms.
+and a per-configuration object that computes every joint's local transform
+from its parent link, X_J(q) X_T (Featherstone, Rigid Body Dynamics
+Algorithms, 2008, ch. 4), in one batched pass into an (n, 4, 4) stack of
+homogeneous transforms. The world frames here are the prefix products of that
+stack, formed by a parallel prefix scan in ceil(log2 n) batched products, and
+the Newton-Euler motion transforms in dynamics.py read the same local
+transforms. Everything that depends on the joint velocities, J-dot among it,
+comes from the velocity pass of dynamics.RigidBodyState.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -322,7 +324,7 @@ def _chain(model: RobotModel) -> _Chain:
 
 
 class ChainState:
-    """The chain at one configuration q (and velocity qd, when given).
+    """The chain at one configuration q.
 
     Construction is the one joint pass, and the only place where a joint's
     kind becomes its transform: every joint's local rotation
@@ -330,18 +332,17 @@ class ChainState:
     link, as array operations over all joints (the exponential only for
     revolute joints, the slide only for prismatic ones), written into one
     (n, 4, 4) stack of homogeneous transforms; rot_local and trans_local are
-    views of it. The world frames behind FK, J and J-dot are the prefix
-    products of that stack, derived on first use by a parallel prefix scan;
+    views of it. The world frames behind FK and J are the prefix products of
+    that stack, derived on first use by a parallel prefix scan;
     dynamics.RigidBodyState reads the local transforms for its motion
     transforms.
     """
 
-    def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
+    def __init__(self, model: RobotModel, q: np.ndarray):
         c = _chain(model)
         self.model = model
         self.chain = c
         self.q = q
-        self.qd = qd
         turn = np.where(c.rev[:, 0], q, 0.0)[:, None, None]
         local = np.empty((c.n, 4, 4))
         local[:, 3] = _HOMOGENEOUS_ROW
@@ -385,49 +386,9 @@ class ChainState:
         axis_w = self.frames[0]
         return np.where(self.chain.rev, _cross(axis_w, arm), axis_w)
 
-    def _point_column_rates(self, arm: np.ndarray, point_vel: np.ndarray) -> np.ndarray:
-        """Time derivatives of _point_columns along qd, for points moving at
-        point_vel (broadcast against arm); the caller drops the columns of
-        joints that do not move a point."""
-        axis_w = self.frames[0]
-        _, axis_dot, origin_dot = self.rates
-        return np.where(self.chain.rev,
-                        _cross(axis_dot, arm) + _cross(axis_w, point_vel - origin_dot),
-                        axis_dot)
-
-    @cached_property
-    def rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Angular velocities of the base and the n links ((n+1) x 3), then the
-        rates of the world joint axes and joint origins (n x 3 each; only the
-        revolute joints' origin rates are read)."""
-        c = self.chain
-        n = c.n
-        axis_w, origin_w = self.frames[:2]
-        omega = np.zeros((n + 1, 3))
-        np.cumsum(np.where(c.rev, axis_w * self.qd[:, None], 0.0), axis=0, out=omega[1:])
-        # each axis is fixed in the link before its joint
-        axis_dot = _cross(omega[:-1], axis_w)
-        # joint k's origin rides on link k-1: the joints before k move it,
-        # one column each of the lower-triangular stack
-        cols = self._point_columns(origin_w[1:, None, :] - origin_w)
-        origin_dot = np.zeros((n, 3))
-        origin_dot[1:] = ((c.moves[:-1] * self.qd)[:, None, :] @ cols)[:, 0]
-        return omega, axis_dot, origin_dot
-
-    @cached_property
-    def _ee_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """End-effector position minus each joint origin, and the linear
-        Jacobian columns there (n x 3 each)."""
-        _, origin_w, *_, ee_pos = self.frames
-        arm = ee_pos - origin_w
-        return arm, self._point_columns(arm)
-
     def jacobian(self) -> np.ndarray:
-        return self._columns(self.frames[0], self._ee_columns[1])
-
-    def jacobian_dot(self) -> np.ndarray:
-        arm, lin = self._ee_columns
-        return self._columns(self.rates[1], self._point_column_rates(arm, self.qd @ lin))
+        axis_w, origin_w, *_, ee_pos = self.frames
+        return self._columns(axis_w, self._point_columns(ee_pos - origin_w))
 
     def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
         """6 x n [linear; angular] columns: the angular rows are the axis rows
@@ -457,9 +418,12 @@ def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
 
 
 def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
-    """Time derivative of the geometric Jacobian along (q, qd), shape (6, n)."""
+    """Time derivative of the geometric Jacobian along (q, qd), shape (6, n),
+    from the velocity pass of dynamics.RigidBodyState."""
+    from .dynamics import RigidBodyState  # dynamics imports this module
+
     q = model.check_q(q)
-    return ChainState(model, q, model.check_q(qd, "qd")).jacobian_dot()
+    return RigidBodyState(model, q, model.check_q(qd, "qd")).jacobian_dot()
 
 
 def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,

@@ -211,8 +211,8 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; choose from {CONTROLLERS}")
     cfg = cfg or default_scenario_config(scenario if isinstance(scenario, str) else "", controller)
-    if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, (int, np.integer))
-                                          and cfg.max_ticks >= 0):
+    if cfg.max_ticks is not None and (isinstance(cfg.max_ticks, bool) or not (
+            isinstance(cfg.max_ticks, (int, np.integer)) and cfg.max_ticks >= 0)):
         raise ValueError(f"max_ticks must be a nonnegative integer, got {cfg.max_ticks!r}")
     ctl_cfg = controller_config(cfg, controller)
 

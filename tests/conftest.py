@@ -141,6 +141,64 @@ def make_prismatic_x():
     return RobotModel(joints=(joint,), links=(link,), name="slider")
 
 
+def sequential_frames(model, rot_local, trans_local):
+    """The world frames as the running product of the local transforms, one
+    joint at a time (the loop the prefix scan replaced)."""
+    rot = np.eye(3)
+    pos = np.zeros(3)
+    axes, origins, rots = [], [], []
+    for joint, rot_k, trans_k in zip(model.joints, rot_local, trans_local):
+        pos = pos + rot @ trans_k
+        rot = rot @ rot_k
+        axes.append(rot @ joint.axis)
+        origins.append(pos)
+        rots.append(rot)
+    ee = model.ee_transform
+    return (np.array(axes), np.array(origins), np.array(rots),
+            rot @ ee.rotation, pos + rot @ ee.translation)
+
+
+def sequential_jacobian_dot(model, q, qd):
+    """J-dot along qd, one joint at a time, from the frames of
+    sequential_frames: the link angular velocities omega_j summed joint by
+    joint, the axis rates z_j-dot = omega_(j-1) x z_j (each axis is fixed in
+    the link before its joint), the velocities of the joint origins and the
+    end effector, and from them each column's rate."""
+    rot_local, trans_local = [], []
+    for joint, qk in zip(model.joints, q):
+        pt = joint.parent_transform
+        if joint.kind == "prismatic":
+            rot_local.append(pt.rotation)
+            trans_local.append(pt.translation + pt.rotation @ joint.axis * qk)
+        else:
+            rot_local.append(pt.rotation @ kinematics.rotvec_to_matrix(joint.axis * qk))
+            trans_local.append(pt.translation)
+    axes, origins, _, _, ee_pos = sequential_frames(model, rot_local, trans_local)
+    revolute = [joint.kind == "revolute" for joint in model.joints]
+
+    def velocity(point, joints):
+        # the velocity of a point that the given joints move
+        vel = np.zeros(3)
+        for j in joints:
+            vel += (np.cross(axes[j], point - origins[j]) if revolute[j] else axes[j]) * qd[j]
+        return vel
+
+    ee_vel = velocity(ee_pos, range(model.n))
+    omega = np.zeros(3)  # of the link before joint j
+    jdot = np.zeros((6, model.n))
+    for j in range(model.n):
+        axis_dot = np.cross(omega, axes[j])
+        if revolute[j]:
+            origin_vel = velocity(origins[j], range(j))
+            jdot[:3, j] = (np.cross(axis_dot, ee_pos - origins[j])
+                           + np.cross(axes[j], ee_vel - origin_vel))
+            jdot[3:, j] = axis_dot
+            omega = omega + axes[j] * qd[j]
+        else:
+            jdot[:3, j] = axis_dot
+    return jdot
+
+
 @pytest.fixture(scope="session")
 def pendulum():
     return make_pendulum()

@@ -82,6 +82,8 @@ def test_bad_config_key(runner, tmp_path, key):
 @pytest.mark.parametrize("doc, controller", [
     ({"horizon": "abc"}, "osc"),
     ({"horizon": 2.5}, "osc"),
+    ({"horizon": True}, "kin_mpc"),
+    ({"max_ticks": True}, "osc"),
     ({"svd_threshold": [1]}, "osc"),
     ({"payload": {"m": 1}}, "osc"),
     ({"payload": 3}, "osc"),
@@ -108,7 +110,7 @@ def test_bad_config_key(runner, tmp_path, key):
     ({"terminal_pos_tol": -1}, "kin_mpc"),
     ({"terminal_vel_tol": 0}, "kin_mpc"),
     ({"terminal_state_tol": "inf"}, "dyn_mpc"),
-], ids=["horizon-str", "horizon-fraction", "float-list", "payload-no-mass", "payload-number",
+], ids=["horizon-str", "horizon-fraction", "horizon-bool", "max-ticks-bool", "float-list", "payload-no-mass", "payload-number",
         "payload-negative", "payload-nan", "payload-inf", "gains-short", "gains-str", "gains-negative", "gains-nan",
         "duration-str", "duration-negative", "duration-zero", "dt-nan", "not-an-object",
         "horizon-infinity", "horizon-overflow", "svd-above-one", "svd-zero", "damping-nan",

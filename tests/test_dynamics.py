@@ -19,7 +19,7 @@ from armmpc.dynamics import (
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.robot_model import PayloadSpec, attach_payload
 
-from conftest import make_rpr, random_config
+from conftest import make_rpr, random_config, sequential_jacobian_dot
 
 
 def chain_model(name, desk_model):
@@ -60,14 +60,13 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
     batch = stacked_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
     # the horizon's motion transforms, built in one call, are each state's own
-    assert np.array_equal(_motion_transforms(np.stack([st.local for st in states])),
-                          np.stack([st.xs for st in states]))
+    xs = np.stack([_motion_transforms(st.local[None])[0] for st in states])
+    assert np.array_equal(_motion_transforms(np.stack([st.local for st in states])), xs)
     # the same pass carries the joint torques in its last column
-    tau = _rnea(states[0].chain, np.stack([st.xs for st in states]),
-                np.array([st.qd for st in states]), qdds)[:, :, -1]
+    tau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdds)[:, :, -1]
     for k, st in enumerate(states):
         fd = dict(zip(("dtau_dq", "dtau_dqd"), _id_derivatives_fd(model, st.q, st.qd, qdds[k])))
-        one = st.derivatives(qdds[k])
+        one = dynamics_derivatives(model, st.q, st.qd, qdds[k])
         np.testing.assert_allclose(tau[k], st.mass @ qdds[k] + st.bias, rtol=0, atol=1e-10)
         for name in ("dtau_dq", "dtau_dqd"):
             got = getattr(batch, name)[k]
@@ -91,16 +90,18 @@ def pass_model(name, request):
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)
-def test_world_pass_jdot_qd_matches_jacobian_dot(request, rng, name):
-    # J-dot qd from the pass's point accelerations against the column rates
-    # of kinematics.jacobian_dot, a separate computation
+def test_world_pass_jdot_matches_sequential_oracle(request, rng, name):
+    # J-dot qd from the pass's point accelerations, and the full J-dot from
+    # its column rates, against the joint-by-joint column rates of
+    # sequential_jacobian_dot, a separate computation
     model = pass_model(name, request)
     for _ in range(5):
         q = random_config(model, rng)
         qd = 2.0 * rng.standard_normal(model.n)
+        ref = sequential_jacobian_dot(model, q, qd)
         got = RigidBodyState(model, q, qd).jdot_qd
-        ref = jacobian_dot(model, q, qd) @ qd
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref @ qd) <= 1e-12 * np.linalg.norm(ref @ qd)
+        assert np.linalg.norm(jacobian_dot(model, q, qd) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)
@@ -132,6 +133,17 @@ def test_world_pass_mass_needs_no_velocity(request, rng, name):
     assert np.array_equal(mass_matrix(model, q), moving.mass)
     np.testing.assert_allclose(st.minv @ st.mass, np.eye(model.n), atol=1e-10)
     assert np.array_equal(st.jacobian(), moving.jacobian())
+
+
+def test_state_without_velocity_is_at_rest(desk_model, rng):
+    # qd defaults to zeros, so every velocity quantity is defined: b is g
+    q = random_config(desk_model, rng)
+    st = RigidBodyState(desk_model, q)
+    assert np.array_equal(st.qd, np.zeros(desk_model.n))
+    assert np.array_equal(st.bias, bias_forces(desk_model, q, np.zeros(desk_model.n)))
+    assert np.array_equal(st.bias, st.gravity)
+    assert np.array_equal(st.jdot_qd, np.zeros(6))
+    assert np.array_equal(st.forward_dynamics(st.gravity), np.zeros(desk_model.n))
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)

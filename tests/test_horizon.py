@@ -81,9 +81,10 @@ def test_degraded_tick_holds_widens_and_resets(desk_model, rng, monkeypatch, kin
     assert warm_starts[-1] is None and widens[-1] == 1.0
 
 
-@pytest.mark.parametrize("horizon", [2.5, 3.0, "4"])
+@pytest.mark.parametrize("horizon", [2.5, 3.0, "4", True])
 def test_horizon_must_be_an_integer(horizon):
-    # 2.5 used to construct and fail with TypeError at the first step
+    # 2.5 used to construct and fail with TypeError at the first step; True,
+    # an int to Python, used to pass as a horizon of 1
     with pytest.raises(ValueError, match="horizon must be an integer"):
         mpc_kinematic.KinematicMpcConfig(horizon=horizon)
 

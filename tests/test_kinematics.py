@@ -1,12 +1,18 @@
 import math
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armmpc
 from armmpc import load_bundled_model
-from armmpc.dynamics import RigidBodyState
+from armmpc.dynamics import RigidBodyState, _motion_transforms
 from armmpc.kinematics import (
     ChainState,
     Pose,
@@ -21,7 +27,7 @@ from armmpc.kinematics import (
 )
 from armmpc.kinematics import _skew
 
-from conftest import make_pendulum, make_prismatic_x, make_rpr, random_config
+from conftest import make_pendulum, make_prismatic_x, make_rpr, random_config, sequential_frames
 
 
 def fd_jacobian(model, q, h=1e-6):
@@ -88,23 +94,6 @@ CHAIN_MODELS = {
 }
 
 
-def sequential_frames(model, rot_local, trans_local):
-    """The world frames as the running product of the local transforms, one
-    joint at a time (the loop the prefix scan replaced)."""
-    rot = np.eye(3)
-    pos = np.zeros(3)
-    axes, origins, rots = [], [], []
-    for joint, rot_k, trans_k in zip(model.joints, rot_local, trans_local):
-        pos = pos + rot @ trans_k
-        rot = rot @ rot_k
-        axes.append(rot @ joint.axis)
-        origins.append(pos)
-        rots.append(rot)
-    ee = model.ee_transform
-    return (np.array(axes), np.array(origins), np.array(rots),
-            rot @ ee.rotation, pos + rot @ ee.translation)
-
-
 @pytest.mark.parametrize("name", list(CHAIN_MODELS))
 def test_frames_prefix_scan_matches_sequential_product(name, rng):
     model = CHAIN_MODELS[name]()
@@ -127,6 +116,7 @@ def test_local_transforms_feed_motion_transforms(name, rng):
         assert np.shares_memory(st.rot_local, st.local)
         assert np.shares_memory(st.trans_local, st.local)
         np.testing.assert_array_equal(st.local[:, 3], np.tile([0.0, 0.0, 0.0, 1.0], (model.n, 1)))
+        xs = _motion_transforms(st.local[None])[0]
         for k, (joint, qk) in enumerate(zip(model.joints, q)):
             pt = joint.parent_transform
             if joint.kind == "prismatic":
@@ -139,7 +129,7 @@ def test_local_transforms_feed_motion_transforms(name, rng):
             x_k = np.zeros((6, 6))
             x_k[:3, :3] = x_k[3:, 3:] = rt
             x_k[3:, :3] = -rt @ _skew(st.trans_local[k])
-            np.testing.assert_array_equal(st.xs[k], x_k)
+            np.testing.assert_array_equal(xs[k], x_k)
 
 
 def test_fk_dimension_mismatch(desk_model):
@@ -217,6 +207,23 @@ def test_jacobian_dot_linear_in_velocity(desk_model, rng):
     np.testing.assert_allclose(
         jacobian_dot(desk_model, q, 3.7 * qd), 3.7 * jacobian_dot(desk_model, q, qd), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(armmpc.__path__)))
+def test_jacobian_dot_after_importing_any_module_first(module):
+    # jacobian_dot imports dynamics inside the call, since dynamics imports
+    # this module; a fresh interpreter that starts from any submodule must
+    # still reach it
+    code = (f"import armmpc.{module}\n"
+            "import numpy as np\n"
+            "from armmpc import kinematics, load_bundled_model\n"
+            "model = load_bundled_model('rs007n')\n"
+            "print(kinematics.jacobian_dot(model, np.full(6, 0.3), np.ones(6)).shape)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(armmpc.__path__[0]).parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(6, 6)"
 
 
 def test_task_error_identity():

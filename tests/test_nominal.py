@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc import kinematics, nominal
+from armmpc import dynamics, kinematics, nominal
 from armmpc.dynamics import bias_forces, forward_dynamics, mass_matrix
 from armmpc.kinematics import Pose, forward_kinematics, geometric_jacobian, jacobian_dot, task_error
 from armmpc.nominal import (
@@ -462,14 +462,12 @@ def test_osc_rollout_fixed_point(desk_model, rng):
 
 def test_osc_reads_jacobian_and_jdot_qd_from_the_world_pass(desk_model, rng, monkeypatch):
     # J and J-dot qd come out of RigidBodyState's one pass over its points;
-    # the separate column passes of ChainState are never reached
+    # ChainState's own J and the full J-dot are never reached
     def unreachable(*args, **kwargs):
         raise AssertionError("a second column pass ran")
 
-    for name in ("jacobian_dot", "_point_column_rates"):
-        monkeypatch.setattr(kinematics.ChainState, name, unreachable)
-    for name in ("rates", "_ee_columns"):
-        monkeypatch.setattr(kinematics.ChainState, name, property(unreachable))
+    monkeypatch.setattr(kinematics.ChainState, "jacobian", unreachable)
+    monkeypatch.setattr(dynamics.RigidBodyState, "jacobian_dot", unreachable)
     q = random_config(desk_model, rng)
     qd = rng.standard_normal(6)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))

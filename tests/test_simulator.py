@@ -166,7 +166,7 @@ def test_run_scenario_flags_degraded_ticks_and_runs_empty(desk_model):
     assert m.final_errors() == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("max_ticks", [-1, 2.5, "3"])
+@pytest.mark.parametrize("max_ticks", [-1, 2.5, "3", True])  # True used to run one tick
 def test_run_scenario_rejects_bad_max_ticks(desk_model, max_ticks):
     q0 = np.zeros(6)
     traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
