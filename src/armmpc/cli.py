@@ -19,7 +19,7 @@ import numpy as np
 
 from . import BUNDLED_MODELS, bundled_model_path, load_model
 from .checks import CHECK_NAMES, run_checks
-from .robot_model import ModelError, PayloadSpec
+from .robot_model import ModelError, PayloadSpec, reject_bools
 from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
@@ -100,8 +100,7 @@ def _check_positive(name: str, value: float | None) -> None:
 
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
     """Store one config value, converted to the type of the field's default."""
-    if isinstance(val, bool):  # a bool is an int to Python, not a number here
-        raise ValueError(f"{val!r} is not a number")
+    reject_bools(val, key)  # a bool is an int to Python, not a number here
     if key == "payload":
         if val is not None and not (isinstance(val, dict) and "mass" in val):
             raise ValueError("payload must be null or an object with a 'mass'")

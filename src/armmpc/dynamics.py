@@ -1,4 +1,4 @@
-"""Rigid-body dynamics of serial chains.
+"""Rigid-body dynamics of serial chains of revolute joints.
 
 M, b, g, the end-effector Jacobian J, J-dot and J-dot qd come from one
 world-frame pass per chain state over a stack of points (the joint origins
@@ -111,8 +111,8 @@ class RigidBodyState(ChainState):
         axis_w, origin_w, rot_w, _, ee_pos = self.frames
         com_w = origin_w + (rot_w @ c.com[:, :, None])[:, :, 0]
         arm = np.concatenate([origin_w[1:], com_w, ee_pos[None]])[:, None, :] - origin_w
-        cols = self._point_columns(arm) * c.point_moves[:, :, None]
-        jac = np.concatenate([cols[n - 1:-1], c.turns[:, :, None] * axis_w], axis=2)
+        cols = _cross(axis_w, arm) * c.point_moves[:, :, None]
+        jac = np.concatenate([cols[n - 1:-1], c.moves[:, :, None] * axis_w], axis=2)
         return arm, cols, jac, rot_w @ c.root_inertia
 
     def jacobian(self) -> np.ndarray:
@@ -166,16 +166,15 @@ class RigidBodyState(ChainState):
         axis_w = self.frames[0]
         arm, cols, jac, k = self._points
         spin = np.zeros((n + 1, 3, 2))  # [omega | alpha] of the base and the n links
-        np.add.accumulate(np.where(c.rev, axis_w * qd[:, None], 0.0), axis=0, out=spin[1:, :, 0])
+        np.add.accumulate(axis_w * qd[:, None], axis=0, out=spin[1:, :, 0])
         # each axis is fixed in the link before its joint
         axis_dot = _cross(spin[:-1, :, 0], axis_w)
-        np.add.accumulate(np.where(c.rev, axis_dot * qd[:, None], 0.0), axis=0, out=spin[1:, :, 1])
+        np.add.accumulate(axis_dot * qd[:, None], axis=0, out=spin[1:, :, 1])
         vel = qd @ cols
         origin_dot = np.zeros((n, 3))  # joint k's origin is point k - 1; joint 0's is fixed
         origin_dot[1:] = vel[:n - 1]
         body = slice(n - 1, None)  # the COMs and the end effector
-        rates = np.where(c.rev, _cross(axis_dot, arm[body])
-                         + _cross(axis_w, vel[body, None] - origin_dot), axis_dot)
+        rates = _cross(axis_dot, arm[body]) + _cross(axis_w, vel[body, None] - origin_dot)
         acc = ((c.point_moves[body] * qd)[:, None, :] @ rates)[:, 0]
         inertial = k @ (k.transpose(0, 2, 1) @ spin[1:])  # I omega, I alpha
         wrench = np.zeros((n, 6, 2))

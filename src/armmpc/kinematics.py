@@ -1,11 +1,11 @@
 """Forward kinematics, geometric Jacobians, and task-space error.
 
-This module also holds the one rigid-body chain representation: a cached
-per-model record of the chain constants, as (n, ...) arrays over the joints,
-and a per-configuration object that computes every joint's local transform
-from its parent link, X_J(q) X_T (Featherstone, Rigid Body Dynamics
-Algorithms, 2008, ch. 4), in one batched pass into an (n, 4, 4) stack of
-homogeneous transforms. The world frames here are the prefix products of that
+This module also holds the one rigid-body chain representation, a chain of
+revolute joints: a cached per-model record of the chain constants, as
+(n, ...) arrays over the joints, and a per-configuration object that computes
+every joint's local transform from its parent link, X_J(q) X_T
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 4), in one batched
+pass into an (n, 4, 4) stack of homogeneous transforms. The world frames here are the prefix products of that
 stack, formed by a parallel prefix scan in ceil(log2 n) batched products, and
 the Newton-Euler motion transforms in dynamics.py read the same local
 transforms. Everything that depends on the joint velocities, J-dot among it,
@@ -25,7 +25,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .robot_model import REVOLUTE, RobotModel, _frozen
+from .robot_model import RobotModel, _frozen
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +253,18 @@ _HOMOGENEOUS_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 class _Chain:
     """Per-model constants of the rigid-body chain, for kinematics and dynamics.
 
-    Every per-joint constant is an (n, ...) array over the joints, and every
-    per-link one an (n, ...) array over the links.
+    Every joint is revolute. Every per-joint constant is an (n, ...) array
+    over the joints, and every per-link one an (n, ...) array over the links.
     """
 
-    __slots__ = ("n", "rev", "axes", "rot_pt", "rot_skew", "rot_skew2", "trans_pt",
-                 "slide", "ee", "subspace", "crm_s", "inertia", "a_base",
-                 "moves", "turns", "point_moves", "link_mass", "root_mass", "com",
+    __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "trans_pt",
+                 "ee", "subspace", "crm_s", "inertia", "a_base",
+                 "moves", "point_moves", "link_mass", "root_mass", "com",
                  "root_inertia")
 
     def __init__(self, model: RobotModel):
         n = model.n
         self.n = n
-        # (n, 1) mask over joint rows
-        self.rev = np.array([[j.kind == REVOLUTE] for j in model.joints])
         self.axes = np.array([j.axis for j in model.joints])
         # rot_pt exp(q [a]x) = rot_pt + sin q rot_pt [a]x + (1 - cos q) rot_pt [a]x^2
         skew = _skew(self.axes)
@@ -274,25 +272,20 @@ class _Chain:
         self.rot_skew = self.rot_pt @ skew
         self.rot_skew2 = self.rot_skew @ skew
         self.trans_pt = np.array([j.parent_transform.translation for j in model.joints])
-        # a prismatic joint slides its link along rot_pt a, in the parent frame
-        self.slide = np.where(self.rev, 0.0, (self.rot_pt @ self.axes[:, :, None])[:, :, 0])
         # end-effector transform from the last link, homogeneous 4 x 4
         self.ee = np.eye(4)
         self.ee[:3, :3] = model.ee_transform.rotation
         self.ee[:3, 3] = model.ee_transform.translation
         # motion subspace of each joint, [angular; linear]
-        self.subspace = np.hstack([np.where(self.rev, self.axes, 0.0),
-                                   np.where(self.rev, 0.0, self.axes)])
+        self.subspace = np.hstack([self.axes, np.zeros((n, 3))])
         # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s,
         # and the force cross operator of s is -crm_s.T
         self.crm_s = _crm(self.subspace)
         # gravity enters as a fictitious base acceleration -g
         self.a_base = np.zeros(6)
         self.a_base[3:] = -model.gravity
-        # [link i, joint j]: joint j moves link i (j <= i), and turns it too
-        # when revolute
+        # [link i, joint j]: joint j moves and turns link i (j <= i)
         self.moves = np.tril(np.ones((n, n)))
-        self.turns = self.moves * self.rev.T
         # [point, joint] over the world points of the dynamics pass (joint
         # origins 1..n-1, link COMs, end effector): joint j moves the point
         self.point_moves = np.vstack([self.moves[:-1], self.moves, np.ones((1, n))])
@@ -326,11 +319,9 @@ def _chain(model: RobotModel) -> _Chain:
 class ChainState:
     """The chain at one configuration q.
 
-    Construction is the one joint pass, and the only place where a joint's
-    kind becomes its transform: every joint's local rotation
-    rot_pt exp(q [a]x) and translation trans_pt + rot_pt a q from its parent
-    link, as array operations over all joints (the exponential only for
-    revolute joints, the slide only for prismatic ones), written into one
+    Construction is the one joint pass: every joint's local rotation
+    rot_pt exp(q [a]x) from its parent link, as array operations over all
+    joints, and its constant translation trans_pt, written into one
     (n, 4, 4) stack of homogeneous transforms; rot_local and trans_local are
     views of it. The world frames behind FK and J are the prefix products of
     that stack, derived on first use by a parallel prefix scan;
@@ -343,7 +334,7 @@ class ChainState:
         self.model = model
         self.chain = c
         self.q = q
-        turn = np.where(c.rev[:, 0], q, 0.0)[:, None, None]
+        turn = q[:, None, None]
         local = np.empty((c.n, 4, 4))
         local[:, 3] = _HOMOGENEOUS_ROW
         self.local = local
@@ -351,7 +342,7 @@ class ChainState:
         self.trans_local = local[:, :3, 3]
         np.add(c.rot_pt, np.sin(turn) * c.rot_skew + (1.0 - np.cos(turn)) * c.rot_skew2,
                out=self.rot_local)
-        np.add(c.trans_pt, c.slide * q[:, None], out=self.trans_local)
+        self.trans_local[:] = c.trans_pt
 
     @cached_property
     def frames(self) -> tuple[np.ndarray, ...]:
@@ -362,9 +353,8 @@ class ChainState:
         joints 0..k, all n of them formed by a Hillis-Steele prefix scan
         (Hillis & Steele, 1986): ceil(log2 n) batched products of the stack
         with itself shifted by 1, 2, 4, ... joints. Link k's frame origin lies
-        on joint k's axis, so it serves as the joint's origin: a revolute
-        joint turns about it, and a prismatic joint's Jacobian columns do not
-        depend on where its origin is taken.
+        on joint k's axis, so it serves as the joint's origin: the joint turns
+        about it.
         """
         c = self.chain
         world = self.local.copy()
@@ -377,25 +367,16 @@ class ChainState:
         axis_w = (rot_w @ c.axes[:, :, None])[:, :, 0]
         return axis_w, world[:, :3, 3], rot_w, ee[:3, :3], ee[:3, 3]
 
-    def _point_columns(self, arm: np.ndarray) -> np.ndarray:
-        """Linear-velocity Jacobian columns of world points, (..., n, 3).
-
-        arm holds each point minus every joint origin; column j is
-        z_j x arm_j for a revolute joint and z_j for a prismatic one.
-        """
-        axis_w = self.frames[0]
-        return np.where(self.chain.rev, _cross(axis_w, arm), axis_w)
-
     def jacobian(self) -> np.ndarray:
+        """End-effector J: column j is [z_j x (p_ee - o_j); z_j]."""
         axis_w, origin_w, *_, ee_pos = self.frames
-        return self._columns(axis_w, self._point_columns(ee_pos - origin_w))
+        return self._columns(axis_w, _cross(axis_w, ee_pos - origin_w))
 
     def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
-        """6 x n [linear; angular] columns: the angular rows are the axis rows
-        of the revolute joints, zero for prismatic ones."""
+        """6 x n [linear; angular] columns from (n, 3) linear and axis rows."""
         out = np.empty((6, self.chain.n))
         out[:3] = lin.T
-        out[3:] = np.where(self.chain.rev, axis, 0.0).T
+        out[3:] = axis.T
         return out
 
 

@@ -1,9 +1,10 @@
 """Serial-chain robot description: loading, validation, payload composition.
 
 Models are plain JSON documents (``*.robot.json``) with one robot per file.
-All angles are radians, lengths meters, ``rpy`` is an intrinsic XYZ Euler
-rotation. Link inertia tensors are given as the 6 upper-triangular entries
-``[ixx, ixy, ixz, iyy, iyz, izz]`` about the link center of mass.
+Every joint is revolute. All angles are radians, lengths meters, ``rpy`` is
+an intrinsic XYZ Euler rotation. Link inertia tensors are given as the 6
+upper-triangular entries ``[ixx, ixy, ixz, iyy, iyz, izz]`` about the link
+center of mass.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-REVOLUTE = "revolute"
-PRISMATIC = "prismatic"
-
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
 
 
@@ -28,6 +26,18 @@ class ModelError(ValueError):
 
 class ModelParseError(ModelError):
     """A robot description file is malformed."""
+
+
+def reject_bools(doc, where: str) -> None:
+    """Raise ModelParseError for a JSON boolean anywhere in doc: float(True)
+    is 1.0, so a bool would otherwise pass where a number is read."""
+    if isinstance(doc, bool):
+        raise ModelParseError(f"{where} is {str(doc).lower()}, not a number")
+    if isinstance(doc, (list, tuple)):
+        doc = dict(enumerate(doc))
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            reject_bools(val, f"{where}[{key!r}]")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -87,7 +97,9 @@ class RigidTransform:
 
 @dataclass(frozen=True, eq=False)
 class JointSpec:
-    kind: str
+    """A revolute joint: its link sits at parent_transform in the parent
+    link's frame and turns by q about axis."""
+
     axis: np.ndarray
     parent_transform: RigidTransform
     q_limits: tuple[float, float]
@@ -95,8 +107,6 @@ class JointSpec:
     u_limit: float
 
     def __post_init__(self):
-        if self.kind not in (REVOLUTE, PRISMATIC):
-            raise ModelError(f"unknown joint kind {self.kind!r}")
         axis = _vec3(self.axis, "axis")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise ModelError("joint axis must have unit norm")
@@ -242,6 +252,7 @@ def load_model(path) -> RobotModel:
 def model_from_dict(doc: dict, name_hint: str = "robot") -> RobotModel:
     if not isinstance(doc, dict):
         raise ModelParseError("robot document must be a JSON object")
+    reject_bools(doc, "robot")
     try:
         joint_docs = doc["joints"]
         link_docs = doc["links"]
@@ -252,9 +263,11 @@ def model_from_dict(doc: dict, name_hint: str = "robot") -> RobotModel:
     for i, jd in enumerate(joint_docs):
         try:
             limits = jd["limits"]
+            if jd.get("kind", "revolute") != "revolute":
+                raise ModelParseError(f"joint {i} has kind {jd['kind']!r}; "
+                                      "only revolute joints are supported")
             joints.append(
                 JointSpec(
-                    kind=jd.get("kind", REVOLUTE),
                     axis=np.asarray(jd["axis"], dtype=float),
                     parent_transform=_parse_transform(jd.get("origin"), f"joint {i}"),
                     q_limits=(float(limits["q"][0]), float(limits["q"][1])),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kinematics import Pose, canonical_quat, forward_kinematics
+from .kinematics import Pose, canonical_quat, forward_kinematics, quat_to_matrix, rotvec_from_matrix
 from .nominal import POSITION, TaskSpec, default_task_hierarchy
 from .robot_model import RobotModel
 
@@ -113,8 +113,6 @@ def quaternion_interp(q_start, q_end, s: float) -> np.ndarray:
 
 def _slerp_axis_angle(q_start, q_end):
     """Rotation vector taking q_start to q_end along the slerp path."""
-    from .kinematics import quat_to_matrix, rotvec_from_matrix
-
     qa = np.asarray(q_start, dtype=float)
     qb = np.asarray(q_end, dtype=float)
     if qa @ qb < 0:
@@ -151,19 +149,21 @@ def waypoint_trajectory(waypoints, quats, dt: float) -> TaskTrajectory:
     waypoints: list of (t, xyz); quats: list of (t, quaternion) keyframes
     covering the same span.
     """
+    if len(quats) < 2:
+        raise ValueError("need at least two orientation keyframes")
     ts, pos, vel = cubic_spline_position(waypoints, dt)
     q_times = np.asarray([t for t, _ in quats], dtype=float)
     q_vals = [np.asarray(q, dtype=float) for _, q in quats]
-    poses = []
-    twists = np.zeros((len(ts), 6))
-    for i, t in enumerate(ts):
-        seg = int(np.clip(np.searchsorted(q_times, t, side="right") - 1, 0, len(q_vals) - 2))
-        span = q_times[seg + 1] - q_times[seg]
-        s = float(np.clip((t - q_times[seg]) / span, 0.0, 1.0))
-        quat = quaternion_interp(q_vals[seg], q_vals[seg + 1], s)
-        poses.append(Pose(quat, pos[i]))
-        twists[i, :3] = vel[i]
-        twists[i, 3:] = _slerp_axis_angle(q_vals[seg], q_vals[seg + 1]) / span
+    spans = np.diff(q_times)
+    # each segment's slerp turns at one constant rate
+    rates = np.array([_slerp_axis_angle(qa, qb) for qa, qb in zip(q_vals, q_vals[1:])]) / spans[:, None]
+    segs = np.clip(np.searchsorted(q_times, ts, side="right") - 1, 0, len(q_vals) - 2)
+    fracs = np.clip((ts - q_times[segs]) / spans[segs], 0.0, 1.0)
+    poses = [Pose(quaternion_interp(q_vals[seg], q_vals[seg + 1], s), p)
+             for seg, s, p in zip(segs.tolist(), fracs.tolist(), pos)]
+    twists = np.empty((len(ts), 6))
+    twists[:, :3] = vel
+    twists[:, 3:] = rates[segs]
     # angular feedforward is the constant segment rate; zero it at the rest ends
     twists[0, 3:] = 0.0
     twists[-1, 3:] = 0.0

@@ -19,7 +19,6 @@ def make_pendulum(mass=1.0, length=1.0, gravity=(0.0, 0.0, -9.81)):
     need gravity torque rotate the axis instead.
     """
     joint = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, 0.0, 1.0]),
         parent_transform=RigidTransform.identity(),
         q_limits=(-3.14, 3.14),
@@ -39,7 +38,6 @@ def make_pendulum(mass=1.0, length=1.0, gravity=(0.0, 0.0, -9.81)):
 def make_gravity_pendulum(mass=1.0, length=1.0):
     """1-DOF revolute about -y: link along +x at q=0, positive q lifts the mass."""
     joint = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, -1.0, 0.0]),
         parent_transform=RigidTransform.identity(),
         q_limits=(-6.3, 6.3),
@@ -58,7 +56,6 @@ def make_gravity_pendulum(mass=1.0, length=1.0):
 def make_planar_2dof(l1=0.5, l2=0.4, m1=2.0, m2=1.0):
     """Two revolute z joints in the x-y plane (no gravity torque about z)."""
     j1 = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, 0.0, 1.0]),
         parent_transform=RigidTransform.identity(),
         q_limits=(-3.1, 3.1),
@@ -66,7 +63,6 @@ def make_planar_2dof(l1=0.5, l2=0.4, m1=2.0, m2=1.0):
         u_limit=80.0,
     )
     j2 = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, 0.0, 1.0]),
         parent_transform=RigidTransform.from_xyz_rpy(xyz=(l1, 0.0, 0.0)),
         q_limits=(-3.1, 3.1),
@@ -87,13 +83,14 @@ def make_planar_2dof(l1=0.5, l2=0.4, m1=2.0, m2=1.0):
 
 
 def make_rpr():
-    """Revolute about z, prismatic along a tilted axis, revolute about y.
+    """Revolute about z, revolute about the pitched axis [0.6, 0, 0.8] (z
+    tilted toward x), revolute about y.
 
-    The prismatic joint rides on a rotating link, so its axis turns with a
-    nonzero angular velocity and its offset enters the velocity terms.
+    The middle joint rides on a rotating link and its axis is neither
+    parallel nor orthogonal to its neighbours', so the axis turns with a
+    nonzero angular velocity and the chain is not planar.
     """
     j1 = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, 0.0, 1.0]),
         parent_transform=RigidTransform.identity(),
         q_limits=(-3.1, 3.1),
@@ -101,15 +98,13 @@ def make_rpr():
         u_limit=50.0,
     )
     j2 = JointSpec(
-        kind="prismatic",
         axis=np.array([0.6, 0.0, 0.8]),
         parent_transform=RigidTransform.from_xyz_rpy(xyz=(0.3, 0.1, 0.2), rpy=(0.2, 0.0, 0.4)),
-        q_limits=(-0.5, 0.5),
-        v_limit=1.0,
-        u_limit=100.0,
+        q_limits=(-3.1, 3.1),
+        v_limit=5.0,
+        u_limit=40.0,
     )
     j3 = JointSpec(
-        kind="revolute",
         axis=np.array([0.0, 1.0, 0.0]),
         parent_transform=RigidTransform.from_xyz_rpy(xyz=(0.2, 0.0, 0.1)),
         q_limits=(-3.1, 3.1),
@@ -126,19 +121,6 @@ def make_rpr():
         ee_transform=RigidTransform.from_xyz_rpy(xyz=(0.25, 0.0, 0.05)),
         name="rpr",
     )
-
-
-def make_prismatic_x():
-    joint = JointSpec(
-        kind="prismatic",
-        axis=np.array([1.0, 0.0, 0.0]),
-        parent_transform=RigidTransform.identity(),
-        q_limits=(-1.0, 1.0),
-        v_limit=2.0,
-        u_limit=100.0,
-    )
-    link = LinkInertia(mass=1.5, com=np.zeros(3), inertia_tensor=np.eye(3) * 1e-3)
-    return RobotModel(joints=(joint,), links=(link,), name="slider")
 
 
 def sequential_frames(model, rot_local, trans_local):
@@ -164,23 +146,16 @@ def sequential_jacobian_dot(model, q, qd):
     joint, the axis rates z_j-dot = omega_(j-1) x z_j (each axis is fixed in
     the link before its joint), the velocities of the joint origins and the
     end effector, and from them each column's rate."""
-    rot_local, trans_local = [], []
-    for joint, qk in zip(model.joints, q):
-        pt = joint.parent_transform
-        if joint.kind == "prismatic":
-            rot_local.append(pt.rotation)
-            trans_local.append(pt.translation + pt.rotation @ joint.axis * qk)
-        else:
-            rot_local.append(pt.rotation @ kinematics.rotvec_to_matrix(joint.axis * qk))
-            trans_local.append(pt.translation)
+    rot_local = [joint.parent_transform.rotation @ kinematics.rotvec_to_matrix(joint.axis * qk)
+                 for joint, qk in zip(model.joints, q)]
+    trans_local = [joint.parent_transform.translation for joint in model.joints]
     axes, origins, _, _, ee_pos = sequential_frames(model, rot_local, trans_local)
-    revolute = [joint.kind == "revolute" for joint in model.joints]
 
     def velocity(point, joints):
         # the velocity of a point that the given joints move
         vel = np.zeros(3)
         for j in joints:
-            vel += (np.cross(axes[j], point - origins[j]) if revolute[j] else axes[j]) * qd[j]
+            vel += np.cross(axes[j], point - origins[j]) * qd[j]
         return vel
 
     ee_vel = velocity(ee_pos, range(model.n))
@@ -188,14 +163,11 @@ def sequential_jacobian_dot(model, q, qd):
     jdot = np.zeros((6, model.n))
     for j in range(model.n):
         axis_dot = np.cross(omega, axes[j])
-        if revolute[j]:
-            origin_vel = velocity(origins[j], range(j))
-            jdot[:3, j] = (np.cross(axis_dot, ee_pos - origins[j])
-                           + np.cross(axes[j], ee_vel - origin_vel))
-            jdot[3:, j] = axis_dot
-            omega = omega + axes[j] * qd[j]
-        else:
-            jdot[:3, j] = axis_dot
+        origin_vel = velocity(origins[j], range(j))
+        jdot[:3, j] = (np.cross(axis_dot, ee_pos - origins[j])
+                       + np.cross(axes[j], ee_vel - origin_vel))
+        jdot[3:, j] = axis_dot
+        omega = omega + axes[j] * qd[j]
     return jdot
 
 
@@ -212,11 +184,6 @@ def gravity_pendulum():
 @pytest.fixture(scope="session")
 def planar_2dof():
     return make_planar_2dof()
-
-
-@pytest.fixture(scope="session")
-def prismatic_x():
-    return make_prismatic_x()
 
 
 @pytest.fixture(scope="session")

@@ -110,12 +110,16 @@ def test_bad_config_key(runner, tmp_path, key):
     ({"terminal_pos_tol": -1}, "kin_mpc"),
     ({"terminal_vel_tol": 0}, "kin_mpc"),
     ({"terminal_state_tol": "inf"}, "dyn_mpc"),
+    ({"position_gains": [True, 5]}, "osc"),
+    ({"payload": {"mass": True}}, "osc"),
+    ({"payload": {"mass": 12, "com_offset": [True, 0, 0]}}, "osc"),
 ], ids=["horizon-str", "horizon-fraction", "horizon-bool", "max-ticks-bool", "float-list", "payload-no-mass", "payload-number",
         "payload-negative", "payload-nan", "payload-inf", "gains-short", "gains-str", "gains-negative", "gains-nan",
         "duration-str", "duration-negative", "duration-zero", "dt-nan", "not-an-object",
         "horizon-infinity", "horizon-overflow", "svd-above-one", "svd-zero", "damping-nan",
         "task-inf", "accel-negative", "input-nan", "terminal-pos-negative",
-        "terminal-vel-zero", "terminal-state-inf"])
+        "terminal-vel-zero", "terminal-state-inf", "gains-bool", "payload-mass-bool",
+        "payload-com-bool"])
 def test_bad_config_value_is_config_error(runner, tmp_path, doc, controller):
     # a str is the raw file text, for values json.dumps cannot write as such
     cfg = tmp_path / "cfg.json"

@@ -23,7 +23,7 @@ from conftest import make_rpr, random_config, sequential_jacobian_dot
 
 
 def chain_model(name, desk_model):
-    """The rs007n arm, the revolute-prismatic-revolute chain, or the arm
+    """The rs007n arm, the three-joint chain with a tilted middle axis, or the arm
     with a 12 kg payload composed into its last link."""
     if name == "rpr":
         return make_rpr()
@@ -48,7 +48,7 @@ def test_icrf_identity(rng):
 
 
 def test_stacked_derivatives_mixed_chain_and_batch(rng):
-    # revolute-prismatic-revolute chain; a rest state among moving ones
+    # the chain with a tilted middle axis; a rest state among moving ones
     model = make_rpr()
     states, qdds = [], []
     for qd_scale in (0.0, 1.0, 0.5, 2.0):
@@ -79,7 +79,7 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
 
 
 # the world-frame pass of RigidBodyState against its independent oracles:
-# the arm with its payload, a chain with a prismatic joint, and seven joints
+# the arm with its payload, a chain with a tilted middle axis, and seven joints
 PASS_CHAINS = ["payload", "rpr", "seven"]
 
 

@@ -11,6 +11,7 @@ from armmpc.robot_model import (
     PayloadSpec,
     attach_payload,
     detach_payload,
+    model_from_dict,
 )
 from armmpc.dynamics import mass_matrix
 
@@ -21,7 +22,6 @@ def test_load_rs007n_torque_limits():
     model = load_model(bundled_model_path("rs007n"))
     assert model.n == 6
     np.testing.assert_allclose(model.limits.u_max, [239.0, 239.0, 124.5, 32.0, 40.96, 25.6])
-    assert all(j.kind == "revolute" for j in model.joints)
 
 
 def test_minimal_single_joint_model(tmp_path):
@@ -39,6 +39,64 @@ def test_minimal_single_joint_model(tmp_path):
     model = load_model(path)
     assert model.n == 1
     assert model.links[0].mass == 1.0
+
+
+def two_joint_doc():
+    """A valid two-joint robot document; the second joint has no kind key."""
+    return {
+        "gravity": [0, 0, -9.81],
+        "joints": [
+            {"kind": "revolute", "axis": [0, 0, 1], "origin": {"xyz": [0, 0, 0.3], "rpy": [0, 0, 0]},
+             "limits": {"q": [-3, 3], "v": 5.0, "u": 10.0}},
+            {"axis": [0, 1, 0], "origin": {"xyz": [0.4, 0, 0]},
+             "limits": {"q": [-2, 2], "v": 4.0, "u": 8.0}},
+        ],
+        "links": [{"mass": 2.0, "com": [0.2, 0, 0], "inertia": [1e-2, 0, 0, 1e-2, 0, 1e-2]},
+                  {"mass": 1.0, "com": [0.1, 0, 0], "inertia": [1e-3, 0, 0, 1e-3, 0, 1e-3]}],
+    }
+
+
+def test_joint_kind_is_optional_and_revolute():
+    model = model_from_dict(two_joint_doc())
+    assert model.n == 2
+    np.testing.assert_array_equal(model.joints[1].axis, [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["prismatic", "fixed", "Revolute"])
+def test_non_revolute_joint_rejected(tmp_path, kind):
+    doc = two_joint_doc()
+    doc["joints"][1]["kind"] = kind
+    path = tmp_path / "bad.robot.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match=f"joint 1 has kind '{kind}'"):
+        load_model(path)
+
+
+# every number the loader reads, set to a JSON boolean: float(True) is 1.0,
+# so each of these would load as a number
+@pytest.mark.parametrize("where", [
+    ("gravity", 2),
+    ("joints", 0, "axis", 2),
+    ("joints", 1, "origin", "xyz", 0),
+    ("joints", 0, "origin", "rpy", 1),
+    ("joints", 1, "limits", "q", 1),
+    ("joints", 0, "limits", "v"),
+    ("joints", 1, "limits", "u"),
+    ("links", 0, "mass"),
+    ("links", 1, "com", 0),
+    ("links", 0, "inertia", 0),
+], ids=["gravity", "axis", "origin-xyz", "origin-rpy", "q-limit", "v-limit", "u-limit",
+        "mass", "com", "inertia"])
+def test_json_boolean_is_not_a_number(tmp_path, where):
+    doc = two_joint_doc()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = True
+    path = tmp_path / "bool.robot.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match="is true, not a number"):
+        load_model(path)
 
 
 def test_inverted_q_limits_rejected(tmp_path):

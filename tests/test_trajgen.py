@@ -14,9 +14,11 @@ from armmpc.trajgen import (
     TaskTrajectory,
     cubic_spline_position,
     export_trajectory_csv,
+    _slerp_axis_angle,
     quaternion_interp,
     scenario_initial_config,
     scenario_trajectory,
+    waypoint_trajectory,
 )
 
 
@@ -89,6 +91,53 @@ def test_slerp_unit_canonical(seed, s):
     out = quaternion_interp(qa, qb, s)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
     assert out[0] >= 0 or (out[0] == 0 and np.any(out[1:] > 0))
+
+
+def per_sample_waypoint_reference(waypoints, quats, dt):
+    """waypoint_trajectory's poses and twists, one sample at a time: the
+    segment looked up and its slerp rate formed again for every sample."""
+    ts, pos, vel = cubic_spline_position(waypoints, dt)
+    q_times = np.asarray([t for t, _ in quats], dtype=float)
+    q_vals = [np.asarray(q, dtype=float) for _, q in quats]
+    poses = []
+    twists = np.zeros((len(ts), 6))
+    for i, t in enumerate(ts):
+        seg = int(np.clip(np.searchsorted(q_times, t, side="right") - 1, 0, len(q_vals) - 2))
+        span = q_times[seg + 1] - q_times[seg]
+        s = float(np.clip((t - q_times[seg]) / span, 0.0, 1.0))
+        poses.append(Pose(quaternion_interp(q_vals[seg], q_vals[seg + 1], s), pos[i]))
+        twists[i, :3] = vel[i]
+        twists[i, 3:] = _slerp_axis_angle(q_vals[seg], q_vals[seg + 1]) / span
+    twists[0, 3:] = 0.0
+    twists[-1, 3:] = 0.0
+    return poses, twists
+
+
+def unit(q):
+    q = np.asarray(q, dtype=float)
+    return q / np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("quats", [
+    [(0.0, unit([0.3, 0.5, -0.2, 0.8])), (1.5, unit([0.3, 0.5, -0.2, 0.8]))],
+    [(0.0, unit([1.0, 0.0, 0.0, 0.0])), (0.37, unit([0.9, 0.1, -0.3, 0.2])),
+     (1.0, unit([-0.2, 0.7, 0.1, 0.6])), (1.5, unit([0.5, -0.5, 0.5, 0.5]))],
+], ids=["one-segment", "three-segments"])
+def test_waypoint_trajectory_matches_per_sample_reference_bit_for_bit(quats):
+    waypoints = [(0.0, (0.4, 0.0, 0.3)), (0.5, (0.4, 0.0, 0.5)),
+                 (1.0, (0.4, 0.35, 0.5)), (1.5, (0.4, 0.35, 0.3))]
+    traj = waypoint_trajectory(waypoints, quats, 1e-3)
+    poses, twists = per_sample_waypoint_reference(waypoints, quats, 1e-3)
+    assert traj.n_samples == len(poses) == 1501
+    for got, want in zip(traj.poses, poses):
+        assert np.array_equal(got.quaternion, want.quaternion)
+        assert np.array_equal(got.translation, want.translation)
+    assert np.array_equal(traj.twists, twists)
+
+
+def test_waypoint_trajectory_needs_two_keyframes():
+    with pytest.raises(ValueError, match="two orientation keyframes"):
+        waypoint_trajectory([(0.0, (0, 0, 0)), (1.0, (0, 0, 1))], [(0.0, np.array([1.0, 0, 0, 0]))], 0.1)
 
 
 def test_singularity_scenario_endpoints(desk_model_large):
