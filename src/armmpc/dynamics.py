@@ -86,85 +86,50 @@ class DynamicsDerivatives:
 
 
 class RigidBodyState(ChainState):
-    """A chain state at (q, qd) with the dynamics at it, each quantity
-    computed once; without qd the chain is at rest.
+    """A chain state at (q, qd) with the dynamics at it, filled by its
+    constructor; without qd the chain is at rest.
 
-    The world-frame pass takes the linear Jacobian columns of all its 2n
-    points in one cross product, masked by the joints that move each point;
-    the COM rows give M and the last row J. b, g, J-dot and J-dot qd follow
-    from the point velocities and column rates, formed once.
+    The world-frame pass stacks 2n points (the joint origins 1..n-1, the link
+    COMs and the end effector) and takes all their linear Jacobian columns in
+    one cross product, masked by the joints that move each point; the COMs'
+    [Jv | Jw] rows give M, with its Cholesky factor, and the last row J.
+    b, g, J-dot qd and the rates behind J-dot follow from the point
+    velocities and column rates, formed once. Only minv is left to first use.
     """
 
     def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
         super().__init__(model, q)
-        self.qd = np.zeros(self.chain.n) if qd is None else qd
-
-    @cached_property
-    def _points(self) -> tuple[np.ndarray, ...]:
-        """Each point minus every joint origin, and its linear Jacobian columns
-        (zero for the joints that do not move it), (2n, n, 3) each, [point,
-        joint], over the joint origins 1..n-1, the link COMs and the end
-        effector; the COMs' [Jv | Jw], (n, n, 6), [link, joint]; and the
-        K_i = R_i L_i with K_i K_i' = R_i I_i R_i', the world inertias."""
         c = self.chain
         n = c.n
-        axis_w, origin_w, rot_w, _, ee_pos = self.frames
+        self.qd = qd = np.zeros(n) if qd is None else qd
+        axis_w, origin_w, rot_w = self.axis_w, self.origin_w, self.rot_w
+        # each point minus every joint origin, and its linear Jacobian
+        # columns, (2n, n, 3) each, [point, joint]; the COMs' [Jv | Jw],
+        # (n, n, 6), [link, joint]; and K_i = R_i L_i with K_i K_i' the
+        # world inertia R_i I_i R_i'
         com_w = origin_w + (rot_w @ c.com[:, :, None])[:, :, 0]
-        arm = np.concatenate([origin_w[1:], com_w, ee_pos[None]])[:, None, :] - origin_w
+        arm = np.concatenate([origin_w[1:], com_w, self.ee_pos[None]])[:, None, :] - origin_w
         cols = _cross(axis_w, arm) * c.point_moves[:, :, None]
         jac = np.concatenate([cols[n - 1:-1], c.moves[:, :, None] * axis_w], axis=2)
-        return arm, cols, jac, rot_w @ c.root_inertia
+        k = rot_w @ c.root_inertia
+        self._ee_cols = cols[-1]
 
-    def jacobian(self) -> np.ndarray:
-        """ChainState's J to the bit, from the pass's end-effector row."""
-        return self._columns(self.frames[0], self._points[1][-1])
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        """Joint-space inertia M = sum_i m_i Jv_i'Jv_i + Jw_i'(R_i I_i R_i')Jw_i.
-
-        One Gram product A A' over the COM Jacobians, with A's rows the joints
-        and its columns sqrt(m_i) Jv_i and Jw_i K_i for every link i.
-        """
-        c = self.chain
-        n = c.n
-        _, _, jac, k = self._points
+        # M = sum_i m_i Jv_i'Jv_i + Jw_i'(R_i I_i R_i')Jw_i: one Gram product
+        # A A', with A's rows the joints and its columns sqrt(m_i) Jv_i and
+        # Jw_i K_i for every link i
         a = np.concatenate([jac[:, :, :3] * c.root_mass[:, None, None], jac[:, :, 3:] @ k], axis=2)
         a = a.transpose(1, 0, 2).reshape(n, 6 * n)
-        return a @ a.T
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Lower Cholesky factor of the mass matrix (upper triangle not cleared)."""
-        mass = self.mass
-        if not np.isfinite(mass).all():
-            raise ValueError(f"mass matrix is not finite at q={self.q!r}")
-        factor, info = dpotrf(mass, lower=1, clean=0)
+        self.mass = a @ a.T
+        if not np.isfinite(self.mass).all():
+            raise ValueError(f"mass matrix is not finite at q={q!r}")
+        # lower Cholesky factor of M (upper triangle not cleared)
+        self.factor, info = dpotrf(self.mass, lower=1, clean=0)
         if info != 0:
-            raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: dpotrf info {info}")
-        return factor
+            raise FactorizationError(f"mass matrix is not SPD at q={q!r}: dpotrf info {info}")
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 rhs through the Cholesky factor."""
-        return dpotrs(self.factor, rhs, lower=1)[0]
-
-    @cached_property
-    def minv(self) -> np.ndarray:
-        """Inverse mass matrix, solved from the Cholesky factor."""
-        return self._solve(np.eye(self.chain.n))
-
-    @cached_property
-    def _velocity_pass(self) -> tuple[np.ndarray, ...]:
-        """b, g and J-dot qd, from the accelerations a_i, alpha_i that qd alone
-        causes: b - g and g are one contraction of the COMs' [Jv | Jw] with the
-        wrenches (m_i a_i; I_i alpha_i + omega_i x I_i omega_i) and (-m_i g; 0).
-        Then the rates of the world joint axes and of the end effector's
-        linear Jacobian columns (n x 3 each), J-dot's angular and linear rows."""
-        c = self.chain
-        n = c.n
-        qd = self.qd
-        axis_w = self.frames[0]
-        arm, cols, jac, k = self._points
+        # the accelerations a_i, alpha_i that qd alone causes: b - g and g
+        # are one contraction of the COMs' [Jv | Jw] with the wrenches
+        # (m_i a_i; I_i alpha_i + omega_i x I_i omega_i) and (-m_i g; 0)
         spin = np.zeros((n + 1, 3, 2))  # [omega | alpha] of the base and the n links
         np.add.accumulate(axis_w * qd[:, None], axis=0, out=spin[1:, :, 0])
         # each axis is fixed in the link before its joint
@@ -182,27 +147,33 @@ class RigidBodyState(ChainState):
         wrench[:, 3:, 0] = inertial[:, :, 1] + _cross(spin[1:, :, 0], inertial[:, :, 0])
         wrench[:, :3, 1] = c.link_mass[:, None] * c.a_base[3:]
         forces = jac.transpose(1, 0, 2).reshape(n, 6 * n) @ wrench.reshape(6 * n, 2)
-        return (forces[:, 1] + forces[:, 0], forces[:, 1],
-                np.concatenate([acc[-1], spin[-1, :, 1]]), axis_dot, rates[-1])
+        # b(q, qd), the joint forces at qdd = 0, and g(q) = -sum_i m_i Jv_i' g,
+        # the part of b that gravity alone causes; b(q, 0) is g(q) to the bit
+        self.bias = forces[:, 1] + forces[:, 0]
+        self.gravity = forces[:, 1]
+        # J-dot qd = [a_ee; alpha_n], the end effector's acceleration at qdd = 0
+        self.jdot_qd = np.concatenate([acc[-1], spin[-1, :, 1]])
+        # J-dot's angular and linear rows: the rates of the world joint axes
+        # and of the end effector's linear Jacobian columns (n x 3 each)
+        self._axis_dot = axis_dot
+        self._ee_rates = rates[-1]
 
-    @property
-    def bias(self) -> np.ndarray:
-        """b(q, qd), the joint forces at qdd = 0; b(q, 0) is g(q) to the bit."""
-        return self._velocity_pass[0]
-
-    @property
-    def gravity(self) -> np.ndarray:
-        """g(q) = -sum_i m_i Jv_i' g, the part of b that gravity alone causes."""
-        return self._velocity_pass[1]
-
-    @property
-    def jdot_qd(self) -> np.ndarray:
-        """J-dot qd = [a_ee; alpha_n], the end effector's acceleration at qdd = 0."""
-        return self._velocity_pass[2]
+    def jacobian(self) -> np.ndarray:
+        """ChainState's J to the bit, from the pass's end-effector row."""
+        return self._columns(self.axis_w, self._ee_cols)
 
     def jacobian_dot(self) -> np.ndarray:
         """J-dot along qd, 6 x n, from the pass's axis and column rates."""
-        return self._columns(*self._velocity_pass[3:])
+        return self._columns(self._axis_dot, self._ee_rates)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 rhs through the Cholesky factor."""
+        return dpotrs(self.factor, rhs, lower=1)[0]
+
+    @cached_property
+    def minv(self) -> np.ndarray:
+        """Inverse mass matrix, solved from the Cholesky factor."""
+        return self._solve(np.eye(self.chain.n))
 
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""

@@ -2,14 +2,15 @@
 
 This module also holds the one rigid-body chain representation, a chain of
 revolute joints: a cached per-model record of the chain constants, as
-(n, ...) arrays over the joints, and a per-configuration object that computes
-every joint's local transform from its parent link, X_J(q) X_T
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 4), in one batched
-pass into an (n, 4, 4) stack of homogeneous transforms. The world frames here are the prefix products of that
-stack, formed by a parallel prefix scan in ceil(log2 n) batched products, and
-the Newton-Euler motion transforms in dynamics.py read the same local
-transforms. Everything that depends on the joint velocities, J-dot among it,
-comes from the velocity pass of dynamics.RigidBodyState.
+(n, ...) arrays over the joints, and a per-configuration object whose
+constructor computes every joint's local transform from its parent link,
+X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 4), in
+one batched pass into an (n, 4, 4) stack of homogeneous transforms, and then
+the world frames, the prefix products of that stack, by a parallel prefix
+scan in ceil(log2 n) batched products. The Newton-Euler motion transforms in
+dynamics.py read the same local transforms. Everything that depends on the
+joint velocities, J-dot among it, comes from the velocity pass of
+dynamics.RigidBodyState.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -118,14 +119,10 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
         col = bb[:, lead]
         signs = np.sign(col)
         signs[signs == 0] = 1.0
-        axis = axis * signs * (1.0 if axis[lead] >= 0 else -1.0)
+        axis = axis * signs
         norm = np.linalg.norm(axis)
         if norm > 0:
             axis = axis / norm
-        # keep the exact-pi representative deterministic
-        if angle >= math.pi:
-            flip = axis[lead] < 0
-            axis = -axis if flip else axis
         return axis * angle
     scale = angle / math.sin(angle)
     return np.array([0.5 * (r21 - r12) * scale, 0.5 * (r02 - r20) * scale,
@@ -317,16 +314,21 @@ def _chain(model: RobotModel) -> _Chain:
 
 
 class ChainState:
-    """The chain at one configuration q.
+    """The chain at one configuration q, filled by its constructor.
 
-    Construction is the one joint pass: every joint's local rotation
-    rot_pt exp(q [a]x) from its parent link, as array operations over all
-    joints, and its constant translation trans_pt, written into one
-    (n, 4, 4) stack of homogeneous transforms; rot_local and trans_local are
-    views of it. The world frames behind FK and J are the prefix products of
-    that stack, derived on first use by a parallel prefix scan;
-    dynamics.RigidBodyState reads the local transforms for its motion
-    transforms.
+    The joint pass forms every joint's local rotation rot_pt exp(q [a]x) from
+    its parent link, as array operations over all joints, and its constant
+    translation trans_pt, written into one (n, 4, 4) stack `local` of
+    homogeneous transforms; dynamics.RigidBodyState reads it for its motion
+    transforms. The world frames behind FK and J are the prefix products of
+    that stack: link k's world transform is the product of the local
+    transforms of joints 0..k, all n of them formed by a Hillis-Steele prefix
+    scan (Hillis & Steele, 1986), ceil(log2 n) batched products of the stack
+    with itself shifted by 1, 2, 4, ... joints. They are kept as the world
+    joint axes axis_w and link-frame origins origin_w (n x 3 each), the link
+    rotations rot_w (n x 3 x 3), and the end-effector rotation ee_rot and
+    position ee_pos. Link k's frame origin lies on joint k's axis, so it
+    serves as the joint's origin: the joint turns about it.
     """
 
     def __init__(self, model: RobotModel, q: np.ndarray):
@@ -337,40 +339,25 @@ class ChainState:
         turn = q[:, None, None]
         local = np.empty((c.n, 4, 4))
         local[:, 3] = _HOMOGENEOUS_ROW
-        self.local = local
-        self.rot_local = local[:, :3, :3]
-        self.trans_local = local[:, :3, 3]
         np.add(c.rot_pt, np.sin(turn) * c.rot_skew + (1.0 - np.cos(turn)) * c.rot_skew2,
-               out=self.rot_local)
-        self.trans_local[:] = c.trans_pt
-
-    @cached_property
-    def frames(self) -> tuple[np.ndarray, ...]:
-        """World joint axes and link-frame origins (n x 3 each), link rotations
-        (n x 3 x 3), then the end-effector rotation and position.
-
-        Link k's world transform is the product of the local transforms of
-        joints 0..k, all n of them formed by a Hillis-Steele prefix scan
-        (Hillis & Steele, 1986): ceil(log2 n) batched products of the stack
-        with itself shifted by 1, 2, 4, ... joints. Link k's frame origin lies
-        on joint k's axis, so it serves as the joint's origin: the joint turns
-        about it.
-        """
-        c = self.chain
-        world = self.local.copy()
+               out=local[:, :3, :3])
+        local[:, :3, 3] = c.trans_pt
+        self.local = local
+        world = local.copy()
         shift = 1
         while shift < c.n:
             world[shift:] = world[:-shift] @ world[shift:]
             shift *= 2
-        rot_w = world[:, :3, :3]
         ee = world[-1] @ c.ee
-        axis_w = (rot_w @ c.axes[:, :, None])[:, :, 0]
-        return axis_w, world[:, :3, 3], rot_w, ee[:3, :3], ee[:3, 3]
+        self.rot_w = world[:, :3, :3]
+        self.origin_w = world[:, :3, 3]
+        self.axis_w = (self.rot_w @ c.axes[:, :, None])[:, :, 0]
+        self.ee_rot = ee[:3, :3]
+        self.ee_pos = ee[:3, 3]
 
     def jacobian(self) -> np.ndarray:
         """End-effector J: column j is [z_j x (p_ee - o_j); z_j]."""
-        axis_w, origin_w, *_, ee_pos = self.frames
-        return self._columns(axis_w, _cross(axis_w, ee_pos - origin_w))
+        return self._columns(self.axis_w, _cross(self.axis_w, self.ee_pos - self.origin_w))
 
     def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
         """6 x n [linear; angular] columns from (n, 3) linear and axis rows."""
@@ -382,15 +369,14 @@ class ChainState:
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose at configuration q."""
-    *_, rot, pos = ChainState(model, model.check_q(q)).frames
-    return Pose.from_matrix(rot, pos)
+    st = ChainState(model, model.check_q(q))
+    return Pose.from_matrix(st.ee_rot, st.ee_pos)
 
 
 def fk_jacobian_raw(model: RobotModel, q):
     """One chain pass: (ee rotation matrix, ee position, geometric Jacobian)."""
     st = ChainState(model, model.check_q(q))
-    *_, rot, pos = st.frames
-    return rot, pos, st.jacobian()
+    return st.ee_rot, st.ee_pos, st.jacobian()
 
 
 def geometric_jacobian(model: RobotModel, q) -> np.ndarray:

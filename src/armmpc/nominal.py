@@ -372,9 +372,8 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     caller, over resolved levels; writes each level's projected Jacobian and
     error into its rows of jac_out and err_out."""
     q, qd = st.q, st.qd
-    *_, rot_c, pos_c = st.frames
     jac_full = st.jacobian()
-    err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
+    err_full = pose_error_raw(target.rotation_matrix, target.translation, st.ee_rot, st.ee_pos)
 
     u = None
     # lam is the task-space inertia, the inverse of J_p M^-1 J_p' truncated
@@ -423,8 +422,8 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         st = RigidBodyState(model, q, qd)
         states.append(st)
         if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
-            *_, rot_c, pos_c = st.frames
-            err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation, rot_c, pos_c)
+            err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
+                                      st.ee_rot, st.ee_pos)
             for _ in _prioritize(levels, st.jacobian(), err_full, rel_threshold, j_stack[k],
                                  err_stack[k], st.minv):
                 pass

@@ -473,8 +473,7 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
 class QpSolver:
     """One solver per controller, not shareable concurrently; keeps its last QpStructure."""
 
-    def __init__(self, debug: bool = False):
-        self.debug = debug
+    def __init__(self):
         self.structure: QpStructure | None = None
 
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
@@ -510,11 +509,12 @@ class QpSolver:
         while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
             ids = ids[~negative]
             z, lam = _kkt_solve(rows, h_reg, p.g, ids)
+        history = [objective(z)]
         b_eq, b_in = rows.b[:rows.n_eq], rows.b[rows.n_eq:]
         eq_gap = np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max(initial=0.0)
         if not eq_gap <= 1e-6 * (1 + np.abs(b_eq).max(initial=0.0)):
             res = _residuals(rows, h_reg, p.g, z, [], [])
-            return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, objective(z), [])
+            return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, history[0], history)
         # the working set: row ids, the equality rows first, and their multipliers
         row_ids, mult_arr = ids.tolist(), lam
         # a dual step holds every working row at zero (see the loop below)
@@ -522,7 +522,6 @@ class QpSolver:
         iterations = 1
         max_iterations = 10 * (d + rows.n_in + rows.n_eq)
         status = OPTIMAL
-        history = [objective(z)] if self.debug else []
 
         norms = np.concatenate([np.ones(d), np.linalg.norm(rows.gen, axis=1)])
         in_norms, in_scale = norms[rows.src[rows.n_eq:]], 1.0 + np.abs(b_in)
@@ -570,8 +569,7 @@ class QpSolver:
                     slack += t * denom
                 u_plus += t
                 mult_arr -= t * r
-                if self.debug:
-                    history.append(objective(z))
+                history.append(objective(z))
                 if t == t2:
                     row_ids.append(rows.n_eq + worst)
                     mult_arr = np.append(mult_arr, u_plus)
@@ -586,10 +584,8 @@ class QpSolver:
             z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, z, mult_arr, kkt_res)
         if status == OPTIMAL and not kkt_res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
-        if self.debug:
-            history.append(objective(z))
-            self._assert_monotone(history)
-        return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, objective(z),
+        history.append(objective(z))
+        return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, history[-1],
                           history)
 
     def _polish(self, p, rows, h_reg, row_ids, z0, mult0, kkt0):
@@ -628,18 +624,8 @@ class QpSolver:
         res = _residuals(rows, h_reg, p.g, z, ids, lam, slack)
         if not res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             return None
-        return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, objective(z),
-                          [objective(z)] if self.debug else [])
-
-    @staticmethod
-    def _assert_monotone(history):
-        arr = np.asarray(history)
-        if arr.size < 2:
-            return
-        tol = 1e-7 * (1.0 + np.abs(arr).max())
-        drops = np.diff(arr) < -tol
-        if np.any(drops):
-            raise AssertionError(f"dual objective decreased: {arr[np.flatnonzero(drops)[0]:][:3]}")
+        obj = objective(z)
+        return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, obj, [obj])
 
 
 def solve(p: QpProblem, warm_start=None) -> QpSolution:

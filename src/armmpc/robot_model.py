@@ -46,10 +46,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _vec3(x, name: str) -> np.ndarray:
+def _array(x, name: str, shape: tuple[int, ...] = (3,)) -> np.ndarray:
+    """x as a read-only float array of the given shape, all entries finite."""
     a = np.asarray(x, dtype=float)
-    if a.shape != (3,):
-        raise ModelError(f"{name} must be a 3-vector, got shape {a.shape}")
+    if a.shape != shape:
+        raise ModelError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ModelError(f"{name} has non-finite entries")
     return _frozen(a)
@@ -75,13 +76,11 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        if rot.shape != (3, 3):
-            raise ModelError(f"rotation must be 3x3, got {rot.shape}")
+        rot = _array(self.rotation, "rotation", (3, 3))
         if np.linalg.norm(rot @ rot.T - np.eye(3)) > 1e-9:
             raise ModelError("rotation matrix is not orthonormal")
-        object.__setattr__(self, "rotation", _frozen(rot))
-        object.__setattr__(self, "translation", _vec3(self.translation, "translation"))
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "translation", _array(self.translation, "translation"))
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -107,7 +106,7 @@ class JointSpec:
     u_limit: float
 
     def __post_init__(self):
-        axis = _vec3(self.axis, "axis")
+        axis = _array(self.axis, "axis")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise ModelError("joint axis must have unit norm")
         object.__setattr__(self, "axis", axis)
@@ -128,12 +127,10 @@ class LinkInertia:
     inertia_tensor: np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ModelError("link mass must be positive")
-        object.__setattr__(self, "com", _vec3(self.com, "com"))
-        tensor = np.asarray(self.inertia_tensor, dtype=float)
-        if tensor.shape != (3, 3):
-            raise ModelError(f"inertia_tensor must be 3x3, got {tensor.shape}")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ModelError(f"link mass must be finite and positive, got {self.mass}")
+        object.__setattr__(self, "com", _array(self.com, "com"))
+        tensor = _array(self.inertia_tensor, "inertia_tensor", (3, 3))
         if np.linalg.norm(tensor - tensor.T) > 1e-12 * (1 + np.abs(tensor).max()):
             raise ModelError("inertia_tensor must be symmetric")
         eig = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
@@ -142,7 +139,7 @@ class LinkInertia:
         # principal moments of a physical rigid body satisfy the triangle inequalities
         if eig[0] + eig[1] < eig[2] * (1 - 1e-9):
             raise ModelError("inertia_tensor violates the triangle inequality")
-        object.__setattr__(self, "inertia_tensor", _frozen(tensor))
+        object.__setattr__(self, "inertia_tensor", tensor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +151,13 @@ class PayloadSpec:
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ModelError(f"payload mass must be finite and nonnegative, got {self.mass}")
-        object.__setattr__(self, "com_offset", _vec3(self.com_offset, "com_offset"))
-        tensor = np.asarray(self.inertia_tensor, dtype=float)
-        if tensor.shape != (3, 3):
-            raise ModelError(f"payload inertia must be 3x3, got {tensor.shape}")
+        object.__setattr__(self, "com_offset", _array(self.com_offset, "com_offset"))
+        tensor = _array(self.inertia_tensor, "payload inertia", (3, 3))
         if np.linalg.norm(tensor - tensor.T) > 1e-12 * (1 + np.abs(tensor).max()):
             raise ModelError("payload inertia must be symmetric")
         if np.linalg.eigvalsh(0.5 * (tensor + tensor.T))[0] < -1e-12:
             raise ModelError("payload inertia must be positive semidefinite")
-        object.__setattr__(self, "inertia_tensor", _frozen(tensor))
+        object.__setattr__(self, "inertia_tensor", tensor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +190,7 @@ class RobotModel:
                 f"serial chain needs one link per joint, got {len(self.links)} links "
                 f"for {len(self.joints)} joints"
             )
-        object.__setattr__(self, "gravity", _vec3(self.gravity, "gravity"))
+        object.__setattr__(self, "gravity", _array(self.gravity, "gravity"))
 
     @property
     def n(self) -> int:
@@ -217,10 +212,19 @@ class RobotModel:
         return q
 
 
-def _parse_inertia_upper(entries) -> np.ndarray:
+def _finite(x, where: str) -> float:
+    """x as a float; ModelParseError if it is NaN or infinite (json.loads
+    reads NaN and Infinity)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ModelParseError(f"{where} is {x}, not a finite number")
+    return x
+
+
+def _parse_inertia_upper(entries, where: str) -> np.ndarray:
     if len(entries) != 6:
         raise ModelParseError("inertia must list 6 upper-triangular entries")
-    ixx, ixy, ixz, iyy, iyz, izz = (float(e) for e in entries)
+    ixx, ixy, ixz, iyy, iyz, izz = (_finite(e, f"{where} inertia") for e in entries)
     return np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
 
 
@@ -228,8 +232,9 @@ def _parse_transform(doc, name: str) -> RigidTransform:
     if doc is None:
         return RigidTransform.identity()
     try:
-        return RigidTransform.from_xyz_rpy(doc.get("xyz", (0, 0, 0)), doc.get("rpy", (0, 0, 0)))
-    except (TypeError, KeyError) as exc:
+        rpy = [_finite(a, f"{name} rpy") for a in doc.get("rpy", (0, 0, 0))]
+        return RigidTransform.from_xyz_rpy(doc.get("xyz", (0, 0, 0)), rpy)
+    except (TypeError, KeyError, IndexError) as exc:
         raise ModelParseError(f"bad transform in {name}: {exc}") from exc
 
 
@@ -283,9 +288,9 @@ def model_from_dict(doc: dict, name_hint: str = "robot") -> RobotModel:
         try:
             links.append(
                 LinkInertia(
-                    mass=float(ld["mass"]),
+                    mass=_finite(ld["mass"], f"link {i} mass"),
                     com=np.asarray(ld["com"], dtype=float),
-                    inertia_tensor=_parse_inertia_upper(ld["inertia"]),
+                    inertia_tensor=_parse_inertia_upper(ld["inertia"], f"link {i}"),
                 )
             )
         except (KeyError, TypeError) as exc:

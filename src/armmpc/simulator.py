@@ -251,8 +251,8 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         mpc = DynamicMpc(model, ctl_cfg, posture=posture)
 
     for tick in range(ticks):
-        *_, rot, pos = state.chain.frames
-        err = task_error(traj.poses[tick], Pose.from_matrix(rot, pos)).value
+        ee = Pose.from_matrix(state.chain.ee_rot, state.chain.ee_pos)
+        err = task_error(traj.poses[tick], ee).value
         t_log[tick] = state.t
         q_log[tick] = state.q
         qd_log[tick] = state.qd

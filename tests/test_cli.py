@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from armmpc import bundled_model_path
 from armmpc.cli import main
 
 
@@ -240,6 +241,26 @@ def test_check_detects_corrupted_model(runner, tmp_path):
     result = runner.invoke(main, ["check", "--model", str(path), "--checks", "identity"])
     assert result.exit_code == 2
     assert "positive definite" in result.output
+
+
+@pytest.mark.parametrize("field", ["mass", "rpy"])
+def test_run_with_non_finite_model_number_is_config_error(runner, tmp_path, field):
+    # a link mass used to fail at the first tick (exit 4), an rpy angle with
+    # a bare math domain error (exit 1)
+    doc = json.loads(bundled_model_path("rs007n").read_text())
+    if field == "mass":
+        doc["links"][2]["mass"] = float("inf")
+    else:
+        doc["joints"][1]["origin"]["rpy"] = [float("inf"), 0, 0]
+    path = tmp_path / "nonfinite.robot.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [
+        "run", "--model", str(path), "--scenario", "circle_2dof", "--controller", "osc",
+        "--max-ticks", "5", "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "not a finite number" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_traj(runner, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from armmpc import dynamics
 from armmpc.checks import _central_difference, _id_derivatives_fd, run_world_pass_check
 from armmpc.dynamics import (
     RigidBodyState,
@@ -144,6 +145,34 @@ def test_state_without_velocity_is_at_rest(desk_model, rng):
     assert np.array_equal(st.bias, st.gravity)
     assert np.array_equal(st.jdot_qd, np.zeros(6))
     assert np.array_equal(st.forward_dynamics(st.gravity), np.zeros(desk_model.n))
+
+
+def test_constructor_factors_once_and_later_reads_only_solve_minv(desk_model, rng, monkeypatch):
+    # the constructor fills every quantity; of the reads, only minv solves,
+    # and only on its first use
+    calls = {"dpotrf": 0, "dpotrs": 0}
+
+    def counting(name, lapack):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name, getattr(dynamics, name)))
+    st = RigidBodyState(desk_model, random_config(desk_model, rng), rng.standard_normal(6))
+    assert calls == {"dpotrf": 1, "dpotrs": 0}
+    for _ in range(2):
+        (st.mass, st.factor, st.bias, st.gravity, st.jdot_qd, st.jacobian(), st.jacobian_dot(),
+         st.minv)
+    assert calls == {"dpotrf": 1, "dpotrs": 1}
+
+
+def test_nan_configuration_fails_at_construction(desk_model):
+    q = np.zeros(desk_model.n)
+    q[2] = np.nan
+    with pytest.raises(ValueError, match="mass matrix is not finite"):
+        RigidBodyState(desk_model, q)
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)

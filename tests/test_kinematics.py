@@ -94,33 +94,33 @@ def test_frames_prefix_scan_matches_sequential_product(name, rng):
     model = CHAIN_MODELS[name]()
     for _ in range(200):
         st = ChainState(model, random_config(model, rng, margin=0.0))
-        expected = sequential_frames(model, st.rot_local, st.trans_local)
-        for got, want in zip(st.frames, expected):
+        expected = sequential_frames(model, st.local[:, :3, :3], st.local[:, :3, 3])
+        got_frames = (st.axis_w, st.origin_w, st.rot_w, st.ee_rot, st.ee_pos)
+        for got, want in zip(got_frames, expected, strict=True):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", list(CHAIN_MODELS))
 def test_local_transforms_feed_motion_transforms(name, rng):
-    # rot_local and trans_local are views of the homogeneous stack, hold each
-    # joint's transform from its parent link, and are what xs is built from
+    # the homogeneous stack holds each joint's transform from its parent
+    # link, and is what xs is built from
     model = CHAIN_MODELS[name]()
     for _ in range(20):
         q = random_config(model, rng, margin=0.0)
         st = RigidBodyState(model, q, rng.standard_normal(model.n))
-        assert np.shares_memory(st.rot_local, st.local)
-        assert np.shares_memory(st.trans_local, st.local)
         np.testing.assert_array_equal(st.local[:, 3], np.tile([0.0, 0.0, 0.0, 1.0], (model.n, 1)))
         xs = _motion_transforms(st.local[None])[0]
         for k, (joint, qk) in enumerate(zip(model.joints, q)):
             pt = joint.parent_transform
             rot, trans = pt.rotation @ rotvec_to_matrix(joint.axis * qk), pt.translation
-            np.testing.assert_allclose(st.rot_local[k], rot, rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(st.trans_local[k], trans, rtol=0.0, atol=1e-15)
-            rt = st.rot_local[k].T
+            rot_k, trans_k = st.local[k, :3, :3], st.local[k, :3, 3]
+            np.testing.assert_allclose(rot_k, rot, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(trans_k, trans, rtol=0.0, atol=1e-15)
+            rt = rot_k.T
             x_k = np.zeros((6, 6))
             x_k[:3, :3] = x_k[3:, 3:] = rt
-            x_k[3:, :3] = -rt @ _skew(st.trans_local[k])
+            x_k[3:, :3] = -rt @ _skew(trans_k)
             np.testing.assert_array_equal(xs[k], x_k)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,59 @@ def test_json_boolean_is_not_a_number(tmp_path, where):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelParseError, match="is true, not a number"):
         load_model(path)
+
+
+# json.loads reads NaN and Infinity; each of these would load, or fail later
+# or with a bare ValueError
+@pytest.mark.parametrize("where, value, match", [
+    (("links", 0, "mass"), math.inf, "link 0 mass is inf"),
+    (("links", 1, "mass"), math.nan, "link 1 mass is nan"),
+    (("links", 0, "inertia", 3), math.inf, "link 0 inertia is inf"),
+    (("links", 1, "inertia", 1), math.nan, "link 1 inertia is nan"),
+    (("joints", 0, "origin", "rpy", 0), math.nan, "joint 0 rpy is nan"),
+    (("joints", 0, "origin", "rpy", 2), math.inf, "joint 0 rpy is inf"),
+    (("ee_transform", "rpy", 1), -math.inf, "ee_transform rpy is -inf"),
+], ids=["mass-inf", "mass-nan", "inertia-inf", "inertia-nan", "rpy-nan", "rpy-inf", "ee-rpy-inf"])
+def test_non_finite_number_is_a_parse_error(tmp_path, where, value, match):
+    doc = two_joint_doc()
+    doc["ee_transform"] = {"xyz": [0.1, 0, 0], "rpy": [0, 0, 0]}
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = tmp_path / "nonfinite.robot.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match=match):
+        load_model(path)
+
+
+def test_short_ee_rpy_is_a_parse_error():
+    # the joint loop wraps its own IndexError; the end-effector transform's
+    # used to escape bare
+    doc = two_joint_doc()
+    doc["ee_transform"] = {"rpy": [0, 0]}
+    with pytest.raises(ModelParseError, match="bad transform in ee_transform"):
+        model_from_dict(doc)
+
+
+def test_infinite_joint_limits_load(tmp_path):
+    # unbounded joints are supported: the non-finite check skips the limits
+    doc = two_joint_doc()
+    doc["joints"][0]["limits"]["q"] = [-math.inf, math.inf]
+    path = tmp_path / "unbounded.robot.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path).limits.q_max[0] == math.inf
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinkInertia(mass=math.inf, com=np.zeros(3), inertia_tensor=np.eye(3)),
+    lambda: LinkInertia(mass=1.0, com=np.zeros(3), inertia_tensor=np.diag([1.0, math.nan, 1.0])),
+    lambda: PayloadSpec(mass=1.0, com_offset=np.zeros(3), inertia_tensor=np.diag([math.inf, 1.0, 1.0])),
+    lambda: PayloadSpec(mass=1.0, com_offset=np.zeros(3), inertia_tensor=np.full((3, 3), math.nan)),
+], ids=["link-mass-inf", "link-inertia-nan", "payload-inertia-inf", "payload-inertia-nan"])
+def test_non_finite_inertia_rejected(make):
+    with pytest.raises(ModelError, match="finite"):
+        make()
 
 
 def test_inverted_q_limits_rejected(tmp_path):
