@@ -16,6 +16,7 @@ from .robot_model import (
     load_model,
 )
 from .kinematics import (
+    ChainState,
     Pose,
     TaskError,
     forward_kinematics,
@@ -26,6 +27,7 @@ from .kinematics import (
 from .dynamics import (
     DynamicsDerivatives,
     FactorizationError,
+    RigidBodyState,
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,

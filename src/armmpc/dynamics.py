@@ -86,8 +86,8 @@ class DynamicsDerivatives:
 
 
 class RigidBodyState(ChainState):
-    """A chain state at (q, qd) with the dynamics at it, filled by its
-    constructor; without qd the chain is at rest.
+    """A chain state at (q, qd), qd checked and kept like q, with the
+    dynamics at it, filled by its constructor; without qd it is at rest.
 
     The world-frame pass stacks 2n points (the joint origins 1..n-1, the link
     COMs and the end effector) and takes all their linear Jacobian columns in
@@ -97,11 +97,11 @@ class RigidBodyState(ChainState):
     velocities and column rates, formed once. Only minv is left to first use.
     """
 
-    def __init__(self, model: RobotModel, q: np.ndarray, qd: np.ndarray | None = None):
+    def __init__(self, model: RobotModel, q, qd=None):
         super().__init__(model, q)
         c = self.chain
         n = c.n
-        self.qd = qd = np.zeros(n) if qd is None else qd
+        self.qd = qd = np.zeros(n) if qd is None else model.check_q(qd, "qd")
         axis_w, origin_w, rot_w = self.axis_w, self.origin_w, self.rot_w
         # each point minus every joint origin, and its linear Jacobian
         # columns, (2n, n, 3) each, [point, joint]; the COMs' [Jv | Jw],
@@ -121,11 +121,11 @@ class RigidBodyState(ChainState):
         a = a.transpose(1, 0, 2).reshape(n, 6 * n)
         self.mass = a @ a.T
         if not np.isfinite(self.mass).all():
-            raise ValueError(f"mass matrix is not finite at q={q!r}")
+            raise ValueError(f"mass matrix is not finite at q={self.q!r}")
         # lower Cholesky factor of M (upper triangle not cleared)
         self.factor, info = dpotrf(self.mass, lower=1, clean=0)
         if info != 0:
-            raise FactorizationError(f"mass matrix is not SPD at q={q!r}: dpotrf info {info}")
+            raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: dpotrf info {info}")
 
         # the accelerations a_i, alpha_i that qd alone causes: b - g and g
         # are one contraction of the COMs' [Jv | Jw] with the wrenches
@@ -270,29 +270,26 @@ def _rnea(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
 
 def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
     """Joint forces u = M(q) qdd + b(q, qd) via recursive Newton-Euler."""
-    q = model.check_q(q)
+    st = ChainState(model, q)
     qd = model.check_q(qd, "qd")
     qdd = model.check_q(qdd, "qdd")
-    st = ChainState(model, q)
     return _rnea(st.chain, _motion_transforms(st.local[None]), qd[None], qdd[None])[0, :, -1]
 
 
 def bias_forces(model: RobotModel, q, qd) -> np.ndarray:
     """Coriolis/centrifugal plus gravity forces b(q, qd) = ID(q, qd, 0)."""
-    q = model.check_q(q)
-    return RigidBodyState(model, q, model.check_q(qd, "qd")).bias
+    return RigidBodyState(model, q, qd).bias
 
 
 def mass_matrix(model: RobotModel, q) -> np.ndarray:
     """Joint-space inertia matrix from the COM Jacobians of every link."""
-    return RigidBodyState(model, model.check_q(q)).mass
+    return RigidBodyState(model, q).mass
 
 
 def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
     """Joint accelerations solving M(q) qdd + b(q, qd) = u."""
     u = model.check_q(u, "u")
-    q = model.check_q(q)
-    return RigidBodyState(model, q, model.check_q(qd, "qd")).forward_dynamics(u)
+    return RigidBodyState(model, q, qd).forward_dynamics(u)
 
 
 def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
@@ -300,7 +297,4 @@ def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
 
     qdd must be consistent with the nominal torque (the caller's contract).
     """
-    q = model.check_q(q)
-    qd = model.check_q(qd, "qd")
-    qdd = model.check_q(qdd, "qdd")
-    return stacked_derivatives((RigidBodyState(model, q, qd),), qdd[None])[0]
+    return stacked_derivatives((RigidBodyState(model, q, qd),), model.check_q(qdd, "qdd")[None])[0]

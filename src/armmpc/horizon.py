@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from . import qp
-from .robot_model import JointLimits, RobotModel
+from .robot_model import RobotModel
 
 TERMINAL_WIDEN = 10.0  # terminal box scale on the tick after a degraded one
 
@@ -21,8 +21,9 @@ TERMINAL_WIDEN = 10.0  # terminal box scale on the tick after a degraded one
 class HorizonConfig:
     """Settings of both MPCs (defaults are the dynamic MPC's).
 
-    Weights and tolerances are scalars. Every field named *_weight must be
-    finite and >= 0 and every *_tol finite and > 0, subclass fields included.
+    Every field is a number, not a bool; weights and tolerances are scalars.
+    Every field named *_weight must be finite and >= 0 and every *_tol
+    finite and > 0, subclass fields included.
     """
 
     horizon: int = 10
@@ -35,16 +36,18 @@ class HorizonConfig:
         if not (isinstance(self.horizon, numbers.Integral) and not isinstance(self.horizon, bool)
                 and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if not 0 < self.svd_threshold < 1:
-            raise ValueError(f"svd_threshold must lie in (0, 1), got {self.svd_threshold}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool):  # float(True) is 1.0
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.name.endswith("_weight") and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
             if f.name.endswith("_tol") and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 < self.svd_threshold < 1:
+            raise ValueError(f"svd_threshold must lie in (0, 1), got {self.svd_threshold}")
 
 
 class RecedingHorizon:
@@ -61,10 +64,9 @@ class RecedingHorizon:
     wider.
     """
 
-    def __init__(self, model: RobotModel, cfg: HorizonConfig, limits: JointLimits | None = None):
+    def __init__(self, model: RobotModel, cfg: HorizonConfig):
         self.model = model
         self.cfg = cfg
-        self.limits = limits or model.limits
         self.solver = qp.QpSolver()
         self.reset()
 

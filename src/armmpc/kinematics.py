@@ -328,14 +328,15 @@ class ChainState:
     joint axes axis_w and link-frame origins origin_w (n x 3 each), the link
     rotations rot_w (n x 3 x 3), and the end-effector rotation ee_rot and
     position ee_pos. Link k's frame origin lies on joint k's axis, so it
-    serves as the joint's origin: the joint turns about it.
+    serves as the joint's origin: the joint turns about it. The shape of q
+    is checked against the model, and q is kept as given, not copied.
     """
 
-    def __init__(self, model: RobotModel, q: np.ndarray):
+    def __init__(self, model: RobotModel, q):
         c = _chain(model)
         self.model = model
         self.chain = c
-        self.q = q
+        self.q = q = model.check_q(q)
         turn = q[:, None, None]
         local = np.empty((c.n, 4, 4))
         local[:, 3] = _HOMOGENEOUS_ROW
@@ -369,19 +370,19 @@ class ChainState:
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose at configuration q."""
-    st = ChainState(model, model.check_q(q))
+    st = ChainState(model, q)
     return Pose.from_matrix(st.ee_rot, st.ee_pos)
 
 
 def fk_jacobian_raw(model: RobotModel, q):
     """One chain pass: (ee rotation matrix, ee position, geometric Jacobian)."""
-    st = ChainState(model, model.check_q(q))
+    st = ChainState(model, q)
     return st.ee_rot, st.ee_pos, st.jacobian()
 
 
 def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
     """World-frame geometric Jacobian at the end-effector, shape (6, n)."""
-    return ChainState(model, model.check_q(q)).jacobian()
+    return ChainState(model, q).jacobian()
 
 
 def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
@@ -389,8 +390,7 @@ def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
     from the velocity pass of dynamics.RigidBodyState."""
     from .dynamics import RigidBodyState  # dynamics imports this module
 
-    q = model.check_q(q)
-    return RigidBodyState(model, q, model.check_q(qd, "qd")).jacobian_dot()
+    return RigidBodyState(model, q, qd).jacobian_dot()
 
 
 def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,

@@ -193,31 +193,28 @@ class DynamicMpc(RecedingHorizon):
     """Receding-horizon torque controller; one instance per robot."""
 
     def __init__(self, model: RobotModel, cfg: DynamicMpcConfig,
-                 posture: PostureSpec | None = None,
-                 limits: JointLimits | None = None):
-        super().__init__(model, cfg, limits)
+                 posture: PostureSpec | None = None):
+        super().__init__(model, cfg)
         self.posture = posture
 
-    def step(self, x_measured, traj: TaskTrajectory, tick: int) -> DynStepResult:
+    def step(self, state: RigidBodyState, traj: TaskTrajectory, tick: int) -> DynStepResult:
         """One control tick: returns the torque command for the next interval.
 
-        A degraded tick applies the rollout's first torque, clipped to the
-        limits.
+        The OSC rollout starts from the measured chain state, which must be
+        of this model (else ValueError). A degraded tick applies the
+        rollout's first torque, clipped to the limits.
         """
-        model = self.model
-        cfg = self.cfg
-        n = model.n
-        x_measured = np.asarray(x_measured, dtype=float)
-        if x_measured.shape != (2 * n,):
-            raise ValueError(f"x_measured must have shape ({2 * n},)")
+        model, cfg, n = self.model, self.cfg, self.model.n
+        if state.model is not model:
+            raise ValueError("chain state belongs to another model")
         window, includes_end = traj.window(tick, cfg.horizon)
-        rollout = osc_rollout(model, x_measured, window, cfg.dt, cfg.svd_threshold,
-                              traj.tasks, posture=self.posture)
+        rollout = osc_rollout(state, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+                              posture=self.posture)
         stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
                                  states=rollout.states[:-1], qdd=rollout.qdd_hat)
         rows = build_prediction(stages, rollout.x_hat, rollout.u_hat)
         solution, degraded = self._solve(
-            lambda widen: build_dyn_qp(cfg, rollout, rows, self.limits, terminal_widen=widen),
+            lambda widen: build_dyn_qp(cfg, rollout, rows, model.limits, terminal_widen=widen),
             includes_end)
         states = inputs = None
         if not degraded:
@@ -226,7 +223,7 @@ class DynamicMpc(RecedingHorizon):
             plan = solution.z_star.reshape(cfg.horizon, 3 * n)
             states = plan[:, n:] + rollout.x_hat[1:]
             inputs = plan[:, :n] + rollout.u_hat
-        u_cmd = np.clip(rollout.u_hat[0] if degraded else inputs[0], -self.limits.u_max,
-                        self.limits.u_max)
+        u_max = model.limits.u_max
+        u_cmd = np.clip(rollout.u_hat[0] if degraded else inputs[0], -u_max, u_max)
         return DynStepResult(u_cmd=u_cmd, solution=solution, rollout=rollout, degraded=degraded,
                              plan_states=states, plan_inputs=inputs)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import qp
 from .horizon import HorizonConfig, RecedingHorizon
+from .kinematics import ChainState
 from .nominal import NominalRollout, ik_rollout
 from .robot_model import JointLimits
 from .trajgen import TaskTrajectory
@@ -148,22 +149,24 @@ class KinematicMpc(RecedingHorizon):
         super().reset()
         self._history = None  # (last command, the one before)
 
-    def step(self, q_measured, traj: TaskTrajectory, tick: int) -> KinStepResult:
+    def step(self, state: ChainState, traj: TaskTrajectory, tick: int) -> KinStepResult:
         """One control tick: returns the next commanded joint position.
 
         The plan continues the command signal from the last two commands
-        (the measured position before the first tick); the measured state
-        feeds back through the IK rollout that the tracking cost linearizes
+        (the measured position before the first tick); the measured chain
+        state, which must be of this model (else ValueError), feeds back as
+        the start of the IK rollout that the tracking cost linearizes
         around. A degraded tick holds the last command.
         """
         model, cfg = self.model, self.cfg
-        q_measured = model.check_q(q_measured)
+        if state.model is not model:
+            raise ValueError("chain state belongs to another model")
         if self._history is None:
-            self._history = (q_measured.copy(), q_measured.copy())
+            self._history = (state.q.copy(), state.q.copy())
         window, includes_end = traj.window(tick, cfg.horizon)
-        rollout = ik_rollout(model, q_measured, window, cfg.dt, cfg.svd_threshold, traj.tasks)
+        rollout = ik_rollout(state, window, cfg.dt, cfg.svd_threshold, traj.tasks)
         solution, degraded = self._solve(
-            lambda widen: build_kin_qp(cfg, rollout, self._history, self.limits,
+            lambda widen: build_kin_qp(cfg, rollout, self._history, model.limits,
                                        terminal_widen=widen),
             includes_end)
         last = self._history[0]

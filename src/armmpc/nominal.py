@@ -21,8 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import RigidBodyState
-from .kinematics import Pose, fk_jacobian_raw, pose_error_raw
-from .robot_model import RobotModel
+from .kinematics import ChainState, Pose, fk_jacobian_raw, pose_error_raw
 
 POSITION = "position"
 ORIENTATION = "orientation"
@@ -284,9 +283,9 @@ def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
         yield level, jac_proj, lam, jbar, proj
 
 
-def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold: float,
+def prioritized_ik_step(state: ChainState, tasks, target: Pose, rel_threshold: float,
                         twist=None) -> np.ndarray:
-    """Joint velocity command executing the task hierarchy at configuration q.
+    """Joint velocity command executing the task hierarchy at a chain state.
 
     Every level tracks its selected rows of the one target pose. Recursion
     over priority levels: each level's correction goes through the
@@ -295,16 +294,17 @@ def prioritized_ik_step(model: RobotModel, q, tasks, target: Pose, rel_threshold
     velocities untouched. An optional 6-twist adds a task velocity
     feedforward on top of the proportional error term.
     """
-    levels, jac, err = _levels(tasks, 1, model.n)
+    levels, jac, err = _levels(tasks, 1, state.model.n)
     twist = None if twist is None else np.asarray(twist, dtype=float)
-    return _ik_step(model, q, levels, target, rel_threshold, twist, jac[0], err[0])
+    return _ik_step(state.ee_rot, state.ee_pos, state.jacobian(), levels, target,
+                    rel_threshold, twist, jac[0], err[0])
 
 
-def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
-             twist, jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
-    """prioritized_ik_step over resolved levels; writes each level's projected
-    Jacobian and error into its rows of jac_out and err_out."""
-    rot_c, pos_c, jac_full = fk_jacobian_raw(model, q)
+def _ik_step(rot_c, pos_c, jac_full, levels, target: Pose, rel_threshold: float, twist,
+             jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
+    """prioritized_ik_step over resolved levels, at the end-effector rotation,
+    position and J of one chain pass; writes each level's projected Jacobian
+    and error into its rows of jac_out and err_out."""
     err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
     qd = None
     # the cut at rel_threshold**2 on J_p J_p' is the cut at rel_threshold on
@@ -316,27 +316,32 @@ def _ik_step(model: RobotModel, q, levels, target: Pose, rel_threshold: float,
     return qd
 
 
-def ik_rollout(model: RobotModel, q0, window, dt: float, rel_threshold: float,
+def ik_rollout(start: ChainState, window, dt: float, rel_threshold: float,
                tasks) -> NominalRollout:
-    """Integrate the prioritized IK over a target window of n_p+1 poses.
+    """Integrate the prioritized IK from the chain state start over a target
+    window of n_p+1 poses.
 
     window supplies one target pose per step (optionally with a desired
-    6-twist); every task level tracks its selected rows of that pose.
+    6-twist); every task level tracks its selected rows of that pose. Step 0
+    reads the frames and J of start; every later step makes one chain pass
+    (fk_jacobian_raw).
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
-    n = model.n
+    model, n = start.model, start.model.n
     levels, j_stack, err_stack = _levels(tasks, steps, n)
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
-    q = model.check_q(q0).copy()
+    q = start.q
+    frame = start.ee_rot, start.ee_pos, start.jacobian()
     for k in range(steps):
-        qd = _ik_step(model, q, levels, poses[k], rel_threshold, twists[k],
+        qd = _ik_step(*frame, levels, poses[k], rel_threshold, twists[k],
                       j_stack[k], err_stack[k])
         q_hat[k] = q
         qd_hat[k] = qd
         if k + 1 < steps:
             q = q + dt * qd
+            frame = fk_jacobian_raw(model, q)
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 
 
@@ -349,9 +354,10 @@ def _window_arrays(window):
     return [p for p, _ in pairs], [None if t is None else np.asarray(t, dtype=float) for _, t in pairs]
 
 
-def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: float,
+def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
                posture: PostureSpec | None = None, twist=None) -> np.ndarray:
-    """Hierarchical operational-space torque tracking one target pose.
+    """Hierarchical operational-space torque tracking one target pose from a
+    chain state at (q, qd), whose M, b and frames it reads.
 
     Every level tracks its selected rows of the target (and of the optional
     6-twist): a task-space PD force weighted by the task-space inertia,
@@ -359,10 +365,9 @@ def osc_torque(model: RobotModel, q, qd, tasks, target: Pose, rel_threshold: flo
     dynamically consistent null-space projectors, the posture impedance acts
     in the final null space, and the bias forces are compensated exactly.
     """
-    st = RigidBodyState(model, model.check_q(q), model.check_q(qd, "qd"))
-    levels, jac, err = _levels(tasks, 1, model.n)
+    levels, jac, err = _levels(tasks, 1, state.model.n)
     twist = None if twist is None else np.asarray(twist, dtype=float)
-    return _osc_torque(st, levels, target, rel_threshold, posture, twist, jac[0], err[0])
+    return _osc_torque(state, levels, target, rel_threshold, posture, twist, jac[0], err[0])
 
 
 def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
@@ -391,24 +396,22 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     return u + st.bias
 
 
-def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
+def osc_rollout(start: RigidBodyState, window, dt: float, rel_threshold: float,
                 tasks, posture: PostureSpec | None = None) -> NominalRollout:
-    """Simulate the OSC controller over the window with semi-implicit Euler.
+    """Simulate the OSC controller from the chain state start over the
+    window with semi-implicit Euler.
 
     Torques are clamped to the model limits before integration, so the
     recorded nominal is realizable by the torque-limited plant. The chain
-    state and the solved accelerations of every step are kept on the
-    rollout, so a linearization along it reuses each state's mass matrix,
-    factor and bias forces and solves no forward dynamics again. The last
-    step's torque would never be applied, so that step only fills its rows
-    of the task stacks.
+    state of every step, start first, and the solved accelerations are kept
+    on the rollout, so a linearization along it reuses each state's mass
+    matrix, factor and bias forces and solves no forward dynamics again.
+    The last step's torque would never be applied, so that step only fills
+    its rows of the task stacks.
     """
     poses, twists = _window_arrays(window)
     steps = len(poses)
-    n = model.n
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * n,):
-        raise ValueError(f"x0 must have shape ({2 * n},)")
+    model, n = start.model, start.model.n
     u_max = model.limits.u_max
     levels, j_stack, err_stack = _levels(tasks, steps, n)
 
@@ -416,10 +419,9 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
     u_hat = np.empty((steps - 1, n))
     qdd_hat = np.empty_like(u_hat)
     states = []
-    q, qd = x0[:n].copy(), x0[n:].copy()
+    st = start
     for k in range(steps):
-        x_hat[k] = np.concatenate([q, qd])
-        st = RigidBodyState(model, q, qd)
+        x_hat[k, :n], x_hat[k, n:] = st.q, st.qd
         states.append(st)
         if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
             err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
@@ -433,6 +435,7 @@ def osc_rollout(model: RobotModel, x0, window, dt: float, rel_threshold: float,
         u = np.clip(u, -u_max, u_max)
         u_hat[k] = u
         q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
+        st = RigidBodyState(model, q, qd)
     return NominalRollout(q_hat=x_hat[:, :n], qd_hat=x_hat[:, n:], j_stack=j_stack,
                           err_stack=err_stack, u_hat=u_hat, x_hat=x_hat, qdd_hat=qdd_hat,
                           states=tuple(states))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import RigidBodyState
 from .horizon import HorizonConfig
-from .kinematics import Pose, task_error
+from .kinematics import ChainState, Pose, task_error
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
 from .nominal import default_posture, ik_rollout, osc_torque
@@ -55,9 +55,9 @@ class PlantState:
 
 
 def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
-    q0 = model.check_q(q0)
-    qd0 = np.zeros(model.n) if qd0 is None else model.check_q(qd0, "qd0")
-    return PlantState(t=0.0, chain=RigidBodyState(model, q0.copy(), qd0.copy()),
+    """The plant at rest at q0, or moving at qd0; both are copied."""
+    qd0 = None if qd0 is None else np.array(qd0, dtype=float)
+    return PlantState(t=0.0, chain=RigidBodyState(model, np.array(q0, dtype=float), qd0),
                       last_u=np.zeros(model.n))
 
 
@@ -263,15 +263,13 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         t0 = time.perf_counter()
         if controller == "osc":
             pose, twist = traj.window(tick, 0)[0][0]
-            cmd = osc_torque(model, state.q, state.qd, traj.tasks, pose,
-                             cfg.svd_threshold, posture=posture, twist=twist)
+            cmd = osc_torque(state.chain, traj.tasks, pose, cfg.svd_threshold,
+                             posture=posture, twist=twist)
             degraded = False
-        elif controller == "dyn_mpc":
-            res = mpc.step(np.concatenate([state.q, state.qd]), traj, tick)
-            cmd, degraded = res.u_cmd, res.degraded
         else:
-            res = mpc.step(state.q, traj, tick)
-            cmd, degraded = res.q_cmd, res.degraded
+            res = mpc.step(state.chain, traj, tick)
+            cmd = res.q_cmd if controller == "kin_mpc" else res.u_cmd
+            degraded = res.degraded
         solve_t[tick] = time.perf_counter() - t0
         cmd_log[tick] = cmd
         if controller == "kin_mpc":
@@ -310,7 +308,7 @@ def ik_baseline_sequence(model: RobotModel, traj: TaskTrajectory, q0,
     The raw nominal the MPC is compared against: returns (q_seq, qd_cmd_seq).
     """
     window, _ = traj.window(0, traj.n_samples - 1)
-    roll = ik_rollout(model, q0, window, traj.dt, svd_threshold, traj.tasks)
+    roll = ik_rollout(ChainState(model, q0), window, traj.dt, svd_threshold, traj.tasks)
     return roll.q_hat, roll.qd_hat
 
 

@@ -14,8 +14,8 @@ import pytest
 from armmpc import load_bundled_model
 from armmpc.checks import run_dynamics_derivative_check, run_identity_check, run_qp_check
 from armmpc.cli import bench_horizon
-from armmpc.dynamics import forward_dynamics
-from armmpc.kinematics import forward_kinematics
+from armmpc.dynamics import RigidBodyState, forward_dynamics
+from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.mpc_dynamic import DynamicMpc, DynamicMpcConfig, linearize_stage
 from armmpc.mpc_kinematic import KinematicMpc, KinematicMpcConfig
 from armmpc.nominal import default_posture, default_task_hierarchy
@@ -152,7 +152,7 @@ def test_criterion_7_terminal_constraints(desk):
     kin_cfg = KinematicMpcConfig(horizon=6, dt=1e-3, task_weight=2000.0, damping_weight=0.01,
                                  terminal_pos_tol=1e-3, terminal_vel_tol=1e-2)
     kin = KinematicMpc(desk, kin_cfg)
-    res = kin.step(q0, hold, 0)
+    res = kin.step(ChainState(desk, q0), hold, 0)
     dq = np.abs(res.plan[-1] - res.rollout.q_hat[-1]).max()
     plan_vel = np.abs((res.plan[-1] - res.plan[-2]) / kin_cfg.dt - res.rollout.qd_hat[-1]).max()
     kin_ok = (not res.degraded) and dq <= 1e-3 + 1e-8 and plan_vel <= 1e-2 + 1e-8
@@ -161,7 +161,7 @@ def test_criterion_7_terminal_constraints(desk):
                                terminal_state_tol=1e-3)
     dyn = DynamicMpc(desk, dyn_cfg, posture=default_posture(q0))
     x0 = np.concatenate([q0, np.zeros(6)])
-    dres = dyn.step(x0, hold, 0)
+    dres = dyn.step(RigidBodyState(desk, x0[:6], x0[6:]), hold, 0)
     dx = np.abs(dres.plan_states[-1] - dres.rollout.x_hat[-1]).max()
     dyn_ok = (not dres.degraded) and dx <= 1e-3 + 1e-8
 

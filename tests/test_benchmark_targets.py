@@ -15,6 +15,7 @@ import pytest
 
 from armmpc import load_bundled_model, qp, simulator
 from armmpc.checks import dense_rows
+from armmpc.dynamics import RigidBodyState
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from armmpc.nominal import default_posture, default_task_hierarchy
@@ -95,8 +96,7 @@ def test_certificate_sees_the_bound_rows(perfbench, monkeypatch):
     far = forward_kinematics(model, q0 + 0.4)
     traj = TaskTrajectory(dt=1e-3, poses=(far,) * 30, tasks=default_task_hierarchy())
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=1e4, damping_weight=1e-4)
-    DynamicMpc(model, cfg, posture=default_posture(q0)).step(
-        np.concatenate([q0, np.zeros(model.n)]), traj, 0)
+    DynamicMpc(model, cfg, posture=default_posture(q0)).step(RigidBodyState(model, q0), traj, 0)
     problem, sol = solves[-1]
     assert sol.status == qp.OPTIMAL and probes.certified(problem, sol)
     a, _, n_eq = dense_rows(problem)

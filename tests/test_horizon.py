@@ -1,13 +1,16 @@
-"""The tick policy both MPCs share: hold, widen, warm start, reset."""
+"""The tick policy both MPCs share: config checks, the measured state, hold,
+widen, warm start, reset."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from armmpc import load_bundled_model, mpc_dynamic, mpc_kinematic, qp, simulator, trajgen
+from armmpc.dynamics import RigidBodyState
 from armmpc.horizon import TERMINAL_WIDEN
-from armmpc.kinematics import forward_kinematics
+from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.nominal import default_posture, default_task_hierarchy
-from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory
 
 from conftest import random_config
@@ -30,14 +33,14 @@ def test_degraded_tick_holds_widens_and_resets(desk_model, rng, monkeypatch, kin
         ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=4))
 
         def step(q, qd, traj):
-            return ctl.step(q, traj, 0)
+            return ctl.step(ChainState(desk_model, q), traj, 0)
     else:
         module, builder = mpc_dynamic, "build_dyn_qp"
         ctl = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=4),
                                      posture=default_posture(q0))
 
         def step(q, qd, traj):
-            return ctl.step(np.concatenate([q, qd]), traj, 0)
+            return ctl.step(RigidBodyState(desk_model, q, qd), traj, 0)
 
     widens, warm_starts = [], []
     build, solve = getattr(module, builder), ctl.solver.solve
@@ -89,6 +92,41 @@ def test_horizon_must_be_an_integer(horizon):
         mpc_kinematic.KinematicMpcConfig(horizon=horizon)
 
 
+@pytest.mark.parametrize("config, field", [
+    (mpc_kinematic.KinematicMpcConfig, "dt"),
+    (mpc_kinematic.KinematicMpcConfig, "svd_threshold"),
+    (mpc_kinematic.KinematicMpcConfig, "task_weight"),
+    (mpc_kinematic.KinematicMpcConfig, "accel_weight"),
+    (mpc_kinematic.KinematicMpcConfig, "terminal_pos_tol"),
+    (mpc_kinematic.KinematicMpcConfig, "terminal_vel_tol"),
+    (mpc_dynamic.DynamicMpcConfig, "damping_weight"),
+    (mpc_dynamic.DynamicMpcConfig, "input_weight"),
+    (mpc_dynamic.DynamicMpcConfig, "terminal_state_tol"),
+], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_a_bool(config, field, value):
+    # float(True) is 1.0: dt=True used to run at dt = 1 s, and
+    # terminal_state_tol=True used to pass as a tolerance of 1
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("kind", ["kinematic", "dynamic"])
+def test_step_rejects_a_state_of_another_model(desk_model, rng, kind):
+    # the controller reads the state's frames, M and b as its model's own
+    twin = replace(desk_model)  # the same numbers, another model
+    q0 = random_config(desk_model, rng)
+    if kind == "kinematic":
+        ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
+    else:
+        ctl = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
+                                     posture=default_posture(q0))
+    traj = hold(desk_model, q0, 5)
+    with pytest.raises(ValueError, match="another model"):
+        ctl.step(RigidBodyState(twin, q0), traj, 0)
+    assert not ctl.step(RigidBodyState(desk_model, q0), traj, 0).degraded
+
+
 def test_negative_tick_is_rejected(desk_model, rng):
     # window(-1, 2) used to wrap around and plan toward the last pose
     q0 = random_config(desk_model, rng)
@@ -104,8 +142,8 @@ def test_negative_tick_is_rejected(desk_model, rng):
     kin = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
     dyn = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
                                  posture=default_posture(q0))
-    x0 = np.concatenate([q0, np.zeros(6)])
-    for step, state in ((kin.step, q0), (dyn.step, x0)):
+    state = RigidBodyState(desk_model, q0)
+    for step in (kin.step, dyn.step):
         with pytest.raises(ValueError, match="start and horizon"):
             step(state, traj, -1)
         assert not step(state, traj, 0).degraded
@@ -139,12 +177,10 @@ def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
     # with no upper limit on joint 0, the terminal box that appears when the
     # window reaches the trajectory end makes that bound finite: a new
     # pattern, set up afresh, whose active sets name the new rows
-    limits = desk_model.limits
-    q_max = limits.q_max.copy()
-    q_max[0] = np.inf
-    ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=4),
-                                     limits=JointLimits(limits.q_min, q_max, limits.v_max,
-                                                        limits.u_max))
+    first = desk_model.joints[0]
+    unbounded = replace(desk_model, joints=(replace(first, q_limits=(first.q_limits[0], np.inf)),)
+                        + desk_model.joints[1:])
+    ctl = mpc_kinematic.KinematicMpc(unbounded, mpc_kinematic.KinematicMpcConfig(horizon=4))
     problems, kept = [], []
     build = mpc_kinematic.build_kin_qp
 
@@ -157,7 +193,7 @@ def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mpc_kinematic, "build_kin_qp", recording_build)
         for tick in range(6):
-            res = ctl.step(q, traj, tick)
+            res = ctl.step(ChainState(unbounded, q), traj, tick)
             assert not res.degraded
             sol = res.solution
             assert qp.kkt_check(problems[-1], sol.z_star, sol.active_set,

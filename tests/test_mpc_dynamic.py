@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import LinAlgError, lapack
 
 from armmpc import qp
-from armmpc.dynamics import bias_forces, dynamics_derivatives, forward_dynamics
+from armmpc.dynamics import RigidBodyState, bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import (
     DynamicMpc,
@@ -26,6 +26,11 @@ def random_state(model, rng, vel_scale=0.5):
     q = random_config(model, rng)
     qd = vel_scale * rng.standard_normal(model.n)
     return np.concatenate([q, qd])
+
+
+def state_at(model, x):
+    """The chain state at x = [q; qd]."""
+    return RigidBodyState(model, x[:model.n], x[model.n:])
 
 
 def test_linearize_affine_identity(desk_model, rng):
@@ -155,7 +160,7 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=10.0, damping_weight=0.0,
                            input_weight=0.0)
     window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+    roll = osc_rollout(state_at(desk_model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
@@ -174,7 +179,7 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=3, dt=1e-3)
     window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(desk_model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+    roll = osc_rollout(state_at(desk_model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0))
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
@@ -192,7 +197,7 @@ def off_rest_stages(model, rng, horizon):
     x0, traj = off_rest_rollout(model, rng, horizon)
     cfg = DynamicMpcConfig(horizon=horizon, dt=1e-3)
     window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(model, x0, window, cfg.dt, cfg.svd_threshold, traj.tasks,
+    roll = osc_rollout(state_at(model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(x0[:model.n]))
     stages = linearize_stage(model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     return cfg, roll, stages
@@ -237,7 +242,7 @@ def test_dyn_step_equilibrium_returns_bias(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=10.0, damping_weight=1e-4)
     ctl = DynamicMpc(desk_model, cfg, posture=default_posture(q0))
-    res = ctl.step(x0, traj, 0)
+    res = ctl.step(state_at(desk_model, x0), traj, 0)
     assert not res.degraded
     np.testing.assert_allclose(res.u_cmd, bias_forces(desk_model, q0, np.zeros(6)), atol=1e-6)
 
@@ -252,7 +257,7 @@ def test_dyn_step_commands_within_limits(desk_model, rng):
     ctl = DynamicMpc(desk_model, cfg, posture=default_posture(q0))
     u_max = desk_model.limits.u_max
     for tick in range(3):
-        res = ctl.step(x0, traj, tick)
+        res = ctl.step(state_at(desk_model, x0), traj, tick)
         assert np.all(np.abs(res.u_cmd) <= u_max + 1e-8)
 
 
@@ -261,7 +266,7 @@ def test_dyn_step_solved_plan_satisfies_dynamics_rows(desk_model, rng):
     x0 = np.concatenate([q0, 0.3 * rng.standard_normal(6)])  # off the nominal's rest
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3)
     ctl = DynamicMpc(desk_model, cfg, posture=default_posture(q0))
-    res = ctl.step(x0, traj, 0)
+    res = ctl.step(state_at(desk_model, x0), traj, 0)
     assert res.solution.status == qp.OPTIMAL
     roll = res.rollout
     x = x0
@@ -278,7 +283,7 @@ def test_dyn_terminal_constraint(desk_model, rng):
     short = TaskTrajectory(dt=1e-3, poses=(pose,) * 3, tasks=default_task_hierarchy())
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, terminal_state_tol=1e-3)
     ctl = DynamicMpc(desk_model, cfg, posture=default_posture(q0))
-    res = ctl.step(x0, short, 0)  # window includes the trajectory end
+    res = ctl.step(state_at(desk_model, x0), short, 0)  # window includes the trajectory end
     assert not res.degraded
     dx = res.plan_states[-1] - res.rollout.x_hat[-1]
     assert np.abs(dx).max() <= 1e-3 + 1e-8
@@ -291,16 +296,18 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
     q, qd = x_hat[:6], x_hat[6:]
     u = 10.0 * rng.standard_normal(6)
     pose = forward_kinematics(desk_model, q + 0.05)
+    state = RigidBodyState(desk_model, q, qd)
     calls = {
-        "osc_torque": lambda: osc_torque(desk_model, q, qd, default_task_hierarchy(),
-                                         pose, 1e-2, posture=default_posture(q)),
+        # the OSC reads the caller's state and builds none of its own
+        "osc_torque": lambda: osc_torque(state, default_task_hierarchy(), pose, 1e-2,
+                                         posture=default_posture(q)),
         "forward_dynamics": lambda: forward_dynamics(desk_model, q, qd, u),
         "dynamics_derivatives": lambda: dynamics_derivatives(desk_model, q, qd, u),
         "linearize_stage": lambda: linearize_stage(desk_model, x_hat, u, dt=1e-3),
     }
     chain_counts.update(passes=0, factors=0)
     calls[call]()
-    assert chain_counts["passes"] == 1
+    assert chain_counts["passes"] == int(call != "osc_torque")
     assert chain_counts["factors"] <= 1
     # a single point is a batch of one through the same derivative core
     assert chain_counts["derivatives"] == int(call in ("dynamics_derivatives", "linearize_stage"))
@@ -309,12 +316,13 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
 def test_osc_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q + 0.05)
-    x0 = np.concatenate([q, np.zeros(6)])
+    start = RigidBodyState(desk_model, q)
     chain_counts.update(passes=0, factors=0)
-    osc_rollout(desk_model, x0, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy(),
+    osc_rollout(start, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy(),
                 posture=default_posture(q))
-    assert chain_counts["passes"] == 4
-    assert chain_counts["factors"] == 4
+    # state 0 is start itself: one new state per step after it
+    assert chain_counts["passes"] == 3
+    assert chain_counts["factors"] == 3
 
 
 def off_rest_rollout(model, rng, horizon):
@@ -331,7 +339,7 @@ def test_dyn_step_one_chain_pass_per_rollout_state(desk_model, rng, chain_counts
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
     chain_counts.update(passes=0, factors=0)
-    ctl.step(x0, traj, 0)
+    ctl.step(state_at(desk_model, x0), traj, 0)
     assert chain_counts["passes"] == 11
     assert chain_counts["factors"] <= 11
 
@@ -341,14 +349,14 @@ def test_dyn_step_one_derivative_pass_per_tick(desk_model, rng, chain_counts):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
-    ctl.step(x0, traj, 0)
+    ctl.step(state_at(desk_model, x0), traj, 0)
     assert chain_counts["derivatives"] == 1
 
 
 def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     window, _ = traj.window(0, 10)
-    roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks,
+    roll = osc_rollout(state_at(desk_model, x0), window, 1e-3, 1e-2, traj.tasks,
                        posture=default_posture(x0[:6]))
     assert len(roll.states) == 11
     horizon = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3,
@@ -368,7 +376,7 @@ def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
 def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 3)
     window, _ = traj.window(0, 3)
-    roll = osc_rollout(desk_model, x0, window, 1e-3, 1e-2, traj.tasks)
+    roll = osc_rollout(state_at(desk_model, x0), window, 1e-3, 1e-2, traj.tasks)
     with pytest.raises(ValueError, match="x_hat"):
         linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, states=roll.states[:1])
     moved = roll.x_hat[0].copy()
@@ -424,9 +432,10 @@ def test_hot_started_dyn_step_makes_one_banded_factorization(desk_model, rng, kk
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
-    ctl.step(x0, traj, 0)
+    ctl.step(state_at(desk_model, x0), traj, 0)
     kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
-    res = ctl.step(x0, traj, 0)  # the same problem: its own active set is optimal
+    # the same problem: its own active set is optimal
+    res = ctl.step(state_at(desk_model, x0), traj, 0)
     assert res.solution.status == qp.OPTIMAL and res.solution.iterations == 1
     assert kkt_counts == {"dgbsv": 1, "dpbtrf": 1, "dense": 0, "kkt": {"_kkt_start": 1}}
 
@@ -443,11 +452,11 @@ def test_rejected_hot_start_makes_one_banded_factorization_per_kkt_system(
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
-    ctl.step(x0, traj, 0)
+    ctl.step(state_at(desk_model, x0), traj, 0)
     x1 = x0.copy()
     x1[6:] += rng.standard_normal(6)
     kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
-    sol = ctl.step(x1, traj, 0).solution
+    sol = ctl.step(state_at(desk_model, x1), traj, 0).solution
     assert judged[-1] is None and sol.status == qp.OPTIMAL  # rejected, then resumed
     kkt = kkt_counts["kkt"]
     assert set(kkt) <= {"_kkt_start", "solve", "dual step", "_polish"}
@@ -479,7 +488,8 @@ def test_singular_dual_step_ends_the_solve_without_a_certificate(desk_model, rng
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
-    res = ctl.step(x0, traj, 0)  # cold: rows beyond the dynamics enter by dual steps
+    # cold: rows beyond the dynamics enter by dual steps
+    res = ctl.step(state_at(desk_model, x0), traj, 0)
     assert len(failed) == 2 and res.degraded
     assert res.solution.status == qp.MAX_ITER and np.isfinite(res.solution.z_star).all()
     assert np.isfinite(res.u_cmd).all()

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from armmpc import qp
-from armmpc.kinematics import forward_kinematics
+from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.mpc_kinematic import (
     KinematicMpc,
     KinematicMpcConfig,
@@ -25,11 +27,16 @@ def diff_ops(n, horizon, dt, q_prev, q_prev2):
     return vel_op, vel_off, acc_op, acc_off
 
 
+def with_velocity_limit(model, v_max):
+    """model with every joint's velocity limit set to v_max."""
+    return replace(model, joints=tuple(replace(j, v_limit=v_max) for j in model.joints))
+
+
 def test_ik_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q + 0.05)
     chain_counts.update(passes=0)
-    ik_rollout(desk_model, q, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy())
+    ik_rollout(ChainState(desk_model, q), [pose] * 4, 1e-3, 1e-2, default_task_hierarchy())
     assert chain_counts["passes"] == 4
 
 
@@ -110,7 +117,7 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     cfg = KinematicMpcConfig(horizon=5, dt=1e-3, task_weight=100.0, damping_weight=0.01)
     traj = make_traj_holding(desk_model, q0, 10, cfg.dt)
     window, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
+    rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold, traj.tasks)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
@@ -124,7 +131,7 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
                              damping_weight=0.0, accel_weight=0.0)
     traj = make_traj_holding(desk_model, q0, 5, cfg.dt)
     window, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
+    rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold, traj.tasks)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     np.testing.assert_allclose(sol.z_star, rollout.q_hat[1], atol=1e-7)
@@ -136,7 +143,7 @@ def test_singularity_scenario_weights_accepted(desk_model_large):
     traj = scenario_trajectory("singularity_pass", desk_model_large, cfg.dt, duration=0.05)
     from armmpc.trajgen import SINGULARITY_START_CONFIG
 
-    res = controller.step(SINGULARITY_START_CONFIG, traj, 0)
+    res = controller.step(ChainState(desk_model_large, SINGULARITY_START_CONFIG), traj, 0)
     assert np.all(np.isfinite(res.q_cmd))
 
 
@@ -145,7 +152,7 @@ def test_step_stationary_target_is_fixed_point(desk_model, rng):
     cfg = KinematicMpcConfig(horizon=5, dt=1e-3, task_weight=100.0)
     traj = make_traj_holding(desk_model, q0, 50, cfg.dt)
     controller = KinematicMpc(desk_model, cfg)
-    res = controller.step(q0, traj, 0)
+    res = controller.step(ChainState(desk_model, q0), traj, 0)
     assert not res.degraded
     np.testing.assert_allclose(res.q_cmd, q0, atol=1e-6)
 
@@ -153,15 +160,13 @@ def test_step_stationary_target_is_fixed_point(desk_model, rng):
 def test_step_velocity_limit_respected(desk_model, rng):
     q0 = random_config(desk_model, rng, margin=0.35)
     cfg = KinematicMpcConfig(horizon=4, dt=1e-3, task_weight=500.0)
-    lim = desk_model.limits
-    slow = JointLimits(q_min=lim.q_min, q_max=lim.q_max,
-                       v_max=np.full(6, 0.1), u_max=lim.u_max)
+    slow = with_velocity_limit(desk_model, 0.1)
     # target far enough that unconstrained tracking would need ~1 rad/s
     q_target = q0 + 0.15 * rng.choice([-1.0, 1.0], size=6)
     pose = forward_kinematics(desk_model, q_target)
     traj = TaskTrajectory(dt=cfg.dt, poses=(pose,) * 30)
-    controller = KinematicMpc(desk_model, cfg, limits=slow)
-    res = controller.step(q0, traj, 0)
+    controller = KinematicMpc(slow, cfg)
+    res = controller.step(ChainState(slow, q0), traj, 0)
     assert not res.degraded
     assert np.linalg.norm((res.q_cmd - q0) / cfg.dt, ord=np.inf) <= 0.1 + 1e-8
 
@@ -170,12 +175,11 @@ def test_step_full_plan_respects_bounds(desk_model, rng):
     q0 = random_config(desk_model, rng, margin=0.35)
     cfg = KinematicMpcConfig(horizon=6, dt=1e-3, task_weight=500.0)
     lim = desk_model.limits
-    slow = JointLimits(q_min=lim.q_min, q_max=lim.q_max,
-                       v_max=np.full(6, 0.2), u_max=lim.u_max)
+    slow = with_velocity_limit(desk_model, 0.2)
     pose = forward_kinematics(desk_model, q0 + 0.2 * rng.standard_normal(6))
     traj = TaskTrajectory(dt=cfg.dt, poses=(pose,) * 30)
-    controller = KinematicMpc(desk_model, cfg, limits=slow)
-    res = controller.step(q0, traj, 0)
+    controller = KinematicMpc(slow, cfg)
+    res = controller.step(ChainState(slow, q0), traj, 0)
     vel_op, vel_off, _, _ = diff_ops(desk_model.n, cfg.horizon, cfg.dt, q0, q0)
     vel = vel_op @ res.solution.z_star + vel_off
     assert np.abs(vel).max() <= 0.2 + 1e-8
@@ -189,7 +193,7 @@ def test_terminal_constraint_enforced(desk_model, rng):
                              terminal_pos_tol=1e-4, terminal_vel_tol=1e-3)
     traj = make_traj_holding(desk_model, q0, 4, cfg.dt)  # window reaches the end
     controller = KinematicMpc(desk_model, cfg)
-    res = controller.step(q0, traj, 0)
+    res = controller.step(ChainState(desk_model, q0), traj, 0)
     assert not res.degraded
     q_n = res.plan[-1]
     q_hat_n = res.rollout.q_hat[-1]
@@ -206,7 +210,7 @@ def test_infeasible_tick_holds_and_widens(desk_model):
     pose = forward_kinematics(desk_model, q0 + 0.5)
     traj = TaskTrajectory(dt=cfg.dt, poses=(pose,) * 2)
     controller = KinematicMpc(desk_model, cfg)
-    res0 = controller.step(q0, traj, 0)
+    res0 = controller.step(ChainState(desk_model, q0), traj, 0)
     assert res0.degraded
     np.testing.assert_allclose(res0.q_cmd, q0)  # hold = measured on first tick
     assert controller._widen_next
@@ -238,7 +242,8 @@ def test_cost_horizon_monotonicity(desk_model, rng):
         cfg = KinematicMpcConfig(horizon=horizon, dt=1e-3, task_weight=100.0,
                                  damping_weight=0.01, accel_weight=1e-5)
         window, _ = traj.window(0, horizon)
-        rollout = ik_rollout(desk_model, q0, window, cfg.dt, cfg.svd_threshold, traj.tasks)
+        rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold,
+                             traj.tasks)
         problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
         sol = qp.solve(problem)
         assert sol.status == qp.OPTIMAL
@@ -291,7 +296,7 @@ def test_free_stack_plan_matches_least_squares_oracle(desk_model_large, monkeypa
     q, compared = SINGULARITY_START_CONFIG, 0
     for tick in range(0, 400, 10):
         history = controller._history or (q, q)
-        res = controller.step(q, traj, tick)
+        res = controller.step(ChainState(desk_model_large, q), traj, tick)
         assert not res.degraded
         np.testing.assert_array_equal(res.plan[0], history[0])
         q = res.q_cmd
@@ -333,7 +338,8 @@ def test_smoothing_vs_raw_ik_nominal(desk_model_large):
     dt = 1e-3
     traj = scenario_trajectory("singularity_pass", desk_model_large, dt)
     window, _ = traj.window(0, traj.n_samples - 1)
-    nominal = ik_rollout(desk_model_large, SINGULARITY_START_CONFIG, window, dt, 1e-2, traj.tasks)
+    nominal = ik_rollout(ChainState(desk_model_large, SINGULARITY_START_CONFIG), window, dt,
+                         1e-2, traj.tasks)
     lo, hi = 2300, 2650  # brackets the near-singular stretch on this model
     nominal_acc = np.abs(np.diff(nominal.q_hat[lo - 2:hi], 2, axis=0) / dt**2).max()
 
@@ -343,7 +349,7 @@ def test_smoothing_vs_raw_ik_nominal(desk_model_large):
     q = nominal.q_hat[lo].copy()
     cmds = [q.copy(), q.copy()]
     for tick in range(lo, hi):
-        res = controller.step(q, traj, tick)
+        res = controller.step(ChainState(desk_model_large, q), traj, tick)
         q = res.q_cmd  # perfect low-level tracking stand-in
         cmds.append(q.copy())
     cmd_acc = np.abs(np.diff(np.asarray(cmds), 2, axis=0) / dt**2).max()
@@ -357,10 +363,10 @@ def test_nan_kkt_solve_degrades_and_holds(desk_model, rng, monkeypatch):
     cfg = KinematicMpcConfig(horizon=4)
     traj = make_traj_holding(desk_model, q0, 20, cfg.dt)
     ctl = KinematicMpc(desk_model, cfg)
-    first = ctl.step(q0, traj, 0)
+    first = ctl.step(ChainState(desk_model, q0), traj, 0)
     assert not first.degraded
     monkeypatch.setattr(qp, "_kkt_solve", lambda rows, hess, g, ids: (
         np.full(g.size, np.nan), np.full(len(ids), np.nan)))
-    res = ctl.step(first.q_cmd, traj, 1)
+    res = ctl.step(ChainState(desk_model, first.q_cmd), traj, 1)
     assert res.degraded and res.solution.status != qp.OPTIMAL
     np.testing.assert_array_equal(res.q_cmd, first.q_cmd)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armmpc import dynamics, kinematics, nominal
-from armmpc.dynamics import bias_forces, forward_dynamics, mass_matrix
-from armmpc.kinematics import Pose, forward_kinematics, geometric_jacobian, jacobian_dot, task_error
+from armmpc.dynamics import RigidBodyState, bias_forces, forward_dynamics, mass_matrix
+from armmpc.kinematics import (ChainState, Pose, forward_kinematics, geometric_jacobian,
+                               jacobian_dot, task_error)
 from armmpc.nominal import (
     FULL_POSE,
     POSITION,
@@ -187,7 +188,7 @@ def test_pinv_truncation_monotone(thresh, factor, seed):
 def test_ik_step_zero_error(desk_model, rng):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
-    qd = prioritized_ik_step(desk_model, q, full_pose_task(), pose, 1e-2)
+    qd = prioritized_ik_step(ChainState(desk_model, q), full_pose_task(), pose, 1e-2)
     np.testing.assert_allclose(qd, 0.0, atol=1e-12)
 
 
@@ -195,13 +196,14 @@ def test_ik_step_zero_error(desk_model, rng):
 def test_ik_step_bad_threshold(desk_model, rel_threshold):
     pose = forward_kinematics(desk_model, np.zeros(6))
     with pytest.raises(ValueError):
-        prioritized_ik_step(desk_model, np.zeros(6), pos_ori_tasks(), pose, rel_threshold)
+        prioritized_ik_step(ChainState(desk_model, np.zeros(6)), pos_ori_tasks(), pose,
+                            rel_threshold)
 
 
 def test_ik_step_single_task_is_pinv(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
-    qd = prioritized_ik_step(desk_model, q, full_pose_task(gain=1.0), target, 1e-6)
+    qd = prioritized_ik_step(ChainState(desk_model, q), full_pose_task(gain=1.0), target, 1e-6)
     jac = geometric_jacobian(desk_model, q)
     err = task_error(target, forward_kinematics(desk_model, q)).value
     np.testing.assert_allclose(qd, compact_svd_pinv(jac, 1e-6) @ err, atol=1e-10)
@@ -211,8 +213,8 @@ def test_ik_hierarchy_secondary_in_primary_nullspace(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = pos_ori_tasks()
-    qd_both = prioritized_ik_step(desk_model, q, tasks, target, 1e-6)
-    qd_first = prioritized_ik_step(desk_model, q, tasks[:1], target, 1e-6)
+    qd_both = prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-6)
+    qd_first = prioritized_ik_step(ChainState(desk_model, q), tasks[:1], target, 1e-6)
     jac_pos = geometric_jacobian(desk_model, q)[:3]
     assert np.linalg.norm(jac_pos @ (qd_both - qd_first)) <= 1e-9
 
@@ -229,7 +231,7 @@ def test_ik_rollout_fixed_point(desk_model, rng):
     q0 = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q0)
     window = [pose] * 6
-    roll = ik_rollout(desk_model, q0, window, 1e-3, 1e-2, pos_ori_tasks(gain=10.0))
+    roll = ik_rollout(ChainState(desk_model, q0), window, 1e-3, 1e-2, pos_ori_tasks(gain=10.0))
     np.testing.assert_allclose(roll.q_hat, np.tile(q0, (6, 1)), atol=1e-10)
     assert roll.j_stack.shape == (6, 6, 6)
 
@@ -242,14 +244,15 @@ def test_ik_rollout_converges_on_reachable_target(planar_2dof):
     tasks = (TaskSpec(priority=1, selector=POSITION, gain=20.0),)
     steps = 400
     window = [target] * steps
-    roll = ik_rollout(planar_2dof, q0, window, 1e-3, 1e-2, tasks)
+    roll = ik_rollout(ChainState(planar_2dof, q0), window, 1e-3, 1e-2, tasks)
     final = forward_kinematics(planar_2dof, roll.q_hat[-1])
     assert np.linalg.norm(final.translation - target_pos) <= 1e-3
 
 
 def test_ik_rollout_degenerate_window(desk_model, rng):
     q0 = random_config(desk_model, rng)
-    roll = ik_rollout(desk_model, q0, [forward_kinematics(desk_model, q0)], 1e-3, 1e-2, pos_ori_tasks())
+    roll = ik_rollout(ChainState(desk_model, q0), [forward_kinematics(desk_model, q0)], 1e-3, 1e-2,
+                      pos_ori_tasks())
     assert roll.q_hat.shape == (1, 6)
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
@@ -303,7 +306,7 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     err_hand = np.concatenate([err[task.rows] for task in tasks[::-1]])
     stack_hand, qd_hand = hand_recursion(jac, err, tasks, 1e-2)
 
-    ik = ik_rollout(desk_model, q, [target] * 3, 1e-3, 1e-2, tasks)
+    ik = ik_rollout(ChainState(desk_model, q), [target] * 3, 1e-3, 1e-2, tasks)
     np.testing.assert_allclose(ik.j_stack[0], stack_hand, atol=1e-12)
     np.testing.assert_allclose(ik.err_stack[0], err_hand, atol=1e-12)
     # the reference inverts a level of more than 3 rows by SVD, the IK by its
@@ -311,11 +314,11 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     # full pose after position and orientation is inverted by neither
     svd_path = selectors == (FULL_POSE,)
     tol = 100 * np.finfo(float).eps / 1e-2**2 * np.abs(qd_hand).max() if svd_path else 1e-12
-    qd_ik = prioritized_ik_step(desk_model, q, tasks, target, 1e-2)
+    qd_ik = prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
     assert np.abs(qd_ik - qd_hand).max() <= tol
 
     minv = np.linalg.inv(mass_matrix(desk_model, q))
-    osc = osc_rollout(desk_model, np.concatenate([q, qd]), [target] * 3, 1e-3, 1e-2, tasks)
+    osc = osc_rollout(RigidBodyState(desk_model, q, qd), [target] * 3, 1e-3, 1e-2, tasks)
     np.testing.assert_allclose(osc.j_stack[0], hand_recursion(jac, err, tasks, 1e-2, minv)[0],
                                atol=1e-9)
     np.testing.assert_allclose(osc.err_stack[0], err_hand, atol=1e-12)
@@ -328,8 +331,9 @@ def test_ik_level_without_freedom_adds_nothing(desk_model, rng):
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
     two = pos_ori_tasks()
     three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
-    np.testing.assert_allclose(prioritized_ik_step(desk_model, q, three, target, 1e-2),
-                               prioritized_ik_step(desk_model, q, two, target, 1e-2), atol=1e-9)
+    state = ChainState(desk_model, q)
+    np.testing.assert_allclose(prioritized_ik_step(state, three, target, 1e-2),
+                               prioritized_ik_step(state, two, target, 1e-2), atol=1e-9)
 
 
 def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
@@ -343,8 +347,9 @@ def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
     posture = default_posture(q + 0.1 * rng.standard_normal(6))
     two = pos_ori_tasks()
     three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
-    np.testing.assert_allclose(osc_torque(desk_model, q, qd, three, target, 1e-4, posture=posture),
-                               osc_torque(desk_model, q, qd, two, target, 1e-4, posture=posture),
+    state = RigidBodyState(desk_model, q, qd)
+    np.testing.assert_allclose(osc_torque(state, three, target, 1e-4, posture=posture),
+                               osc_torque(state, two, target, 1e-4, posture=posture),
                                atol=1e-9)
 
 
@@ -373,11 +378,10 @@ def test_task_spec_rejects_non_finite_gains(field, value):
 
 @pytest.mark.parametrize("call", [prioritized_ik_step, osc_torque], ids=lambda f: f.__name__)
 def test_empty_hierarchy_is_rejected(desk_model, call):
-    q = np.zeros(6)
-    pose = forward_kinematics(desk_model, q)
-    args = (q,) if call is prioritized_ik_step else (q, q)
+    state = RigidBodyState(desk_model, np.zeros(6))
+    pose = forward_kinematics(desk_model, state.q)
     with pytest.raises(ValueError, match="at least one level"):
-        call(desk_model, *args, (), pose, 1e-2)
+        call(state, (), pose, 1e-2)
 
 
 @pytest.mark.parametrize("call", ["prioritized_ik_step", "osc_torque"])
@@ -394,9 +398,9 @@ def test_one_pose_error_per_call(desk_model, rng, monkeypatch, call):
     target = forward_kinematics(desk_model, q + 0.05)
     tasks = default_task_hierarchy()
     if call == "osc_torque":
-        osc_torque(desk_model, q, np.zeros(6), tasks, target, 1e-2)
+        osc_torque(RigidBodyState(desk_model, q, np.zeros(6)), tasks, target, 1e-2)
     else:
-        prioritized_ik_step(desk_model, q, tasks, target, 1e-2)
+        prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
     assert len(calls) == 1
 
 
@@ -405,7 +409,7 @@ def test_osc_equilibrium_pure_compensation(desk_model, rng):
     qd = np.zeros(6)
     pose = forward_kinematics(desk_model, q)
     tasks = default_task_hierarchy()
-    u = osc_torque(desk_model, q, qd, tasks, pose, 1e-2, posture=default_posture(q))
+    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, pose, 1e-2, posture=default_posture(q))
     np.testing.assert_allclose(u, bias_forces(desk_model, q, np.zeros(6)), atol=1e-8)
 
 
@@ -415,7 +419,7 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
     task = TaskSpec(priority=1, selector=FULL_POSE, gain=1.0,
                     kp=np.full(6, 50.0), kd=np.full(6, 8.0))
-    u = osc_torque(desk_model, q, qd, (task,), target, 1e-9)
+    u = osc_torque(RigidBodyState(desk_model, q, qd), (task,), target, 1e-9)
     jac = geometric_jacobian(desk_model, q)
     err = task_error(target, forward_kinematics(desk_model, q)).value
     acc_des = task.kd * (-jac @ qd) + task.kp * err
@@ -442,7 +446,7 @@ def test_paper_gains_load_and_produce_finite_torque(desk_model, rng):
     tasks = default_task_hierarchy()
     posture = default_posture(q)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
-    u = osc_torque(desk_model, q, qd, tasks, target, 1e-2, posture=posture)
+    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, target, 1e-2, posture=posture)
     assert np.all(np.isfinite(u))
     np.testing.assert_allclose(posture.kp, [100, 100, 100, 50, 50, 1])
     np.testing.assert_allclose(posture.kd, [3, 5, 5, 0.2, 0.2, 0.1])
@@ -451,9 +455,9 @@ def test_paper_gains_load_and_produce_finite_torque(desk_model, rng):
 def test_osc_rollout_fixed_point(desk_model, rng):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
-    x0 = np.concatenate([q, np.zeros(6)])
     tasks = default_task_hierarchy()
-    roll = osc_rollout(desk_model, x0, [pose] * 5, 1e-3, 1e-2, tasks, posture=default_posture(q))
+    roll = osc_rollout(RigidBodyState(desk_model, q), [pose] * 5, 1e-3, 1e-2, tasks,
+                       posture=default_posture(q))
     bias = bias_forces(desk_model, q, np.zeros(6))
     for k in range(4):
         np.testing.assert_allclose(roll.u_hat[k], bias, atol=1e-4)
@@ -473,8 +477,8 @@ def test_osc_reads_jacobian_and_jdot_qd_from_the_world_pass(desk_model, rng, mon
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = default_task_hierarchy()
     posture = default_posture(q)
-    u = osc_torque(desk_model, q, qd, tasks, target, 1e-2, posture=posture)
-    roll = osc_rollout(desk_model, np.concatenate([q, qd]), [target] * 3, 1e-3, 1e-2, tasks,
+    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, target, 1e-2, posture=posture)
+    roll = osc_rollout(RigidBodyState(desk_model, q, qd), [target] * 3, 1e-3, 1e-2, tasks,
                        posture=posture)
     assert np.isfinite(u).all() and np.isfinite(roll.x_hat).all()
 
@@ -484,9 +488,7 @@ def test_osc_rollout_clamps_torque(desk_model):
     far_target = Pose(np.array([1.0, 0, 0, 0]), np.array([5.0, 5.0, 5.0]))
     task = TaskSpec(priority=1, selector=POSITION, gain=1.0,
                     kp=np.full(3, 1e6), kd=np.full(3, 10.0))
-    x0 = np.zeros(12)
-    x0[:6] = q
-    roll = osc_rollout(desk_model, x0, [far_target] * 3, 1e-3, 1e-2, (task,))
+    roll = osc_rollout(RigidBodyState(desk_model, q), [far_target] * 3, 1e-3, 1e-2, (task,))
     u_max = desk_model.limits.u_max
     assert np.all(np.abs(roll.u_hat) <= u_max + 1e-12)
     assert np.any(np.abs(roll.u_hat) == u_max[None, :].repeat(2, 0))
@@ -497,14 +499,14 @@ def test_osc_rollout_timing(desk_model, rng):
 
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
-    x0 = np.concatenate([q, np.zeros(6)])
+    start = RigidBodyState(desk_model, q)
     tasks = default_task_hierarchy()
     posture = default_posture(q)
-    osc_rollout(desk_model, x0, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)  # warmup
+    osc_rollout(start, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)  # warmup
     t0 = time.perf_counter()
     reps = 5
     for _ in range(reps):
-        osc_rollout(desk_model, x0, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)
+        osc_rollout(start, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)
     elapsed = (time.perf_counter() - t0) / reps
     print(f"\nosc_rollout horizon-10 wall time: {elapsed * 1e3:.2f} ms (1 ms real-time share)")
     assert elapsed < 0.05  # sanity ceiling; the 1 ms share is reported above

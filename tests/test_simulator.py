@@ -3,7 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from armmpc import load_bundled_model
+from armmpc import load_bundled_model, nominal
 from armmpc.dynamics import bias_forces, mass_matrix
 from armmpc.kinematics import forward_kinematics
 from armmpc.nominal import default_task_hierarchy
@@ -218,22 +218,30 @@ def test_final_errors_of_a_run(desk_model):
 
 
 @pytest.mark.parametrize("scenario,controller,robot,per_tick", [
-    ("payload_pick_place", "osc", "rs007n", 2),  # the OSC's state, the plant's next
-    ("singularity_pass", "kin_mpc", "rs020n", 12),  # 11 IK rollout states, the plant's next
-    ("payload_pick_place", "dyn_mpc", "rs007n", 12),  # 11 OSC rollout states, the plant's next
+    ("payload_pick_place", "osc", "rs007n", 1),  # the plant's next
+    ("singularity_pass", "kin_mpc", "rs020n", 11),  # 10 IK rollout states, the plant's next
+    ("payload_pick_place", "dyn_mpc", "rs007n", 11),  # 10 OSC rollout states, the plant's next
 ])
-def test_run_scenario_chain_states_per_tick(chain_counts, scenario, controller, robot, per_tick):
-    # per tick: the controller's states and the plant's next; the error log
-    # reads the plant's state it already has
+def test_run_scenario_chain_states_per_tick(chain_counts, monkeypatch, scenario, controller,
+                                            robot, per_tick):
+    # one chain state per measured configuration: the plant builds the next
+    # one, and the error log, the OSC and each rollout's first step read it;
+    # the IK's later steps are fk_jacobian_raw's chain passes
     model = load_bundled_model(robot)
-    passes = []
+    fk_jacobian_raw, fk_calls = nominal.fk_jacobian_raw, []
+    monkeypatch.setattr(nominal, "fk_jacobian_raw",
+                        lambda *args: fk_calls.append(args) or fk_jacobian_raw(*args))
+    passes, fk = [], []
     for ticks in (20, 40):
         cfg = default_scenario_config(scenario, controller)
         cfg.max_ticks = ticks
         chain_counts.update(passes=0)
+        fk_calls.clear()
         run_scenario(scenario, controller, model, cfg)
         passes.append(chain_counts["passes"])
+        fk.append(len(fk_calls))
     assert passes[1] - passes[0] == 20 * per_tick
+    assert fk[1] - fk[0] == 20 * (per_tick - 1 if controller == "kin_mpc" else 0)
 
 
 def test_run_scenario_osc_accumulates_monotone(planar_2dof):
@@ -299,3 +307,4 @@ def test_log_csv_columns(planar_2dof, tmp_path):
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["t", "q0", "q1", "qd0", "qd1", "u0", "u1", "cmd0", "cmd1",
                       "pos_err", "ori_err", "flags"]
+
