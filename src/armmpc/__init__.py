@@ -18,7 +18,6 @@ from .robot_model import (
 from .kinematics import (
     ChainState,
     Pose,
-    TaskError,
     forward_kinematics,
     geometric_jacobian,
     jacobian_dot,

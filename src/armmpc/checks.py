@@ -241,16 +241,14 @@ def run_world_pass_check(model: RobotModel, n_states: int = 200, seed: int = 0,
 CHECK_NAMES = ("dynamics", "qp", "identity", "world_pass")
 
 
-def run_checks(model: RobotModel, which=CHECK_NAMES, seed: int = 0,
-               tol_scale: float = 1.0) -> list[CheckResult]:
+def run_checks(model: RobotModel, which=CHECK_NAMES, seed: int = 0) -> list[CheckResult]:
     results = []
     if "dynamics" in which:
-        results.append(run_dynamics_derivative_check(model, seed=seed, tol=1e-5 * tol_scale))
+        results.append(run_dynamics_derivative_check(model, seed=seed))
     if "qp" in which:
-        results.append(run_qp_check(seed=seed, tol=1e-8 * tol_scale))
+        results.append(run_qp_check(seed=seed))
     if "identity" in which:
-        results.append(run_identity_check(model, seed=seed + 1, tol=1e-10 * tol_scale))
+        results.append(run_identity_check(model, seed=seed + 1))
     if "world_pass" in which:
-        results += run_world_pass_check(model, seed=seed, tol_bias=1e-10 * tol_scale,
-                                        tol_jdot=1e-8 * tol_scale)
+        results += run_world_pass_check(model, seed=seed)
     return results

@@ -241,21 +241,17 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
 @click.option("--checks", "which", default=",".join(CHECK_NAMES),
               help=f"comma-separated subset of {CHECK_NAMES}")
 @click.option("--seed", type=int, default=0)
-@click.option("--tol-scale", type=float, default=1.0,
-              help="scale the suite tolerances (testing affordance)")
-def cmd_check(model_arg, which, seed, tol_scale):
+def cmd_check(model_arg, which, seed):
     """Run the self-verification suites (derivatives, QP oracle, identities,
     world-frame pass)."""
     names = tuple(w.strip() for w in which.split(",") if w.strip())
     unknown = [w for w in names if w not in CHECK_NAMES]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {CHECK_NAMES}")
-    if not (math.isfinite(tol_scale) and tol_scale > 0):
-        raise ConfigError("tol-scale must be a positive finite number")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     model = _resolve_model(model_arg, "payload_pick_place")
-    results = run_checks(model, which=names, seed=seed, tol_scale=tol_scale)
+    results = run_checks(model, which=names, seed=seed)
     failed = False
     for res in results:
         click.echo(res.line())

@@ -220,29 +220,6 @@ class Pose:
         return quat_to_matrix(self.quaternion)
 
 
-@dataclass(frozen=True, eq=False)
-class TaskError:
-    """6-vector [position error (m); orientation error (rotation vector, rad)]."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.value, dtype=float)
-        if v.shape != (6,):
-            raise ValueError(f"task error must have shape (6,), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("task error has non-finite entries")
-        object.__setattr__(self, "value", _frozen(v))
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.value[:3]
-
-    @property
-    def orientation(self) -> np.ndarray:
-        return self.value[3:]
-
-
 _EYE3 = np.eye(3)
 _HOMOGENEOUS_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -402,7 +379,7 @@ def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,
     return out
 
 
-def task_error(target: Pose, current: Pose) -> TaskError:
-    """Pose difference target minus current as [dp; log(R_t R_c^T)]."""
-    return TaskError(pose_error_raw(target.rotation_matrix, target.translation,
-                                    current.rotation_matrix, current.translation))
+def task_error(target: Pose, current: Pose) -> np.ndarray:
+    """Pose difference target minus current as the 6-vector [dp; log(R_t R_c^T)]."""
+    return pose_error_raw(target.rotation_matrix, target.translation,
+                          current.rotation_matrix, current.translation)

@@ -207,9 +207,9 @@ class DynamicMpc(RecedingHorizon):
         model, cfg, n = self.model, self.cfg, self.model.n
         if state.model is not model:
             raise ValueError("chain state belongs to another model")
-        window, includes_end = traj.window(tick, cfg.horizon)
-        rollout = osc_rollout(state, window, cfg.dt, cfg.svd_threshold, traj.tasks,
-                              posture=self.posture)
+        poses, twists, includes_end = traj.window(tick, cfg.horizon)
+        rollout = osc_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                              posture=self.posture, twists=twists)
         stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
                                  states=rollout.states[:-1], qdd=rollout.qdd_hat)
         rows = build_prediction(stages, rollout.x_hat, rollout.u_hat)

@@ -163,8 +163,8 @@ class KinematicMpc(RecedingHorizon):
             raise ValueError("chain state belongs to another model")
         if self._history is None:
             self._history = (state.q.copy(), state.q.copy())
-        window, includes_end = traj.window(tick, cfg.horizon)
-        rollout = ik_rollout(state, window, cfg.dt, cfg.svd_threshold, traj.tasks)
+        poses, twists, includes_end = traj.window(tick, cfg.horizon)
+        rollout = ik_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks, twists=twists)
         solution, degraded = self._solve(
             lambda widen: build_kin_qp(cfg, rollout, self._history, model.limits,
                                        terminal_widen=widen),

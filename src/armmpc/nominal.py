@@ -2,14 +2,14 @@
 
 Two generators: prioritized inverse-kinematics rollouts for the kinematic
 controller, and hierarchical operational-space torque rollouts for the
-dynamic controller. Each step tracks one target pose (with an optional
-6-twist); every task level tracks its own rows of that pose. Both run one
-task-priority recursion (_prioritize), weighted by the identity for the IK
-and by M^-1 for the OSC, whose truncated level inverses keep commands
-bounded near singular configurations. The hierarchy is resolved once per
-rollout or single-step call (_levels), and each step writes every level's
-projected Jacobian and error in place into its rows of the per-step stack
-that the MPC cost linearizes around.
+dynamic controller. Each step tracks one target pose and its 6-twist, the
+velocity feedforward; every task level tracks its own rows of that pose.
+Both run one task-priority recursion (_prioritize), weighted by the
+identity for the IK and by M^-1 for the OSC, whose truncated level inverses
+keep commands bounded near singular configurations. The hierarchy is
+resolved once per rollout or single-step call (_levels), and each step
+writes every level's projected Jacobian and error in place into its rows of
+the per-step stack that the MPC cost linearizes around.
 """
 
 from __future__ import annotations
@@ -232,6 +232,8 @@ def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
         n_g += dim
     if not levels:
         raise ValueError("the task hierarchy needs at least one level")
+    if steps < 1:
+        raise ValueError("a rollout needs at least one target")
     return tuple(levels), np.empty((steps, n_g, n)), np.empty((steps, n_g))
 
 
@@ -292,16 +294,16 @@ def prioritized_ik_step(state: ChainState, tasks, target: Pose, rel_threshold: f
     pseudoinverse of its projected Jacobian, with singular values below
     rel_threshold * sigma_max truncated, and leaves all higher-priority task
     velocities untouched. An optional 6-twist adds a task velocity
-    feedforward on top of the proportional error term.
+    feedforward on top of the proportional error term; None is zero.
     """
     levels, jac, err = _levels(tasks, 1, state.model.n)
-    twist = None if twist is None else np.asarray(twist, dtype=float)
+    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
     return _ik_step(state.ee_rot, state.ee_pos, state.jacobian(), levels, target,
                     rel_threshold, twist, jac[0], err[0])
 
 
-def _ik_step(rot_c, pos_c, jac_full, levels, target: Pose, rel_threshold: float, twist,
-             jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
+def _ik_step(rot_c, pos_c, jac_full, levels, target: Pose, rel_threshold: float,
+             twist: np.ndarray, jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
     """prioritized_ik_step over resolved levels, at the end-effector rotation,
     position and J of one chain pass; writes each level's projected Jacobian
     and error into its rows of jac_out and err_out."""
@@ -311,23 +313,25 @@ def _ik_step(rot_c, pos_c, jac_full, levels, target: Pose, rel_threshold: float,
     # J_p's singular values; a negative rel_threshold clips to 0, rejected
     for (rows, _, gain, _, _), _, _, jbar, _ in _prioritize(
             levels, jac_full, err_full, max(rel_threshold, 0.0)**2, jac_out, err_out):
-        ref_vel = gain * err_full[rows] if twist is None else gain * err_full[rows] + twist[rows]
+        ref_vel = gain * err_full[rows] + twist[rows]
         qd = jbar @ ref_vel if qd is None else qd + jbar @ (ref_vel - jac_full[rows] @ qd)
     return qd
 
 
-def ik_rollout(start: ChainState, window, dt: float, rel_threshold: float,
-               tasks) -> NominalRollout:
-    """Integrate the prioritized IK from the chain state start over a target
-    window of n_p+1 poses.
+def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
+               tasks, twists=None) -> NominalRollout:
+    """Integrate the prioritized IK from the chain state start over n_p+1
+    target poses.
 
-    window supplies one target pose per step (optionally with a desired
-    6-twist); every task level tracks its selected rows of that pose. Step 0
-    reads the frames and J of start; every later step makes one chain pass
-    (fk_jacobian_raw).
+    twists, (n_p+1, 6), holds each step's desired 6-twist, the velocity
+    feedforward (None: zero); every task level tracks its selected rows of
+    the step's pose. Step 0 reads the frames and J of start; every later
+    step makes one chain pass (fk_jacobian_raw).
     """
-    poses, twists = _window_arrays(window)
     steps = len(poses)
+    twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
+    if twists.shape != (steps, 6):
+        raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
     model, n = start.model, start.model.n
     levels, j_stack, err_stack = _levels(tasks, steps, n)
     q_hat = np.empty((steps, n))
@@ -345,33 +349,25 @@ def ik_rollout(start: ChainState, window, dt: float, rel_threshold: float,
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 
 
-def _window_arrays(window):
-    """Accept a non-empty list of Poses or of (Pose, twist-or-None) pairs;
-    return the poses and one twist (or None) per step."""
-    pairs = [(item, None) if isinstance(item, Pose) else item for item in window]
-    if not pairs:
-        raise ValueError("window must contain at least one target")
-    return [p for p, _ in pairs], [None if t is None else np.asarray(t, dtype=float) for _, t in pairs]
-
-
 def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
                posture: PostureSpec | None = None, twist=None) -> np.ndarray:
     """Hierarchical operational-space torque tracking one target pose from a
     chain state at (q, qd), whose M, b and frames it reads.
 
-    Every level tracks its selected rows of the target (and of the optional
-    6-twist): a task-space PD force weighted by the task-space inertia,
-    mapped through the projected Jacobian transpose; lower levels act through
-    dynamically consistent null-space projectors, the posture impedance acts
-    in the final null space, and the bias forces are compensated exactly.
+    Every level tracks its selected rows of the target and of the optional
+    6-twist (None: zero): a task-space PD force weighted by the task-space
+    inertia, mapped through the projected Jacobian transpose; lower levels
+    act through dynamically consistent null-space projectors, the posture
+    impedance acts in the final null space, and the bias forces are
+    compensated exactly.
     """
     levels, jac, err = _levels(tasks, 1, state.model.n)
-    twist = None if twist is None else np.asarray(twist, dtype=float)
+    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
     return _osc_torque(state, levels, target, rel_threshold, posture, twist, jac[0], err[0])
 
 
 def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
-                posture: PostureSpec | None, twist, jac_out: np.ndarray,
+                posture: PostureSpec | None, twist: np.ndarray, jac_out: np.ndarray,
                 err_out: np.ndarray) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the
     caller, over resolved levels; writes each level's projected Jacobian and
@@ -387,7 +383,7 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
             levels, jac_full, err_full, rel_threshold, jac_out, err_out, st.minv,
             last_projector=posture is not None):
         vel = jac_full[rows] @ qd
-        acc_des = kd * (-vel if twist is None else twist[rows] - vel) + kp * err_full[rows]
+        acc_des = kd * (twist[rows] - vel) + kp * err_full[rows]
         tau = jac_proj.T @ (lam @ (acc_des - st.jdot_qd[rows]))
         u = tau if u is None else u + tau
 
@@ -396,10 +392,11 @@ def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
     return u + st.bias
 
 
-def osc_rollout(start: RigidBodyState, window, dt: float, rel_threshold: float,
-                tasks, posture: PostureSpec | None = None) -> NominalRollout:
-    """Simulate the OSC controller from the chain state start over the
-    window with semi-implicit Euler.
+def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
+                tasks, posture: PostureSpec | None = None, twists=None) -> NominalRollout:
+    """Simulate the OSC controller from the chain state start over n_p+1
+    target poses, with their (n_p+1, 6) desired twists (None: zero), by
+    semi-implicit Euler.
 
     Torques are clamped to the model limits before integration, so the
     recorded nominal is realizable by the torque-limited plant. The chain
@@ -409,8 +406,10 @@ def osc_rollout(start: RigidBodyState, window, dt: float, rel_threshold: float,
     The last step's torque would never be applied, so that step only fills
     its rows of the task stacks.
     """
-    poses, twists = _window_arrays(window)
     steps = len(poses)
+    twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
+    if twists.shape != (steps, 6):
+        raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
     model, n = start.model, start.model.n
     u_max = model.limits.u_max
     levels, j_stack, err_stack = _levels(tasks, steps, n)

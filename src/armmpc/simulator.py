@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import RigidBodyState
 from .horizon import HorizonConfig
-from .kinematics import ChainState, Pose, task_error
+from .kinematics import ChainState, pose_error_raw
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
 from .nominal import default_posture, ik_rollout, osc_torque
@@ -61,12 +61,11 @@ def make_plant_state(model: RobotModel, q0, qd0=None) -> PlantState:
                       last_u=np.zeros(model.n))
 
 
-def step_torque_plant(model: RobotModel, state: PlantState, u, dt: float) -> PlantState:
-    """Clamp the torque to the model limits and integrate one tick at the
-    plant's chain state; building the next state's chain is the step's one
-    joint pass. A state of another model is a ValueError."""
-    if state.chain.model is not model:
-        raise ValueError("plant state belongs to another model")
+def step_torque_plant(state: PlantState, u, dt: float) -> PlantState:
+    """Clamp the torque to the limits of the plant's model and integrate one
+    tick at its chain state; building the next state's chain is the step's
+    one joint pass."""
+    model = state.chain.model
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
     u = model.check_q(u, "u")
@@ -98,7 +97,7 @@ class PositionLoopGains:
                 raise ValueError(f"{name} must be finite and >= 0, got {gain}")
 
 
-def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
+def step_position_plant(state: PlantState, q_cmd, dt: float,
                         gains: PositionLoopGains = PositionLoopGains()) -> PlantState:
     """Inner PD + gravity compensation tracking q_cmd, then the torque plant.
 
@@ -106,10 +105,10 @@ def step_position_plant(model: RobotModel, state: PlantState, q_cmd, dt: float,
     plus exact gravity compensation, clamped by the torque plant. The
     plant's chain state serves the PD torque and the integration step.
     """
-    q_cmd = model.check_q(q_cmd, "q_cmd")
     st = state.chain
+    q_cmd = st.model.check_q(q_cmd, "q_cmd")
     acc = gains.kp * (q_cmd - st.q) - gains.kd * st.qd
-    return step_torque_plant(model, state, st.mass @ acc + st.gravity, dt)
+    return step_torque_plant(state, st.mass @ acc + st.gravity, dt)
 
 
 @dataclass
@@ -251,8 +250,8 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         mpc = DynamicMpc(model, ctl_cfg, posture=posture)
 
     for tick in range(ticks):
-        ee = Pose.from_matrix(state.chain.ee_rot, state.chain.ee_pos)
-        err = task_error(traj.poses[tick], ee).value
+        target, chain = traj.poses[tick], state.chain
+        err = pose_error_raw(target.rotation_matrix, target.translation, chain.ee_rot, chain.ee_pos)
         t_log[tick] = state.t
         q_log[tick] = state.q
         qd_log[tick] = state.qd
@@ -262,20 +261,19 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         sat_before = state.saturation_count
         t0 = time.perf_counter()
         if controller == "osc":
-            pose, twist = traj.window(tick, 0)[0][0]
-            cmd = osc_torque(state.chain, traj.tasks, pose, cfg.svd_threshold,
-                             posture=posture, twist=twist)
+            cmd = osc_torque(chain, traj.tasks, target, cfg.svd_threshold,
+                             posture=posture, twist=traj.twists[tick])
             degraded = False
         else:
-            res = mpc.step(state.chain, traj, tick)
+            res = mpc.step(chain, traj, tick)
             cmd = res.q_cmd if controller == "kin_mpc" else res.u_cmd
             degraded = res.degraded
         solve_t[tick] = time.perf_counter() - t0
         cmd_log[tick] = cmd
         if controller == "kin_mpc":
-            state = step_position_plant(model, state, cmd, cfg.dt, gains=cfg.position_gains)
+            state = step_position_plant(state, cmd, cfg.dt, gains=cfg.position_gains)
         else:
-            state = step_torque_plant(model, state, cmd, cfg.dt)
+            state = step_torque_plant(state, cmd, cfg.dt)
         u_log[tick] = state.last_u
         flags[tick] = degraded | 2 * (state.saturation_count > sat_before)
 
@@ -307,8 +305,8 @@ def ik_baseline_sequence(model: RobotModel, traj: TaskTrajectory, q0,
 
     The raw nominal the MPC is compared against: returns (q_seq, qd_cmd_seq).
     """
-    window, _ = traj.window(0, traj.n_samples - 1)
-    roll = ik_rollout(ChainState(model, q0), window, traj.dt, svd_threshold, traj.tasks)
+    roll = ik_rollout(ChainState(model, q0), traj.poses, traj.dt, svd_threshold, traj.tasks,
+                      twists=traj.twists)
     return roll.q_hat, roll.qd_hat
 
 

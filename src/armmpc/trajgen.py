@@ -24,7 +24,8 @@ SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
 
 @dataclass(frozen=True, eq=False)
 class TaskTrajectory:
-    """Evenly sampled sequence of pose targets with optional desired twists."""
+    """Evenly sampled sequence of pose targets and their desired twists,
+    every controller's feedforward; built without twists, they are zeros."""
 
     dt: float
     poses: tuple[Pose, ...]
@@ -37,13 +38,13 @@ class TaskTrajectory:
         object.__setattr__(self, "poses", tuple(self.poses))
         if len(self.poses) < 1:
             raise ValueError("trajectory needs at least one sample")
-        if self.twists is not None:
-            tw = np.asarray(self.twists, dtype=float)
-            if tw.shape != (len(self.poses), 6):
-                raise ValueError(f"twists must be ({len(self.poses)}, 6), got {tw.shape}")
-            if not np.all(np.isfinite(tw)):
-                raise ValueError("twists have non-finite entries")
-            object.__setattr__(self, "twists", tw)
+        tw = np.zeros((len(self.poses), 6)) if self.twists is None else np.asarray(
+            self.twists, dtype=float)
+        if tw.shape != (len(self.poses), 6):
+            raise ValueError(f"twists must be ({len(self.poses)}, 6), got {tw.shape}")
+        if not np.all(np.isfinite(tw)):
+            raise ValueError("twists have non-finite entries")
+        object.__setattr__(self, "twists", tw)
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks or not all(isinstance(t, TaskSpec) for t in self.tasks):
             raise ValueError("tasks must be a non-empty sequence of TaskSpec")
@@ -59,18 +60,15 @@ class TaskTrajectory:
     def window(self, start: int, horizon: int):
         """Targets for steps start..start+horizon, padded with the final sample.
 
-        Returns (window items, includes_end); items are (Pose, twist) pairs.
-        A negative start or horizon is a ValueError: it names no tick.
+        Returns (poses, twists, includes_end): a list of horizon + 1 Poses and
+        their (horizon + 1, 6) twists. A negative start or horizon is a
+        ValueError: it names no tick.
         """
         if start < 0 or horizon < 0:
             raise ValueError(f"start and horizon must be >= 0, got {start} and {horizon}")
         last = self.n_samples - 1
-        items = []
-        for k in range(start, start + horizon + 1):
-            idx = min(k, last)
-            twist = None if self.twists is None else self.twists[idx]
-            items.append((self.poses[idx], twist))
-        return items, (start + horizon) >= last
+        idx = np.minimum(np.arange(start, start + horizon + 1), last)
+        return [self.poses[i] for i in idx.tolist()], self.twists[idx], start + horizon >= last
 
 
 def cubic_spline_position(waypoints, dt: float):

@@ -4,7 +4,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from armmpc import bundled_model_path
+from armmpc import bundled_model_path, cli
+from armmpc.checks import CheckResult
 from armmpc.cli import main
 
 
@@ -174,16 +175,25 @@ def test_bench_horizon_single(runner, tmp_path):
     assert len(rows) == 2
 
 
-def test_bench_horizon_monotone_pair(runner, tmp_path):
-    out = tmp_path / "bench2"
-    result = runner.invoke(main, [
-        "bench-horizon", "--horizons", "2,8", "--ticks", "40", "--out", str(out),
-    ])
+def test_bench_horizon_monotone_pair(runner, tmp_path, monkeypatch):
+    # fixed timing rows, so machine load cannot invert the pair: nondecreasing
+    # medians pass and are written out, a decreasing pair is a runtime failure
+    def fixed_rows(medians):
+        return lambda model, scenario, horizons, ticks, **kwargs: [
+            {"horizon": h, "ticks": ticks, "min_ms": 0.5, "median_ms": m, "p99_ms": 2.0 * m}
+            for h, m in zip(horizons, medians)]
+
+    args = ["bench-horizon", "--horizons", "2,8", "--ticks", "40"]
+    monkeypatch.setattr(cli, "bench_horizon", fixed_rows([1.0, 1.0]))
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "flat")])
     assert result.exit_code == 0, result.output
-    with open(out / "bench_horizon.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    medians = [float(r[3]) for r in rows]
-    assert medians[0] <= medians[1]
+    with open(tmp_path / "flat" / "bench_horizon.csv") as fh:
+        assert list(csv.reader(fh))[1:] == [["2", "40", "0.5000", "1.0000", "2.0000"],
+                                            ["8", "40", "0.5000", "1.0000", "2.0000"]]
+    monkeypatch.setattr(cli, "bench_horizon", fixed_rows([2.0, 1.0]))
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "down")])
+    assert result.exit_code == 4
+    assert "median step time is not nondecreasing in the horizon" in result.output
 
 
 def test_bench_horizon_bad_list(runner):
@@ -209,19 +219,18 @@ def test_check_unknown_name(runner):
     assert result.exit_code == 2
 
 
-def test_check_failure_exit_code(runner):
-    # impossible tolerance forces a reported failure -> exit 3
-    result = runner.invoke(main, ["check", "--checks", "identity", "--tol-scale", "1e-12"])
+def test_check_failure_exit_code(runner, monkeypatch):
+    # a reported failure -> exit 3
+    failing = CheckResult("fd_id_derivative_identity", False, 1.0, 1e-10, "state 0")
+    monkeypatch.setattr(cli, "run_checks", lambda model, which, seed: [failing])
+    result = runner.invoke(main, ["check", "--checks", "identity"])
     assert result.exit_code == 3
     assert "FAIL" in result.output
 
 
 @pytest.mark.parametrize("args", [
-    ["--tol-scale", "nan"],
-    ["--tol-scale", "inf"],
-    ["--tol-scale", "0"],
     ["--seed", "-1"],
-], ids=["tol-nan", "tol-inf", "tol-zero", "seed-negative"])
+], ids=["seed-negative"])
 def test_check_bad_option_is_config_error(runner, args):
     result = runner.invoke(main, ["check", "--checks", "identity"] + args)
     assert result.exit_code == 2, result.output

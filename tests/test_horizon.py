@@ -137,8 +137,8 @@ def test_negative_tick_is_rejected(desk_model, rng):
     for start, horizon in ((-1, 2), (0, -1), (-3, -3)):
         with pytest.raises(ValueError, match="start and horizon"):
             traj.window(start, horizon)
-    items, includes_end = traj.window(0, 0)
-    assert len(items) == 1 and not includes_end
+    poses, twists, includes_end = traj.window(0, 0)
+    assert len(poses) == 1 and twists.shape == (1, 6) and not includes_end
     kin = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
     dyn = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
                                  posture=default_posture(q0))

@@ -159,9 +159,9 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=10.0, damping_weight=0.0,
                            input_weight=0.0)
-    window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(desk_model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(q0))
+    poses, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                       posture=default_posture(q0), twists=twists)
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
     problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
@@ -178,9 +178,9 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=3, dt=1e-3)
-    window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(desk_model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(q0))
+    poses, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                       posture=default_posture(q0), twists=twists)
     stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
     problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
@@ -196,9 +196,9 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
 def off_rest_stages(model, rng, horizon):
     x0, traj = off_rest_rollout(model, rng, horizon)
     cfg = DynamicMpcConfig(horizon=horizon, dt=1e-3)
-    window, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(model, x0), window, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(x0[:model.n]))
+    poses, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                       posture=default_posture(x0[:model.n]), twists=twists)
     stages = linearize_stage(model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
     return cfg, roll, stages
 
@@ -355,9 +355,9 @@ def test_dyn_step_one_derivative_pass_per_tick(desk_model, rng, chain_counts):
 
 def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
-    window, _ = traj.window(0, 10)
-    roll = osc_rollout(state_at(desk_model, x0), window, 1e-3, 1e-2, traj.tasks,
-                       posture=default_posture(x0[:6]))
+    poses, twists, _ = traj.window(0, 10)
+    roll = osc_rollout(state_at(desk_model, x0), poses, 1e-3, 1e-2, traj.tasks,
+                       posture=default_posture(x0[:6]), twists=twists)
     assert len(roll.states) == 11
     horizon = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3,
                               states=roll.states[:-1], qdd=roll.qdd_hat)
@@ -375,8 +375,9 @@ def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
 
 def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 3)
-    window, _ = traj.window(0, 3)
-    roll = osc_rollout(state_at(desk_model, x0), window, 1e-3, 1e-2, traj.tasks)
+    poses, twists, _ = traj.window(0, 3)
+    roll = osc_rollout(state_at(desk_model, x0), poses, 1e-3, 1e-2, traj.tasks,
+                       twists=twists)
     with pytest.raises(ValueError, match="x_hat"):
         linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, states=roll.states[:1])
     moved = roll.x_hat[0].copy()

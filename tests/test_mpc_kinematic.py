@@ -116,8 +116,9 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     q0 = random_config(desk_model, rng)
     cfg = KinematicMpcConfig(horizon=5, dt=1e-3, task_weight=100.0, damping_weight=0.01)
     traj = make_traj_holding(desk_model, q0, 10, cfg.dt)
-    window, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold, traj.tasks)
+    poses, twists, _ = traj.window(0, cfg.horizon)
+    rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                         twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     assert sol.status == qp.OPTIMAL
@@ -130,8 +131,9 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
     cfg = KinematicMpcConfig(horizon=1, dt=1e-3, task_weight=10.0,
                              damping_weight=0.0, accel_weight=0.0)
     traj = make_traj_holding(desk_model, q0, 5, cfg.dt)
-    window, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold, traj.tasks)
+    poses, twists, _ = traj.window(0, cfg.horizon)
+    rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+                         twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.solve(problem)
     np.testing.assert_allclose(sol.z_star, rollout.q_hat[1], atol=1e-7)
@@ -241,9 +243,9 @@ def test_cost_horizon_monotonicity(desk_model, rng):
     for horizon in (5, 6):
         cfg = KinematicMpcConfig(horizon=horizon, dt=1e-3, task_weight=100.0,
                                  damping_weight=0.01, accel_weight=1e-5)
-        window, _ = traj.window(0, horizon)
-        rollout = ik_rollout(ChainState(desk_model, q0), window, cfg.dt, cfg.svd_threshold,
-                             traj.tasks)
+        poses, twists, _ = traj.window(0, horizon)
+        rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold,
+                             traj.tasks, twists=twists)
         problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
         sol = qp.solve(problem)
         assert sol.status == qp.OPTIMAL
@@ -337,9 +339,9 @@ def test_smoothing_vs_raw_ik_nominal(desk_model_large):
 
     dt = 1e-3
     traj = scenario_trajectory("singularity_pass", desk_model_large, dt)
-    window, _ = traj.window(0, traj.n_samples - 1)
-    nominal = ik_rollout(ChainState(desk_model_large, SINGULARITY_START_CONFIG), window, dt,
-                         1e-2, traj.tasks)
+    poses, twists, _ = traj.window(0, traj.n_samples - 1)
+    nominal = ik_rollout(ChainState(desk_model_large, SINGULARITY_START_CONFIG), poses, dt,
+                         1e-2, traj.tasks, twists=twists)
     lo, hi = 2300, 2650  # brackets the near-singular stretch on this model
     nominal_acc = np.abs(np.diff(nominal.q_hat[lo - 2:hi], 2, axis=0) / dt**2).max()
 

@@ -205,7 +205,7 @@ def test_ik_step_single_task_is_pinv(desk_model, rng):
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
     qd = prioritized_ik_step(ChainState(desk_model, q), full_pose_task(gain=1.0), target, 1e-6)
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q)).value
+    err = task_error(target, forward_kinematics(desk_model, q))
     np.testing.assert_allclose(qd, compact_svd_pinv(jac, 1e-6) @ err, atol=1e-10)
 
 
@@ -257,6 +257,21 @@ def test_ik_rollout_degenerate_window(desk_model, rng):
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
 
+def test_rollouts_take_none_twists_as_zero_and_check_their_targets(desk_model, rng):
+    q0 = random_config(desk_model, rng)
+    poses = [forward_kinematics(desk_model, q0 + 0.05)] * 4
+    for rollout, start in ((ik_rollout, ChainState(desk_model, q0)),
+                           (osc_rollout, RigidBodyState(desk_model, q0))):
+        none = rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks())
+        zero = rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((4, 6)))
+        assert np.array_equal(none.q_hat, zero.q_hat)
+        assert np.array_equal(none.qd_hat, zero.qd_hat)
+        with pytest.raises(ValueError, match="at least one target"):
+            rollout(start, [], 1e-3, 1e-2, pos_ori_tasks())
+        with pytest.raises(ValueError, match=r"twists must be \(4, 6\)"):
+            rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((3, 6)))
+
+
 def hand_recursion(jac, err, tasks, rel_threshold, minv=None):
     """Projected task Jacobians of the levels' pose rows in priority order,
     through the IK projector I - J+ J, or the dynamically consistent one
@@ -302,7 +317,7 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     tasks = tuple(TaskSpec(priority=level + 1, selector=selector, gain=5.0 - 2.0 * level)
                   for level, selector in reversed(list(enumerate(selectors))))
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q)).value
+    err = task_error(target, forward_kinematics(desk_model, q))
     err_hand = np.concatenate([err[task.rows] for task in tasks[::-1]])
     stack_hand, qd_hand = hand_recursion(jac, err, tasks, 1e-2)
 
@@ -421,7 +436,7 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
                     kp=np.full(6, 50.0), kd=np.full(6, 8.0))
     u = osc_torque(RigidBodyState(desk_model, q, qd), (task,), target, 1e-9)
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q)).value
+    err = task_error(target, forward_kinematics(desk_model, q))
     acc_des = task.kd * (-jac @ qd) + task.kp * err
     closed_loop = jac @ forward_dynamics(desk_model, q, qd, u) + jacobian_dot(desk_model, q, qd) @ qd
     assert np.linalg.norm(closed_loop - acc_des) <= 1e-6

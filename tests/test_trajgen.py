@@ -178,13 +178,28 @@ def test_time_grid_alignment(desk_model):
 
 
 def test_window_padding(desk_model):
-    traj = scenario_trajectory("payload_pick_place", desk_model, 1e-2)
-    items, includes_end = traj.window(traj.n_samples - 3, 10)
+    # poses and twists both pad with the last sample, here a moving one
+    traj = scenario_trajectory("circle_2dof", desk_model, 1e-2)
+    assert traj.twists[-1].any()
+    last = traj.n_samples - 1
+    poses, twists, includes_end = traj.window(last - 2, 10)
     assert includes_end
-    assert len(items) == 11
-    np.testing.assert_allclose(items[-1][0].translation, traj.poses[-1].translation)
-    items2, includes_end2 = traj.window(0, 10)
-    assert not includes_end2
+    assert len(poses) == 11 and twists.shape == (11, 6)
+    assert poses[:3] == list(traj.poses[-3:])
+    assert all(pose is traj.poses[-1] for pose in poses[2:])
+    np.testing.assert_array_equal(twists[:3], traj.twists[-3:])
+    np.testing.assert_array_equal(twists[2:], np.tile(traj.twists[-1], (9, 1)))
+    poses, twists, includes_end = traj.window(5, 10)
+    assert not includes_end
+    assert poses == list(traj.poses[5:16])
+    np.testing.assert_array_equal(twists, traj.twists[5:16])
+
+
+def test_trajectory_without_twists_holds_zeros(desk_model):
+    pose = forward_kinematics(desk_model, np.zeros(desk_model.n))
+    traj = TaskTrajectory(dt=1e-3, poses=(pose,) * 4)
+    assert traj.twists.shape == (4, 6)
+    assert not traj.twists.any()
 
 
 @pytest.mark.parametrize("tasks", [(), ("position",), (default_task_hierarchy()[0], "orientation")],
