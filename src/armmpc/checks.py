@@ -175,13 +175,14 @@ def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
 
 
 def _random_states(model: RobotModel, n_states: int, seed: int):
-    """n_states random (q, qd, u) inside the joint ranges."""
+    """n_states random chain states at (q, qd), q inside the joint ranges,
+    each with a random torque u."""
     rng = np.random.default_rng(seed)
     n = model.n
     lo, hi = model.limits.q_min, model.limits.q_max
     for _ in range(n_states):
         q = lo + (hi - lo) * (0.1 + 0.8 * rng.random(n))
-        yield q, rng.standard_normal(n), 10.0 * rng.standard_normal(n)
+        yield RigidBodyState(model, q, rng.standard_normal(n)), 10.0 * rng.standard_normal(n)
 
 
 def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: int = 0,
@@ -189,8 +190,9 @@ def run_dynamics_derivative_check(model: RobotModel, n_states: int = 200, seed: 
     """Analytic forward-dynamics derivatives vs central finite differences."""
     worst = 0.0
     h = 1e-6
-    for i, (q, qd, u) in enumerate(_random_states(model, n_states, seed)):
-        der = dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
+    for i, (st, u) in enumerate(_random_states(model, n_states, seed)):
+        q, qd = st.q, st.qd
+        der = dynamics_derivatives(st, st.forward_dynamics(u))
         for block, wrt, fn, x in (
                 (der.dqdd_dq, "q", lambda x: forward_dynamics(model, x, qd, u), q),
                 (der.dqdd_dqd, "qd", lambda x: forward_dynamics(model, q, x, u), qd),
@@ -209,8 +211,8 @@ def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
     """Forward/inverse derivative identity dqdd_dx = -Minv dtau_dx, with
     Minv = dqdd_du."""
     worst = 0.0
-    for i, (q, qd, u) in enumerate(_random_states(model, n_states, seed)):
-        der = dynamics_derivatives(model, q, qd, forward_dynamics(model, q, qd, u))
+    for i, (st, u) in enumerate(_random_states(model, n_states, seed)):
+        der = dynamics_derivatives(st, st.forward_dynamics(u))
         for dfd, did in ((der.dqdd_dq, der.dtau_dq), (der.dqdd_dqd, der.dtau_dqd)):
             res = float(np.linalg.norm(dfd + der.dqdd_du @ did) / (1.0 + np.linalg.norm(did)))
             worst = float(np.maximum(worst, res))  # keeps a NaN, which fails below
@@ -225,8 +227,8 @@ def run_world_pass_check(model: RobotModel, n_states: int = 200, seed: int = 0,
     and its J-dot qd against a central difference of J along qd (step 1e-6,
     good to about 1e-10), as |got - ref| / (1 + |ref|) over random states."""
     worst = np.zeros(2)
-    for q, qd, _ in _random_states(model, n_states, seed):
-        st = RigidBodyState(model, q, qd)
+    for st, _ in _random_states(model, n_states, seed):
+        q, qd = st.q, st.qd
         rnea = inverse_dynamics(model, q, qd, np.zeros(model.n))
         fd = _central_difference(lambda t: geometric_jacobian(model, q + t * qd) @ qd,
                                  np.zeros(1), 1e-6)[:, 0]

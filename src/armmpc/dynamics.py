@@ -182,34 +182,11 @@ class RigidBodyState(ChainState):
     def semi_implicit_step(self, u: np.ndarray, dt: float):
         """One semi-implicit Euler step from this state: velocity first, then position.
 
-        Returns the next q and qd, and the accelerations solved at this state.
+        Returns the next chain state and the accelerations solved at this state.
         """
         qdd = self.forward_dynamics(u)
         qd = self.qd + dt * qdd
-        return self.q + dt * qd, qd, qdd
-
-
-def stacked_derivatives(states, qdd: np.ndarray) -> DynamicsDerivatives:
-    """Dynamics derivative blocks at a stack of chain states of one model.
-
-    qdd is (B, n), one row per state, each consistent with that state's
-    nominal torque (the caller's contract). The motion transforms of all
-    states come from one call, and the analytic inverse-dynamics blocks from
-    one batched pass. Every block is returned with a leading batch axis.
-    """
-    n = states[0].chain.n
-    xs = _motion_transforms(np.stack([st.local for st in states]))
-    dtau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdd)[:, :, :-1]
-    minv = np.array([st.minv for st in states])
-    minv = 0.5 * (minv + minv.transpose(0, 2, 1))
-    dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)
-    return DynamicsDerivatives(
-        dtau_dq=dtau[:, :, :n],
-        dtau_dqd=dtau[:, :, n:],
-        dqdd_dq=dqdd[:, :, :n],
-        dqdd_dqd=dqdd[:, :, n:],
-        dqdd_du=minv,
-    )
+        return RigidBodyState(self.model, self.q + dt * qd, qd), qdd
 
 
 def _rnea(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
@@ -292,9 +269,29 @@ def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
     return RigidBodyState(model, q, qd).forward_dynamics(u)
 
 
-def dynamics_derivatives(model: RobotModel, q, qd, qdd) -> DynamicsDerivatives:
-    """All dynamics derivative blocks at (q, qd, qdd).
+def dynamics_derivatives(states, qdd) -> DynamicsDerivatives:
+    """Dynamics derivative blocks at one chain state, or with a leading batch
+    axis at a sequence of B states of one model.
 
-    qdd must be consistent with the nominal torque (the caller's contract).
+    qdd is (n,) or (B, n), each row consistent with its state's nominal
+    torque (the caller's contract). The motion transforms of all states come
+    from one call, and the analytic inverse-dynamics blocks from one batched
+    pass. Raises ValueError for states of two models or a qdd of another shape.
     """
-    return stacked_derivatives((RigidBodyState(model, q, qd),), model.check_q(qdd, "qdd")[None])[0]
+    single = isinstance(states, RigidBodyState)
+    states = (states,) if single else states
+    model, n = states[0].model, states[0].model.n
+    if any(st.model is not model for st in states):
+        raise ValueError("states belong to more than one model")
+    qdd = np.asarray(qdd, dtype=float)
+    if qdd.shape != ((n,) if single else (len(states), n)):
+        raise ValueError(f"qdd must hold one ({n},) row per state, got shape {qdd.shape}")
+    xs = _motion_transforms(np.stack([st.local for st in states]))
+    dtau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]),
+                 qdd.reshape(-1, n))[:, :, :-1]
+    minv = np.array([st.minv for st in states])
+    minv = 0.5 * (minv + minv.transpose(0, 2, 1))
+    dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)
+    der = DynamicsDerivatives(dtau_dq=dtau[:, :, :n], dtau_dqd=dtau[:, :, n:],
+                              dqdd_dq=dqdd[:, :, :n], dqdd_dqd=dqdd[:, :, n:], dqdd_du=minv)
+    return der[0] if single else der

@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from . import qp
-from .robot_model import RobotModel
+from .robot_model import RobotModel, require_number
 
 TERMINAL_WIDEN = 10.0  # terminal box scale on the tick after a degraded one
 
@@ -38,8 +38,7 @@ class HorizonConfig:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool):  # float(True) is 1.0
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            require_number(value, f.name)
             if f.name.endswith("_weight") and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
             if f.name.endswith("_tol") and not (math.isfinite(value) and value > 0):

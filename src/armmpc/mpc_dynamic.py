@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .dynamics import RigidBodyState, _mv, stacked_derivatives
+from .dynamics import RigidBodyState, _mv, dynamics_derivatives
 from .horizon import HorizonConfig, RecedingHorizon
 from .nominal import NominalRollout, PostureSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
@@ -45,53 +45,38 @@ class LinearizedStage:
     r: np.ndarray
 
 
-def linearize_stage(model: RobotModel, x_hat, u_hat, dt: float,
-                    states=None, qdd=None) -> LinearizedStage:
-    """Linearize the state equation around nominal points and discretize.
+def linearize_stage(states, u_hat, dt: float, qdd=None) -> LinearizedStage:
+    """Linearize the state equation at chain states and discretize.
 
     Explicit Euler on the first-order model: A = I + dt df/dx, B = dt df/du,
-    r = dt (f - df/dx x_hat - df/du u_hat). x_hat (2n,) and u_hat (n,) give
-    one stage; (n_p, 2n) and (n_p, n) give a horizon of n_p stages, whose
-    derivatives come from one batched pass, and a stacked LinearizedStage.
-    states, when given, holds the chain state at each x_hat row (a
-    rollout's own), whose mass matrix, factor and bias forces are reused
-    instead of evaluated again; qdd, when given, holds the accelerations
-    u_hat drives at each row (the rollout's own), which are then not solved
-    again.
+    r = dt (f - df/dx x_hat - df/du u_hat), with x_hat = [q; qd] read from
+    the states. One RigidBodyState and an (n,) u_hat give one stage; n_p
+    states and (n_p, n) inputs give n_p stages stacked along a leading axis,
+    from one dynamics_derivatives pass. qdd, when given, holds the
+    accelerations u_hat drives at each state (a rollout's own), which are
+    then not solved again.
     """
-    n = model.n
-    x_hat = np.asarray(x_hat, dtype=float)
-    single = x_hat.ndim == 1
-    x_hat, u_hat = np.atleast_2d(x_hat, np.asarray(u_hat, dtype=float))
-    n_p = x_hat.shape[0]
-    if x_hat.shape != (n_p, 2 * n):
-        raise ValueError(f"x_hat must have shape ({2 * n},) or (n_p, {2 * n})")
-    if u_hat.shape != (n_p, n):
-        raise ValueError(f"u_hat must hold one ({n},) row per x_hat row")
-    q, qd = x_hat[:, :n], x_hat[:, n:]
-    if states is None:
-        states = [RigidBodyState(model, q[k], qd[k]) for k in range(n_p)]
-    elif not (len(states) == n_p and all(st.model is model for st in states)
-              and np.array_equal([st.q for st in states], q)
-              and np.array_equal([st.qd for st in states], qd)):
-        raise ValueError("states are not the chain states of this model at x_hat")
+    single = isinstance(states, RigidBodyState)
+    seq = (states,) if single else states
+    n = seq[0].model.n
+    lead = () if single else (len(seq),)
+    u_hat = np.asarray(u_hat, dtype=float)
+    if u_hat.shape != lead + (n,):
+        raise ValueError(f"u_hat must hold one ({n},) row per state, got shape {u_hat.shape}")
+    x_hat = np.concatenate([[st.q for st in seq], [st.qd for st in seq]], axis=1).reshape(lead + (2 * n,))
     if qdd is None:
-        qdd = np.array([st.forward_dynamics(u) for st, u in zip(states, u_hat)])
-    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
-    if qdd.shape != (n_p, n):
-        raise ValueError(f"qdd must hold one ({n},) row per x_hat row")
-    der = stacked_derivatives(states, qdd)
+        qdd = np.reshape([st.forward_dynamics(u) for st, u in zip(seq, u_hat.reshape(-1, n))], u_hat.shape)
+    der = dynamics_derivatives(states, qdd)
 
-    dfdx = np.zeros((n_p, 2 * n, 2 * n))
-    dfdx[:, :n, n:] = np.eye(n)
-    dfdx[:, n:, :n] = der.dqdd_dq
-    dfdx[:, n:, n:] = der.dqdd_dqd
-    dfdu = np.zeros((n_p, 2 * n, n))
-    dfdu[:, n:, :] = der.dqdd_du
-    f_val = np.concatenate([qd, qdd], axis=1)
-    stage = LinearizedStage(A=np.eye(2 * n) + dt * dfdx, B=dt * dfdu,
-                            r=dt * (f_val - _mv(dfdx, x_hat) - _mv(dfdu, u_hat)))
-    return LinearizedStage(stage.A[0], stage.B[0], stage.r[0]) if single else stage
+    dfdx = np.zeros(lead + (2 * n, 2 * n))
+    dfdx[..., :n, n:] = np.eye(n)
+    dfdx[..., n:, :n] = der.dqdd_dq
+    dfdx[..., n:, n:] = der.dqdd_dqd
+    dfdu = np.zeros(lead + (2 * n, n))
+    dfdu[..., n:, :] = der.dqdd_du
+    f_val = np.concatenate([x_hat[..., n:], qdd], axis=-1)
+    return LinearizedStage(A=np.eye(2 * n) + dt * dfdx, B=dt * dfdu,
+                           r=dt * (f_val - _mv(dfdx, x_hat) - _mv(dfdu, u_hat)))
 
 
 def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +195,7 @@ class DynamicMpc(RecedingHorizon):
         poses, twists, includes_end = traj.window(tick, cfg.horizon)
         rollout = osc_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                               posture=self.posture, twists=twists)
-        stages = linearize_stage(model, rollout.x_hat[:-1], rollout.u_hat, cfg.dt,
-                                 states=rollout.states[:-1], qdd=rollout.qdd_hat)
+        stages = linearize_stage(rollout.states, rollout.u_hat, cfg.dt, qdd=rollout.qdd_hat)
         rows = build_prediction(stages, rollout.x_hat, rollout.u_hat)
         solution, degraded = self._solve(
             lambda widen: build_dyn_qp(cfg, rollout, rows, model.limits, terminal_widen=widen),

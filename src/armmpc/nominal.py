@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import RigidBodyState
 from .kinematics import ChainState, Pose, fk_jacobian_raw, pose_error_raw
+from .robot_model import require_number
 
 POSITION = "position"
 ORIENTATION = "orientation"
@@ -45,6 +46,8 @@ class TaskSpec:
     kd: np.ndarray | None = None  # OSC damping
 
     def __post_init__(self):
+        require_number(self.priority, "priority")
+        require_number(self.gain, "gain")
         if self.priority < 1:
             raise ValueError("priority must be >= 1 (1 = highest)")
         if self.selector not in _SELECTOR_ROWS:
@@ -116,7 +119,7 @@ class NominalRollout:
     Jacobians; err_stack is (n_p+1, n_g), the nominal's own task errors in
     the same row order; u_hat and qdd_hat (the accelerations u_hat drives)
     are (n_p, n) and x_hat (n_p+1, 2n) for dynamic rollouts, whose states
-    hold the RigidBodyState at each x_hat row (empty for kinematic rollouts).
+    hold the n_p stage RigidBodyStates, at x_hat[:-1] (none if kinematic).
     """
 
     q_hat: np.ndarray
@@ -140,8 +143,8 @@ class NominalRollout:
             arr = getattr(self, name)
             if arr is not None and arr.shape[0] != steps - 1:
                 raise ValueError(f"{name} must have n_p rows")
-        if self.states and len(self.states) != steps:
-            raise ValueError("states must hold one chain state per step")
+        if self.states and len(self.states) != steps - 1:
+            raise ValueError("states must hold one chain state per stage")
         for arr in (self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("rollout has non-finite entries")
@@ -400,11 +403,11 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
 
     Torques are clamped to the model limits before integration, so the
     recorded nominal is realizable by the torque-limited plant. The chain
-    state of every step, start first, and the solved accelerations are kept
+    state of each stage, start first, and the solved accelerations are kept
     on the rollout, so a linearization along it reuses each state's mass
     matrix, factor and bias forces and solves no forward dynamics again.
     The last step's torque would never be applied, so that step only fills
-    its rows of the task stacks.
+    its rows of the task stacks, and its state is not kept.
     """
     steps = len(poses)
     twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
@@ -421,7 +424,6 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     st = start
     for k in range(steps):
         x_hat[k, :n], x_hat[k, n:] = st.q, st.qd
-        states.append(st)
         if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
             err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
                                       st.ee_rot, st.ee_pos)
@@ -431,10 +433,9 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
             break
         u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k],
                         j_stack[k], err_stack[k])
-        u = np.clip(u, -u_max, u_max)
-        u_hat[k] = u
-        q, qd, qdd_hat[k] = st.semi_implicit_step(u, dt)
-        st = RigidBodyState(model, q, qd)
+        u_hat[k] = np.clip(u, -u_max, u_max)
+        states.append(st)
+        st, qdd_hat[k] = st.semi_implicit_step(u_hat[k], dt)
     return NominalRollout(q_hat=x_hat[:, :n], qd_hat=x_hat[:, n:], j_stack=j_stack,
                           err_stack=err_stack, u_hat=u_hat, x_hat=x_hat, qdd_hat=qdd_hat,
                           states=tuple(states))

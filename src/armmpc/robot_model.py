@@ -40,6 +40,12 @@ def reject_bools(doc, where: str) -> None:
             reject_bools(val, f"{where}[{key!r}]")
 
 
+def require_number(value, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise error for a bool where a number is read: float(True) is 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -149,6 +155,7 @@ class PayloadSpec:
     inertia_tensor: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
 
     def __post_init__(self):
+        require_number(self.mass, "payload mass", ModelError)
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ModelError(f"payload mass must be finite and nonnegative, got {self.mass}")
         object.__setattr__(self, "com_offset", _array(self.com_offset, "com_offset"))

@@ -28,7 +28,7 @@ from .kinematics import ChainState, pose_error_raw
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
 from .nominal import default_posture, ik_rollout, osc_torque
-from .robot_model import PayloadSpec, RobotModel, attach_payload
+from .robot_model import PayloadSpec, RobotModel, attach_payload, require_number
 from .trajgen import TaskTrajectory, scenario_initial_config, scenario_trajectory
 
 CONTROLLERS = ("osc", "kin_mpc", "dyn_mpc")
@@ -73,10 +73,9 @@ def step_torque_plant(state: PlantState, u, dt: float) -> PlantState:
         raise ValueError("torque command has non-finite entries")
     u_max = model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)
-    q, qd, _ = state.chain.semi_implicit_step(u_applied, dt)
     return PlantState(
         t=state.t + dt,
-        chain=RigidBodyState(model, q, qd),
+        chain=state.chain.semi_implicit_step(u_applied, dt)[0],
         last_u=u_applied,
         saturation_count=state.saturation_count + int(np.any(u_applied != u)),
     )
@@ -93,6 +92,7 @@ class PositionLoopGains:
 
     def __post_init__(self):
         for name, gain in (("kp", self.kp), ("kd", self.kd)):
+            require_number(gain, name)
             if not (math.isfinite(gain) and gain >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {gain}")
 

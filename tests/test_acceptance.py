@@ -181,7 +181,7 @@ def test_criterion_8_linearization_fidelity(desk):
         qd = 0.3 * rng.standard_normal(6)
         x_hat = np.concatenate([q, qd])
         u_hat = 5.0 * rng.standard_normal(6)
-        stage = linearize_stage(desk, x_hat, u_hat, dt=dt)
+        stage = linearize_stage(RigidBodyState(desk, q, qd), u_hat, dt=dt)
 
         def nonlinear_step(x):
             qdd = forward_dynamics(desk, x[:6], x[6:], u_hat)

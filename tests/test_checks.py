@@ -9,8 +9,8 @@ from armmpc.dynamics import DynamicsDerivatives
 from armmpc.qp import KktResiduals, QpSolution
 
 
-def nan_derivatives(model, q, qd, qdd):
-    n = model.n
+def nan_derivatives(state, qdd):
+    n = state.model.n
     return DynamicsDerivatives(*(np.full((n, n), np.nan) for _ in range(5)))
 
 

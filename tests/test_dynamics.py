@@ -15,7 +15,6 @@ from armmpc.dynamics import (
     forward_dynamics,
     inverse_dynamics,
     mass_matrix,
-    stacked_derivatives,
 )
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.robot_model import PayloadSpec, attach_payload
@@ -48,7 +47,7 @@ def test_icrf_identity(rng):
         np.testing.assert_array_equal(_crm(m)[k], _crm(m[k]))
 
 
-def test_stacked_derivatives_mixed_chain_and_batch(rng):
+def test_dynamics_derivatives_batch_matches_single(rng):
     # the chain with a tilted middle axis; a rest state among moving ones
     model = make_rpr()
     states, qdds = [], []
@@ -58,7 +57,7 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
         states.append(RigidBodyState(model, q, qd))
         qdds.append(rng.standard_normal(model.n))
     qdds = np.array(qdds)
-    batch = stacked_derivatives(states, qdds)
+    batch = dynamics_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
     # the horizon's motion transforms, built in one call, are each state's own
     xs = np.stack([_motion_transforms(st.local[None])[0] for st in states])
@@ -67,7 +66,7 @@ def test_stacked_derivatives_mixed_chain_and_batch(rng):
     tau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdds)[:, :, -1]
     for k, st in enumerate(states):
         fd = dict(zip(("dtau_dq", "dtau_dqd"), _id_derivatives_fd(model, st.q, st.qd, qdds[k])))
-        one = dynamics_derivatives(model, st.q, st.qd, qdds[k])
+        one = dynamics_derivatives(st, qdds[k])
         np.testing.assert_allclose(tau[k], st.mass @ qdds[k] + st.bias, rtol=0, atol=1e-10)
         for name in ("dtau_dq", "dtau_dqd"):
             got = getattr(batch, name)[k]
@@ -304,7 +303,7 @@ def test_derivatives_match_fd_of_forward_dynamics(desk_model, rng):
         qd = rng.standard_normal(desk_model.n)
         u = 15.0 * rng.standard_normal(desk_model.n)
         qdd = forward_dynamics(desk_model, q, qd, u)
-        der = dynamics_derivatives(desk_model, q, qd, qdd)
+        der = dynamics_derivatives(RigidBodyState(desk_model, q, qd), qdd)
         fd_q = _central_difference(lambda x: forward_dynamics(desk_model, x, qd, u), q, 1e-6)
         fd_qd = _central_difference(lambda x: forward_dynamics(desk_model, q, x, u), qd, 1e-6)
         fd_u = _central_difference(lambda x: forward_dynamics(desk_model, q, qd, x), u, 1e-6)
@@ -318,7 +317,7 @@ def test_derivatives_fd_switch_agrees(desk_model, rng):
     qd = rng.standard_normal(desk_model.n)
     u = rng.standard_normal(desk_model.n)
     qdd = forward_dynamics(desk_model, q, qd, u)
-    ana = dynamics_derivatives(desk_model, q, qd, qdd)
+    ana = dynamics_derivatives(RigidBodyState(desk_model, q, qd), qdd)
     num_dq, num_dqd = _id_derivatives_fd(desk_model, q, qd, qdd)
     np.testing.assert_allclose(ana.dtau_dq, num_dq, atol=1e-4)
     np.testing.assert_allclose(ana.dtau_dqd, num_dqd, atol=1e-4)
@@ -326,13 +325,13 @@ def test_derivatives_fd_switch_agrees(desk_model, rng):
 
 def test_pendulum_symbolic_gravity_derivative(gravity_pendulum):
     theta = 0.8
-    der = dynamics_derivatives(gravity_pendulum, np.array([theta]), np.zeros(1), np.zeros(1))
+    der = dynamics_derivatives(RigidBodyState(gravity_pendulum, np.array([theta])), np.zeros(1))
     assert der.dtau_dq[0, 0] == pytest.approx(-9.81 * math.sin(theta), abs=1e-9)
 
 
 def test_dqdd_du_times_mass_is_identity(desk_model, rng):
     q = random_config(desk_model, rng)
-    der = dynamics_derivatives(desk_model, q, np.zeros(6), np.zeros(6))
+    der = dynamics_derivatives(RigidBodyState(desk_model, q), np.zeros(6))
     np.testing.assert_allclose(der.dqdd_du @ mass_matrix(desk_model, q), np.eye(6), atol=1e-10)
 
 
@@ -343,7 +342,7 @@ def test_fd_id_derivative_identity(desk_model, rng):
         qd = rng.standard_normal(desk_model.n)
         u = rng.standard_normal(desk_model.n)
         qdd = forward_dynamics(desk_model, q, qd, u)
-        der = dynamics_derivatives(desk_model, q, qd, qdd)
+        der = dynamics_derivatives(RigidBodyState(desk_model, q, qd), qdd)
         for dfd, did in ((der.dqdd_dq, der.dtau_dq), (der.dqdd_dqd, der.dtau_dqd)):
             res = np.linalg.norm(dfd + der.dqdd_du @ did)
             assert res <= 1e-10 * (1.0 + np.linalg.norm(did))
@@ -360,10 +359,10 @@ def test_energy_conservation_no_gravity(planar_2dof):
     e0 = kinetic(q, qd)
     drift = []
     for dt in (1e-3, 1e-4):
-        qq, dd = q.copy(), qd.copy()
+        st = RigidBodyState(planar_2dof, q, qd)
         for _ in range(int(round(0.5 / dt))):
-            qq, dd = RigidBodyState(planar_2dof, qq, dd).semi_implicit_step(zero, dt)[:2]
-        drift.append(abs(kinetic(qq, dd) - e0) / e0)
+            st = st.semi_implicit_step(zero, dt)[0]
+        drift.append(abs(kinetic(st.q, st.qd) - e0) / e0)
     # first-order integrator: drift shrinks with dt, and stays under the frozen ceiling
     assert drift[1] < drift[0]
     assert drift[1] < 1e-3

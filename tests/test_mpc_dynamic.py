@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, lapack
 
-from armmpc import qp
+from armmpc import mpc_dynamic, qp
 from armmpc.dynamics import RigidBodyState, bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import (
@@ -38,7 +39,7 @@ def test_linearize_affine_identity(desk_model, rng):
     x_hat = random_state(desk_model, rng)
     u_hat = 10.0 * rng.standard_normal(6)
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
+    st = linearize_stage(state_at(desk_model, x_hat), u_hat, dt=dt)
     qdd = forward_dynamics(desk_model, x_hat[:6], x_hat[6:], u_hat)
     euler = x_hat + dt * np.concatenate([x_hat[6:], qdd])
     np.testing.assert_allclose(st.A @ x_hat + st.B @ u_hat + st.r, euler, atol=1e-12)
@@ -48,7 +49,7 @@ def test_linearize_block_structure(desk_model, rng):
     x_hat = random_state(desk_model, rng)
     u_hat = rng.standard_normal(6)
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
+    st = linearize_stage(state_at(desk_model, x_hat), u_hat, dt=dt)
     np.testing.assert_allclose(st.A[:6, :6], np.eye(6), atol=1e-15)
     np.testing.assert_allclose(st.A[:6, 6:], dt * np.eye(6), atol=1e-15)
     np.testing.assert_allclose(st.B[:6, :], 0.0, atol=1e-15)
@@ -59,7 +60,7 @@ def test_linearize_pendulum_symbolic(gravity_pendulum):
     theta = 0.3
     x_hat = np.array([theta, 0.0])
     u_hat = np.array([9.81 * np.cos(theta)])  # static hold
-    st = linearize_stage(gravity_pendulum, x_hat, u_hat, dt=1e-3)
+    st = linearize_stage(state_at(gravity_pendulum, x_hat), u_hat, dt=1e-3)
     dfdq = (st.A[1, 0]) / 1e-3  # lower-left of continuous jacobian
     assert dfdq == pytest.approx(9.81 * np.sin(theta), abs=1e-6)
 
@@ -68,7 +69,7 @@ def test_linearization_second_order_remainder(desk_model, rng):
     x_hat = random_state(desk_model, rng, vel_scale=0.2)
     u_hat = bias_forces(desk_model, x_hat[:6], x_hat[6:])
     dt = 1e-3
-    st = linearize_stage(desk_model, x_hat, u_hat, dt=dt)
+    st = linearize_stage(state_at(desk_model, x_hat), u_hat, dt=dt)
 
     def nonlinear_step(x):
         qdd = forward_dynamics(desk_model, x[:6], x[6:], u_hat)
@@ -162,7 +163,7 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     poses, twists, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0), twists=twists)
-    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
+    stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
     problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
     sol = qp.solve(problem)
@@ -170,7 +171,7 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
     with pytest.raises(ValueError, match="horizon"):
-        short = linearize_stage(desk_model, roll.x_hat[:-2], roll.u_hat[:-1], cfg.dt)
+        short = linearize_stage(roll.states[:-1], roll.u_hat[:-1], cfg.dt)
         rows = build_prediction(short, roll.x_hat[:-1], roll.u_hat[:-1])
         build_dyn_qp(cfg, roll, rows, desk_model.limits)
 
@@ -181,7 +182,7 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     poses, twists, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0), twists=twists)
-    stages = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
+    stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
     problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
@@ -199,7 +200,7 @@ def off_rest_stages(model, rng, horizon):
     poses, twists, _ = traj.window(0, cfg.horizon)
     roll = osc_rollout(state_at(model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(x0[:model.n]), twists=twists)
-    stages = linearize_stage(model, roll.x_hat[:-1], roll.u_hat, cfg.dt)
+    stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     return cfg, roll, stages
 
 
@@ -271,7 +272,7 @@ def test_dyn_step_solved_plan_satisfies_dynamics_rows(desk_model, rng):
     roll = res.rollout
     x = x0
     for k in range(cfg.horizon):
-        st = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], cfg.dt)
+        st = linearize_stage(roll.states[k], roll.u_hat[k], cfg.dt)
         np.testing.assert_allclose(res.plan_states[k], st.A @ x + st.B @ res.plan_inputs[k] + st.r,
                                    rtol=0.0, atol=1e-8)
         x = res.plan_states[k]
@@ -298,17 +299,17 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
     pose = forward_kinematics(desk_model, q + 0.05)
     state = RigidBodyState(desk_model, q, qd)
     calls = {
-        # the OSC reads the caller's state and builds none of its own
+        # the OSC, the derivatives and the linearization read the caller's
+        # state and build none of their own
         "osc_torque": lambda: osc_torque(state, default_task_hierarchy(), pose, 1e-2,
                                          posture=default_posture(q)),
         "forward_dynamics": lambda: forward_dynamics(desk_model, q, qd, u),
-        "dynamics_derivatives": lambda: dynamics_derivatives(desk_model, q, qd, u),
-        "linearize_stage": lambda: linearize_stage(desk_model, x_hat, u, dt=1e-3),
+        "dynamics_derivatives": lambda: dynamics_derivatives(state, u),
+        "linearize_stage": lambda: linearize_stage(state, u, dt=1e-3),
     }
     chain_counts.update(passes=0, factors=0)
     calls[call]()
-    assert chain_counts["passes"] == int(call != "osc_torque")
-    assert chain_counts["factors"] <= 1
+    assert chain_counts["passes"] == chain_counts["factors"] == int(call == "forward_dynamics")
     # a single point is a batch of one through the same derivative core
     assert chain_counts["derivatives"] == int(call in ("dynamics_derivatives", "linearize_stage"))
 
@@ -358,14 +359,15 @@ def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
     poses, twists, _ = traj.window(0, 10)
     roll = osc_rollout(state_at(desk_model, x0), poses, 1e-3, 1e-2, traj.tasks,
                        posture=default_posture(x0[:6]), twists=twists)
-    assert len(roll.states) == 11
-    horizon = linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3,
-                              states=roll.states[:-1], qdd=roll.qdd_hat)
+    # one state per stage, each at its row of x_hat
+    assert len(roll.states) == 10
+    for k, st in enumerate(roll.states):
+        assert np.array_equal(np.concatenate([st.q, st.qd]), roll.x_hat[k]), k
+    horizon = linearize_stage(roll.states, roll.u_hat, 1e-3, qdd=roll.qdd_hat)
     assert horizon.A.shape == (10, 12, 12) and horizon.B.shape == (10, 12, 6)
     for k in range(10):
-        fresh = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3)
-        shared = linearize_stage(desk_model, roll.x_hat[k], roll.u_hat[k], 1e-3,
-                                 states=roll.states[k:k + 1])
+        fresh = linearize_stage(state_at(desk_model, roll.x_hat[k]), roll.u_hat[k], 1e-3)
+        shared = linearize_stage(roll.states[k], roll.u_hat[k], 1e-3)
         for name in ("A", "B", "r"):
             one = getattr(fresh, name)
             assert np.array_equal(getattr(shared, name), one), (k, name)
@@ -373,19 +375,41 @@ def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
             assert np.abs(row - one).max() <= 1e-12 * np.abs(one).max(), (k, name)
 
 
-def test_linearize_stage_rejects_state_elsewhere(desk_model, rng):
-    x0, traj = off_rest_rollout(desk_model, rng, 3)
-    poses, twists, _ = traj.window(0, 3)
-    roll = osc_rollout(state_at(desk_model, x0), poses, 1e-3, 1e-2, traj.tasks,
-                       twists=twists)
-    with pytest.raises(ValueError, match="x_hat"):
-        linearize_stage(desk_model, roll.x_hat[1], roll.u_hat[1], 1e-3, states=roll.states[:1])
-    moved = roll.x_hat[0].copy()
-    moved[8] += 1e-9  # velocity off by a hair
-    with pytest.raises(ValueError, match="x_hat"):
-        linearize_stage(desk_model, moved, roll.u_hat[0], 1e-3, states=roll.states[:1])
-    with pytest.raises(ValueError, match="x_hat"):  # states shifted by one stage
-        linearize_stage(desk_model, roll.x_hat[:-1], roll.u_hat, 1e-3, states=roll.states[1:])
+@pytest.mark.parametrize("call", ["linearize_stage", "dynamics_derivatives"])
+def test_linearization_rejects_two_models_and_other_lengths(desk_model, rng, call):
+    # a copy of the model has its own chain constants: the batched pass
+    # must not run one model's states through the other's
+    twin = dataclasses.replace(desk_model)
+    states = [state_at(desk_model, random_state(desk_model, rng)),
+              state_at(twin, random_state(twin, rng))]
+    u = rng.standard_normal((2, 6))
+    run = {"linearize_stage": lambda st, v: linearize_stage(st, v, 1e-3),
+           "dynamics_derivatives": dynamics_derivatives}[call]
+    with pytest.raises(ValueError, match="more than one model"):
+        run(states, u)
+    for st, v in ((states[0], u[0, :5]), (states[0], u[:1]), (states[:1], u),
+                  (states[:1], u[:, :5])):
+        with pytest.raises(ValueError, match="row per state"):
+            run(st, v)
+    with pytest.raises(ValueError, match="qdd must hold one"):
+        linearize_stage(states[:1], u[:1], 1e-3, qdd=u[:1, :5])
+
+
+def test_dyn_step_calls_dynamics_derivatives_once(desk_model, rng, monkeypatch):
+    # through the module's own name, the one the benchmark's probe wraps
+    batches = []
+    original = mpc_dynamic.dynamics_derivatives
+
+    def counting(states, qdd):
+        batches.append(len(states))
+        return original(states, qdd)
+
+    monkeypatch.setattr(mpc_dynamic, "dynamics_derivatives", counting)
+    x0, traj = off_rest_rollout(desk_model, rng, 10)
+    ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
+                     posture=default_posture(x0[:6]))
+    ctl.step(state_at(desk_model, x0), traj, 0)
+    assert batches == [10]
 
 
 def is_dual_step(rows):

@@ -15,6 +15,8 @@ from armmpc.robot_model import (
     model_from_dict,
 )
 from armmpc.dynamics import mass_matrix
+from armmpc.nominal import POSITION, TaskSpec
+from armmpc.simulator import PositionLoopGains
 
 from conftest import make_pendulum, random_config
 
@@ -151,6 +153,20 @@ def test_infinite_joint_limits_load(tmp_path):
 def test_non_finite_inertia_rejected(make):
     with pytest.raises(ModelError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda v: TaskSpec(priority=v, selector=POSITION), "priority"),
+    (lambda v: TaskSpec(priority=1, selector=POSITION, gain=v), "gain"),
+    (lambda v: PositionLoopGains(kp=v), "kp"),
+    (lambda v: PositionLoopGains(kd=v), "kd"),
+    (lambda v: PayloadSpec(mass=v, com_offset=np.zeros(3)), "payload mass"),
+], ids=["task-priority", "task-gain", "loop-kp", "loop-kd", "payload-mass"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_scalar_fields_reject_a_bool(make, field, value):
+    # float(True) is 1.0: each of these used to take True as 1 and False as 0
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        make(value)
 
 
 def test_inverted_q_limits_rejected(tmp_path):
