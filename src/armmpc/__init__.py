@@ -12,7 +12,6 @@ from .robot_model import (
     RigidTransform,
     RobotModel,
     attach_payload,
-    detach_payload,
     load_model,
 )
 from .kinematics import (
@@ -21,7 +20,6 @@ from .kinematics import (
     forward_kinematics,
     geometric_jacobian,
     jacobian_dot,
-    task_error,
 )
 from .dynamics import (
     DynamicsDerivatives,
@@ -43,7 +41,6 @@ from .nominal import (
     ik_rollout,
     osc_rollout,
     osc_torque,
-    prioritized_ik_step,
 )
 from .qp import QpProblem, QpSolution, QpSolver, kkt_check
 from .trajgen import (

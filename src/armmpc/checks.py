@@ -168,12 +168,6 @@ def _central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _id_derivatives_fd(model: RobotModel, q, qd, qdd, h: float = 1e-6):
-    """Central finite differences of inverse dynamics, d tau/dq and d tau/dqd."""
-    return (_central_difference(lambda x: inverse_dynamics(model, x, qd, qdd), q, h),
-            _central_difference(lambda x: inverse_dynamics(model, q, x, qdd), qd, h))
-
-
 def _random_states(model: RobotModel, n_states: int, seed: int):
     """n_states random chain states at (q, qd), q inside the joint ranges,
     each with a random torque u."""

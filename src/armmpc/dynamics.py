@@ -276,10 +276,13 @@ def dynamics_derivatives(states, qdd) -> DynamicsDerivatives:
     qdd is (n,) or (B, n), each row consistent with its state's nominal
     torque (the caller's contract). The motion transforms of all states come
     from one call, and the analytic inverse-dynamics blocks from one batched
-    pass. Raises ValueError for states of two models or a qdd of another shape.
+    pass. Raises ValueError for an empty batch, states of two models or a qdd
+    of another shape.
     """
     single = isinstance(states, RigidBodyState)
     states = (states,) if single else states
+    if len(states) == 0:
+        raise ValueError("states is an empty batch; at least one state is needed")
     model, n = states[0].model, states[0].model.n
     if any(st.model is not model for st in states):
         raise ValueError("states belong to more than one model")

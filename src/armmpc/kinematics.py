@@ -84,18 +84,6 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
     return canonical_quat(q / np.linalg.norm(q))
 
 
-def rotvec_to_matrix(v) -> np.ndarray:
-    """Exponential map: rotation matrix for the rotation vector v."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        k = _skew(v)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    axis = v / angle
-    k = _skew(axis)
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
 def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
     """Logarithm map: rotation vector of a rotation matrix, norm <= pi.
 
@@ -206,10 +194,6 @@ class Pose:
         if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation has non-finite entries")
         object.__setattr__(self, "translation", _frozen(t))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
     @staticmethod
     def from_matrix(rot: np.ndarray, translation: np.ndarray) -> "Pose":
@@ -377,9 +361,3 @@ def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,
     out[:3] = pos_t - pos_c
     out[3:] = rotvec_from_matrix(rot_t @ rot_c.T)
     return out
-
-
-def task_error(target: Pose, current: Pose) -> np.ndarray:
-    """Pose difference target minus current as the 6-vector [dp; log(R_t R_c^T)]."""
-    return pose_error_raw(target.rotation_matrix, target.translation,
-                          current.rotation_matrix, current.translation)

@@ -58,6 +58,8 @@ def linearize_stage(states, u_hat, dt: float, qdd=None) -> LinearizedStage:
     """
     single = isinstance(states, RigidBodyState)
     seq = (states,) if single else states
+    if len(seq) == 0:
+        raise ValueError("states is an empty batch; at least one state is needed")
     n = seq[0].model.n
     lead = () if single else (len(seq),)
     u_hat = np.asarray(u_hat, dtype=float)

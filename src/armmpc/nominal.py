@@ -7,7 +7,7 @@ velocity feedforward; every task level tracks its own rows of that pose.
 Both run one task-priority recursion (_prioritize), weighted by the
 identity for the IK and by M^-1 for the OSC, whose truncated level inverses
 keep commands bounded near singular configurations. The hierarchy is
-resolved once per rollout or single-step call (_levels), and each step
+resolved once per rollout or osc_torque call (_levels), and each step
 writes every level's projected Jacobian and error in place into its rows of
 the per-step stack that the MPC cost linearizes around.
 """
@@ -288,37 +288,16 @@ def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
         yield level, jac_proj, lam, jbar, proj
 
 
-def prioritized_ik_step(state: ChainState, tasks, target: Pose, rel_threshold: float,
-                        twist=None) -> np.ndarray:
-    """Joint velocity command executing the task hierarchy at a chain state.
-
-    Every level tracks its selected rows of the one target pose. Recursion
-    over priority levels: each level's correction goes through the
-    pseudoinverse of its projected Jacobian, with singular values below
-    rel_threshold * sigma_max truncated, and leaves all higher-priority task
-    velocities untouched. An optional 6-twist adds a task velocity
-    feedforward on top of the proportional error term; None is zero.
-    """
-    levels, jac, err = _levels(tasks, 1, state.model.n)
-    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
-    return _ik_step(state.ee_rot, state.ee_pos, state.jacobian(), levels, target,
-                    rel_threshold, twist, jac[0], err[0])
-
-
-def _ik_step(rot_c, pos_c, jac_full, levels, target: Pose, rel_threshold: float,
-             twist: np.ndarray, jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
-    """prioritized_ik_step over resolved levels, at the end-effector rotation,
-    position and J of one chain pass; writes each level's projected Jacobian
-    and error into its rows of jac_out and err_out."""
-    err_full = pose_error_raw(target.rotation_matrix, target.translation, rot_c, pos_c)
-    qd = None
-    # the cut at rel_threshold**2 on J_p J_p' is the cut at rel_threshold on
-    # J_p's singular values; a negative rel_threshold clips to 0, rejected
-    for (rows, _, gain, _, _), _, _, jbar, _ in _prioritize(
-            levels, jac_full, err_full, max(rel_threshold, 0.0)**2, jac_out, err_out):
-        ref_vel = gain * err_full[rows] + twist[rows]
-        qd = jbar @ ref_vel if qd is None else qd + jbar @ (ref_vel - jac_full[rows] @ qd)
-    return qd
+def _rollout_steps(poses, dt: float, twists) -> tuple[int, np.ndarray]:
+    """The step count of a rollout over poses, and its (steps, 6) twists
+    (None: zeros); ValueError for a dt that is not finite and > 0."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    steps = len(poses)
+    twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
+    if twists.shape != (steps, 6):
+        raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
+    return steps, twists
 
 
 def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
@@ -326,29 +305,40 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     """Integrate the prioritized IK from the chain state start over n_p+1
     target poses.
 
-    twists, (n_p+1, 6), holds each step's desired 6-twist, the velocity
-    feedforward (None: zero); every task level tracks its selected rows of
-    the step's pose. Step 0 reads the frames and J of start; every later
-    step makes one chain pass (fk_jacobian_raw).
+    Each step is one velocity command executing the task hierarchy: every
+    level tracks its selected rows of the step's pose, with the desired
+    6-twist in twists, (n_p+1, 6), as feedforward on top of the proportional
+    error term (None: zero). Recursion over priority levels: each level's
+    correction goes through the pseudoinverse of its projected Jacobian,
+    with singular values below rel_threshold * sigma_max truncated, and
+    leaves all higher-priority task velocities untouched. Step 0 reads the
+    frames and J of start; every later step makes one chain pass
+    (fk_jacobian_raw). A single IK step is a one-pose rollout's qd_hat[0]:
+    the same frames and _prioritize call, with no integration after the
+    last pose.
     """
-    steps = len(poses)
-    twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
-    if twists.shape != (steps, 6):
-        raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
+    steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
     levels, j_stack, err_stack = _levels(tasks, steps, n)
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
     q = start.q
-    frame = start.ee_rot, start.ee_pos, start.jacobian()
+    rot, pos, jac = start.ee_rot, start.ee_pos, start.jacobian()
+    # the cut at rel_threshold**2 on J_p J_p' is the cut at rel_threshold on
+    # J_p's singular values; a negative rel_threshold clips to 0, rejected
+    floor = max(rel_threshold, 0.0)**2
     for k in range(steps):
-        qd = _ik_step(*frame, levels, poses[k], rel_threshold, twists[k],
-                      j_stack[k], err_stack[k])
+        err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation, rot, pos)
+        qd = None
+        for (rows, _, gain, _, _), _, _, jbar, _ in _prioritize(
+                levels, jac, err_full, floor, j_stack[k], err_stack[k]):
+            ref_vel = gain * err_full[rows] + twists[k, rows]
+            qd = jbar @ ref_vel if qd is None else qd + jbar @ (ref_vel - jac[rows] @ qd)
         q_hat[k] = q
         qd_hat[k] = qd
         if k + 1 < steps:
             q = q + dt * qd
-            frame = fk_jacobian_raw(model, q)
+            rot, pos, jac = fk_jacobian_raw(model, q)
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 
 
@@ -409,10 +399,7 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     The last step's torque would never be applied, so that step only fills
     its rows of the task stacks, and its state is not kept.
     """
-    steps = len(poses)
-    twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
-    if twists.shape != (steps, 6):
-        raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
+    steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
     u_max = model.limits.u_max
     levels, j_stack, err_stack = _levels(tasks, steps, n)

@@ -22,8 +22,8 @@ general row's nonzero span; H's pattern and band indices). A QpSolver
 keeps its last problem's structure, so an MPC's solver sets its QP up once
 and then, for each tick's problem of exactly that pattern and an exactly
 symmetric H, only fills in values; a new pattern (a newly pinned or
-infinite bound, a new nonzero) is set up afresh. solve() sets up each
-problem, kkt_check its own.
+infinite bound, a new nonzero) is set up afresh. A one-shot
+QpSolver().solve(p) sets up its problem, and kkt_check its own.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -626,8 +626,3 @@ class QpSolver:
             return None
         obj = objective(z)
         return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, obj, [obj])
-
-
-def solve(p: QpProblem, warm_start=None) -> QpSolution:
-    """Convenience one-shot solve with a fresh solver instance."""
-    return QpSolver().solve(p, warm_start=warm_start)

@@ -133,6 +133,7 @@ class LinkInertia:
     inertia_tensor: np.ndarray
 
     def __post_init__(self):
+        require_number(self.mass, "link mass", ModelError)
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ModelError(f"link mass must be finite and positive, got {self.mass}")
         object.__setattr__(self, "com", _array(self.com, "com"))
@@ -315,8 +316,6 @@ def model_from_dict(doc: dict, name_hint: str = "robot") -> RobotModel:
 def _composite_inertia(bodies: list[tuple[float, np.ndarray, np.ndarray]]) -> LinkInertia:
     """Combine (mass, com, inertia-about-com) bodies into one rigid body."""
     total = sum(m for m, _, _ in bodies)
-    if total <= 0:
-        raise ModelError("composite body must have positive mass")
     com = sum(m * c for m, c, _ in bodies) / total
     tensor = np.zeros((3, 3))
     for m, c, ic in bodies:
@@ -325,35 +324,22 @@ def _composite_inertia(bodies: list[tuple[float, np.ndarray, np.ndarray]]) -> Li
     return LinkInertia(mass=total, com=com, inertia_tensor=0.5 * (tensor + tensor.T))
 
 
-def _compose_last_link(model: RobotModel, payload: PayloadSpec, sign: float) -> RobotModel:
-    """The model with sign times the payload, mapped from the end-effector
-    frame into the last link frame, composed into its last link; sign -1
-    composes the negated body (-m, com, -I), which removes the payload."""
-    if payload.mass == 0.0 and not payload.inertia_tensor.any():
-        return model
-    last = model.links[-1]
-    ee = model.ee_transform
-    payload_inertia = ee.rotation @ payload.inertia_tensor @ ee.rotation.T
-    combined = _composite_inertia(
-        [
-            (last.mass, last.com, last.inertia_tensor),
-            (sign * payload.mass, ee.apply(payload.com_offset), sign * payload_inertia),
-        ]
-    )
-    return replace(model, links=model.links[:-1] + (combined,))
-
-
 def attach_payload(model: RobotModel, payload: PayloadSpec) -> RobotModel:
     """Rigidly compose the payload with the last link (parallel-axis theorem).
 
     The payload com offset and inertia are expressed in the end-effector
-    frame. A zero payload returns the model unchanged.
+    frame and mapped into the last link frame. A zero payload returns the
+    model unchanged.
     """
-    return _compose_last_link(model, payload, 1.0)
-
-
-def detach_payload(model: RobotModel, payload: PayloadSpec) -> RobotModel:
-    """Inverse of attach_payload: subtract the same payload from the last link."""
-    if model.links[-1].mass - payload.mass <= 0:
-        raise ModelError("detaching payload would leave nonpositive link mass")
-    return _compose_last_link(model, payload, -1.0)
+    if payload.mass == 0.0 and not payload.inertia_tensor.any():
+        return model
+    last = model.links[-1]
+    ee = model.ee_transform
+    combined = _composite_inertia(
+        [
+            (last.mass, last.com, last.inertia_tensor),
+            (payload.mass, ee.apply(payload.com_offset),
+             ee.rotation @ payload.inertia_tensor @ ee.rotation.T),
+        ]
+    )
+    return replace(model, links=model.links[:-1] + (combined,))

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 
 from .kinematics import Pose, canonical_quat, forward_kinematics, quat_to_matrix, rotvec_from_matrix
 from .nominal import POSITION, TaskSpec, default_task_hierarchy
-from .robot_model import RobotModel
+from .robot_model import RobotModel, require_number
 
 SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
 
@@ -33,6 +33,7 @@ class TaskTrajectory:
     tasks: tuple[TaskSpec, ...] = field(default_factory=default_task_hierarchy)
 
     def __post_init__(self):
+        require_number(self.dt, "dt")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "poses", tuple(self.poses))

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from armmpc import dynamics, kinematics, load_bundled_model
+from armmpc import dynamics, kinematics, load_bundled_model, nominal
+from armmpc.checks import _central_difference
 from armmpc.robot_model import (
     JointSpec,
     LinkInertia,
@@ -123,6 +126,29 @@ def make_rpr():
     )
 
 
+def rotvec_to_matrix(v):
+    """Exponential map (Rodrigues): the rotation matrix of the rotation
+    vector v, the oracle that kinematics.rotvec_from_matrix inverts."""
+    x, y, z = np.asarray(v, dtype=float)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle < 1e-12:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    k = k / angle
+    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+def id_derivatives_fd(model, q, qd, qdd, h=1e-6):
+    """Central finite differences of inverse dynamics, d tau/dq and d tau/dqd."""
+    return (_central_difference(lambda x: dynamics.inverse_dynamics(model, x, qd, qdd), q, h),
+            _central_difference(lambda x: dynamics.inverse_dynamics(model, q, x, qdd), qd, h))
+
+
+def ik_step(state, tasks, target, rel_threshold):
+    """One IK velocity command at a chain state: a one-pose ik_rollout's first qd."""
+    return nominal.ik_rollout(state, [target], 1.0, rel_threshold, tasks).qd_hat[0]
+
+
 def sequential_frames(model, rot_local, trans_local):
     """The world frames as the running product of the local transforms, one
     joint at a time (the loop the prefix scan replaced)."""
@@ -146,7 +172,7 @@ def sequential_jacobian_dot(model, q, qd):
     joint, the axis rates z_j-dot = omega_(j-1) x z_j (each axis is fixed in
     the link before its joint), the velocities of the joint origins and the
     end effector, and from them each column's rate."""
-    rot_local = [joint.parent_transform.rotation @ kinematics.rotvec_to_matrix(joint.axis * qk)
+    rot_local = [joint.parent_transform.rotation @ rotvec_to_matrix(joint.axis * qk)
                  for joint, qk in zip(model.joints, q)]
     trans_local = [joint.parent_transform.translation for joint in model.joints]
     axes, origins, _, _, ee_pos = sequential_frames(model, rot_local, trans_local)

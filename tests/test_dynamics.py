@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from armmpc import dynamics
-from armmpc.checks import _central_difference, _id_derivatives_fd, run_world_pass_check
+from armmpc.checks import _central_difference, run_world_pass_check
 from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
@@ -19,7 +19,7 @@ from armmpc.dynamics import (
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.robot_model import PayloadSpec, attach_payload
 
-from conftest import make_rpr, random_config, sequential_jacobian_dot
+from conftest import id_derivatives_fd, make_rpr, random_config, sequential_jacobian_dot
 
 
 def chain_model(name, desk_model):
@@ -65,7 +65,7 @@ def test_dynamics_derivatives_batch_matches_single(rng):
     # the same pass carries the joint torques in its last column
     tau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdds)[:, :, -1]
     for k, st in enumerate(states):
-        fd = dict(zip(("dtau_dq", "dtau_dqd"), _id_derivatives_fd(model, st.q, st.qd, qdds[k])))
+        fd = dict(zip(("dtau_dq", "dtau_dqd"), id_derivatives_fd(model, st.q, st.qd, qdds[k])))
         one = dynamics_derivatives(st, qdds[k])
         np.testing.assert_allclose(tau[k], st.mass @ qdds[k] + st.bias, rtol=0, atol=1e-10)
         for name in ("dtau_dq", "dtau_dqd"):
@@ -318,7 +318,7 @@ def test_derivatives_fd_switch_agrees(desk_model, rng):
     u = rng.standard_normal(desk_model.n)
     qdd = forward_dynamics(desk_model, q, qd, u)
     ana = dynamics_derivatives(RigidBodyState(desk_model, q, qd), qdd)
-    num_dq, num_dqd = _id_derivatives_fd(desk_model, q, qd, qdd)
+    num_dq, num_dqd = id_derivatives_fd(desk_model, q, qd, qdd)
     np.testing.assert_allclose(ana.dtau_dq, num_dq, atol=1e-4)
     np.testing.assert_allclose(ana.dtau_dqd, num_dqd, atol=1e-4)
 

@@ -166,7 +166,7 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     rows = build_prediction(stages, roll.x_hat, roll.u_hat)
     problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
-    sol = qp.solve(problem)
+    sol = qp.QpSolver().solve(problem)
     assert sol.status == qp.OPTIMAL
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
@@ -391,6 +391,8 @@ def test_linearization_rejects_two_models_and_other_lengths(desk_model, rng, cal
                   (states[:1], u[:, :5])):
         with pytest.raises(ValueError, match="row per state"):
             run(st, v)
+    with pytest.raises(ValueError, match="empty batch"):
+        run([], np.zeros((0, 6)))
     with pytest.raises(ValueError, match="qdd must hold one"):
         linearize_stage(states[:1], u[:1], 1e-3, qdd=u[:1, :5])
 

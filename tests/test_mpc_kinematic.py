@@ -120,7 +120,7 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                          twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
-    sol = qp.solve(problem)
+    sol = qp.QpSolver().solve(problem)
     assert sol.status == qp.OPTIMAL
     np.testing.assert_allclose(sol.z_star, np.tile(q0, cfg.horizon), atol=1e-8)
 
@@ -135,7 +135,7 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
     rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                          twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
-    sol = qp.solve(problem)
+    sol = qp.QpSolver().solve(problem)
     np.testing.assert_allclose(sol.z_star, rollout.q_hat[1], atol=1e-7)
 
 
@@ -247,7 +247,7 @@ def test_cost_horizon_monotonicity(desk_model, rng):
         rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold,
                              traj.tasks, twists=twists)
         problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
-        sol = qp.solve(problem)
+        sol = qp.QpSolver().solve(problem)
         assert sol.status == qp.OPTIMAL
         plan = np.vstack([q0, sol.z_star.reshape(horizon, 6)])
         costs[horizon] = plan_cost(cfg, rollout, (q0, q0), plan)
@@ -326,7 +326,7 @@ def test_kin_qp_matches_least_squares_oracle_on_a_random_rollout(rng):
     history = (q_hat[0], q_hat[0] + 0.01 * rng.standard_normal(n))
     loose = JointLimits(q_min=np.full(n, -1e3), q_max=np.full(n, 1e3), v_max=np.full(n, 1e6),
                         u_max=np.ones(n))
-    sol = qp.solve(build_kin_qp(cfg, rollout, history, loose))
+    sol = qp.QpSolver().solve(build_kin_qp(cfg, rollout, history, loose))
     assert sol.status == qp.OPTIMAL and sol.active_set == ()
     free = least_squares_free_steps(cfg, rollout, history)
     np.testing.assert_allclose(sol.z_star, free, rtol=0, atol=1e-6)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from armmpc import dynamics, kinematics, nominal
 from armmpc.dynamics import RigidBodyState, bias_forces, forward_dynamics, mass_matrix
 from armmpc.kinematics import (ChainState, Pose, forward_kinematics, geometric_jacobian,
-                               jacobian_dot, task_error)
+                               jacobian_dot, pose_error_raw)
 from armmpc.nominal import (
     FULL_POSE,
     POSITION,
@@ -19,10 +19,9 @@ from armmpc.nominal import (
     ik_rollout,
     osc_rollout,
     osc_torque,
-    prioritized_ik_step,
 )
 
-from conftest import random_config
+from conftest import ik_step, random_config
 
 
 def full_pose_task(gain=1.0):
@@ -188,7 +187,7 @@ def test_pinv_truncation_monotone(thresh, factor, seed):
 def test_ik_step_zero_error(desk_model, rng):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
-    qd = prioritized_ik_step(ChainState(desk_model, q), full_pose_task(), pose, 1e-2)
+    qd = ik_step(ChainState(desk_model, q), full_pose_task(), pose, 1e-2)
     np.testing.assert_allclose(qd, 0.0, atol=1e-12)
 
 
@@ -196,16 +195,17 @@ def test_ik_step_zero_error(desk_model, rng):
 def test_ik_step_bad_threshold(desk_model, rel_threshold):
     pose = forward_kinematics(desk_model, np.zeros(6))
     with pytest.raises(ValueError):
-        prioritized_ik_step(ChainState(desk_model, np.zeros(6)), pos_ori_tasks(), pose,
-                            rel_threshold)
+        ik_step(ChainState(desk_model, np.zeros(6)), pos_ori_tasks(), pose, rel_threshold)
 
 
 def test_ik_step_single_task_is_pinv(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
-    qd = prioritized_ik_step(ChainState(desk_model, q), full_pose_task(gain=1.0), target, 1e-6)
+    qd = ik_step(ChainState(desk_model, q), full_pose_task(gain=1.0), target, 1e-6)
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q))
+    current = forward_kinematics(desk_model, q)
+    err = pose_error_raw(target.rotation_matrix, target.translation,
+                         current.rotation_matrix, current.translation)
     np.testing.assert_allclose(qd, compact_svd_pinv(jac, 1e-6) @ err, atol=1e-10)
 
 
@@ -213,8 +213,8 @@ def test_ik_hierarchy_secondary_in_primary_nullspace(desk_model, rng):
     q = random_config(desk_model, rng)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = pos_ori_tasks()
-    qd_both = prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-6)
-    qd_first = prioritized_ik_step(ChainState(desk_model, q), tasks[:1], target, 1e-6)
+    qd_both = ik_step(ChainState(desk_model, q), tasks, target, 1e-6)
+    qd_first = ik_step(ChainState(desk_model, q), tasks[:1], target, 1e-6)
     jac_pos = geometric_jacobian(desk_model, q)[:3]
     assert np.linalg.norm(jac_pos @ (qd_both - qd_first)) <= 1e-9
 
@@ -317,7 +317,9 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     tasks = tuple(TaskSpec(priority=level + 1, selector=selector, gain=5.0 - 2.0 * level)
                   for level, selector in reversed(list(enumerate(selectors))))
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q))
+    current = forward_kinematics(desk_model, q)
+    err = pose_error_raw(target.rotation_matrix, target.translation,
+                         current.rotation_matrix, current.translation)
     err_hand = np.concatenate([err[task.rows] for task in tasks[::-1]])
     stack_hand, qd_hand = hand_recursion(jac, err, tasks, 1e-2)
 
@@ -329,7 +331,7 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     # full pose after position and orientation is inverted by neither
     svd_path = selectors == (FULL_POSE,)
     tol = 100 * np.finfo(float).eps / 1e-2**2 * np.abs(qd_hand).max() if svd_path else 1e-12
-    qd_ik = prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
+    qd_ik = ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
     assert np.abs(qd_ik - qd_hand).max() <= tol
 
     minv = np.linalg.inv(mass_matrix(desk_model, q))
@@ -347,8 +349,8 @@ def test_ik_level_without_freedom_adds_nothing(desk_model, rng):
     two = pos_ori_tasks()
     three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
     state = ChainState(desk_model, q)
-    np.testing.assert_allclose(prioritized_ik_step(state, three, target, 1e-2),
-                               prioritized_ik_step(state, two, target, 1e-2), atol=1e-9)
+    np.testing.assert_allclose(ik_step(state, three, target, 1e-2),
+                               ik_step(state, two, target, 1e-2), atol=1e-9)
 
 
 def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
@@ -391,7 +393,7 @@ def test_task_spec_rejects_non_finite_gains(field, value):
         TaskSpec(priority=1, selector=POSITION, **{field: value})
 
 
-@pytest.mark.parametrize("call", [prioritized_ik_step, osc_torque], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [ik_step, osc_torque], ids=["ik_rollout", "osc_torque"])
 def test_empty_hierarchy_is_rejected(desk_model, call):
     state = RigidBodyState(desk_model, np.zeros(6))
     pose = forward_kinematics(desk_model, state.q)
@@ -399,7 +401,16 @@ def test_empty_hierarchy_is_rejected(desk_model, call):
         call(state, (), pose, 1e-2)
 
 
-@pytest.mark.parametrize("call", ["prioritized_ik_step", "osc_torque"])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("rollout", [ik_rollout, osc_rollout], ids=lambda f: f.__name__)
+def test_rollouts_reject_a_bad_dt(desk_model, rollout, dt):
+    state = RigidBodyState(desk_model, np.zeros(6))
+    poses = [forward_kinematics(desk_model, state.q)] * 3
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        rollout(state, poses, dt, 1e-2, default_task_hierarchy())
+
+
+@pytest.mark.parametrize("call", ["ik_rollout", "osc_torque"])
 def test_one_pose_error_per_call(desk_model, rng, monkeypatch, call):
     calls = []
     pose_error_raw = nominal.pose_error_raw
@@ -415,7 +426,7 @@ def test_one_pose_error_per_call(desk_model, rng, monkeypatch, call):
     if call == "osc_torque":
         osc_torque(RigidBodyState(desk_model, q, np.zeros(6)), tasks, target, 1e-2)
     else:
-        prioritized_ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
+        ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
     assert len(calls) == 1
 
 
@@ -436,7 +447,9 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
                     kp=np.full(6, 50.0), kd=np.full(6, 8.0))
     u = osc_torque(RigidBodyState(desk_model, q, qd), (task,), target, 1e-9)
     jac = geometric_jacobian(desk_model, q)
-    err = task_error(target, forward_kinematics(desk_model, q))
+    current = forward_kinematics(desk_model, q)
+    err = pose_error_raw(target.rotation_matrix, target.translation,
+                         current.rotation_matrix, current.translation)
     acc_des = task.kd * (-jac @ qd) + task.kp * err
     closed_loop = jac @ forward_dynamics(desk_model, q, qd, u) + jacobian_dot(desk_model, q, qd) @ qd
     assert np.linalg.norm(closed_loop - acc_des) <= 1e-6

@@ -19,14 +19,13 @@ from armmpc.qp import (
     expand_constraints,
     kkt_check,
     regularized_hessian,
-    solve,
 )
 
 
 def test_projection_onto_halfspace():
     p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
                   lin=np.array([1.0]), uin=np.array([np.inf]))
-    sol = solve(p)
+    sol = QpSolver().solve(p)
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.z_star, [1.0, 0.0], atol=1e-9)
 
@@ -37,7 +36,7 @@ def test_unconstrained_matches_linear_solve(rng):
         m = rng.standard_normal((d, d))
         h = m @ m.T + d * np.eye(d)
         g = rng.standard_normal(d)
-        sol = solve(QpProblem(H=h, g=g))
+        sol = QpSolver().solve(QpProblem(H=h, g=g))
         np.testing.assert_allclose(sol.z_star, np.linalg.solve(h, -g), atol=1e-8)
         assert sol.status == OPTIMAL
         assert sol.active_set == ()
@@ -88,7 +87,7 @@ def test_equality_constraints():
     g = np.array([1.0, 1.0, 1.0])
     aeq = np.array([[1.0, 1.0, 1.0]])
     beq = np.array([1.0])
-    sol = solve(QpProblem(H=h, g=g, Aeq=aeq, beq=beq))
+    sol = QpSolver().solve(QpProblem(H=h, g=g, Aeq=aeq, beq=beq))
     assert sol.status == OPTIMAL
     assert abs(aeq @ sol.z_star - beq)[0] < 1e-10
     # KKT by hand: z = H^-1 (A' nu - g), nu from A H^-1 A' nu = b + A H^-1 g
@@ -100,7 +99,7 @@ def test_equality_constraints():
 def test_pinned_bounds_become_equalities():
     lb = np.array([0.5, -np.inf])
     ub = np.array([0.5, np.inf])
-    sol = solve(QpProblem(H=np.eye(2), g=np.array([1.0, 1.0]), lb=lb, ub=ub))
+    sol = QpSolver().solve(QpProblem(H=np.eye(2), g=np.array([1.0, 1.0]), lb=lb, ub=ub))
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.z_star, [0.5, -1.0], atol=1e-10)
 
@@ -109,7 +108,7 @@ def test_infeasible_detected():
     # x >= 1 and x <= 0 simultaneously
     p = QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]),
                   Ain=np.array([[1.0]]), lin=np.array([-np.inf]), uin=np.array([0.0]))
-    sol = solve(p)
+    sol = QpSolver().solve(p)
     assert sol.status == INFEASIBLE
 
 
@@ -170,9 +169,9 @@ def test_warm_start_wrong_set_still_correct(rng):
 
 def test_scaling_invariance(rng):
     prob = random_qp(rng, 4, 5)
-    base = solve(prob)
-    scaled = solve(QpProblem(H=7.5 * prob.H, g=7.5 * prob.g, lb=prob.lb, ub=prob.ub,
-                             Ain=prob.Ain, lin=prob.lin, uin=prob.uin))
+    base = QpSolver().solve(prob)
+    scaled = QpSolver().solve(QpProblem(H=7.5 * prob.H, g=7.5 * prob.g, lb=prob.lb,
+                                        ub=prob.ub, Ain=prob.Ain, lin=prob.lin, uin=prob.uin))
     if base.status == OPTIMAL:
         np.testing.assert_allclose(scaled.z_star, base.z_star, atol=1e-9)
 
@@ -191,7 +190,7 @@ def test_dual_objective_monotone_debug(rng):
 
 def test_kkt_check_detects_perturbation(rng):
     prob = random_qp(rng, 4, 4)
-    sol = solve(prob)
+    sol = QpSolver().solve(prob)
     if sol.status != OPTIMAL:
         return
     base = kkt_check(prob, sol.z_star, sol.active_set, sol.multipliers)
@@ -223,7 +222,7 @@ def test_kkt_check_dual_feasibility():
     assert res.max() == pytest.approx(1.0)
     # a solve whose bound is active carries a non-negative multiplier
     p.g = np.array([0.0])
-    sol = solve(p)
+    sol = QpSolver().solve(p)
     assert sol.status == OPTIMAL and sol.active_set == (0,)
     assert sol.kkt.dual_feasibility == 0.0
 
@@ -251,7 +250,7 @@ def test_kkt_check_rejects_malformed_active_sets(active_set, multipliers):
 def test_max_iter_returns_best_iterate():
     # a normal problem but with an absurdly low cap via monkeypatching is
     # intrusive; instead verify the field exists and is a sane count
-    sol = solve(QpProblem(H=np.eye(3), g=np.ones(3), lb=-np.ones(3), ub=np.ones(3)))
+    sol = QpSolver().solve(QpProblem(H=np.eye(3), g=np.ones(3), lb=-np.ones(3), ub=np.ones(3)))
     assert sol.status == OPTIMAL
     assert sol.iterations >= 0
 
@@ -279,7 +278,7 @@ def test_dependent_equality_rows_rejected():
     p = QpProblem(H=np.eye(2), g=np.zeros(2), Aeq=np.array([[1.0, 1.0], [2.0, 2.0]]),
                   beq=np.array([1.0, 2.0]))
     with pytest.raises(QpDataError, match="linearly dependent"):
-        solve(p)
+        QpSolver().solve(p)
 
 
 def dense_kkt(p, ids):
@@ -662,7 +661,7 @@ def test_kkt_residuals_max_keeps_a_nan(field):
 def test_nan_kkt_solve_is_never_optimal(monkeypatch):
     # every residual test fails on a NaN, so a NaN iterate is never optimal
     p = QpProblem(H=np.eye(2), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
-    warm = solve(p).active_set
+    warm = QpSolver().solve(p).active_set
     monkeypatch.setattr(qp, "_kkt_solve", lambda rows, hess, g, ids: (
         np.full(g.size, np.nan), np.full(len(ids), np.nan)))
     for warm_start in (warm, None):
@@ -711,7 +710,7 @@ def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts,
         if hot_starts[judged:] in ([], [None]):
             continue
         accepted += 1
-        ref = qp.solve(one_shot(p), warm_start=warm)
+        ref = QpSolver().solve(one_shot(p), warm_start=warm)
         assert hot_starts[-1] is not None and sol.status == ref.status == OPTIMAL
         np.testing.assert_array_equal(sol.z_star, ref.z_star)
         np.testing.assert_array_equal(sol.multipliers, ref.multipliers)

@@ -11,12 +11,13 @@ from armmpc.robot_model import (
     ModelParseError,
     PayloadSpec,
     attach_payload,
-    detach_payload,
     model_from_dict,
 )
 from armmpc.dynamics import mass_matrix
+from armmpc.kinematics import Pose
 from armmpc.nominal import POSITION, TaskSpec
 from armmpc.simulator import PositionLoopGains
+from armmpc.trajgen import TaskTrajectory
 
 from conftest import make_pendulum, random_config
 
@@ -161,7 +162,10 @@ def test_non_finite_inertia_rejected(make):
     (lambda v: PositionLoopGains(kp=v), "kp"),
     (lambda v: PositionLoopGains(kd=v), "kd"),
     (lambda v: PayloadSpec(mass=v, com_offset=np.zeros(3)), "payload mass"),
-], ids=["task-priority", "task-gain", "loop-kp", "loop-kd", "payload-mass"])
+    (lambda v: LinkInertia(mass=v, com=np.zeros(3), inertia_tensor=np.eye(3)), "link mass"),
+    (lambda v: TaskTrajectory(dt=v, poses=(Pose(np.array([1.0, 0, 0, 0]), np.zeros(3)),)), "dt"),
+], ids=["task-priority", "task-gain", "loop-kp", "loop-kd", "payload-mass", "link-mass",
+        "trajectory-dt"])
 @pytest.mark.parametrize("value", [True, False, np.True_])
 def test_scalar_fields_reject_a_bool(make, field, value):
     # float(True) is 1.0: each of these used to take True as 1 and False as 0
@@ -241,26 +245,6 @@ def test_attach_payload_matches_point_mass_composition():
     assert new.mass == pytest.approx(2.0)
     np.testing.assert_allclose(new.com, com, atol=1e-12)
     np.testing.assert_allclose(new.inertia_tensor, inertia, atol=1e-9)
-
-
-def test_attach_then_detach_roundtrip(desk_model):
-    payload = PayloadSpec(
-        mass=7.5,
-        com_offset=np.array([0.02, -0.01, 0.12]),
-        inertia_tensor=np.diag([0.04, 0.05, 0.03]),
-    )
-    back = detach_payload(attach_payload(desk_model, payload), payload)
-    last = desk_model.links[-1]
-    rec = back.links[-1]
-    assert rec.mass == pytest.approx(last.mass, abs=1e-12)
-    np.testing.assert_allclose(rec.com, last.com, atol=1e-12)
-    np.testing.assert_allclose(rec.inertia_tensor, last.inertia_tensor, atol=1e-12)
-
-
-def test_detach_rejects_payload_as_heavy_as_the_link(desk_model):
-    payload = PayloadSpec(mass=desk_model.links[-1].mass, com_offset=np.zeros(3))
-    with pytest.raises(ModelError, match="nonpositive link mass"):
-        detach_payload(desk_model, payload)
 
 
 def test_loaded_model_mass_matrix_spd(desk_model, rng):

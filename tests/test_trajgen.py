@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc.kinematics import Pose, forward_kinematics, quat_to_matrix, rotvec_to_matrix
+from armmpc.kinematics import Pose, forward_kinematics, quat_to_matrix
 from armmpc.nominal import default_task_hierarchy
 from armmpc.trajgen import (
     SINGULARITY_END_CONFIG,
@@ -20,6 +20,8 @@ from armmpc.trajgen import (
     scenario_trajectory,
     waypoint_trajectory,
 )
+
+from conftest import rotvec_to_matrix
 
 
 def test_spline_constant_trajectory():
@@ -225,14 +227,16 @@ def test_csv_export(tmp_path, desk_model):
         np.testing.assert_allclose(vals[4:], pose.quaternion, atol=1e-15)
 
 
+IDENTITY_POSE = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+
 NON_FINITE = {
     "quaternion-nan": lambda: Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3)),
     "quaternion-inf": lambda: Pose(np.array([np.inf, 0.0, 0.0, 0.0]), np.zeros(3)),
     "translation-nan": lambda: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])),
     "translation-inf": lambda: Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, np.inf])),
-    "dt-nan": lambda: TaskTrajectory(dt=np.nan, poses=(Pose.identity(),)),
-    "dt-inf": lambda: TaskTrajectory(dt=np.inf, poses=(Pose.identity(),)),
-    "twists-nan": lambda: TaskTrajectory(dt=1e-3, poses=(Pose.identity(),) * 2,
+    "dt-nan": lambda: TaskTrajectory(dt=np.nan, poses=(IDENTITY_POSE,)),
+    "dt-inf": lambda: TaskTrajectory(dt=np.inf, poses=(IDENTITY_POSE,)),
+    "twists-nan": lambda: TaskTrajectory(dt=1e-3, poses=(IDENTITY_POSE,) * 2,
                                          twists=[[0.0] * 6, [np.nan] + [0.0] * 5]),
 }
 
