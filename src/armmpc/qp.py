@@ -9,11 +9,12 @@ H must be symmetric; a fixed diagonal regularization of
 convex problem even when the caller's Hessian is only semidefinite. That
 matrix is factored once per solve as a band (LAPACK dpbtrf) at the
 half-bandwidth of its nonzero pattern, the full width for a dense H; that
-factor is only the convexity check, and no linear system is solved with
-it. Bounds stay bounds (as in qpOASES; Ferreau et al., 2014): a canonical
-row is a sign and a source, either a variable or a general row (Aeq or
-Ain, kept dense), so a bound's slack is sign * z_i - value, and no row is
-written out as a dense +-e_i.
+factor is the convexity check, and it solves the KKT system of a working
+set with no rows, which is H itself (Goldfarb & Idnani, 1983, solve the
+dual method's steps on H's Cholesky factor). Bounds stay bounds (as in
+qpOASES; Ferreau et al., 2014): a canonical row is a sign and a source,
+either a variable or a general row (Aeq or Ain, kept dense), so a bound's
+slack is sign * z_i - value, and no row is written out as a dense +-e_i.
 
 Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
 from the dense arrays a QpStructure, all that depends only on the pattern
@@ -40,7 +41,10 @@ iterate is polished by one exact KKT solve on the final active set, plus
 one step of iterative refinement, whenever the residuals ask for it. Each
 residual test fails on a NaN, so a NaN is never optimal.
 
-Every one of those KKT systems is one banded LU (LAPACK dgbsv). Active
+A KKT system with no working rows (the kinematic MPC's start on every
+tick, and a dual step from an empty set) is one back-solve (LAPACK
+dpbtrs) on H's factor; every other one is one banded LU (LAPACK dgbsv),
+so a working set fixed by bounds alone still assembles a band. Active
 bounds, pinned ones included, fix their variable: its KKT row and column
 become a unit diagonal and its value moves to the right-hand side; the
 bound's multiplier is read back from the stationarity residual. Each other
@@ -62,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dpbtrf
+from scipy.linalg.lapack import dgbsv, dpbtrf, dpbtrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -112,6 +116,8 @@ class QpProblem:
             raise QpDataError("Aeq and beq must be given together")
         if self.Ain is not None and (self.lin is None or self.uin is None):
             raise QpDataError("Ain requires lin and uin")
+        if self.H is None or self.g is None or self.g.ndim != 1 or not self.g.size:
+            raise QpDataError("H and g are required, g a vector of d >= 1 entries")
         d = self.g.shape[0]
         e, m = (0 if a is None or a.ndim == 0 else a.shape[0] for a in (self.Aeq, self.Ain))
         for name, shape in (("H", (d, d)), ("g", (d,)), ("Aeq", (e, d)), ("beq", (e,)),
@@ -283,14 +289,22 @@ def _combine(rows: QpStructure, ids, lam) -> np.ndarray:
     return per_src[:d] + per_src[d:] @ rows.gen
 
 
-def _hessian(h: np.ndarray, s: QpStructure) -> tuple[np.ndarray, np.ndarray | None]:
+class _Hessian(NamedTuple):
+    """H + eps I and its lower band Cholesky factor (dpbtrf storage), None
+    unless positive definite."""
+
+    dense: np.ndarray
+    factor: np.ndarray | None
+
+
+def _hessian(h: np.ndarray, s: QpStructure) -> _Hessian:
     """H + eps I (an exactly symmetric H, s.pattern set, copied rather than
-    averaged with H') and its band Cholesky factor (dpbtrf) on s's pattern,
-    None unless positive definite (the convexity check)."""
+    averaged with H') and its band Cholesky factor (dpbtrf) on s's pattern:
+    the convexity check, and the KKT system of a working set with no rows."""
     dense = 0.5 * (h + h.T) if s.pattern is None else h.copy()
     dense.reshape(-1)[::h.shape[0] + 1] += _regularization(h)
     factor, info = dpbtrf(dense.reshape(-1)[s.h_band].T, lower=1, overwrite_ab=1)
-    return dense, factor if info == 0 and np.isfinite(factor).all() else None
+    return _Hessian(dense, factor if info == 0 and np.isfinite(factor).all() else None)
 
 
 class _Band(NamedTuple):
@@ -359,17 +373,26 @@ def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
     return band
 
 
-def _kkt_solve(rows: QpStructure, h: np.ndarray, g: np.ndarray, ids) -> tuple[np.ndarray, np.ndarray]:
+def _kkt_solve(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray,
+               ids) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 0.5 z'hz + g'z with the rows ids held at equality.
 
-    Bound rows among ids fix their variable; the general rows enter a
-    banded KKT system in the order of _band_layout, factored by one dgbsv.
+    h is H + eps I, or the _Hessian holding it and its factor. With no rows
+    and a factor, z is one dpbtrs back-solve on that factor. Otherwise bound
+    rows among ids fix their variable, and the general rows enter a banded
+    KKT system in the order of _band_layout, factored by one dgbsv.
     Returns z and the multipliers aligned with ids (a'z >= b convention:
     h z + g = sum lam_i a_i). Raises LinAlgError when the system is
     singular, which includes a variable fixed by two rows.
     """
+    h, factor = h if isinstance(h, _Hessian) else (h, None)
     d = g.shape[0]
     ids = np.asarray(ids, dtype=np.intp)
+    if not ids.size and factor is not None:
+        z, info = dpbtrs(factor, -g, lower=1)
+        if info:
+            raise LinAlgError(f"dpbtrs failed (info {info})")
+        return z, np.empty(0)
     src = rows.src[ids]
     bound = src < d
     fixed = src[bound]
@@ -420,7 +443,7 @@ def _kkt_solve(rows: QpStructure, h: np.ndarray, g: np.ndarray, ids) -> tuple[np
     return z, lam
 
 
-def _kkt_start(rows: QpStructure, h: np.ndarray, g: np.ndarray, ids):
+def _kkt_start(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray, ids):
     """(ids, z, lam) of the KKT solve with the rows ids active; None when singular."""
     try:
         return (ids, *_kkt_solve(rows, h, g, ids))
@@ -447,6 +470,15 @@ def _residuals(rows: QpStructure, h_reg: np.ndarray, g: np.ndarray, z: np.ndarra
         dual_feasibility=max(0.0, -float(lam_in.min(initial=0.0))))
 
 
+def _row_ids(active_set) -> np.ndarray:
+    """active_set as row ids; a ValueError unless a sequence of integers
+    (an empty one of any dtype, np.asarray(()) being float)."""
+    ids = np.asarray(active_set)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("an active set must be a sequence of integer row ids")
+    return ids.astype(np.intp)
+
+
 def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> KktResiduals:
     """Stationarity, primal feasibility, complementarity and dual feasibility.
 
@@ -458,10 +490,7 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
     would count a multiplier twice or on the wrong row and hide its sign.
     """
     rows = expand_constraints(p)
-    ids = np.asarray(active_set)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError("active_set must be a sequence of integer row ids")
-    ids = ids.astype(np.intp)
+    ids = _row_ids(active_set)
     if ids.size and (ids.min() < 0 or ids.max() >= rows.b.size or np.unique(ids).size < ids.size):
         raise ValueError(f"active_set must hold distinct row ids in [0, {rows.b.size})")
     lam = np.asarray(multipliers, dtype=float)
@@ -477,14 +506,17 @@ class QpSolver:
         self.structure: QpStructure | None = None
 
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
-        """Solve p, warm-started from an active set if one is given, an empty one included."""
+        """Solve p, warm-started from an active set if one is given, an empty one
+        included; its integer row ids out of range are ignored, any other id
+        is a ValueError."""
         if self.structure is None or not self.structure.fits(p):
             self.structure = setup(p)
         rows = _rows(self.structure, p)
         d = p.dim
-        h_reg, factor = _hessian(p.H, self.structure)
-        if factor is None:
+        hess = _hessian(p.H, self.structure)
+        if hess.factor is None:
             raise QpDataError("Hessian is not positive definite")
+        h_reg = hess.dense
 
         def objective(zv):
             return float(0.5 * zv @ (h_reg @ zv) + p.g @ zv)
@@ -492,15 +524,15 @@ class QpSolver:
         # one start: the equality rows plus the valid warm rows
         start_rows = np.arange(rows.b.size) < rows.n_eq
         if warm_start is not None:
-            warm = np.asarray(warm_start, dtype=np.intp)
+            warm = _row_ids(warm_start)
             start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
-        start = _kkt_start(rows, h_reg, p.g, np.flatnonzero(start_rows))
+        start = _kkt_start(rows, hess, p.g, np.flatnonzero(start_rows))
         if warm_start is not None:
             sol = self._try_hot_start(p, rows, h_reg, start, objective)
             if sol is not None:
                 return sol
         if start is None:  # a singular warm set leaves the equality rows alone
-            start = _kkt_start(rows, h_reg, p.g, np.arange(rows.n_eq))
+            start = _kkt_start(rows, hess, p.g, np.arange(rows.n_eq))
         if start is None:
             raise QpDataError("equality rows are linearly dependent")
         ids, z, lam = start
@@ -508,7 +540,7 @@ class QpSolver:
         # & Idnani, 1983): drop the warm rows with negative multipliers
         while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
             ids = ids[~negative]
-            z, lam = _kkt_solve(rows, h_reg, p.g, ids)
+            z, lam = _kkt_solve(rows, hess, p.g, ids)
         history = [objective(z)]
         b_eq, b_in = rows.b[:rows.n_eq], rows.b[rows.n_eq:]
         eq_gap = np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max(initial=0.0)
@@ -546,7 +578,7 @@ class QpSolver:
                 # 2006, ch. 16): the KKT system of gradient -n+ with the working
                 # rows at zero, whose multipliers are -r
                 try:
-                    dz, neg_r = _kkt_solve(held, h_reg, -n_plus, row_ids)
+                    dz, neg_r = _kkt_solve(held, hess, -n_plus, row_ids)
                 except LinAlgError:
                     status = MAX_ITER  # no certificate; keep the iterate
                     break
@@ -581,14 +613,14 @@ class QpSolver:
         kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
         if status == OPTIMAL and not kkt_res.max() <= threshold:
-            z, mult_arr, kkt_res = self._polish(p, rows, h_reg, row_ids, z, mult_arr, kkt_res)
+            z, mult_arr, kkt_res = self._polish(p, rows, hess, row_ids, z, mult_arr, kkt_res)
         if status == OPTIMAL and not kkt_res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
         history.append(objective(z))
         return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, history[-1],
                           history)
 
-    def _polish(self, p, rows, h_reg, row_ids, z0, mult0, kkt0):
+    def _polish(self, p, rows, hess, row_ids, z0, mult0, kkt0):
         """Exact KKT re-solve on the final active set to remove drift, then one
         step of iterative refinement: the same KKT system solved for the
         correction, with b - a z on the general rows, 0 on the bound rows
@@ -597,16 +629,16 @@ class QpSolver:
         left in the active rows' slacks, which complementarity would report.
         """
         try:
-            z, lam = _kkt_solve(rows, h_reg, p.g, row_ids)
+            z, lam = _kkt_solve(rows, hess, p.g, row_ids)
             residual = rows._replace(b=np.where(rows.src < p.dim, 0.0, rows.b - _values(rows, z)))
-            grad = h_reg @ z + p.g - _combine(rows, row_ids, lam)
-            dz, dlam = _kkt_solve(residual, h_reg, grad, row_ids)
+            grad = hess.dense @ z + p.g - _combine(rows, row_ids, lam)
+            dz, dlam = _kkt_solve(residual, hess, grad, row_ids)
         except LinAlgError:
             return z0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
         if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
-        res = _residuals(rows, h_reg, p.g, z, row_ids, lam)
+        res = _residuals(rows, hess.dense, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
             return z, lam, res
         return z0, mult0, kkt0

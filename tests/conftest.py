@@ -1,9 +1,12 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from armmpc import dynamics, kinematics, load_bundled_model, nominal
+from armmpc import dynamics, kinematics, load_bundled_model, nominal, qp
 from armmpc.checks import _central_difference
 from armmpc.robot_model import (
     JointSpec,
@@ -255,6 +258,47 @@ def chain_counts(monkeypatch):
     monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
     monkeypatch.setattr(dynamics, "dpotrf", counting_factor)
     monkeypatch.setattr(dynamics, "_rnea", counting_derivatives)
+    return counts
+
+
+def is_dual_step(rows):
+    """A dual step of the QP solver holds every working row at zero."""
+    return not rows.b.any()
+
+
+@pytest.fixture
+def kkt_counts(monkeypatch):
+    """Count what the QP solver factors: the calls of each LAPACK routine it
+    holds (by name), the dense numpy solves and factorizations called from it
+    ("dense"), and its KKT solves by caller ("kkt"; a dual step is keyed
+    "dual step", while "solve" holds the re-solves after dropping warm rows)."""
+    routines = [name for name, fn in vars(qp).items() if isinstance(fn, type(lapack.dgbsv))]
+    counts = {**dict.fromkeys(routines, 0), "dense": 0, "kkt": Counter()}
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def counting_dense(fn):
+        def call(*args, **kwargs):
+            counts["dense"] += sys._getframe(1).f_globals.get("__name__") == qp.__name__
+            return fn(*args, **kwargs)
+        return call
+
+    kkt_solve = qp._kkt_solve
+
+    def counting_kkt(rows, *args):
+        caller = sys._getframe(1).f_code.co_name
+        counts["kkt"]["dual step" if is_dual_step(rows) else caller] += 1
+        return kkt_solve(rows, *args)
+
+    for name in routines:
+        monkeypatch.setattr(qp, name, counting(name, getattr(qp, name)))
+    monkeypatch.setattr(qp, "_kkt_solve", counting_kkt)
+    for name in ("solve", "lstsq", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting_dense(getattr(np.linalg, name)))
     return counts
 
 

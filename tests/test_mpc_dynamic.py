@@ -1,10 +1,9 @@
 import dataclasses
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, lapack
+from scipy.linalg import LinAlgError
 
 from armmpc import mpc_dynamic, qp
 from armmpc.dynamics import RigidBodyState, bias_forces, dynamics_derivatives, forward_dynamics
@@ -20,7 +19,7 @@ from armmpc.mpc_dynamic import (
 from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout, osc_torque
 from armmpc.trajgen import TaskTrajectory
 
-from conftest import random_config
+from conftest import is_dual_step, random_config
 
 
 def random_state(model, rng, vel_scale=0.5):
@@ -414,57 +413,18 @@ def test_dyn_step_calls_dynamics_derivatives_once(desk_model, rng, monkeypatch):
     assert batches == [10]
 
 
-def is_dual_step(rows):
-    """A dual step of the QP solver holds every working row at zero."""
-    return not rows.b.any()
-
-
-@pytest.fixture
-def kkt_counts(monkeypatch):
-    """Count what the QP solver factors: the calls of each LAPACK routine it
-    holds (by name), the dense numpy solves and factorizations called from it
-    ("dense"), and its KKT solves by caller ("kkt"; a dual step is keyed
-    "dual step", while "solve" holds the re-solves after dropping warm rows)."""
-    routines = [name for name, fn in vars(qp).items() if isinstance(fn, type(lapack.dgbsv))]
-    counts = {**dict.fromkeys(routines, 0), "dense": 0, "kkt": Counter()}
-
-    def counting(key, fn):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    def counting_dense(fn):
-        def call(*args, **kwargs):
-            counts["dense"] += sys._getframe(1).f_globals.get("__name__") == qp.__name__
-            return fn(*args, **kwargs)
-        return call
-
-    kkt_solve = qp._kkt_solve
-
-    def counting_kkt(rows, *args):
-        caller = sys._getframe(1).f_code.co_name
-        counts["kkt"]["dual step" if is_dual_step(rows) else caller] += 1
-        return kkt_solve(rows, *args)
-
-    for name in routines:
-        monkeypatch.setattr(qp, name, counting(name, getattr(qp, name)))
-    monkeypatch.setattr(qp, "_kkt_solve", counting_kkt)
-    for name in ("solve", "lstsq", "inv", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, counting_dense(getattr(np.linalg, name)))
-    return counts
-
-
 def test_hot_started_dyn_step_makes_one_banded_factorization(desk_model, rng, kkt_counts):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
     ctl = DynamicMpc(desk_model, DynamicMpcConfig(horizon=10, dt=1e-3),
                      posture=default_posture(x0[:6]))
     ctl.step(state_at(desk_model, x0), traj, 0)
-    kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
-    # the same problem: its own active set is optimal
+    kkt_counts.update(dgbsv=0, dpbtrf=0, dpbtrs=0, dense=0, kkt=Counter())
+    # the same problem: its own active set is optimal, and holds the
+    # dynamics rows, so the start is a banded KKT system
     res = ctl.step(state_at(desk_model, x0), traj, 0)
     assert res.solution.status == qp.OPTIMAL and res.solution.iterations == 1
-    assert kkt_counts == {"dgbsv": 1, "dpbtrf": 1, "dense": 0, "kkt": {"_kkt_start": 1}}
+    assert kkt_counts == {"dgbsv": 1, "dpbtrf": 1, "dpbtrs": 0, "dense": 0,
+                          "kkt": {"_kkt_start": 1}}
 
 
 def test_rejected_hot_start_makes_one_banded_factorization_per_kkt_system(
@@ -482,7 +442,7 @@ def test_rejected_hot_start_makes_one_banded_factorization_per_kkt_system(
     ctl.step(state_at(desk_model, x0), traj, 0)
     x1 = x0.copy()
     x1[6:] += rng.standard_normal(6)
-    kkt_counts.update(dgbsv=0, dpbtrf=0, dense=0, kkt=Counter())
+    kkt_counts.update(dgbsv=0, dpbtrf=0, dpbtrs=0, dense=0, kkt=Counter())
     sol = ctl.step(state_at(desk_model, x1), traj, 0).solution
     assert judged[-1] is None and sol.status == qp.OPTIMAL  # rejected, then resumed
     kkt = kkt_counts["kkt"]
@@ -490,7 +450,8 @@ def test_rejected_hot_start_makes_one_banded_factorization_per_kkt_system(
     assert kkt["_kkt_start"] == 1 and kkt["solve"] >= 1  # a warm row was dropped
     assert kkt["_polish"] in (0, 2)  # the polish runs when the residuals ask for it
     assert kkt["dual step"] == sol.iterations - 1 >= 1
-    assert kkt_counts == {"dgbsv": sum(kkt.values()), "dpbtrf": 1, "dense": 0, "kkt": kkt}
+    assert kkt_counts == {"dgbsv": sum(kkt.values()), "dpbtrf": 1, "dpbtrs": 0, "dense": 0,
+                          "kkt": kkt}
 
 
 def test_singular_dual_step_ends_the_solve_without_a_certificate(desk_model, rng, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -372,3 +373,24 @@ def test_nan_kkt_solve_degrades_and_holds(desk_model, rng, monkeypatch):
     res = ctl.step(ChainState(desk_model, first.q_cmd), traj, 1)
     assert res.degraded and res.solution.status != qp.OPTIMAL
     np.testing.assert_array_equal(res.q_cmd, first.q_cmd)
+
+
+def test_accepted_hot_start_makes_one_band_factor_and_one_back_solve(desk_model, rng, kkt_counts,
+                                                                     monkeypatch):
+    # the kinematic MPC's warm set is empty, so its start's KKT system is
+    # H + eps I itself: one dpbtrs on the factor the convexity check made,
+    # no banded KKT system and nothing factored densely
+    judged = []
+    judge = qp.QpSolver._try_hot_start
+    monkeypatch.setattr(qp.QpSolver, "_try_hot_start",
+                        lambda self, *args: judged.append(judge(self, *args)) or judged[-1])
+    q0 = random_config(desk_model, rng)
+    cfg = KinematicMpcConfig(horizon=4)
+    traj = make_traj_holding(desk_model, q0, 20, cfg.dt)
+    ctl = KinematicMpc(desk_model, cfg)
+    first = ctl.step(ChainState(desk_model, q0), traj, 0)
+    kkt_counts.update(dgbsv=0, dpbtrf=0, dpbtrs=0, dense=0, kkt=Counter())
+    sol = ctl.step(ChainState(desk_model, first.q_cmd), traj, 1).solution
+    assert judged[-1] is sol and sol.status == qp.OPTIMAL and sol.active_set == ()
+    assert kkt_counts == {"dgbsv": 0, "dpbtrf": 1, "dpbtrs": 1, "dense": 0,
+                          "kkt": {"_kkt_start": 1}}

@@ -147,6 +147,31 @@ def test_unsatisfiable_infinite_bound_rejected(data):
         QpProblem(**{"H": np.eye(2), "g": np.zeros(2), **data})
 
 
+@pytest.mark.parametrize("data", [
+    {"g": None},
+    {"g": np.array(1.0)},
+    {"H": np.zeros((0, 0)), "g": np.zeros(0)},
+    {"H": None},
+], ids=["g-none", "g-0d", "d-zero", "H-none"])
+def test_missing_or_empty_objective_rejected(data):
+    # g = None used to raise AttributeError, a 0-d g IndexError, and d = 0
+    # a bare ValueError from setup
+    with pytest.raises(QpDataError, match="H and g"):
+        QpProblem(**{"H": np.eye(2), "g": np.zeros(2), **data})
+
+
+@pytest.mark.parametrize("warm", [[0.5], [1.0], np.array([0.0]), [True], [[0]]],
+                         ids=["half", "float-one", "float-array", "bool", "nested"])
+def test_warm_start_of_non_integer_ids_rejected(warm):
+    # by kkt_check's rule: [0.5] used to be read as row 0
+    p = QpProblem(H=np.eye(2), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
+    with pytest.raises(ValueError, match="integer row ids"):
+        QpSolver().solve(p, warm_start=warm)
+    # an empty warm set of any dtype (np.asarray(()) is float) stays a warm start
+    for empty in ((), [], np.empty(0)):
+        assert QpSolver().solve(p, warm_start=empty).status == OPTIMAL
+
+
 def test_warm_start_identical_problem(rng):
     solver = QpSolver()
     prob = random_qp(rng, 5, 6)
@@ -686,6 +711,24 @@ def kin_mpc_qps():
         cfg.max_ticks = 100
         simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
     return recorded
+
+
+def test_empty_working_set_back_solve_matches_banded_kkt(kin_mpc_qps):
+    # every recorded kinematic MPC QP starts from an empty working set, whose
+    # KKT system is H + eps I: the back-solve on its band factor agrees with
+    # the banded KKT solve (forced by passing no factor), and every solve is
+    # optimal and certified at the solver's own threshold
+    for p, warm in kin_mpc_qps:
+        rows, hess = expand_constraints(p), _hessian(p.H, qp.setup(p))
+        assert rows.n_eq == 0 and not warm and hess.factor is not None
+        z, lam = _kkt_solve(rows, hess, p.g, [])
+        z_band, lam_band = _kkt_solve(rows, hess._replace(factor=None), p.g, [])
+        assert lam.shape == lam_band.shape == (0,)
+        assert np.linalg.norm(z - z_band) <= 1e-10 * np.linalg.norm(z_band)
+        sol = QpSolver().solve(p, warm_start=warm)
+        threshold = 1e-8 * (1.0 + np.linalg.norm(p.g))
+        assert sol.status == OPTIMAL
+        assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= threshold
 
 
 def one_shot(p):
