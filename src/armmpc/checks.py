@@ -37,7 +37,7 @@ class CheckResult:
 def dense_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     """The canonical rows of p written out densely, as (a, b, n_eq): a z >= b
     row by row, the first n_eq rows held at equality, in the solver's order
-    (Aeq, pinned bounds, pinned Ain rows; then finite lower and upper bounds,
+    (pinned bounds, pinned Ain rows; then finite lower and upper bounds,
     finite Ain lowers and uppers, pins skipped). Built here, apart from the
     solver's own rows, so that the oracles share no row code with it."""
     d = p.dim
@@ -49,8 +49,7 @@ def dense_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     uin = np.zeros(0) if p.Ain is None else p.uin
     pinned = np.isfinite(lb) & (lb == ub)
     pinned_rows = np.isfinite(lin) & (lin == uin)
-    eq = [(np.zeros((0, d)), np.zeros(0)) if p.Aeq is None else (p.Aeq, p.beq),
-          (eye[pinned], lb[pinned]), (ain[pinned_rows], lin[pinned_rows])]
+    eq = [(eye[pinned], lb[pinned]), (ain[pinned_rows], lin[pinned_rows])]
     lower, upper = np.isfinite(lb) & ~pinned, np.isfinite(ub) & ~pinned
     low_rows, up_rows = np.isfinite(lin) & ~pinned_rows, np.isfinite(uin) & ~pinned_rows
     ineq = [(eye[lower], lb[lower]), (-eye[upper], -ub[upper]),
@@ -104,7 +103,8 @@ def solve_qp_by_enumeration(p: QpProblem):
 
 
 def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = False) -> QpProblem:
-    """A random strictly convex QP with a mix of bounds and general rows."""
+    """A random strictly convex QP with a mix of bounds and general rows;
+    with_eq adds a pinned general row (an equality) ahead of the others."""
     m = rng.standard_normal((dim, dim))
     h = m @ m.T + dim * np.eye(dim)
     g = 3.0 * rng.standard_normal(dim)
@@ -115,17 +115,17 @@ def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = F
     for i in rng.choice(dim, size=min(n_bounds, dim), replace=False):
         lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
         lb[i], ub[i] = lo, hi + 0.1
-    a_in = lin = uin = None
+    a_in, lin, uin = np.zeros((0, dim)), np.zeros(0), np.zeros(0)
     if n_general:
         a_in = rng.standard_normal((n_general, dim))
         mid = rng.uniform(-1.0, 1.0, size=n_general)
         width = rng.uniform(0.5, 3.0, size=n_general)
         lin, uin = mid - width, mid + width
-    aeq = beq = None
     if with_eq and dim >= 2:
-        aeq = rng.standard_normal((1, dim))
-        beq = rng.uniform(-0.5, 0.5, size=1)
-    return QpProblem(H=h, g=g, Aeq=aeq, beq=beq, lb=lb, ub=ub, Ain=a_in, lin=lin, uin=uin)
+        row = rng.standard_normal((1, dim))
+        pin = rng.uniform(-0.5, 0.5, size=1)
+        a_in, lin, uin = np.vstack([row, a_in]), np.concatenate([pin, lin]), np.concatenate([pin, uin])
+    return QpProblem(H=h, g=g, lb=lb, ub=ub, Ain=a_in, lin=lin, uin=uin)
 
 
 def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,

@@ -5,7 +5,8 @@ an operational-space-control rollout and discretized with explicit Euler,
 one affine stage per step. The QP, posed in deviations from the rollout, is
 not condensed: z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np] keeps every
 input and state of the horizon, stage by stage, with one block row of
-equalities per stage (build_prediction), torque/state boxes as bounds, and
+equalities per stage (build_prediction, passed as pinned general rows
+lin == Ain z == uin), torque/state boxes as bounds, and
 the tracking cost expressed through the projected task Jacobians of the
 nominal. In that order every dynamics row and every cost block stays within
 a band of a few stages, so the solver's banded KKT factorization costs the
@@ -117,7 +118,9 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
 
     The decision variable is z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np]
     with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage, and
-    rows are build_prediction's dynamics rows over it.
+    rows are build_prediction's dynamics rows over it, passed as pinned
+    general rows (Ain = eq_a, lin = uin = eq_b): the QP's first n_p * 2n
+    canonical rows, held at equality.
     Deviation coordinates keep the solver's diagonal regularization centered
     on the nominal: with a zero input weight an absolute-variable QP would
     bias the torque plan toward zero (dropping gravity compensation),
@@ -126,7 +129,7 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     projected Jacobians, damping on absolute velocities, the input weight
     on input deviations. terminal_widen, unless None, adds a box of that
     many tolerances around the rollout's end state. H is S + S' for the
-    cost's Hessian S, exactly symmetric, so the solver takes it as it is.
+    cost's Hessian S, exactly symmetric, as the solver requires.
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
@@ -163,7 +166,7 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     lb = np.concatenate([-limits.u_max - rollout.u_hat, x_lo], axis=1).ravel()
     ub = np.concatenate([limits.u_max - rollout.u_hat, x_hi], axis=1).ravel()
 
-    return qp.QpProblem(H=hess, g=2.0 * grad, Aeq=eq_a, beq=eq_b, lb=lb, ub=ub)
+    return qp.QpProblem(H=hess, g=2.0 * grad, lb=lb, ub=ub, Ain=eq_a, lin=eq_b, uin=eq_b)
 
 
 @dataclass

@@ -88,8 +88,8 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     fix are constant and left out. Box bounds on positions and two-sided
     rows on the stacked velocities. terminal_widen, unless None, adds boxes
     of that many tolerances around the rollout's end position and velocity.
-    H is S + S' for the cost's Hessian S, exactly symmetric, so the solver
-    takes it as it is.
+    H is S + S' for the cost's Hessian S, exactly symmetric, as the solver
+    requires.
     """
     steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:

@@ -48,8 +48,8 @@ class TaskSpec:
     def __post_init__(self):
         require_number(self.priority, "priority")
         require_number(self.gain, "gain")
-        if self.priority < 1:
-            raise ValueError("priority must be >= 1 (1 = highest)")
+        if not (math.isfinite(self.priority) and self.priority >= 1):  # NaN would sort anywhere
+            raise ValueError(f"priority must be finite and >= 1 (1 = highest), got {self.priority}")
         if self.selector not in _SELECTOR_ROWS:
             raise ValueError(f"unknown selector {self.selector!r}")
         if not (math.isfinite(self.gain) and self.gain > 0):

@@ -2,29 +2,31 @@
 
 Solves
     min  0.5 z' H z + g' z
-    s.t. Aeq z = beq,  lb <= z <= ub,  lin <= Ain z <= uin
+    s.t. lb <= z <= ub,  lin <= Ain z <= uin
 
-H must be symmetric; a fixed diagonal regularization of
-1e-9 * max(trace(H), d)/d is always added, so the solver sees a strictly
-convex problem even when the caller's Hessian is only semidefinite. That
-matrix is factored once per solve as a band (LAPACK dpbtrf) at the
-half-bandwidth of its nonzero pattern, the full width for a dense H; that
-factor is the convexity check, and it solves the KKT system of a working
-set with no rows, which is H itself (Goldfarb & Idnani, 1983, solve the
-dual method's steps on H's Cholesky factor). Bounds stay bounds (as in
-qpOASES; Ferreau et al., 2014): a canonical row is a sign and a source,
-either a variable or a general row (Aeq or Ain, kept dense), so a bound's
-slack is sign * z_i - value, and no row is written out as a dense +-e_i.
+an equality being a pinned pair of sides (lb == ub, lin == uin), as every
+constraint of OSQP is l <= A z <= u. H must equal H' entry for entry; a
+fixed diagonal regularization of 1e-9 * max(trace(H), d)/d is always
+added, so the solver sees a strictly convex problem even when the caller's
+Hessian is only semidefinite. That matrix is factored once per solve as a
+band (LAPACK dpbtrf) at the half-bandwidth of its nonzero pattern, the
+full width for a dense H; that factor is the convexity check, and it
+solves the KKT system of a working set with no rows, which is H itself
+(Goldfarb & Idnani, 1983, solve the dual method's steps on H's Cholesky
+factor). Bounds stay bounds (as in qpOASES; Ferreau et al., 2014): a
+canonical row is a sign and a source, either a variable or a general row
+(of Ain, kept dense), so a bound's slack is sign * z_i - value, and no row
+is written out as a dense +-e_i.
 
 Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
 from the dense arrays a QpStructure, all that depends only on the pattern
 (the canonical row order, from which bounds are finite or pinned; each
 general row's nonzero span; H's pattern and band indices). A QpSolver
 keeps its last problem's structure, so an MPC's solver sets its QP up once
-and then, for each tick's problem of exactly that pattern and an exactly
-symmetric H, only fills in values; a new pattern (a newly pinned or
-infinite bound, a new nonzero) is set up afresh. A one-shot
-QpSolver().solve(p) sets up its problem, and kkt_check its own.
+and then, for each tick's problem of exactly that pattern, only fills in
+values; a new pattern (a newly pinned or infinite bound, a new nonzero) is
+set up afresh. A one-shot QpSolver().solve(p) sets up its problem, and
+kkt_check its own.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -86,22 +88,19 @@ def _regularization(h: np.ndarray) -> float:
 
 
 def regularized_hessian(h: np.ndarray) -> np.ndarray:
-    """The Hessian the solver actually optimizes: (H + H')/2 + eps*I."""
-    h = np.asarray(h, dtype=float)
-    out = 0.5 * (h + h.T)
-    out.reshape(-1)[::h.shape[0] + 1] += _regularization(h)
+    """The Hessian the solver actually optimizes: a copy of H plus eps*I."""
+    out = np.asarray(h, dtype=float).copy()
+    out.reshape(-1)[::out.shape[0] + 1] += _regularization(out)
     return out
 
 
 @dataclass
 class QpProblem:
-    """Strictly convex QP with equalities, bounds, and two-sided inequalities.
-    Its values are checked here, H's symmetry by setup."""
+    """Strictly convex QP with bounds and two-sided rows, either pinned for an
+    equality; its values are checked here, H's symmetry by setup."""
 
     H: np.ndarray
     g: np.ndarray
-    Aeq: np.ndarray | None = None
-    beq: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     Ain: np.ndarray | None = None
@@ -109,25 +108,22 @@ class QpProblem:
     uin: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("H", "g", "Aeq", "beq", "lb", "ub", "Ain", "lin", "uin"):
+        for name in ("H", "g", "lb", "ub", "Ain", "lin", "uin"):
             if getattr(self, name) is not None:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if (self.Aeq is None) != (self.beq is None):
-            raise QpDataError("Aeq and beq must be given together")
         if self.Ain is not None and (self.lin is None or self.uin is None):
             raise QpDataError("Ain requires lin and uin")
         if self.H is None or self.g is None or self.g.ndim != 1 or not self.g.size:
             raise QpDataError("H and g are required, g a vector of d >= 1 entries")
         d = self.g.shape[0]
-        e, m = (0 if a is None or a.ndim == 0 else a.shape[0] for a in (self.Aeq, self.Ain))
-        for name, shape in (("H", (d, d)), ("g", (d,)), ("Aeq", (e, d)), ("beq", (e,)),
-                            ("lb", (d,)), ("ub", (d,)), ("Ain", (m, d)), ("lin", (m,)), ("uin", (m,))):
+        m = 0 if self.Ain is None or self.Ain.ndim == 0 else self.Ain.shape[0]
+        for name, shape in (("H", (d, d)), ("g", (d,)), ("lb", (d,)), ("ub", (d,)),
+                            ("Ain", (m, d)), ("lin", (m,)), ("uin", (m,))):
             if getattr(self, name) is not None and getattr(self, name).shape != shape:
                 raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Aeq, self.beq, self.Ain)
-                   if a is not None):
-            raise QpDataError("H, g, Aeq, beq and Ain must be finite")
-        sides = _sides(self)[e:]
+        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Ain) if a is not None):
+            raise QpDataError("H, g and Ain must be finite")
+        sides = _sides(self)
         lo, hi = sides[:d + m], sides[d + m:]  # [lb; lin] and [ub; uin], absent ones infinite
         if not ((lo < np.inf).all() and (hi > -np.inf).all()):  # false on NaN too
             for name, never in (("lb", np.inf), ("ub", -np.inf), ("lin", np.inf), ("uin", -np.inf)):
@@ -171,25 +167,24 @@ class QpSolution:
 
 
 def _sides(p: QpProblem) -> np.ndarray:
-    """[beq; lb; lin; ub; uin], absent bounds as -inf and +inf."""
+    """[lb; lin; ub; uin], absent bounds as -inf and +inf."""
     d, none = p.dim, np.empty(0)
     lb = np.full(d, -np.inf) if p.lb is None else p.lb
     ub = np.full(d, np.inf) if p.ub is None else p.ub
     lin, uin = (none, none) if p.Ain is None else (p.lin, p.uin)
-    return np.concatenate([none if p.Aeq is None else p.beq, lb, lin, ub, uin])
+    return np.concatenate([lb, lin, ub, uin])
 
 
 def _general_rows(p: QpProblem) -> np.ndarray:
-    mats = [m for m in (p.Aeq, p.Ain) if m is not None]
-    return np.vstack(mats) if len(mats) > 1 else mats[0] if mats else np.zeros((0, p.dim))
+    return np.zeros((0, p.dim)) if p.Ain is None else p.Ain
 
 
 def _pattern(p: QpProblem) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Whether each lower and upper side of the bounds, then of the Ain rows,
     is finite and whether the two are pinned (equal); and these with the
-    shape (d, Aeq rows, Ain rows) and the nonzeros of H and the general rows."""
-    shape = d, e, m = (p.dim, *(0 if a is None else a.shape[0] for a in (p.Aeq, p.Ain)))
-    sides = _sides(p)[e:].reshape(2, d + m)
+    shape (d, Ain rows) and the nonzeros of H and the general rows."""
+    shape = d, m = p.dim, _general_rows(p).shape[0]
+    sides = _sides(p).reshape(2, d + m)
     finite, pinned = np.isfinite(sides), sides[0] == sides[1]
     arrays = (finite, pinned, p.H != 0, _general_rows(p) != 0)
     return finite, pinned, (shape, b"".join(a.tobytes() for a in arrays))
@@ -201,11 +196,10 @@ class QpStructure(NamedTuple):
 
     Row i reads sign[i] * s[src[i]] >= b[i] = sign[i] * _sides(p)[take[i]],
     s = [z; gen z]: src < d is a bound on that variable, src >= d the
-    general row src - d of gen (Aeq's rows, then Ain's), nonzero from first
-    to last. h_first is each row's first nonzero column of H + eps I; h_band
-    gathers H's lower band as dpbtrf stores it (transposed), h_mirror the
-    entries mirroring it. pattern: _pattern's key, None unless H was
-    exactly symmetric."""
+    general row src - d of gen (Ain's rows), nonzero from first to last.
+    h_first is each row's first nonzero column of H + eps I; h_band gathers
+    H's lower band as dpbtrf stores it (transposed), h_mirror the entries
+    mirroring it. pattern: _pattern's key."""
 
     b: np.ndarray | None
     n_eq: int
@@ -218,7 +212,7 @@ class QpStructure(NamedTuple):
     h_first: np.ndarray
     h_band: np.ndarray
     h_mirror: np.ndarray
-    pattern: tuple | None
+    pattern: tuple
 
     @property
     def n_in(self) -> int:
@@ -234,32 +228,30 @@ class QpStructure(NamedTuple):
 
 def setup(p: QpProblem) -> QpStructure:
     """The structure of p from its dense arrays alone; a QpDataError unless
-    H is symmetric to 1e-8 relative. Canonical row order (active-set ids):
-    Aeq rows, pinned bounds (lb == ub), pinned Ain rows; then bound lowers,
-    bound uppers, Ain lowers, Ain uppers (each skipping infinities and pins).
+    H == H' entry for entry. Canonical row order (active-set ids): pinned
+    bounds (lb == ub), pinned Ain rows (lin == uin); then bound lowers, bound
+    uppers, Ain lowers, Ain uppers (each skipping infinities and pins).
     """
     h = p.H
-    asym = h - h.T
-    if max(asym.max(), -asym.min()) > 1e-8 * (1 + np.abs(h).max()):
-        raise QpDataError("H must be symmetric")
+    if (h != h.T).any():
+        raise QpDataError("H must be symmetric, H == H' entry for entry")
     finite, pinned, pattern = _pattern(p)
-    (d, e, m), at = pattern[0], np.arange(finite.shape[1])
-    bound, (lower, upper) = at < d, finite & ~pinned
+    d, n = p.dim, finite.shape[1]  # n sides: d bounds, then the Ain rows
+    bound, (lower, upper) = np.arange(n) < d, finite & ~pinned
     picks = [np.flatnonzero(rows) for rows in
              (pinned, lower & bound, upper & bound, lower & ~bound, upper & ~bound)]
-    offsets = (e, e, e + d + m, e, e + d + m)  # of the lower and the upper sides in _sides
-    take = np.concatenate([np.arange(e), *(off + pick for off, pick in zip(offsets, picks))])
-    src = np.concatenate([d + np.arange(e), *(np.where(bound, at, at + e)[pick] for pick in picks)])
+    # a lower side (or a pin) at its index in _sides, an upper one n further
+    take = np.concatenate([off + pick for off, pick in zip((0, 0, n, 0, n), picks)])
     nz = _general_rows(p) != 0
     h_first = np.argmax(regularized_hessian(h) != 0, axis=1)  # the diagonal is nonzero
     col = np.arange(d)[:, None]
     row = col + np.arange(int((col[:, 0] - h_first).max(initial=0)) + 1)
     # band storage ab[o, j] = h[j + o, j], transposed; clipped entries are never read
     structure = QpStructure(
-        None, e + picks[0].size, src, np.where(take < e + d + m, 1.0, -1.0), None,
+        None, picks[0].size, np.concatenate(picks), np.where(take < n, 1.0, -1.0), None,
         np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, h_first,
         np.where(row < d, row * d + col, d * d - 1), np.where(row < d, col * d + row, d * d - 1),
-        None if asym.any() else pattern)
+        pattern)
     for arr in structure:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)  # every problem of the pattern shares them
@@ -298,11 +290,9 @@ class _Hessian(NamedTuple):
 
 
 def _hessian(h: np.ndarray, s: QpStructure) -> _Hessian:
-    """H + eps I (an exactly symmetric H, s.pattern set, copied rather than
-    averaged with H') and its band Cholesky factor (dpbtrf) on s's pattern:
-    the convexity check, and the KKT system of a working set with no rows."""
-    dense = 0.5 * (h + h.T) if s.pattern is None else h.copy()
-    dense.reshape(-1)[::h.shape[0] + 1] += _regularization(h)
+    """regularized_hessian(h) and its band Cholesky factor (dpbtrf) on s's
+    pattern: the convexity check, and the KKT system of an empty working set."""
+    dense = regularized_hessian(h)
     factor, info = dpbtrf(dense.reshape(-1)[s.h_band].T, lower=1, overwrite_ab=1)
     return _Hessian(dense, factor if info == 0 and np.isfinite(factor).all() else None)
 

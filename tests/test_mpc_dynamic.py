@@ -210,13 +210,20 @@ def dyn_problem(model, rng, horizon):
 
 def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
     # z = [du_0, dx_1, du_1, dx_2, ...]: stage k's rows touch only dx_k, du_k
-    # and dx_{k+1}, which are contiguous, and hold the identity on dx_{k+1}
+    # and dx_{k+1}, which are contiguous, and hold the identity on dx_{k+1}.
+    # They are pinned general rows, the QP's first n_eq canonical rows, the
+    # ids that the warm sets carried across ticks name
     problem = dyn_problem(desk_model, rng, 10)
     nx, n, n_p = 12, 6, 10
     ns = nx + n
-    assert problem.Aeq.shape == (n_p * nx, n_p * ns)
+    assert problem.Ain.shape == (n_p * nx, n_p * ns)
+    np.testing.assert_array_equal(problem.lin, problem.uin)
+    structure = qp.setup(problem)
+    assert structure.n_eq == n_p * nx
+    np.testing.assert_array_equal(structure.src[:structure.n_eq], n_p * ns + np.arange(n_p * nx))
+    np.testing.assert_array_equal(structure.sign[:structure.n_eq], 1.0)
     for k in range(n_p):
-        row = problem.Aeq[k * nx:(k + 1) * nx]
+        row = problem.Ain[k * nx:(k + 1) * nx]
         lo = max(k * ns - nx, 0)  # dx_k (dx_0 = 0 is not in z)
         hi = (k + 1) * ns
         assert not row[:, :lo].any() and not row[:, hi:].any(), f"stage {k}"

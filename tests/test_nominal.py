@@ -393,6 +393,14 @@ def test_task_spec_rejects_non_finite_gains(field, value):
         TaskSpec(priority=1, selector=POSITION, **{field: value})
 
 
+@pytest.mark.parametrize("priority", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_task_spec_rejects_non_finite_priority(priority):
+    # nan < 1 is false, so a NaN priority used to pass and then sort the
+    # levels in no defined order
+    with pytest.raises(ValueError, match="priority"):
+        TaskSpec(priority=priority, selector=POSITION)
+
+
 @pytest.mark.parametrize("call", [ik_step, osc_torque], ids=["ik_rollout", "osc_torque"])
 def test_empty_hierarchy_is_rejected(desk_model, call):
     state = RigidBodyState(desk_model, np.zeros(6))

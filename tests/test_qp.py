@@ -87,7 +87,7 @@ def test_equality_constraints():
     g = np.array([1.0, 1.0, 1.0])
     aeq = np.array([[1.0, 1.0, 1.0]])
     beq = np.array([1.0])
-    sol = QpSolver().solve(QpProblem(H=h, g=g, Aeq=aeq, beq=beq))
+    sol = QpSolver().solve(QpProblem(H=h, g=g, Ain=aeq, lin=beq, uin=beq))
     assert sol.status == OPTIMAL
     assert abs(aeq @ sol.z_star - beq)[0] < 1e-10
     # KKT by hand: z = H^-1 (A' nu - g), nu from A H^-1 A' nu = b + A H^-1 g
@@ -300,8 +300,8 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
 
 
 def test_dependent_equality_rows_rejected():
-    p = QpProblem(H=np.eye(2), g=np.zeros(2), Aeq=np.array([[1.0, 1.0], [2.0, 2.0]]),
-                  beq=np.array([1.0, 2.0]))
+    p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                  lin=np.array([1.0, 2.0]), uin=np.array([1.0, 2.0]))
     with pytest.raises(QpDataError, match="linearly dependent"):
         QpSolver().solve(p)
 
@@ -343,8 +343,9 @@ def stage_qp(rng, n_p):
             aeq[rows, k * ns - nx:k * ns] = -(np.eye(nx) + 0.1 * rng.standard_normal((nx, nx)))
         aeq[rows, k * ns:k * ns + nu] = -rng.standard_normal((nx, nu))
         aeq[rows, k * ns + nu:(k + 1) * ns] = np.eye(nx)
-    return QpProblem(H=h, g=rng.standard_normal(d), Aeq=aeq, beq=rng.standard_normal(n_p * nx),
-                     lb=-1.0 - rng.random(d), ub=1.0 + rng.random(d))
+    g, b = rng.standard_normal(d), rng.standard_normal(n_p * nx)
+    return QpProblem(H=h, g=g, lb=-1.0 - rng.random(d), ub=1.0 + rng.random(d),
+                     Ain=aeq, lin=b, uin=b)
 
 
 @pytest.mark.parametrize("n_p", [1, 3, 10])
@@ -570,8 +571,9 @@ def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
 def test_optimal_warm_set_of_equality_rows_alone_is_accepted(hot_starts):
     # no inequality row is active at the optimum, so the warm set holds only
     # the equality rows; its one KKT solve is the optimum and must be accepted
-    p = QpProblem(H=np.diag([1.0, 2.0, 3.0]), g=np.ones(3), Aeq=np.array([[1.0, 1.0, 1.0]]),
-                  beq=np.array([1.0]), lb=-np.full(3, 10.0), ub=np.full(3, 10.0))
+    p = QpProblem(H=np.diag([1.0, 2.0, 3.0]), g=np.ones(3), lb=-np.full(3, 10.0),
+                  ub=np.full(3, 10.0), Ain=np.array([[1.0, 1.0, 1.0]]), lin=np.ones(1),
+                  uin=np.ones(1))
     cold = QpSolver().solve(p)
     assert cold.status == OPTIMAL and cold.active_set == (0,)
     warm = QpSolver().solve(p, warm_start=cold.active_set)
@@ -663,8 +665,8 @@ def test_far_off_diagonal_hessian_entry_is_kept(rng):
     aeq[0, :2] = 1.0
     warm = None
     for h in (tri, coupled):
-        p = QpProblem(H=h, g=g, Aeq=aeq, beq=np.array([0.2]), lb=np.full(d, -0.3),
-                      ub=np.full(d, np.inf))
+        p = QpProblem(H=h, g=g, lb=np.full(d, -0.3), ub=np.full(d, np.inf), Ain=aeq,
+                      lin=np.array([0.2]), uin=np.array([0.2]))
         sol = QpSolver().solve(p, warm_start=warm)
         ref, ref_objective = solve_qp_by_enumeration(p)
         assert sol.status == OPTIMAL
@@ -733,8 +735,8 @@ def test_empty_working_set_back_solve_matches_banded_kkt(kin_mpc_qps):
 
 def one_shot(p):
     """p rebuilt from its dense arrays, to be solved on a structure of its own."""
-    return QpProblem(H=p.H.copy(), g=p.g.copy(), Aeq=p.Aeq, beq=p.beq, lb=p.lb, ub=p.ub,
-                     Ain=p.Ain, lin=p.lin, uin=p.uin)
+    return QpProblem(H=p.H.copy(), g=p.g.copy(), lb=p.lb, ub=p.ub, Ain=p.Ain, lin=p.lin,
+                     uin=p.uin)
 
 
 @pytest.mark.parametrize("recorded", ["kin_mpc_qps", "dyn_mpc_qps"])
@@ -768,21 +770,22 @@ def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts,
 
 def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_mpc_qps, rng,
                                                                monkeypatch):
-    # the solver's H + eps I, a copy of an exactly symmetric H or the mean of
-    # H and H' otherwise, is regularized_hessian's bit for bit, which
-    # kkt_check and the certificates read; both take eps from
-    # qp._regularization, so scaling eps there moves both
+    # the solver's H + eps I, a copy of the exactly symmetric H, is
+    # regularized_hessian's bit for bit, which kkt_check and the certificates
+    # read; both take eps from qp._regularization, so scaling eps there moves
+    # both. An H symmetric only to round-off has no H + eps I: it is refused
     half = rng.standard_normal((6, 6))
     rough = QpProblem(H=half @ half.T + np.eye(6), g=np.zeros(6))
     rough.H[0, 1] += 1e-15
-    problems = [p for p, _ in kin_mpc_qps[:3] + dyn_mpc_qps[:3]] + [rough]
+    with pytest.raises(QpDataError, match="symmetric"):
+        qp.setup(rough)
+    problems = [p for p, _ in kin_mpc_qps[:3] + dyn_mpc_qps[:3]]
     unscaled = [regularized_hessian(p.H) for p in problems]
     regularization = qp._regularization
     for scale in (1.0, 10.0):
         monkeypatch.setattr(qp, "_regularization", lambda h: scale * regularization(h))
         for p, base in zip(problems, unscaled):
             structure = qp.setup(p)
-            assert (structure.pattern is None) == (p is rough)
             want = regularized_hessian(p.H)
             np.testing.assert_array_equal(_hessian(p.H, structure)[0], want)
             np.testing.assert_allclose(np.diag(want - base), (scale - 1) * regularization(p.H),
@@ -792,7 +795,8 @@ def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_
 def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
     # a pinned or infinite bound, a new nonzero or an H that is symmetric
     # only to round-off does not fit the kept structure: that problem is set
-    # up afresh, so its active set names its own rows, never stale ones
+    # up afresh, so its active set names its own rows, never stale ones, or
+    # refused (the H off by round-off) and the kept structure stays
     setups = []
     setup = qp.setup
     monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
@@ -812,11 +816,39 @@ def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
     for data in (base, pinned, base, infinite, coupled, rough, base):
         p = QpProblem(**data)
         before = len(setups)
-        sol = solver.solve(p, warm_start=warm)
+        if data is rough:
+            with pytest.raises(QpDataError, match="symmetric"):
+                solver.solve(p, warm_start=warm)
+        else:
+            sol = solver.solve(p, warm_start=warm)
         assert len(setups) - before == (data is not last)  # once per change of pattern
         last = data
+        if data is rough:
+            continue
         ref = QpSolver().solve(one_shot(p))
         assert sol.status == ref.status == OPTIMAL
         np.testing.assert_allclose(sol.z_star, ref.z_star, rtol=0, atol=1e-9)
         assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= 1e-9
         warm = sol.active_set
+
+
+def test_hessian_symmetric_only_to_round_off_is_refused():
+    # H must equal H' entry for entry. One entry 1e-15 off is refused by a
+    # one-shot solve, by a solver holding the structure of its exactly
+    # symmetric twin (same pattern, so fits() turns on H's mirror bytes) and
+    # by kkt_check, which used to average H with H'
+    d = 5
+    h = np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    data = dict(g=np.ones(d), lb=-np.full(d, 0.2), ub=np.full(d, 0.3))
+    twin, rough = QpProblem(H=h, **data), QpProblem(H=h.copy(), **data)
+    rough.H[0, 1] += 1e-15
+    assert rough.H[0, 1] != rough.H[1, 0]
+    with pytest.raises(QpDataError, match="symmetric"):
+        QpSolver().solve(rough)
+    solver = QpSolver()
+    warm = solver.solve(twin).active_set
+    assert not solver.structure.fits(rough)
+    with pytest.raises(QpDataError, match="symmetric"):
+        solver.solve(rough, warm_start=warm)
+    with pytest.raises(QpDataError, match="symmetric"):
+        kkt_check(rough, np.zeros(d))
