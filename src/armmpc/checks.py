@@ -34,6 +34,18 @@ class CheckResult:
         return f"[{tag}] {self.name}: worst {self.worst:.3e} (tol {self.tolerance:.1e}) {self.detail}"
 
 
+def lower_band(h: np.ndarray, width: int) -> np.ndarray:
+    """The lower band of a dense symmetric h as QpProblem.H stores it,
+    ab[i, j] = h[j + i, j] for i <= width; entries farther out are left out."""
+    return np.array([np.append(np.diagonal(h, -i), np.zeros(i)) for i in range(width + 1)])
+
+
+def dense_hessian(ab: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix whose lower band is ab (QpProblem.H's storage)."""
+    low = sum(np.diag(ab[i, :ab.shape[1] - i], -i) for i in range(ab.shape[0]))
+    return low + np.tril(low, -1).T
+
+
 def dense_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     """The canonical rows of p written out densely, as (a, b, n_eq): a z >= b
     row by row, the first n_eq rows held at equality, in the solver's order
@@ -64,14 +76,15 @@ def solve_qp_by_enumeration(p: QpProblem):
     Solves the equality-constrained KKT system for every subset of the
     inequality rows, keeps the feasible candidates, and returns the feasible
     minimizer. Exponential in the constraint count; testing tool only.
-    Uses the same regularized Hessian as the solver so objectives agree.
+    Uses the same regularized Hessian as the solver, written out densely, so
+    objectives agree.
     Returns (z, objective) or (None, inf) when no subset yields a feasible
     point.
     """
     a, b, n_eq = dense_rows(p)
     a_eq, b_eq, a_in, b_in = a[:n_eq], b[:n_eq], a[n_eq:], b[n_eq:]
     d = p.dim
-    h_reg = regularized_hessian(p.H)
+    h_reg = dense_hessian(regularized_hessian(p.H))
     best = None
     best_obj = np.inf
     all_in = range(b_in.size)
@@ -103,8 +116,9 @@ def solve_qp_by_enumeration(p: QpProblem):
 
 
 def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = False) -> QpProblem:
-    """A random strictly convex QP with a mix of bounds and general rows;
-    with_eq adds a pinned general row (an equality) ahead of the others."""
+    """A random strictly convex QP with a mix of bounds and general rows, its
+    dense H passed as a full-width band; with_eq adds a pinned general row
+    (an equality) ahead of the others."""
     m = rng.standard_normal((dim, dim))
     h = m @ m.T + dim * np.eye(dim)
     g = 3.0 * rng.standard_normal(dim)
@@ -125,7 +139,7 @@ def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = F
         row = rng.standard_normal((1, dim))
         pin = rng.uniform(-0.5, 0.5, size=1)
         a_in, lin, uin = np.vstack([row, a_in]), np.concatenate([pin, lin]), np.concatenate([pin, uin])
-    return QpProblem(H=h, g=g, lb=lb, ub=ub, Ain=a_in, lin=lin, uin=uin)
+    return QpProblem(H=lower_band(h, dim - 1), g=g, lb=lb, ub=ub, Ain=a_in, lin=lin, uin=uin)
 
 
 def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,

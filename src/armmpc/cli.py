@@ -31,7 +31,13 @@ from .simulator import (
     write_metrics_report,
     write_timing_csv,
 )
-from .trajgen import SCENARIOS, export_trajectory_csv, scenario_trajectory
+from .trajgen import (
+    SCENARIO_DURATIONS,
+    SCENARIOS,
+    export_trajectory_csv,
+    scenario_trajectory,
+    step_count,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,6 +94,7 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     _check_positive("duration", cfg.duration)
+    _check_steps(scenario, cfg.dt, cfg.duration)
     if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, int) and cfg.max_ticks >= 1):
         raise ConfigError("max_ticks must be an integer >= 1")
     return cfg
@@ -96,6 +103,14 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
 def _check_positive(name: str, value: float | None) -> None:
     if value is not None and not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be a positive number")
+
+
+def _check_steps(scenario: str, dt: float, duration: float | None) -> None:
+    """A ConfigError unless the scenario's duration is a whole number of dt steps."""
+    try:
+        step_count(duration or SCENARIO_DURATIONS[scenario], dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
@@ -269,6 +284,7 @@ def cmd_export_traj(model_arg, scenario, dt, duration, out):
     """Write a scenario trajectory as CSV (t, px, py, pz, qw, qx, qy, qz)."""
     _check_positive("dt", dt)
     _check_positive("duration", duration)
+    _check_steps(scenario, dt, duration)
     model = _resolve_model(model_arg, scenario)
     traj = scenario_trajectory(scenario, model, dt, duration=duration)
     export_trajectory_csv(traj, out)

@@ -2,7 +2,8 @@
 
 Both run one scheme: each tick, linearize around a hierarchical controller's
 nominal, solve one QP and apply its first command. HorizonConfig checks the
-settings both read; RecedingHorizon owns the policy around the QP.
+settings both read; RecedingHorizon owns the policy around the QP, and
+hessian_band writes the per-step cost blocks into the QP's Hessian band.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import lru_cache
+
+import numpy as np
 
 from . import qp
 from .robot_model import RobotModel, require_number
@@ -47,6 +51,25 @@ class HorizonConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 < self.svd_threshold < 1:
             raise ValueError(f"svd_threshold must lie in (0, 1), got {self.svd_threshold}")
+
+
+@lru_cache(maxsize=4)
+def _lower_triangle(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, column) of each entry of an n x n lower triangle, to width
+    below the diagonal; read only, by hessian_band."""
+    return np.nonzero(np.arange(width + 1)[:, None] + np.arange(n) < n)
+
+
+def hessian_band(blocks: np.ndarray, at, d: int, width: int) -> np.ndarray:
+    """The lower band, width + 1 rows in qp.QpProblem.H's storage, of the d x d
+    block-diagonal matrix whose square blocks[..., k, :, :] start at variable
+    at[k] on the diagonal, zero elsewhere. Only each block's lower triangle
+    is read, to width below its diagonal; the blocks must not overlap.
+    Leading axes of blocks give as many bands."""
+    o, j = _lower_triangle(blocks.shape[-1], width)
+    ab = np.zeros(blocks.shape[:-3] + (width + 1, d))
+    ab[..., o, np.add.outer(np.asarray(at), j)] = blocks[..., j + o, j]
+    return ab
 
 
 class RecedingHorizon:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qp
 from .dynamics import RigidBodyState, _mv, dynamics_derivatives
-from .horizon import HorizonConfig, RecedingHorizon
+from .horizon import HorizonConfig, RecedingHorizon, hessian_band
 from .nominal import NominalRollout, PostureSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
 from .trajgen import TaskTrajectory
@@ -128,8 +128,9 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     Tracking weight acts on position deviations through the nominal's
     projected Jacobians, damping on absolute velocities, the input weight
     on input deviations. terminal_widen, unless None, adds a box of that
-    many tolerances around the rollout's end state. H is S + S' for the
-    cost's Hessian S, exactly symmetric, as the solver requires.
+    many tolerances around the rollout's end state. H is the lower band of
+    S + S' for the cost's Hessian S, n - 1 diagonals below the main one (a
+    stage's task block).
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
@@ -140,21 +141,20 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
         raise ValueError("dynamics rows and rollout horizon disagree")
 
     dim = n_p * ns
-    hess = np.zeros((dim, dim))
     grad = np.zeros(dim)
     # stage k holds du_k, then dx_k+1's position and velocity parts
     u_at = np.arange(n_p)[:, None] * ns + np.arange(n)
     q_at, v_at = u_at + n, u_at + nx
     jac_t = rollout.j_stack[1:].transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack[1:])  # one block per stage
-    hess[q_at[:, :, None], q_at[:, None, :]] = jtj + jtj.transpose(0, 2, 1)
+    hess = hessian_band(jtj + jtj.transpose(0, 2, 1), q_at[:, 0], dim, n - 1)
     # task error to first order: err_hat_k - J dq; the gradient drives the
     # plan to shrink the nominal's own residual error
     grad[q_at] -= np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])[:, :, 0]
     # the input weight acts on the deviation from the nominal torque, so it
     # regularizes the plan without taxing gravity compensation
-    hess[u_at, u_at] = 2.0 * cfg.input_weight
-    hess[v_at, v_at] = 2.0 * cfg.damping_weight
+    hess[0, u_at] = 2.0 * cfg.input_weight
+    hess[0, v_at] = 2.0 * cfg.damping_weight
     grad[v_at] += cfg.damping_weight * rollout.qd_hat[1:]  # damping acts on absolute velocity
 
     x_lo = np.concatenate([limits.q_min, -limits.v_max]) - rollout.x_hat[1:]

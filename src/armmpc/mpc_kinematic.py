@@ -6,9 +6,10 @@ one before it are known. Velocities and accelerations are affine in that
 stack: banded backward-difference operators, built once per (n, horizon,
 dt) of the config, plus constant offsets into which those two past
 commands fold. The tracking + damping + acceleration cost, each with a
-scalar weight, is one dense strictly convex QP with joint position and
-velocity bounds, plus terminal boxes when the window reaches the end of
-the trajectory. Like the dynamic MPC's known initial state, the applied
+scalar weight, is one strictly convex QP whose Hessian is a band (one
+block per step, coupled to the steps that the difference operators reach)
+with joint position and velocity bounds, plus terminal boxes when the
+window reaches the end of the trajectory. Like the dynamic MPC's known initial state, the applied
 command is no variable, so the QP has no equality rows.
 """
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qp
-from .horizon import HorizonConfig, RecedingHorizon
+from .horizon import HorizonConfig, RecedingHorizon, hessian_band
 from .kinematics import ChainState
 from .nominal import NominalRollout, ik_rollout
 from .robot_model import JointLimits
@@ -64,15 +65,16 @@ def _diff_matrices(n: int, steps: int, dt: float):
 
 @lru_cache(maxsize=8)
 def _diff_cost(n: int, steps: int, dt: float, weight: float, order: int):
-    """Constant Hessian block weight·op.T op of the cost weight·|op z + off|^2,
-    with op the velocity (order 1) or acceleration (order 2) operator; None
-    for a zero weight. Shared read-only by every caller."""
-    if not weight:
-        return None
+    """Lower bands of the constant Hessian block Q = weight·op.T op of the
+    cost weight·|op z + off|^2 and of Q.T, stacked, with op the velocity
+    (order 1) or acceleration (order 2) operator, whose Q reaches order·n
+    off the diagonal. Shared read-only by every caller."""
     op = _diff_matrices(n, steps, dt)[order - 1]
     quad = (weight * op.T) @ op
-    quad.setflags(write=False)
-    return quad
+    bands = hessian_band(np.stack([quad, quad.T])[:, None], [0], steps * n,
+                         min(order * n, steps * n - 1))
+    bands.setflags(write=False)
+    return bands
 
 
 def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
@@ -88,8 +90,8 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     fix are constant and left out. Box bounds on positions and two-sided
     rows on the stacked velocities. terminal_widen, unless None, adds boxes
     of that many tolerances around the rollout's end position and velocity.
-    H is S + S' for the cost's Hessian S, exactly symmetric, as the solver
-    requires.
+    H is the lower band of S + S' for the cost's Hessian S: that of S plus
+    that of S', which is the sum the dense S + S' rounds to.
     """
     steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:
@@ -98,22 +100,22 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     vel_op, acc_op = _diff_matrices(n, cfg.horizon, cfg.dt)
     vel_off, acc_off = _diff_offsets(n, cfg.horizon, cfg.dt, *history)
 
-    hess = np.zeros((dim, dim))
+    costs = [(op, off, weight, _diff_cost(n, cfg.horizon, cfg.dt, weight, order))
+             for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
+                                            (acc_op, acc_off, cfg.accel_weight, 2)) if weight]
     jac = rollout.j_stack[1:]
     jac_t = jac.transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, jac)  # one block per step
-    at = np.arange(dim).reshape(cfg.horizon, n)
-    hess[at[:, :, None], at[:, None, :]] = jtj
+    # the bands of S and S', S's step blocks reaching n - 1 off the diagonal
+    halves = hessian_band(np.stack([jtj, jtj.transpose(0, 2, 1)]), np.arange(cfg.horizon) * n,
+                          dim, max([n - 1] + [quad.shape[1] - 1 for *_, quad in costs]))
     # first-order task error e(q) ~ err_hat - J (q - qhat): the target
     # vector keeps the nominal's own residual so the plan can beat it
     grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])
                   + np.matmul(jtj, rollout.q_hat[1:, :, None])).ravel()
-    for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
-                                   (acc_op, acc_off, cfg.accel_weight, 2)):
-        quad = _diff_cost(n, cfg.horizon, cfg.dt, weight, order)
-        if quad is not None:
-            hess += quad
-            grad += op.T @ (weight * off)
+    for op, off, weight, quad in costs:
+        halves[:, :quad.shape[1]] += quad
+        grad += op.T @ (weight * off)
 
     limit_rows = [[limits.q_min], [limits.q_max], [limits.v_max]]
     lb, ub, vmax = np.repeat(limit_rows, cfg.horizon, axis=1).reshape(3, dim)  # one block per step
@@ -129,7 +131,7 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
         lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - vel_off[last])
         uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - vel_off[last])
 
-    return qp.QpProblem(H=hess + hess.T, g=2.0 * grad, lb=lb, ub=ub,
+    return qp.QpProblem(H=halves[0] + halves[1], g=2.0 * grad, lb=lb, ub=ub,
                         Ain=vel_op, lin=lin, uin=uin)
 
 

@@ -5,28 +5,27 @@ Solves
     s.t. lb <= z <= ub,  lin <= Ain z <= uin
 
 an equality being a pinned pair of sides (lb == ub, lin == uin), as every
-constraint of OSQP is l <= A z <= u. H must equal H' entry for entry; a
-fixed diagonal regularization of 1e-9 * max(trace(H), d)/d is always
-added, so the solver sees a strictly convex problem even when the caller's
-Hessian is only semidefinite. That matrix is factored once per solve as a
-band (LAPACK dpbtrf) at the half-bandwidth of its nonzero pattern, the
-full width for a dense H; that factor is the convexity check, and it
-solves the KKT system of a working set with no rows, which is H itself
-(Goldfarb & Idnani, 1983, solve the dual method's steps on H's Cholesky
-factor). Bounds stay bounds (as in qpOASES; Ferreau et al., 2014): a
-canonical row is a sign and a source, either a variable or a general row
-(of Ain, kept dense), so a bound's slack is sign * z_i - value, and no row
-is written out as a dense +-e_i.
+constraint of OSQP is l <= A z <= u. H comes as its lower band in LAPACK
+storage (Anderson et al., 1999), so it is symmetric by storage, and its
+writer, which knows where its nonzeros sit, sets the half-bandwidth. A
+fixed diagonal regularization of 1e-9 * max(trace(H), d)/d is always added
+to a copy of the band, so the solver sees a strictly convex problem even
+when H is only semidefinite. That copy is factored once per solve (LAPACK
+dpbtrf): the convexity check, and the KKT system of a working set with no
+rows (Goldfarb & Idnani, 1983, solve the dual method's steps on H's
+Cholesky factor); each H z is one banded product (BLAS dsbmv). Bounds stay
+bounds (as in qpOASES; Ferreau et al., 2014): a canonical row is a sign
+and a source, a variable or a general row (of Ain, kept dense), so a
+bound's slack is sign * z_i - value, and no row is written out as +-e_i.
 
 Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
-from the dense arrays a QpStructure, all that depends only on the pattern
-(the canonical row order, from which bounds are finite or pinned; each
-general row's nonzero span; H's pattern and band indices). A QpSolver
-keeps its last problem's structure, so an MPC's solver sets its QP up once
-and then, for each tick's problem of exactly that pattern, only fills in
-values; a new pattern (a newly pinned or infinite bound, a new nonzero) is
-set up afresh. A one-shot QpSolver().solve(p) sets up its problem, and
-kkt_check its own.
+from the bounds and Ain a QpStructure, all that depends only on their
+pattern (the canonical row order, from which bounds are finite or pinned;
+each general row's nonzero span). A QpSolver keeps its last problem's
+structure, so an MPC's solver sets its QP up once and then only fills in
+the values of each tick's problem of that pattern; a new pattern (a newly
+pinned or infinite bound, a new nonzero of Ain) is set up afresh. A
+one-shot QpSolver().solve(p) sets up its problem, and kkt_check its own.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -67,7 +66,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, blas
 from scipy.linalg.lapack import dgbsv, dpbtrf, dpbtrs
 
 OPTIMAL = "optimal"
@@ -82,22 +81,33 @@ class QpDataError(ValueError):
     """Problem data is malformed (shapes, non-finite entries, crossed bounds)."""
 
 
-def _regularization(h: np.ndarray) -> float:
-    """The solver's diagonal regularization eps = 1e-9 max(tr(H), d)/d."""
-    return 1e-9 * max(np.trace(h), h.shape[0]) / h.shape[0]
+def _regularization(ab: np.ndarray) -> float:
+    """The solver's diagonal regularization eps = 1e-9 max(tr(H), d)/d of
+    H's lower band ab, whose row 0 is H's diagonal."""
+    return 1e-9 * max(ab[0].sum(), ab.shape[1]) / ab.shape[1]
 
 
-def regularized_hessian(h: np.ndarray) -> np.ndarray:
-    """The Hessian the solver actually optimizes: a copy of H plus eps*I."""
-    out = np.asarray(h, dtype=float).copy()
-    out.reshape(-1)[::out.shape[0] + 1] += _regularization(out)
+def regularized_hessian(ab: np.ndarray) -> np.ndarray:
+    """The lower band of the Hessian the solver actually optimizes, H + eps I:
+    a copy of H's band ab (in Fortran order, as LAPACK and BLAS take it) with
+    eps added to row 0."""
+    out = np.array(ab, dtype=float, order="F")
+    out[0] += _regularization(out)
     return out
+
+
+def _hz(ab: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """H z for H's lower band ab."""
+    return blas.dsbmv(ab.shape[0] - 1, 1.0, ab, z, lower=1)
 
 
 @dataclass
 class QpProblem:
     """Strictly convex QP with bounds and two-sided rows, either pinned for an
-    equality; its values are checked here, H's symmetry by setup."""
+    equality; its values are checked here. H is the lower band of the d x d
+    Hessian in LAPACK storage, ab[i, j] = H[j + i, j] of shape (w + 1, d)
+    for a half-bandwidth 0 <= w < d, each entry finite, those past the last
+    row (i + j >= d) unused."""
 
     H: np.ndarray
     g: np.ndarray
@@ -116,8 +126,11 @@ class QpProblem:
         if self.H is None or self.g is None or self.g.ndim != 1 or not self.g.size:
             raise QpDataError("H and g are required, g a vector of d >= 1 entries")
         d = self.g.shape[0]
+        if self.H.ndim != 2 or not 1 <= self.H.shape[0] <= d or self.H.shape[1] != d:
+            raise QpDataError(f"H must be a lower band of shape (w + 1, {d}), 0 <= w < {d}, "
+                              f"got {self.H.shape}")
         m = 0 if self.Ain is None or self.Ain.ndim == 0 else self.Ain.shape[0]
-        for name, shape in (("H", (d, d)), ("g", (d,)), ("lb", (d,)), ("ub", (d,)),
+        for name, shape in (("g", (d,)), ("lb", (d,)), ("ub", (d,)),
                             ("Ain", (m, d)), ("lin", (m,)), ("uin", (m,))):
             if getattr(self, name) is not None and getattr(self, name).shape != shape:
                 raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
@@ -182,11 +195,11 @@ def _general_rows(p: QpProblem) -> np.ndarray:
 def _pattern(p: QpProblem) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Whether each lower and upper side of the bounds, then of the Ain rows,
     is finite and whether the two are pinned (equal); and these with the
-    shape (d, Ain rows) and the nonzeros of H and the general rows."""
+    shape (d, Ain rows) and the nonzeros of the general rows."""
     shape = d, m = p.dim, _general_rows(p).shape[0]
     sides = _sides(p).reshape(2, d + m)
     finite, pinned = np.isfinite(sides), sides[0] == sides[1]
-    arrays = (finite, pinned, p.H != 0, _general_rows(p) != 0)
+    arrays = (finite, pinned, _general_rows(p) != 0)
     return finite, pinned, (shape, b"".join(a.tobytes() for a in arrays))
 
 
@@ -197,9 +210,7 @@ class QpStructure(NamedTuple):
     Row i reads sign[i] * s[src[i]] >= b[i] = sign[i] * _sides(p)[take[i]],
     s = [z; gen z]: src < d is a bound on that variable, src >= d the
     general row src - d of gen (Ain's rows), nonzero from first to last.
-    h_first is each row's first nonzero column of H + eps I; h_band gathers
-    H's lower band as dpbtrf stores it (transposed), h_mirror the entries
-    mirroring it. pattern: _pattern's key."""
+    pattern: _pattern's key."""
 
     b: np.ndarray | None
     n_eq: int
@@ -209,9 +220,6 @@ class QpStructure(NamedTuple):
     first: np.ndarray
     last: np.ndarray
     take: np.ndarray
-    h_first: np.ndarray
-    h_band: np.ndarray
-    h_mirror: np.ndarray
     pattern: tuple
 
     @property
@@ -219,22 +227,16 @@ class QpStructure(NamedTuple):
         return self.b.shape[0] - self.n_eq
 
     def fits(self, p: QpProblem) -> bool:
-        """Whether setup(p) would give this structure: the same pattern and
-        an H symmetric bit for bit."""
-        h = p.H.reshape(-1)
-        return (self.pattern == _pattern(p)[2]
-                and h[self.h_band].tobytes() == h[self.h_mirror].tobytes())
+        """Whether setup(p) would give this structure: the same pattern."""
+        return self.pattern == _pattern(p)[2]
 
 
 def setup(p: QpProblem) -> QpStructure:
-    """The structure of p from its dense arrays alone; a QpDataError unless
-    H == H' entry for entry. Canonical row order (active-set ids): pinned
-    bounds (lb == ub), pinned Ain rows (lin == uin); then bound lowers, bound
-    uppers, Ain lowers, Ain uppers (each skipping infinities and pins).
+    """The structure of p from its bounds and Ain alone. Canonical row order
+    (active-set ids): pinned bounds (lb == ub), pinned Ain rows (lin == uin);
+    then bound lowers, bound uppers, Ain lowers, Ain uppers (each skipping
+    infinities and pins).
     """
-    h = p.H
-    if (h != h.T).any():
-        raise QpDataError("H must be symmetric, H == H' entry for entry")
     finite, pinned, pattern = _pattern(p)
     d, n = p.dim, finite.shape[1]  # n sides: d bounds, then the Ain rows
     bound, (lower, upper) = np.arange(n) < d, finite & ~pinned
@@ -243,15 +245,9 @@ def setup(p: QpProblem) -> QpStructure:
     # a lower side (or a pin) at its index in _sides, an upper one n further
     take = np.concatenate([off + pick for off, pick in zip((0, 0, n, 0, n), picks)])
     nz = _general_rows(p) != 0
-    h_first = np.argmax(regularized_hessian(h) != 0, axis=1)  # the diagonal is nonzero
-    col = np.arange(d)[:, None]
-    row = col + np.arange(int((col[:, 0] - h_first).max(initial=0)) + 1)
-    # band storage ab[o, j] = h[j + o, j], transposed; clipped entries are never read
     structure = QpStructure(
         None, picks[0].size, np.concatenate(picks), np.where(take < n, 1.0, -1.0), None,
-        np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, h_first,
-        np.where(row < d, row * d + col, d * d - 1), np.where(row < d, col * d + row, d * d - 1),
-        pattern)
+        np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, pattern)
     for arr in structure:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)  # every problem of the pattern shares them
@@ -264,7 +260,7 @@ def _rows(s: QpStructure, p: QpProblem) -> QpStructure:
 
 
 def expand_constraints(p: QpProblem) -> QpStructure:
-    """p's canonical rows, set up from its dense arrays alone (see setup)."""
+    """p's canonical rows, set up from its bounds and Ain alone (see setup)."""
     return _rows(setup(p), p)
 
 
@@ -282,26 +278,27 @@ def _combine(rows: QpStructure, ids, lam) -> np.ndarray:
 
 
 class _Hessian(NamedTuple):
-    """H + eps I and its lower band Cholesky factor (dpbtrf storage), None
-    unless positive definite."""
+    """The lower band of H + eps I and its band Cholesky factor (dpbtrf
+    storage); factor None unless positive definite, or to solve by the
+    banded LU alone."""
 
-    dense: np.ndarray
+    band: np.ndarray
     factor: np.ndarray | None
 
 
-def _hessian(h: np.ndarray, s: QpStructure) -> _Hessian:
-    """regularized_hessian(h) and its band Cholesky factor (dpbtrf) on s's
-    pattern: the convexity check, and the KKT system of an empty working set."""
-    dense = regularized_hessian(h)
-    factor, info = dpbtrf(dense.reshape(-1)[s.h_band].T, lower=1, overwrite_ab=1)
-    return _Hessian(dense, factor if info == 0 and np.isfinite(factor).all() else None)
+def _hessian(ab: np.ndarray) -> _Hessian:
+    """regularized_hessian(ab) and its band Cholesky factor (dpbtrf): the
+    convexity check, and the KKT system of an empty working set."""
+    band = regularized_hessian(ab)
+    factor, info = dpbtrf(band, lower=1)
+    return _Hessian(band, factor if info == 0 and np.isfinite(factor).all() else None)
 
 
 class _Band(NamedTuple):
     """Where the variables and the general active rows sit in the banded KKT.
-    h_take gathers H's lower band twice (flat indices into H), h_put scatters
-    it below and above the diagonal of dgbsv's band storage, transposed; a_take
-    and a_put do the same for the general rows."""
+    h_take gathers H's lower band twice (flat indices into its Fortran-order
+    storage), h_put scatters it below and above the diagonal of dgbsv's band
+    storage, transposed; a_take and a_put do the same for the general rows."""
 
     var_pos: np.ndarray  # KKT position of each variable
     row_pos: np.ndarray  # KKT position of each general row
@@ -313,48 +310,47 @@ class _Band(NamedTuple):
 
 
 @lru_cache(maxsize=4)  # two controllers' layouts
-def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
-    """Interleaved KKT order of the variables and the general active rows.
+def _band_layout(h_width: int, d: int, first: bytes, last: bytes) -> _Band:
+    """Interleaved KKT order of the d variables and the general active rows.
 
     Variables keep their natural order; each general row is placed right
     after the last variable it touches (ties keep their given order). The
-    half-bandwidth of [[h, a'], [a, 0]] is read off the nonzero spans (each
-    row of H from h_first, each general row from first to last), whatever
-    variables are fixed. The layout is cached by those spans, never by row
-    ids alone: a controller's QPs share one pattern for H, their general
+    half-bandwidth of [[h, a'], [a, 0]] is read off the nonzero spans (H's
+    band of half-width h_width, each general row from first to last),
+    whatever variables are fixed. The layout is cached by those spans, never
+    by row ids alone: a controller's QPs share one band for H, their general
     active rows come in few patterns (at most two layouts per closed-loop
     run of either MPC), and a rebuild would add 25-70% to each KKT solve.
     """
-    h_first, first, last = (np.frombuffer(x, dtype=np.intp) for x in (h_first, first, last))
-    d = h_first.size
+    first, last = (np.frombuffer(x, dtype=np.intp) for x in (first, last))
     m = first.size
     order = np.argsort(last, kind="stable")
     last_sorted = last[order]
     var_pos = np.arange(d) + np.searchsorted(last_sorted, np.arange(d))
     row_pos = np.empty(m, dtype=np.intp)
     row_pos[order] = last_sorted + 1 + np.arange(m)
+    # H's entry (j + o, j) for each of its diagonals o, within the matrix
+    o, j = np.nonzero(np.arange(h_width + 1)[:, None] + np.arange(d) < d)
+    i = j + o
     # rows sit after their last variable, so their first one is the far end
-    width = max(int((var_pos - var_pos[h_first]).max(initial=0)),
+    width = max(int((var_pos[i] - var_pos[j]).max()),
                 int((row_pos - var_pos[first]).max(initial=0)))
 
     # band storage entry (i, j) sits at ab[2w + i - j, j], flat j*(3w+1) + 2w + i - j
-    # of its transpose; each row's entries are taken over its nonzero span,
-    # clipped indices repeating an entry where a span is shorter than the longest
+    # of its transpose; each general row's entries are taken over its nonzero
+    # span, clipped indices repeating an entry where a span is shorter than the longest
     def flat(i, j):
         return j * 3 * width + i + 2 * width
 
-    at = np.arange(d)[:, None]
-    cols = np.maximum(at - np.arange(int((at[:, 0] - h_first).max(initial=0)) + 1),
-                      h_first[:, None])
-    i, j = var_pos[at], var_pos[cols]
     span = int((last - first).max(initial=0))
     a_cols = np.minimum(first[:, None] + np.arange(span + 1), last[:, None])
     r, c = row_pos[:, None], var_pos[a_cols]
-    h_take = (at * d + cols).ravel()
+    h_take = j * (h_width + 1) + o
     a_take = (np.arange(m)[:, None] * d + a_cols).ravel()
+    i, j = var_pos[i], var_pos[j]
     band = _Band(var_pos, row_pos, width,
                  np.concatenate([h_take, h_take]),
-                 np.concatenate([flat(i, j).ravel(), flat(j, i).ravel()]),
+                 np.concatenate([flat(i, j), flat(j, i)]),
                  np.concatenate([a_take, a_take]),
                  np.concatenate([flat(r, c).ravel(), flat(c, r).ravel()]))
     for arr in band:
@@ -363,19 +359,19 @@ def _band_layout(h_first: bytes, first: bytes, last: bytes) -> _Band:
     return band
 
 
-def _kkt_solve(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray,
+def _kkt_solve(rows: QpStructure, h: _Hessian, g: np.ndarray,
                ids) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 0.5 z'hz + g'z with the rows ids held at equality.
 
-    h is H + eps I, or the _Hessian holding it and its factor. With no rows
-    and a factor, z is one dpbtrs back-solve on that factor. Otherwise bound
+    h holds the lower band of H + eps I and its factor. With no rows and a
+    factor, z is one dpbtrs back-solve on that factor. Otherwise bound
     rows among ids fix their variable, and the general rows enter a banded
     KKT system in the order of _band_layout, factored by one dgbsv.
     Returns z and the multipliers aligned with ids (a'z >= b convention:
     h z + g = sum lam_i a_i). Raises LinAlgError when the system is
     singular, which includes a variable fixed by two rows.
     """
-    h, factor = h if isinstance(h, _Hessian) else (h, None)
+    h, factor = h
     d = g.shape[0]
     ids = np.asarray(ids, dtype=np.intp)
     if not ids.size and factor is not None:
@@ -400,20 +396,20 @@ def _kkt_solve(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray,
     a_gen = rows.gen[base]
     upper = rows.sign[gen] < 0
     a_gen[upper] = -a_gen[upper]
-    band = _band_layout(rows.h_first.tobytes(), rows.first[base].tobytes(),
+    band = _band_layout(h.shape[0] - 1, d, rows.first[base].tobytes(),
                         rows.last[base].tobytes())
     var_pos, row_pos, width = band.var_pos, band.row_pos, band.width
 
     # the fixed variables' values move to the right-hand side
     rhs = np.empty(d + gen.size)
-    rhs[var_pos] = -g - h @ z_fixed
+    rhs[var_pos] = -g - _hz(h, z_fixed)
     rhs[var_pos[fixed]] = z_fixed[fixed]
     rhs[row_pos] = rows.b[gen] - a_gen @ z_fixed
     # dgbsv's band storage, transposed ((i, j) at [j, 2w + i - j]), with w spare rows each side
     margin = np.zeros((rhs.size + 2 * width, 3 * width + 1))
     ab_t = margin[width:width + rhs.size]
     flat = ab_t.reshape(-1)
-    flat[band.h_put] = h.reshape(-1)[band.h_take]
+    flat[band.h_put] = h.ravel(order="F")[band.h_take]
     flat[band.a_put] = a_gen.reshape(-1)[band.a_take]
     # a fixed variable's KKT column and row are empty but for a unit diagonal
     at = var_pos[fixed]
@@ -429,11 +425,11 @@ def _kkt_solve(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray,
     lam_gen = -sol[row_pos]
     lam = np.empty(ids.size)
     lam[gen_at] = lam_gen
-    lam[bound] = sign * (h @ z + g - a_gen.T @ lam_gen)[fixed]
+    lam[bound] = sign * (_hz(h, z) + g - a_gen.T @ lam_gen)[fixed]
     return z, lam
 
 
-def _kkt_start(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray, ids):
+def _kkt_start(rows: QpStructure, h: _Hessian, g: np.ndarray, ids):
     """(ids, z, lam) of the KKT solve with the rows ids active; None when singular."""
     try:
         return (ids, *_kkt_solve(rows, h, g, ids))
@@ -443,10 +439,11 @@ def _kkt_start(rows: QpStructure, h: np.ndarray | _Hessian, g: np.ndarray, ids):
 
 def _residuals(rows: QpStructure, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers, slack=None) -> KktResiduals:
-    """KktResiduals of z; slack, if given, holds the rows' a'z - b at z."""
+    """KktResiduals of z, h_reg the lower band of H + eps I; slack, if given,
+    holds the rows' a'z - b at z."""
     ids = np.asarray(active_set, dtype=np.intp)
     lam = np.asarray(multipliers, dtype=float)
-    grad = h_reg @ z + g - _combine(rows, ids, lam)
+    grad = _hz(h_reg, z) + g - _combine(rows, ids, lam)
     slack = _values(rows, z) - rows.b if slack is None else slack
     slack_in = slack[rows.n_eq:]
     lam_in = np.zeros(rows.n_in)
@@ -503,13 +500,13 @@ class QpSolver:
             self.structure = setup(p)
         rows = _rows(self.structure, p)
         d = p.dim
-        hess = _hessian(p.H, self.structure)
+        hess = _hessian(p.H)
         if hess.factor is None:
             raise QpDataError("Hessian is not positive definite")
-        h_reg = hess.dense
+        h_reg = hess.band
 
         def objective(zv):
-            return float(0.5 * zv @ (h_reg @ zv) + p.g @ zv)
+            return float(0.5 * zv @ _hz(h_reg, zv) + p.g @ zv)
 
         # one start: the equality rows plus the valid warm rows
         start_rows = np.arange(rows.b.size) < rows.n_eq
@@ -621,14 +618,14 @@ class QpSolver:
         try:
             z, lam = _kkt_solve(rows, hess, p.g, row_ids)
             residual = rows._replace(b=np.where(rows.src < p.dim, 0.0, rows.b - _values(rows, z)))
-            grad = hess.dense @ z + p.g - _combine(rows, row_ids, lam)
+            grad = _hz(hess.band, z) + p.g - _combine(rows, row_ids, lam)
             dz, dlam = _kkt_solve(residual, hess, grad, row_ids)
         except LinAlgError:
             return z0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
         if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
             return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
-        res = _residuals(rows, hess.dense, p.g, z, row_ids, lam)
+        res = _residuals(rows, hess.band, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
             return z, lam, res
         return z0, mult0, kkt0

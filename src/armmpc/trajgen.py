@@ -20,6 +20,7 @@ from .nominal import POSITION, TaskSpec, default_task_hierarchy
 from .robot_model import RobotModel, require_number
 
 SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
+SCENARIO_DURATIONS = {"payload_pick_place": 3.0, "singularity_pass": 4.0, "circle_2dof": 2.0}  # s
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +73,20 @@ class TaskTrajectory:
         return [self.poses[i] for i in idx.tolist()], self.twists[idx], start + horizon >= last
 
 
+def step_count(span: float, dt: float) -> int:
+    """The number of dt steps in span, a ValueError naming both unless span
+    is a whole number of them (to 1e-9 of a step): an even sampling of the
+    span would otherwise stop short of its end or shorten its last step."""
+    steps = span / dt
+    count = round(steps)
+    if abs(steps - count) > 1e-9:
+        raise ValueError(f"duration {span} s is not a whole number of steps dt = {dt} s")
+    return count
+
+
 def cubic_spline_position(waypoints, dt: float):
-    """Clamped C2 cubic through (t, xyz) waypoints, sampled every dt.
+    """Clamped C2 cubic through (t, xyz) waypoints, sampled every dt; the
+    waypoints must span a whole number of steps (see step_count).
 
     Endpoint velocities are zero (moves start and end at rest). Returns
     (times, positions (k, 3), velocities (k, 3)).
@@ -85,7 +98,7 @@ def cubic_spline_position(waypoints, dt: float):
     if np.any(np.diff(times) <= 0):
         raise ValueError("waypoint times must be strictly increasing")
     spline = CubicSpline(times, points, axis=0, bc_type="clamped")
-    count = int(round((times[-1] - times[0]) / dt))
+    count = step_count(times[-1] - times[0], dt)
     ts = times[0] + dt * np.arange(count + 1)
     ts[-1] = min(ts[-1], times[-1])
     return ts, spline(ts), spline(ts, 1)
@@ -191,15 +204,16 @@ def scenario_initial_config(name: str, model: RobotModel) -> np.ndarray:
 def scenario_trajectory(name: str, model: RobotModel, dt: float,
                         duration: float | None = None) -> TaskTrajectory:
     """Build one of the bundled scenario trajectories on the given model;
-    duration, finite and > 0, defaults to the scenario's own."""
+    duration, finite and > 0 and a whole number of dt steps (see step_count),
+    defaults to the scenario's own."""
     if duration is not None and not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and > 0, got {duration}")
+    total = duration or SCENARIO_DURATIONS.get(name)
     if name == "singularity_pass":
         start = forward_kinematics(model, SINGULARITY_START_CONFIG)
         end = forward_kinematics(model, SINGULARITY_END_CONFIG)
-        return pose_trajectory_between(start, end, duration or 4.0, dt)
+        return pose_trajectory_between(start, end, total, dt)
     if name == "payload_pick_place":
-        total = duration or 3.0
         seg = total / 3.0
         home = forward_kinematics(model, PAYLOAD_HOME_CONFIG)
         p0 = home.translation
@@ -210,11 +224,10 @@ def scenario_trajectory(name: str, model: RobotModel, dt: float,
         quats = [(0.0, home.quaternion), (total, home.quaternion)]
         return waypoint_trajectory(waypoints, quats, dt)
     if name == "circle_2dof":
-        total = duration or 2.0
         q0 = scenario_initial_config(name, model)
         center_pose = forward_kinematics(model, q0)
         radius = 0.08
-        count = int(round(total / dt))
+        count = step_count(total, dt)
         poses = []
         twists = np.zeros((count + 1, 6))
         omega = 2 * math.pi / total

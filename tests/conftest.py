@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from armmpc import dynamics, kinematics, load_bundled_model, nominal, qp
+from armmpc import dynamics, kinematics, load_bundled_model, nominal, qp, simulator
 from armmpc.checks import _central_difference
 from armmpc.robot_model import (
     JointSpec,
@@ -259,6 +259,24 @@ def chain_counts(monkeypatch):
     monkeypatch.setattr(dynamics, "dpotrf", counting_factor)
     monkeypatch.setattr(dynamics, "_rnea", counting_derivatives)
     return counts
+
+
+def recorded_builds(module, builder, scenario, controller, model, ticks):
+    """(arguments, problem) of each call of module.builder over the first
+    ticks of a bundled scenario run, the first from the scenario's rest start."""
+    calls = []
+    build = getattr(module, builder)
+
+    def record(*args, **kwargs):
+        calls.append(((args, kwargs), build(*args, **kwargs)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, builder, record)
+        cfg = simulator.default_scenario_config(scenario, controller)
+        cfg.max_ticks = ticks
+        simulator.run_scenario(scenario, controller, load_bundled_model(model), cfg)
+    return calls
 
 
 def is_dual_step(rows):

@@ -147,6 +147,22 @@ def test_bad_duration_flag_is_config_error(runner, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--dt", "0.35"],
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--duration", "1.0005"],
+    ["export-traj", "--scenario", "circle_2dof", "--dt", "0.35"],
+    ["bench-horizon", "--horizons", "3", "--ticks", "2", "--dt", "0.0007"],
+], ids=["run-dt", "run-duration", "export-traj-dt", "bench-dt"])
+def test_duration_of_no_whole_number_of_steps_is_config_error(runner, tmp_path, args):
+    # the trajectory is sampled on the controller's dt grid, which must reach
+    # its end in whole steps
+    out = tmp_path / "o"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "is not a whole number of steps dt" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "0"],
     ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "-3"],
     ["run", "--scenario", "circle_2dof", "--controller", "osc", "--config", "CONFIG"],

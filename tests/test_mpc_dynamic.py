@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from armmpc import mpc_dynamic, qp
+from armmpc.checks import lower_band
 from armmpc.dynamics import RigidBodyState, bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
 from armmpc.mpc_dynamic import (
@@ -19,7 +20,7 @@ from armmpc.mpc_dynamic import (
 from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout, osc_torque
 from armmpc.trajgen import TaskTrajectory
 
-from conftest import is_dual_step, random_config
+from conftest import is_dual_step, random_config, recorded_builds
 
 
 def random_state(model, rng, vel_scale=0.5):
@@ -231,6 +232,25 @@ def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
         assert row[:, k * ns:k * ns + n].any()  # -B_k on u_k
 
 
+def test_dyn_qp_band_is_the_lower_band_of_s_plus_s_transposed():
+    # a dense reference from the same rollout: S holds each stage's weighted
+    # J'J block on dx's position part and the input and damping weights on
+    # the diagonal, and the builder's band is that of S + S', entry for
+    # entry, with nothing of S + S' outside it; from the rest start on
+    for ((cfg, rollout, _, _), _), problem in recorded_builds(
+            mpc_dynamic, "build_dyn_qp", "payload_pick_place", "dyn_mpc", "rs007n", 12):
+        n_p, n = rollout.u_hat.shape
+        dim = n_p * 3 * n
+        s = np.zeros((dim, dim))
+        for k, jac in enumerate(rollout.j_stack[1:]):
+            u, q, v = (k * 3 * n + i * n + np.arange(n) for i in range(3))
+            s[np.ix_(q, q)] = (cfg.task_weight * jac.T) @ jac
+            s[u, u], s[v, v] = cfg.input_weight, cfg.damping_weight
+        assert problem.H.shape == (n, dim)  # a stage's J'J block
+        np.testing.assert_array_equal(problem.H, lower_band(s + s.T, n - 1))
+        assert not np.tril(s + s.T, -n).any()
+
+
 def test_dyn_qp_kkt_band_does_not_grow_with_horizon(desk_model, rng):
     # under the solver's order the KKT band of the dynamics rows (and of
     # every active bound) has one width at any horizon
@@ -238,7 +258,7 @@ def test_dyn_qp_kkt_band_does_not_grow_with_horizon(desk_model, rng):
     for horizon in (5, 10, 20):
         problem = dyn_problem(desk_model, rng, horizon)
         rows = qp.expand_constraints(problem)  # the dynamics rows are all its general rows
-        band = qp._band_layout(qp.setup(problem).h_first.tobytes(), rows.first.tobytes(),
+        band = qp._band_layout(problem.H.shape[0] - 1, problem.dim, rows.first.tobytes(),
                                rows.last.tobytes())
         widths.append(band.width)
     assert widths[0] == widths[1] == widths[2]
@@ -473,7 +493,7 @@ def test_singular_dual_step_ends_the_solve_without_a_certificate(desk_model, rng
         return kkt_solve(rows, *args)
 
     monkeypatch.setattr(qp, "_kkt_solve", failing)
-    p = qp.QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
+    p = qp.QpProblem(H=np.ones((1, 2)), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
                      lin=np.array([1.0]), uin=np.array([np.inf]))
     sol = qp.QpSolver().solve(p)
     assert len(failed) == 1 and sol.status == qp.MAX_ITER

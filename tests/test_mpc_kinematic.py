@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from armmpc import qp
+from armmpc import mpc_kinematic, qp
+from armmpc.checks import lower_band
 from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.mpc_kinematic import (
     KinematicMpc,
@@ -17,7 +18,7 @@ from armmpc.nominal import NominalRollout, default_task_hierarchy, ik_rollout
 from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory, scenario_trajectory
 
-from conftest import random_config
+from conftest import random_config, recorded_builds
 
 
 def diff_ops(n, horizon, dt, q_prev, q_prev2):
@@ -102,6 +103,28 @@ def test_diff_matrices_match_blockwise_loop(n, horizon):
         np.testing.assert_array_equal(op, ref)
         np.testing.assert_array_equal(np.signbit(op), np.signbit(ref))
         assert not op.flags.writeable
+
+
+def test_kin_qp_band_is_the_lower_band_of_s_plus_s_transposed():
+    # a dense reference from the same rollout: S holds the weighted J'J block
+    # of each step and the damping and acceleration costs' op' op, and the
+    # builder's band is that of S + S', entry for entry, with nothing of
+    # S + S' outside it; from the rest start on
+    for ((cfg, rollout, _, _), _), problem in recorded_builds(
+            mpc_kinematic, "build_kin_qp", "singularity_pass", "kin_mpc", "rs020n", 12):
+        n = rollout.q_hat.shape[1]
+        dim = cfg.horizon * n
+        s = np.zeros((dim, dim))
+        for k, jac in enumerate(rollout.j_stack[1:]):
+            s[k * n:(k + 1) * n, k * n:(k + 1) * n] = (cfg.task_weight * jac.T) @ jac
+        for op, weight in zip(_diff_matrices(n, cfg.horizon, cfg.dt),
+                              (cfg.damping_weight, cfg.accel_weight)):
+            if weight:
+                s += (weight * op.T) @ op
+        width = problem.H.shape[0] - 1
+        assert width == 2 * n  # the acceleration cost reaches two steps
+        np.testing.assert_array_equal(problem.H, lower_band(s + s.T, width))
+        assert not np.tril(s + s.T, -width - 1).any()
 
 
 def make_traj_holding(model, q0, steps, dt, tasks=None):

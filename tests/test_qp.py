@@ -5,13 +5,20 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from armmpc import load_bundled_model, qp, simulator
-from armmpc.checks import dense_rows, random_qp, solve_qp_by_enumeration
+from armmpc.checks import (
+    dense_hessian,
+    dense_rows,
+    lower_band,
+    random_qp,
+    solve_qp_by_enumeration,
+)
 from armmpc.qp import (
     INFEASIBLE,
     OPTIMAL,
     QpDataError,
     QpProblem,
     QpSolver,
+    _Hessian,
     _hessian,
     _kkt_solve,
     _kkt_start,
@@ -22,8 +29,13 @@ from armmpc.qp import (
 )
 
 
+def lu_hessian(p):
+    """H + eps I of p with no factor: every KKT system by the banded LU."""
+    return _Hessian(regularized_hessian(p.H), None)
+
+
 def test_projection_onto_halfspace():
-    p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
+    p = QpProblem(H=np.ones((1, 2)), g=np.zeros(2), Ain=np.array([[1.0, 0.0]]),
                   lin=np.array([1.0]), uin=np.array([np.inf]))
     sol = QpSolver().solve(p)
     assert sol.status == OPTIMAL
@@ -36,7 +48,7 @@ def test_unconstrained_matches_linear_solve(rng):
         m = rng.standard_normal((d, d))
         h = m @ m.T + d * np.eye(d)
         g = rng.standard_normal(d)
-        sol = QpSolver().solve(QpProblem(H=h, g=g))
+        sol = QpSolver().solve(QpProblem(H=lower_band(h, d - 1), g=g))
         np.testing.assert_allclose(sol.z_star, np.linalg.solve(h, -g), atol=1e-8)
         assert sol.status == OPTIMAL
         assert sol.active_set == ()
@@ -87,7 +99,7 @@ def test_equality_constraints():
     g = np.array([1.0, 1.0, 1.0])
     aeq = np.array([[1.0, 1.0, 1.0]])
     beq = np.array([1.0])
-    sol = QpSolver().solve(QpProblem(H=h, g=g, Ain=aeq, lin=beq, uin=beq))
+    sol = QpSolver().solve(QpProblem(H=lower_band(h, 0), g=g, Ain=aeq, lin=beq, uin=beq))
     assert sol.status == OPTIMAL
     assert abs(aeq @ sol.z_star - beq)[0] < 1e-10
     # KKT by hand: z = H^-1 (A' nu - g), nu from A H^-1 A' nu = b + A H^-1 g
@@ -99,14 +111,14 @@ def test_equality_constraints():
 def test_pinned_bounds_become_equalities():
     lb = np.array([0.5, -np.inf])
     ub = np.array([0.5, np.inf])
-    sol = QpSolver().solve(QpProblem(H=np.eye(2), g=np.array([1.0, 1.0]), lb=lb, ub=ub))
+    sol = QpSolver().solve(QpProblem(H=np.ones((1, 2)), g=np.array([1.0, 1.0]), lb=lb, ub=ub))
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.z_star, [0.5, -1.0], atol=1e-10)
 
 
 def test_infeasible_detected():
     # x >= 1 and x <= 0 simultaneously
-    p = QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]),
+    p = QpProblem(H=np.ones((1, 1)), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]),
                   Ain=np.array([[1.0]]), lin=np.array([-np.inf]), uin=np.array([0.0]))
     sol = QpSolver().solve(p)
     assert sol.status == INFEASIBLE
@@ -114,11 +126,16 @@ def test_infeasible_detected():
 
 def test_crossed_bounds_rejected():
     with pytest.raises(QpDataError):
-        QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
+        QpProblem(H=np.ones((1, 1)), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
 
 
 @pytest.mark.parametrize("data", [
     {"H": np.array([[np.nan]]), "g": np.zeros(1)},
+    {"H": np.array([[1.0, 1.0], [np.inf, 0.0]])},
+    {"H": np.ones(2)},
+    {"H": np.ones((0, 2))},
+    {"H": np.ones((3, 2))},
+    {"H": np.ones((1, 3))},
     {"ub": np.array([np.nan, 1.0])},
     {"lb": np.array([0.0, np.nan]), "ub": np.array([1.0, 1.0])},
     {"lb": np.zeros(3)},
@@ -127,12 +144,13 @@ def test_crossed_bounds_rejected():
     {"Ain": np.ones((1, 2)), "lin": np.zeros(2), "uin": np.ones(2)},
     {"Ain": np.ones((2, 2)), "lin": np.zeros(2), "uin": np.ones(1)},
     {"lin": np.zeros(1)},
-], ids=["H-nan", "ub-nan", "lb-nan", "lb-long", "ub-column", "lin-nan", "lin-long", "uin-short",
-        "lin-without-Ain"])
+], ids=["H-nan", "H-band-inf", "H-1d", "H-no-rows", "H-past-d-rows", "H-wide", "ub-nan",
+        "lb-nan", "lb-long", "ub-column", "lin-nan", "lin-long", "uin-short", "lin-without-Ain"])
 def test_nonfinite_rejected(data):
-    # NaN and mis-shaped bound vectors are malformed data, not dropped bounds
+    # NaN and mis-shaped bound vectors are malformed data, not dropped bounds;
+    # H is a lower band of 1 to d rows of d finite entries
     with pytest.raises(QpDataError):
-        QpProblem(**{"H": np.eye(2), "g": np.ones(2), **data})
+        QpProblem(**{"H": np.ones((1, 2)), "g": np.ones(2), **data})
 
 
 @pytest.mark.parametrize("data", [
@@ -144,7 +162,7 @@ def test_nonfinite_rejected(data):
 def test_unsatisfiable_infinite_bound_rejected(data):
     # z >= +inf or z <= -inf holds for no z; it must not be dropped as "no bound"
     with pytest.raises(QpDataError, match="no point satisfies"):
-        QpProblem(**{"H": np.eye(2), "g": np.zeros(2), **data})
+        QpProblem(**{"H": np.ones((1, 2)), "g": np.zeros(2), **data})
 
 
 @pytest.mark.parametrize("data", [
@@ -157,14 +175,14 @@ def test_missing_or_empty_objective_rejected(data):
     # g = None used to raise AttributeError, a 0-d g IndexError, and d = 0
     # a bare ValueError from setup
     with pytest.raises(QpDataError, match="H and g"):
-        QpProblem(**{"H": np.eye(2), "g": np.zeros(2), **data})
+        QpProblem(**{"H": np.ones((1, 2)), "g": np.zeros(2), **data})
 
 
 @pytest.mark.parametrize("warm", [[0.5], [1.0], np.array([0.0]), [True], [[0]]],
                          ids=["half", "float-one", "float-array", "bool", "nested"])
 def test_warm_start_of_non_integer_ids_rejected(warm):
     # by kkt_check's rule: [0.5] used to be read as row 0
-    p = QpProblem(H=np.eye(2), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
+    p = QpProblem(H=np.ones((1, 2)), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
     with pytest.raises(ValueError, match="integer row ids"):
         QpSolver().solve(p, warm_start=warm)
     # an empty warm set of any dtype (np.asarray(()) is float) stays a warm start
@@ -228,7 +246,7 @@ def test_kkt_check_detects_perturbation(rng):
 
 
 def test_kkt_check_feasibility_residual():
-    p = QpProblem(H=np.eye(2), g=np.zeros(2), lb=np.array([0.0, 0.0]),
+    p = QpProblem(H=np.ones((1, 2)), g=np.zeros(2), lb=np.array([0.0, 0.0]),
                   ub=np.array([1.0, 1.0]))
     delta = 0.125
     res = kkt_check(p, np.array([-delta, 0.5]))
@@ -238,7 +256,7 @@ def test_kkt_check_feasibility_residual():
 def test_kkt_check_dual_feasibility():
     # z = 1 on the bound z >= 1 is stationary with multiplier -1, yet the
     # unconstrained minimum z = 2 is feasible: only the sign shows it
-    p = QpProblem(H=np.eye(1), g=np.array([-2.0]), lb=np.array([1.0]),
+    p = QpProblem(H=np.ones((1, 1)), g=np.array([-2.0]), lb=np.array([1.0]),
                   ub=np.array([np.inf]))
     res = kkt_check(p, np.array([1.0]), active_set=(0,), multipliers=(-1.0,))
     assert res.stationarity <= 1e-8
@@ -266,7 +284,7 @@ def test_kkt_check_rejects_malformed_active_sets(active_set, multipliers):
     # z = 1 on the bound z >= 1 with multiplier 1 is the optimum. A repeated
     # id used to count both multipliers in stationarity but only the last in
     # the sign check, so (-2, 3) passed; a negative id wrapped to another row
-    p = QpProblem(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]))
+    p = QpProblem(H=np.ones((1, 1)), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([np.inf]))
     assert kkt_check(p, np.ones(1), (0,), (1.0,)).max() <= 1e-8
     with pytest.raises(ValueError, match="active|multipliers"):
         kkt_check(p, np.ones(1), active_set, multipliers)
@@ -275,7 +293,7 @@ def test_kkt_check_rejects_malformed_active_sets(active_set, multipliers):
 def test_max_iter_returns_best_iterate():
     # a normal problem but with an absurdly low cap via monkeypatching is
     # intrusive; instead verify the field exists and is a sane count
-    sol = QpSolver().solve(QpProblem(H=np.eye(3), g=np.ones(3), lb=-np.ones(3), ub=np.ones(3)))
+    sol = QpSolver().solve(QpProblem(H=np.ones((1, 3)), g=np.ones(3), lb=-np.ones(3), ub=np.ones(3)))
     assert sol.status == OPTIMAL
     assert sol.iterations >= 0
 
@@ -284,14 +302,14 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
     # z_2 is held at its lower bound by the warm active set, where the KKT
     # solve is stationary, feasible and has a positive multiplier; but H is
     # indefinite, so the problem has no minimum and must be refused
-    p = QpProblem(H=np.diag([1.0, -1.0]), g=np.array([0.5, 1.0]),
+    p = QpProblem(H=np.array([[1.0, -1.0]]), g=np.array([0.5, 1.0]),
                   lb=np.array([-np.inf, 0.5]), ub=np.array([np.inf, np.inf]))
     warm = (0,)  # the one canonical row: z_2 >= 0.5
     rows = expand_constraints(p)
-    dense, factor = _hessian(p.H, qp.setup(p))
-    assert factor is None
-    start = _kkt_start(rows, dense, p.g, np.array(warm))
-    accepted = QpSolver()._try_hot_start(p, rows, dense, start, lambda z: 0.0)
+    hess = _hessian(p.H)
+    assert hess.factor is None
+    start = _kkt_start(rows, hess, p.g, np.array(warm))
+    accepted = QpSolver()._try_hot_start(p, rows, hess.band, start, lambda z: 0.0)
     assert accepted is not None and accepted.multipliers[0] > 0
     with pytest.raises(QpDataError, match="positive definite"):
         QpSolver().solve(p)
@@ -300,7 +318,7 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
 
 
 def test_dependent_equality_rows_rejected():
-    p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [2.0, 2.0]]),
+    p = QpProblem(H=np.ones((1, 2)), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [2.0, 2.0]]),
                   lin=np.array([1.0, 2.0]), uin=np.array([1.0, 2.0]))
     with pytest.raises(QpDataError, match="linearly dependent"):
         QpSolver().solve(p)
@@ -309,7 +327,7 @@ def test_dependent_equality_rows_rejected():
 def dense_kkt(p, ids):
     """Reference: z and multipliers of the active rows ids from one dense solve."""
     a, b, _ = dense_rows(p)
-    h = regularized_hessian(p.H)
+    h = dense_hessian(regularized_hessian(p.H))
     a = a[list(ids)]
     d, k = p.dim, len(ids)
     kkt = np.block([[h, a.T], [a, np.zeros((k, k))]])
@@ -319,7 +337,7 @@ def dense_kkt(p, ids):
 
 def assert_matches_dense(p, ids):
     rows = expand_constraints(p)
-    z, lam = _kkt_solve(rows, regularized_hessian(p.H), p.g, ids)
+    z, lam = _kkt_solve(rows, lu_hessian(p), p.g, ids)
     z_ref, lam_ref = dense_kkt(p, ids)
     np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-9 * np.abs(z_ref).max())
     np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-9 * np.abs(lam_ref).max())
@@ -344,7 +362,7 @@ def stage_qp(rng, n_p):
         aeq[rows, k * ns:k * ns + nu] = -rng.standard_normal((nx, nu))
         aeq[rows, k * ns + nu:(k + 1) * ns] = np.eye(nx)
     g, b = rng.standard_normal(d), rng.standard_normal(n_p * nx)
-    return QpProblem(H=h, g=g, lb=-1.0 - rng.random(d), ub=1.0 + rng.random(d),
+    return QpProblem(H=lower_band(h, ns - 1), g=g, lb=-1.0 - rng.random(d), ub=1.0 + rng.random(d),
                      Ain=aeq, lin=b, uin=b)
 
 
@@ -376,7 +394,7 @@ def kinematic_style_qp(rng):
         h[k * n:(k + 1) * n, k * n:(k + 1) * n] += jk.T @ jk + 1e-3 * np.eye(n)
     lb, ub = -np.ones(d), np.ones(d)
     lb[:n] = ub[:n] = 0.2
-    p = QpProblem(H=h, g=rng.standard_normal(d), lb=lb, ub=ub, Ain=vel,
+    p = QpProblem(H=lower_band(h, n), g=rng.standard_normal(d), lb=lb, ub=ub, Ain=vel,
                   lin=-np.full(d - n, 3.0), uin=np.full(d - n, 3.0))
     rows = expand_constraints(p)
     n_free = d - n
@@ -398,7 +416,7 @@ def test_banded_kkt_does_not_depend_on_activation_order(rng):
     # the same solve and reuse the same cached layout
     p, ids = kinematic_style_qp(rng)
     rows = expand_constraints(p)
-    h = regularized_hessian(p.H)
+    h = lu_hessian(p)
     z, lam = _kkt_solve(rows, h, p.g, ids)
     misses = qp._band_layout.cache_info().misses
     z2, lam2 = _kkt_solve(rows, h, p.g, ids[::-1])
@@ -410,12 +428,12 @@ def test_banded_kkt_does_not_depend_on_activation_order(rng):
 def test_singular_hot_start_falls_back_to_cold_path():
     # the same row twice: both copies are active at the optimum, and their
     # KKT system is singular
-    p = QpProblem(H=np.eye(2), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [1.0, 1.0]]),
+    p = QpProblem(H=np.ones((1, 2)), g=np.zeros(2), Ain=np.array([[1.0, 1.0], [1.0, 1.0]]),
                   lin=np.array([3.0, 3.0]), uin=np.array([np.inf, np.inf]))
     rows = expand_constraints(p)
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, regularized_hessian(p.H), p.g, [0, 1])
-    assert _kkt_start(rows, regularized_hessian(p.H), p.g, [0, 1]) is None
+        _kkt_solve(rows, lu_hessian(p), p.g, [0, 1])
+    assert _kkt_start(rows, lu_hessian(p), p.g, [0, 1]) is None
     solver = QpSolver()
     assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None, lambda z: 0.0) is None
     sol = solver.solve(p, warm_start=(0, 1))
@@ -432,17 +450,18 @@ def test_residuals_match_row_by_row_reference(rng):
                          with_eq=bool(rng.integers(0, 2)))
         a, b, n_eq = dense_rows(prob)
         h = regularized_hessian(prob.H)
+        dense = dense_hessian(h)
         z = rng.standard_normal(prob.dim)
         ids = rng.choice(b.size, size=int(rng.integers(0, b.size + 1)), replace=False)
         lam = rng.standard_normal(ids.size)
         res = _residuals(expand_constraints(prob), h, prob.g, z, ids, lam)
-        grad = h @ z + prob.g
+        grad = dense @ z + prob.g
         lam_in = np.zeros(b.size - n_eq)
         for idx, val in zip(ids, lam):
             grad = grad - val * a[idx]
             if idx >= n_eq:
                 lam_in[idx - n_eq] = val
-        scale = 1e-12 * (1.0 + np.abs(h @ z).max() + np.abs(prob.g).max() + np.abs(lam).sum())
+        scale = 1e-12 * (1.0 + np.abs(dense @ z).max() + np.abs(prob.g).max() + np.abs(lam).sum())
         assert abs(res.stationarity - np.abs(grad).max()) <= scale
         if lam_in.size:
             slack = a[n_eq:] @ z - b[n_eq:]
@@ -452,13 +471,13 @@ def test_residuals_match_row_by_row_reference(rng):
 
 def test_variable_fixed_twice_is_singular():
     # lower and upper bound of z_1 both active: dependent rows, as in a dense KKT
-    p = QpProblem(H=np.eye(2), g=np.ones(2), lb=np.zeros(2), ub=np.ones(2))
+    p = QpProblem(H=np.ones((1, 2)), g=np.ones(2), lb=np.zeros(2), ub=np.ones(2))
     rows = expand_constraints(p)
     both = [0, 2]
     assert rows.src[both].tolist() == [0, 0] and rows.sign[both].tolist() == [1.0, -1.0]
     with pytest.raises(LinAlgError):
-        _kkt_solve(rows, regularized_hessian(p.H), p.g, both)
-    assert _kkt_start(rows, regularized_hessian(p.H), p.g, both) is None
+        _kkt_solve(rows, lu_hessian(p), p.g, both)
+    assert _kkt_start(rows, lu_hessian(p), p.g, both) is None
     sol = QpSolver().solve(p, warm_start=both)  # falls back to the equality rows alone
     assert sol.status == OPTIMAL and sol.active_set == (0, 1)
 
@@ -527,8 +546,8 @@ def dense_certificate(p, sol):
     multiplier) of sol, in plain numpy from the rows written out densely and
     H + eps I, eps = 1e-9 max(tr H, d) / d, the Hessian the module documents."""
     a, b, n_eq = dense_rows(p)
-    d = p.dim
-    h = 0.5 * (p.H + p.H.T) + 1e-9 * max(np.trace(p.H), d) / d * np.eye(d)
+    d, h = p.dim, dense_hessian(p.H)
+    h = h + 1e-9 * max(np.trace(h), d) / d * np.eye(d)
     ids = np.asarray(sol.active_set, dtype=int)
     lam = np.zeros(b.size)
     lam[ids] = sol.multipliers
@@ -562,7 +581,7 @@ def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
         other, p = stage_qp(rng, 3), stage_qp(rng, 3)
         warm = QpSolver().solve(other).active_set
         rows = expand_constraints(p)
-        ids, _, lam = _kkt_start(rows, regularized_hessian(p.H), p.g, np.array(warm))
+        ids, _, lam = _kkt_start(rows, lu_hessian(p), p.g, np.array(warm))
         dropped += np.any(lam[ids >= rows.n_eq] < 0)
         optimal += assert_matches_warm_free_solve(p, QpSolver().solve(p, warm_start=warm))
     assert dropped >= 5 and optimal >= 5
@@ -571,7 +590,7 @@ def test_warm_set_of_another_problem_drops_negative_multipliers(rng):
 def test_optimal_warm_set_of_equality_rows_alone_is_accepted(hot_starts):
     # no inequality row is active at the optimum, so the warm set holds only
     # the equality rows; its one KKT solve is the optimum and must be accepted
-    p = QpProblem(H=np.diag([1.0, 2.0, 3.0]), g=np.ones(3), lb=-np.full(3, 10.0),
+    p = QpProblem(H=np.array([[1.0, 2.0, 3.0]]), g=np.ones(3), lb=-np.full(3, 10.0),
                   ub=np.full(3, 10.0), Ain=np.array([[1.0, 1.0, 1.0]]), lin=np.ones(1),
                   uin=np.ones(1))
     cold = QpSolver().solve(p)
@@ -589,7 +608,7 @@ def dense_residuals(p, z, ids, lam):
     slack = a @ z - b
     lam_in = np.zeros(b.size - n_eq)
     lam_in[ids[ids >= n_eq] - n_eq] = lam[ids >= n_eq]
-    grad = regularized_hessian(p.H) @ z + p.g - a[ids].T @ lam
+    grad = dense_hessian(regularized_hessian(p.H)) @ z + p.g - a[ids].T @ lam
     return (np.abs(grad).max(),
             max(np.abs(slack[:n_eq]).max(initial=0.0), (-slack[n_eq:]).max(initial=0.0)),
             np.abs(lam_in * slack[n_eq:]).max(initial=0.0),
@@ -622,7 +641,8 @@ def test_bound_and_general_rows_match_the_dense_oracle(data):
     pinned = general == "pinned"
     lin[pinned] = uin[pinned] = mid[pinned]
     ain = rng.standard_normal((general.size, d)) if general.size else None
-    p = QpProblem(H=half @ half.T + 0.1 * np.eye(d), g=3.0 * rng.standard_normal(d), lb=lb,
+    p = QpProblem(H=lower_band(half @ half.T + 0.1 * np.eye(d), d - 1),
+                  g=3.0 * rng.standard_normal(d), lb=lb,
                   ub=ub, Ain=ain, lin=lin if general.size else None,
                   uin=uin if general.size else None)
 
@@ -650,24 +670,25 @@ def test_bound_and_general_rows_match_the_dense_oracle(data):
 
 
 def test_far_off_diagonal_hessian_entry_is_kept(rng):
-    # a tridiagonal H has half-bandwidth 1; one more entry couples the first
-    # and last variables. Solved after the tridiagonal problem with its
-    # active set as the warm start, the coupled problem must see that entry
+    # a tridiagonal H is a band of half-width 1; one more entry couples the
+    # first and last variables, so that H is a full-width band. Solved after
+    # the tridiagonal problem with its active set as the warm start, on the
+    # solver's kept structure, the coupled problem must see that entry
     d = 6
     tri = np.diag(np.full(d, 2.0)) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
     coupled = tri.copy()
     coupled[0, -1] = coupled[-1, 0] = 0.9
-    for h, width in ((tri, 1), (coupled, d - 1)):
-        p = QpProblem(H=h, g=np.zeros(d))
-        assert _hessian(h, qp.setup(p))[1].shape[0] == width + 1
+    bands = lower_band(tri, 1), lower_band(coupled, d - 1)
+    for band, width in zip(bands, (1, d - 1)):
+        assert _hessian(band).factor.shape[0] == width + 1
     g = 3.0 * rng.standard_normal(d)
     aeq = np.zeros((1, d))
     aeq[0, :2] = 1.0
-    warm = None
-    for h in (tri, coupled):
+    warm, solver = None, QpSolver()
+    for h in bands:
         p = QpProblem(H=h, g=g, lb=np.full(d, -0.3), ub=np.full(d, np.inf), Ain=aeq,
                       lin=np.array([0.2]), uin=np.array([0.2]))
-        sol = QpSolver().solve(p, warm_start=warm)
+        sol = solver.solve(p, warm_start=warm)
         ref, ref_objective = solve_qp_by_enumeration(p)
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.z_star, ref, atol=1e-9)
@@ -687,7 +708,7 @@ def test_kkt_residuals_max_keeps_a_nan(field):
 
 def test_nan_kkt_solve_is_never_optimal(monkeypatch):
     # every residual test fails on a NaN, so a NaN iterate is never optimal
-    p = QpProblem(H=np.eye(2), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
+    p = QpProblem(H=np.ones((1, 2)), g=-np.ones(2), lb=np.zeros(2), ub=np.full(2, 5.0))
     warm = QpSolver().solve(p).active_set
     monkeypatch.setattr(qp, "_kkt_solve", lambda rows, hess, g, ids: (
         np.full(g.size, np.nan), np.full(len(ids), np.nan)))
@@ -721,7 +742,7 @@ def test_empty_working_set_back_solve_matches_banded_kkt(kin_mpc_qps):
     # the banded KKT solve (forced by passing no factor), and every solve is
     # optimal and certified at the solver's own threshold
     for p, warm in kin_mpc_qps:
-        rows, hess = expand_constraints(p), _hessian(p.H, qp.setup(p))
+        rows, hess = expand_constraints(p), _hessian(p.H)
         assert rows.n_eq == 0 and not warm and hess.factor is not None
         z, lam = _kkt_solve(rows, hess, p.g, [])
         z_band, lam_band = _kkt_solve(rows, hess._replace(factor=None), p.g, [])
@@ -734,7 +755,7 @@ def test_empty_working_set_back_solve_matches_banded_kkt(kin_mpc_qps):
 
 
 def one_shot(p):
-    """p rebuilt from its dense arrays, to be solved on a structure of its own."""
+    """p rebuilt from its arrays, to be solved on a structure of its own."""
     return QpProblem(H=p.H.copy(), g=p.g.copy(), lb=p.lb, ub=p.ub, Ain=p.Ain, lin=p.lin,
                      uin=p.uin)
 
@@ -742,7 +763,7 @@ def one_shot(p):
 @pytest.mark.parametrize("recorded", ["kin_mpc_qps", "dyn_mpc_qps"])
 def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts, recorded):
     # one solver over a run keeps its QP's structure and fills in values;
-    # the one-shot solve sets every problem up from its dense arrays. On
+    # the one-shot solve sets every problem up from its own arrays. On
     # accepted hot starts the two agree bit for bit
     setups = []
     setup = qp.setup
@@ -761,70 +782,59 @@ def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts,
         np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
         assert sol.active_set == ref.active_set
     assert accepted >= 90
-    # the dynamic MPC's run starts at rest, where the Jacobians hold exact
-    # zeros, so its first QP is sparser than the rest: set up twice, then
-    # filled in. The kinematic MPC's QP has no step-0 block, where its
-    # zeros sat, so its one pattern is set up once
+    # the dynamic MPC's run starts at rest, where its stage rows' velocity
+    # part holds exact zeros, so its first Ain is sparser than the rest: set
+    # up twice, then filled in. The kinematic MPC's QP has no step-0 block,
+    # where its zeros sat, so its one pattern is set up once
     assert own_setups == {"kin_mpc_qps": 1, "dyn_mpc_qps": 2}[recorded]
 
 
-def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_mpc_qps, rng,
+def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_mpc_qps,
                                                                monkeypatch):
-    # the solver's H + eps I, a copy of the exactly symmetric H, is
-    # regularized_hessian's bit for bit, which kkt_check and the certificates
-    # read; both take eps from qp._regularization, so scaling eps there moves
-    # both. An H symmetric only to round-off has no H + eps I: it is refused
-    half = rng.standard_normal((6, 6))
-    rough = QpProblem(H=half @ half.T + np.eye(6), g=np.zeros(6))
-    rough.H[0, 1] += 1e-15
-    with pytest.raises(QpDataError, match="symmetric"):
-        qp.setup(rough)
+    # the solver's band of H + eps I is regularized_hessian's bit for bit,
+    # which kkt_check and the certificates read; both take eps from
+    # qp._regularization, so scaling eps there moves both
     problems = [p for p, _ in kin_mpc_qps[:3] + dyn_mpc_qps[:3]]
     unscaled = [regularized_hessian(p.H) for p in problems]
     regularization = qp._regularization
     for scale in (1.0, 10.0):
         monkeypatch.setattr(qp, "_regularization", lambda h: scale * regularization(h))
         for p, base in zip(problems, unscaled):
-            structure = qp.setup(p)
             want = regularized_hessian(p.H)
-            np.testing.assert_array_equal(_hessian(p.H, structure)[0], want)
-            np.testing.assert_allclose(np.diag(want - base), (scale - 1) * regularization(p.H),
+            np.testing.assert_array_equal(_hessian(p.H).band, want)
+            np.testing.assert_array_equal(want[1:], base[1:])
+            np.testing.assert_allclose(want[0] - base[0], (scale - 1) * regularization(p.H),
                                        rtol=1e-6)
 
 
 def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
-    # a pinned or infinite bound, a new nonzero or an H that is symmetric
-    # only to round-off does not fit the kept structure: that problem is set
-    # up afresh, so its active set names its own rows, never stale ones, or
-    # refused (the H off by round-off) and the kept structure stays
+    # a pinned or infinite bound or a new zero of Ain does not fit the kept
+    # structure: that problem is set up afresh, so its active set names its
+    # own rows, never stale ones. A wider band of H is no new pattern: the
+    # structure holds nothing of H
     setups = []
     setup = qp.setup
     monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
     d = 5
     half = rng.standard_normal((d, d))
-    base = dict(H=np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1)),
-                g=3.0 * rng.standard_normal(d), lb=-np.full(d, 0.2), ub=np.full(d, 0.3),
-                Ain=half[:2], lin=-np.ones(2), uin=np.ones(2))
-    pinned, infinite, coupled, rough = ({key: val.copy() for key, val in base.items()}
-                                        for _ in range(4))
+    tri = np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    base = dict(H=lower_band(tri, 1), g=3.0 * rng.standard_normal(d), lb=-np.full(d, 0.2),
+                ub=np.full(d, 0.3), Ain=half[:2], lin=-np.ones(2), uin=np.ones(2))
+    pinned, infinite, coupled, sparser = ({key: val.copy() for key, val in base.items()}
+                                          for _ in range(4))
     pinned["lb"][1] = pinned["ub"][1] = 0.1
     infinite["ub"][3] = np.inf
-    coupled["H"][0, -1] = coupled["H"][-1, 0] = 0.4
-    rough["H"][0, 1] += 1e-15
+    tri[0, -1] = tri[-1, 0] = 0.4
+    coupled["H"] = lower_band(tri, d - 1)
+    sparser["Ain"][0, 2] = 0.0
     solver = QpSolver()
-    warm, last = solver.solve(QpProblem(**base)).active_set, base
-    for data in (base, pinned, base, infinite, coupled, rough, base):
+    warm = solver.solve(QpProblem(**base)).active_set
+    for data, fresh in ((base, False), (pinned, True), (base, True), (coupled, False),
+                        (infinite, True), (sparser, True), (base, True)):
         p = QpProblem(**data)
         before = len(setups)
-        if data is rough:
-            with pytest.raises(QpDataError, match="symmetric"):
-                solver.solve(p, warm_start=warm)
-        else:
-            sol = solver.solve(p, warm_start=warm)
-        assert len(setups) - before == (data is not last)  # once per change of pattern
-        last = data
-        if data is rough:
-            continue
+        sol = solver.solve(p, warm_start=warm)
+        assert len(setups) - before == fresh  # once per change of pattern
         ref = QpSolver().solve(one_shot(p))
         assert sol.status == ref.status == OPTIMAL
         np.testing.assert_allclose(sol.z_star, ref.z_star, rtol=0, atol=1e-9)
@@ -832,23 +842,15 @@ def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
         warm = sol.active_set
 
 
-def test_hessian_symmetric_only_to_round_off_is_refused():
-    # H must equal H' entry for entry. One entry 1e-15 off is refused by a
-    # one-shot solve, by a solver holding the structure of its exactly
-    # symmetric twin (same pattern, so fits() turns on H's mirror bytes) and
-    # by kkt_check, which used to average H with H'
-    d = 5
-    h = np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
-    data = dict(g=np.ones(d), lb=-np.full(d, 0.2), ub=np.full(d, 0.3))
-    twin, rough = QpProblem(H=h, **data), QpProblem(H=h.copy(), **data)
-    rough.H[0, 1] += 1e-15
-    assert rough.H[0, 1] != rough.H[1, 0]
-    with pytest.raises(QpDataError, match="symmetric"):
-        QpSolver().solve(rough)
-    solver = QpSolver()
-    warm = solver.solve(twin).active_set
-    assert not solver.structure.fits(rough)
-    with pytest.raises(QpDataError, match="symmetric"):
-        solver.solve(rough, warm_start=warm)
-    with pytest.raises(QpDataError, match="symmetric"):
-        kkt_check(rough, np.zeros(d))
+def test_band_round_trips_through_the_dense_hessian(rng):
+    # checks' two conversions: a dense symmetric H to its full-width band and
+    # back, and random_qp's band to a dense H and back
+    for _ in range(20):
+        d = int(rng.integers(1, 7))
+        half = rng.standard_normal((d, d))
+        h = half + half.T
+        np.testing.assert_array_equal(dense_hessian(lower_band(h, d - 1)), h)
+        p = random_qp(rng, max(d, 2), int(rng.integers(0, 9)))
+        dense = dense_hessian(p.H)
+        np.testing.assert_array_equal(dense, dense.T)
+        np.testing.assert_array_equal(lower_band(dense, p.dim - 1), p.H)

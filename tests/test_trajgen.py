@@ -54,6 +54,21 @@ def test_spline_interpolates_and_is_c2(rng):
     assert jerk.max() <= np.abs(acc).max() * 1e-1
 
 
+@pytest.mark.parametrize("dt", [0.4, 0.35])
+def test_spline_over_a_span_of_no_whole_number_of_steps_rejected(dt):
+    # sampled at 0.4 the move used to stop at t = 0.8, short of rest (speed
+    # 0.96); at 0.35 its last step was 0.30, not dt
+    with pytest.raises(ValueError, match=rf"duration 1.0 s .* dt = {dt} s"):
+        cubic_spline_position([(0.0, (0, 0, 0)), (1.0, (1, 1, 1))], dt)
+
+
+@pytest.mark.parametrize("scenario", ["singularity_pass", "payload_pick_place", "circle_2dof"])
+def test_scenario_of_no_whole_number_of_steps_rejected(desk_model, scenario):
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        scenario_trajectory(scenario, desk_model, 0.3, duration=1.0)
+    assert scenario_trajectory(scenario, desk_model, 0.25, duration=1.0).n_samples == 5
+
+
 def test_spline_duplicate_times_rejected():
     with pytest.raises(ValueError, match="increasing"):
         cubic_spline_position([(0.0, (0, 0, 0)), (0.0, (1, 1, 1))], 0.1)
