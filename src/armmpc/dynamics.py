@@ -166,6 +166,13 @@ class RigidBodyState(ChainState):
         """J-dot along qd, 6 x n, from the pass's axis and column rates."""
         return self._columns(self._axis_dot, self._ee_rates)
 
+    def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
+        """6 x n [linear; angular] columns from (n, 3) linear and axis rows."""
+        out = np.empty((6, self.chain.n))
+        out[:3] = lin.T
+        out[3:] = axis.T
+        return out
+
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs through the Cholesky factor."""
         return dpotrs(self.factor, rhs, lower=1)[0]

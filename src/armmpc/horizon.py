@@ -53,33 +53,45 @@ class HorizonConfig:
             raise ValueError(f"svd_threshold must lie in (0, 1), got {self.svd_threshold}")
 
 
-@lru_cache(maxsize=4)
-def _lower_triangle(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, column) of each entry of an n x n lower triangle, to width
-    below the diagonal; read only, by hessian_band."""
-    return np.nonzero(np.arange(width + 1)[:, None] + np.arange(n) < n)
+@lru_cache(maxsize=8)
+def _band_slots(count: int, n: int, first: int, stride: int, d: int,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where hessian_band reads and writes, read only: flat indices into a
+    (count, n, n) block stack of each block's entries on and below its
+    diagonal to width below it, then of those on and above it, and each
+    one's flat index into a (2, width + 1, d) stack of bands."""
+    o, j = np.nonzero(np.arange(width + 1)[:, None] + np.arange(n) < n)
+    block = np.arange(count)[:, None] * (n * n)
+    take = np.concatenate([(block + (j + o) * n + j).ravel(), (block + j * n + j + o).ravel()])
+    put = (o * d + first + np.arange(count)[:, None] * stride + j).ravel()
+    put = np.concatenate([put, put + (width + 1) * d])
+    take.setflags(write=False)
+    put.setflags(write=False)
+    return take, put
 
 
-def hessian_band(blocks: np.ndarray, at, d: int, width: int) -> np.ndarray:
-    """The lower band, width + 1 rows in qp.QpProblem.H's storage, of the d x d
-    block-diagonal matrix whose square blocks[..., k, :, :] start at variable
-    at[k] on the diagonal, zero elsewhere. Only each block's lower triangle
-    is read, to width below its diagonal; the blocks must not overlap.
-    Leading axes of blocks give as many bands."""
-    o, j = _lower_triangle(blocks.shape[-1], width)
-    ab = np.zeros(blocks.shape[:-3] + (width + 1, d))
-    ab[..., o, np.add.outer(np.asarray(at), j)] = blocks[..., j + o, j]
+def hessian_band(blocks: np.ndarray, first: int, stride: int, d: int, width: int) -> np.ndarray:
+    """The lower bands, width + 1 rows each in qp.QpProblem.H's storage and
+    stacked (2, width + 1, d), of the d x d block-diagonal matrix S whose
+    square blocks[k] start at variable first + k * stride on the diagonal,
+    zero elsewhere, and of S'. Each block is read to width off its
+    diagonal; the blocks must not overlap. The band of S + S' is the sum of
+    the two, as the dense S + S' rounds."""
+    count, n = blocks.shape[:2]
+    take, put = _band_slots(count, n, first, stride, d, width)
+    ab = np.zeros((2, width + 1, d))
+    ab.put(put, blocks.take(take))
     return ab
 
 
 class RecedingHorizon:
     """Tick policy around the one QP per tick.
 
-    A subclass's step builds the nominal along the trajectory's own task
-    hierarchy (TaskTrajectory.tasks) and calls _solve once. The QP is
-    warm-started from the active set of the last optimal solve, and solved by
-    the controller's own QpSolver, which keeps the QP's structure from tick
-    to tick (see qp). A tick whose QP data is rejected (crossed terminal
+    A subclass's step reads its targets through _window, builds the nominal
+    along the trajectory's own task hierarchy (TaskTrajectory.tasks) and
+    calls _solve once. The QP is warm-started from the active set of the
+    last optimal solve, and solved by the controller's own QpSolver, which
+    keeps the QP's structure from tick to tick (see qp). A tick whose QP data is rejected (crossed terminal
     boxes) or whose solve is not optimal is degraded: the subclass applies
     its fallback command, the warm start is dropped, and the next tick that
     reaches the trajectory end builds its terminal box TERMINAL_WIDEN times
@@ -96,6 +108,18 @@ class RecedingHorizon:
         """Forget the warm start and a pending terminal widening."""
         self._warm: tuple[int, ...] | None = None  # active set of the last optimal solve
         self._widen_next = False
+
+    def _window(self, state, traj, tick: int):
+        """The targets of this tick's horizon, traj.window(tick, horizon); a
+        ValueError for a chain state of another model, or for a trajectory
+        not sampled at the config's dt: a tick reads one sample and plans
+        steps of dt, so the targets would play at the wrong speed."""
+        if state.model is not self.model:
+            raise ValueError("chain state belongs to another model")
+        if not math.isclose(traj.dt, self.cfg.dt, rel_tol=1e-9):
+            raise ValueError(f"trajectory is sampled at dt = {traj.dt}, the controller ticks "
+                             f"at {self.cfg.dt}")
+        return traj.window(tick, self.cfg.horizon)
 
     def _solve(self, build, includes_end: bool) -> tuple[qp.QpSolution | None, bool]:
         """Build and solve this tick's QP; returns (solution, degraded).

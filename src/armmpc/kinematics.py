@@ -90,7 +90,11 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
     At angle exactly pi the axis sign is chosen deterministically from the
     largest-magnitude diagonal entry.
     """
-    rot = np.asarray(rot, dtype=float)
+    return np.array(_rotvec(np.asarray(rot, dtype=float)))
+
+
+def _rotvec(rot: np.ndarray) -> tuple[float, float, float]:
+    """rotvec_from_matrix of a float array, as three Python floats."""
     # read once into Python floats: the generic branch makes no small numpy
     # temporaries
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
@@ -98,7 +102,7 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
     angle = math.acos(cos_angle)
     if angle < 1e-7:
         # sin(a)/a ~ 1 to second order
-        return np.array([0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01)])
+        return 0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01)
     if angle > math.pi - 1e-6:
         # near pi: extract the axis from R + I, sign fixed by the dominant diagonal
         bb = 0.5 * (rot + np.eye(3))
@@ -111,10 +115,9 @@ def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(axis)
         if norm > 0:
             axis = axis / norm
-        return axis * angle
+        return tuple((axis * angle).tolist())
     scale = angle / math.sin(angle)
-    return np.array([0.5 * (r21 - r12) * scale, 0.5 * (r02 - r20) * scale,
-                     0.5 * (r10 - r01) * scale])
+    return 0.5 * (r21 - r12) * scale, 0.5 * (r02 - r20) * scale, 0.5 * (r10 - r01) * scale
 
 
 _YZX = np.array([1, 2, 0])
@@ -205,7 +208,9 @@ class Pose:
 
 
 _EYE3 = np.eye(3)
-_HOMOGENEOUS_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+# J's angular rows (3..5) in y z x, z x y order, and the arm's in z x y, y z x
+_AXIS_ROWS = np.array([4, 5, 3, 5, 3, 4])
+_ARM_ROWS = np.array([2, 0, 1, 1, 2, 0])
 
 
 class _Chain:
@@ -215,7 +220,7 @@ class _Chain:
     over the joints, and every per-link one an (n, ...) array over the links.
     """
 
-    __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "trans_pt",
+    __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "local_fixed",
                  "ee", "subspace", "crm_s", "inertia", "a_base",
                  "moves", "point_moves", "link_mass", "root_mass", "com",
                  "root_inertia")
@@ -229,7 +234,11 @@ class _Chain:
         self.rot_pt = np.array([j.parent_transform.rotation for j in model.joints])
         self.rot_skew = self.rot_pt @ skew
         self.rot_skew2 = self.rot_skew @ skew
-        self.trans_pt = np.array([j.parent_transform.translation for j in model.joints])
+        # each joint's homogeneous local transform but its rotation block,
+        # which is left zero: the constant translation from the parent link
+        self.local_fixed = np.zeros((n, 4, 4))
+        self.local_fixed[:, :3, 3] = [j.parent_transform.translation for j in model.joints]
+        self.local_fixed[:, 3, 3] = 1.0
         # end-effector transform from the last link, homogeneous 4 x 4
         self.ee = np.eye(4)
         self.ee[:3, :3] = model.ee_transform.rotation
@@ -279,7 +288,7 @@ class ChainState:
 
     The joint pass forms every joint's local rotation rot_pt exp(q [a]x) from
     its parent link, as array operations over all joints, and its constant
-    translation trans_pt, written into one (n, 4, 4) stack `local` of
+    translation, written into one (n, 4, 4) stack `local` of
     homogeneous transforms; dynamics.RigidBodyState reads it for its motion
     transforms. The world frames behind FK and J are the prefix products of
     that stack: link k's world transform is the product of the local
@@ -299,11 +308,10 @@ class ChainState:
         self.chain = c
         self.q = q = model.check_q(q)
         turn = q[:, None, None]
-        local = np.empty((c.n, 4, 4))
-        local[:, 3] = _HOMOGENEOUS_ROW
-        np.add(c.rot_pt, np.sin(turn) * c.rot_skew + (1.0 - np.cos(turn)) * c.rot_skew2,
-               out=local[:, :3, :3])
-        local[:, :3, 3] = c.trans_pt
+        local = c.local_fixed.copy()
+        rot = np.sin(turn) * c.rot_skew
+        rot += (1.0 - np.cos(turn)) * c.rot_skew2
+        np.add(c.rot_pt, rot, out=local[:, :3, :3])
         self.local = local
         world = local.copy()
         shift = 1
@@ -319,14 +327,14 @@ class ChainState:
 
     def jacobian(self) -> np.ndarray:
         """End-effector J: column j is [z_j x (p_ee - o_j); z_j]."""
-        return self._columns(self.axis_w, _cross(self.axis_w, self.ee_pos - self.origin_w))
-
-    def _columns(self, axis: np.ndarray, lin: np.ndarray) -> np.ndarray:
-        """6 x n [linear; angular] columns from (n, 3) linear and axis rows."""
-        out = np.empty((6, self.chain.n))
-        out[:3] = lin.T
-        out[3:] = axis.T
-        return out
+        jac = np.empty((6, self.chain.n))
+        jac[3:] = self.axis_w.T
+        # z x r = z_yzx r_zxy - z_zxy r_yzx, both products from one gather
+        # of J's axis rows and one of r = p_ee - o
+        prod = jac.take(_AXIS_ROWS, 0)
+        prod *= (self.ee_pos - self.origin_w).T.take(_ARM_ROWS, 0)
+        np.subtract(prod[:3], prod[3:], out=jac[:3])
+        return jac
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
@@ -357,7 +365,5 @@ def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
 def pose_error_raw(rot_t: np.ndarray, pos_t: np.ndarray,
                    rot_c: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
     """[dp; log(R_t R_c^T)] from raw rotation matrices and positions."""
-    out = np.empty(6)
-    out[:3] = pos_t - pos_c
-    out[3:] = rotvec_from_matrix(rot_t @ rot_c.T)
-    return out
+    (xt, yt, zt), (xc, yc, zc) = pos_t.tolist(), pos_c.tolist()
+    return np.array([xt - xc, yt - yc, zt - zc, *_rotvec(rot_t @ rot_c.T)])

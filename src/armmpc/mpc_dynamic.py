@@ -147,7 +147,8 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     q_at, v_at = u_at + n, u_at + nx
     jac_t = rollout.j_stack[1:].transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack[1:])  # one block per stage
-    hess = hessian_band(jtj + jtj.transpose(0, 2, 1), q_at[:, 0], dim, n - 1)
+    lower, upper = hessian_band(jtj, n, ns, dim, n - 1)
+    hess = lower + upper  # the band of S + S'
     # task error to first order: err_hat_k - J dq; the gradient drives the
     # plan to shrink the nominal's own residual error
     grad[q_at] -= np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])[:, :, 0]
@@ -191,13 +192,12 @@ class DynamicMpc(RecedingHorizon):
         """One control tick: returns the torque command for the next interval.
 
         The OSC rollout starts from the measured chain state, which must be
-        of this model (else ValueError). A degraded tick applies the
-        rollout's first torque, clipped to the limits.
+        of this model, along traj, which must be sampled at the config's dt
+        (else ValueError). A degraded tick applies the rollout's first
+        torque, clipped to the limits.
         """
         model, cfg, n = self.model, self.cfg, self.model.n
-        if state.model is not model:
-            raise ValueError("chain state belongs to another model")
-        poses, twists, includes_end = traj.window(tick, cfg.horizon)
+        poses, twists, includes_end = self._window(state, traj, tick)
         rollout = osc_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                               posture=self.posture, twists=twists)
         stages = linearize_stage(rollout.states, rollout.u_hat, cfg.dt, qdd=rollout.qdd_hat)

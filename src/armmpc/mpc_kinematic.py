@@ -71,10 +71,19 @@ def _diff_cost(n: int, steps: int, dt: float, weight: float, order: int):
     off the diagonal. Shared read-only by every caller."""
     op = _diff_matrices(n, steps, dt)[order - 1]
     quad = (weight * op.T) @ op
-    bands = hessian_band(np.stack([quad, quad.T])[:, None], [0], steps * n,
-                         min(order * n, steps * n - 1))
+    bands = hessian_band(quad[None], 0, 0, steps * n, min(order * n, steps * n - 1))
     bands.setflags(write=False)
     return bands
+
+
+@lru_cache(maxsize=8)
+def _limit_rows(limits: JointLimits, steps: int) -> np.ndarray:
+    """q_min, q_max and v_max, one block per step, (3, steps * n): constant
+    for a limits object and a horizon, shared read-only by every caller."""
+    rows = np.repeat([[limits.q_min], [limits.q_max], [limits.v_max]], steps, axis=1)
+    rows = rows.reshape(3, -1)
+    rows.setflags(write=False)
+    return rows
 
 
 def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
@@ -107,8 +116,7 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     jac_t = jac.transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, jac)  # one block per step
     # the bands of S and S', S's step blocks reaching n - 1 off the diagonal
-    halves = hessian_band(np.stack([jtj, jtj.transpose(0, 2, 1)]), np.arange(cfg.horizon) * n,
-                          dim, max([n - 1] + [quad.shape[1] - 1 for *_, quad in costs]))
+    halves = hessian_band(jtj, 0, n, dim, max([n - 1] + [quad.shape[1] - 1 for *_, quad in costs]))
     # first-order task error e(q) ~ err_hat - J (q - qhat): the target
     # vector keeps the nominal's own residual so the plan can beat it
     grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])
@@ -117,12 +125,12 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
         halves[:, :quad.shape[1]] += quad
         grad += op.T @ (weight * off)
 
-    limit_rows = [[limits.q_min], [limits.q_max], [limits.v_max]]
-    lb, ub, vmax = np.repeat(limit_rows, cfg.horizon, axis=1).reshape(3, dim)  # one block per step
+    lb, ub, vmax = _limit_rows(limits, cfg.horizon)
     lin = -vmax - vel_off
     uin = vmax - vel_off
 
     if terminal_widen is not None:
+        lb, ub = lb.copy(), ub.copy()
         eps_q = cfg.terminal_pos_tol * terminal_widen
         eps_v = cfg.terminal_vel_tol * terminal_widen
         last = slice(dim - n, dim)
@@ -156,16 +164,15 @@ class KinematicMpc(RecedingHorizon):
 
         The plan continues the command signal from the last two commands
         (the measured position before the first tick); the measured chain
-        state, which must be of this model (else ValueError), feeds back as
-        the start of the IK rollout that the tracking cost linearizes
-        around. A degraded tick holds the last command.
+        state, which must be of this model, feeds back as the start of the
+        IK rollout that the tracking cost linearizes around. traj must be
+        sampled at the config's dt (else, as for a state of another model,
+        ValueError). A degraded tick holds the last command.
         """
         model, cfg = self.model, self.cfg
-        if state.model is not model:
-            raise ValueError("chain state belongs to another model")
+        poses, twists, includes_end = self._window(state, traj, tick)
         if self._history is None:
             self._history = (state.q.copy(), state.q.copy())
-        poses, twists, includes_end = traj.window(tick, cfg.horizon)
         rollout = ik_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks, twists=twists)
         solution, degraded = self._solve(
             lambda widen: build_kin_qp(cfg, rollout, self._history, model.limits,

@@ -7,9 +7,9 @@ velocity feedforward; every task level tracks its own rows of that pose.
 Both run one task-priority recursion (_prioritize), weighted by the
 identity for the IK and by M^-1 for the OSC, whose truncated level inverses
 keep commands bounded near singular configurations. The hierarchy is
-resolved once per rollout or osc_torque call (_levels), and each step
-writes every level's projected Jacobian and error in place into its rows of
-the per-step stack that the MPC cost linearizes around.
+resolved once per task tuple (_levels), and each step writes every level's
+projected Jacobian and error into its rows of the per-step stack that the
+MPC cost linearizes around.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import RigidBodyState
 from .kinematics import ChainState, Pose, fk_jacobian_raw, pose_error_raw
-from .robot_model import require_number
+from .robot_model import _frozen, require_number
 
 POSITION = "position"
 ORIENTATION = "orientation"
@@ -146,7 +146,7 @@ class NominalRollout:
         if self.states and len(self.states) != steps - 1:
             raise ValueError("states must hold one chain state per stage")
         for arr in (self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("rollout has non-finite entries")
 
 
@@ -184,34 +184,46 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     eigenvalues below floor * lambda_max dropped (the zero matrix if
     lambda_max <= 0).
 
-    A 3 x 3 matrix first gets its extreme eigenvalues in closed form, by the
-    trigonometric solution of the characteristic cubic (Smith, 1961), on
-    Python floats from its upper triangle; when the smallest clears the cut
-    by _CLOSED_FORM_MARGIN (and _CLOSED_FORM_FLOOR), every direction is
-    kept and the inverse is the adjugate over the determinant. Otherwise,
-    and for other sizes, the truncation runs on eigh.
+    A 3 x 3 matrix is first tested in closed form, on Python floats from its
+    upper triangle, for whether its smallest eigenvalue clears the cut by
+    _CLOSED_FORM_MARGIN (and _CLOSED_FORM_FLOOR); if so, every direction is
+    kept and the inverse is the adjugate over the determinant. The test
+    reads the extreme eigenvalues off the trigonometric solution of the
+    characteristic cubic (Smith, 1961), unless det >= t trace^3 for that
+    relative cut t settles it first: with the eigenvalues r1 <= r2 <= 1 of
+    the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3, so r1 >= 6.75 t
+    there, far past the trigonometric eigenvalues' error, and both tests
+    agree. Otherwise, and for other sizes, the truncation runs on eigh.
     """
     if not 0.0 < floor < 1.0:
         raise ValueError("the relative eigenvalue floor must lie in (0, 1)")
     if sym.shape[0] == 3:
         (a, b, c), (_, d, e), (_, _, f) = sym.tolist()
-        mean = (a + d + f) / 3.0
-        a0, d0, f0 = a - mean, d - mean, f - mean
-        p = math.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0)
-        if p > 0.0:
-            # eigenvalues mean + 2 p cos(phi + 2 pi k / 3), with cos(3 phi)
-            # half the determinant of (sym - mean I) / p
-            det0 = a0 * (d0 * f0 - e * e) - b * (b * f0 - c * e) + c * (b * e - c * d0)
-            phi = math.acos(max(-1.0, min(1.0, det0 / (2.0 * p * p * p)))) / 3.0
-            hi = mean + 2.0 * p * math.cos(phi)
-            lo = mean + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-        else:
-            hi = lo = mean
-        if hi > 0.0 and lo >= max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR) * hi:
-            c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+        c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+        det = a * c00 + b * c01 + c * c02
+        cut = max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR)
+        trace = a + d + f
+        kept = det > 0.0 and det >= cut * trace * trace * trace
+        if not kept:
+            mean = trace / 3.0
+            a0, d0, f0 = a - mean, d - mean, f - mean
+            p = math.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0)
+            if p > 0.0:
+                # eigenvalues mean + 2 p cos(phi + 2 pi k / 3), with cos(3 phi)
+                # half the determinant of (sym - mean I) / p
+                det0 = a0 * (d0 * f0 - e * e) - b * (b * f0 - c * e) + c * (b * e - c * d0)
+                phi = math.acos(max(-1.0, min(1.0, det0 / (2.0 * p * p * p)))) / 3.0
+                hi = mean + 2.0 * p * math.cos(phi)
+                lo = mean + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+            else:
+                hi = lo = mean
+            kept = hi > 0.0 and lo >= cut * hi
+        if kept:
             c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-            inv_det = 1.0 / (a * c00 + b * c01 + c * c02)
-            return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) * inv_det
+            inv_det = 1.0 / det
+            c00, c01, c02 = c00 * inv_det, c01 * inv_det, c02 * inv_det
+            c11, c12, c22 = c11 * inv_det, c12 * inv_det, c22 * inv_det
+            return np.array([c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3)
     vals, vecs = np.linalg.eigh(sym)
     if vals[-1] <= 0.0:
         return np.zeros_like(sym)
@@ -220,24 +232,40 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     return (basis / vals[keep]) @ basis.T
 
 
-def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The task hierarchy resolved once: one (rows, out, gain, kp, kd) per
-    level in priority order, with rows the level's rows of the 6-pose, out
-    its rows of the stacks and the default OSC gains filled in; and the
-    empty (steps, n_g, n) projected-Jacobian and (steps, n_g) error stacks."""
-    levels = []
+@lru_cache(maxsize=8)
+def _hierarchy(tasks: tuple) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """_levels' part that depends on the tasks alone, shared read-only by
+    every rollout over the same task tuple."""
+    levels, rows, gains = [], [], []
     n_g = 0
     for task in sorted(tasks, key=lambda t: t.priority):
-        dim = task.dim
-        levels.append((task.rows, slice(n_g, n_g + dim), task.gain,
-                       task.kp if task.kp is not None else np.full(dim, 100.0),
-                       task.kd if task.kd is not None else np.full(dim, 10.0)))
+        pose, dim = task.rows, task.dim
+        levels.append((pose, slice(n_g, n_g + dim),
+                       task.kp if task.kp is not None else _frozen(np.full(dim, 100.0)),
+                       task.kd if task.kd is not None else _frozen(np.full(dim, 10.0))))
+        rows.extend(range(pose.start, pose.stop))
+        gains.extend([task.gain] * dim)
         n_g += dim
     if not levels:
         raise ValueError("the task hierarchy needs at least one level")
+    rows, gains = np.array(rows), np.array(gains)
+    rows.setflags(write=False)
+    gains.setflags(write=False)
+    return tuple(levels), rows, gains
+
+
+def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """The task hierarchy resolved: one (rows, out, kp, kd) per level in
+    priority order, with rows the level's rows of the 6-pose, out its rows
+    of the stacks and the default OSC gains filled in; the 6-pose row of
+    each of the n_g stacked rows and its IK gain, (n_g,) each (levels may
+    overlap, so neither is per pose row); and the empty (steps, n_g, n)
+    projected-Jacobian and (steps, n_g) error stacks."""
+    levels, rows, gains = _hierarchy(tuple(tasks))
     if steps < 1:
         raise ValueError("a rollout needs at least one target")
-    return tuple(levels), np.empty((steps, n_g, n)), np.empty((steps, n_g))
+    return levels, rows, gains, np.empty((steps, rows.size, n)), np.empty((steps, rows.size))
 
 
 # A level after the first whose projected Jacobian is below this fraction of
@@ -256,30 +284,31 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _prioritize(levels, jac_full, err_full, floor: float, jac_out: np.ndarray,
-                err_out: np.ndarray, minv=None, last_projector: bool = False):
+def _prioritize(levels, jac_full, floor: float, jac_out: np.ndarray, minv=None,
+                last_projector: bool = False):
     """The task-priority recursion, the one walk over the task levels.
 
-    Per level in priority order: writes its error rows and projected
-    Jacobian J_p = J P into err_out and jac_out, and yields (level, J_p,
-    lam, jbar, P - jbar J_p), with lam the inverse of J_p W J_p' truncated
-    below floor * lambda_max and jbar = W J_p' lam. The metric W is minv
-    (the OSC's dynamically consistent inverse; Khatib, 1987) or, if None,
-    the identity (the IK's; Siciliano & Slotine, 1991). P starts as the
-    identity, never formed; the last projector is None unless asked for.
-    A level with no freedom left (_NO_FREEDOM) gets J_p = 0, so lam = 0,
-    jbar = 0 and P passes on unchanged.
+    Per level in priority order: writes its projected Jacobian J_p = J P
+    into its rows of jac_out, and yields (level, J_p, lam, jbar, P - jbar
+    J_p), with lam the inverse of J_p W J_p' truncated below floor *
+    lambda_max and jbar = W J_p' lam. The metric W is minv (the OSC's
+    dynamically consistent inverse; Khatib, 1987) or, if None, the identity
+    (the IK's; Siciliano & Slotine, 1991). P starts as the identity, never
+    formed; the last projector is None unless asked for. A level with no
+    freedom left (_NO_FREEDOM) gets J_p = 0, so lam = 0, jbar = 0 and P
+    passes on unchanged.
     """
     proj = None
     last = len(levels) - 1
     for i, level in enumerate(levels):
-        rows, out = level[0], level[1]
-        err_out[out] = err_full[rows]
-        jac = jac_full[rows]
-        jac_proj = jac if proj is None else jac @ proj
-        if proj is not None and np.vdot(jac_proj, jac_proj) <= _NO_FREEDOM**2 * np.vdot(jac, jac):
-            jac_proj = np.zeros_like(jac_proj)
-        jac_out[out] = jac_proj
+        jac = jac_full[level[0]]
+        if proj is None:
+            jac_proj = jac
+            jac_out[level[1]] = jac
+        else:
+            jac_proj = np.matmul(jac, proj, out=jac_out[level[1]])
+            if np.vdot(jac_proj, jac_proj) <= _NO_FREEDOM**2 * np.vdot(jac, jac):
+                jac_proj.fill(0.0)
         w_jt = jac_proj.T if minv is None else minv @ jac_proj.T
         lam = _psd_pinv(jac_proj @ w_jt, floor)
         jbar = w_jt @ lam
@@ -319,25 +348,25 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     """
     steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
-    levels, j_stack, err_stack = _levels(tasks, steps, n)
+    levels, pose_rows, gains, j_stack, err_stack = _levels(tasks, steps, n)
+    twists = twists[:, pose_rows]  # the feedforward of each stacked row
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
-    q = start.q
+    q = q_hat[0] = start.q
     rot, pos, jac = start.ee_rot, start.ee_pos, start.jacobian()
     # the cut at rel_threshold**2 on J_p J_p' is the cut at rel_threshold on
     # J_p's singular values; a negative rel_threshold clips to 0, rejected
     floor = max(rel_threshold, 0.0)**2
     for k in range(steps):
-        err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation, rot, pos)
+        err = err_stack[k] = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
+                                            rot, pos)[pose_rows]
+        ref_vel = gains * err + twists[k]  # every level's reference velocity
         qd = None
-        for (rows, _, gain, _, _), _, _, jbar, _ in _prioritize(
-                levels, jac, err_full, floor, j_stack[k], err_stack[k]):
-            ref_vel = gain * err_full[rows] + twists[k, rows]
-            qd = jbar @ ref_vel if qd is None else qd + jbar @ (ref_vel - jac[rows] @ qd)
-        q_hat[k] = q
+        for (rows, out, _, _), _, _, jbar, _ in _prioritize(levels, jac, floor, j_stack[k]):
+            qd = jbar @ ref_vel[out] if qd is None else qd + jbar @ (ref_vel[out] - jac[rows] @ qd)
         qd_hat[k] = qd
         if k + 1 < steps:
-            q = q + dt * qd
+            q = q_hat[k + 1] = q + dt * qd
             rot, pos, jac = fk_jacobian_raw(model, q)
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 
@@ -354,29 +383,31 @@ def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
     impedance acts in the final null space, and the bias forces are
     compensated exactly.
     """
-    levels, jac, err = _levels(tasks, 1, state.model.n)
+    levels, pose_rows, _, jac, err = _levels(tasks, 1, state.model.n)
     twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
-    return _osc_torque(state, levels, target, rel_threshold, posture, twist, jac[0], err[0])
+    return _osc_torque(state, levels, pose_rows, target, rel_threshold, posture, twist, jac[0],
+                       err[0])
 
 
-def _osc_torque(st: RigidBodyState, levels, target: Pose, rel_threshold: float,
-                posture: PostureSpec | None, twist: np.ndarray, jac_out: np.ndarray,
-                err_out: np.ndarray) -> np.ndarray:
+def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, target: Pose,
+                rel_threshold: float, posture: PostureSpec | None, twist: np.ndarray,
+                jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the
     caller, over resolved levels; writes each level's projected Jacobian and
     error into its rows of jac_out and err_out."""
     q, qd = st.q, st.qd
     jac_full = st.jacobian()
-    err_full = pose_error_raw(target.rotation_matrix, target.translation, st.ee_rot, st.ee_pos)
+    err = err_out[:] = pose_error_raw(target.rotation_matrix, target.translation, st.ee_rot,
+                                      st.ee_pos)[pose_rows]
 
     u = None
     # lam is the task-space inertia, the inverse of J_p M^-1 J_p' truncated
     # on its own eigenvalues; proj is left at the last level's projector
-    for (rows, _, _, kp, kd), jac_proj, lam, _, proj in _prioritize(
-            levels, jac_full, err_full, rel_threshold, jac_out, err_out, st.minv,
+    for (rows, out, kp, kd), jac_proj, lam, _, proj in _prioritize(
+            levels, jac_full, rel_threshold, jac_out, st.minv,
             last_projector=posture is not None):
         vel = jac_full[rows] @ qd
-        acc_des = kd * (twist[rows] - vel) + kp * err_full[rows]
+        acc_des = kd * (twist[rows] - vel) + kp * err[out]
         tau = jac_proj.T @ (lam @ (acc_des - st.jdot_qd[rows]))
         u = tau if u is None else u + tau
 
@@ -402,7 +433,7 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
     u_max = model.limits.u_max
-    levels, j_stack, err_stack = _levels(tasks, steps, n)
+    levels, pose_rows, _, j_stack, err_stack = _levels(tasks, steps, n)
 
     x_hat = np.empty((steps, 2 * n))
     u_hat = np.empty((steps - 1, n))
@@ -412,13 +443,12 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     for k in range(steps):
         x_hat[k, :n], x_hat[k, n:] = st.q, st.qd
         if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
-            err_full = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
-                                      st.ee_rot, st.ee_pos)
-            for _ in _prioritize(levels, st.jacobian(), err_full, rel_threshold, j_stack[k],
-                                 err_stack[k], st.minv):
+            err_stack[k] = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
+                                          st.ee_rot, st.ee_pos)[pose_rows]
+            for _ in _prioritize(levels, st.jacobian(), rel_threshold, j_stack[k], st.minv):
                 pass
             break
-        u = _osc_torque(st, levels, poses[k], rel_threshold, posture, twists[k],
+        u = _osc_torque(st, levels, pose_rows, poses[k], rel_threshold, posture, twists[k],
                         j_stack[k], err_stack[k])
         u_hat[k] = np.clip(u, -u_max, u_max)
         states.append(st)

@@ -440,20 +440,23 @@ def _kkt_start(rows: QpStructure, h: _Hessian, g: np.ndarray, ids):
 def _residuals(rows: QpStructure, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers, slack=None) -> KktResiduals:
     """KktResiduals of z, h_reg the lower band of H + eps I; slack, if given,
-    holds the rows' a'z - b at z."""
+    holds the rows' a'z - b at z. An inactive row's multiplier is zero, so
+    complementarity and dual feasibility are taken over the active
+    inequality rows alone; a NaN slack of an inactive row still shows, in
+    the feasibility (np.maximum keeps a NaN that Python's max drops)."""
     ids = np.asarray(active_set, dtype=np.intp)
     lam = np.asarray(multipliers, dtype=float)
-    grad = _hz(h_reg, z) + g - _combine(rows, ids, lam)
+    grad = _hz(h_reg, z) + g
+    if ids.size:
+        grad -= _combine(rows, ids, lam)
     slack = _values(rows, z) - rows.b if slack is None else slack
-    slack_in = slack[rows.n_eq:]
-    lam_in = np.zeros(rows.n_in)
     ineq = ids >= rows.n_eq
-    lam_in[ids[ineq] - rows.n_eq] = lam[ineq]
+    lam_in = lam[ineq]
     return KktResiduals(
         stationarity=float(np.abs(grad).max(initial=0.0)),
-        feasibility=float(max(np.abs(slack[:rows.n_eq]).max(initial=0.0),
-                              (-slack_in).max(initial=0.0))),
-        complementarity=float(np.abs(lam_in * slack_in).max(initial=0.0)),
+        feasibility=float(np.maximum(np.abs(slack[:rows.n_eq]).max(initial=0.0),
+                                     (-slack[rows.n_eq:]).max(initial=0.0))),
+        complementarity=float(np.abs(lam_in * slack[ids[ineq]]).max(initial=0.0)),
         dual_feasibility=max(0.0, -float(lam_in.min(initial=0.0))))
 
 

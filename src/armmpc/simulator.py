@@ -69,7 +69,7 @@ def step_torque_plant(state: PlantState, u, dt: float) -> PlantState:
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
     u = model.check_q(u, "u")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("torque command has non-finite entries")
     u_max = model.limits.u_max
     u_applied = np.clip(u, -u_max, u_max)

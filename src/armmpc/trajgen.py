@@ -69,8 +69,11 @@ class TaskTrajectory:
         if start < 0 or horizon < 0:
             raise ValueError(f"start and horizon must be >= 0, got {start} and {horizon}")
         last = self.n_samples - 1
-        idx = np.minimum(np.arange(start, start + horizon + 1), last)
-        return [self.poses[i] for i in idx.tolist()], self.twists[idx], start + horizon >= last
+        stop = start + horizon + 1
+        if stop <= last:  # no padding
+            return list(self.poses[start:stop]), self.twists[start:stop].copy(), False
+        idx = np.minimum(np.arange(start, stop), last)
+        return [self.poses[i] for i in idx.tolist()], self.twists[idx], True
 
 
 def step_count(span: float, dt: float) -> int:

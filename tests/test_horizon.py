@@ -127,6 +127,26 @@ def test_step_rejects_a_state_of_another_model(desk_model, rng, kind):
     assert not ctl.step(RigidBodyState(desk_model, q0), traj, 0).degraded
 
 
+@pytest.mark.parametrize("kind", ["kinematic", "dynamic"])
+def test_step_rejects_a_trajectory_sampled_at_another_dt(kind):
+    # a tick reads one sample and plans steps of the config's dt: the
+    # singularity pass sampled at 4 ms used to be tracked four times too
+    # slowly, every tick optimal and none degraded
+    model = load_bundled_model("rs020n")
+    q0 = trajgen.scenario_initial_config("singularity_pass", model)
+    if kind == "kinematic":
+        ctl = mpc_kinematic.KinematicMpc(model, mpc_kinematic.KinematicMpcConfig(dt=1e-3))
+    else:
+        ctl = mpc_dynamic.DynamicMpc(model, mpc_dynamic.DynamicMpcConfig(dt=1e-3),
+                                     posture=default_posture(q0))
+    coarse = trajgen.scenario_trajectory("singularity_pass", model, 4e-3)
+    with pytest.raises(ValueError, match="sampled at dt = 0.004, the controller ticks at 0.001"):
+        ctl.step(RigidBodyState(model, q0), coarse, 0)
+    # within run_scenario's relative tolerance of 1e-9 the dts agree
+    close = TaskTrajectory(dt=1e-3 * (1 + 1e-12), poses=coarse.poses[:20], tasks=coarse.tasks)
+    assert not ctl.step(RigidBodyState(model, q0), close, 0).degraded
+
+
 def test_negative_tick_is_rejected(desk_model, rng):
     # window(-1, 2) used to wrap around and plan toward the last pose
     q0 = random_config(desk_model, rng)

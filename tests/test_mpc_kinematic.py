@@ -1,10 +1,11 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from armmpc import mpc_kinematic, qp
+from armmpc import load_bundled_model, mpc_kinematic, qp, simulator
 from armmpc.checks import lower_band
 from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.mpc_kinematic import (
@@ -417,3 +418,31 @@ def test_accepted_hot_start_makes_one_band_factor_and_one_back_solve(desk_model,
     assert judged[-1] is sol and sol.status == qp.OPTIMAL and sol.active_set == ()
     assert kkt_counts == {"dgbsv": 0, "dpbtrf": 1, "dpbtrs": 1, "dense": 0,
                           "kkt": {"_kkt_start": 1}}
+
+
+def test_kinematic_tick_stays_within_its_call_budget():
+    # a deterministic measure of what a tick costs, where wall-clock timings
+    # are noisy: the function calls (sys.setprofile's call and c_call
+    # events) of one horizon-10 KinematicMpc.step at tick 100 of the
+    # singularity pass on rs020n; numpy operators such as @ and + make no
+    # such event. Before the builder, the certificate, the IK step and the
+    # chain pass were trimmed, this tick made 329 Python and 567 C calls
+    counts = Counter()
+    step = KinematicMpc.step
+
+    def counted(self, state, traj, tick):
+        if tick != 100:
+            return step(self, state, traj, tick)
+        sys.setprofile(lambda frame, event, arg: counts.update((event,)))
+        try:
+            return step(self, state, traj, tick)
+        finally:
+            sys.setprofile(None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KinematicMpc, "step", counted)
+        cfg = simulator.default_scenario_config("singularity_pass", "kin_mpc")
+        cfg.max_ticks = 101
+        simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
+    assert cfg.horizon == 10
+    assert counts["call"] <= 275 and counts["c_call"] <= 419, counts

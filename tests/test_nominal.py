@@ -122,6 +122,24 @@ def test_pinv_closed_form_hands_off_at_its_margin(rng, eigh_calls, ratio, rel_th
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-9.0, 0.0), st.floats(-9.0, 0.0), st.floats(1e-7, 0.45),
+       st.integers(0, 2**32 - 1))
+def test_pinv_determinant_test_keeps_only_far_past_the_cut(log_r1, log_r2, floor, seed):
+    # with eigenvalues r1 <= r2 <= 1, det / trace^3 = r1 r2 / (1 + r1 + r2)^3:
+    # where det >= t trace^3 lets the closed form skip the cubic, the smallest
+    # eigenvalue clears the relative cut t by 6.75, so the trigonometric test
+    # would keep every direction too, and the inverse is the plain inverse
+    r1, r2 = sorted((10.0**log_r1, 10.0**log_r2))
+    u = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+    sym = (u * [r1, r2, 1.0]) @ u.T
+    cut = max(MARGIN * floor, nominal._CLOSED_FORM_FLOOR)
+    if np.linalg.det(sym) >= 1.01 * cut * np.trace(sym)**3:
+        assert r1 >= 6.75 * cut
+        np.testing.assert_allclose(nominal._psd_pinv(sym, floor) @ sym, np.eye(3),
+                                   atol=1e-12 / r1)
+
+
 @pytest.mark.parametrize("rank", [0, 1])
 @pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
 def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):

@@ -23,6 +23,7 @@ from armmpc.qp import (
     _kkt_solve,
     _kkt_start,
     _residuals,
+    _values,
     expand_constraints,
     kkt_check,
     regularized_hessian,
@@ -467,6 +468,27 @@ def test_residuals_match_row_by_row_reference(rng):
             slack = a[n_eq:] @ z - b[n_eq:]
             assert res.complementarity == np.abs(lam_in * slack).max()
             assert res.dual_feasibility == max(0.0, -lam_in.min())
+
+
+def test_certificate_reads_inactive_rows_through_their_slack_alone(rng):
+    # complementarity and dual feasibility are taken over the active
+    # inequality rows, as an inactive row's multiplier is zero: rows made
+    # active with a zero multiplier change no residual, and a NaN slack of
+    # an inactive row still makes the certificate NaN, through feasibility
+    for _ in range(20):
+        prob = random_qp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)),
+                         with_eq=bool(rng.integers(0, 2)))
+        rows = expand_constraints(prob)
+        z = rng.standard_normal(prob.dim)
+        order = rng.permutation(rows.b.size)
+        ids, idle = np.split(order, [int(rng.integers(0, rows.b.size))])
+        lam = rng.standard_normal(ids.size)
+        res = kkt_check(prob, z, ids, lam)
+        assert kkt_check(prob, z, order, np.concatenate([lam, np.zeros(idle.size)])) == res
+        slack = _values(rows, z) - rows.b
+        slack[idle[0]] = np.nan
+        nan = _residuals(rows, regularized_hessian(prob.H), prob.g, z, ids, lam, slack)
+        assert np.isnan(nan.feasibility) and np.isnan(nan.max())
 
 
 def test_variable_fixed_twice_is_singular():
