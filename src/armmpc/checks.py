@@ -52,20 +52,14 @@ def dense_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     (pinned bounds, pinned Ain rows; then finite lower and upper bounds,
     finite Ain lowers and uppers, pins skipped). Built here, apart from the
     solver's own rows, so that the oracles share no row code with it."""
-    d = p.dim
-    eye = np.eye(d)
-    lb = np.full(d, -np.inf) if p.lb is None else p.lb
-    ub = np.full(d, np.inf) if p.ub is None else p.ub
-    ain = np.zeros((0, d)) if p.Ain is None else p.Ain
-    lin = np.zeros(0) if p.Ain is None else p.lin
-    uin = np.zeros(0) if p.Ain is None else p.uin
-    pinned = np.isfinite(lb) & (lb == ub)
-    pinned_rows = np.isfinite(lin) & (lin == uin)
-    eq = [(eye[pinned], lb[pinned]), (ain[pinned_rows], lin[pinned_rows])]
-    lower, upper = np.isfinite(lb) & ~pinned, np.isfinite(ub) & ~pinned
-    low_rows, up_rows = np.isfinite(lin) & ~pinned_rows, np.isfinite(uin) & ~pinned_rows
-    ineq = [(eye[lower], lb[lower]), (-eye[upper], -ub[upper]),
-            (ain[low_rows], lin[low_rows]), (-ain[up_rows], -uin[up_rows])]
+    eye = np.eye(p.dim)
+    pinned = np.isfinite(p.lb) & (p.lb == p.ub)
+    pinned_rows = np.isfinite(p.lin) & (p.lin == p.uin)
+    eq = [(eye[pinned], p.lb[pinned]), (p.Ain[pinned_rows], p.lin[pinned_rows])]
+    lower, upper = np.isfinite(p.lb) & ~pinned, np.isfinite(p.ub) & ~pinned
+    low_rows, up_rows = np.isfinite(p.lin) & ~pinned_rows, np.isfinite(p.uin) & ~pinned_rows
+    ineq = [(eye[lower], p.lb[lower]), (-eye[upper], -p.ub[upper]),
+            (p.Ain[low_rows], p.lin[low_rows]), (-p.Ain[up_rows], -p.uin[up_rows])]
     return (np.vstack([a for a, _ in eq + ineq]), np.concatenate([b for _, b in eq + ineq]),
             sum(b.size for _, b in eq))
 
@@ -129,12 +123,10 @@ def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = F
     for i in rng.choice(dim, size=min(n_bounds, dim), replace=False):
         lo, hi = np.sort(rng.uniform(-2.0, 2.0, size=2))
         lb[i], ub[i] = lo, hi + 0.1
-    a_in, lin, uin = np.zeros((0, dim)), np.zeros(0), np.zeros(0)
-    if n_general:
-        a_in = rng.standard_normal((n_general, dim))
-        mid = rng.uniform(-1.0, 1.0, size=n_general)
-        width = rng.uniform(0.5, 3.0, size=n_general)
-        lin, uin = mid - width, mid + width
+    a_in = rng.standard_normal((n_general, dim))  # (0, dim) without general rows
+    mid = rng.uniform(-1.0, 1.0, size=n_general)
+    width = rng.uniform(0.5, 3.0, size=n_general)
+    lin, uin = mid - width, mid + width
     if with_eq and dim >= 2:
         row = rng.standard_normal((1, dim))
         pin = rng.uniform(-0.5, 0.5, size=1)

@@ -3,7 +3,7 @@
 Both run one scheme: each tick, linearize around a hierarchical controller's
 nominal, solve one QP and apply its first command. HorizonConfig checks the
 settings both read; RecedingHorizon owns the policy around the QP, and
-hessian_band writes the per-step cost blocks into the QP's Hessian band.
+hessian_band writes per-step cost blocks S as the QP's Hessian band, S + S'.
 """
 
 from __future__ import annotations
@@ -55,32 +55,29 @@ class HorizonConfig:
 
 @lru_cache(maxsize=8)
 def _band_slots(count: int, n: int, first: int, stride: int, d: int,
-                width: int) -> tuple[np.ndarray, np.ndarray]:
+                width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where hessian_band reads and writes, read only: flat indices into a
     (count, n, n) block stack of each block's entries on and below its
-    diagonal to width below it, then of those on and above it, and each
-    one's flat index into a (2, width + 1, d) stack of bands."""
+    diagonal to width below it, of their mirrors on and above it, and each
+    one's flat index into a (width + 1, d) band."""
     o, j = np.nonzero(np.arange(width + 1)[:, None] + np.arange(n) < n)
     block = np.arange(count)[:, None] * (n * n)
-    take = np.concatenate([(block + (j + o) * n + j).ravel(), (block + j * n + j + o).ravel()])
+    lower, upper = (block + (j + o) * n + j).ravel(), (block + j * n + j + o).ravel()
     put = (o * d + first + np.arange(count)[:, None] * stride + j).ravel()
-    put = np.concatenate([put, put + (width + 1) * d])
-    take.setflags(write=False)
-    put.setflags(write=False)
-    return take, put
+    for arr in (lower, upper, put):
+        arr.setflags(write=False)
+    return lower, upper, put
 
 
 def hessian_band(blocks: np.ndarray, first: int, stride: int, d: int, width: int) -> np.ndarray:
-    """The lower bands, width + 1 rows each in qp.QpProblem.H's storage and
-    stacked (2, width + 1, d), of the d x d block-diagonal matrix S whose
-    square blocks[k] start at variable first + k * stride on the diagonal,
-    zero elsewhere, and of S'. Each block is read to width off its
-    diagonal; the blocks must not overlap. The band of S + S' is the sum of
-    the two, as the dense S + S' rounds."""
+    """The lower band, width + 1 rows in qp.QpProblem.H's storage, of S + S'
+    for the d x d block-diagonal S whose square blocks[k], read to width off
+    their diagonal and not overlapping, start at variable first + k * stride,
+    zero elsewhere. Each entry is summed as it is gathered, S_ij + S_ji."""
     count, n = blocks.shape[:2]
-    take, put = _band_slots(count, n, first, stride, d, width)
-    ab = np.zeros((2, width + 1, d))
-    ab.put(put, blocks.take(take))
+    lower, upper, put = _band_slots(count, n, first, stride, d, width)
+    ab = np.zeros((width + 1, d))
+    ab.put(put, blocks.take(lower) + blocks.take(upper))
     return ab
 
 
@@ -111,11 +108,15 @@ class RecedingHorizon:
 
     def _window(self, state, traj, tick: int):
         """The targets of this tick's horizon, traj.window(tick, horizon); a
-        ValueError for a chain state of another model, or for a trajectory
-        not sampled at the config's dt: a tick reads one sample and plans
-        steps of dt, so the targets would play at the wrong speed."""
+        ValueError for a chain state of another model or not finite (q, and
+        qd if it has one), or for a trajectory not sampled at the config's
+        dt: a tick reads one sample and plans steps of dt, so the targets
+        would play at the wrong speed."""
         if state.model is not self.model:
             raise ValueError("chain state belongs to another model")
+        measured = np.concatenate((state.q, getattr(state, "qd", ())))
+        if not np.isfinite(measured).all():
+            raise ValueError(f"the measured state is not finite: [q; qd] = {measured}")
         if not math.isclose(traj.dt, self.cfg.dt, rel_tol=1e-9):
             raise ValueError(f"trajectory is sampled at dt = {traj.dt}, the controller ticks "
                              f"at {self.cfg.dt}")

@@ -5,10 +5,10 @@ an operational-space-control rollout and discretized with explicit Euler,
 one affine stage per step. The QP, posed in deviations from the rollout, is
 not condensed: z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np] keeps every
 input and state of the horizon, stage by stage, with one block row of
-equalities per stage (build_prediction, passed as pinned general rows
-lin == Ain z == uin), torque/state boxes as bounds, and
-the tracking cost expressed through the projected task Jacobians of the
-nominal. In that order every dynamics row and every cost block stays within
+equalities per stage (build_prediction's, which build_dyn_qp writes from
+the stages as pinned general rows lin == Ain z == uin), torque/state boxes
+as bounds, and the tracking cost expressed through the projected task
+Jacobians of the nominal. In that order every dynamics row and every cost block stays within
 a band of a few stages, so the solver's banded KKT factorization costs the
 same per stage at any horizon.
 """
@@ -93,15 +93,15 @@ def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray,
     x_hat_k + B_k u_hat_k + r_k - x_hat_{k+1}, the rollout's defect against
     the Euler stage. dx_0 = 0: x_hat_0 is the known initial state (a
     rollout starts at the measured one). Raises ValueError for an empty
-    horizon or an x_hat or u_hat of another shape.
+    horizon, or an x_hat or u_hat of another shape or horizon.
     """
     n_p, nx, nu = stages.B.shape
     if n_p < 1:
         raise ValueError("need at least one stage")
     x_hat, u_hat = np.asarray(x_hat, dtype=float), np.asarray(u_hat, dtype=float)
     if x_hat.shape != (n_p + 1, nx) or u_hat.shape != (n_p, nu):
-        raise ValueError(f"x_hat must be ({n_p + 1}, {nx}) and u_hat ({n_p}, {nu}) for "
-                         f"{n_p} stages, got {x_hat.shape} and {u_hat.shape}")
+        raise ValueError(f"x_hat must be ({n_p + 1}, {nx}) and u_hat ({n_p}, {nu}) for a "
+                         f"horizon of {n_p} stages, got {x_hat.shape} and {u_hat.shape}")
     eq_a = np.zeros((n_p, nx, n_p, nu + nx))  # [stage row, row, stage column, column]
     eq_b = (_mv(stages.A, x_hat[:-1]) + _mv(stages.B, u_hat) + stages.r - x_hat[1:]).ravel()
     k = np.arange(n_p)
@@ -111,16 +111,15 @@ def build_prediction(stages: LinearizedStage, x_hat, u_hat) -> tuple[np.ndarray,
     return eq_a.reshape(n_p * nx, n_p * (nu + nx)), eq_b
 
 
-def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
-                 rows: tuple[np.ndarray, np.ndarray], limits: JointLimits,
-                 terminal_widen: float | None = None) -> qp.QpProblem:
+def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout, stages: LinearizedStage,
+                 limits: JointLimits, terminal_widen: float | None = None) -> qp.QpProblem:
     """Assemble the torque-MPC QP in deviations from the nominal rollout.
 
     The decision variable is z = [du_0, dx_1, du_1, dx_2, ..., du_np-1, dx_np]
-    with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage, and
-    rows are build_prediction's dynamics rows over it, passed as pinned
-    general rows (Ain = eq_a, lin = uin = eq_b): the QP's first n_p * 2n
-    canonical rows, held at equality.
+    with dx_k = x_k - xhat_k and du_k = u_k - uhat_k, stage by stage; the
+    rollout's linearized stages give build_prediction's dynamics rows over
+    it, pinned general rows (Ain = eq_a, lin = uin = eq_b): the QP's first
+    n_p * 2n canonical rows, held at equality.
     Deviation coordinates keep the solver's diagonal regularization centered
     on the nominal: with a zero input weight an absolute-variable QP would
     bias the torque plan toward zero (dropping gravity compensation),
@@ -129,16 +128,14 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     projected Jacobians, damping on absolute velocities, the input weight
     on input deviations. terminal_widen, unless None, adds a box of that
     many tolerances around the rollout's end state. H is the lower band of
-    S + S' for the cost's Hessian S, n - 1 diagonals below the main one (a
-    stage's task block).
+    S + S' for the cost's Hessian S from hessian_band, n - 1 diagonals
+    below the main one (a stage's task block).
     """
     if rollout.x_hat is None or rollout.u_hat is None:
         raise ValueError("dynamic MPC needs a torque rollout (x_hat, u_hat)")
+    eq_a, eq_b = build_prediction(stages, rollout.x_hat, rollout.u_hat)
     n_p, n = rollout.u_hat.shape
     nx, ns = 2 * n, 3 * n
-    eq_a, eq_b = rows
-    if eq_a.shape != (n_p * nx, n_p * ns) or eq_b.shape != (n_p * nx,):
-        raise ValueError("dynamics rows and rollout horizon disagree")
 
     dim = n_p * ns
     grad = np.zeros(dim)
@@ -147,8 +144,7 @@ def build_dyn_qp(cfg: DynamicMpcConfig, rollout: NominalRollout,
     q_at, v_at = u_at + n, u_at + nx
     jac_t = rollout.j_stack[1:].transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, rollout.j_stack[1:])  # one block per stage
-    lower, upper = hessian_band(jtj, n, ns, dim, n - 1)
-    hess = lower + upper  # the band of S + S'
+    hess = hessian_band(jtj, n, ns, dim, n - 1)
     # task error to first order: err_hat_k - J dq; the gradient drives the
     # plan to shrink the nominal's own residual error
     grad[q_at] -= np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])[:, :, 0]
@@ -192,18 +188,17 @@ class DynamicMpc(RecedingHorizon):
         """One control tick: returns the torque command for the next interval.
 
         The OSC rollout starts from the measured chain state, which must be
-        of this model, along traj, which must be sampled at the config's dt
-        (else ValueError). A degraded tick applies the rollout's first
-        torque, clipped to the limits.
+        a finite RigidBodyState of this model, along traj, which must be
+        sampled at the config's dt (else ValueError). A degraded tick
+        applies the rollout's first torque, clipped to the limits.
         """
         model, cfg, n = self.model, self.cfg, self.model.n
         poses, twists, includes_end = self._window(state, traj, tick)
         rollout = osc_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                               posture=self.posture, twists=twists)
         stages = linearize_stage(rollout.states, rollout.u_hat, cfg.dt, qdd=rollout.qdd_hat)
-        rows = build_prediction(stages, rollout.x_hat, rollout.u_hat)
         solution, degraded = self._solve(
-            lambda widen: build_dyn_qp(cfg, rollout, rows, model.limits, terminal_widen=widen),
+            lambda widen: build_dyn_qp(cfg, rollout, stages, model.limits, terminal_widen=widen),
             includes_end)
         states = inputs = None
         if not degraded:

@@ -9,8 +9,9 @@ commands fold. The tracking + damping + acceleration cost, each with a
 scalar weight, is one strictly convex QP whose Hessian is a band (one
 block per step, coupled to the steps that the difference operators reach)
 with joint position and velocity bounds, plus terminal boxes when the
-window reaches the end of the trajectory. Like the dynamic MPC's known initial state, the applied
-command is no variable, so the QP has no equality rows.
+window reaches the end of the trajectory. Like the dynamic MPC's known
+initial state, the applied command is no variable, so the QP has no
+equality rows.
 """
 
 from __future__ import annotations
@@ -64,16 +65,17 @@ def _diff_matrices(n: int, steps: int, dt: float):
 
 
 @lru_cache(maxsize=8)
-def _diff_cost(n: int, steps: int, dt: float, weight: float, order: int):
-    """Lower bands of the constant Hessian block Q = weight·op.T op of the
-    cost weight·|op z + off|^2 and of Q.T, stacked, with op the velocity
-    (order 1) or acceleration (order 2) operator, whose Q reaches order·n
-    off the diagonal. Shared read-only by every caller."""
-    op = _diff_matrices(n, steps, dt)[order - 1]
-    quad = (weight * op.T) @ op
-    bands = hessian_band(quad[None], 0, 0, steps * n, min(order * n, steps * n - 1))
-    bands.setflags(write=False)
-    return bands
+def _diff_cost(n: int, steps: int, dt: float, damping_weight: float, accel_weight: float):
+    """Lower band of Q + Q' for the Hessian block Q = w_d D'D + w_a D2'D2 of
+    both difference costs, velocity D and acceleration D2, shared read-only
+    by every caller: n off the diagonal with damping alone, 2n with an
+    acceleration cost, one row of zeros with neither weighted."""
+    vel_op, acc_op = _diff_matrices(n, steps, dt)
+    quad = (damping_weight * vel_op.T) @ vel_op + (accel_weight * acc_op.T) @ acc_op
+    order = 2 if accel_weight else 1 if damping_weight else 0
+    band = hessian_band(quad[None], 0, 0, steps * n, min(order * n, steps * n - 1))
+    band.setflags(write=False)
+    return band
 
 
 @lru_cache(maxsize=8)
@@ -99,8 +101,8 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     fix are constant and left out. Box bounds on positions and two-sided
     rows on the stacked velocities. terminal_widen, unless None, adds boxes
     of that many tolerances around the rollout's end position and velocity.
-    H is the lower band of S + S' for the cost's Hessian S: that of S plus
-    that of S', which is the sum the dense S + S' rounds to.
+    H is the lower band of S + S' for the cost's Hessian S: hessian_band's
+    of the task blocks plus _diff_cost's constant one of both differences.
     """
     steps, n = rollout.q_hat.shape
     if steps != cfg.horizon + 1:
@@ -109,21 +111,21 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     vel_op, acc_op = _diff_matrices(n, cfg.horizon, cfg.dt)
     vel_off, acc_off = _diff_offsets(n, cfg.horizon, cfg.dt, *history)
 
-    costs = [(op, off, weight, _diff_cost(n, cfg.horizon, cfg.dt, weight, order))
-             for op, off, weight, order in ((vel_op, vel_off, cfg.damping_weight, 1),
-                                            (acc_op, acc_off, cfg.accel_weight, 2)) if weight]
+    cost = _diff_cost(n, cfg.horizon, cfg.dt, cfg.damping_weight, cfg.accel_weight)
     jac = rollout.j_stack[1:]
     jac_t = jac.transpose(0, 2, 1)
     jtj = np.matmul(cfg.task_weight * jac_t, jac)  # one block per step
-    # the bands of S and S', S's step blocks reaching n - 1 off the diagonal
-    halves = hessian_band(jtj, 0, n, dim, max([n - 1] + [quad.shape[1] - 1 for *_, quad in costs]))
+    # the band of S + S', S's step blocks reaching n - 1 off the diagonal
+    hess = hessian_band(jtj, 0, n, dim, max(n - 1, cost.shape[0] - 1))
+    hess[:cost.shape[0]] += cost
     # first-order task error e(q) ~ err_hat - J (q - qhat): the target
     # vector keeps the nominal's own residual so the plan can beat it
     grad = 0.0 - (np.matmul(jac_t, (cfg.task_weight * rollout.err_stack[1:])[:, :, None])
                   + np.matmul(jtj, rollout.q_hat[1:, :, None])).ravel()
-    for op, off, weight, quad in costs:
-        halves[:, :quad.shape[1]] += quad
-        grad += op.T @ (weight * off)
+    if cfg.damping_weight:
+        grad += vel_op.T @ (cfg.damping_weight * vel_off)
+    if cfg.accel_weight:
+        grad += acc_op.T @ (cfg.accel_weight * acc_off)
 
     lb, ub, vmax = _limit_rows(limits, cfg.horizon)
     lin = -vmax - vel_off
@@ -139,7 +141,7 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
         lin[last] = np.maximum(lin[last], rollout.qd_hat[-1] - eps_v - vel_off[last])
         uin[last] = np.minimum(uin[last], rollout.qd_hat[-1] + eps_v - vel_off[last])
 
-    return qp.QpProblem(H=halves[0] + halves[1], g=2.0 * grad, lb=lb, ub=ub,
+    return qp.QpProblem(H=hess, g=2.0 * grad, lb=lb, ub=ub,
                         Ain=vel_op, lin=lin, uin=uin)
 
 

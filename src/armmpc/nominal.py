@@ -381,8 +381,10 @@ def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
     inertia, mapped through the projected Jacobian transpose; lower levels
     act through dynamically consistent null-space projectors, the posture
     impedance acts in the final null space, and the bias forces are
-    compensated exactly.
+    compensated exactly. A plain ChainState (no qd) is a ValueError.
     """
+    if not isinstance(state, RigidBodyState):
+        raise ValueError(f"osc_torque needs a RigidBodyState, got a {type(state).__name__}")
     levels, pose_rows, _, jac, err = _levels(tasks, 1, state.model.n)
     twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
     return _osc_torque(state, levels, pose_rows, target, rel_threshold, posture, twist, jac[0],
@@ -428,8 +430,11 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     on the rollout, so a linearization along it reuses each state's mass
     matrix, factor and bias forces and solves no forward dynamics again.
     The last step's torque would never be applied, so that step only fills
-    its rows of the task stacks, and its state is not kept.
+    its rows of the task stacks, and its state is not kept. A plain
+    ChainState (no qd) is a ValueError.
     """
+    if not isinstance(start, RigidBodyState):
+        raise ValueError(f"osc_rollout needs a RigidBodyState, got a {type(start).__name__}")
     steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
     u_max = model.limits.u_max

@@ -4,19 +4,20 @@ Solves
     min  0.5 z' H z + g' z
     s.t. lb <= z <= ub,  lin <= Ain z <= uin
 
-an equality being a pinned pair of sides (lb == ub, lin == uin), as every
-constraint of OSQP is l <= A z <= u. H comes as its lower band in LAPACK
-storage (Anderson et al., 1999), so it is symmetric by storage, and its
-writer, which knows where its nonzeros sit, sets the half-bandwidth. A
-fixed diagonal regularization of 1e-9 * max(trace(H), d)/d is always added
-to a copy of the band, so the solver sees a strictly convex problem even
-when H is only semidefinite. That copy is factored once per solve (LAPACK
-dpbtrf): the convexity check, and the KKT system of a working set with no
-rows (Goldfarb & Idnani, 1983, solve the dual method's steps on H's
-Cholesky factor); each H z is one banded product (BLAS dsbmv). Bounds stay
-bounds (as in qpOASES; Ferreau et al., 2014): a canonical row is a sign
-and a source, a variable or a general row (of Ain, kept dense), so a
-bound's slack is sign * z_i - value, and no row is written out as +-e_i.
+an equality being a pinned pair of sides (lb == ub, lin == uin) and a
+missing side +-inf, as every constraint of OSQP is l <= A z <= u. H comes
+as its lower band in LAPACK storage (Anderson et al., 1999), so it is
+symmetric by storage, and its writer, which knows where its nonzeros sit,
+sets the half-bandwidth. A fixed diagonal regularization of 1e-9 *
+max(trace(H), d)/d is always added to a copy of the band, so the solver
+sees a strictly convex problem even when H is only semidefinite. That copy
+is factored once per solve (LAPACK dpbtrf): the convexity check, and the
+KKT system of a working set with no rows (Goldfarb & Idnani, 1983, solve
+the dual method's steps on H's Cholesky factor); each H z is one banded
+product (BLAS dsbmv). Bounds stay bounds (as in qpOASES; Ferreau et al.,
+2014): a canonical row is a sign and a source, a variable or a general row
+(of Ain, kept dense), so a bound's slack is sign * z_i - value, and no row
+is written out as +-e_i.
 
 Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
 from the bounds and Ain a QpStructure, all that depends only on their
@@ -107,7 +108,8 @@ class QpProblem:
     equality; its values are checked here. H is the lower band of the d x d
     Hessian in LAPACK storage, ab[i, j] = H[j + i, j] of shape (w + 1, d)
     for a half-bandwidth 0 <= w < d, each entry finite, those past the last
-    row (i + j >= d) unused."""
+    row (i + j >= d) unused. An absent input is filled here in its explicit
+    form: lb and ub with -inf and +inf, Ain, lin and uin with no rows."""
 
     H: np.ndarray
     g: np.ndarray
@@ -130,20 +132,22 @@ class QpProblem:
             raise QpDataError(f"H must be a lower band of shape (w + 1, {d}), 0 <= w < {d}, "
                               f"got {self.H.shape}")
         m = 0 if self.Ain is None or self.Ain.ndim == 0 else self.Ain.shape[0]
-        for name, shape in (("g", (d,)), ("lb", (d,)), ("ub", (d,)),
-                            ("Ain", (m, d)), ("lin", (m,)), ("uin", (m,))):
-            if getattr(self, name) is not None and getattr(self, name).shape != shape:
+        for name, absent, shape in (("lb", -np.inf, (d,)), ("ub", np.inf, (d,)),
+                                    ("Ain", 0.0, (m, d)), ("lin", 0.0, (m,)), ("uin", 0.0, (m,))):
+            if getattr(self, name) is None:  # the explicit form: no bound, no general row
+                setattr(self, name, np.full(shape, absent))
+            elif getattr(self, name).shape != shape:
                 raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Ain) if a is not None):
+        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Ain)):
             raise QpDataError("H, g and Ain must be finite")
         sides = _sides(self)
-        lo, hi = sides[:d + m], sides[d + m:]  # [lb; lin] and [ub; uin], absent ones infinite
+        lo, hi = sides[:d + m], sides[d + m:]  # [lb; lin] and [ub; uin]
         if not ((lo < np.inf).all() and (hi > -np.inf).all()):  # false on NaN too
             for name, never in (("lb", np.inf), ("ub", -np.inf), ("lin", np.inf), ("uin", -np.inf)):
                 val = getattr(self, name)
-                if val is not None and np.isnan(val).any():
+                if np.isnan(val).any():
                     raise QpDataError(f"{name} holds NaN (+-inf means no bound)")
-                if val is not None and (val == never).any():
+                if (val == never).any():
                     raise QpDataError(f"{name} holds {never:+}, which no point satisfies")
         # neither holds NaN, lo no +inf and hi no -inf, so only finite pairs can cross
         if (lo > hi + 1e-12).any():
@@ -180,27 +184,18 @@ class QpSolution:
 
 
 def _sides(p: QpProblem) -> np.ndarray:
-    """[lb; lin; ub; uin], absent bounds as -inf and +inf."""
-    d, none = p.dim, np.empty(0)
-    lb = np.full(d, -np.inf) if p.lb is None else p.lb
-    ub = np.full(d, np.inf) if p.ub is None else p.ub
-    lin, uin = (none, none) if p.Ain is None else (p.lin, p.uin)
-    return np.concatenate([lb, lin, ub, uin])
-
-
-def _general_rows(p: QpProblem) -> np.ndarray:
-    return np.zeros((0, p.dim)) if p.Ain is None else p.Ain
+    """[lb; lin; ub; uin]."""
+    return np.concatenate([p.lb, p.lin, p.ub, p.uin])
 
 
 def _pattern(p: QpProblem) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Whether each lower and upper side of the bounds, then of the Ain rows,
-    is finite and whether the two are pinned (equal); and these with the
-    shape (d, Ain rows) and the nonzeros of the general rows."""
-    shape = d, m = p.dim, _general_rows(p).shape[0]
-    sides = _sides(p).reshape(2, d + m)
+    is finite and whether the two are pinned (equal); and these with Ain's
+    shape (rows, d) and its nonzeros."""
+    sides = _sides(p).reshape(2, -1)
     finite, pinned = np.isfinite(sides), sides[0] == sides[1]
-    arrays = (finite, pinned, _general_rows(p) != 0)
-    return finite, pinned, (shape, b"".join(a.tobytes() for a in arrays))
+    arrays = (finite, pinned, p.Ain != 0)
+    return finite, pinned, (p.Ain.shape, b"".join(a.tobytes() for a in arrays))
 
 
 class QpStructure(NamedTuple):
@@ -244,7 +239,7 @@ def setup(p: QpProblem) -> QpStructure:
              (pinned, lower & bound, upper & bound, lower & ~bound, upper & ~bound)]
     # a lower side (or a pin) at its index in _sides, an upper one n further
     take = np.concatenate([off + pick for off, pick in zip((0, 0, n, 0, n), picks)])
-    nz = _general_rows(p) != 0
+    nz = p.Ain != 0
     structure = QpStructure(
         None, picks[0].size, np.concatenate(picks), np.where(take < n, 1.0, -1.0), None,
         np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, pattern)
@@ -256,7 +251,7 @@ def setup(p: QpProblem) -> QpStructure:
 
 def _rows(s: QpStructure, p: QpProblem) -> QpStructure:
     """s with p's values filled in."""
-    return s._replace(b=s.sign * _sides(p)[s.take], gen=_general_rows(p))
+    return s._replace(b=s.sign * _sides(p)[s.take], gen=p.Ain)
 
 
 def expand_constraints(p: QpProblem) -> QpStructure:
@@ -437,16 +432,21 @@ def _kkt_start(rows: QpStructure, h: _Hessian, g: np.ndarray, ids):
         return None
 
 
-def _residuals(rows: QpStructure, h_reg: np.ndarray, g: np.ndarray, z: np.ndarray,
+def _objective(g: np.ndarray, z: np.ndarray, hz: np.ndarray) -> float:
+    """0.5 z'(H + eps I)z + g'z, hz the product (H + eps I) z."""
+    return float(0.5 * z @ hz + g @ z)
+
+
+def _residuals(rows: QpStructure, hz: np.ndarray, g: np.ndarray, z: np.ndarray,
                active_set, multipliers, slack=None) -> KktResiduals:
-    """KktResiduals of z, h_reg the lower band of H + eps I; slack, if given,
-    holds the rows' a'z - b at z. An inactive row's multiplier is zero, so
+    """KktResiduals of z, hz = (H + eps I) z; slack, if given, holds the
+    rows' a'z - b at z. An inactive row's multiplier is zero, so
     complementarity and dual feasibility are taken over the active
     inequality rows alone; a NaN slack of an inactive row still shows, in
     the feasibility (np.maximum keeps a NaN that Python's max drops)."""
     ids = np.asarray(active_set, dtype=np.intp)
     lam = np.asarray(multipliers, dtype=float)
-    grad = _hz(h_reg, z) + g
+    grad = hz + g
     if ids.size:
         grad -= _combine(rows, ids, lam)
     slack = _values(rows, z) - rows.b if slack is None else slack
@@ -486,7 +486,8 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != ids.shape:
         raise ValueError(f"{ids.size} active rows need as many multipliers, got shape {lam.shape}")
-    return _residuals(rows, regularized_hessian(p.H), p.g, np.asarray(z, dtype=float), ids, lam)
+    z = np.asarray(z, dtype=float)
+    return _residuals(rows, _hz(regularized_hessian(p.H), z), p.g, z, ids, lam)
 
 
 class QpSolver:
@@ -508,9 +509,6 @@ class QpSolver:
             raise QpDataError("Hessian is not positive definite")
         h_reg = hess.band
 
-        def objective(zv):
-            return float(0.5 * zv @ _hz(h_reg, zv) + p.g @ zv)
-
         # one start: the equality rows plus the valid warm rows
         start_rows = np.arange(rows.b.size) < rows.n_eq
         if warm_start is not None:
@@ -518,7 +516,7 @@ class QpSolver:
             start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
         start = _kkt_start(rows, hess, p.g, np.flatnonzero(start_rows))
         if warm_start is not None:
-            sol = self._try_hot_start(p, rows, h_reg, start, objective)
+            sol = self._try_hot_start(p, rows, h_reg, start)
             if sol is not None:
                 return sol
         if start is None:  # a singular warm set leaves the equality rows alone
@@ -531,11 +529,12 @@ class QpSolver:
         while np.any(negative := (lam < 0) & (ids >= rows.n_eq)):
             ids = ids[~negative]
             z, lam = _kkt_solve(rows, hess, p.g, ids)
-        history = [objective(z)]
+        hz = _hz(h_reg, z)
+        history = [_objective(p.g, z, hz)]
         b_eq, b_in = rows.b[:rows.n_eq], rows.b[rows.n_eq:]
         eq_gap = np.abs(_values(rows, z)[:rows.n_eq] - b_eq).max(initial=0.0)
         if not eq_gap <= 1e-6 * (1 + np.abs(b_eq).max(initial=0.0)):
-            res = _residuals(rows, h_reg, p.g, z, [], [])
+            res = _residuals(rows, hz, p.g, z, [], [])
             return QpSolution(z, INFEASIBLE, res, (), np.empty(0), 1, history[0], history)
         # the working set: row ids, the equality rows first, and their multipliers
         row_ids, mult_arr = ids.tolist(), lam
@@ -591,7 +590,7 @@ class QpSolver:
                     slack += t * denom
                 u_plus += t
                 mult_arr -= t * r
-                history.append(objective(z))
+                history.append(_objective(p.g, z, _hz(h_reg, z)))
                 if t == t2:
                     row_ids.append(rows.n_eq + worst)
                     mult_arr = np.append(mult_arr, u_plus)
@@ -600,23 +599,26 @@ class QpSolver:
                 del row_ids[drop]
                 mult_arr = np.delete(mult_arr, drop)
 
-        kkt_res = _residuals(rows, h_reg, p.g, z, row_ids, mult_arr)
+        hz = _hz(h_reg, z)
+        kkt_res = _residuals(rows, hz, p.g, z, row_ids, mult_arr)
         threshold = 1e-9 * (1.0 + float(np.linalg.norm(p.g)))
         if status == OPTIMAL and not kkt_res.max() <= threshold:
-            z, mult_arr, kkt_res = self._polish(p, rows, hess, row_ids, z, mult_arr, kkt_res)
+            z, hz, mult_arr, kkt_res = self._polish(p, rows, hess, row_ids, z, hz, mult_arr,
+                                                    kkt_res)
         if status == OPTIMAL and not kkt_res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             status = MAX_ITER  # keep the optimal-implies-tight-KKT contract honest
-        history.append(objective(z))
+        history.append(_objective(p.g, z, hz))
         return QpSolution(z, status, kkt_res, tuple(row_ids), mult_arr, iterations, history[-1],
                           history)
 
-    def _polish(self, p, rows, hess, row_ids, z0, mult0, kkt0):
+    def _polish(self, p, rows, hess, row_ids, z0, hz0, mult0, kkt0):
         """Exact KKT re-solve on the final active set to remove drift, then one
         step of iterative refinement: the same KKT system solved for the
         correction, with b - a z on the general rows, 0 on the bound rows
         (whose variables the solve fixes exactly) and the stationarity
         residual as the gradient. Large multipliers magnify the round-off
         left in the active rows' slacks, which complementarity would report.
+        Returns (z, H z, multipliers, residuals), the given ones if no better.
         """
         try:
             z, lam = _kkt_solve(rows, hess, p.g, row_ids)
@@ -624,16 +626,17 @@ class QpSolver:
             grad = _hz(hess.band, z) + p.g - _combine(rows, row_ids, lam)
             dz, dlam = _kkt_solve(residual, hess, grad, row_ids)
         except LinAlgError:
-            return z0, mult0, kkt0  # degenerate final active set; keep iterate
+            return z0, hz0, mult0, kkt0  # degenerate final active set; keep iterate
         z, lam = z + dz, lam + dlam
         if np.any(lam[rows.n_eq:] < -1e-9 * (1 + np.abs(lam).max(initial=0.0))):
-            return z0, mult0, kkt0  # polish would leave the dual cone; keep iterate
-        res = _residuals(rows, hess.band, p.g, z, row_ids, lam)
+            return z0, hz0, mult0, kkt0  # polish would leave the dual cone; keep iterate
+        hz = _hz(hess.band, z)
+        res = _residuals(rows, hz, p.g, z, row_ids, lam)
         if res.max() <= kkt0.max():
-            return z, lam, res
-        return z0, mult0, kkt0
+            return z, hz, lam, res
+        return z0, hz0, mult0, kkt0
 
-    def _try_hot_start(self, p, rows, h_reg, start, objective):
+    def _try_hot_start(self, p, rows, h_reg, start):
         """The warm start (ids, z, lam) as the solution when it is already
         optimal; None when it is rejected, or singular (start None)."""
         if start is None:
@@ -643,8 +646,9 @@ class QpSolver:
         if not ((lam[ids >= rows.n_eq] >= -1e-10).all()
                 and (slack[rows.n_eq:] >= -1e-9 * (1.0 + np.abs(rows.b[rows.n_eq:]))).all()):
             return None
-        res = _residuals(rows, h_reg, p.g, z, ids, lam, slack)
+        hz = _hz(h_reg, z)  # one product for the certificate and the objective
+        res = _residuals(rows, hz, p.g, z, ids, lam, slack)
         if not res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
             return None
-        obj = objective(z)
+        obj = _objective(p.g, z, hz)
         return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, obj, [obj])

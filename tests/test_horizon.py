@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armmpc import load_bundled_model, mpc_dynamic, mpc_kinematic, qp, simulator, trajgen
 from armmpc.dynamics import RigidBodyState
-from armmpc.horizon import TERMINAL_WIDEN
+from armmpc.checks import lower_band
+from armmpc.horizon import TERMINAL_WIDEN, hessian_band
 from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.nominal import default_posture, default_task_hierarchy
 from armmpc.trajgen import TaskTrajectory
@@ -127,6 +130,40 @@ def test_step_rejects_a_state_of_another_model(desk_model, rng, kind):
     assert not ctl.step(RigidBodyState(desk_model, q0), traj, 0).degraded
 
 
+def test_dynamic_step_rejects_a_plain_chain_state(desk_model, rng):
+    # the dynamic MPC reads qd, M and b, which a ChainState does not carry:
+    # it used to fail deep in the rollout on a missing attribute
+    q0 = random_config(desk_model, rng)
+    ctl = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
+                                 posture=default_posture(q0))
+    with pytest.raises(ValueError, match="RigidBodyState"):
+        ctl.step(ChainState(desk_model, q0), hold(desk_model, q0, 5), 0)
+
+
+@pytest.mark.parametrize("kind, entry", [("kinematic", "q"), ("kinematic", "qd"),
+                                         ("dynamic", "qd")])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_step_rejects_a_measured_state_that_is_not_finite(desk_model, rng, kind, entry, value):
+    # a NaN configuration used to fail in the IK rollout's eigh, and a NaN
+    # velocity in a mass matrix of the rollout's next state, named by its q
+    q0 = random_config(desk_model, rng)
+    traj = hold(desk_model, q0, 5)
+    if kind == "kinematic":
+        ctl = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
+    else:
+        ctl = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
+                                     posture=default_posture(q0))
+    q, qd = q0.copy(), np.zeros(6)
+    (q if entry == "q" else qd)[2] = value
+    # a RigidBodyState refuses a non-finite q when it is built (M is not
+    # finite), so only the kinematic MPC can get one, in a plain ChainState
+    with np.errstate(invalid="ignore"):  # the velocity pass of an infinite qd
+        state = ChainState(desk_model, q) if entry == "q" else RigidBodyState(desk_model, q, qd)
+    with pytest.raises(ValueError, match="measured state is not finite"):
+        ctl.step(state, traj, 0)
+    assert not ctl.step(RigidBodyState(desk_model, q0), traj, 0).degraded
+
+
 @pytest.mark.parametrize("kind", ["kinematic", "dynamic"])
 def test_step_rejects_a_trajectory_sampled_at_another_dt(kind):
     # a tick reads one sample and plans steps of the config's dt: the
@@ -223,3 +260,26 @@ def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
     ends = [np.isfinite(p.ub).sum() for p in problems]
     assert ends[:3] == [ends[0]] * 3 and ends[3:] == [ends[0] + 1] * 3  # the box from tick 3 on
     assert kept[0] is kept[1] is kept[2] is not kept[3] is kept[4] is kept[5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hessian_band_is_the_lower_band_of_the_dense_s_plus_s_transposed(data):
+    # count blocks of n x n, evenly spaced from first, neither overlapping
+    # nor reaching past d, read into a band at least as wide as a block:
+    # exactly the band of S + S' for the dense block-diagonal S
+    count = data.draw(st.integers(1, 4), label="count")
+    n = data.draw(st.integers(1, 4), label="n")
+    first = data.draw(st.integers(0, 3), label="first")
+    stride = data.draw(st.integers(n, n + 3), label="stride")
+    d = first + (count - 1) * stride + n + data.draw(st.integers(0, 3), label="tail")
+    width = data.draw(st.integers(n - 1, d - 1), label="width")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = rng.standard_normal((count, n, n))
+    s = np.zeros((d, d))
+    for k, block in enumerate(blocks):
+        at = first + k * stride
+        s[at:at + n, at:at + n] = block
+    band = hessian_band(blocks, first, stride, d, width)
+    assert band.shape == (width + 1, d)
+    np.testing.assert_array_equal(band, lower_band(s + s.T, width))

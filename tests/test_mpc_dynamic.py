@@ -164,16 +164,14 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0), twists=twists)
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
-    rows = build_prediction(stages, roll.x_hat, roll.u_hat)
-    problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
+    problem = build_dyn_qp(cfg, roll, stages, desk_model.limits)
     sol = qp.QpSolver().solve(problem)
     assert sol.status == qp.OPTIMAL
     # deviations from the equilibrium nominal vanish
     np.testing.assert_allclose(sol.z_star, 0.0, atol=1e-7)
     with pytest.raises(ValueError, match="horizon"):
         short = linearize_stage(roll.states[:-1], roll.u_hat[:-1], cfg.dt)
-        rows = build_prediction(short, roll.x_hat[:-1], roll.u_hat[:-1])
-        build_dyn_qp(cfg, roll, rows, desk_model.limits)
+        build_dyn_qp(cfg, roll, short, desk_model.limits)
 
 
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
@@ -183,8 +181,7 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
     roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
                        posture=default_posture(q0), twists=twists)
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
-    rows = build_prediction(stages, roll.x_hat, roll.u_hat)
-    problem = build_dyn_qp(cfg, roll, rows, desk_model.limits)
+    problem = build_dyn_qp(cfg, roll, stages, desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
     u_max = desk_model.limits.u_max
     np.testing.assert_allclose(u_max, [239.0, 239.0, 124.5, 32.0, 40.96, 25.6])
@@ -206,7 +203,7 @@ def off_rest_stages(model, rng, horizon):
 
 def dyn_problem(model, rng, horizon):
     cfg, roll, stages = off_rest_stages(model, rng, horizon)
-    return build_dyn_qp(cfg, roll, build_prediction(stages, roll.x_hat, roll.u_hat), model.limits)
+    return build_dyn_qp(cfg, roll, stages, model.limits)
 
 
 def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):

@@ -128,6 +128,38 @@ def test_kin_qp_band_is_the_lower_band_of_s_plus_s_transposed():
         assert not np.tril(s + s.T, -width - 1).any()
 
 
+@pytest.mark.parametrize("damping, accel, reach", [(0.0, 0.0, 0), (1e-2, 0.0, 1), (0.0, 1e-7, 2),
+                                                   (1e-2, 1e-7, 2)])
+def test_kin_qp_band_reaches_as_far_as_its_weighted_difference_costs(rng, damping, accel, reach):
+    # H's half-bandwidth is n - 1 (a step's task block) with neither
+    # difference cost weighted, n with damping alone and 2n with an
+    # acceleration cost; the band holds all of S + S'
+    n, steps = 3, 5
+    cfg = KinematicMpcConfig(horizon=steps - 1, dt=1e-2, task_weight=10.0,
+                             damping_weight=damping, accel_weight=accel)
+    rollout = NominalRollout(q_hat=rng.standard_normal((steps, n)), qd_hat=np.zeros((steps, n)),
+                             j_stack=rng.standard_normal((steps, 2, n)),
+                             err_stack=rng.standard_normal((steps, 2)))
+    history = (rollout.q_hat[0], rollout.q_hat[0])
+    problem = build_kin_qp(cfg, rollout, history, loose_limits(n))
+    width = max(n - 1, reach * n)
+    assert problem.H.shape == (width + 1, cfg.horizon * n)
+    dim = cfg.horizon * n
+    s = np.zeros((dim, dim))
+    for k, jac in enumerate(rollout.j_stack[1:]):
+        s[k * n:(k + 1) * n, k * n:(k + 1) * n] = (cfg.task_weight * jac.T) @ jac
+    for op, weight in zip(_diff_matrices(n, cfg.horizon, cfg.dt), (damping, accel)):
+        s += (weight * op.T) @ op
+    assert not np.tril(s + s.T, -width - 1).any()
+    np.testing.assert_allclose(problem.H, lower_band(s + s.T, width), rtol=0,
+                               atol=1e-14 * np.abs(s).max())
+
+
+def loose_limits(n):
+    return JointLimits(q_min=np.full(n, -1e3), q_max=np.full(n, 1e3), v_max=np.full(n, 1e6),
+                       u_max=np.ones(n))
+
+
 def make_traj_holding(model, q0, steps, dt, tasks=None):
     pose = forward_kinematics(model, q0)
     from armmpc.nominal import default_task_hierarchy

@@ -564,3 +564,17 @@ def test_osc_rollout_timing(desk_model, rng):
     elapsed = (time.perf_counter() - t0) / reps
     print(f"\nosc_rollout horizon-10 wall time: {elapsed * 1e3:.2f} ms (1 ms real-time share)")
     assert elapsed < 0.05  # sanity ceiling; the 1 ms share is reported above
+
+
+@pytest.mark.parametrize("call", ["osc_torque", "osc_rollout"])
+def test_osc_rejects_a_plain_chain_state(desk_model, rng, call):
+    # the OSC reads qd, M and b, which a ChainState does not carry: it used
+    # to fail on a missing attribute
+    q = random_config(desk_model, rng)
+    pose = forward_kinematics(desk_model, q)
+    with pytest.raises(ValueError, match="RigidBodyState"):
+        if call == "osc_torque":
+            osc_torque(ChainState(desk_model, q), default_task_hierarchy(), pose, 1e-2)
+        else:
+            osc_rollout(ChainState(desk_model, q), [pose] * 3, 1e-3, 1e-2,
+                        default_task_hierarchy())

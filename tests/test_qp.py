@@ -20,6 +20,7 @@ from armmpc.qp import (
     QpSolver,
     _Hessian,
     _hessian,
+    _hz,
     _kkt_solve,
     _kkt_start,
     _residuals,
@@ -310,7 +311,7 @@ def test_indefinite_hessian_rejected_with_and_without_warm_start():
     hess = _hessian(p.H)
     assert hess.factor is None
     start = _kkt_start(rows, hess, p.g, np.array(warm))
-    accepted = QpSolver()._try_hot_start(p, rows, hess.band, start, lambda z: 0.0)
+    accepted = QpSolver()._try_hot_start(p, rows, hess.band, start)
     assert accepted is not None and accepted.multipliers[0] > 0
     with pytest.raises(QpDataError, match="positive definite"):
         QpSolver().solve(p)
@@ -436,7 +437,7 @@ def test_singular_hot_start_falls_back_to_cold_path():
         _kkt_solve(rows, lu_hessian(p), p.g, [0, 1])
     assert _kkt_start(rows, lu_hessian(p), p.g, [0, 1]) is None
     solver = QpSolver()
-    assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None, lambda z: 0.0) is None
+    assert solver._try_hot_start(p, rows, regularized_hessian(p.H), None) is None
     sol = solver.solve(p, warm_start=(0, 1))
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-9)
@@ -455,7 +456,7 @@ def test_residuals_match_row_by_row_reference(rng):
         z = rng.standard_normal(prob.dim)
         ids = rng.choice(b.size, size=int(rng.integers(0, b.size + 1)), replace=False)
         lam = rng.standard_normal(ids.size)
-        res = _residuals(expand_constraints(prob), h, prob.g, z, ids, lam)
+        res = _residuals(expand_constraints(prob), _hz(h, z), prob.g, z, ids, lam)
         grad = dense @ z + prob.g
         lam_in = np.zeros(b.size - n_eq)
         for idx, val in zip(ids, lam):
@@ -487,7 +488,7 @@ def test_certificate_reads_inactive_rows_through_their_slack_alone(rng):
         assert kkt_check(prob, z, order, np.concatenate([lam, np.zeros(idle.size)])) == res
         slack = _values(rows, z) - rows.b
         slack[idle[0]] = np.nan
-        nan = _residuals(rows, regularized_hessian(prob.H), prob.g, z, ids, lam, slack)
+        nan = _residuals(rows, _hz(regularized_hessian(prob.H), z), prob.g, z, ids, lam, slack)
         assert np.isnan(nan.feasibility) and np.isnan(nan.max())
 
 
@@ -689,6 +690,49 @@ def test_bound_and_general_rows_match_the_dense_oracle(data):
         for got, want in zip((res.stationarity, res.feasibility, res.complementarity,
                               res.dual_feasibility), ref_res):
             assert abs(got - want) <= scale * (1 + abs(want))
+
+
+@pytest.mark.parametrize("absent", [("lb",), ("ub",), ("lb", "ub"), ("Ain",),
+                                    ("lb", "ub", "Ain")], ids="-".join)
+def test_absent_inputs_are_their_explicit_form(rng, absent):
+    # an absent bound is +-inf and absent general rows a (0, d) Ain: the
+    # same canonical rows, solution and certificate, bit for bit
+    d = 5
+    half = rng.standard_normal((d, d))
+    explicit = dict(H=lower_band(half @ half.T + 0.1 * np.eye(d), d - 1),
+                    g=3.0 * rng.standard_normal(d), lb=np.full(d, -np.inf),
+                    ub=np.full(d, np.inf), Ain=np.zeros((0, d)), lin=np.zeros(0),
+                    uin=np.zeros(0))
+    if "lb" not in absent:
+        explicit["lb"] = np.array([-0.2, -np.inf, -1.0, -np.inf, 0.1])
+    if "ub" not in absent:
+        explicit["ub"] = np.array([0.3, 0.5, np.inf, np.inf, 0.1])
+    if "Ain" not in absent:
+        explicit.update(Ain=rng.standard_normal((2, d)), lin=np.array([-0.5, 0.2]),
+                        uin=np.array([0.5, 0.2]))
+    implicit = {name: value for name, value in explicit.items()
+                if name not in absent + (("lin", "uin") if "Ain" in absent else ())}
+    problems = QpProblem(**explicit), QpProblem(**implicit)
+    for name in ("lb", "ub", "Ain", "lin", "uin"):
+        np.testing.assert_array_equal(getattr(problems[1], name), getattr(problems[0], name))
+        assert getattr(problems[1], name).shape == getattr(problems[0], name).shape
+    rows = [expand_constraints(p) for p in problems]
+    for got, want in zip(rows[1], rows[0]):
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want
+    solutions = [QpSolver().solve(p) for p in problems]
+    assert solutions[1].status == solutions[0].status == OPTIMAL
+    np.testing.assert_array_equal(solutions[1].z_star, solutions[0].z_star)
+    np.testing.assert_array_equal(solutions[1].multipliers, solutions[0].multipliers)
+    assert solutions[1].active_set == solutions[0].active_set
+    assert solutions[1].objective == solutions[0].objective
+    assert solutions[1].kkt == solutions[0].kkt
+    sol = solutions[0]
+    assert (kkt_check(problems[1], sol.z_star, sol.active_set, sol.multipliers)
+            == kkt_check(problems[0], sol.z_star, sol.active_set, sol.multipliers))
 
 
 def test_far_off_diagonal_hessian_entry_is_kept(rng):
