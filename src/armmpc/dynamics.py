@@ -86,8 +86,9 @@ class DynamicsDerivatives:
 
 
 class RigidBodyState(ChainState):
-    """A chain state at (q, qd), qd checked and kept like q, with the
-    dynamics at it, filled by its constructor; without qd it is at rest.
+    """A chain state at (q, qd), qd checked and kept like q (a ValueError if
+    either is not finite), with the dynamics at it, filled by its
+    constructor; without qd it is at rest.
 
     The world-frame pass stacks 2n points (the joint origins 1..n-1, the link
     COMs and the end effector) and takes all their linear Jacobian columns in
@@ -102,6 +103,12 @@ class RigidBodyState(ChainState):
         c = self.chain
         n = c.n
         self.qd = qd = np.zeros(n) if qd is None else model.check_q(qd, "qd")
+        # a NaN or infinite entry makes the sum NaN or infinite, and then
+        # total - total is NaN; refused before the velocity pass, as M's check
+        # refuses such a q
+        total = sum(qd.tolist())
+        if total - total != 0.0:
+            raise ValueError(f"qd is not finite: {qd!r}")
         axis_w, origin_w, rot_w = self.axis_w, self.origin_w, self.rot_w
         # each point minus every joint origin, and its linear Jacobian
         # columns, (2n, n, 3) each, [point, joint]; the COMs' [Jv | Jw],

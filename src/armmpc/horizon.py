@@ -108,15 +108,15 @@ class RecedingHorizon:
 
     def _window(self, state, traj, tick: int):
         """The targets of this tick's horizon, traj.window(tick, horizon); a
-        ValueError for a chain state of another model or not finite (q, and
-        qd if it has one), or for a trajectory not sampled at the config's
-        dt: a tick reads one sample and plans steps of dt, so the targets
-        would play at the wrong speed."""
+        ValueError for a chain state of another model or at a q that is not
+        finite (a RigidBodyState refuses a qd that is not when it is built),
+        or for a trajectory not sampled at the config's dt: a tick reads one
+        sample and plans steps of dt, so the targets would play at the wrong
+        speed."""
         if state.model is not self.model:
             raise ValueError("chain state belongs to another model")
-        measured = np.concatenate((state.q, getattr(state, "qd", ())))
-        if not np.isfinite(measured).all():
-            raise ValueError(f"the measured state is not finite: [q; qd] = {measured}")
+        if not np.isfinite(state.q).all():
+            raise ValueError(f"the measured state is not finite: q = {state.q}")
         if not math.isclose(traj.dt, self.cfg.dt, rel_tol=1e-9):
             raise ValueError(f"trajectory is sampled at dt = {traj.dt}, the controller ticks "
                              f"at {self.cfg.dt}")

@@ -7,9 +7,12 @@ velocity feedforward; every task level tracks its own rows of that pose.
 Both run one task-priority recursion (_prioritize), weighted by the
 identity for the IK and by M^-1 for the OSC, whose truncated level inverses
 keep commands bounded near singular configurations. The hierarchy is
-resolved once per task tuple (_levels), and each step writes every level's
-projected Jacobian and error into its rows of the per-step stack that the
-MPC cost linearizes around.
+resolved once per task tuple (_levels), with every gain stacked over the
+task rows, so a step forms all levels' reference velocities (IK) or forces
+(OSC) in one pass before the recursion, and each level then only maps its
+rows through its inverse. Each step writes every level's projected Jacobian
+and error into its rows of the per-step stack that the MPC cost linearizes
+around.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .dynamics import RigidBodyState
 from .kinematics import ChainState, Pose, fk_jacobian_raw, pose_error_raw
-from .robot_model import _frozen, require_number
+from .robot_model import require_number
 
 POSITION = "position"
 ORIENTATION = "orientation"
@@ -174,7 +178,7 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
 # clears the cut by this factor, and never below _CLOSED_FORM_FLOOR of the
 # largest: the trigonometric eigenvalues err by up to about 1e-8 of the
 # largest one next to a double eigenvalue (acos is steep at +-1), so a
-# smallest eigenvalue within that of the cut is left to eigh.
+# smallest eigenvalue within that of the cut is left to LAPACK.
 _CLOSED_FORM_MARGIN = 2.0
 _CLOSED_FORM_FLOOR = 1e-6
 
@@ -182,7 +186,7 @@ _CLOSED_FORM_FLOOR = 1e-6
 def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     """Pseudoinverse of a symmetric positive semidefinite matrix with its
     eigenvalues below floor * lambda_max dropped (the zero matrix if
-    lambda_max <= 0).
+    lambda_max <= 0); a LinAlgError if an entry is not finite.
 
     A 3 x 3 matrix is first tested in closed form, on Python floats from its
     upper triangle, for whether its smallest eigenvalue clears the cut by
@@ -193,12 +197,20 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     relative cut t settles it first: with the eigenvalues r1 <= r2 <= 1 of
     the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3, so r1 >= 6.75 t
     there, far past the trigonometric eigenvalues' error, and both tests
-    agree. Otherwise, and for other sizes, the truncation runs on eigh.
+    agree. Otherwise, and for other sizes, the truncation runs on LAPACK's
+    dsyevd over the lower triangle, called directly: the routine and the
+    triangle that np.linalg.eigh uses, so the same bits, at less than half
+    of eigh's time on a 3 x 3; a nonzero info is a LinAlgError, as in eigh.
     """
     if not 0.0 < floor < 1.0:
         raise ValueError("the relative eigenvalue floor must lie in (0, 1)")
     if sym.shape[0] == 3:
-        (a, b, c), (_, d, e), (_, _, f) = sym.tolist()
+        (a, b, c), (b_low, d, e), (c_low, e_low, f) = sym.tolist()
+        # a NaN or infinite entry makes the sum of all nine NaN or infinite,
+        # and then total - total is NaN: a check without a function call
+        total = a + b + c + b_low + d + e + c_low + e_low + f
+        if total - total != 0.0:
+            raise np.linalg.LinAlgError("the matrix to invert is not finite")
         c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
         det = a * c00 + b * c01 + c * c02
         cut = max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR)
@@ -224,7 +236,11 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
             c00, c01, c02 = c00 * inv_det, c01 * inv_det, c02 * inv_det
             c11, c12, c22 = c11 * inv_det, c12 * inv_det, c22 * inv_det
             return np.array([c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3)
-    vals, vecs = np.linalg.eigh(sym)
+    elif not np.isfinite(sym).all():
+        raise np.linalg.LinAlgError("the matrix to invert is not finite")
+    vals, vecs, info = dsyevd(sym, compute_v=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalues did not converge (dsyevd info {info})")
     if vals[-1] <= 0.0:
         return np.zeros_like(sym)
     keep = vals >= floor * vals[-1]
@@ -233,39 +249,40 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _hierarchy(tasks: tuple) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _hierarchy(tasks: tuple) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_levels' part that depends on the tasks alone, shared read-only by
     every rollout over the same task tuple."""
-    levels, rows, gains = [], [], []
+    levels, rows, gains, kp, kd = [], [], [], [], []
     n_g = 0
     for task in sorted(tasks, key=lambda t: t.priority):
         pose, dim = task.rows, task.dim
-        levels.append((pose, slice(n_g, n_g + dim),
-                       task.kp if task.kp is not None else _frozen(np.full(dim, 100.0)),
-                       task.kd if task.kd is not None else _frozen(np.full(dim, 10.0))))
+        levels.append((pose, slice(n_g, n_g + dim)))
         rows.extend(range(pose.start, pose.stop))
         gains.extend([task.gain] * dim)
+        kp.append(task.kp if task.kp is not None else np.full(dim, 100.0))
+        kd.append(task.kd if task.kd is not None else np.full(dim, 10.0))
         n_g += dim
     if not levels:
         raise ValueError("the task hierarchy needs at least one level")
-    rows, gains = np.array(rows), np.array(gains)
-    rows.setflags(write=False)
-    gains.setflags(write=False)
-    return tuple(levels), rows, gains
+    stacks = np.array(rows), np.array(gains), np.concatenate(kp), np.concatenate(kd)
+    for arr in stacks:
+        arr.setflags(write=False)
+    return (tuple(levels), *stacks)
 
 
 def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray,
-                                                np.ndarray]:
-    """The task hierarchy resolved: one (rows, out, kp, kd) per level in
-    priority order, with rows the level's rows of the 6-pose, out its rows
-    of the stacks and the default OSC gains filled in; the 6-pose row of
-    each of the n_g stacked rows and its IK gain, (n_g,) each (levels may
-    overlap, so neither is per pose row); and the empty (steps, n_g, n)
+                                                np.ndarray, np.ndarray, np.ndarray]:
+    """The task hierarchy resolved: one (rows, out) per level in priority
+    order, with rows the level's rows of the 6-pose and out its rows of the
+    stacks; the 6-pose row of each of the n_g stacked rows, its IK gain and
+    its OSC stiffness and damping, defaults filled in, (n_g,) each (levels
+    may overlap, so none is per pose row); and the empty (steps, n_g, n)
     projected-Jacobian and (steps, n_g) error stacks."""
-    levels, rows, gains = _hierarchy(tuple(tasks))
+    hierarchy = _hierarchy(tuple(tasks))
     if steps < 1:
         raise ValueError("a rollout needs at least one target")
-    return levels, rows, gains, np.empty((steps, rows.size, n)), np.empty((steps, rows.size))
+    n_g = hierarchy[1].size
+    return (*hierarchy, np.empty((steps, n_g, n)), np.empty((steps, n_g)))
 
 
 # A level after the first whose projected Jacobian is below this fraction of
@@ -348,7 +365,7 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     """
     steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
-    levels, pose_rows, gains, j_stack, err_stack = _levels(tasks, steps, n)
+    levels, pose_rows, gains, _, _, j_stack, err_stack = _levels(tasks, steps, n)
     twists = twists[:, pose_rows]  # the feedforward of each stacked row
     q_hat = np.empty((steps, n))
     qd_hat = np.empty((steps, n))
@@ -362,7 +379,7 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
                                             rot, pos)[pose_rows]
         ref_vel = gains * err + twists[k]  # every level's reference velocity
         qd = None
-        for (rows, out, _, _), _, _, jbar, _ in _prioritize(levels, jac, floor, j_stack[k]):
+        for (rows, out), _, _, jbar, _ in _prioritize(levels, jac, floor, j_stack[k]):
             qd = jbar @ ref_vel[out] if qd is None else qd + jbar @ (ref_vel[out] - jac[rows] @ qd)
         qd_hat[k] = qd
         if k + 1 < steps:
@@ -381,40 +398,49 @@ def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
     inertia, mapped through the projected Jacobian transpose; lower levels
     act through dynamically consistent null-space projectors, the posture
     impedance acts in the final null space, and the bias forces are
-    compensated exactly. A plain ChainState (no qd) is a ValueError.
+    compensated exactly. A plain ChainState (no qd), or a twist that is not a
+    6-vector, is a ValueError.
     """
     if not isinstance(state, RigidBodyState):
         raise ValueError(f"osc_torque needs a RigidBodyState, got a {type(state).__name__}")
-    levels, pose_rows, _, jac, err = _levels(tasks, 1, state.model.n)
-    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
-    return _osc_torque(state, levels, pose_rows, target, rel_threshold, posture, twist, jac[0],
-                       err[0])
+    levels, pose_rows, _, kp, kd, jac, err = _levels(tasks, 1, state.model.n)
+    if twist is None:
+        twist = np.zeros(pose_rows.size)
+    else:
+        twist = np.asarray(twist, dtype=float)
+        if twist.shape != (6,):
+            raise ValueError(f"twist must be (6,), got {twist.shape}")
+        twist = twist[pose_rows]  # the feedforward of each stacked row
+    return _osc_torque(state, levels, pose_rows, kp, kd, target, rel_threshold, posture, twist,
+                       jac[0], err[0])
 
 
-def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, target: Pose,
-                rel_threshold: float, posture: PostureSpec | None, twist: np.ndarray,
-                jac_out: np.ndarray, err_out: np.ndarray) -> np.ndarray:
+def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, kp: np.ndarray,
+                kd: np.ndarray, target: Pose, rel_threshold: float,
+                posture: PostureSpec | None, twist: np.ndarray, jac_out: np.ndarray,
+                err_out: np.ndarray) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the
-    caller, over resolved levels; writes each level's projected Jacobian and
-    error into its rows of jac_out and err_out."""
-    q, qd = st.q, st.qd
+    caller, over resolved levels with their stacked gains and twist rows;
+    writes each level's projected Jacobian and error into its rows of
+    jac_out and err_out."""
+    qd = st.qd
     jac_full = st.jacobian()
     err = err_out[:] = pose_error_raw(target.rotation_matrix, target.translation, st.ee_rot,
                                       st.ee_pos)[pose_rows]
+    # every level's reference force at once, over the n_g stacked rows
+    force = kd * (twist - jac_full[pose_rows] @ qd) + kp * err - st.jdot_qd[pose_rows]
 
     u = None
     # lam is the task-space inertia, the inverse of J_p M^-1 J_p' truncated
     # on its own eigenvalues; proj is left at the last level's projector
-    for (rows, out, kp, kd), jac_proj, lam, _, proj in _prioritize(
+    for (_, out), jac_proj, lam, _, proj in _prioritize(
             levels, jac_full, rel_threshold, jac_out, st.minv,
             last_projector=posture is not None):
-        vel = jac_full[rows] @ qd
-        acc_des = kd * (twist[rows] - vel) + kp * err[out]
-        tau = jac_proj.T @ (lam @ (acc_des - st.jdot_qd[rows]))
+        tau = jac_proj.T @ (lam @ force[out])
         u = tau if u is None else u + tau
 
     if posture is not None:
-        u = u + proj.T @ (posture.kp * (posture.q_des - q) - posture.kd * qd)
+        u = u + proj.T @ (posture.kp * (posture.q_des - st.q) - posture.kd * qd)
     return u + st.bias
 
 
@@ -438,7 +464,8 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     steps, twists = _rollout_steps(poses, dt, twists)
     model, n = start.model, start.model.n
     u_max = model.limits.u_max
-    levels, pose_rows, _, j_stack, err_stack = _levels(tasks, steps, n)
+    levels, pose_rows, _, kp, kd, j_stack, err_stack = _levels(tasks, steps, n)
+    twists = twists[:, pose_rows]  # the feedforward of each stacked row
 
     x_hat = np.empty((steps, 2 * n))
     u_hat = np.empty((steps - 1, n))
@@ -453,8 +480,8 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
             for _ in _prioritize(levels, st.jacobian(), rel_threshold, j_stack[k], st.minv):
                 pass
             break
-        u = _osc_torque(st, levels, pose_rows, poses[k], rel_threshold, posture, twists[k],
-                        j_stack[k], err_stack[k])
+        u = _osc_torque(st, levels, pose_rows, kp, kd, poses[k], rel_threshold, posture,
+                        twists[k], j_stack[k], err_stack[k])
         u_hat[k] = np.clip(u, -u_max, u_max)
         states.append(st)
         st, qdd_hat[k] = st.semi_implicit_step(u_hat[k], dt)

@@ -152,6 +152,28 @@ def ik_step(state, tasks, target, rel_threshold):
     return nominal.ik_rollout(state, [target], 1.0, rel_threshold, tasks).qd_hat[0]
 
 
+def osc_torque_per_level(state, tasks, target, rel_threshold, posture=None, twist=None):
+    """osc_torque with each level's reference force formed in its own turn of
+    the recursion, from its own rows of J, the twist and J-dot qd (the form
+    the one stacked force of nominal._osc_torque replaced)."""
+    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
+    levels, pose_rows, _, kp, kd, jac_out, _ = nominal._levels(tasks, 1, state.model.n)
+    jac_full = state.jacobian()
+    err = kinematics.pose_error_raw(target.rotation_matrix, target.translation, state.ee_rot,
+                                    state.ee_pos)[pose_rows]
+    u = None
+    for (rows, out), jac_proj, lam, _, proj in nominal._prioritize(
+            levels, jac_full, rel_threshold, jac_out[0], state.minv,
+            last_projector=posture is not None):
+        vel = jac_full[rows] @ state.qd
+        acc_des = kd[out] * (twist[rows] - vel) + kp[out] * err[out]
+        tau = jac_proj.T @ (lam @ (acc_des - state.jdot_qd[rows]))
+        u = tau if u is None else u + tau
+    if posture is not None:
+        u = u + proj.T @ (posture.kp * (posture.q_des - state.q) - posture.kd * state.qd)
+    return u + state.bias
+
+
 def sequential_frames(model, rot_local, trans_local):
     """The world frames as the running product of the local transforms, one
     joint at a time (the loop the prefix scan replaced)."""

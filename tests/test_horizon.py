@@ -1,6 +1,7 @@
 """The tick policy both MPCs share: config checks, the measured state, hold,
 widen, warm start, reset."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -155,12 +156,20 @@ def test_step_rejects_a_measured_state_that_is_not_finite(desk_model, rng, kind,
                                      posture=default_posture(q0))
     q, qd = q0.copy(), np.zeros(6)
     (q if entry == "q" else qd)[2] = value
-    # a RigidBodyState refuses a non-finite q when it is built (M is not
-    # finite), so only the kinematic MPC can get one, in a plain ChainState
-    with np.errstate(invalid="ignore"):  # the velocity pass of an infinite qd
-        state = ChainState(desk_model, q) if entry == "q" else RigidBodyState(desk_model, q, qd)
-    with pytest.raises(ValueError, match="measured state is not finite"):
-        ctl.step(state, traj, 0)
+    if entry == "q":
+        # a RigidBodyState refuses a non-finite q when it is built (M is not
+        # finite), so only the kinematic MPC can get one, in a plain ChainState
+        with np.errstate(invalid="ignore"):  # the sine and cosine of an infinite q
+            state = ChainState(desk_model, q)
+        with pytest.raises(ValueError, match="measured state is not finite"):
+            ctl.step(state, traj, 0)
+    else:
+        # and a non-finite qd, before its velocity pass (so without a numpy
+        # warning): no controller can get one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="qd is not finite"):
+                RigidBodyState(desk_model, q, qd)
     assert not ctl.step(RigidBodyState(desk_model, q0), traj, 0).degraded
 
 

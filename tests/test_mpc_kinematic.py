@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from armmpc import load_bundled_model, mpc_kinematic, qp, simulator
+from armmpc import load_bundled_model, mpc_dynamic, mpc_kinematic, qp, simulator
 from armmpc.checks import lower_band
 from armmpc.kinematics import ChainState, forward_kinematics
 from armmpc.mpc_kinematic import (
@@ -107,24 +107,25 @@ def test_diff_matrices_match_blockwise_loop(n, horizon):
 
 
 def test_kin_qp_band_is_the_lower_band_of_s_plus_s_transposed():
-    # a dense reference from the same rollout: S holds the weighted J'J block
-    # of each step and the damping and acceleration costs' op' op, and the
-    # builder's band is that of S + S', entry for entry, with nothing of
-    # S + S' outside it; from the rest start on
+    # a dense reference from the same rollout, summed as the builder sums
+    # it: the band of T + T', T holding the weighted J'J block of each step,
+    # plus the band of Q + Q', Q the damping and acceleration costs' op' op;
+    # nothing of S + S', S = T + Q, lies outside the band; from the rest
+    # start on
     for ((cfg, rollout, _, _), _), problem in recorded_builds(
             mpc_kinematic, "build_kin_qp", "singularity_pass", "kin_mpc", "rs020n", 12):
         n = rollout.q_hat.shape[1]
         dim = cfg.horizon * n
-        s = np.zeros((dim, dim))
+        t = np.zeros((dim, dim))
         for k, jac in enumerate(rollout.j_stack[1:]):
-            s[k * n:(k + 1) * n, k * n:(k + 1) * n] = (cfg.task_weight * jac.T) @ jac
-        for op, weight in zip(_diff_matrices(n, cfg.horizon, cfg.dt),
-                              (cfg.damping_weight, cfg.accel_weight)):
-            if weight:
-                s += (weight * op.T) @ op
+            t[k * n:(k + 1) * n, k * n:(k + 1) * n] = (cfg.task_weight * jac.T) @ jac
+        vel_op, acc_op = _diff_matrices(n, cfg.horizon, cfg.dt)
+        q = (cfg.damping_weight * vel_op.T) @ vel_op + (cfg.accel_weight * acc_op.T) @ acc_op
         width = problem.H.shape[0] - 1
         assert width == 2 * n  # the acceleration cost reaches two steps
-        np.testing.assert_array_equal(problem.H, lower_band(s + s.T, width))
+        np.testing.assert_array_equal(problem.H,
+                                      lower_band(t + t.T, width) + lower_band(q + q.T, width))
+        s = t + q
         assert not np.tril(s + s.T, -width - 1).any()
 
 
@@ -478,3 +479,35 @@ def test_kinematic_tick_stays_within_its_call_budget():
         simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
     assert cfg.horizon == 10
     assert counts["call"] <= 275 and counts["c_call"] <= 419, counts
+
+
+@pytest.mark.parametrize("controller, budget", [("osc", (19, 34)), ("dyn_mpc", (439, 783))])
+def test_operational_space_step_stays_within_its_call_budget(controller, budget):
+    # the same measure for the operational-space step, at tick 100 of the
+    # payload move on rs007n: the calls of osc_torque, the whole OSC
+    # baseline's tick, and of osc_rollout, the dynamic MPC's nominal of ten
+    # such steps and their chain states. Before the task force was stacked
+    # over the levels and the truncated inverse called LAPACK's dsyevd
+    # directly, they made 32 Python and 49 C calls, and 582 and 928
+    module, name = {"osc": (simulator, "osc_torque"),
+                    "dyn_mpc": (mpc_dynamic, "osc_rollout")}[controller]
+    call = getattr(module, name)
+    counts, seen = Counter(), []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        if len(seen) != 101:
+            return call(*args, **kwargs)
+        sys.setprofile(lambda frame, event, arg: counts.update((event,)))
+        try:
+            return call(*args, **kwargs)
+        finally:
+            sys.setprofile(None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, counted)
+        cfg = simulator.default_scenario_config("payload_pick_place", controller)
+        cfg.max_ticks = 101
+        simulator.run_scenario("payload_pick_place", controller, load_bundled_model("rs007n"), cfg)
+    assert cfg.horizon == 10 and len(seen) == 101
+    assert counts["call"] <= budget[0] and counts["c_call"] <= budget[1], counts

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from armmpc.nominal import (
     osc_torque,
 )
 
-from conftest import ik_step, random_config
+from conftest import ik_step, osc_torque_per_level, random_config
 
 
 def full_pose_task(gain=1.0):
@@ -83,16 +85,17 @@ def test_pinv_gram_path_matches_svd_path_at_threshold(rng, rows, side, rel_thres
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Count np.linalg.eigh calls: the closed-form 3 x 3 path makes none."""
+def dsyevd_calls(monkeypatch):
+    """Count _psd_pinv's LAPACK eigendecompositions (dsyevd, eigh's routine):
+    the closed-form 3 x 3 path makes none."""
     calls = []
-    eigh = np.linalg.eigh
+    dsyevd = nominal.dsyevd
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return eigh(*args, **kwargs)
+        return dsyevd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(nominal, "dsyevd", counting)
     return calls
 
 
@@ -101,11 +104,11 @@ MARGIN = nominal._CLOSED_FORM_MARGIN
 
 @pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
 @pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
-def test_pinv_closed_form_hands_off_at_its_margin(rng, eigh_calls, ratio, rel_threshold):
+def test_pinv_closed_form_hands_off_at_its_margin(rng, dsyevd_calls, ratio, rel_threshold):
     # 3 x 6 inputs whose Gram eigenvalues have lambda_min / (rel**2 lambda_max)
     # = ratio: just around the closed-form path's hand-off margin, or just
     # around the cut itself. Above the margin the Gram matrix is inverted in
-    # closed form (no eigh), below it eigh truncates; either way the result
+    # closed form (no dsyevd), below it dsyevd truncates; either way the result
     # matches the SVD path within the Gram path's tolerance
     tol = 100 * np.finfo(float).eps / rel_threshold**2
     kept = 3 if ratio > 1 else 2
@@ -114,9 +117,9 @@ def test_pinv_closed_form_hands_off_at_its_margin(rng, eigh_calls, ratio, rel_th
         u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         jac = (u * sigma) @ v.T
-        del eigh_calls[:]
+        del dsyevd_calls[:]
         gram_path = gram_pinv(jac, rel_threshold)
-        assert len(eigh_calls) == (0 if ratio > MARGIN else 1)
+        assert len(dsyevd_calls) == (0 if ratio > MARGIN else 1)
         svd_path = compact_svd_pinv(jac, rel_threshold)
         assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
@@ -143,7 +146,7 @@ def test_pinv_determinant_test_keeps_only_far_past_the_cut(log_r1, log_r2, floor
 @pytest.mark.parametrize("rank", [0, 1])
 @pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
 def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):
-    # a rank-1 or all-zero 3 x 6 input: the closed form hands off, and eigh
+    # a rank-1 or all-zero 3 x 6 input: the closed form hands off, and dsyevd
     # keeps the one direction or returns the zero matrix
     tol = 100 * np.finfo(float).eps / rel_threshold**2
     for _ in range(20):
@@ -160,7 +163,7 @@ def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):
 
 @pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
 @pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
-def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, eigh_calls, ratio, rel_threshold):
+def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, dsyevd_calls, ratio, rel_threshold):
     # the task-space inertia's input J M^-1 J' (3 x 3, J 3 x 6), built so its
     # eigenvalues have lambda_min / (rel lambda_max) = ratio; the truncation
     # acts on the matrix's own eigenvalues, so a kept direction at the cut
@@ -176,14 +179,63 @@ def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, eigh_calls, ratio, rel_
         v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         jac = np.linalg.solve(root.T, v @ (np.sqrt(lam)[:, None] * u.T)).T
         sym = jac @ minv @ jac.T
-        del eigh_calls[:]
+        del dsyevd_calls[:]
         got = nominal._psd_pinv(sym, rel_threshold)
-        assert len(eigh_calls) == (0 if ratio > MARGIN else 1)
+        assert len(dsyevd_calls) == (0 if ratio > MARGIN else 1)
         left, sv, right = np.linalg.svd(sym)
         keep = sv >= rel_threshold * sv[0]
         ref = (right[keep].T / sv[keep]) @ left[:, keep].T
         assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(ref) == kept
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+def eigh_pinv(sym, floor):
+    """_psd_pinv's truncation on np.linalg.eigh: the reference for its
+    direct LAPACK call."""
+    vals, vecs = np.linalg.eigh(sym)
+    if vals[-1] <= 0.0:
+        return np.zeros_like(sym)
+    keep = vals >= floor * vals[-1]
+    return (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
+
+
+@pytest.mark.parametrize("size", [3, 6])
+@pytest.mark.parametrize("spectrum", ["truncated", "full-rank", "zero"])
+def test_psd_pinv_is_the_eigh_truncation_to_the_bit(rng, dsyevd_calls, size, spectrum):
+    # the OSC's J W J' (J size x 6 with W SPD, not exactly symmetric), its
+    # smallest eigenvalue at 1e-3 of the cut, or at 1.5 times the cut: kept,
+    # yet inside the closed form's margin, so a 3 x 3 goes to LAPACK too;
+    # dsyevd is the routine and the triangle eigh uses, so the same bits
+    floor = 1e-2
+    low = {"truncated": 1e-3 * floor, "full-rank": 1.5 * floor, "zero": 1.0}[spectrum]
+    lam = 3.0 * np.append(np.geomspace(1.0, 0.5, size - 1), low)
+    for _ in range(20):
+        a = rng.standard_normal((6, 6))
+        minv = a @ a.T + 6.0 * np.eye(6)
+        root = np.linalg.cholesky(minv)
+        u = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        v = np.linalg.qr(rng.standard_normal((6, size)))[0]
+        jac = np.linalg.solve(root.T, v @ (np.sqrt(lam)[:, None] * u.T)).T
+        sym = np.zeros((size, size)) if spectrum == "zero" else jac @ (minv @ jac.T)
+        del dsyevd_calls[:]
+        got = nominal._psd_pinv(sym, floor)
+        assert len(dsyevd_calls) == 1
+        np.testing.assert_array_equal(got, eigh_pinv(sym, floor))
+        rank = {"truncated": size - 1, "full-rank": size, "zero": 0}[spectrum]
+        assert np.linalg.matrix_rank(got) == rank
+
+
+@pytest.mark.parametrize("size", [3, 6])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1), (1, 2)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_psd_pinv_rejects_a_matrix_that_is_not_finite(size, where, value):
+    # eigh raises only when its iteration fails: with one NaN on the
+    # diagonal it returns finite eigenvalues, and the closed form would
+    # take an infinite determinant for a large one
+    sym = np.eye(size)
+    sym[where] = value
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        nominal._psd_pinv(sym, 1e-2)
 
 
 def test_pinv_bad_threshold():
@@ -386,6 +438,67 @@ def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
     np.testing.assert_allclose(osc_torque(state, three, target, 1e-4, posture=posture),
                                osc_torque(state, two, target, 1e-4, posture=posture),
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("model", ["desk_model", "desk_model_large", "seven_joint_model"])
+@pytest.mark.parametrize("selectors", [(POSITION, ORIENTATION), (FULL_POSE,),
+                                       (POSITION, ORIENTATION, FULL_POSE)],
+                         ids=["position-orientation", "full-pose", "three-levels"])
+@pytest.mark.parametrize("posture", [False, True], ids=["no-posture", "posture"])
+@pytest.mark.parametrize("twist", [False, True], ids=["no-twist", "twist"])
+def test_osc_torque_is_the_per_level_torque_to_the_bit(request, rng, model, selectors, posture,
+                                                        twist):
+    # one reference force over all stacked rows, each level mapping its own
+    # rows, against each level forming its force from its own rows: every
+    # entry is the same sum in the same order, so the torques agree to the
+    # bit; a full pose makes a 6 x 6 task-space inertia, and its own gains
+    # stand in for the defaults of the levels without kp and kd
+    model = request.getfixturevalue(model)
+    n = model.n
+    tasks = tuple(TaskSpec(priority=i + 1, selector=sel, kp=np.full(3, 80.0 + i),
+                           kd=np.array([6.0, 9.0, 12.0]))
+                  if sel != FULL_POSE else TaskSpec(priority=i + 1, selector=sel)
+                  for i, sel in enumerate(selectors))
+    for _ in range(10):
+        q = random_config(model, rng)
+        state = RigidBodyState(model, q, 0.5 * rng.standard_normal(n))
+        target = forward_kinematics(model, q + 0.1 * rng.standard_normal(n))
+        kwargs = {"posture": default_posture(q + 0.1 * rng.standard_normal(n)) if posture else None,
+                  "twist": 0.3 * rng.standard_normal(6) if twist else None}
+        np.testing.assert_array_equal(
+            osc_torque(state, tasks, target, 1e-2, **kwargs),
+            osc_torque_per_level(state, tasks, target, 1e-2, **kwargs))
+
+
+@pytest.mark.parametrize("size", [3, 7])
+def test_osc_torque_rejects_a_twist_that_is_not_a_6_vector(desk_model, rng, size):
+    # a 3-vector used to fail in numpy's broadcasting, on the orientation
+    # level's empty twist[3:6], and a 7-vector to pass with its last entry
+    # ignored
+    q = random_config(desk_model, rng)
+    with pytest.raises(ValueError, match=r"twist must be \(6,\)"):
+        osc_torque(RigidBodyState(desk_model, q), default_task_hierarchy(),
+                   forward_kinematics(desk_model, q), 1e-2, twist=np.zeros(size))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["osc_torque", "osc_rollout"])
+def test_osc_refuses_a_velocity_that_is_not_finite(desk_model, rng, call, value):
+    # a NaN qd used to give an all-NaN torque without a word, and an
+    # infinite one a numpy warning besides: the state now refuses it when it
+    # is built, before its velocity pass
+    q = random_config(desk_model, rng)
+    qd = np.zeros(6)
+    qd[1] = value
+    pose = forward_kinematics(desk_model, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="qd is not finite"):
+            state = RigidBodyState(desk_model, q, qd)
+            if call == "osc_torque":
+                osc_torque(state, default_task_hierarchy(), pose, 1e-2)
+            else:
+                osc_rollout(state, [pose] * 3, 1e-3, 1e-2, default_task_hierarchy())
 
 
 @pytest.mark.parametrize("field, value", [("kp", np.ones(5)), ("kd", [1.0, np.nan, 1, 1, 1, 1]),
