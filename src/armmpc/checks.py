@@ -134,16 +134,21 @@ def random_qp(rng: np.random.Generator, dim: int, n_ineq: int, with_eq: bool = F
     return QpProblem(H=lower_band(h, dim - 1), g=g, lb=lb, ub=ub, Ain=a_in, lin=lin, uin=uin)
 
 
-def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8,
-                 max_dim: int = 6, max_ineq: int = 8) -> CheckResult:
+# run_qp_check's random QPs: 2 to QP_MAX_DIM variables and 0 to QP_MAX_INEQ
+# inequality rows, few enough for the oracle's enumeration
+QP_MAX_DIM = 6
+QP_MAX_INEQ = 8
+
+
+def run_qp_check(n_problems: int = 500, seed: int = 0, tol: float = 1e-8) -> CheckResult:
     """Random QPs against the exhaustive active-set oracle + KKT residuals."""
     rng = np.random.default_rng(seed)
     solver = QpSolver()
     worst = 0.0
     detail = ""
     for i in range(n_problems):
-        dim = int(rng.integers(2, max_dim + 1))
-        n_ineq = int(rng.integers(0, max_ineq + 1))
+        dim = int(rng.integers(2, QP_MAX_DIM + 1))
+        n_ineq = int(rng.integers(0, QP_MAX_INEQ + 1))
         prob = random_qp(rng, dim, n_ineq, with_eq=bool(rng.integers(0, 2)))
         sol = solver.solve(prob)
         ref, _ = solve_qp_by_enumeration(prob)
@@ -221,11 +226,17 @@ def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
     return CheckResult("fd_id_derivative_identity", True, worst, tol, f"{n_states} states")
 
 
-def run_world_pass_check(model: RobotModel, n_states: int = 200, seed: int = 0,
-                         tol_bias: float = 1e-10, tol_jdot: float = 1e-8) -> list[CheckResult]:
+# run_world_pass_check's tolerances: b against Newton-Euler, to round-off;
+# J-dot qd against a central difference of J, good to about 1e-10
+WORLD_PASS_TOL_BIAS = 1e-10
+WORLD_PASS_TOL_JDOT = 1e-8
+
+
+def run_world_pass_check(model: RobotModel, n_states: int = 200,
+                         seed: int = 0) -> list[CheckResult]:
     """RigidBodyState's b against Newton-Euler inverse dynamics at qdd = 0,
-    and its J-dot qd against a central difference of J along qd (step 1e-6,
-    good to about 1e-10), as |got - ref| / (1 + |ref|) over random states."""
+    and its J-dot qd against a central difference of J along qd (step 1e-6),
+    as |got - ref| / (1 + |ref|) over random states."""
     worst = np.zeros(2)
     for st, _ in _random_states(model, n_states, seed):
         q, qd = st.q, st.qd
@@ -236,8 +247,8 @@ def run_world_pass_check(model: RobotModel, n_states: int = 200, seed: int = 0,
             # np.maximum keeps a NaN, so that it fails the check
             worst[i] = np.maximum(worst[i], np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref)))
     return [CheckResult(name, bool(w <= tol), float(w), tol, f"{n_states} states")
-            for name, w, tol in (("world_pass_bias_vs_rnea", worst[0], tol_bias),
-                                 ("world_pass_jdot_qd_vs_fd", worst[1], tol_jdot))]
+            for name, w, tol in (("world_pass_bias_vs_rnea", worst[0], WORLD_PASS_TOL_BIAS),
+                                 ("world_pass_jdot_qd_vs_fd", worst[1], WORLD_PASS_TOL_JDOT))]
 
 
 CHECK_NAMES = ("dynamics", "qp", "identity", "world_pass")

@@ -22,7 +22,6 @@ expressed in body frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -95,7 +94,8 @@ class RigidBodyState(ChainState):
     one cross product, masked by the joints that move each point; the COMs'
     [Jv | Jw] rows give M, with its Cholesky factor, and the last row J.
     b, g, J-dot qd and the rates behind J-dot follow from the point
-    velocities and column rates, formed once. Only minv is left to first use.
+    velocities and column rates, formed once; M^-1 (minv) is solved from the
+    factor.
     """
 
     def __init__(self, model: RobotModel, q, qd=None):
@@ -133,6 +133,7 @@ class RigidBodyState(ChainState):
         self.factor, info = dpotrf(self.mass, lower=1, clean=0)
         if info != 0:
             raise FactorizationError(f"mass matrix is not SPD at q={self.q!r}: dpotrf info {info}")
+        self.minv = self._solve(np.eye(n))
 
         # the accelerations a_i, alpha_i that qd alone causes: b - g and g
         # are one contraction of the COMs' [Jv | Jw] with the wrenches
@@ -183,11 +184,6 @@ class RigidBodyState(ChainState):
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs through the Cholesky factor."""
         return dpotrs(self.factor, rhs, lower=1)[0]
-
-    @cached_property
-    def minv(self) -> np.ndarray:
-        """Inverse mass matrix, solved from the Cholesky factor."""
-        return self._solve(np.eye(self.chain.n))
 
     def forward_dynamics(self, u: np.ndarray) -> np.ndarray:
         """Joint accelerations solving M qdd + b = u."""

@@ -87,12 +87,13 @@ class RecedingHorizon:
     A subclass's step reads its targets through _window, builds the nominal
     along the trajectory's own task hierarchy (TaskTrajectory.tasks) and
     calls _solve once. The QP is warm-started from the active set of the
-    last optimal solve, and solved by the controller's own QpSolver, which
-    keeps the QP's structure from tick to tick (see qp). A tick whose QP data is rejected (crossed terminal
-    boxes) or whose solve is not optimal is degraded: the subclass applies
-    its fallback command, the warm start is dropped, and the next tick that
-    reaches the trajectory end builds its terminal box TERMINAL_WIDEN times
-    wider.
+    last optimal solve; its structure is set up on the first tick and
+    found in qp's cache on the later ones of the same pattern (see qp), so
+    a tick only fills in values. A tick whose QP data is rejected (crossed
+    terminal boxes) or whose solve is not optimal is degraded: the subclass
+    applies its fallback command, the warm start is dropped, and the next
+    tick that reaches the trajectory end builds its terminal box
+    TERMINAL_WIDEN times wider.
     """
 
     def __init__(self, model: RobotModel, cfg: HorizonConfig):

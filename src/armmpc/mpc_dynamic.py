@@ -8,9 +8,12 @@ input and state of the horizon, stage by stage, with one block row of
 equalities per stage (build_prediction's, which build_dyn_qp writes from
 the stages as pinned general rows lin == Ain z == uin), torque/state boxes
 as bounds, and the tracking cost expressed through the projected task
-Jacobians of the nominal. In that order every dynamics row and every cost block stays within
-a band of a few stages, so the solver's banded KKT factorization costs the
-same per stage at any horizon.
+Jacobians of the nominal. In that order every dynamics row and every cost
+block stays within a band of a few stages, so the solver's banded KKT
+factorization costs the same per stage at any horizon. The rest of the
+solve does not: Ain is dense, so the products with its rows, the residuals
+and building the problem grow faster than the horizon (from h = 10 to 40,
+QpProblem about x9 and the residuals x11, against x5 for the KKT solves).
 """
 
 from __future__ import annotations

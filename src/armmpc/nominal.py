@@ -197,7 +197,8 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     relative cut t settles it first: with the eigenvalues r1 <= r2 <= 1 of
     the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3, so r1 >= 6.75 t
     there, far past the trigonometric eigenvalues' error, and both tests
-    agree. Otherwise, and for other sizes, the truncation runs on LAPACK's
+    agree. Otherwise, for a matrix whose det or trace^3 overflows (entries
+    past about 1e102) and for other sizes, the truncation runs on LAPACK's
     dsyevd over the lower triangle, called directly: the routine and the
     triangle that np.linalg.eigh uses, so the same bits, at less than half
     of eigh's time on a 3 x 3; a nonzero info is a LinAlgError, as in eigh.
@@ -215,8 +216,14 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
         det = a * c00 + b * c01 + c * c02
         cut = max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR)
         trace = a + d + f
-        kept = det > 0.0 and det >= cut * trace * trace * trace
-        if not kept:
+        # past entries of about 1e102 det or trace^3 overflows, and the closed
+        # form with it (an infinite det would scale the adjugate to zero);
+        # x - x is 0.0 for a finite x alone. The test itself keeps its own
+        # order of products, cut * trace * trace * trace, and so its rounding
+        cube = trace * trace * trace
+        closed = det - det == 0.0 and cube - cube == 0.0
+        kept = closed and det > 0.0 and det >= cut * trace * trace * trace
+        if closed and not kept:
             mean = trace / 3.0
             a0, d0, f0 = a - mean, d - mean, f - mean
             p = math.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0)

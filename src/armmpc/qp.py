@@ -19,14 +19,15 @@ product (BLAS dsbmv). Bounds stay bounds (as in qpOASES; Ferreau et al.,
 (of Ain, kept dense), so a bound's slack is sign * z_i - value, and no row
 is written out as +-e_i.
 
-Setup and update, as in OSQP (Stellato et al., 2020): setup(p) derives
-from the bounds and Ain a QpStructure, all that depends only on their
-pattern (the canonical row order, from which bounds are finite or pinned;
-each general row's nonzero span). A QpSolver keeps its last problem's
-structure, so an MPC's solver sets its QP up once and then only fills in
-the values of each tick's problem of that pattern; a new pattern (a newly
-pinned or infinite bound, a new nonzero of Ain) is set up afresh. A
-one-shot QpSolver().solve(p) sets up its problem, and kkt_check its own.
+Setup and update, as in OSQP (Stellato et al., 2020): the structure of a
+problem's rows depends only on its pattern (which sides of the bounds and
+Ain rows are finite or pinned, and Ain's nonzeros). _setup builds it once
+per pattern and caches it, as _band_layout caches the KKT layouts (Frison &
+Diehl, 2020); expand_constraints(p) fills it in with p's values, the one
+route from a problem to its rows. A QpSolver holds no state: a new pattern
+(a newly pinned or infinite bound, a new nonzero of Ain) is set up when it
+first appears, whoever solves it, and again only once evicted from the
+cache.
 
 The solver makes one start: a KKT solve with the equality rows and the rows
 of the warm active set, if one is given, held at equality. A start that is
@@ -109,7 +110,10 @@ class QpProblem:
     Hessian in LAPACK storage, ab[i, j] = H[j + i, j] of shape (w + 1, d)
     for a half-bandwidth 0 <= w < d, each entry finite, those past the last
     row (i + j >= d) unused. An absent input is filled here in its explicit
-    form: lb and ub with -inf and +inf, Ain, lin and uin with no rows."""
+    form: lb and ub with -inf and +inf, Ain, lin and uin with no rows. The
+    sides are gathered once, as sides = [lb; lin] over [ub; uin] of shape
+    (2, d + m), with their finiteness, so a problem's arrays are not to be
+    changed once it is built."""
 
     H: np.ndarray
     g: np.ndarray
@@ -118,6 +122,8 @@ class QpProblem:
     Ain: np.ndarray | None = None
     lin: np.ndarray | None = None
     uin: np.ndarray | None = None
+    sides: np.ndarray = field(init=False, repr=False)
+    finite: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("H", "g", "lb", "ub", "Ain", "lin", "uin"):
@@ -140,9 +146,12 @@ class QpProblem:
                 raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
         if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Ain)):
             raise QpDataError("H, g and Ain must be finite")
-        sides = _sides(self)
-        lo, hi = sides[:d + m], sides[d + m:]  # [lb; lin] and [ub; uin]
-        if not ((lo < np.inf).all() and (hi > -np.inf).all()):  # false on NaN too
+        self.sides = np.concatenate([self.lb, self.lin, self.ub, self.uin]).reshape(2, d + m)
+        self.finite = np.isfinite(self.sides)
+        lo, hi = self.sides
+        # a side that is not finite must be no bound: lo -inf, hi +inf (the
+        # comparisons are false on NaN too)
+        if not (self.finite.all() or (lo < np.inf).all() and (hi > -np.inf).all()):
             for name, never in (("lb", np.inf), ("ub", -np.inf), ("lin", np.inf), ("uin", -np.inf)):
                 val = getattr(self, name)
                 if np.isnan(val).any():
@@ -183,29 +192,14 @@ class QpSolution:
     dual_objective_history: list[float] = field(default_factory=list)
 
 
-def _sides(p: QpProblem) -> np.ndarray:
-    """[lb; lin; ub; uin]."""
-    return np.concatenate([p.lb, p.lin, p.ub, p.uin])
-
-
-def _pattern(p: QpProblem) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Whether each lower and upper side of the bounds, then of the Ain rows,
-    is finite and whether the two are pinned (equal); and these with Ain's
-    shape (rows, d) and its nonzeros."""
-    sides = _sides(p).reshape(2, -1)
-    finite, pinned = np.isfinite(sides), sides[0] == sides[1]
-    arrays = (finite, pinned, p.Ain != 0)
-    return finite, pinned, (p.Ain.shape, b"".join(a.tobytes() for a in arrays))
-
-
 class QpStructure(NamedTuple):
     """A QP's canonical rows a'z >= b, the first n_eq held at equality, as
-    setup derives them from its pattern, b and gen left for _rows to fill.
+    _setup derives them from a pattern, b and gen left for
+    expand_constraints to fill.
 
-    Row i reads sign[i] * s[src[i]] >= b[i] = sign[i] * _sides(p)[take[i]],
+    Row i reads sign[i] * s[src[i]] >= b[i] = sign[i] * sides.ravel()[take[i]],
     s = [z; gen z]: src < d is a bound on that variable, src >= d the
-    general row src - d of gen (Ain's rows), nonzero from first to last.
-    pattern: _pattern's key."""
+    general row src - d of gen (Ain's rows), nonzero from first to last."""
 
     b: np.ndarray | None
     n_eq: int
@@ -215,48 +209,48 @@ class QpStructure(NamedTuple):
     first: np.ndarray
     last: np.ndarray
     take: np.ndarray
-    pattern: tuple
 
     @property
     def n_in(self) -> int:
         return self.b.shape[0] - self.n_eq
 
-    def fits(self, p: QpProblem) -> bool:
-        """Whether setup(p) would give this structure: the same pattern."""
-        return self.pattern == _pattern(p)[2]
 
-
-def setup(p: QpProblem) -> QpStructure:
-    """The structure of p from its bounds and Ain alone. Canonical row order
-    (active-set ids): pinned bounds (lb == ub), pinned Ain rows (lin == uin);
-    then bound lowers, bound uppers, Ain lowers, Ain uppers (each skipping
-    infinities and pins).
+@lru_cache(maxsize=8)  # a few controllers' patterns
+def _setup(shape: tuple, finite: bytes, pinned: bytes, nonzeros: bytes) -> QpStructure:
+    """The structure shared by every problem of one pattern, built from the
+    pattern alone: Ain's shape (m, d); whether each lower and upper side of
+    the bounds, then of the Ain rows, is finite, and whether the two are
+    pinned (equal), as bytes of bools; and Ain's nonzeros, packed into bits.
+    Canonical row order (active-set ids): pinned bounds (lb == ub), pinned
+    Ain rows (lin == uin); then bound lowers, bound uppers, Ain lowers, Ain
+    uppers (each skipping infinities and pins).
     """
-    finite, pinned, pattern = _pattern(p)
-    d, n = p.dim, finite.shape[1]  # n sides: d bounds, then the Ain rows
+    m, d = shape
+    n = d + m  # sides: d bounds, then the Ain rows
+    finite = np.frombuffer(finite, dtype=bool).reshape(2, n)
+    pinned = np.frombuffer(pinned, dtype=bool)
+    nz = np.unpackbits(np.frombuffer(nonzeros, dtype=np.uint8), count=m * d).view(bool)
+    nz = nz.reshape(m, d)
     bound, (lower, upper) = np.arange(n) < d, finite & ~pinned
     picks = [np.flatnonzero(rows) for rows in
              (pinned, lower & bound, upper & bound, lower & ~bound, upper & ~bound)]
-    # a lower side (or a pin) at its index in _sides, an upper one n further
+    # a lower side (or a pin) at its index in sides.ravel(), an upper one n further
     take = np.concatenate([off + pick for off, pick in zip((0, 0, n, 0, n), picks)])
-    nz = p.Ain != 0
     structure = QpStructure(
         None, picks[0].size, np.concatenate(picks), np.where(take < n, 1.0, -1.0), None,
-        np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take, pattern)
+        np.argmax(nz, axis=1), d - 1 - np.argmax(nz[:, ::-1], axis=1), take)
     for arr in structure:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)  # every problem of the pattern shares them
     return structure
 
 
-def _rows(s: QpStructure, p: QpProblem) -> QpStructure:
-    """s with p's values filled in."""
-    return s._replace(b=s.sign * _sides(p)[s.take], gen=p.Ain)
-
-
 def expand_constraints(p: QpProblem) -> QpStructure:
-    """p's canonical rows, set up from its bounds and Ain alone (see setup)."""
-    return _rows(setup(p), p)
+    """p's canonical rows: the cached structure of its pattern (see _setup)
+    with p's values filled in."""
+    s = _setup(p.Ain.shape, p.finite.tobytes(), (p.sides[0] == p.sides[1]).tobytes(),
+               np.packbits(p.Ain != 0).tobytes())
+    return s._replace(b=s.sign * p.sides.ravel()[s.take], gen=p.Ain)
 
 
 def _values(rows: QpStructure, z: np.ndarray) -> np.ndarray:
@@ -491,18 +485,14 @@ def kkt_check(p: QpProblem, z: np.ndarray, active_set=(), multipliers=()) -> Kkt
 
 
 class QpSolver:
-    """One solver per controller, not shareable concurrently; keeps its last QpStructure."""
-
-    def __init__(self):
-        self.structure: QpStructure | None = None
+    """The dual active-set method; holds no state, so one solver serves any
+    number of problems and callers."""
 
     def solve(self, p: QpProblem, warm_start=None) -> QpSolution:
         """Solve p, warm-started from an active set if one is given, an empty one
         included; its integer row ids out of range are ignored, any other id
         is a ValueError."""
-        if self.structure is None or not self.structure.fits(p):
-            self.structure = setup(p)
-        rows = _rows(self.structure, p)
+        rows = expand_constraints(p)
         d = p.dim
         hess = _hessian(p.H)
         if hess.factor is None:

@@ -107,3 +107,16 @@ def test_certificate_sees_the_bound_rows(perfbench, monkeypatch):
     flipped = sol.multipliers.copy()
     flipped[strongest] *= -1.0
     assert not probes.certified(problem, replace(sol, multipliers=flipped))
+
+
+def test_each_workload_sets_up_as_many_qp_patterns_as_before(perfbench):
+    # a whole seed-0 pass of each workload: the kinematic MPC's QP has one
+    # pattern, the dynamic MPC's two (its rest start's first Ain is sparser
+    # than the rest), and the OSC baseline solves no QP
+    _, bench = perfbench
+    for w in bench.WORKLOADS.values():
+        qp._setup.cache_clear()
+        cfg = simulator.default_scenario_config(w.scenario, w.controller)
+        simulator.run_scenario(w.scenario, w.controller, load_bundled_model(w.model), cfg)
+        assert qp._setup.cache_info().misses == {"kin_singularity": 1, "dyn_payload": 2,
+                                                 "osc_payload": 0}[w.name], w.name

@@ -146,9 +146,10 @@ def test_state_without_velocity_is_at_rest(desk_model, rng):
     assert np.array_equal(st.forward_dynamics(st.gravity), np.zeros(desk_model.n))
 
 
-def test_constructor_factors_once_and_later_reads_only_solve_minv(desk_model, rng, monkeypatch):
-    # the constructor fills every quantity; of the reads, only minv solves,
-    # and only on its first use
+def test_constructor_factors_and_inverts_once_and_reads_solve_nothing(desk_model, rng,
+                                                                     monkeypatch):
+    # the constructor fills every quantity, M^-1 from one solve on M's
+    # factor; the reads solve nothing
     calls = {"dpotrf": 0, "dpotrs": 0}
 
     def counting(name, lapack):
@@ -160,7 +161,7 @@ def test_constructor_factors_once_and_later_reads_only_solve_minv(desk_model, rn
     for name in calls:
         monkeypatch.setattr(dynamics, name, counting(name, getattr(dynamics, name)))
     st = RigidBodyState(desk_model, random_config(desk_model, rng), rng.standard_normal(6))
-    assert calls == {"dpotrf": 1, "dpotrs": 0}
+    assert calls == {"dpotrf": 1, "dpotrs": 1}
     for _ in range(2):
         (st.mass, st.factor, st.bias, st.gravity, st.jdot_qd, st.jacobian(), st.jacobian_dot(),
          st.minv)

@@ -216,19 +216,18 @@ def test_negative_tick_is_rejected(desk_model, rng):
 
 
 @pytest.fixture
-def setups(monkeypatch):
-    """The problems qp.setup was called on."""
-    seen = []
-    setup = qp.setup
-    monkeypatch.setattr(qp, "setup", lambda p: seen.append(p) or setup(p))
-    return seen
+def setups():
+    """How many patterns qp._setup has set up since the test began."""
+    qp._setup.cache_clear()
+    return lambda: qp._setup.cache_info().misses
 
 
 @pytest.mark.parametrize("scenario, controller, model", [
     ("singularity_pass", "kin_mpc", "rs020n"), ("payload_pick_place", "dyn_mpc", "rs007n")])
 def test_qp_is_set_up_once_per_controller(setups, scenario, controller, model):
-    # off the scenario's rest start every tick's QP has one pattern: the
-    # controller sets it up on its first tick and then only fills in values
+    # off the scenario's rest start every tick's QP has one pattern: it is
+    # set up on the controller's first tick, and the later ticks only fill
+    # in values
     robot = load_bundled_model(model)
     cfg = simulator.default_scenario_config(scenario, controller)
     cfg.max_ticks = 50
@@ -236,10 +235,10 @@ def test_qp_is_set_up_once_per_controller(setups, scenario, controller, model):
     q0 = trajgen.scenario_initial_config(scenario, robot) + 1e-3
     result = simulator.run_scenario((traj, q0), controller, robot, cfg)
     assert len(result.q) == 50 and result.metrics.degraded_ticks == 0
-    assert len(setups) == 1
+    assert setups() == 1
 
 
-def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
+def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng, setups):
     # with no upper limit on joint 0, the terminal box that appears when the
     # window reaches the trajectory end makes that bound finite: a new
     # pattern, set up afresh, whose active sets name the new rows
@@ -247,7 +246,7 @@ def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
     unbounded = replace(desk_model, joints=(replace(first, q_limits=(first.q_limits[0], np.inf)),)
                         + desk_model.joints[1:])
     ctl = mpc_kinematic.KinematicMpc(unbounded, mpc_kinematic.KinematicMpcConfig(horizon=4))
-    problems, kept = [], []
+    problems, set_up = [], []
     build = mpc_kinematic.build_kin_qp
 
     def recording_build(*args, **kwargs):
@@ -265,10 +264,10 @@ def test_terminal_box_on_an_unbounded_joint_gets_a_fresh_setup(desk_model, rng):
             assert qp.kkt_check(problems[-1], sol.z_star, sol.active_set,
                                 sol.multipliers).max() <= 1e-8 * (1 + np.linalg.norm(problems[-1].g))
             q = res.q_cmd
-            kept.append(ctl.solver.structure)
+            set_up.append(setups())
     ends = [np.isfinite(p.ub).sum() for p in problems]
     assert ends[:3] == [ends[0]] * 3 and ends[3:] == [ends[0] + 1] * 3  # the box from tick 3 on
-    assert kept[0] is kept[1] is kept[2] is not kept[3] is kept[4] is kept[5]
+    assert set_up == [1, 1, 1, 2, 2, 2]
 
 
 @settings(max_examples=80, deadline=None)

@@ -216,7 +216,7 @@ def test_dyn_qp_equality_rows_are_block_banded(desk_model, rng):
     ns = nx + n
     assert problem.Ain.shape == (n_p * nx, n_p * ns)
     np.testing.assert_array_equal(problem.lin, problem.uin)
-    structure = qp.setup(problem)
+    structure = qp.expand_constraints(problem)
     assert structure.n_eq == n_p * nx
     np.testing.assert_array_equal(structure.src[:structure.n_eq], n_p * ns + np.arange(n_p * nx))
     np.testing.assert_array_equal(structure.sign[:structure.n_eq], 1.0)

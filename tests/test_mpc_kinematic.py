@@ -478,10 +478,10 @@ def test_kinematic_tick_stays_within_its_call_budget():
         cfg.max_ticks = 101
         simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
     assert cfg.horizon == 10
-    assert counts["call"] <= 275 and counts["c_call"] <= 419, counts
+    assert counts["call"] <= 255 and counts["c_call"] <= 415, counts
 
 
-@pytest.mark.parametrize("controller, budget", [("osc", (19, 34)), ("dyn_mpc", (439, 783))])
+@pytest.mark.parametrize("controller, budget", [("osc", (19, 34)), ("dyn_mpc", (415, 747))])
 def test_operational_space_step_stays_within_its_call_budget(controller, budget):
     # the same measure for the operational-space step, at tick 100 of the
     # payload move on rs007n: the calls of osc_torque, the whole OSC

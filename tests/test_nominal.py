@@ -225,6 +225,21 @@ def test_psd_pinv_is_the_eigh_truncation_to_the_bit(rng, dsyevd_calls, size, spe
         assert np.linalg.matrix_rank(got) == rank
 
 
+def test_psd_pinv_of_a_huge_3x3_is_left_to_lapack(rng, dsyevd_calls):
+    # past entries of about 1e102 the determinant overflows to inf, which
+    # the closed form would take for a kept matrix and scale the adjugate by
+    # 1/inf = 0; such a matrix goes to dsyevd, the eigh truncation's routine
+    got = nominal._psd_pinv(np.diag([1e110] * 3), 1e-2)
+    np.testing.assert_allclose(got, 1e-110 * np.eye(3), rtol=1e-14, atol=0)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    sym = (u * [3e105, 2e105, 1e105]) @ u.T
+    del dsyevd_calls[:]
+    got = nominal._psd_pinv(sym, 1e-2)
+    assert len(dsyevd_calls) == 1
+    np.testing.assert_array_equal(got, eigh_pinv(sym, 1e-2))
+    np.testing.assert_allclose(got @ sym, np.eye(3), atol=1e-12)
+
+
 @pytest.mark.parametrize("size", [3, 6])
 @pytest.mark.parametrize("where", [(0, 0), (2, 1), (1, 2)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -739,7 +739,8 @@ def test_far_off_diagonal_hessian_entry_is_kept(rng):
     # a tridiagonal H is a band of half-width 1; one more entry couples the
     # first and last variables, so that H is a full-width band. Solved after
     # the tridiagonal problem with its active set as the warm start, on the
-    # solver's kept structure, the coupled problem must see that entry
+    # cached structure of their one pattern, the coupled problem must see
+    # that entry
     d = 6
     tri = np.diag(np.full(d, 2.0)) - 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
     coupled = tri.copy()
@@ -820,39 +821,36 @@ def test_empty_working_set_back_solve_matches_banded_kkt(kin_mpc_qps):
         assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= threshold
 
 
-def one_shot(p):
-    """p rebuilt from its arrays, to be solved on a structure of its own."""
-    return QpProblem(H=p.H.copy(), g=p.g.copy(), lb=p.lb, ub=p.ub, Ain=p.Ain, lin=p.lin,
-                     uin=p.uin)
+def fresh_solve(p, warm_start=None):
+    """p solved after qp._setup's cache is cleared, so on a structure set up afresh."""
+    qp._setup.cache_clear()
+    return QpSolver().solve(p, warm_start=warm_start)
 
 
 @pytest.mark.parametrize("recorded", ["kin_mpc_qps", "dyn_mpc_qps"])
-def test_structure_path_matches_one_shot_solve(request, monkeypatch, hot_starts, recorded):
-    # one solver over a run keeps its QP's structure and fills in values;
-    # the one-shot solve sets every problem up from its own arrays. On
+def test_cached_structure_matches_a_fresh_setup(request, hot_starts, recorded):
+    # over a run, every problem's rows come from the cached structure of its
+    # pattern; a solve after cache_clear() sets its pattern up afresh. On
     # accepted hot starts the two agree bit for bit
-    setups = []
-    setup = qp.setup
-    monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
-    solver, accepted, own_setups = QpSolver(), 0, 0
+    qp._setup.cache_clear()
+    solver, accepted = QpSolver(), []
     for p, warm in request.getfixturevalue(recorded):
-        judged, before = len(hot_starts), len(setups)
+        judged = len(hot_starts)
         sol = solver.solve(p, warm_start=warm)
-        own_setups += len(setups) - before
-        if hot_starts[judged:] in ([], [None]):
-            continue
-        accepted += 1
-        ref = QpSolver().solve(one_shot(p), warm_start=warm)
+        if hot_starts[judged:] not in ([], [None]):
+            accepted.append((p, warm, sol))
+    # the dynamic MPC's run starts at rest, where its stage rows' velocity
+    # part holds exact zeros, so its first Ain is sparser than the rest: two
+    # patterns, each set up once. The kinematic MPC's QP has no step-0 block,
+    # where its zeros sat, so its one pattern is set up once
+    assert qp._setup.cache_info().misses == {"kin_mpc_qps": 1, "dyn_mpc_qps": 2}[recorded]
+    assert len(accepted) >= 90
+    for p, warm, sol in accepted:
+        ref = fresh_solve(p, warm)
         assert hot_starts[-1] is not None and sol.status == ref.status == OPTIMAL
         np.testing.assert_array_equal(sol.z_star, ref.z_star)
         np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
         assert sol.active_set == ref.active_set
-    assert accepted >= 90
-    # the dynamic MPC's run starts at rest, where its stage rows' velocity
-    # part holds exact zeros, so its first Ain is sparser than the rest: set
-    # up twice, then filled in. The kinematic MPC's QP has no step-0 block,
-    # where its zeros sat, so its one pattern is set up once
-    assert own_setups == {"kin_mpc_qps": 1, "dyn_mpc_qps": 2}[recorded]
 
 
 def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_mpc_qps,
@@ -873,14 +871,11 @@ def test_one_regularization_for_the_solver_and_the_certificate(kin_mpc_qps, dyn_
                                        rtol=1e-6)
 
 
-def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
-    # a pinned or infinite bound or a new zero of Ain does not fit the kept
-    # structure: that problem is set up afresh, so its active set names its
-    # own rows, never stale ones. A wider band of H is no new pattern: the
-    # structure holds nothing of H
-    setups = []
-    setup = qp.setup
-    monkeypatch.setattr(qp, "setup", lambda p: setups.append(p) or setup(p))
+def test_each_new_pattern_is_set_up_once(rng):
+    # a pinned or infinite bound or a new zero of Ain is a new pattern: set
+    # up once, when it first appears, so its active set names its own rows,
+    # never stale ones; a pattern seen before is not set up again. A wider
+    # band of H is no new pattern: the structure holds nothing of H
     d = 5
     half = rng.standard_normal((d, d))
     tri = np.diag(np.full(d, 3.0)) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
@@ -893,19 +888,62 @@ def test_a_new_pattern_gets_a_fresh_setup(rng, monkeypatch):
     tri[0, -1] = tri[-1, 0] = 0.4
     coupled["H"] = lower_band(tri, d - 1)
     sparser["Ain"][0, 2] = 0.0
-    solver = QpSolver()
-    warm = solver.solve(QpProblem(**base)).active_set
-    for data, fresh in ((base, False), (pinned, True), (base, True), (coupled, False),
-                        (infinite, True), (sparser, True), (base, True)):
+    qp._setup.cache_clear()
+    solver, warm, solved = QpSolver(), None, []
+    for data, fresh in ((base, True), (pinned, True), (base, False), (coupled, False),
+                        (infinite, True), (sparser, True), (base, False)):
         p = QpProblem(**data)
-        before = len(setups)
+        before = qp._setup.cache_info().misses
         sol = solver.solve(p, warm_start=warm)
-        assert len(setups) - before == fresh  # once per change of pattern
-        ref = QpSolver().solve(one_shot(p))
+        assert qp._setup.cache_info().misses - before == fresh
+        solved.append((p, sol))
+        warm = sol.active_set
+    for p, sol in solved:
+        ref = fresh_solve(p)
         assert sol.status == ref.status == OPTIMAL
         np.testing.assert_allclose(sol.z_star, ref.z_star, rtol=0, atol=1e-9)
         assert kkt_check(p, sol.z_star, sol.active_set, sol.multipliers).max() <= 1e-9
-        warm = sol.active_set
+
+
+def two_patterns(rng):
+    """Two problems of d = 4 whose patterns differ in one pinned bound."""
+    half = rng.standard_normal((4, 4))
+    data = dict(H=lower_band(half @ half.T + np.eye(4), 3), g=rng.standard_normal(4),
+                lb=-np.ones(4), ub=np.ones(4), Ain=half[:1], lin=-np.ones(1), uin=np.ones(1))
+    pinned = {**data, "lb": np.array([-1.0, 0.5, -1.0, -1.0]),
+              "ub": np.array([1.0, 0.5, 1.0, 1.0])}
+    return QpProblem(**data), QpProblem(**pinned)
+
+
+def test_alternating_patterns_are_set_up_once_each(rng):
+    # one solver switching between two patterns on every solve sets each up
+    # once; the solves after that fill in the cached structures
+    problems = two_patterns(rng)
+    qp._setup.cache_clear()
+    solver = QpSolver()
+    for p in problems * 3:
+        assert solver.solve(p).status == OPTIMAL
+    assert qp._setup.cache_info().misses == 2
+
+
+def test_solvers_share_one_structure(rng, monkeypatch):
+    # the structure of a pattern is one object, whichever solver asks
+    built = []
+    setup = qp._setup
+    monkeypatch.setattr(qp, "_setup", lambda *key: built.append(setup(*key)) or built[-1])
+    p, _ = two_patterns(rng)
+    q = QpProblem(H=p.H, g=-p.g, lb=2.0 * p.lb, ub=2.0 * p.ub, Ain=p.Ain, lin=p.lin, uin=p.uin)
+    for problem in (p, q):
+        assert QpSolver().solve(problem).status == OPTIMAL
+    assert len(built) == 2 and built[0] is built[1]
+
+
+def test_solver_holds_no_state(rng):
+    solver = QpSolver()
+    assert vars(solver) == {}
+    for p in two_patterns(rng):
+        solver.solve(p)
+    assert vars(solver) == {}
 
 
 def test_band_round_trips_through_the_dense_hessian(rng):
