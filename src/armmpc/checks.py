@@ -4,8 +4,9 @@ the dynamics and the QP brute-force oracle.
 These back the `check` CLI command and are reused by the test suite. The
 oracles here are deliberately independent of the implementations they judge:
 the QP reference enumerates active sets instead of iterating, the dynamics
-references differentiate numerically, and the world-frame pass is judged by
-the Newton-Euler pass and by a difference of the Jacobian.
+references differentiate numerically, and the world-frame passes are judged
+by the recursive Newton-Euler pass in link frames (rnea_link_frame, with its
+motion transforms) and by a difference of the Jacobian.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RigidBodyState, dynamics_derivatives, forward_dynamics, inverse_dynamics
-from .kinematics import geometric_jacobian
+from .dynamics import RigidBodyState, _icrf, _mv, dynamics_derivatives, forward_dynamics
+from .kinematics import _crm, _skew, geometric_jacobian
 from .qp import QpProblem, QpSolver, regularized_hessian
 from .robot_model import RobotModel
 
@@ -226,6 +227,84 @@ def run_identity_check(model: RobotModel, n_states: int = 200, seed: int = 1,
     return CheckResult("fd_id_derivative_identity", True, worst, tol, f"{n_states} states")
 
 
+def motion_transforms(local: np.ndarray) -> np.ndarray:
+    """Motion transforms X_k (parent link frame into link k) of a (B, n, 4, 4)
+    stack of local homogeneous transforms, shape (B, n, 6, 6)."""
+    rt = local[..., :3, :3].swapaxes(-1, -2)
+    xs = np.zeros(local.shape[:-2] + (6, 6))
+    xs[..., :3, :3] = rt
+    xs[..., 3:, 3:] = rt
+    xs[..., 3:, :3] = -rt @ _skew(local[..., :3, 3])
+    return xs
+
+
+def rnea_link_frame(model: RobotModel, local: np.ndarray, qd: np.ndarray,
+                    qdd: np.ndarray) -> np.ndarray:
+    """Inverse dynamics and its derivatives at a stack of B states by the
+    recursive Newton-Euler passes in link frames, [d tau/dq | d tau/dqd |
+    tau], shape (B, n, 2n + 1): the oracle of dynamics' world-frame pass.
+
+    local is the (B, n, 4, 4) stack of the states' local transforms
+    (ChainState.local), qd and qdd are (B, n). Each link's velocity,
+    acceleration and force is carried beside its derivatives by q and qd
+    (Carpentier & Mansard, 2018) through the motion transforms, with
+    spatial vectors [angular; linear] in body frames; columns 0..n-1 of every
+    (B, 6, 2n) intermediate are derivatives by q, columns n..2n-1 by qd.
+    """
+    b, n = qd.shape
+    xs = motion_transforms(local)
+    subspace = np.hstack([[j.axis for j in model.joints], np.zeros((n, 3))])
+    crm_s = _crm(subspace)  # _crm(s * qd) = qd * crm_s; s's force cross operator is -crm_s'
+    # each link's spatial inertia about its frame origin
+    inertia = np.empty((n, 6, 6))
+    for k, link in enumerate(model.links):
+        cx = _skew(link.com)
+        inertia[k, :3, :3] = link.inertia_tensor + link.mass * (cx @ cx.T)
+        inertia[k, :3, 3:] = link.mass * cx
+        inertia[k, 3:, :3] = link.mass * cx.T
+        inertia[k, 3:, 3:] = link.mass * np.eye(3)
+    v_prev = np.zeros((b, 6))
+    a_prev = np.broadcast_to(np.concatenate([np.zeros(3), -model.gravity]), (b, 6))
+    dv_prev = np.zeros((b, 6, 2 * n))
+    da_prev = np.zeros((b, 6, 2 * n))
+    # per link: [df | f], the force derivatives with the force as last column
+    forces = []
+    for k in range(n):
+        x, s = xs[:, k], subspace[k]
+        qd_k = qd[:, k, None]
+        vj = qd_k * s
+        xv = _mv(x, v_prev)
+        xa = _mv(x, a_prev)
+        v = xv + vj
+        crm_v = _crm(v)
+        crf_v = -crm_v.transpose(0, 2, 1)
+        a = xa + qdd[:, k, None] * s + _mv(crm_v, vj)
+
+        dv = x @ dv_prev
+        dv[:, :, k] -= xv @ crm_s[k].T
+        dv[:, :, n + k] += s
+        da = x @ da_prev - qd_k[..., None] * (crm_s[k] @ dv)
+        da[:, :, k] -= xa @ crm_s[k].T
+        da[:, :, n + k] += crm_v @ s
+
+        iv = v @ inertia[k].T
+        blk = np.empty((b, 6, 2 * n + 1))
+        blk[:, :, -1] = a @ inertia[k].T + _mv(crf_v, iv)
+        blk[:, :, :-1] = inertia[k] @ da + (_icrf(iv) + crf_v @ inertia[k]) @ dv
+        forces.append(blk)
+        v_prev, a_prev, dv_prev, da_prev = v, a, dv, da
+
+    tau = np.empty((b, n, 2 * n + 1))
+    for k in range(n - 1, -1, -1):
+        blk = forces[k]
+        tau[:, k] = subspace[k] @ blk
+        if k > 0:
+            # the joint-k rotation also turns the force passed to the parent
+            blk[:, :, k] -= blk[:, :, -1] @ crm_s[k]
+            forces[k - 1] += xs[:, k].transpose(0, 2, 1) @ blk
+    return tau
+
+
 # run_world_pass_check's tolerances: b against Newton-Euler, to round-off;
 # J-dot qd against a central difference of J, good to about 1e-10
 WORLD_PASS_TOL_BIAS = 1e-10
@@ -234,13 +313,13 @@ WORLD_PASS_TOL_JDOT = 1e-8
 
 def run_world_pass_check(model: RobotModel, n_states: int = 200,
                          seed: int = 0) -> list[CheckResult]:
-    """RigidBodyState's b against Newton-Euler inverse dynamics at qdd = 0,
-    and its J-dot qd against a central difference of J along qd (step 1e-6),
-    as |got - ref| / (1 + |ref|) over random states."""
+    """RigidBodyState's b against the link-frame Newton-Euler pass at
+    qdd = 0, and its J-dot qd against a central difference of J along qd
+    (step 1e-6), as |got - ref| / (1 + |ref|) over random states."""
     worst = np.zeros(2)
     for st, _ in _random_states(model, n_states, seed):
         q, qd = st.q, st.qd
-        rnea = inverse_dynamics(model, q, qd, np.zeros(model.n))
+        rnea = rnea_link_frame(model, st.local[None], qd[None], np.zeros((1, model.n)))[0, :, -1]
         fd = _central_difference(lambda t: geometric_jacobian(model, q + t * qd) @ qd,
                                  np.zeros(1), 1e-6)[:, 0]
         for i, (got, ref) in enumerate(((st.bias, rnea), (st.jdot_qd, fd))):

@@ -10,13 +10,18 @@ Forward dynamics solves M qdd = u - b through a Cholesky factorization
 (LAPACK dpotrf/dpotrs).
 
 Inverse dynamics and the derivatives that trajectory linearization needs
-come from one recursive Newton-Euler pass in spatial vector algebra, batched
-over a stack of states: it carries each link force beside its derivatives by
-q and qd (Carpentier & Mansard, Analytical derivatives of rigid body dynamics
-algorithms, 2018), so one pass linearizes a whole horizon and a single state,
-or a single inverse-dynamics call, is a batch of one. Its finite-difference
-oracle lives in checks.py. Spatial vectors are ordered [angular; linear] and
-expressed in body frames.
+come from one closed-form pass in the world frame, batched over a stack of
+states (Carpentier & Mansard, Analytical derivatives of rigid body dynamics
+algorithms, 2018, the form Pinocchio uses). Spatial vectors are ordered
+[angular; linear] and taken at the world origin, so every joint's motion
+subspace, every link's velocity, acceleration and inertia, and every force
+is read from the chain state's world frames alone: no motion transform is
+built, and the sums over the links past each joint are one product with a
+triangular ones matrix, so the pass has no Python loop over the joints. It
+returns [d tau/dq | d tau/dqd | tau]; one pass linearizes a whole horizon,
+and a single inverse-dynamics call is a batch of one. checks.py holds its
+oracles: the link-frame recursive Newton-Euler pass, with the motion
+transforms of the chain's local transforms, and central differences.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kinematics import ChainState, _crm, _cross_operator, _cross, _cross_slots, _skew
+from .kinematics import ChainState, _crm, _cross_operator, _cross, _cross_slots
 from .robot_model import RobotModel
 
 
@@ -47,20 +52,21 @@ def _icrf(f: np.ndarray) -> np.ndarray:
     return _cross_operator(np.asarray(f), _ICRF_SLOTS)
 
 
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """x itself, or a ValueError naming it when an entry is not finite.
+
+    Call-free on the hot path: a NaN or infinite entry makes the sum NaN or
+    infinite, and then total - total is NaN; only then is x scanned, so that
+    a finite x whose sum overflows passes."""
+    total = sum(x.ravel().tolist())
+    if total - total != 0.0 and not np.isfinite(x).all():
+        raise ValueError(f"{name} is not finite: {x!r}")
+    return x
+
+
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Row-wise matrix-vector products of (B, r, c) and (B, c) stacks."""
     return (mats @ vecs[..., None])[..., 0]
-
-
-def _motion_transforms(local: np.ndarray) -> np.ndarray:
-    """Motion transforms X_k (parent link frame into link k) of a (B, n, 4, 4)
-    stack of local homogeneous transforms, shape (B, n, 6, 6)."""
-    rt = local[..., :3, :3].swapaxes(-1, -2)
-    xs = np.zeros(local.shape[:-2] + (6, 6))
-    xs[..., :3, :3] = rt
-    xs[..., 3:, 3:] = rt
-    xs[..., 3:, :3] = -rt @ _skew(local[..., :3, 3])
-    return xs
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +109,10 @@ class RigidBodyState(ChainState):
         c = self.chain
         n = c.n
         self.qd = qd = np.zeros(n) if qd is None else model.check_q(qd, "qd")
-        # a NaN or infinite entry makes the sum NaN or infinite, and then
-        # total - total is NaN; refused before the velocity pass, as M's check
-        # refuses such a q
+        # _finite's test, inline on the hot path; refused before the velocity
+        # pass, as M's check refuses such a q
         total = sum(qd.tolist())
-        if total - total != 0.0:
+        if total - total != 0.0 and not np.isfinite(qd).all():
             raise ValueError(f"qd is not finite: {qd!r}")
         axis_w, origin_w, rot_w = self.axis_w, self.origin_w, self.rot_w
         # each point minus every joint origin, and its linear Jacobian
@@ -199,68 +204,83 @@ class RigidBodyState(ChainState):
         return RigidBodyState(self.model, self.q + dt * qd, qd), qdd
 
 
-def _rnea(chain, xs: np.ndarray, qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
+# the (0, 3) block of a 6 x 6 operator: skew(v), for the Gram factor of a
+# world spatial inertia
+_COM_SLOTS = _cross_slots(((0, 3, 0, 1.0),))
+
+
+def _id_derivatives(chain, axis_w: np.ndarray, origin_w: np.ndarray, rot_w: np.ndarray,
+                    qd: np.ndarray, qdd: np.ndarray) -> np.ndarray:
     """Inverse dynamics and its derivatives at a stack of B states,
     [d tau/dq | d tau/dqd | tau], shape (B, n, 2n + 1).
 
-    The Newton-Euler passes and their derivatives for all states at once
-    (Carpentier & Mansard, 2018): xs is the (B, n, 6, 6) stack of motion
-    transforms, qd and qdd are (B, n). Columns 0..n-1 of every (B, 6, 2n)
-    intermediate are derivatives by q, columns n..2n-1 by qd; the only
-    Python loops run over the joints.
+    The world frames axis_w, origin_w (B, n, 3) and rot_w (B, n, 3, 3) are
+    the states' own, qd and qdd are (B, n). With x the motion and x* the
+    force cross product, per joint k: S_k = [z_k; o_k x z_k], V_k = sum_{l<=k}
+    S_l qd_l, S'_k = V_k x S_k, A_k = a_base + sum_{l<=k} (S_l qdd_l + S'_l
+    qd_l) and u_k = A_k x S_k + V_k x S'_k; per link, with I_i its world
+    spatial inertia and h_i = I_i V_i: F_i = I_i A_i + V_i x* h_i and B_i =
+    crf(V_i) I_i - I_i crm(V_i) + icrf(h_i); summed over the links i >= m,
+    IC_m, BC_m and Fc_m. Then tau_j = S_j . Fc_j and, with m = max(j, k),
+    d tau_j/dq_k = S_j . (IC_m u_k + BC_m S'_k), plus S_k x* Fc_k inside the
+    bracket when j < k, and d tau_j/dqd_k = S_j . (2 IC_m S'_k + BC_m S_k).
     """
     b, n = qd.shape
-    v_prev = np.zeros((b, 6))
-    a_prev = np.broadcast_to(chain.a_base, (b, 6))
-    dv_prev = np.zeros((b, 6, 2 * n))
-    da_prev = np.zeros((b, 6, 2 * n))
-    # per link: [df | f], the force derivatives with the force as last column
-    forces = []
-    for k in range(n):
-        x = xs[:, k]
-        s = chain.subspace[k]
-        crm_s = chain.crm_s[k]
-        inertia = chain.inertia[k]
-        qd_k = qd[:, k, None]
-        vj = qd_k * s
-        xv = _mv(x, v_prev)
-        xa = _mv(x, a_prev)
-        v = xv + vj
-        crm_v = _crm(v)
-        crf_v = -crm_v.transpose(0, 2, 1)
-        a = xa + qdd[:, k, None] * s + _mv(crm_v, vj)
+    s = np.empty((b, n, 6))
+    s[..., :3] = axis_w
+    s[..., 3:] = _cross(origin_w, axis_w)
+    vel = np.cumsum(s * qd[..., None], axis=1)
+    crm_v = _crm(vel)
+    s_dot = _mv(crm_v, s)
+    acc = np.cumsum(s * qdd[..., None] + s_dot * qd[..., None], axis=1) + chain.a_base
+    u = _mv(_crm(acc), s) + _mv(crm_v, s_dot)
 
-        dv = x @ dv_prev
-        dv[:, :, k] -= xv @ crm_s.T
-        dv[:, :, n + k] += s
-        da = x @ da_prev - qd_k[..., None] * (crm_s @ dv)
-        da[:, :, k] -= xa @ crm_s.T
-        da[:, :, n + k] += crm_v @ s
+    # [I | B | F] of every link; I = G G', G = [[R_i L_i, sqrt(m_i) [c_i]x],
+    # [0, sqrt(m_i) 1]] with c_i the world COM and L_i L_i' the COM inertia
+    com = origin_w + (rot_w @ chain.com[:, :, None])[..., 0]
+    gram = _cross_operator(chain.root_mass[:, None] * com, _COM_SLOTS)
+    gram[..., :3, :3] = rot_w @ chain.root_inertia
+    gram[..., 3:, 3:] = chain.root_mass[:, None, None] * np.eye(3)
+    link = np.empty((b, n, 6, 13))
+    inertia = link[..., :6]
+    np.matmul(gram, gram.swapaxes(-1, -2), out=inertia)
+    # crf(V) = -crm(V)', and crf(V) I = -(I crm(V))' as I is symmetric
+    iva = inertia @ np.stack([vel, acc], axis=-1)
+    h = iva[..., 0]
+    link[..., 12] = iva[..., 1] - _mv(crm_v.swapaxes(-1, -2), h)
+    i_crm = inertia @ crm_v
+    link[..., 6:12] = _icrf(h) - i_crm - i_crm.swapaxes(-1, -2)
+    # [IC | BC | Fc]: the sums over the links i >= m, moves' [link, joint] transposed
+    comp = (chain.moves.T @ link.reshape(b, n, 78)).reshape(b, n, 6, 13)
+    fc = comp[..., 12]
 
-        iv = v @ inertia.T
-        blk = np.empty((b, 6, 2 * n + 1))
-        blk[:, :, -1] = a @ inertia.T + _mv(crf_v, iv)
-        blk[:, :, :-1] = inertia @ da + (_icrf(iv) + crf_v @ inertia) @ dv
-        forces.append(blk)
-        v_prev, a_prev, dv_prev, da_prev = v, a, dv, da
-
-    tau = np.empty((b, n, 2 * n + 1))
-    for k in range(n - 1, -1, -1):
-        blk = forces[k]
-        tau[:, k] = chain.subspace[k] @ blk
-        if k > 0:
-            # the joint-k rotation also turns the force passed to the parent
-            blk[:, :, k] -= blk[:, :, -1] @ chain.crm_s[k]
-            forces[k - 1] += xs[:, k].transpose(0, 2, 1) @ blk
-    return tau
+    out = np.empty((b, n, 2 * n + 1))
+    out[..., -1] = (s[..., None, :] @ fc[..., None])[..., 0, 0]
+    # per joint k the columns [u_k, 2 S'_k] over [S'_k, S_k] that [IC | BC] multiplies
+    cols = np.empty((b, n, 12, 2))
+    cols[..., :6, 0] = u
+    cols[..., :6, 1] = 2.0 * s_dot
+    cols[..., 6:, 0] = s_dot
+    cols[..., 6:, 1] = s
+    # j >= k: (S_j' [IC_j | BC_j]) cols_k; j < k: S_j' ([IC_k | BC_k] cols_k + ...)
+    near = (s[..., None, :] @ comp[..., :12])[..., 0, :]
+    lower = near @ cols.transpose(0, 2, 3, 1).reshape(b, 12, 2 * n)
+    far = comp[..., :12] @ cols
+    far[..., 0] += _mv(_icrf(fc), s)  # S_k x* Fc_k: joint k also turns the forces past it
+    upper = s @ far.transpose(0, 2, 3, 1).reshape(b, 6, 2 * n)
+    np.copyto(upper, lower, where=np.tile(chain.moves, 2) != 0)
+    out[..., :-1] = upper
+    return out
 
 
 def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
-    """Joint forces u = M(q) qdd + b(q, qd) via recursive Newton-Euler."""
-    st = ChainState(model, q)
-    qd = model.check_q(qd, "qd")
-    qdd = model.check_q(qdd, "qdd")
-    return _rnea(st.chain, _motion_transforms(st.local[None]), qd[None], qdd[None])[0, :, -1]
+    """Joint forces u = M(q) qdd + b(q, qd), a batch of one through the
+    world-frame pass. Raises ValueError for a q, qd or qdd that is not finite."""
+    st = ChainState(model, _finite(model.check_q(q), "q"))
+    qd = _finite(model.check_q(qd, "qd"), "qd")
+    qdd = _finite(model.check_q(qdd, "qdd"), "qdd")
+    return _id_derivatives(st.chain, st.axis_w[None], st.origin_w[None], st.rot_w[None],
+                           qd[None], qdd[None])[0, :, -1]
 
 
 def bias_forces(model: RobotModel, q, qd) -> np.ndarray:
@@ -274,8 +294,9 @@ def mass_matrix(model: RobotModel, q) -> np.ndarray:
 
 
 def forward_dynamics(model: RobotModel, q, qd, u) -> np.ndarray:
-    """Joint accelerations solving M(q) qdd + b(q, qd) = u."""
-    u = model.check_q(u, "u")
+    """Joint accelerations solving M(q) qdd + b(q, qd) = u; a ValueError for
+    a q, qd or u that is not finite."""
+    u = _finite(model.check_q(u, "u"), "u")
     return RigidBodyState(model, q, qd).forward_dynamics(u)
 
 
@@ -284,10 +305,10 @@ def dynamics_derivatives(states, qdd) -> DynamicsDerivatives:
     axis at a sequence of B states of one model.
 
     qdd is (n,) or (B, n), each row consistent with its state's nominal
-    torque (the caller's contract). The motion transforms of all states come
-    from one call, and the analytic inverse-dynamics blocks from one batched
-    pass. Raises ValueError for an empty batch, states of two models or a qdd
-    of another shape.
+    torque (the caller's contract). The analytic inverse-dynamics blocks of
+    all states come from one batched world-frame pass over their frames.
+    Raises ValueError for an empty batch, states of two models, or a qdd of
+    another shape or that is not finite.
     """
     single = isinstance(states, RigidBodyState)
     states = (states,) if single else states
@@ -299,9 +320,10 @@ def dynamics_derivatives(states, qdd) -> DynamicsDerivatives:
     qdd = np.asarray(qdd, dtype=float)
     if qdd.shape != ((n,) if single else (len(states), n)):
         raise ValueError(f"qdd must hold one ({n},) row per state, got shape {qdd.shape}")
-    xs = _motion_transforms(np.stack([st.local for st in states]))
-    dtau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]),
-                 qdd.reshape(-1, n))[:, :, :-1]
+    _finite(qdd, "qdd")
+    frames = (np.array([getattr(st, name) for st in states])
+              for name in ("axis_w", "origin_w", "rot_w", "qd"))
+    dtau = _id_derivatives(states[0].chain, *frames, qdd.reshape(-1, n))[:, :, :-1]
     minv = np.array([st.minv for st in states])
     minv = 0.5 * (minv + minv.transpose(0, 2, 1))
     dqdd = -np.linalg.solve(np.array([st.mass for st in states]), dtau)

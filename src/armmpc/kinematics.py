@@ -7,10 +7,10 @@ constructor computes every joint's local transform from its parent link,
 X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 4), in
 one batched pass into an (n, 4, 4) stack of homogeneous transforms, and then
 the world frames, the prefix products of that stack, by a parallel prefix
-scan in ceil(log2 n) batched products. The Newton-Euler motion transforms in
-dynamics.py read the same local transforms. Everything that depends on the
-joint velocities, J-dot among it, comes from the velocity pass of
-dynamics.RigidBodyState.
+scan in ceil(log2 n) batched products. The link-frame Newton-Euler oracle in
+checks.py builds its motion transforms from the same local transforms.
+Everything that depends on the joint velocities, J-dot among it, comes from
+the velocity pass of dynamics.RigidBodyState.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -207,7 +207,6 @@ class Pose:
         return quat_to_matrix(self.quaternion)
 
 
-_EYE3 = np.eye(3)
 # J's angular rows (3..5) in y z x, z x y order, and the arm's in z x y, y z x
 _AXIS_ROWS = np.array([4, 5, 3, 5, 3, 4])
 _ARM_ROWS = np.array([2, 0, 1, 1, 2, 0])
@@ -221,9 +220,8 @@ class _Chain:
     """
 
     __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "local_fixed",
-                 "ee", "subspace", "crm_s", "inertia", "a_base",
-                 "moves", "point_moves", "link_mass", "root_mass", "com",
-                 "root_inertia")
+                 "ee", "a_base", "moves", "point_moves", "link_mass", "root_mass",
+                 "com", "root_inertia")
 
     def __init__(self, model: RobotModel):
         n = model.n
@@ -243,11 +241,6 @@ class _Chain:
         self.ee = np.eye(4)
         self.ee[:3, :3] = model.ee_transform.rotation
         self.ee[:3, 3] = model.ee_transform.translation
-        # motion subspace of each joint, [angular; linear]
-        self.subspace = np.hstack([self.axes, np.zeros((n, 3))])
-        # cross operators of each motion subspace: _crm(s * qd) = qd * crm_s,
-        # and the force cross operator of s is -crm_s.T
-        self.crm_s = _crm(self.subspace)
         # gravity enters as a fictitious base acceleration -g
         self.a_base = np.zeros(6)
         self.a_base[3:] = -model.gravity
@@ -262,14 +255,6 @@ class _Chain:
         inertia_com = np.array([link.inertia_tensor for link in model.links])
         # L L' = each link's inertia about its COM, in the link frame
         self.root_inertia = np.linalg.cholesky(inertia_com)
-        # 6x6 spatial inertia of each link about its frame origin, [angular; linear]
-        m = self.link_mass[:, None, None]
-        cx = _skew(self.com)
-        self.inertia = np.empty((n, 6, 6))
-        self.inertia[:, :3, :3] = inertia_com + m * (cx @ cx.transpose(0, 2, 1))
-        self.inertia[:, :3, 3:] = m * cx
-        self.inertia[:, 3:, :3] = m * cx.transpose(0, 2, 1)
-        self.inertia[:, 3:, 3:] = m * _EYE3
 
 
 _chain_cache: "WeakKeyDictionary[RobotModel, _Chain]" = WeakKeyDictionary()
@@ -289,8 +274,8 @@ class ChainState:
     The joint pass forms every joint's local rotation rot_pt exp(q [a]x) from
     its parent link, as array operations over all joints, and its constant
     translation, written into one (n, 4, 4) stack `local` of
-    homogeneous transforms; dynamics.RigidBodyState reads it for its motion
-    transforms. The world frames behind FK and J are the prefix products of
+    homogeneous transforms; the link-frame Newton-Euler oracle of checks.py
+    reads it for its motion transforms. The world frames behind FK and J are the prefix products of
     that stack: link k's world transform is the product of the local
     transforms of joints 0..k, all n of them formed by a Hillis-Steele prefix
     scan (Hillis & Steele, 1986), ceil(log2 n) batched products of the stack

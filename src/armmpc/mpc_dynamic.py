@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .dynamics import RigidBodyState, _mv, dynamics_derivatives
+from .dynamics import RigidBodyState, _finite, _mv, dynamics_derivatives
 from .horizon import HorizonConfig, RecedingHorizon, hessian_band
 from .nominal import NominalRollout, PostureSpec, osc_rollout
 from .robot_model import JointLimits, RobotModel
@@ -58,7 +58,8 @@ def linearize_stage(states, u_hat, dt: float, qdd=None) -> LinearizedStage:
     states and (n_p, n) inputs give n_p stages stacked along a leading axis,
     from one dynamics_derivatives pass. qdd, when given, holds the
     accelerations u_hat drives at each state (a rollout's own), which are
-    then not solved again.
+    then not solved again. Raises ValueError for an empty batch, or a u_hat
+    of another shape or that is not finite.
     """
     single = isinstance(states, RigidBodyState)
     seq = (states,) if single else states
@@ -69,6 +70,7 @@ def linearize_stage(states, u_hat, dt: float, qdd=None) -> LinearizedStage:
     u_hat = np.asarray(u_hat, dtype=float)
     if u_hat.shape != lead + (n,):
         raise ValueError(f"u_hat must hold one ({n},) row per state, got shape {u_hat.shape}")
+    _finite(u_hat, "u_hat")
     x_hat = np.concatenate([[st.q for st in seq], [st.qd for st in seq]], axis=1).reshape(lead + (2 * n,))
     if qdd is None:
         qdd = np.reshape([st.forward_dynamics(u) for st, u in zip(seq, u_hat.reshape(-1, n))], u_hat.shape)

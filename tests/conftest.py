@@ -259,11 +259,11 @@ def seven_joint_model(desk_model):
 @pytest.fixture
 def chain_counts(monkeypatch):
     """Count joint passes (chain states built), mass-matrix factorizations and
-    batched Newton-Euler passes (inverse dynamics and its derivatives)."""
+    batched world-frame passes (inverse dynamics and its derivatives)."""
     counts = {"passes": 0, "factors": 0, "derivatives": 0}
     init = kinematics.ChainState.__init__
     factor = dynamics.dpotrf
-    derivatives = dynamics._rnea
+    derivatives = dynamics._id_derivatives
 
     def counting_init(self, *args, **kwargs):
         counts["passes"] += 1
@@ -279,7 +279,7 @@ def chain_counts(monkeypatch):
 
     monkeypatch.setattr(kinematics.ChainState, "__init__", counting_init)
     monkeypatch.setattr(dynamics, "dpotrf", counting_factor)
-    monkeypatch.setattr(dynamics, "_rnea", counting_derivatives)
+    monkeypatch.setattr(dynamics, "_id_derivatives", counting_derivatives)
     return counts
 
 

@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from armmpc import dynamics
-from armmpc.checks import _central_difference, run_world_pass_check
+from armmpc.checks import (
+    _central_difference,
+    motion_transforms,
+    rnea_link_frame,
+    run_world_pass_check,
+)
 from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
-    _motion_transforms,
-    _rnea,
+    _id_derivatives,
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,
@@ -17,6 +22,7 @@ from armmpc.dynamics import (
     mass_matrix,
 )
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
+from armmpc.mpc_dynamic import linearize_stage
 from armmpc.robot_model import PayloadSpec, attach_payload
 
 from conftest import id_derivatives_fd, make_rpr, random_config, sequential_jacobian_dot
@@ -59,11 +65,8 @@ def test_dynamics_derivatives_batch_matches_single(rng):
     qdds = np.array(qdds)
     batch = dynamics_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
-    # the horizon's motion transforms, built in one call, are each state's own
-    xs = np.stack([_motion_transforms(st.local[None])[0] for st in states])
-    assert np.array_equal(_motion_transforms(np.stack([st.local for st in states])), xs)
     # the same pass carries the joint torques in its last column
-    tau = _rnea(states[0].chain, xs, np.array([st.qd for st in states]), qdds)[:, :, -1]
+    tau = _id_derivatives(states[0].chain, *world_frames(states), qdds)[:, :, -1]
     for k, st in enumerate(states):
         fd = dict(zip(("dtau_dq", "dtau_dqd"), id_derivatives_fd(model, st.q, st.qd, qdds[k])))
         one = dynamics_derivatives(st, qdds[k])
@@ -78,7 +81,15 @@ def test_dynamics_derivatives_batch_matches_single(rng):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
 
 
-# the world-frame pass of RigidBodyState against its independent oracles:
+def world_frames(states):
+    """The stacked axis_w, origin_w, rot_w and qd of states, as the world-frame
+    derivative pass reads them."""
+    return (np.array([getattr(st, name) for st in states])
+            for name in ("axis_w", "origin_w", "rot_w", "qd"))
+
+
+# the world-frame passes of RigidBodyState and of inverse dynamics against
+# their independent oracles:
 # the arm with its payload, a chain with a tilted middle axis, and seven joints
 PASS_CHAINS = ["payload", "rpr", "seven"]
 
@@ -86,7 +97,30 @@ PASS_CHAINS = ["payload", "rpr", "seven"]
 def pass_model(name, request):
     if name == "seven":
         return request.getfixturevalue("seven_joint_model")
+    if name == "desk":
+        return request.getfixturevalue("desk_model")
     return chain_model(name, request.getfixturevalue("desk_model"))
+
+
+@pytest.mark.parametrize("name", ["desk", "rpr", "payload", "seven"])
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("qd_scale", [0.0, 2.0])
+def test_world_derivative_pass_matches_link_frame_oracle(request, rng, name, batch, qd_scale):
+    # [d tau/dq | d tau/dqd | tau] of the world-frame closed forms against the
+    # link-frame Newton-Euler passes through the motion transforms, at rest
+    # and moving, for one state and for a horizon of them
+    model = pass_model(name, request)
+    states = [RigidBodyState(model, random_config(model, rng),
+                             qd_scale * rng.standard_normal(model.n)) for _ in range(batch)]
+    qdd = rng.standard_normal((batch, model.n))
+    local = np.stack([st.local for st in states])
+    got = _id_derivatives(states[0].chain, *world_frames(states), qdd)
+    ref = rnea_link_frame(model, local, np.array([st.qd for st in states]), qdd)
+    assert got.shape == ref.shape == (batch, model.n, 2 * model.n + 1)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the oracle's motion transforms, built in one call, are each state's own
+    xs = np.stack([motion_transforms(st.local[None])[0] for st in states])
+    assert np.array_equal(motion_transforms(local), xs)
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)
@@ -114,13 +148,16 @@ def test_world_pass_jacobian_is_the_chain_jacobian(request, rng, name):
 
 @pytest.mark.parametrize("name", PASS_CHAINS)
 def test_world_pass_bias_matches_newton_euler(request, rng, name):
+    # b against the link-frame Newton-Euler oracle, and against inverse
+    # dynamics at qdd = 0, the world-frame derivative pass
     model = pass_model(name, request)
     for _ in range(5):
         q = random_config(model, rng)
         qd = 2.0 * rng.standard_normal(model.n)
-        got = RigidBodyState(model, q, qd).bias
-        ref = inverse_dynamics(model, q, qd, np.zeros(model.n))
-        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        st = RigidBodyState(model, q, qd)
+        ref = rnea_link_frame(model, st.local[None], qd[None], np.zeros((1, model.n)))[0, :, -1]
+        for other in (ref, inverse_dynamics(model, q, qd, np.zeros(model.n))):
+            assert np.linalg.norm(st.bias - other) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("name", PASS_CHAINS)
@@ -175,6 +212,35 @@ def test_nan_configuration_fails_at_construction(desk_model):
         RigidBodyState(desk_model, q)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dynamics_entry_points_refuse_input_that_is_not_finite(desk_model, rng, value):
+    # each input is named, and refused before numpy could warn about it
+    n = desk_model.n
+    q, zero = random_config(desk_model, rng), np.zeros(n)
+    bad = zero.copy()
+    bad[1] = value
+    st = RigidBodyState(desk_model, q, rng.standard_normal(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in ((lambda: inverse_dynamics(desk_model, bad, zero, zero), "q"),
+                           (lambda: inverse_dynamics(desk_model, q, bad, zero), "qd"),
+                           (lambda: inverse_dynamics(desk_model, q, zero, bad), "qdd"),
+                           (lambda: forward_dynamics(desk_model, q, zero, bad), "u"),
+                           (lambda: dynamics_derivatives(st, bad), "qdd"),
+                           (lambda: dynamics_derivatives([st, st], np.stack([zero, bad])), "qdd"),
+                           (lambda: linearize_stage(st, bad, 0.01), "u_hat"),
+                           (lambda: linearize_stage([st, st], np.stack([zero, bad]), 0.01,
+                                                    qdd=np.zeros((2, n))), "u_hat")):
+            with pytest.raises(ValueError, match=f"^{name} is not finite"):
+                call()
+
+
+def test_finite_check_passes_a_finite_input_whose_sum_overflows(desk_model):
+    # the call-free sum test only sends x to the full scan
+    x = np.full(desk_model.n, 1e308)
+    assert dynamics._finite(x, "x") is x
+
+
 @pytest.mark.parametrize("name", PASS_CHAINS)
 def test_world_pass_check_passes(request, name):
     # the check suite's oracles, on chains beyond the one the CLI loads
@@ -190,7 +256,7 @@ def test_mass_matrix_pendulum(pendulum):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_mass_matrix_id_column_oracle(desk_model, rng, name):
-    # the COM-Jacobian mass matrix against Newton-Euler columns
+    # the COM-Jacobian mass matrix against columns of the world-frame inverse dynamics
     model = chain_model(name, desk_model)
     q = random_config(model, rng)
     m = mass_matrix(model, q)
@@ -233,7 +299,7 @@ def test_bias_gravity_pendulum(gravity_pendulum):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_bias_equals_id_with_zero_accel(desk_model, rng, name):
-    # the COM-Jacobian bias forces against the Newton-Euler passes
+    # the COM-Jacobian bias forces against the world-frame inverse dynamics
     model = chain_model(name, desk_model)
     q = random_config(model, rng)
     qd = rng.standard_normal(model.n)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import armmpc
 from armmpc import load_bundled_model
-from armmpc.dynamics import RigidBodyState, _motion_transforms
+from armmpc.checks import motion_transforms
+from armmpc.dynamics import RigidBodyState
 from armmpc.kinematics import (
     ChainState,
     Pose,
@@ -109,7 +110,7 @@ def test_local_transforms_feed_motion_transforms(name, rng):
         q = random_config(model, rng, margin=0.0)
         st = RigidBodyState(model, q, rng.standard_normal(model.n))
         np.testing.assert_array_equal(st.local[:, 3], np.tile([0.0, 0.0, 0.0, 1.0], (model.n, 1)))
-        xs = _motion_transforms(st.local[None])[0]
+        xs = motion_transforms(st.local[None])[0]
         for k, (joint, qk) in enumerate(zip(model.joints, q)):
             pt = joint.parent_transform
             rot, trans = pt.rotation @ rotvec_to_matrix(joint.axis * qk), pt.translation

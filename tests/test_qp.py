@@ -958,3 +958,69 @@ def test_band_round_trips_through_the_dense_hessian(rng):
         dense = dense_hessian(p.H)
         np.testing.assert_array_equal(dense, dense.T)
         np.testing.assert_array_equal(lower_band(dense, p.dim - 1), p.H)
+
+
+def kkt_bandwidth(p, ids):
+    """(true, laid out): the largest |i - j| over the nonzeros of the KKT
+    matrix that _kkt_solve factors for the rows ids, written out densely in
+    _band_layout's order (H and the active general rows, each fixed
+    variable's row and column emptied but for a unit diagonal), and the
+    width of that layout."""
+    rows, d = expand_constraints(p), p.dim
+    ids = np.asarray(ids, dtype=np.intp)
+    src = rows.src[ids]
+    fixed = src[src < d]
+    base = rows.src[np.sort(ids[src >= d])] - d
+    band = qp._band_layout(p.H.shape[0] - 1, d, rows.first[base].tobytes(),
+                           rows.last[base].tobytes())
+    kkt = np.zeros((d + base.size,) * 2)
+    kkt[np.ix_(band.var_pos, band.var_pos)] = dense_hessian(p.H)
+    kkt[np.ix_(band.row_pos, band.var_pos)] = p.Ain[base]
+    kkt[np.ix_(band.var_pos, band.row_pos)] = p.Ain[base].T
+    at = band.var_pos[fixed]
+    kkt[at] = 0.0
+    kkt[:, at] = 0.0
+    kkt[at, at] = 1.0
+    i, j = np.nonzero(kkt)
+    return int(np.abs(i - j).max()), band.width
+
+
+@pytest.mark.parametrize("recorded, widths", [("dyn_mpc_qps", {5, 31}), ("kin_mpc_qps", {12, 27})])
+def test_band_layout_width_is_the_kkt_matrix_bandwidth(request, recorded, widths):
+    # over each recorded run, the warm active sets (the previous ticks'
+    # active sets, their active bounds fixing variables) and, on the
+    # kinematic QPs, which never hold an active row, also every Ain row
+    # active at once: the width the band is factored at is the true width,
+    # never wider. Each stage row sits before the middle of its span: the
+    # dynamic MPC's band is 31 wide, the kinematic one 27 with all its rows
+    # active; with no active row, as on the first tick's empty warm set, it
+    # is H's own band
+    seen = set()
+    for p, warm in request.getfixturevalue(recorded):
+        rows = expand_constraints(p)
+        sets = [warm or []]
+        if recorded == "kin_mpc_qps":
+            sets.append(np.flatnonzero(rows.src >= p.dim)[:p.Ain.shape[0]])  # the Ain lowers
+        for ids in sets:
+            true, laid_out = kkt_bandwidth(p, ids)
+            assert true == laid_out
+            seen.add(laid_out)
+    assert seen == widths
+
+
+@pytest.mark.parametrize("n_p", [1, 3, 10])
+def test_band_layout_width_is_the_kkt_matrix_bandwidth_on_stage_qps(rng, n_p):
+    # the dynamics rows alone give the true width; fixing inputs may empty
+    # the end of a row's span, and the layout, cached by the spans alone,
+    # does not narrow for it, but its band still holds every entry
+    for _ in range(5):
+        p = stage_qp(rng, n_p)
+        rows = expand_constraints(p)
+        dynamics = list(range(rows.n_eq))
+        true, laid_out = kkt_bandwidth(p, dynamics)
+        assert true == laid_out
+        inputs = np.flatnonzero(np.arange(p.dim) % 6 < 2)
+        pick = rng.choice(inputs, size=rng.integers(1, inputs.size + 1), replace=False)
+        bounds = np.where(rng.random(pick.size) < 0.5, rows.n_eq + pick, rows.n_eq + p.dim + pick)
+        true_fixed, same = kkt_bandwidth(p, dynamics + sorted(bounds.tolist()))
+        assert same == laid_out and true_fixed <= laid_out
