@@ -305,29 +305,37 @@ def rnea_link_frame(model: RobotModel, local: np.ndarray, qd: np.ndarray,
     return tau
 
 
-# run_world_pass_check's tolerances: b against Newton-Euler, to round-off;
-# J-dot qd against a central difference of J, good to about 1e-10
+# run_world_pass_check's tolerances: b and M against Newton-Euler, to
+# round-off; J-dot qd against a central difference of J, good to about 1e-10
 WORLD_PASS_TOL_BIAS = 1e-10
+WORLD_PASS_TOL_MASS = 1e-10
 WORLD_PASS_TOL_JDOT = 1e-8
 
 
 def run_world_pass_check(model: RobotModel, n_states: int = 200,
                          seed: int = 0) -> list[CheckResult]:
-    """RigidBodyState's b against the link-frame Newton-Euler pass at
-    qdd = 0, and its J-dot qd against a central difference of J along qd
-    (step 1e-6), as |got - ref| / (1 + |ref|) over random states."""
-    worst = np.zeros(2)
+    """RigidBodyState's b against the link-frame Newton-Euler pass at qdd = 0,
+    its M against that pass at qd = 0, column j at qdd = e_j less qdd = 0,
+    and its J-dot qd against a central difference of J along qd (step 1e-6),
+    as |got - ref| / (1 + |ref|) over random states."""
+    n = model.n
+    worst = np.zeros(3)
+    # one oracle batch per state: (qd, 0), then (0, 0) and (0, e_j)
+    qdd = np.vstack([np.zeros((2, n)), np.eye(n)])
     for st, _ in _random_states(model, n_states, seed):
         q, qd = st.q, st.qd
-        rnea = rnea_link_frame(model, st.local[None], qd[None], np.zeros((1, model.n)))[0, :, -1]
+        tau = rnea_link_frame(model, np.broadcast_to(st.local, (n + 2,) + st.local.shape),
+                              np.vstack([qd, np.zeros((n + 1, n))]), qdd)[:, :, -1]
         fd = _central_difference(lambda t: geometric_jacobian(model, q + t * qd) @ qd,
                                  np.zeros(1), 1e-6)[:, 0]
-        for i, (got, ref) in enumerate(((st.bias, rnea), (st.jdot_qd, fd))):
+        for i, (got, ref) in enumerate(((st.bias, tau[0]), (st.mass, (tau[2:] - tau[1]).T),
+                                        (st.jdot_qd, fd))):
             # np.maximum keeps a NaN, so that it fails the check
             worst[i] = np.maximum(worst[i], np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref)))
     return [CheckResult(name, bool(w <= tol), float(w), tol, f"{n_states} states")
             for name, w, tol in (("world_pass_bias_vs_rnea", worst[0], WORLD_PASS_TOL_BIAS),
-                                 ("world_pass_jdot_qd_vs_fd", worst[1], WORLD_PASS_TOL_JDOT))]
+                                 ("world_pass_mass_vs_rnea", worst[1], WORLD_PASS_TOL_MASS),
+                                 ("world_pass_jdot_qd_vs_fd", worst[2], WORLD_PASS_TOL_JDOT))]
 
 
 CHECK_NAMES = ("dynamics", "qp", "identity", "world_pass")

@@ -10,7 +10,7 @@ the world frames, the prefix products of that stack, by a parallel prefix
 scan in ceil(log2 n) batched products. The link-frame Newton-Euler oracle in
 checks.py builds its motion transforms from the same local transforms.
 Everything that depends on the joint velocities, J-dot among it, comes from
-the velocity pass of dynamics.RigidBodyState.
+the spatial pass of dynamics.RigidBodyState.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
@@ -130,40 +130,36 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
 
 
-def _cross_slots(blocks, width: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Flat slots, source entries and signs of a width x width cross operator.
-
-    Each block (row, col, src, sign) places sign * _skew(v[src:src + 3]) at
-    rows row:row+3 and columns col:col+3.
-    """
+def _cross_table(blocks, width: int = 6) -> tuple[np.ndarray, int]:
+    """The table T of a width x width cross operator, and width: v @ T is the
+    operator of v, flattened. Each block (row, col, src, sign) places sign *
+    _skew(v[src:src + 3]) at rows row:row+3 and columns col:col+3. A column
+    of T holds at most one nonzero, +-1, so v @ T is exact (an infinite v
+    makes the zeros NaN)."""
     skew_entries = ((0, 1, 2, -1.0), (0, 2, 1, 1.0), (1, 0, 2, 1.0),
                     (1, 2, 0, -1.0), (2, 0, 1, -1.0), (2, 1, 0, 1.0))
-    slots, src, sign = [], [], []
+    table = np.zeros((max(block[2] for block in blocks) + 3, width * width))
     for row, col, first, block_sign in blocks:
         for i, j, e, s in skew_entries:
-            slots.append((row + i) * width + col + j)
-            src.append(first + e)
-            sign.append(block_sign * s)
-    return np.array(slots), np.array(src), np.array(sign), width
+            table[first + e, (row + i) * width + col + j] = block_sign * s
+    return table, width
 
 
-def _cross_operator(v: np.ndarray, slots) -> np.ndarray:
-    """The operator with the given _cross_slots, for v of shape (..., 3 or 6)."""
-    idx, src, sign, width = slots
-    out = np.zeros(v.shape[:-1] + (width * width,))
-    out[..., idx] = v[..., src] * sign
-    return out.reshape(v.shape[:-1] + (width, width))
+def _cross_operator(v: np.ndarray, table) -> np.ndarray:
+    """The operator with the given _cross_table, for v of shape (..., 3 or 6)."""
+    table, width = table
+    return (v @ table).reshape(v.shape[:-1] + (width, width))
 
 
-_SKEW_SLOTS = _cross_slots(((0, 0, 0, 1.0),), width=3)
+_SKEW_TABLE = _cross_table(((0, 0, 0, 1.0),), width=3)
 
 
 def _skew(v) -> np.ndarray:
     """Cross-product matrix: _skew(v) @ w = v x w, for v of shape (..., 3)."""
-    return _cross_operator(np.asarray(v, dtype=float), _SKEW_SLOTS)
+    return _cross_operator(np.asarray(v, dtype=float), _SKEW_TABLE)
 
 
-_CRM_SLOTS = _cross_slots(((0, 0, 0, 1.0), (3, 3, 0, 1.0), (3, 0, 3, 1.0)))
+_CRM_TABLE = _cross_table(((0, 0, 0, 1.0), (3, 3, 0, 1.0), (3, 0, 3, 1.0)))
 
 
 def _crm(v: np.ndarray) -> np.ndarray:
@@ -171,7 +167,7 @@ def _crm(v: np.ndarray) -> np.ndarray:
 
     v is one 6-vector or a (..., 6) stack, giving (..., 6, 6).
     """
-    return _cross_operator(np.asarray(v), _CRM_SLOTS)
+    return _cross_operator(np.asarray(v), _CRM_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +212,14 @@ class _Chain:
     """Per-model constants of the rigid-body chain, for kinematics and dynamics.
 
     Every joint is revolute. Every per-joint constant is an (n, ...) array
-    over the joints, and every per-link one an (n, ...) array over the links.
+    over the joints, and every per-link one an (n, ...) array over the links:
+    the parts of each joint's local transform for the chain pass, and for
+    the spatial pass of the dynamics the base acceleration, the triangular
+    sums over the links and the parts of each link inertia's Gram factor.
     """
 
     __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "local_fixed",
-                 "ee", "a_base", "moves", "point_moves", "link_mass", "root_mass",
+                 "ee", "a_base", "moves", "root_mass", "root_mass_eye",
                  "com", "root_inertia")
 
     def __init__(self, model: RobotModel):
@@ -246,11 +245,9 @@ class _Chain:
         self.a_base[3:] = -model.gravity
         # [link i, joint j]: joint j moves and turns link i (j <= i)
         self.moves = np.tril(np.ones((n, n)))
-        # [point, joint] over the world points of the dynamics pass (joint
-        # origins 1..n-1, link COMs, end effector): joint j moves the point
-        self.point_moves = np.vstack([self.moves[:-1], self.moves, np.ones((1, n))])
-        self.link_mass = np.array([link.mass for link in model.links])
-        self.root_mass = np.sqrt(self.link_mass)
+        self.root_mass = np.sqrt([link.mass for link in model.links])
+        # sqrt(m_i) 1, the constant block of each link inertia's Gram factor
+        self.root_mass_eye = self.root_mass[:, None, None] * np.eye(3)
         self.com = np.array([link.com for link in model.links])
         inertia_com = np.array([link.inertia_tensor for link in model.links])
         # L L' = each link's inertia about its COM, in the link frame
@@ -341,7 +338,7 @@ def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
 
 def jacobian_dot(model: RobotModel, q, qd) -> np.ndarray:
     """Time derivative of the geometric Jacobian along (q, qd), shape (6, n),
-    from the velocity pass of dynamics.RigidBodyState."""
+    from the spatial pass of dynamics.RigidBodyState."""
     from .dynamics import RigidBodyState  # dynamics imports this module
 
     return RigidBodyState(model, q, qd).jacobian_dot()

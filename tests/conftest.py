@@ -222,6 +222,57 @@ def sequential_jacobian_dot(model, q, qd):
     return jdot
 
 
+def point_jacobian_pass(model, q, qd):
+    """M, b, g, J-dot qd, J and J-dot at (q, qd) from the Jacobians of a stack
+    of 2n world points (the joint origins 1..n-1, the link COMs and the end
+    effector), the oracle of RigidBodyState's spatial pass: M = sum_i m_i
+    Jv_i'Jv_i + Jw_i'(R_i I_i R_i')Jw_i as one Gram product, and b, g and
+    J-dot qd from the points' accelerations and column rates at qdd = 0
+    (Featherstone, 2008, the Jacobian forms of M and C qd). Returned as a
+    dict keyed by RigidBodyState's names."""
+    st = kinematics.ChainState(model, q)
+    c = st.chain
+    n = c.n
+    axis_w, origin_w, rot_w = st.axis_w, st.origin_w, st.rot_w
+    link_mass = np.array([link.mass for link in model.links])
+    # [point, joint]: joint j moves the point
+    point_moves = np.vstack([c.moves[:-1], c.moves, np.ones((1, n))])
+    # each point minus every joint origin, and its linear Jacobian columns,
+    # (2n, n, 3) each; the COMs' [Jv | Jw], (n, n, 6), [link, joint]; and
+    # K_i = R_i L_i with K_i K_i' the world inertia R_i I_i R_i'
+    com_w = origin_w + (rot_w @ c.com[:, :, None])[:, :, 0]
+    arm = np.concatenate([origin_w[1:], com_w, st.ee_pos[None]])[:, None, :] - origin_w
+    cols = kinematics._cross(axis_w, arm) * point_moves[:, :, None]
+    jac = np.concatenate([cols[n - 1:-1], c.moves[:, :, None] * axis_w], axis=2)
+    k = rot_w @ c.root_inertia
+    a = np.concatenate([jac[:, :, :3] * c.root_mass[:, None, None], jac[:, :, 3:] @ k], axis=2)
+    a = a.transpose(1, 0, 2).reshape(n, 6 * n)
+    mass = a @ a.T
+    # the accelerations a_i, alpha_i that qd alone causes: b - g and g are one
+    # contraction of the COMs' [Jv | Jw] with the wrenches (m_i a_i; I_i
+    # alpha_i + omega_i x I_i omega_i) and (-m_i g; 0)
+    spin = np.zeros((n + 1, 3, 2))  # [omega | alpha] of the base and the n links
+    np.add.accumulate(axis_w * qd[:, None], axis=0, out=spin[1:, :, 0])
+    axis_dot = kinematics._cross(spin[:-1, :, 0], axis_w)  # each axis is fixed in the link before its joint
+    np.add.accumulate(axis_dot * qd[:, None], axis=0, out=spin[1:, :, 1])
+    vel = qd @ cols
+    origin_dot = np.zeros((n, 3))  # joint k's origin is point k - 1; joint 0's is fixed
+    origin_dot[1:] = vel[:n - 1]
+    body = slice(n - 1, None)  # the COMs and the end effector
+    rates = kinematics._cross(axis_dot, arm[body]) + kinematics._cross(axis_w, vel[body, None] - origin_dot)
+    acc = ((point_moves[body] * qd)[:, None, :] @ rates)[:, 0]
+    inertial = k @ (k.transpose(0, 2, 1) @ spin[1:])  # I omega, I alpha
+    wrench = np.zeros((n, 6, 2))
+    wrench[:, :3, 0] = link_mass[:, None] * acc[:-1]
+    wrench[:, 3:, 0] = inertial[:, :, 1] + kinematics._cross(spin[1:, :, 0], inertial[:, :, 0])
+    wrench[:, :3, 1] = link_mass[:, None] * c.a_base[3:]
+    forces = jac.transpose(1, 0, 2).reshape(n, 6 * n) @ wrench.reshape(6 * n, 2)
+    return {"mass": mass, "bias": forces[:, 1] + forces[:, 0], "gravity": forces[:, 1],
+            "jdot_qd": np.concatenate([acc[-1], spin[-1, :, 1]]),
+            "jacobian": np.vstack([cols[-1].T, axis_w.T]),
+            "jacobian_dot": np.vstack([rates[-1].T, axis_dot.T])}
+
+
 @pytest.fixture(scope="session")
 def pendulum():
     return make_pendulum()

@@ -226,8 +226,9 @@ def test_check_filtered_qp(runner):
 def test_check_world_pass(runner):
     result = runner.invoke(main, ["check", "--checks", "world_pass"])
     assert result.exit_code == 0, result.output
-    lines = result.output.splitlines()
-    assert len(lines) == 2 and all(line.startswith("[PASS] world_pass_") for line in lines)
+    names = [line.split(":")[0] for line in result.output.splitlines()]
+    assert names == ["[PASS] world_pass_bias_vs_rnea", "[PASS] world_pass_mass_vs_rnea",
+                     "[PASS] world_pass_jdot_qd_vs_fd"]
 
 
 def test_check_unknown_name(runner):

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from armmpc.dynamics import (
     RigidBodyState,
     _icrf,
     _id_derivatives,
+    _spatial,
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,
@@ -23,9 +27,10 @@ from armmpc.dynamics import (
 )
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.mpc_dynamic import linearize_stage
-from armmpc.robot_model import PayloadSpec, attach_payload
+from armmpc.robot_model import PayloadSpec, RigidTransform, RobotModel, attach_payload
 
-from conftest import id_derivatives_fd, make_rpr, random_config, sequential_jacobian_dot
+from conftest import (id_derivatives_fd, make_rpr, point_jacobian_pass, random_config,
+                      sequential_jacobian_dot)
 
 
 def chain_model(name, desk_model):
@@ -66,7 +71,7 @@ def test_dynamics_derivatives_batch_matches_single(rng):
     batch = dynamics_derivatives(states, qdds)
     assert batch.dtau_dq.shape == (4, 3, 3)
     # the same pass carries the joint torques in its last column
-    tau = _id_derivatives(states[0].chain, *world_frames(states), qdds)[:, :, -1]
+    tau = _id_derivatives(states[0].chain, *_spatial(states), qdds)[:, :, -1]
     for k, st in enumerate(states):
         fd = dict(zip(("dtau_dq", "dtau_dqd"), id_derivatives_fd(model, st.q, st.qd, qdds[k])))
         one = dynamics_derivatives(st, qdds[k])
@@ -79,13 +84,6 @@ def test_dynamics_derivatives_batch_matches_single(rng):
             got = getattr(batch, name)[k]
             ref = getattr(one, name)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
-
-
-def world_frames(states):
-    """The stacked axis_w, origin_w, rot_w and qd of states, as the world-frame
-    derivative pass reads them."""
-    return (np.array([getattr(st, name) for st in states])
-            for name in ("axis_w", "origin_w", "rot_w", "qd"))
 
 
 # the world-frame passes of RigidBodyState and of inverse dynamics against
@@ -114,7 +112,7 @@ def test_world_derivative_pass_matches_link_frame_oracle(request, rng, name, bat
                              qd_scale * rng.standard_normal(model.n)) for _ in range(batch)]
     qdd = rng.standard_normal((batch, model.n))
     local = np.stack([st.local for st in states])
-    got = _id_derivatives(states[0].chain, *world_frames(states), qdd)
+    got = _id_derivatives(states[0].chain, *_spatial(states), qdd)
     ref = rnea_link_frame(model, local, np.array([st.qd for st in states]), qdd)
     assert got.shape == ref.shape == (batch, model.n, 2 * model.n + 1)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -123,10 +121,71 @@ def test_world_derivative_pass_matches_link_frame_oracle(request, rng, name, bat
     assert np.array_equal(motion_transforms(local), xs)
 
 
+# the quantities of RigidBodyState's spatial pass that point_jacobian_pass also forms
+POINT_PASS = ("mass", "bias", "gravity", "jdot_qd", "jacobian_dot")
+
+
+def relative_error(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["desk", "rpr", "payload", "seven"])
+@pytest.mark.parametrize("qd_scale", [0.0, 2.0])
+def test_spatial_pass_matches_point_jacobian_oracle(request, rng, name, qd_scale):
+    # the spatial pass about the end effector against the Jacobians of 2n
+    # world points, at rest and moving; J is the same product of the same
+    # numbers, so it is equal to the bit
+    model = pass_model(name, request)
+    for _ in range(5):
+        q = random_config(model, rng)
+        qd = qd_scale * rng.standard_normal(model.n)
+        st = RigidBodyState(model, q, qd)
+        ref = point_jacobian_pass(model, q, qd)
+        assert np.array_equal(st.jacobian(), ref["jacobian"])
+        for key in POINT_PASS:
+            got = getattr(st, key)
+            got = got() if key == "jacobian_dot" else got
+            if qd_scale == 0.0 and key in ("jdot_qd", "jacobian_dot"):
+                assert not got.any() and not ref[key].any(), key
+            else:
+                assert relative_error(got, ref[key]) <= 1e-12, key
+
+
+def test_spatial_pass_does_not_depend_on_where_the_arm_stands(desk_model, rng):
+    # rs007n with its first joint 10 m from the world origin: each state's
+    # pass is taken about its own end effector, so M, M^-1, b, g and J-dot qd
+    # are the untranslated arm's to round-off. M is held entry by entry in
+    # its own diagonal scale, |dM_ij| / sqrt(M_ii M_jj), where the wrist's
+    # small entries show: about the world origin they come out of moments of
+    # 10 m arms that cancel, about 4e-11 off, and M^-1 as far
+    first = desk_model.joints[0]
+    moved = RigidTransform(first.parent_transform.rotation,
+                           first.parent_transform.translation + np.array([6.0, 0.0, 8.0]))
+    far = RobotModel(joints=(dataclasses.replace(first, parent_transform=moved),)
+                     + desk_model.joints[1:], links=desk_model.links,
+                     gravity=desk_model.gravity, ee_transform=desk_model.ee_transform,
+                     name="rs007n_far")
+    for _ in range(5):
+        q = random_config(desk_model, rng)
+        qd = 2.0 * rng.standard_normal(desk_model.n)
+        near_st, far_st = RigidBodyState(desk_model, q, qd), RigidBodyState(far, q, qd)
+        assert np.linalg.norm(far_st.ee_pos - near_st.ee_pos - [6.0, 0.0, 8.0]) <= 1e-12
+        scale = 1.0 / np.sqrt(np.diag(near_st.mass))
+        assert np.abs(scale[:, None] * (far_st.mass - near_st.mass) * scale).max() <= 1e-12
+        for key in ("minv", "bias", "gravity", "jdot_qd"):
+            assert relative_error(getattr(far_st, key), getattr(near_st, key)) <= 1e-12, key
+
+
+def test_jacobian_is_read_only(desk_model, rng):
+    st = RigidBodyState(desk_model, random_config(desk_model, rng), rng.standard_normal(6))
+    with pytest.raises(ValueError, match="read-only"):
+        st.jacobian()[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("name", PASS_CHAINS)
 def test_world_pass_jdot_matches_sequential_oracle(request, rng, name):
-    # J-dot qd from the pass's point accelerations, and the full J-dot from
-    # its column rates, against the joint-by-joint column rates of
+    # J-dot qd from the last link's acceleration at the end effector, and the
+    # full J-dot from S-dot, against the joint-by-joint column rates of
     # sequential_jacobian_dot, a separate computation
     model = pass_model(name, request)
     for _ in range(5):
@@ -205,6 +264,23 @@ def test_constructor_factors_and_inverts_once_and_reads_solve_nothing(desk_model
     assert calls == {"dpotrf": 1, "dpotrs": 1}
 
 
+def test_construction_stays_within_its_call_budget(desk_model, rng):
+    # the function calls (sys.setprofile's call and c_call events) of one
+    # RigidBodyState at a moving state, the chain pass included; numpy
+    # operators such as @ and + make no such event. Before the spatial pass
+    # about the end effector replaced the Jacobians of 2n world points, a
+    # construction made 20 Python and 46 C calls
+    q, qd = random_config(desk_model, rng), rng.standard_normal(desk_model.n)
+    RigidBodyState(desk_model, q, qd)
+    counts = Counter()
+    sys.setprofile(lambda frame, event, arg: counts.update((event,)))
+    try:
+        RigidBodyState(desk_model, q, qd)
+    finally:
+        sys.setprofile(None)
+    assert counts["call"] <= 17 and counts["c_call"] <= 31, counts
+
+
 def test_nan_configuration_fails_at_construction(desk_model):
     q = np.zeros(desk_model.n)
     q[2] = np.nan
@@ -256,7 +332,7 @@ def test_mass_matrix_pendulum(pendulum):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_mass_matrix_id_column_oracle(desk_model, rng, name):
-    # the COM-Jacobian mass matrix against columns of the world-frame inverse dynamics
+    # the composite-inertia mass matrix against columns of inverse dynamics
     model = chain_model(name, desk_model)
     q = random_config(model, rng)
     m = mass_matrix(model, q)
@@ -299,7 +375,7 @@ def test_bias_gravity_pendulum(gravity_pendulum):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_bias_equals_id_with_zero_accel(desk_model, rng, name):
-    # the COM-Jacobian bias forces against the world-frame inverse dynamics
+    # the constructor's bias forces against the derivative pass's inverse dynamics
     model = chain_model(name, desk_model)
     q = random_config(model, rng)
     qd = rng.standard_normal(model.n)

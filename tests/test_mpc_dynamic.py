@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from armmpc import mpc_dynamic, qp
+from armmpc import load_bundled_model, mpc_dynamic, qp, simulator
 from armmpc.checks import lower_band
 from armmpc.dynamics import RigidBodyState, bias_forces, dynamics_derivatives, forward_dynamics
 from armmpc.kinematics import forward_kinematics
@@ -505,3 +506,31 @@ def test_singular_dual_step_ends_the_solve_without_a_certificate(desk_model, rng
     assert len(failed) == 2 and res.degraded
     assert res.solution.status == qp.MAX_ITER and np.isfinite(res.solution.z_star).all()
     assert np.isfinite(res.u_cmd).all()
+
+
+def test_dynamic_tick_stays_within_its_call_budget():
+    # the function calls (sys.setprofile's call and c_call events) of one
+    # horizon-10 DynamicMpc.step at tick 100 of the payload move on rs007n,
+    # the dyn_payload benchmark's seed-0 run: the OSC rollout, the
+    # linearization, the QP and its solve. Before each chain state's
+    # dynamics came from one spatial pass about the end effector, shared
+    # with the derivative pass, this tick made 597 Python and 1030 C calls
+    counts = Counter()
+    step = DynamicMpc.step
+
+    def counted(self, state, traj, tick):
+        if tick != 100:
+            return step(self, state, traj, tick)
+        sys.setprofile(lambda frame, event, arg: counts.update((event,)))
+        try:
+            return step(self, state, traj, tick)
+        finally:
+            sys.setprofile(None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DynamicMpc, "step", counted)
+        cfg = simulator.default_scenario_config("payload_pick_place", "dyn_mpc")
+        cfg.max_ticks = 101
+        simulator.run_scenario("payload_pick_place", "dyn_mpc", load_bundled_model("rs007n"), cfg)
+    assert cfg.horizon == 10
+    assert counts["call"] <= 529 and counts["c_call"] <= 863, counts
