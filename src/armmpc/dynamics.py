@@ -13,7 +13,7 @@ own size; about the world origin, the wrist's torques and M's small wrist
 entries would come out of large moments that cancel, an error that forward
 dynamics amplifies. About p, too, S's linear rows are J's.
 
-The pass gives M, b, g, J and J-dot qd; forward dynamics solves M qdd =
+The pass gives M, b, g and J-dot qd; forward dynamics solves M qdd =
 u - b through LAPACK's Cholesky factorization (dpotrf/dpotrs). A closed-form
 pass batched over a stack of states reads their S, V, crm(V), S-dot and link
 inertias and returns [d tau/dq | d tau/dqd | tau]: one pass linearizes a
@@ -98,8 +98,8 @@ class RigidBodyState(ChainState):
     One spatial pass about the end effector p: the motion subspaces S
     (subspace), link velocities V (vel), crm(V) (crm_vel), S-dot
     (subspace_dot) and link inertias (inertia), which the derivative pass
-    reads too, give M with its Cholesky factor and M^-1 (minv), b, g, J-dot
-    qd and J, S's linear rows over the axes, read-only; J-dot is formed when
+    reads too, give M with its Cholesky factor and M^-1 (minv), b, g and
+    J-dot qd; S's linear rows are the chain state's J's. J-dot is formed when
     asked for.
     """
 
@@ -113,16 +113,11 @@ class RigidBodyState(ChainState):
         total = sum(qd.tolist())
         if total - total != 0.0 and not np.isfinite(qd).all():
             raise ValueError(f"qd is not finite: {qd!r}")
-        axis_w = self.axis_w
         arm = self.ee_pos - self.origin_w
-        # S_k = [z_k; z_k x (p - o_k)]: its linear half is ChainState's J's, to the bit
+        # S_k = [z_k; z_k x (p - o_k)], J's columns with their halves swapped
         s = self.subspace = np.empty((n, 6))
-        s[:, :3] = axis_w
-        s[:, 3:] = _cross(axis_w, arm)
-        jac = self._jacobian = np.empty((6, n))
-        jac[:3] = s[:, 3:].T
-        jac[3:] = axis_w.T
-        jac.flags.writeable = False
+        s[:, :3] = self.axis_w
+        s[:, 3:] = self._jacobian[:3].T
 
         # per link the rows [V_i; A_i; a_base]: V_i = sum_{k<=i} S_k qd_k, and with
         # S-dot_k = V_k x S_k, A_i = sum_{k<=i} S-dot_k qd_k, at qdd = 0 less gravity
@@ -168,10 +163,6 @@ class RigidBodyState(ChainState):
         # qdd = 0: the last link's A at p, with omega x v as p moves
         acc = rows[-1, 1]
         self.jdot_qd = np.concatenate([acc[3:] + crm_v[-1, 3:, 3:] @ vel[-1, 3:], acc[:3]])
-
-    def jacobian(self) -> np.ndarray:
-        """ChainState's J to the bit, [S's linear rows; the axes], read-only."""
-        return self._jacobian
 
     def jacobian_dot(self) -> np.ndarray:
         """J-dot along qd, 6 x n: S-dot, taken about the fixed point p, with

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -254,17 +253,6 @@ class _Chain:
         self.root_inertia = np.linalg.cholesky(inertia_com)
 
 
-_chain_cache: "WeakKeyDictionary[RobotModel, _Chain]" = WeakKeyDictionary()
-
-
-def _chain(model: RobotModel) -> _Chain:
-    chain = _chain_cache.get(model)
-    if chain is None:
-        chain = _Chain(model)
-        _chain_cache[model] = chain
-    return chain
-
-
 class ChainState:
     """The chain at one configuration q, filled by its constructor.
 
@@ -278,14 +266,14 @@ class ChainState:
     scan (Hillis & Steele, 1986), ceil(log2 n) batched products of the stack
     with itself shifted by 1, 2, 4, ... joints. They are kept as the world
     joint axes axis_w and link-frame origins origin_w (n x 3 each), the link
-    rotations rot_w (n x 3 x 3), and the end-effector rotation ee_rot and
-    position ee_pos. Link k's frame origin lies on joint k's axis, so it
+    rotations rot_w (n x 3 x 3), the end-effector rotation ee_rot and
+    position ee_pos, and the end-effector Jacobian (jacobian()). Link k's frame origin lies on joint k's axis, so it
     serves as the joint's origin: the joint turns about it. The shape of q
     is checked against the model, and q is kept as given, not copied.
     """
 
     def __init__(self, model: RobotModel, q):
-        c = _chain(model)
+        c = model.chain
         self.model = model
         self.chain = c
         self.q = q = model.check_q(q)
@@ -306,17 +294,19 @@ class ChainState:
         self.axis_w = (self.rot_w @ c.axes[:, :, None])[:, :, 0]
         self.ee_rot = ee[:3, :3]
         self.ee_pos = ee[:3, 3]
-
-    def jacobian(self) -> np.ndarray:
-        """End-effector J: column j is [z_j x (p_ee - o_j); z_j]."""
-        jac = np.empty((6, self.chain.n))
+        # end-effector J: column j is [z_j x (p_ee - o_j); z_j]
+        jac = self._jacobian = np.empty((6, c.n))
         jac[3:] = self.axis_w.T
         # z x r = z_yzx r_zxy - z_zxy r_yzx, both products from one gather
         # of J's axis rows and one of r = p_ee - o
         prod = jac.take(_AXIS_ROWS, 0)
         prod *= (self.ee_pos - self.origin_w).T.take(_ARM_ROWS, 0)
         np.subtract(prod[:3], prod[3:], out=jac[:3])
-        return jac
+        jac.flags.writeable = False
+
+    def jacobian(self) -> np.ndarray:
+        """The end-effector J the constructor filled, 6 x n, read-only."""
+        return self._jacobian
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:

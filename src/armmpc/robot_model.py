@@ -200,9 +200,16 @@ class RobotModel:
             )
         object.__setattr__(self, "gravity", _array(self.gravity, "gravity"))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.joints)
+
+    @cached_property
+    def chain(self):
+        """The kinematics._Chain of this model's constants, built once."""
+        from .kinematics import _Chain  # kinematics imports this module
+
+        return _Chain(self)
 
     @cached_property
     def limits(self) -> JointLimits:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc import dynamics, kinematics, nominal
+from armmpc import dynamics, nominal
 from armmpc.dynamics import RigidBodyState, bias_forces, forward_dynamics, mass_matrix
 from armmpc.kinematics import (ChainState, Pose, forward_kinematics, geometric_jacobian,
                                jacobian_dot, pose_error_raw)
@@ -647,22 +647,26 @@ def test_osc_rollout_fixed_point(desk_model, rng):
 
 
 def test_osc_reads_jacobian_and_jdot_qd_from_the_world_pass(desk_model, rng, monkeypatch):
-    # J and J-dot qd come out of RigidBodyState's one pass over its points;
-    # ChainState's own J and the full J-dot are never reached
+    # J is the one read-only array the chain state's constructor filled, the
+    # same on every read, and J-dot qd comes out of RigidBodyState's spatial
+    # pass: the full J-dot is never reached
     def unreachable(*args, **kwargs):
-        raise AssertionError("a second column pass ran")
+        raise AssertionError("the full J-dot was formed")
 
-    monkeypatch.setattr(kinematics.ChainState, "jacobian", unreachable)
     monkeypatch.setattr(dynamics.RigidBodyState, "jacobian_dot", unreachable)
     q = random_config(desk_model, rng)
     qd = rng.standard_normal(6)
+    st = RigidBodyState(desk_model, q, qd)
+    jac = st.jacobian()
+    assert st.jacobian() is jac and not jac.flags.writeable
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = default_task_hierarchy()
     posture = default_posture(q)
-    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, target, 1e-2, posture=posture)
+    u = osc_torque(st, tasks, target, 1e-2, posture=posture)
     roll = osc_rollout(RigidBodyState(desk_model, q, qd), [target] * 3, 1e-3, 1e-2, tasks,
                        posture=posture)
     assert np.isfinite(u).all() and np.isfinite(roll.x_hat).all()
+    assert st.jacobian() is jac
 
 
 def test_osc_rollout_clamps_torque(desk_model):
