@@ -1,7 +1,7 @@
 """Forward kinematics, geometric Jacobians, and task-space error.
 
 This module also holds the one rigid-body chain representation, a chain of
-revolute joints: a cached per-model record of the chain constants, as
+revolute joints: the chain constants the model keeps (RobotModel.chain), as
 (n, ...) arrays over the joints, and a per-configuration object whose
 constructor computes every joint's local transform from its parent link,
 X_J(q) X_T (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 4), in
@@ -14,7 +14,10 @@ the spatial pass of dynamics.RigidBodyState.
 
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
-rotation vectors log(R_target R_current^T).
+rotation vectors log(R_target R_current^T); quaternions are (w, x, y, z),
+w >= 0. A conversion run once per model or trajectory, on whole arrays, is
+scipy.spatial.transform's; the kernels a tick runs on one matrix are
+hand-written: under 4 us a call, where scipy takes 13-47 us.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .robot_model import RobotModel, _frozen
 
 
 # ---------------------------------------------------------------------------
-# quaternion / rotation-vector utilities (w, x, y, z ordering, w >= 0)
+# the per-tick quaternion / rotation-vector kernels
 
 
 def canonical_quat(q: np.ndarray) -> np.ndarray:
@@ -52,35 +56,6 @@ def quat_to_matrix(q) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
-    """Shepperd's method; returns the canonical-sign unit quaternion."""
-    rot = np.asarray(rot, dtype=float)
-    tr = rot[0, 0] + rot[1, 1] + rot[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (rot[2, 1] - rot[1, 2]) / s, (rot[0, 2] - rot[2, 0]) / s, (rot[1, 0] - rot[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax([rot[0, 0], rot[1, 1], rot[2, 2]]))
-        if i == 0:
-            s = math.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2
-            q = np.array(
-                [(rot[2, 1] - rot[1, 2]) / s, 0.25 * s, (rot[0, 1] + rot[1, 0]) / s, (rot[0, 2] + rot[2, 0]) / s]
-            )
-        elif i == 1:
-            s = math.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2
-            q = np.array(
-                [(rot[0, 2] - rot[2, 0]) / s, (rot[0, 1] + rot[1, 0]) / s, 0.25 * s, (rot[1, 2] + rot[2, 1]) / s]
-            )
-        else:
-            s = math.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2
-            q = np.array(
-                [(rot[1, 0] - rot[0, 1]) / s, (rot[0, 2] + rot[2, 0]) / s, (rot[1, 2] + rot[2, 1]) / s, 0.25 * s]
-            )
-    return canonical_quat(q / np.linalg.norm(q))
 
 
 def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
@@ -202,6 +177,24 @@ class Pose:
         return quat_to_matrix(self.quaternion)
 
 
+# scipy orders a quaternion (x, y, z, w): the setup-time conversions use these two
+
+
+def rotation_from_quat(quats) -> Rotation:
+    """The Rotation of one (w, x, y, z) quaternion or of an (m, 4) stack."""
+    return Rotation.from_quat(np.asarray(quats, dtype=float)[..., [1, 2, 3, 0]])
+
+
+def quat_from_rotation(rotation: Rotation) -> np.ndarray:
+    """rotation's canonical-sign unit quaternion(s), (w, x, y, z): (4,) or (m, 4)."""
+    return rotation.as_quat(canonical=True)[..., [3, 0, 1, 2]]
+
+
+def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
+    """The canonical-sign unit quaternion of a rotation matrix."""
+    return quat_from_rotation(Rotation.from_matrix(rot))
+
+
 # J's angular rows (3..5) in y z x, z x y order, and the arm's in z x y, y z x
 _AXIS_ROWS = np.array([4, 5, 3, 5, 3, 4])
 _ARM_ROWS = np.array([2, 0, 1, 1, 2, 0])
@@ -266,10 +259,11 @@ class ChainState:
     scan (Hillis & Steele, 1986), ceil(log2 n) batched products of the stack
     with itself shifted by 1, 2, 4, ... joints. They are kept as the world
     joint axes axis_w and link-frame origins origin_w (n x 3 each), the link
-    rotations rot_w (n x 3 x 3), the end-effector rotation ee_rot and
-    position ee_pos, and the end-effector Jacobian (jacobian()). Link k's frame origin lies on joint k's axis, so it
-    serves as the joint's origin: the joint turns about it. The shape of q
-    is checked against the model, and q is kept as given, not copied.
+    rotations rot_w (n x 3 x 3), the end-effector rotation ee_rot, position
+    ee_pos and Jacobian (jacobian(), read-only). Link k's frame origin lies
+    on joint k's axis, so it serves as the joint's origin: the joint turns
+    about it. The shape of q is checked against the model, and q is kept as
+    given, not copied.
     """
 
     def __init__(self, model: RobotModel, q):

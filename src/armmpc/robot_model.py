@@ -16,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
 
@@ -64,14 +65,7 @@ def _array(x, name: str, shape: tuple[int, ...] = (3,)) -> np.ndarray:
 
 def rpy_to_matrix(rpy) -> np.ndarray:
     """Rotation matrix for intrinsic XYZ Euler angles (roll, pitch, yaw)."""
-    r, p, y = float(rpy[0]), float(rpy[1]), float(rpy[2])
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    cy, sy = math.cos(y), math.sin(y)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    return rx @ ry @ rz
+    return Rotation.from_euler("XYZ", [rpy[0], rpy[1], rpy[2]]).as_matrix()
 
 
 @dataclass(frozen=True, eq=False)

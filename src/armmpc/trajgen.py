@@ -1,4 +1,5 @@
-"""Task-trajectory generation: clamped cubic splines + quaternion slerp.
+"""Task-trajectory generation: clamped cubic splines in position, and in
+orientation slerp (Shoemake, 1985) by scipy's Slerp over all samples at once.
 
 Trajectories are sampled on the controller's time grid so the controllers
 never resample. The bundled scenarios reproduce the evaluation setups: a
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.spatial.transform import Slerp
 
-from .kinematics import Pose, canonical_quat, forward_kinematics, quat_to_matrix, rotvec_from_matrix
+from .kinematics import Pose, forward_kinematics, quat_from_rotation, rotation_from_quat
 from .nominal import POSITION, TaskSpec, default_task_hierarchy
 from .robot_model import RobotModel, require_number
 
@@ -107,33 +109,10 @@ def cubic_spline_position(waypoints, dt: float):
     return ts, spline(ts), spline(ts, 1)
 
 
-def quaternion_interp(q_start, q_end, s: float) -> np.ndarray:
-    """Shortest-path slerp between unit quaternions at fraction s in [0, 1]."""
-    qa = np.asarray(q_start, dtype=float)
-    qb = np.asarray(q_end, dtype=float)
-    dot = float(qa @ qb)
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        out = qa + s * (qb - qa)
-        return canonical_quat(out / np.linalg.norm(out))
-    theta = math.acos(min(1.0, dot))
-    sin_theta = math.sin(theta)
-    wa = math.sin((1.0 - s) * theta) / sin_theta
-    wb = math.sin(s * theta) / sin_theta
-    out = wa * qa + wb * qb
-    return canonical_quat(out / np.linalg.norm(out))
-
-
-def _slerp_axis_angle(q_start, q_end):
-    """Rotation vector taking q_start to q_end along the slerp path."""
-    qa = np.asarray(q_start, dtype=float)
-    qb = np.asarray(q_end, dtype=float)
-    if qa @ qb < 0:
-        qb = -qb
-    rel = quat_to_matrix(qb) @ quat_to_matrix(qa).T
-    return rotvec_from_matrix(rel)
+def quaternion_interp(q_start, q_end, s) -> np.ndarray:
+    """Shortest-path slerp between unit quaternions at fraction s in [0, 1],
+    a scalar (giving (4,)) or an array of fractions (giving (m, 4))."""
+    return quat_from_rotation(Slerp([0.0, 1.0], rotation_from_quat([q_start, q_end]))(s))
 
 
 def _smooth_profile(duration: float, dt: float):
@@ -144,17 +123,15 @@ def _smooth_profile(duration: float, dt: float):
 
 def pose_trajectory_between(start: Pose, end: Pose, duration: float, dt: float) -> TaskTrajectory:
     """Spline position + slerp orientation from start to end, at rest at both ends."""
-    ts, s_prof, sd_prof = _smooth_profile(duration, dt)
-    rotvec = _slerp_axis_angle(start.quaternion, end.quaternion)
+    _, s_prof, sd_prof = _smooth_profile(duration, dt)
     delta = end.translation - start.translation
-    poses = []
-    twists = np.zeros((len(ts), 6))
-    for i, (s, sd) in enumerate(zip(s_prof, sd_prof)):
-        pos = start.translation + s * delta
-        quat = quaternion_interp(start.quaternion, end.quaternion, float(s))
-        poses.append(Pose(quat, pos))
-        twists[i, :3] = sd * delta
-        twists[i, 3:] = sd * rotvec
+    qa, qb = start.quaternion, end.quaternion
+    # the world-frame rotation vector from start to end along the slerp
+    rotvec = (rotation_from_quat(qb) * rotation_from_quat(qa).inv()).as_rotvec()
+    # the spline's end value may round to just past 1, outside the slerp's span
+    quats = quaternion_interp(qa, qb, np.clip(s_prof, 0.0, 1.0))
+    poses = map(Pose, quats, start.translation + s_prof[:, None] * delta)
+    twists = sd_prof[:, None] * np.concatenate([delta, rotvec])
     return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists)
 
 
@@ -168,17 +145,14 @@ def waypoint_trajectory(waypoints, quats, dt: float) -> TaskTrajectory:
         raise ValueError("need at least two orientation keyframes")
     ts, pos, vel = cubic_spline_position(waypoints, dt)
     q_times = np.asarray([t for t, _ in quats], dtype=float)
-    q_vals = [np.asarray(q, dtype=float) for _, q in quats]
-    spans = np.diff(q_times)
-    # each segment's slerp turns at one constant rate
-    rates = np.array([_slerp_axis_angle(qa, qb) for qa, qb in zip(q_vals, q_vals[1:])]) / spans[:, None]
-    segs = np.clip(np.searchsorted(q_times, ts, side="right") - 1, 0, len(q_vals) - 2)
-    fracs = np.clip((ts - q_times[segs]) / spans[segs], 0.0, 1.0)
-    poses = [Pose(quaternion_interp(q_vals[seg], q_vals[seg + 1], s), p)
-             for seg, s, p in zip(segs.tolist(), fracs.tolist(), pos)]
-    twists = np.empty((len(ts), 6))
-    twists[:, :3] = vel
-    twists[:, 3:] = rates[segs]
+    keys = rotation_from_quat([q for _, q in quats])
+    # each segment's slerp turns at one constant rate; the samples outside the
+    # keyframes' span hold its end orientations
+    rates = (keys[1:] * keys[:-1].inv()).as_rotvec() / np.diff(q_times)[:, None]
+    slerped = Slerp(q_times, keys)(np.clip(ts, q_times[0], q_times[-1]))
+    poses = map(Pose, quat_from_rotation(slerped), pos)
+    segs = np.clip(np.searchsorted(q_times, ts, side="right") - 1, 0, len(q_times) - 2)
+    twists = np.hstack([vel, rates[segs]])
     # angular feedforward is the constant segment rate; zero it at the rest ends
     twists[0, 3:] = 0.0
     twists[-1, 3:] = 0.0

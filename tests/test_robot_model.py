@@ -12,6 +12,7 @@ from armmpc.robot_model import (
     PayloadSpec,
     attach_payload,
     model_from_dict,
+    rpy_to_matrix,
 )
 from armmpc.dynamics import mass_matrix
 from armmpc.kinematics import Pose
@@ -19,7 +20,7 @@ from armmpc.nominal import POSITION, TaskSpec
 from armmpc.simulator import PositionLoopGains
 from armmpc.trajgen import TaskTrajectory
 
-from conftest import make_pendulum, random_config
+from conftest import make_pendulum, random_config, rotvec_to_matrix
 
 
 def test_load_rs007n_torque_limits():
@@ -125,6 +126,16 @@ def test_non_finite_number_is_a_parse_error(tmp_path, where, value, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelParseError, match=match):
         load_model(path)
+
+
+def test_rpy_is_intrinsic_xyz(rng):
+    # roll about x, then pitch about the turned y, then yaw about the twice
+    # turned z: R = Rx(roll) Ry(pitch) Rz(yaw)
+    for rpy in rng.uniform(-math.pi, math.pi, (20, 3)):
+        want = np.eye(3)
+        for axis, angle in zip(np.eye(3), rpy):
+            want = want @ rotvec_to_matrix(angle * axis)
+        np.testing.assert_allclose(rpy_to_matrix(rpy), want, rtol=0, atol=1e-15)
 
 
 def test_short_ee_rpy_is_a_parse_error():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc.kinematics import Pose, forward_kinematics, quat_to_matrix
+from armmpc.kinematics import (Pose, canonical_quat, forward_kinematics, quat_to_matrix,
+                               rotvec_from_matrix)
 from armmpc.nominal import default_task_hierarchy
 from armmpc.trajgen import (
     SINGULARITY_END_CONFIG,
@@ -14,7 +15,7 @@ from armmpc.trajgen import (
     TaskTrajectory,
     cubic_spline_position,
     export_trajectory_csv,
-    _slerp_axis_angle,
+    _smooth_profile,
     quaternion_interp,
     scenario_initial_config,
     scenario_trajectory,
@@ -110,6 +111,41 @@ def test_slerp_unit_canonical(seed, s):
     assert out[0] >= 0 or (out[0] == 0 and np.any(out[1:] > 0))
 
 
+def scalar_slerp(q_start, q_end, s):
+    """Shortest-path slerp (Shoemake, 1985) of unit quaternions at one
+    fraction s, from the sine weights of the two ends: the oracle for the
+    trajectories' array slerp."""
+    qa = np.asarray(q_start, dtype=float)
+    qb = np.asarray(q_end, dtype=float)
+    dot = float(qa @ qb)
+    if dot < 0.0:
+        qb = -qb
+        dot = -dot
+    if dot > 1.0 - 1e-12:
+        out = qa + s * (qb - qa)
+        return canonical_quat(out / np.linalg.norm(out))
+    theta = math.acos(min(1.0, dot))
+    sin_theta = math.sin(theta)
+    wa = math.sin((1.0 - s) * theta) / sin_theta
+    wb = math.sin(s * theta) / sin_theta
+    out = wa * qa + wb * qb
+    return canonical_quat(out / np.linalg.norm(out))
+
+
+def scalar_slerp_rotvec(q_start, q_end):
+    """World-frame rotation vector of the slerp from q_start to q_end, the
+    log map of R_end R_start'."""
+    return rotvec_from_matrix(quat_to_matrix(q_end) @ quat_to_matrix(q_start).T)
+
+
+# the array slerp composes q_start with exp(s log(q_start^-1 q_end)) and the
+# oracle weighs the two ends by sines, so the quaternions agree to a few ulps
+# of 1; the oracle's rates come from an arccos, which loses digits near 0 and
+# pi, so the rates (up to 5 rad/s here) agree to a few hundred ulps
+QUAT_ATOL = 8 * np.finfo(float).eps
+RATE_ATOL = 1e-13
+
+
 def per_sample_waypoint_reference(waypoints, quats, dt):
     """waypoint_trajectory's poses and twists, one sample at a time: the
     segment looked up and its slerp rate formed again for every sample."""
@@ -122,12 +158,23 @@ def per_sample_waypoint_reference(waypoints, quats, dt):
         seg = int(np.clip(np.searchsorted(q_times, t, side="right") - 1, 0, len(q_vals) - 2))
         span = q_times[seg + 1] - q_times[seg]
         s = float(np.clip((t - q_times[seg]) / span, 0.0, 1.0))
-        poses.append(Pose(quaternion_interp(q_vals[seg], q_vals[seg + 1], s), pos[i]))
+        poses.append(Pose(scalar_slerp(q_vals[seg], q_vals[seg + 1], s), pos[i]))
         twists[i, :3] = vel[i]
-        twists[i, 3:] = _slerp_axis_angle(q_vals[seg], q_vals[seg + 1]) / span
+        twists[i, 3:] = scalar_slerp_rotvec(q_vals[seg], q_vals[seg + 1]) / span
     twists[0, 3:] = 0.0
     twists[-1, 3:] = 0.0
     return poses, twists
+
+
+def assert_matches_reference(traj, poses, twists):
+    """traj's translations and linear twists equal to the bit, its
+    quaternions and angular twists to the round-off tolerances above."""
+    assert traj.n_samples == len(poses)
+    for got, want in zip(traj.poses, poses):
+        np.testing.assert_allclose(got.quaternion, want.quaternion, rtol=0, atol=QUAT_ATOL)
+        assert np.array_equal(got.translation, want.translation)
+    assert np.array_equal(traj.twists[:, :3], twists[:, :3])
+    np.testing.assert_allclose(traj.twists[:, 3:], twists[:, 3:], rtol=0, atol=RATE_ATOL)
 
 
 def unit(q):
@@ -140,16 +187,39 @@ def unit(q):
     [(0.0, unit([1.0, 0.0, 0.0, 0.0])), (0.37, unit([0.9, 0.1, -0.3, 0.2])),
      (1.0, unit([-0.2, 0.7, 0.1, 0.6])), (1.5, unit([0.5, -0.5, 0.5, 0.5]))],
 ], ids=["one-segment", "three-segments"])
-def test_waypoint_trajectory_matches_per_sample_reference_bit_for_bit(quats):
+def test_waypoint_trajectory_matches_per_sample_reference(quats):
     waypoints = [(0.0, (0.4, 0.0, 0.3)), (0.5, (0.4, 0.0, 0.5)),
                  (1.0, (0.4, 0.35, 0.5)), (1.5, (0.4, 0.35, 0.3))]
     traj = waypoint_trajectory(waypoints, quats, 1e-3)
     poses, twists = per_sample_waypoint_reference(waypoints, quats, 1e-3)
-    assert traj.n_samples == len(poses) == 1501
-    for got, want in zip(traj.poses, poses):
-        assert np.array_equal(got.quaternion, want.quaternion)
-        assert np.array_equal(got.translation, want.translation)
-    assert np.array_equal(traj.twists, twists)
+    assert traj.n_samples == 1501
+    assert_matches_reference(traj, poses, twists)
+
+
+@pytest.mark.parametrize("duration", [4.0, 0.011], ids=["scenario", "profile-past-one"])
+def test_singularity_trajectory_matches_per_sample_reference(desk_model_large, duration):
+    # the move between two poses, sample by sample with the scalar slerp; at
+    # 0.011 s the ease's last value rounds to just past 1, where the scalar
+    # slerp extrapolates and the array slerp holds the end
+    traj = scenario_trajectory("singularity_pass", desk_model_large, 1e-3, duration=duration)
+    start = forward_kinematics(desk_model_large, SINGULARITY_START_CONFIG)
+    end = forward_kinematics(desk_model_large, SINGULARITY_END_CONFIG)
+    _, s_prof, sd_prof = _smooth_profile(duration, 1e-3)
+    assert (s_prof[-1] > 1.0) == (duration == 0.011)
+    delta = end.translation - start.translation
+    rotvec = scalar_slerp_rotvec(start.quaternion, end.quaternion)
+    poses = [Pose(scalar_slerp(start.quaternion, end.quaternion, float(s)),
+                  start.translation + s * delta) for s in s_prof]
+    twists = np.array([np.concatenate([sd * delta, sd * rotvec]) for sd in sd_prof])
+    assert_matches_reference(traj, poses, twists)
+
+
+def test_slerp_of_an_array_of_fractions_is_its_scalar_slerps(rng):
+    qa, qb = unit(rng.standard_normal(4)), unit(rng.standard_normal(4))
+    fractions = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 20), [1.0]])
+    got = quaternion_interp(qa, qb, fractions)
+    assert got.shape == (22, 4)
+    assert np.array_equal(got, [quaternion_interp(qa, qb, s) for s in fractions.tolist()])
 
 
 def test_waypoint_trajectory_needs_two_keyframes():
