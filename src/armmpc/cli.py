@@ -113,6 +113,15 @@ def _check_steps(scenario: str, dt: float, duration: float | None) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _output_dir(path) -> Path:
+    """path as a directory, created with its parents; a ConfigError if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
     """Store one config value, converted to the type of the field's default."""
     reject_bools(val, key)  # a bool is an int to Python, not a number here
@@ -161,8 +170,7 @@ def cmd_run(model_arg, scenario, controller, horizon, dt, duration, max_ticks, o
         "horizon": horizon, "dt": dt, "duration": duration,
         "max_ticks": max_ticks,
     })
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out)
     try:
         result = run_scenario(scenario, controller, model, cfg)
     except Exception as exc:  # runtime failures map to exit 4
@@ -200,11 +208,11 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
     if ticks < 1:
         raise ConfigError("ticks must be >= 1")
     model = _resolve_model(model_arg, scenario)
+    for horizon in horizon_list:  # every config error before the output directory
+        _load_config(scenario, "kin_mpc", config_path, {"horizon": horizon, "dt": dt})
+    path = _output_dir(out) / "bench_horizon.csv"
     rows = bench_horizon(model, scenario, horizon_list, ticks, dt=dt,
                          config_path=config_path)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "bench_horizon.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon", "ticks", "min_ms", "median_ms", "p99_ms"])
@@ -260,6 +268,8 @@ def cmd_check(model_arg, which, seed):
     """Run the self-verification suites (derivatives, QP oracle, identities,
     world-frame pass)."""
     names = tuple(w.strip() for w in which.split(",") if w.strip())
+    if not names:
+        raise ConfigError("check list is empty")
     unknown = [w for w in names if w not in CHECK_NAMES]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; available: {CHECK_NAMES}")
@@ -287,7 +297,11 @@ def cmd_export_traj(model_arg, scenario, dt, duration, out):
     _check_steps(scenario, dt, duration)
     model = _resolve_model(model_arg, scenario)
     traj = scenario_trajectory(scenario, model, dt, duration=duration)
-    export_trajectory_csv(traj, out)
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        export_trajectory_csv(traj, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     click.echo(f"wrote {out} ({traj.n_samples} samples, {traj.duration:.3f} s)")
     sys.exit(EXIT_OK)
 

@@ -15,16 +15,15 @@ the spatial pass of dynamics.RigidBodyState.
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
 rotation vectors log(R_target R_current^T); quaternions are (w, x, y, z),
-w >= 0. A conversion run once per model or trajectory, on whole arrays, is
-scipy.spatial.transform's; the kernels a tick runs on one matrix are
-hand-written: under 4 us a call, where scipy takes 13-47 us.
+w >= 0. A Pose is one pose or a stack of m (a trajectory's samples); the
+kernels canonical_quat, quat_to_matrix and the log map are hand-written
+(under 4 us for one, scipy 13-47 us), other conversions are scipy's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -37,25 +36,21 @@ from .robot_model import RobotModel, _frozen
 
 
 def canonical_quat(q: np.ndarray) -> np.ndarray:
-    """Fix the double-cover sign: w > 0, ties broken by the first nonzero entry."""
-    if q[0] < 0:
-        return -q
-    if q[0] == 0:
-        for c in q[1:]:
-            if c != 0:
-                return q if c > 0 else -q
-    return q
+    """Fix the double-cover sign of one quaternion (4,) or of each row of an
+    (m, 4) stack: w > 0, ties broken by the first nonzero entry."""
+    q = np.asarray(q)
+    lead = np.take_along_axis(q, (q != 0).argmax(axis=-1)[..., None], -1)
+    return np.where(lead < 0, -q, q)
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """The rotation matrix of one unit quaternion (4,), (3, 3), or of each
+    row of an (m, 4) stack, (m, 3, 3), by the same arithmetic per entry."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    entries = [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+               2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+               2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]
+    return np.stack(entries, axis=-1).reshape(np.shape(w) + (3, 3))
 
 
 def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
@@ -149,32 +144,28 @@ def _crm(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """End-effector pose: unit quaternion (w, x, y, z) + translation (m)."""
+    """End-effector pose: unit quaternion (w, x, y, z) + translation (m), (4,)
+    and (3,), or a stack of m poses, (m, 4) and (m, 3), each row a single
+    pose's bits; its arrays and rotation_matrix, (3, 3) or (m, 3, 3), are read-only."""
 
     quaternion: np.ndarray
     translation: np.ndarray
+    rotation_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.quaternion, dtype=float)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        if not abs(math.hypot(*q.tolist()) - 1.0) <= 1e-9:
+        if q.ndim not in (1, 2) or q.shape[-1] != 4:
+            raise ValueError(f"quaternion must have shape (4,) or (m, 4), got {q.shape}")
+        t = np.array(self.translation, dtype=float)  # a copy: the caller's stays writable
+        if t.shape != q.shape[:-1] + (3,):
+            raise ValueError(f"translation must have shape {q.shape[:-1] + (3,)}, got {t.shape}")
+        if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-9):
             raise ValueError("quaternion is not finite with unit norm")
-        object.__setattr__(self, "quaternion", _frozen(canonical_quat(q)))
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must have shape (3,), got {t.shape}")
-        if not all(map(math.isfinite, t.tolist())):
+        if not np.isfinite(t).all():
             raise ValueError("translation has non-finite entries")
+        object.__setattr__(self, "quaternion", _frozen(canonical_quat(q)))
         object.__setattr__(self, "translation", _frozen(t))
-
-    @staticmethod
-    def from_matrix(rot: np.ndarray, translation: np.ndarray) -> "Pose":
-        return Pose(quat_from_matrix(rot), translation)
-
-    @cached_property
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.quaternion)
+        object.__setattr__(self, "rotation_matrix", _frozen(quat_to_matrix(self.quaternion)))
 
 
 # scipy orders a quaternion (x, y, z, w): the setup-time conversions use these two
@@ -306,7 +297,7 @@ class ChainState:
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose at configuration q."""
     st = ChainState(model, q)
-    return Pose.from_matrix(st.ee_rot, st.ee_pos)
+    return Pose(quat_from_matrix(st.ee_rot), st.ee_pos)
 
 
 def fk_jacobian_raw(model: RobotModel, q):

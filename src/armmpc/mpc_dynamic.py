@@ -198,8 +198,8 @@ class DynamicMpc(RecedingHorizon):
         applies the rollout's first torque, clipped to the limits.
         """
         model, cfg, n = self.model, self.cfg, self.model.n
-        poses, twists, includes_end = self._window(state, traj, tick)
-        rollout = osc_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks,
+        rot_t, pos_t, twists, includes_end = self._window(state, traj, tick)
+        rollout = osc_rollout(state, rot_t, pos_t, cfg.dt, cfg.svd_threshold, traj.tasks,
                               posture=self.posture, twists=twists)
         stages = linearize_stage(rollout.states, rollout.u_hat, cfg.dt, qdd=rollout.qdd_hat)
         solution, degraded = self._solve(

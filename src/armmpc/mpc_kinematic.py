@@ -172,10 +172,10 @@ class KinematicMpc(RecedingHorizon):
         ValueError). A degraded tick holds the last command.
         """
         model, cfg = self.model, self.cfg
-        poses, twists, includes_end = self._window(state, traj, tick)
+        rot_t, pos_t, twists, includes_end = self._window(state, traj, tick)
         if self._history is None:
             self._history = (state.q.copy(), state.q.copy())
-        rollout = ik_rollout(state, poses, cfg.dt, cfg.svd_threshold, traj.tasks, twists=twists)
+        rollout = ik_rollout(state, rot_t, pos_t, cfg.dt, cfg.svd_threshold, traj.tasks, twists=twists)
         solution, degraded = self._solve(
             lambda widen: build_kin_qp(cfg, rollout, self._history, model.limits,
                                        terminal_widen=widen),

@@ -2,8 +2,8 @@
 
 Two generators: prioritized inverse-kinematics rollouts for the kinematic
 controller, and hierarchical operational-space torque rollouts for the
-dynamic controller. Each step tracks one target pose and its 6-twist, the
-velocity feedforward; every task level tracks its own rows of that pose.
+dynamic controller. Each step tracks one target rotation and position (array
+rows, no Pose) and its 6-twist, the feedforward; each level tracks its rows.
 Both run one task-priority recursion (_prioritize), weighted by the
 identity for the IK and by M^-1 for the OSC, whose truncated level inverses
 keep commands bounded near singular configurations. The hierarchy is
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevd
 
 from .dynamics import RigidBodyState
-from .kinematics import ChainState, Pose, fk_jacobian_raw, pose_error_raw
+from .kinematics import ChainState, fk_jacobian_raw, pose_error_raw
 from .robot_model import require_number
 
 POSITION = "position"
@@ -341,22 +341,25 @@ def _prioritize(levels, jac_full, floor: float, jac_out: np.ndarray, minv=None,
         yield level, jac_proj, lam, jbar, proj
 
 
-def _rollout_steps(poses, dt: float, twists) -> tuple[int, np.ndarray]:
-    """The step count of a rollout over poses, and its (steps, 6) twists
-    (None: zeros); ValueError for a dt that is not finite and > 0."""
+def _rollout_steps(rotations, positions, dt: float, twists) -> tuple[int, np.ndarray]:
+    """The step count of a rollout toward (steps, 3, 3) rotations and (steps, 3)
+    positions, and its (steps, 6) twists (None: zeros); else ValueError, as for a bad dt."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    steps = len(poses)
+    lead = positions.shape[:1]  # .shape reads, not np.shape calls, on every tick
+    if positions.shape != lead + (3,) or rotations.shape != lead + (3, 3):
+        raise ValueError(f"targets must be (m, 3, 3), (m, 3): got {rotations.shape}, {positions.shape}")
+    steps = lead[0]
     twists = np.zeros((steps, 6)) if twists is None else np.asarray(twists, dtype=float)
     if twists.shape != (steps, 6):
         raise ValueError(f"twists must be ({steps}, 6), got {twists.shape}")
     return steps, twists
 
 
-def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
+def ik_rollout(start: ChainState, rotations, positions, dt: float, rel_threshold: float,
                tasks, twists=None) -> NominalRollout:
-    """Integrate the prioritized IK from the chain state start over n_p+1
-    target poses.
+    """Integrate the prioritized IK from the chain state start toward n_p+1
+    target rotations (n_p+1, 3, 3) and positions (n_p+1, 3).
 
     Each step is one velocity command executing the task hierarchy: every
     level tracks its selected rows of the step's pose, with the desired
@@ -370,7 +373,7 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     the same frames and _prioritize call, with no integration after the
     last pose.
     """
-    steps, twists = _rollout_steps(poses, dt, twists)
+    steps, twists = _rollout_steps(rotations, positions, dt, twists)
     model, n = start.model, start.model.n
     levels, pose_rows, gains, _, _, j_stack, err_stack = _levels(tasks, steps, n)
     twists = twists[:, pose_rows]  # the feedforward of each stacked row
@@ -382,8 +385,7 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     # J_p's singular values; a negative rel_threshold clips to 0, rejected
     floor = max(rel_threshold, 0.0)**2
     for k in range(steps):
-        err = err_stack[k] = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
-                                            rot, pos)[pose_rows]
+        err = err_stack[k] = pose_error_raw(rotations[k], positions[k], rot, pos)[pose_rows]
         ref_vel = gains * err + twists[k]  # every level's reference velocity
         qd = None
         for (rows, out), _, _, jbar, _ in _prioritize(levels, jac, floor, j_stack[k]):
@@ -395,35 +397,34 @@ def ik_rollout(start: ChainState, poses, dt: float, rel_threshold: float,
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 
 
-def osc_torque(state: RigidBodyState, tasks, target: Pose, rel_threshold: float,
+def osc_torque(state: RigidBodyState, tasks, rotation, position, rel_threshold: float,
                posture: PostureSpec | None = None, twist=None) -> np.ndarray:
-    """Hierarchical operational-space torque tracking one target pose from a
-    chain state at (q, qd), whose M, b and frames it reads.
+    """Hierarchical operational-space torque toward one target rotation (3, 3)
+    and position (3,) from a chain state at (q, qd), whose M, b and frames it reads.
 
     Every level tracks its selected rows of the target and of the optional
     6-twist (None: zero): a task-space PD force weighted by the task-space
     inertia, mapped through the projected Jacobian transpose; lower levels
     act through dynamically consistent null-space projectors, the posture
     impedance acts in the final null space, and the bias forces are
-    compensated exactly. A plain ChainState (no qd), or a twist that is not a
-    6-vector, is a ValueError.
+    compensated exactly. A plain ChainState (no qd), a target of other
+    shapes or a twist that is not a 6-vector is a ValueError.
     """
     if not isinstance(state, RigidBodyState):
         raise ValueError(f"osc_torque needs a RigidBodyState, got a {type(state).__name__}")
+    if rotation.shape != (3, 3) or position.shape != (3,):
+        raise ValueError(f"target must be (3, 3), (3,): got {rotation.shape}, {position.shape}")
     levels, pose_rows, _, kp, kd, jac, err = _levels(tasks, 1, state.model.n)
-    if twist is None:
-        twist = np.zeros(pose_rows.size)
-    else:
-        twist = np.asarray(twist, dtype=float)
-        if twist.shape != (6,):
-            raise ValueError(f"twist must be (6,), got {twist.shape}")
-        twist = twist[pose_rows]  # the feedforward of each stacked row
-    return _osc_torque(state, levels, pose_rows, kp, kd, target, rel_threshold, posture, twist,
-                       jac[0], err[0])
+    twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
+    if twist.shape != (6,):
+        raise ValueError(f"twist must be (6,), got {twist.shape}")
+    twist = twist[pose_rows]  # the feedforward of each stacked row
+    return _osc_torque(state, levels, pose_rows, kp, kd, rotation, position, rel_threshold,
+                       posture, twist, jac[0], err[0])
 
 
 def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, kp: np.ndarray,
-                kd: np.ndarray, target: Pose, rel_threshold: float,
+                kd: np.ndarray, rotation: np.ndarray, position: np.ndarray, rel_threshold: float,
                 posture: PostureSpec | None, twist: np.ndarray, jac_out: np.ndarray,
                 err_out: np.ndarray) -> np.ndarray:
     """osc_torque at a chain state whose M, b and frames it shares with the
@@ -432,8 +433,7 @@ def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, kp: np.ndarra
     jac_out and err_out."""
     qd = st.qd
     jac_full = st.jacobian()
-    err = err_out[:] = pose_error_raw(target.rotation_matrix, target.translation, st.ee_rot,
-                                      st.ee_pos)[pose_rows]
+    err = err_out[:] = pose_error_raw(rotation, position, st.ee_rot, st.ee_pos)[pose_rows]
     # every level's reference force at once, over the n_g stacked rows
     force = kd * (twist - jac_full[pose_rows] @ qd) + kp * err - st.jdot_qd[pose_rows]
 
@@ -451,11 +451,11 @@ def _osc_torque(st: RigidBodyState, levels, pose_rows: np.ndarray, kp: np.ndarra
     return u + st.bias
 
 
-def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
+def osc_rollout(start: RigidBodyState, rotations, positions, dt: float, rel_threshold: float,
                 tasks, posture: PostureSpec | None = None, twists=None) -> NominalRollout:
-    """Simulate the OSC controller from the chain state start over n_p+1
-    target poses, with their (n_p+1, 6) desired twists (None: zero), by
-    semi-implicit Euler.
+    """Simulate the OSC controller from the chain state start toward n_p+1
+    target rotations (n_p+1, 3, 3) and positions (n_p+1, 3), with their
+    (n_p+1, 6) desired twists (None: zero), by semi-implicit Euler.
 
     Torques are clamped to the model limits before integration, so the
     recorded nominal is realizable by the torque-limited plant. The chain
@@ -468,7 +468,7 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     """
     if not isinstance(start, RigidBodyState):
         raise ValueError(f"osc_rollout needs a RigidBodyState, got a {type(start).__name__}")
-    steps, twists = _rollout_steps(poses, dt, twists)
+    steps, twists = _rollout_steps(rotations, positions, dt, twists)
     model, n = start.model, start.model.n
     u_max = model.limits.u_max
     levels, pose_rows, _, kp, kd, j_stack, err_stack = _levels(tasks, steps, n)
@@ -482,13 +482,13 @@ def osc_rollout(start: RigidBodyState, poses, dt: float, rel_threshold: float,
     for k in range(steps):
         x_hat[k, :n], x_hat[k, n:] = st.q, st.qd
         if k + 1 == steps:  # the last torque is never applied: fill only the task stacks
-            err_stack[k] = pose_error_raw(poses[k].rotation_matrix, poses[k].translation,
-                                          st.ee_rot, st.ee_pos)[pose_rows]
+            err_stack[k] = pose_error_raw(rotations[k], positions[k], st.ee_rot,
+                                          st.ee_pos)[pose_rows]
             for _ in _prioritize(levels, st.jacobian(), rel_threshold, j_stack[k], st.minv):
                 pass
             break
-        u = _osc_torque(st, levels, pose_rows, kp, kd, poses[k], rel_threshold, posture,
-                        twists[k], j_stack[k], err_stack[k])
+        u = _osc_torque(st, levels, pose_rows, kp, kd, rotations[k], positions[k],
+                        rel_threshold, posture, twists[k], j_stack[k], err_stack[k])
         u_hat[k] = np.clip(u, -u_max, u_max)
         states.append(st)
         st, qdd_hat[k] = st.semi_implicit_step(u_hat[k], dt)

@@ -249,9 +249,10 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     elif controller == "dyn_mpc":
         mpc = DynamicMpc(model, ctl_cfg, posture=posture)
 
+    rotations, positions = traj.poses.rotation_matrix, traj.poses.translation
     for tick in range(ticks):
-        target, chain = traj.poses[tick], state.chain
-        err = pose_error_raw(target.rotation_matrix, target.translation, chain.ee_rot, chain.ee_pos)
+        chain = state.chain
+        err = pose_error_raw(rotations[tick], positions[tick], chain.ee_rot, chain.ee_pos)
         t_log[tick] = state.t
         q_log[tick] = state.q
         qd_log[tick] = state.qd
@@ -261,8 +262,8 @@ def run_scenario(scenario, controller: str, model: RobotModel,
         sat_before = state.saturation_count
         t0 = time.perf_counter()
         if controller == "osc":
-            cmd = osc_torque(chain, traj.tasks, target, cfg.svd_threshold,
-                             posture=posture, twist=traj.twists[tick])
+            cmd = osc_torque(chain, traj.tasks, rotations[tick], positions[tick],
+                             cfg.svd_threshold, posture=posture, twist=traj.twists[tick])
             degraded = False
         else:
             res = mpc.step(chain, traj, tick)
@@ -305,8 +306,8 @@ def ik_baseline_sequence(model: RobotModel, traj: TaskTrajectory, q0,
 
     The raw nominal the MPC is compared against: returns (q_seq, qd_cmd_seq).
     """
-    roll = ik_rollout(ChainState(model, q0), traj.poses, traj.dt, svd_threshold, traj.tasks,
-                      twists=traj.twists)
+    roll = ik_rollout(ChainState(model, q0), traj.poses.rotation_matrix, traj.poses.translation,
+                      traj.dt, svd_threshold, traj.tasks, twists=traj.twists)
     return roll.q_hat, roll.qd_hat
 
 

@@ -1,10 +1,10 @@
 """Task-trajectory generation: clamped cubic splines in position, and in
 orientation slerp (Shoemake, 1985) by scipy's Slerp over all samples at once.
 
-Trajectories are sampled on the controller's time grid so the controllers
-never resample. The bundled scenarios reproduce the evaluation setups: a
-pick-and-place style payload move, a wrist-singularity crossing, and a small
-planar circle for benchmarks.
+Trajectories are sampled on the controller's time grid, one Pose stack and
+one (N, 6) twist array whose rows a window hands out, never resampled. The
+bundled scenarios reproduce the evaluation setups: a pick-and-place payload
+move, a wrist-singularity crossing, and a small planar circle for benchmarks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.spatial.transform import Slerp
 
 from .kinematics import Pose, forward_kinematics, quat_from_rotation, rotation_from_quat
 from .nominal import POSITION, TaskSpec, default_task_hierarchy
-from .robot_model import RobotModel, require_number
+from .robot_model import RobotModel, _frozen, require_number
 
 SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
 SCENARIO_DURATIONS = {"payload_pick_place": 3.0, "singularity_pass": 4.0, "circle_2dof": 2.0}  # s
@@ -27,11 +27,12 @@ SCENARIO_DURATIONS = {"payload_pick_place": 3.0, "singularity_pass": 4.0, "circl
 
 @dataclass(frozen=True, eq=False)
 class TaskTrajectory:
-    """Evenly sampled sequence of pose targets and their desired twists,
-    every controller's feedforward; built without twists, they are zeros."""
+    """Evenly sampled pose targets, one Pose stack (a sequence of single
+    Poses is stacked once), and their desired twists, every controller's
+    feedforward (zeros if built without); all arrays are read-only."""
 
     dt: float
-    poses: tuple[Pose, ...]
+    poses: Pose
     twists: np.ndarray | None = None  # (count, 6): [linear; angular]
     tasks: tuple[TaskSpec, ...] = field(default_factory=default_task_hierarchy)
 
@@ -39,43 +40,45 @@ class TaskTrajectory:
         require_number(self.dt, "dt")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive")
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if len(self.poses) < 1:
-            raise ValueError("trajectory needs at least one sample")
-        tw = np.zeros((len(self.poses), 6)) if self.twists is None else np.asarray(
-            self.twists, dtype=float)
-        if tw.shape != (len(self.poses), 6):
-            raise ValueError(f"twists must be ({len(self.poses)}, 6), got {tw.shape}")
+        poses = self.poses
+        if not isinstance(poses, Pose):
+            poses = Pose(np.array([p.quaternion for p in poses]).reshape(-1, 4),
+                         np.array([p.translation for p in poses]).reshape(-1, 3))
+        count = len(poses.quaternion) if poses.quaternion.ndim == 2 else 0
+        if not count:
+            raise ValueError("trajectory needs at least one sample, as a Pose stack")
+        object.__setattr__(self, "poses", poses)
+        tw = np.zeros((count, 6)) if self.twists is None else np.array(self.twists, dtype=float)
+        if tw.shape != (count, 6):
+            raise ValueError(f"twists must be ({count}, 6), got {tw.shape}")
         if not np.all(np.isfinite(tw)):
             raise ValueError("twists have non-finite entries")
-        object.__setattr__(self, "twists", tw)
+        object.__setattr__(self, "twists", _frozen(tw))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if not self.tasks or not all(isinstance(t, TaskSpec) for t in self.tasks):
             raise ValueError("tasks must be a non-empty sequence of TaskSpec")
 
     @property
     def n_samples(self) -> int:
-        return len(self.poses)
+        return len(self.poses.quaternion)
 
     @property
     def duration(self) -> float:
         return (self.n_samples - 1) * self.dt
 
     def window(self, start: int, horizon: int):
-        """Targets for steps start..start+horizon, padded with the final sample.
-
-        Returns (poses, twists, includes_end): a list of horizon + 1 Poses and
-        their (horizon + 1, 6) twists. A negative start or horizon is a
-        ValueError: it names no tick.
-        """
+        """Targets for steps start..start+horizon, padded with the final sample:
+        (rotations, positions, twists, includes_end), horizon + 1 rows each of
+        the stack's rotation matrices, positions and twists, views or, if the
+        window reaches the end, gathers. A negative start or horizon is a
+        ValueError: it names no tick."""
         if start < 0 or horizon < 0:
             raise ValueError(f"start and horizon must be >= 0, got {start} and {horizon}")
         last = self.n_samples - 1
         stop = start + horizon + 1
-        if stop <= last:  # no padding
-            return list(self.poses[start:stop]), self.twists[start:stop].copy(), False
-        idx = np.minimum(np.arange(start, stop), last)
-        return [self.poses[i] for i in idx.tolist()], self.twists[idx], True
+        rows = slice(start, stop) if stop <= last else np.minimum(np.arange(start, stop), last)
+        return (self.poses.rotation_matrix[rows], self.poses.translation[rows], self.twists[rows],
+                stop > last)
 
 
 def step_count(span: float, dt: float) -> int:
@@ -130,9 +133,9 @@ def pose_trajectory_between(start: Pose, end: Pose, duration: float, dt: float) 
     rotvec = (rotation_from_quat(qb) * rotation_from_quat(qa).inv()).as_rotvec()
     # the spline's end value may round to just past 1, outside the slerp's span
     quats = quaternion_interp(qa, qb, np.clip(s_prof, 0.0, 1.0))
-    poses = map(Pose, quats, start.translation + s_prof[:, None] * delta)
+    poses = Pose(quats, start.translation + s_prof[:, None] * delta)
     twists = sd_prof[:, None] * np.concatenate([delta, rotvec])
-    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists)
+    return TaskTrajectory(dt=dt, poses=poses, twists=twists)
 
 
 def waypoint_trajectory(waypoints, quats, dt: float) -> TaskTrajectory:
@@ -150,13 +153,12 @@ def waypoint_trajectory(waypoints, quats, dt: float) -> TaskTrajectory:
     # keyframes' span hold its end orientations
     rates = (keys[1:] * keys[:-1].inv()).as_rotvec() / np.diff(q_times)[:, None]
     slerped = Slerp(q_times, keys)(np.clip(ts, q_times[0], q_times[-1]))
-    poses = map(Pose, quat_from_rotation(slerped), pos)
+    poses = Pose(quat_from_rotation(slerped), pos)
     segs = np.clip(np.searchsorted(q_times, ts, side="right") - 1, 0, len(q_times) - 2)
     twists = np.hstack([vel, rates[segs]])
     # angular feedforward is the constant segment rate; zero it at the rest ends
-    twists[0, 3:] = 0.0
-    twists[-1, 3:] = 0.0
-    return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists)
+    twists[[0, -1], 3:] = 0.0
+    return TaskTrajectory(dt=dt, poses=poses, twists=twists)
 
 
 SINGULARITY_START_CONFIG = np.array([0.0, 0.0, -math.pi / 2, 0.0, -math.pi / 2, math.pi / 2])
@@ -170,10 +172,8 @@ def scenario_initial_config(name: str, model: RobotModel) -> np.ndarray:
     if name == "payload_pick_place":
         return PAYLOAD_HOME_CONFIG.copy()
     if name == "circle_2dof":
-        base = np.array([0.4, 0.7, -1.2, 0.0, -0.6, 0.0])
         out = np.zeros(model.n)
-        take = min(model.n, base.shape[0])
-        out[:take] = base[:take]
+        out[:6] = [0.4, 0.7, -1.2, 0.0, -0.6, 0.0][:model.n]
         return out
     raise KeyError(f"unknown scenario {name!r}")
 
@@ -193,29 +193,23 @@ def scenario_trajectory(name: str, model: RobotModel, dt: float,
     if name == "payload_pick_place":
         seg = total / 3.0
         home = forward_kinematics(model, PAYLOAD_HOME_CONFIG)
-        p0 = home.translation
-        lift = p0 + np.array([0.0, 0.0, 0.2])
-        across = lift + np.array([0.0, 0.35, 0.0])
-        place = across + np.array([0.0, 0.0, -0.2])
-        waypoints = [(0.0, p0), (seg, lift), (2 * seg, across), (total, place)]
+        # home, lifted, carried across and set down
+        points = np.cumsum([home.translation, [0, 0, 0.2], [0, 0.35, 0], [0, 0, -0.2]], axis=0)
+        waypoints = list(zip([0.0, seg, 2 * seg, total], points))
         quats = [(0.0, home.quaternion), (total, home.quaternion)]
         return waypoint_trajectory(waypoints, quats, dt)
     if name == "circle_2dof":
-        q0 = scenario_initial_config(name, model)
-        center_pose = forward_kinematics(model, q0)
+        center_pose = forward_kinematics(model, scenario_initial_config(name, model))
         radius = 0.08
-        count = step_count(total, dt)
-        poses = []
-        twists = np.zeros((count + 1, 6))
         omega = 2 * math.pi / total
-        for k in range(count + 1):
-            ang = omega * k * dt
-            offset = radius * np.array([math.cos(ang) - 1.0, math.sin(ang), 0.0])
-            poses.append(Pose(center_pose.quaternion, center_pose.translation + offset))
-            twists[k, :3] = radius * omega * np.array([-math.sin(ang), math.cos(ang), 0.0])
+        ang = omega * np.arange(step_count(total, dt) + 1) * dt
+        cos, sin, zero = np.cos(ang), np.sin(ang), np.zeros_like(ang)
+        poses = Pose(np.tile(center_pose.quaternion, (ang.size, 1)), center_pose.translation
+                     + radius * np.stack([cos - 1.0, sin, zero], axis=1))
+        twists = radius * omega * np.stack([-sin, cos, zero, zero, zero, zero], axis=1)
         tasks = (TaskSpec(priority=1, selector=POSITION, gain=20.0,
                           kp=np.full(3, 100.0), kd=np.full(3, 10.0)),)
-        return TaskTrajectory(dt=dt, poses=tuple(poses), twists=twists, tasks=tasks)
+        return TaskTrajectory(dt=dt, poses=poses, twists=twists, tasks=tasks)
     raise KeyError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
 
 
@@ -224,6 +218,6 @@ def export_trajectory_csv(traj: TaskTrajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "px", "py", "pz", "qw", "qx", "qy", "qz"])
-        for k, pose in enumerate(traj.poses):
-            row = [k * traj.dt, *pose.translation, *pose.quaternion]
+        for k, (position, quat) in enumerate(zip(traj.poses.translation, traj.poses.quaternion)):
+            row = [k * traj.dt, *position, *quat]
             writer.writerow([f"{x:.17g}" for x in row])

@@ -147,9 +147,16 @@ def id_derivatives_fd(model, q, qd, qdd, h=1e-6):
             _central_difference(lambda x: dynamics.inverse_dynamics(model, q, x, qdd), qd, h))
 
 
+def repeat_pose(pose, count):
+    """count copies of one pose as a rollout's targets: (count, 3, 3) rotation
+    matrices and (count, 3) positions."""
+    return (np.repeat(pose.rotation_matrix[None], count, axis=0),
+            np.repeat(pose.translation[None], count, axis=0))
+
+
 def ik_step(state, tasks, target, rel_threshold):
     """One IK velocity command at a chain state: a one-pose ik_rollout's first qd."""
-    return nominal.ik_rollout(state, [target], 1.0, rel_threshold, tasks).qd_hat[0]
+    return nominal.ik_rollout(state, *repeat_pose(target, 1), 1.0, rel_threshold, tasks).qd_hat[0]
 
 
 def osc_torque_per_level(state, tasks, target, rel_threshold, posture=None, twist=None):

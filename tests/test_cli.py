@@ -247,8 +247,11 @@ def test_check_failure_exit_code(runner, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["--seed", "-1"],
-], ids=["seed-negative"])
+    ["--checks", ","],
+    ["--checks", " , "],
+], ids=["seed-negative", "checks-empty", "checks-blank"])
 def test_check_bad_option_is_config_error(runner, args):
+    # an empty selection used to run no suite and exit 0
     result = runner.invoke(main, ["check", "--checks", "identity"] + args)
     assert result.exit_code == 2, result.output
     assert "PASS" not in result.output
@@ -289,8 +292,10 @@ def test_run_with_non_finite_model_number_is_config_error(runner, tmp_path, fiel
     assert not (tmp_path / "o").exists()
 
 
-def test_export_traj(runner, tmp_path):
-    out = tmp_path / "traj.csv"
+@pytest.mark.parametrize("name", ["traj.csv", "missing/dir/traj.csv"])
+def test_export_traj(runner, tmp_path, name):
+    # the output's missing directories are created, as run does for --out
+    out = tmp_path / name
     result = runner.invoke(main, [
         "export-traj", "--scenario", "singularity_pass", "--dt", "0.01", "--out", str(out),
     ])
@@ -311,3 +316,26 @@ def test_export_traj_bad_step_or_duration_is_config_error(runner, tmp_path, flag
     assert result.exit_code == 2, result.output
     assert f"{flag[2:]} must be a positive number" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "2"],
+    ["bench-horizon", "--horizons", "2", "--ticks", "2"],
+    ["export-traj", "--scenario", "circle_2dof"],
+], ids=["run", "bench-horizon", "export-traj"])
+def test_an_output_path_that_cannot_be_created_is_a_config_error(runner, tmp_path, monkeypatch,
+                                                                 args):
+    # a file where the output directory goes used to end in a traceback
+    # (exit 1), for bench-horizon only after it had timed every horizon
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    monkeypatch.setattr(cli, "bench_horizon", unreachable)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "traj.csv" if args[0] == "export-traj" else blocker
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert len(result.output.strip().splitlines()) == 1, result.output
+    assert "cannot" in result.output and str(blocker) in result.output

@@ -13,7 +13,7 @@ from armmpc import load_bundled_model, mpc_dynamic, mpc_kinematic, qp, simulator
 from armmpc.dynamics import RigidBodyState
 from armmpc.checks import lower_band
 from armmpc.horizon import TERMINAL_WIDEN, hessian_band
-from armmpc.kinematics import ChainState, forward_kinematics
+from armmpc.kinematics import ChainState, Pose, forward_kinematics
 from armmpc.nominal import default_posture, default_task_hierarchy
 from armmpc.trajgen import TaskTrajectory
 
@@ -189,7 +189,8 @@ def test_step_rejects_a_trajectory_sampled_at_another_dt(kind):
     with pytest.raises(ValueError, match="sampled at dt = 0.004, the controller ticks at 0.001"):
         ctl.step(RigidBodyState(model, q0), coarse, 0)
     # within run_scenario's relative tolerance of 1e-9 the dts agree
-    close = TaskTrajectory(dt=1e-3 * (1 + 1e-12), poses=coarse.poses[:20], tasks=coarse.tasks)
+    first = Pose(coarse.poses.quaternion[:20], coarse.poses.translation[:20])
+    close = TaskTrajectory(dt=1e-3 * (1 + 1e-12), poses=first, tasks=coarse.tasks)
     assert not ctl.step(RigidBodyState(model, q0), close, 0).degraded
 
 
@@ -203,8 +204,9 @@ def test_negative_tick_is_rejected(desk_model, rng):
     for start, horizon in ((-1, 2), (0, -1), (-3, -3)):
         with pytest.raises(ValueError, match="start and horizon"):
             traj.window(start, horizon)
-    poses, twists, includes_end = traj.window(0, 0)
-    assert len(poses) == 1 and twists.shape == (1, 6) and not includes_end
+    rot_t, pos_t, twists, includes_end = traj.window(0, 0)
+    assert rot_t.shape == (1, 3, 3) and pos_t.shape == (1, 3) and twists.shape == (1, 6)
+    assert not includes_end
     kin = mpc_kinematic.KinematicMpc(desk_model, mpc_kinematic.KinematicMpcConfig(horizon=2))
     dyn = mpc_dynamic.DynamicMpc(desk_model, mpc_dynamic.DynamicMpcConfig(horizon=2),
                                  posture=default_posture(q0))

@@ -215,6 +215,86 @@ def test_jacobian_dot_from_a_fresh_interpreter():
     assert out.stdout.strip() == "(6, 6)"
 
 
+def branching_canonical_quat(q):
+    """One quaternion's double-cover sign fixed entry by entry: the oracle of
+    canonical_quat's array form."""
+    if q[0] < 0:
+        return -q
+    if q[0] == 0:
+        for c in q[1:]:
+            if c != 0:
+                return q if c > 0 else -q
+    return q
+
+
+def scalar_quat_to_matrix(q):
+    """One quaternion's rotation matrix from its four scalars: the oracle of
+    quat_to_matrix's array form."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_pose_stack_rows_are_the_single_poses_bit_for_bit(rng):
+    # negative w flips; w = 0 (either sign) leaves the first nonzero entry to
+    # decide, negative or positive; each row and each single pose is the
+    # branching oracle's quaternion and the scalar oracle's matrix
+    quats = np.vstack([rng.standard_normal((6, 4)),
+                       [[-0.5, 0.5, -0.5, 0.5], [0.0, 0.0, -0.6, 0.8], [-0.0, 0.0, 0.6, -0.8],
+                        [0.0, 0.6, 0.0, -0.8], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]])
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    translations = rng.standard_normal((len(quats), 3))
+    stack = Pose(quats, translations)
+    # the pose keeps read-only copies, and the caller's arrays stay writable
+    assert quats.flags.writeable and translations.flags.writeable
+    assert stack.rotation_matrix.shape == (len(quats), 3, 3)
+    for k, (quat, translation) in enumerate(zip(quats, translations)):
+        single = Pose(quat, translation)
+        want = branching_canonical_quat(quat)
+        assert same_bits(single.quaternion, want) and same_bits(stack.quaternion[k], want)
+        assert same_bits(single.rotation_matrix, scalar_quat_to_matrix(want))
+        assert same_bits(stack.rotation_matrix[k], scalar_quat_to_matrix(want))
+        assert same_bits(stack.translation[k], translation)
+        for arr in (single.quaternion, single.translation, single.rotation_matrix):
+            assert not arr.flags.writeable
+    for arr in (stack.quaternion, stack.translation, stack.rotation_matrix):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("quat, translation", [
+    ([1.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0]),
+], ids=["non-unit-quaternion", "nan-quaternion", "infinite-translation"])
+def test_a_stack_with_one_bad_row_raises_the_single_poses_error(quat, translation):
+    quats, translations = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), np.zeros((4, 3))
+    quats[2], translations[2] = quat, translation
+    with pytest.raises(ValueError) as single:
+        Pose(np.array(quat), np.array(translation))
+    with pytest.raises(ValueError) as stack:
+        Pose(quats, translations)
+    assert str(stack.value) == str(single.value)
+
+
+@pytest.mark.parametrize("quat_shape, translation_shape", [
+    ((4,), (2,)), ((3, 4), (3,)), ((3, 4), (2, 3)), ((3, 4), (3, 4)), ((4, 4, 4), (4, 4, 3)),
+    ((3,), (3,)), ((2, 3), (2, 3)),
+])
+def test_a_pose_of_mismatched_shapes_is_refused(quat_shape, translation_shape):
+    quat = np.zeros(quat_shape)
+    quat[..., :1] = 1.0
+    with pytest.raises(ValueError, match="must have shape"):
+        Pose(quat, np.zeros(translation_shape))
+
+
 def test_task_error_identity():
     pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.1, 0.2, 0.3]))
     rot, pos = pose.rotation_matrix, pose.translation
@@ -222,7 +302,7 @@ def test_task_error_identity():
 
 
 def test_task_error_pure_z_rotation():
-    target = Pose.from_matrix(rotvec_to_matrix([0, 0, math.pi / 2]), np.zeros(3))
+    target = Pose(quat_from_matrix(rotvec_to_matrix([0, 0, math.pi / 2])), np.zeros(3))
     err = pose_error_raw(target.rotation_matrix, target.translation, np.eye(3), np.zeros(3))
     np.testing.assert_allclose(err, [0, 0, 0, 0, 0, math.pi / 2], atol=1e-12)
 

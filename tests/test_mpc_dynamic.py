@@ -21,7 +21,7 @@ from armmpc.mpc_dynamic import (
 from armmpc.nominal import default_posture, default_task_hierarchy, osc_rollout, osc_torque
 from armmpc.trajgen import TaskTrajectory
 
-from conftest import is_dual_step, random_config, recorded_builds
+from conftest import is_dual_step, random_config, recorded_builds, repeat_pose
 
 
 def random_state(model, rng, vel_scale=0.5):
@@ -161,9 +161,9 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=4, dt=1e-3, task_weight=10.0, damping_weight=0.0,
                            input_weight=0.0)
-    poses, twists, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(q0), twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(desk_model, x0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
+                       traj.tasks, posture=default_posture(q0), twists=twists)
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     problem = build_dyn_qp(cfg, roll, stages, desk_model.limits)
     sol = qp.QpSolver().solve(problem)
@@ -178,9 +178,9 @@ def test_dyn_qp_equilibrium_fixed_point(desk_model, rng):
 def test_dyn_qp_carries_torque_limits(desk_model, rng):
     q0, x0, traj = equilibrium_setup(desk_model, rng)
     cfg = DynamicMpcConfig(horizon=3, dt=1e-3)
-    poses, twists, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(desk_model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(q0), twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(desk_model, x0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
+                       traj.tasks, posture=default_posture(q0), twists=twists)
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     problem = build_dyn_qp(cfg, roll, stages, desk_model.limits)
     # bounds are deviations; adding the nominal back recovers the physical limits
@@ -195,9 +195,9 @@ def test_dyn_qp_carries_torque_limits(desk_model, rng):
 def off_rest_stages(model, rng, horizon):
     x0, traj = off_rest_rollout(model, rng, horizon)
     cfg = DynamicMpcConfig(horizon=horizon, dt=1e-3)
-    poses, twists, _ = traj.window(0, cfg.horizon)
-    roll = osc_rollout(state_at(model, x0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
-                       posture=default_posture(x0[:model.n]), twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, cfg.horizon)
+    roll = osc_rollout(state_at(model, x0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
+                       traj.tasks, posture=default_posture(x0[:model.n]), twists=twists)
     stages = linearize_stage(roll.states, roll.u_hat, cfg.dt)
     return cfg, roll, stages
 
@@ -325,8 +325,8 @@ def test_one_chain_pass_per_call(desk_model, rng, chain_counts, call):
     calls = {
         # the OSC, the derivatives and the linearization read the caller's
         # state and build none of their own
-        "osc_torque": lambda: osc_torque(state, default_task_hierarchy(), pose, 1e-2,
-                                         posture=default_posture(q)),
+        "osc_torque": lambda: osc_torque(state, default_task_hierarchy(), pose.rotation_matrix,
+                                         pose.translation, 1e-2, posture=default_posture(q)),
         "forward_dynamics": lambda: forward_dynamics(desk_model, q, qd, u),
         "dynamics_derivatives": lambda: dynamics_derivatives(state, u),
         "linearize_stage": lambda: linearize_stage(state, u, dt=1e-3),
@@ -343,7 +343,7 @@ def test_osc_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
     pose = forward_kinematics(desk_model, q + 0.05)
     start = RigidBodyState(desk_model, q)
     chain_counts.update(passes=0, factors=0)
-    osc_rollout(start, [pose] * 4, 1e-3, 1e-2, default_task_hierarchy(),
+    osc_rollout(start, *repeat_pose(pose, 4), 1e-3, 1e-2, default_task_hierarchy(),
                 posture=default_posture(q))
     # state 0 is start itself: one new state per step after it
     assert chain_counts["passes"] == 3
@@ -380,8 +380,8 @@ def test_dyn_step_one_derivative_pass_per_tick(desk_model, rng, chain_counts):
 
 def test_linearize_stage_at_rollout_state_is_identical(desk_model, rng):
     x0, traj = off_rest_rollout(desk_model, rng, 10)
-    poses, twists, _ = traj.window(0, 10)
-    roll = osc_rollout(state_at(desk_model, x0), poses, 1e-3, 1e-2, traj.tasks,
+    rot_t, pos_t, twists, _ = traj.window(0, 10)
+    roll = osc_rollout(state_at(desk_model, x0), rot_t, pos_t, 1e-3, 1e-2, traj.tasks,
                        posture=default_posture(x0[:6]), twists=twists)
     # one state per stage, each at its row of x_hat
     assert len(roll.states) == 10
@@ -516,7 +516,8 @@ def test_dynamic_tick_stays_within_its_call_budget():
     # dynamics came from one spatial pass about the end effector, shared
     # with the derivative pass, this tick made 597 Python and 1030 C calls;
     # before the model kept its chain constants and each chain state filled
-    # its J once, 529 and 863
+    # its J once, 529 and 863; before its targets came as array slices, not
+    # a list of Pose objects, 475 and 809
     counts = Counter()
     step = DynamicMpc.step
 
@@ -535,4 +536,4 @@ def test_dynamic_tick_stays_within_its_call_budget():
         cfg.max_ticks = 101
         simulator.run_scenario("payload_pick_place", "dyn_mpc", load_bundled_model("rs007n"), cfg)
     assert cfg.horizon == 10
-    assert counts["call"] <= 475 and counts["c_call"] <= 809, counts
+    assert counts["call"] <= 472 and counts["c_call"] <= 803, counts

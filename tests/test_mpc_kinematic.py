@@ -19,7 +19,7 @@ from armmpc.nominal import NominalRollout, default_task_hierarchy, ik_rollout
 from armmpc.robot_model import JointLimits
 from armmpc.trajgen import TaskTrajectory, scenario_trajectory
 
-from conftest import random_config, recorded_builds
+from conftest import random_config, recorded_builds, repeat_pose
 
 
 def diff_ops(n, horizon, dt, q_prev, q_prev2):
@@ -39,7 +39,8 @@ def test_ik_rollout_one_chain_pass_per_step(desk_model, rng, chain_counts):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q + 0.05)
     chain_counts.update(passes=0)
-    ik_rollout(ChainState(desk_model, q), [pose] * 4, 1e-3, 1e-2, default_task_hierarchy())
+    ik_rollout(ChainState(desk_model, q), *repeat_pose(pose, 4), 1e-3, 1e-2,
+               default_task_hierarchy())
     assert chain_counts["passes"] == 4
 
 
@@ -174,9 +175,9 @@ def test_kin_qp_fixed_point_on_nominal(desk_model, rng):
     q0 = random_config(desk_model, rng)
     cfg = KinematicMpcConfig(horizon=5, dt=1e-3, task_weight=100.0, damping_weight=0.01)
     traj = make_traj_holding(desk_model, q0, 10, cfg.dt)
-    poses, twists, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
-                         twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, cfg.horizon)
+    rollout = ik_rollout(ChainState(desk_model, q0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
+                         traj.tasks, twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.QpSolver().solve(problem)
     assert sol.status == qp.OPTIMAL
@@ -189,9 +190,9 @@ def test_kin_qp_least_squares_fixed_point(desk_model, rng):
     cfg = KinematicMpcConfig(horizon=1, dt=1e-3, task_weight=10.0,
                              damping_weight=0.0, accel_weight=0.0)
     traj = make_traj_holding(desk_model, q0, 5, cfg.dt)
-    poses, twists, _ = traj.window(0, cfg.horizon)
-    rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold, traj.tasks,
-                         twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, cfg.horizon)
+    rollout = ik_rollout(ChainState(desk_model, q0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
+                         traj.tasks, twists=twists)
     problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
     sol = qp.QpSolver().solve(problem)
     np.testing.assert_allclose(sol.z_star, rollout.q_hat[1], atol=1e-7)
@@ -301,8 +302,8 @@ def test_cost_horizon_monotonicity(desk_model, rng):
     for horizon in (5, 6):
         cfg = KinematicMpcConfig(horizon=horizon, dt=1e-3, task_weight=100.0,
                                  damping_weight=0.01, accel_weight=1e-5)
-        poses, twists, _ = traj.window(0, horizon)
-        rollout = ik_rollout(ChainState(desk_model, q0), poses, cfg.dt, cfg.svd_threshold,
+        rot_t, pos_t, twists, _ = traj.window(0, horizon)
+        rollout = ik_rollout(ChainState(desk_model, q0), rot_t, pos_t, cfg.dt, cfg.svd_threshold,
                              traj.tasks, twists=twists)
         problem = build_kin_qp(cfg, rollout, (q0, q0), desk_model.limits)
         sol = qp.QpSolver().solve(problem)
@@ -397,9 +398,9 @@ def test_smoothing_vs_raw_ik_nominal(desk_model_large):
 
     dt = 1e-3
     traj = scenario_trajectory("singularity_pass", desk_model_large, dt)
-    poses, twists, _ = traj.window(0, traj.n_samples - 1)
-    nominal = ik_rollout(ChainState(desk_model_large, SINGULARITY_START_CONFIG), poses, dt,
-                         1e-2, traj.tasks, twists=twists)
+    rot_t, pos_t, twists, _ = traj.window(0, traj.n_samples - 1)
+    nominal = ik_rollout(ChainState(desk_model_large, SINGULARITY_START_CONFIG), rot_t, pos_t,
+                         dt, 1e-2, traj.tasks, twists=twists)
     lo, hi = 2300, 2650  # brackets the near-singular stretch on this model
     nominal_acc = np.abs(np.diff(nominal.q_hat[lo - 2:hi], 2, axis=0) / dt**2).max()
 
@@ -461,7 +462,8 @@ def test_kinematic_tick_stays_within_its_call_budget():
     # such event. Before the builder, the certificate, the IK step and the
     # chain pass were trimmed, this tick made 329 Python and 567 C calls;
     # before the model kept its chain constants and each chain state filled
-    # its J once, 254 and 414
+    # its J once, 254 and 414; before its targets came as array slices, not
+    # a list of Pose objects, 222 and 392
     counts = Counter()
     step = KinematicMpc.step
 
@@ -480,10 +482,10 @@ def test_kinematic_tick_stays_within_its_call_budget():
         cfg.max_ticks = 101
         simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
     assert cfg.horizon == 10
-    assert counts["call"] <= 222 and counts["c_call"] <= 392, counts
+    assert counts["call"] <= 219 and counts["c_call"] <= 386, counts
 
 
-@pytest.mark.parametrize("controller, budget", [("osc", (13, 26)), ("dyn_mpc", (323, 535))])
+@pytest.mark.parametrize("controller, budget", [("osc", (13, 26)), ("dyn_mpc", (320, 530))])
 def test_operational_space_step_stays_within_its_call_budget(controller, budget):
     # the same measure for the operational-space step, at tick 100 of the
     # payload move on rs007n: the calls of osc_torque, the whole OSC
@@ -494,7 +496,8 @@ def test_operational_space_step_stays_within_its_call_budget(controller, budget)
     # each chain state's dynamics came from one spatial pass about the end
     # effector, osc_rollout made 415 and 747; before the model kept its
     # chain constants and each chain state filled its J once, 14 and 27,
-    # and 374 and 586
+    # and 374 and 586; before the rollout's targets came as arrays, not
+    # Pose objects, osc_rollout made 323 and 535
     module, name = {"osc": (simulator, "osc_torque"),
                     "dyn_mpc": (mpc_dynamic, "osc_rollout")}[controller]
     call = getattr(module, name)

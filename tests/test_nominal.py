@@ -23,7 +23,7 @@ from armmpc.nominal import (
     osc_torque,
 )
 
-from conftest import ik_step, osc_torque_per_level, random_config
+from conftest import ik_step, osc_torque_per_level, random_config, repeat_pose
 
 
 def full_pose_task(gain=1.0):
@@ -315,8 +315,8 @@ def test_nullspace_projector_idempotent(desk_model, rng):
 def test_ik_rollout_fixed_point(desk_model, rng):
     q0 = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q0)
-    window = [pose] * 6
-    roll = ik_rollout(ChainState(desk_model, q0), window, 1e-3, 1e-2, pos_ori_tasks(gain=10.0))
+    roll = ik_rollout(ChainState(desk_model, q0), *repeat_pose(pose, 6), 1e-3, 1e-2,
+                      pos_ori_tasks(gain=10.0))
     np.testing.assert_allclose(roll.q_hat, np.tile(q0, (6, 1)), atol=1e-10)
     assert roll.j_stack.shape == (6, 6, 6)
 
@@ -328,33 +328,60 @@ def test_ik_rollout_converges_on_reachable_target(planar_2dof):
     target = Pose(start.quaternion, target_pos)
     tasks = (TaskSpec(priority=1, selector=POSITION, gain=20.0),)
     steps = 400
-    window = [target] * steps
-    roll = ik_rollout(ChainState(planar_2dof, q0), window, 1e-3, 1e-2, tasks)
+    roll = ik_rollout(ChainState(planar_2dof, q0), *repeat_pose(target, steps), 1e-3, 1e-2, tasks)
     final = forward_kinematics(planar_2dof, roll.q_hat[-1])
     assert np.linalg.norm(final.translation - target_pos) <= 1e-3
 
 
 def test_ik_rollout_degenerate_window(desk_model, rng):
     q0 = random_config(desk_model, rng)
-    roll = ik_rollout(ChainState(desk_model, q0), [forward_kinematics(desk_model, q0)], 1e-3, 1e-2,
-                      pos_ori_tasks())
+    roll = ik_rollout(ChainState(desk_model, q0), *repeat_pose(forward_kinematics(desk_model, q0), 1),
+                      1e-3, 1e-2, pos_ori_tasks())
     assert roll.q_hat.shape == (1, 6)
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
 
 def test_rollouts_take_none_twists_as_zero_and_check_their_targets(desk_model, rng):
     q0 = random_config(desk_model, rng)
-    poses = [forward_kinematics(desk_model, q0 + 0.05)] * 4
+    targets = repeat_pose(forward_kinematics(desk_model, q0 + 0.05), 4)
     for rollout, start in ((ik_rollout, ChainState(desk_model, q0)),
                            (osc_rollout, RigidBodyState(desk_model, q0))):
-        none = rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks())
-        zero = rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((4, 6)))
+        none = rollout(start, *targets, 1e-3, 1e-2, pos_ori_tasks())
+        zero = rollout(start, *targets, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((4, 6)))
         assert np.array_equal(none.q_hat, zero.q_hat)
         assert np.array_equal(none.qd_hat, zero.qd_hat)
         with pytest.raises(ValueError, match="at least one target"):
-            rollout(start, [], 1e-3, 1e-2, pos_ori_tasks())
+            rollout(start, np.empty((0, 3, 3)), np.empty((0, 3)), 1e-3, 1e-2, pos_ori_tasks())
         with pytest.raises(ValueError, match=r"twists must be \(4, 6\)"):
-            rollout(start, poses, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((3, 6)))
+            rollout(start, *targets, 1e-3, 1e-2, pos_ori_tasks(), twists=np.zeros((3, 6)))
+
+
+SHAPES = {  # (rotations, positions) of a rollout's targets that disagree
+    "positions-short": ((4, 3, 3), (3, 3)),
+    "positions-wide": ((4, 3, 3), (4, 4)),
+    "rotations-flat": ((4, 9), (4, 3)),
+    "one-target-unstacked": ((3, 3), (3,)),
+    "transposed": ((3, 3, 4), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
+@pytest.mark.parametrize("rollout", [ik_rollout, osc_rollout], ids=lambda f: f.__name__)
+def test_rollouts_refuse_targets_of_the_wrong_shape(desk_model, rollout, shapes):
+    state = RigidBodyState(desk_model, np.zeros(6))
+    with pytest.raises(ValueError, match=r"targets must be \(m, 3, 3\), \(m, 3\)"):
+        rollout(state, np.zeros(shapes[0]), np.zeros(shapes[1]), 1e-3, 1e-2,
+                default_task_hierarchy())
+
+
+@pytest.mark.parametrize("shapes", [((1, 3, 3), (1, 3)), ((3, 3), (1, 3)), ((9,), (3,)),
+                                    ((3, 3), (4,))], ids=["stacked", "stacked-position",
+                                                          "flat-rotation", "long-position"])
+def test_osc_torque_refuses_a_target_of_the_wrong_shape(desk_model, shapes):
+    state = RigidBodyState(desk_model, np.zeros(6))
+    with pytest.raises(ValueError, match=r"target must be \(3, 3\), \(3,\)"):
+        osc_torque(state, default_task_hierarchy(), np.zeros(shapes[0]), np.zeros(shapes[1]),
+                   1e-2)
 
 
 def hand_recursion(jac, err, tasks, rel_threshold, minv=None):
@@ -408,7 +435,7 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     err_hand = np.concatenate([err[task.rows] for task in tasks[::-1]])
     stack_hand, qd_hand = hand_recursion(jac, err, tasks, 1e-2)
 
-    ik = ik_rollout(ChainState(desk_model, q), [target] * 3, 1e-3, 1e-2, tasks)
+    ik = ik_rollout(ChainState(desk_model, q), *repeat_pose(target, 3), 1e-3, 1e-2, tasks)
     np.testing.assert_allclose(ik.j_stack[0], stack_hand, atol=1e-12)
     np.testing.assert_allclose(ik.err_stack[0], err_hand, atol=1e-12)
     # the reference inverts a level of more than 3 rows by SVD, the IK by its
@@ -420,7 +447,7 @@ def test_rollout_stacks_match_hand_built_projection(desk_model, rng, selectors):
     assert np.abs(qd_ik - qd_hand).max() <= tol
 
     minv = np.linalg.inv(mass_matrix(desk_model, q))
-    osc = osc_rollout(RigidBodyState(desk_model, q, qd), [target] * 3, 1e-3, 1e-2, tasks)
+    osc = osc_rollout(RigidBodyState(desk_model, q, qd), *repeat_pose(target, 3), 1e-3, 1e-2, tasks)
     np.testing.assert_allclose(osc.j_stack[0], hand_recursion(jac, err, tasks, 1e-2, minv)[0],
                                atol=1e-9)
     np.testing.assert_allclose(osc.err_stack[0], err_hand, atol=1e-12)
@@ -450,8 +477,9 @@ def test_osc_level_without_freedom_adds_nothing(desk_model, rng):
     two = pos_ori_tasks()
     three = two + (TaskSpec(priority=3, selector=FULL_POSE),)
     state = RigidBodyState(desk_model, q, qd)
-    np.testing.assert_allclose(osc_torque(state, three, target, 1e-4, posture=posture),
-                               osc_torque(state, two, target, 1e-4, posture=posture),
+    rot, pos = target.rotation_matrix, target.translation
+    np.testing.assert_allclose(osc_torque(state, three, rot, pos, 1e-4, posture=posture),
+                               osc_torque(state, two, rot, pos, 1e-4, posture=posture),
                                atol=1e-9)
 
 
@@ -481,7 +509,7 @@ def test_osc_torque_is_the_per_level_torque_to_the_bit(request, rng, model, sele
         kwargs = {"posture": default_posture(q + 0.1 * rng.standard_normal(n)) if posture else None,
                   "twist": 0.3 * rng.standard_normal(6) if twist else None}
         np.testing.assert_array_equal(
-            osc_torque(state, tasks, target, 1e-2, **kwargs),
+            osc_torque(state, tasks, target.rotation_matrix, target.translation, 1e-2, **kwargs),
             osc_torque_per_level(state, tasks, target, 1e-2, **kwargs))
 
 
@@ -491,9 +519,10 @@ def test_osc_torque_rejects_a_twist_that_is_not_a_6_vector(desk_model, rng, size
     # level's empty twist[3:6], and a 7-vector to pass with its last entry
     # ignored
     q = random_config(desk_model, rng)
+    pose = forward_kinematics(desk_model, q)
     with pytest.raises(ValueError, match=r"twist must be \(6,\)"):
         osc_torque(RigidBodyState(desk_model, q), default_task_hierarchy(),
-                   forward_kinematics(desk_model, q), 1e-2, twist=np.zeros(size))
+                   pose.rotation_matrix, pose.translation, 1e-2, twist=np.zeros(size))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -511,9 +540,10 @@ def test_osc_refuses_a_velocity_that_is_not_finite(desk_model, rng, call, value)
         with pytest.raises(ValueError, match="qd is not finite"):
             state = RigidBodyState(desk_model, q, qd)
             if call == "osc_torque":
-                osc_torque(state, default_task_hierarchy(), pose, 1e-2)
+                osc_torque(state, default_task_hierarchy(), pose.rotation_matrix,
+                           pose.translation, 1e-2)
             else:
-                osc_rollout(state, [pose] * 3, 1e-3, 1e-2, default_task_hierarchy())
+                osc_rollout(state, *repeat_pose(pose, 3), 1e-3, 1e-2, default_task_hierarchy())
 
 
 @pytest.mark.parametrize("field, value", [("kp", np.ones(5)), ("kd", [1.0, np.nan, 1, 1, 1, 1]),
@@ -547,21 +577,24 @@ def test_task_spec_rejects_non_finite_priority(priority):
         TaskSpec(priority=priority, selector=POSITION)
 
 
-@pytest.mark.parametrize("call", [ik_step, osc_torque], ids=["ik_rollout", "osc_torque"])
+@pytest.mark.parametrize("call", ["ik_rollout", "osc_torque"])
 def test_empty_hierarchy_is_rejected(desk_model, call):
     state = RigidBodyState(desk_model, np.zeros(6))
     pose = forward_kinematics(desk_model, state.q)
     with pytest.raises(ValueError, match="at least one level"):
-        call(state, (), pose, 1e-2)
+        if call == "osc_torque":
+            osc_torque(state, (), pose.rotation_matrix, pose.translation, 1e-2)
+        else:
+            ik_step(state, (), pose, 1e-2)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3], ids=["nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("rollout", [ik_rollout, osc_rollout], ids=lambda f: f.__name__)
 def test_rollouts_reject_a_bad_dt(desk_model, rollout, dt):
     state = RigidBodyState(desk_model, np.zeros(6))
-    poses = [forward_kinematics(desk_model, state.q)] * 3
+    targets = repeat_pose(forward_kinematics(desk_model, state.q), 3)
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
-        rollout(state, poses, dt, 1e-2, default_task_hierarchy())
+        rollout(state, *targets, dt, 1e-2, default_task_hierarchy())
 
 
 @pytest.mark.parametrize("call", ["ik_rollout", "osc_torque"])
@@ -578,7 +611,8 @@ def test_one_pose_error_per_call(desk_model, rng, monkeypatch, call):
     target = forward_kinematics(desk_model, q + 0.05)
     tasks = default_task_hierarchy()
     if call == "osc_torque":
-        osc_torque(RigidBodyState(desk_model, q, np.zeros(6)), tasks, target, 1e-2)
+        osc_torque(RigidBodyState(desk_model, q, np.zeros(6)), tasks, target.rotation_matrix,
+                   target.translation, 1e-2)
     else:
         ik_step(ChainState(desk_model, q), tasks, target, 1e-2)
     assert len(calls) == 1
@@ -589,7 +623,8 @@ def test_osc_equilibrium_pure_compensation(desk_model, rng):
     qd = np.zeros(6)
     pose = forward_kinematics(desk_model, q)
     tasks = default_task_hierarchy()
-    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, pose, 1e-2, posture=default_posture(q))
+    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, pose.rotation_matrix, pose.translation,
+                   1e-2, posture=default_posture(q))
     np.testing.assert_allclose(u, bias_forces(desk_model, q, np.zeros(6)), atol=1e-8)
 
 
@@ -599,7 +634,8 @@ def test_osc_single_task_achieves_pd_acceleration(desk_model, rng):
     target = forward_kinematics(desk_model, q + 0.05 * rng.standard_normal(6))
     task = TaskSpec(priority=1, selector=FULL_POSE, gain=1.0,
                     kp=np.full(6, 50.0), kd=np.full(6, 8.0))
-    u = osc_torque(RigidBodyState(desk_model, q, qd), (task,), target, 1e-9)
+    u = osc_torque(RigidBodyState(desk_model, q, qd), (task,), target.rotation_matrix,
+                   target.translation, 1e-9)
     jac = geometric_jacobian(desk_model, q)
     current = forward_kinematics(desk_model, q)
     err = pose_error_raw(target.rotation_matrix, target.translation,
@@ -628,7 +664,8 @@ def test_paper_gains_load_and_produce_finite_torque(desk_model, rng):
     tasks = default_task_hierarchy()
     posture = default_posture(q)
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
-    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, target, 1e-2, posture=posture)
+    u = osc_torque(RigidBodyState(desk_model, q, qd), tasks, target.rotation_matrix,
+                   target.translation, 1e-2, posture=posture)
     assert np.all(np.isfinite(u))
     np.testing.assert_allclose(posture.kp, [100, 100, 100, 50, 50, 1])
     np.testing.assert_allclose(posture.kd, [3, 5, 5, 0.2, 0.2, 0.1])
@@ -638,7 +675,7 @@ def test_osc_rollout_fixed_point(desk_model, rng):
     q = random_config(desk_model, rng)
     pose = forward_kinematics(desk_model, q)
     tasks = default_task_hierarchy()
-    roll = osc_rollout(RigidBodyState(desk_model, q), [pose] * 5, 1e-3, 1e-2, tasks,
+    roll = osc_rollout(RigidBodyState(desk_model, q), *repeat_pose(pose, 5), 1e-3, 1e-2, tasks,
                        posture=default_posture(q))
     bias = bias_forces(desk_model, q, np.zeros(6))
     for k in range(4):
@@ -662,9 +699,9 @@ def test_osc_reads_jacobian_and_jdot_qd_from_the_world_pass(desk_model, rng, mon
     target = forward_kinematics(desk_model, q + 0.1 * rng.standard_normal(6))
     tasks = default_task_hierarchy()
     posture = default_posture(q)
-    u = osc_torque(st, tasks, target, 1e-2, posture=posture)
-    roll = osc_rollout(RigidBodyState(desk_model, q, qd), [target] * 3, 1e-3, 1e-2, tasks,
-                       posture=posture)
+    u = osc_torque(st, tasks, target.rotation_matrix, target.translation, 1e-2, posture=posture)
+    roll = osc_rollout(RigidBodyState(desk_model, q, qd), *repeat_pose(target, 3), 1e-3, 1e-2,
+                       tasks, posture=posture)
     assert np.isfinite(u).all() and np.isfinite(roll.x_hat).all()
     assert st.jacobian() is jac
 
@@ -674,7 +711,8 @@ def test_osc_rollout_clamps_torque(desk_model):
     far_target = Pose(np.array([1.0, 0, 0, 0]), np.array([5.0, 5.0, 5.0]))
     task = TaskSpec(priority=1, selector=POSITION, gain=1.0,
                     kp=np.full(3, 1e6), kd=np.full(3, 10.0))
-    roll = osc_rollout(RigidBodyState(desk_model, q), [far_target] * 3, 1e-3, 1e-2, (task,))
+    roll = osc_rollout(RigidBodyState(desk_model, q), *repeat_pose(far_target, 3), 1e-3, 1e-2,
+                       (task,))
     u_max = desk_model.limits.u_max
     assert np.all(np.abs(roll.u_hat) <= u_max + 1e-12)
     assert np.any(np.abs(roll.u_hat) == u_max[None, :].repeat(2, 0))
@@ -688,11 +726,12 @@ def test_osc_rollout_timing(desk_model, rng):
     start = RigidBodyState(desk_model, q)
     tasks = default_task_hierarchy()
     posture = default_posture(q)
-    osc_rollout(start, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)  # warmup
+    targets = repeat_pose(pose, 11)
+    osc_rollout(start, *targets, 1e-3, 1e-2, tasks, posture=posture)  # warmup
     t0 = time.perf_counter()
     reps = 5
     for _ in range(reps):
-        osc_rollout(start, [pose] * 11, 1e-3, 1e-2, tasks, posture=posture)
+        osc_rollout(start, *targets, 1e-3, 1e-2, tasks, posture=posture)
     elapsed = (time.perf_counter() - t0) / reps
     print(f"\nosc_rollout horizon-10 wall time: {elapsed * 1e3:.2f} ms (1 ms real-time share)")
     assert elapsed < 0.05  # sanity ceiling; the 1 ms share is reported above
@@ -706,7 +745,8 @@ def test_osc_rejects_a_plain_chain_state(desk_model, rng, call):
     pose = forward_kinematics(desk_model, q)
     with pytest.raises(ValueError, match="RigidBodyState"):
         if call == "osc_torque":
-            osc_torque(ChainState(desk_model, q), default_task_hierarchy(), pose, 1e-2)
+            osc_torque(ChainState(desk_model, q), default_task_hierarchy(), pose.rotation_matrix,
+                       pose.translation, 1e-2)
         else:
-            osc_rollout(ChainState(desk_model, q), [pose] * 3, 1e-3, 1e-2,
+            osc_rollout(ChainState(desk_model, q), *repeat_pose(pose, 3), 1e-3, 1e-2,
                         default_task_hierarchy())

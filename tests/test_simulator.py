@@ -248,9 +248,9 @@ def test_logged_errors_are_read_from_the_plants_frames(scenario, controller, rob
     out = run_scenario(scenario, controller, model, cfg)
     traj = scenario_trajectory(scenario, model, cfg.dt, duration=cfg.duration)
     for k in range(50):
-        chain, target = ChainState(model, out.q[k]), traj.poses[k]
-        err = pose_error_raw(target.rotation_matrix, target.translation, chain.ee_rot,
-                             chain.ee_pos)
+        chain = ChainState(model, out.q[k])
+        err = pose_error_raw(traj.poses.rotation_matrix[k], traj.poses.translation[k],
+                             chain.ee_rot, chain.ee_pos)
         assert out.pos_err[k] == np.linalg.norm(err[:3])
         assert out.ori_err[k] == np.linalg.norm(err[3:])
 

@@ -170,9 +170,9 @@ def assert_matches_reference(traj, poses, twists):
     """traj's translations and linear twists equal to the bit, its
     quaternions and angular twists to the round-off tolerances above."""
     assert traj.n_samples == len(poses)
-    for got, want in zip(traj.poses, poses):
-        np.testing.assert_allclose(got.quaternion, want.quaternion, rtol=0, atol=QUAT_ATOL)
-        assert np.array_equal(got.translation, want.translation)
+    np.testing.assert_allclose(traj.poses.quaternion, [p.quaternion for p in poses], rtol=0,
+                               atol=QUAT_ATOL)
+    assert np.array_equal(traj.poses.translation, [p.translation for p in poses])
     assert np.array_equal(traj.twists[:, :3], twists[:, :3])
     np.testing.assert_allclose(traj.twists[:, 3:], twists[:, 3:], rtol=0, atol=RATE_ATOL)
 
@@ -232,18 +232,18 @@ def test_singularity_scenario_endpoints(desk_model_large):
     assert traj.duration == pytest.approx(4.0)
     start = forward_kinematics(desk_model_large, SINGULARITY_START_CONFIG)
     end = forward_kinematics(desk_model_large, SINGULARITY_END_CONFIG)
-    np.testing.assert_allclose(traj.poses[0].translation, start.translation, atol=1e-12)
-    np.testing.assert_allclose(traj.poses[0].quaternion, start.quaternion, atol=1e-12)
-    np.testing.assert_allclose(traj.poses[-1].translation, end.translation, atol=1e-9)
-    np.testing.assert_allclose(traj.poses[-1].quaternion, end.quaternion, atol=1e-9)
+    np.testing.assert_allclose(traj.poses.translation[0], start.translation, atol=1e-12)
+    np.testing.assert_allclose(traj.poses.quaternion[0], start.quaternion, atol=1e-12)
+    np.testing.assert_allclose(traj.poses.translation[-1], end.translation, atol=1e-9)
+    np.testing.assert_allclose(traj.poses.quaternion[-1], end.quaternion, atol=1e-9)
 
 
 def test_scenario_first_sample_matches_initial_config(desk_model):
     traj = scenario_trajectory("payload_pick_place", desk_model, 1e-3)
     q0 = scenario_initial_config("payload_pick_place", desk_model)
     pose0 = forward_kinematics(desk_model, q0)
-    np.testing.assert_allclose(traj.poses[0].translation, pose0.translation, atol=1e-12)
-    np.testing.assert_allclose(traj.poses[0].quaternion, pose0.quaternion, atol=1e-12)
+    np.testing.assert_allclose(traj.poses.translation[0], pose0.translation, atol=1e-12)
+    np.testing.assert_allclose(traj.poses.quaternion[0], pose0.quaternion, atol=1e-12)
 
 
 def test_unknown_scenario(desk_model):
@@ -253,9 +253,8 @@ def test_unknown_scenario(desk_model):
 
 def test_all_samples_unit_canonical(desk_model):
     traj = scenario_trajectory("payload_pick_place", desk_model, 1e-2)
-    for pose in traj.poses:
-        assert abs(np.linalg.norm(pose.quaternion) - 1.0) <= 1e-9
-        assert pose.quaternion[0] >= 0
+    assert np.all(np.abs(np.linalg.norm(traj.poses.quaternion, axis=1) - 1.0) <= 1e-9)
+    assert np.all(traj.poses.quaternion[:, 0] >= 0)
 
 
 def test_time_grid_alignment(desk_model):
@@ -264,22 +263,25 @@ def test_time_grid_alignment(desk_model):
     assert traj.duration == pytest.approx(4.0)
 
 
-def test_window_padding(desk_model):
-    # poses and twists both pad with the last sample, here a moving one
+@pytest.mark.parametrize("start", [0, 5, 190, 198, 200, 205], ids=lambda s: f"start-{s}")
+def test_window_is_the_per_sample_reads(desk_model, start):
+    # targets and twists both pad with the last sample, here a moving one;
+    # a window short of the end is a read-only view of the trajectory's arrays
     traj = scenario_trajectory("circle_2dof", desk_model, 1e-2)
     assert traj.twists[-1].any()
     last = traj.n_samples - 1
-    poses, twists, includes_end = traj.window(last - 2, 10)
-    assert includes_end
-    assert len(poses) == 11 and twists.shape == (11, 6)
-    assert poses[:3] == list(traj.poses[-3:])
-    assert all(pose is traj.poses[-1] for pose in poses[2:])
-    np.testing.assert_array_equal(twists[:3], traj.twists[-3:])
-    np.testing.assert_array_equal(twists[2:], np.tile(traj.twists[-1], (9, 1)))
-    poses, twists, includes_end = traj.window(5, 10)
-    assert not includes_end
-    assert poses == list(traj.poses[5:16])
-    np.testing.assert_array_equal(twists, traj.twists[5:16])
+    rot_t, pos_t, twists, includes_end = traj.window(start, 10)
+    assert includes_end == (start + 10 >= last)
+    assert rot_t.shape == (11, 3, 3) and pos_t.shape == (11, 3) and twists.shape == (11, 6)
+    for i in range(11):
+        k = min(start + i, last)
+        single = Pose(traj.poses.quaternion[k], traj.poses.translation[k])
+        assert np.array_equal(rot_t[i], single.rotation_matrix)
+        assert np.array_equal(pos_t[i], single.translation)
+        assert np.array_equal(twists[i], traj.twists[k])
+    if not includes_end:
+        for arr in (rot_t, pos_t, twists):
+            assert not arr.flags.writeable and arr.base is not None
 
 
 def test_trajectory_without_twists_holds_zeros(desk_model):
@@ -305,11 +307,10 @@ def test_csv_export(tmp_path, desk_model):
         header, *rows = csv.reader(fh)
     assert header == ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
     assert len(rows) == traj.n_samples
-    for k, (row, pose) in enumerate(zip(rows, traj.poses)):
-        vals = np.array(row, dtype=float)
-        assert vals[0] == pytest.approx(k * traj.dt)
-        np.testing.assert_allclose(vals[1:4], pose.translation, atol=1e-15)
-        np.testing.assert_allclose(vals[4:], pose.quaternion, atol=1e-15)
+    vals = np.array(rows, dtype=float)
+    np.testing.assert_allclose(vals[:, 0], traj.dt * np.arange(traj.n_samples))
+    np.testing.assert_allclose(vals[:, 1:4], traj.poses.translation, atol=1e-15)
+    np.testing.assert_allclose(vals[:, 4:], traj.poses.quaternion, atol=1e-15)
 
 
 IDENTITY_POSE = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
@@ -332,10 +333,58 @@ def test_non_finite_poses_and_trajectories_are_rejected(build):
         build()
 
 
+def test_trajectory_from_a_sequence_is_the_trajectory_from_its_stack(desk_model, rng):
+    # a sequence of single poses is stacked once; the stack is used as given
+    stack = scenario_trajectory("payload_pick_place", desk_model, 1e-2).poses
+    singles = [Pose(q, t) for q, t in zip(stack.quaternion, stack.translation)]
+    twists = rng.standard_normal((len(singles), 6))
+    from_singles = TaskTrajectory(dt=1e-2, poses=singles, twists=twists)
+    from_stack = TaskTrajectory(dt=1e-2, poses=stack, twists=twists)
+    assert from_stack.poses is stack
+    for name in ("quaternion", "translation", "rotation_matrix"):
+        assert np.array_equal(getattr(from_singles.poses, name), getattr(stack, name))
+    assert np.array_equal(from_singles.twists, from_stack.twists)
+    assert not from_stack.twists.flags.writeable and twists.flags.writeable
+    assert from_singles.n_samples == from_stack.n_samples == len(singles)
+
+
+@pytest.mark.parametrize("poses", [(), [], IDENTITY_POSE,
+                                   Pose(np.zeros((0, 4)), np.zeros((0, 3)))],
+                         ids=["empty-tuple", "empty-list", "single-pose", "empty-stack"])
+def test_a_trajectory_needs_at_least_one_sample(poses):
+    with pytest.raises(ValueError, match="at least one sample"):
+        TaskTrajectory(dt=1e-3, poses=poses)
+
+
+def per_sample_circle(model, dt, total=2.0):
+    """circle_2dof's poses and twists, one sample at a time in Python floats:
+    the oracle of its array form."""
+    center = forward_kinematics(model, scenario_initial_config("circle_2dof", model))
+    radius, count = 0.08, round(total / dt)
+    omega = 2 * math.pi / total
+    poses, twists = [], np.zeros((count + 1, 6))
+    for k in range(count + 1):
+        ang = omega * k * dt
+        offset = radius * np.array([math.cos(ang) - 1.0, math.sin(ang), 0.0])
+        poses.append(Pose(center.quaternion, center.translation + offset))
+        twists[k, :3] = radius * omega * np.array([-math.sin(ang), math.cos(ang), 0.0])
+    return poses, twists
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_circle_matches_its_per_sample_loop_bit_for_bit(planar_2dof, desk_model, dt):
+    for model in (planar_2dof, desk_model):
+        traj = scenario_trajectory("circle_2dof", model, dt)
+        poses, twists = per_sample_circle(model, dt)
+        assert traj.poses.quaternion.tobytes() == np.array([p.quaternion for p in poses]).tobytes()
+        assert traj.poses.translation.tobytes() == np.array([p.translation for p in poses]).tobytes()
+        assert traj.twists.tobytes() == twists.tobytes()
+
+
 def test_circle_scenario(planar_2dof):
     traj = scenario_trajectory("circle_2dof", planar_2dof, 1e-2)
     q0 = scenario_initial_config("circle_2dof", planar_2dof)
     center = forward_kinematics(planar_2dof, q0).translation
-    np.testing.assert_allclose(traj.poses[0].translation, center, atol=1e-12)
-    radii = [np.linalg.norm(p.translation - (center - [0.08, 0, 0])) for p in traj.poses]
+    np.testing.assert_allclose(traj.poses.translation[0], center, atol=1e-12)
+    radii = np.linalg.norm(traj.poses.translation - (center - [0.08, 0, 0]), axis=1)
     np.testing.assert_allclose(radii, 0.08, atol=1e-12)
