@@ -28,7 +28,6 @@ from .dynamics import (
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,
-    inverse_dynamics,
     mass_matrix,
 )
 from .nominal import (

@@ -9,9 +9,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -24,7 +25,6 @@ from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
     ScenarioConfig,
-    controller_config,
     default_scenario_config,
     run_scenario,
     write_log_csv,
@@ -90,7 +90,7 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
         except (TypeError, ValueError, OverflowError) as exc:  # ModelError is a ValueError
             raise ConfigError(f"bad config value for {key!r}: {exc}") from exc
     try:
-        controller_config(cfg, controller)
+        cfg = replace(cfg)  # checked as it is built
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     _check_positive("duration", cfg.duration)
@@ -113,13 +113,19 @@ def _check_steps(scenario: str, dt: float, duration: float | None) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _output_dir(path) -> Path:
-    """path as a directory, created with its parents; a ConfigError if it cannot be."""
+def _output_paths(out, *names) -> list[Path]:
+    """The files out/name, out created as a directory with its parents; a
+    ConfigError naming the path if out cannot be created or a file cannot be
+    written, such as a name that is a directory there."""
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
+        Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return Path(path)
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    paths = [Path(out) / name for name in names]
+    for path in paths:
+        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: not a writable file")
+    return paths
 
 
 def _set_config_value(cfg: ScenarioConfig, key: str, val) -> None:
@@ -170,22 +176,23 @@ def cmd_run(model_arg, scenario, controller, horizon, dt, duration, max_ticks, o
         "horizon": horizon, "dt": dt, "duration": duration,
         "max_ticks": max_ticks,
     })
-    out_dir = _output_dir(out)
+    stem = f"{scenario}_{controller}"
+    log, timing, report = _output_paths(out, f"{stem}_log.csv", f"{stem}_timing.csv",
+                                        f"{stem}_metrics.txt")
     try:
         result = run_scenario(scenario, controller, model, cfg)
     except Exception as exc:  # runtime failures map to exit 4
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
-    stem = f"{scenario}_{controller}"
-    write_log_csv(result, out_dir / f"{stem}_log.csv")
-    write_timing_csv(result, out_dir / f"{stem}_timing.csv")
-    write_metrics_report(result, out_dir / f"{stem}_metrics.txt")
+    write_log_csv(result, log)
+    write_timing_csv(result, timing)
+    write_metrics_report(result, report)
     m = result.metrics
     pos_final, ori_final = m.final_errors()
     click.echo(f"{stem}: {result.t.shape[0]} ticks, accumulated errors "
                f"pos {pos_final:.4f} / ori {ori_final:.4f}, degraded {m.degraded_ticks}, "
                f"saturated {m.saturated_ticks}")
-    click.echo(f"artifacts in {out_dir}")
+    click.echo(f"artifacts in {log.parent}")
     sys.exit(EXIT_OK)
 
 
@@ -210,7 +217,7 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
     model = _resolve_model(model_arg, scenario)
     for horizon in horizon_list:  # every config error before the output directory
         _load_config(scenario, "kin_mpc", config_path, {"horizon": horizon, "dt": dt})
-    path = _output_dir(out) / "bench_horizon.csv"
+    path, = _output_paths(out, "bench_horizon.csv")
     rows = bench_horizon(model, scenario, horizon_list, ticks, dt=dt,
                          config_path=config_path)
     with open(path, "w", newline="") as fh:

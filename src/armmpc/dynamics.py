@@ -262,15 +262,6 @@ def _id_derivatives(chain, s: np.ndarray, vel: np.ndarray, crm_v: np.ndarray,
     return out
 
 
-def inverse_dynamics(model: RobotModel, q, qd, qdd) -> np.ndarray:
-    """Joint forces u = M(q) qdd + b(q, qd), a batch of one through the
-    derivative pass at a RigidBodyState. Raises ValueError for a q, qd or qdd
-    that is not finite."""
-    st = RigidBodyState(model, _finite(model.check_q(q), "q"), qd)
-    qdd = _finite(model.check_q(qdd, "qdd"), "qdd")
-    return _id_derivatives(st.chain, *_spatial((st,)), qdd[None])[0, :, -1]
-
-
 def bias_forces(model: RobotModel, q, qd) -> np.ndarray:
     """Coriolis/centrifugal plus gravity forces b(q, qd) = ID(q, qd, 0)."""
     return RigidBodyState(model, q, qd).bias

@@ -25,9 +25,9 @@ TERMINAL_WIDEN = 10.0  # terminal box scale on the tick after a degraded one
 class HorizonConfig:
     """Settings of both MPCs (defaults are the dynamic MPC's).
 
-    Every field is a number, not a bool; weights and tolerances are scalars.
-    Every field named *_weight must be finite and >= 0 and every *_tol
-    finite and > 0, subclass fields included.
+    No field is a bool; weights and tolerances are scalars. Every field
+    named *_weight must be finite and >= 0 and every *_tol finite and > 0,
+    subclass fields included.
     """
 
     horizon: int = 10

@@ -53,17 +53,13 @@ def quat_to_matrix(q) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(np.shape(w) + (3, 3))
 
 
-def rotvec_from_matrix(rot: np.ndarray) -> np.ndarray:
-    """Logarithm map: rotation vector of a rotation matrix, norm <= pi.
+def _rotvec(rot: np.ndarray) -> tuple[float, float, float]:
+    """Logarithm map: the rotation vector, norm <= pi, of a float rotation
+    matrix, as three Python floats.
 
     At angle exactly pi the axis sign is chosen deterministically from the
     largest-magnitude diagonal entry.
     """
-    return np.array(_rotvec(np.asarray(rot, dtype=float)))
-
-
-def _rotvec(rot: np.ndarray) -> tuple[float, float, float]:
-    """rotvec_from_matrix of a float array, as three Python floats."""
     # read once into Python floats: the generic branch makes no small numpy
     # temporaries
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()

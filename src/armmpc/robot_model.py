@@ -54,8 +54,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _array(x, name: str, shape: tuple[int, ...] = (3,)) -> np.ndarray:
-    """x as a read-only float array of the given shape, all entries finite."""
-    a = np.asarray(x, dtype=float)
+    """A read-only float copy of x, of the given shape, all entries finite."""
+    a = np.array(x, dtype=float)
     if a.shape != shape:
         raise ModelError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -17,13 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import RigidBodyState
-from .horizon import HorizonConfig
 from .kinematics import ChainState, pose_error_raw
 from .mpc_dynamic import DynamicMpc, DynamicMpcConfig
 from .mpc_kinematic import KinematicMpc, KinematicMpcConfig
@@ -144,36 +143,32 @@ class RunResult:
 
 
 @dataclass
-class ScenarioConfig:
-    dt: float = 1e-3
-    horizon: int = 10
-    svd_threshold: float = 1e-2
+class ScenarioConfig(KinematicMpcConfig, DynamicMpcConfig):
+    """One run's settings: a config of both MPCs, handed to either as it is,
+    plus the plant's and the run's own. HorizonConfig.__post_init__ checks
+    every controller setting when a config is built; the OSC reads dt and
+    svd_threshold. The five run defaults that differ from the MPCs' own are
+    declared here."""
+
     task_weight: float = 10.0
     damping_weight: float = 1e-4
-    accel_weight: float = 0.0
-    input_weight: float = 0.0
     terminal_pos_tol: float = 0.02
     terminal_vel_tol: float = 0.2
     terminal_state_tol: float = 0.05
     payload: PayloadSpec | None = None
     position_gains: PositionLoopGains = field(default_factory=PositionLoopGains)
-    duration: float | None = None
+    duration: float | None = None  # None: the scenario's own (trajgen.SCENARIO_DURATIONS)
     max_ticks: int | None = None  # truncate the run (benchmarks)
 
 
 def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
-    """Reference weights per scenario: payload runs use the torque-MPC
-    weights (task 10, damping 1e-4) on a 1 s move that drives the wrist
+    """Reference weights per scenario: payload runs use the default, torque-MPC
+    weights (task 10, damping 1e-4) on the 1 s move that drives the wrist
     torques into saturation; the singularity run uses the stiff kinematic
     weights (task 2000, damping 0.01) plus a small acceleration cost for
     command smoothness."""
     if scenario == "payload_pick_place":
-        return ScenarioConfig(
-            task_weight=10.0,
-            damping_weight=1e-4,
-            duration=1.0,
-            payload=PayloadSpec(mass=12.0, com_offset=np.array([0.0, 0.0, 0.1])),
-        )
+        return ScenarioConfig(payload=PayloadSpec(mass=12.0, com_offset=np.array([0.0, 0.0, 0.1])))
     if scenario == "singularity_pass":
         return ScenarioConfig(
             task_weight=2000.0,
@@ -186,18 +181,6 @@ def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
     return ScenarioConfig(task_weight=100.0, damping_weight=1e-3)
 
 
-def controller_config(cfg: ScenarioConfig, controller: str) -> HorizonConfig:
-    """The controller's own settings, taken from cfg by field name and checked.
-
-    The MPCs get their config classes; osc, which reads dt and svd_threshold,
-    is checked through the shared HorizonConfig. Raises ValueError for a
-    value out of range.
-    """
-    kind = {"kin_mpc": KinematicMpcConfig, "dyn_mpc": DynamicMpcConfig}.get(
-        controller, HorizonConfig)
-    return kind(**{f.name: getattr(cfg, f.name) for f in fields(kind)})
-
-
 def run_scenario(scenario, controller: str, model: RobotModel,
                  cfg: ScenarioConfig | None = None) -> RunResult:
     """Tick the chosen controller against the matching plant over a scenario.
@@ -205,15 +188,17 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     scenario is a name from trajgen.SCENARIOS or a (TaskTrajectory, q0) pair,
     the trajectory sampled at cfg.dt; osc/dyn_mpc run on the torque plant,
     kin_mpc on the position plant.
-    cfg.max_ticks, when set, is a nonnegative integer (0: no ticks).
+    cfg.max_ticks, when set, is a nonnegative integer (0: no ticks). The
+    controller gets a checked copy of cfg, so a field set out of range after
+    cfg was built raises ValueError before the first tick.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; choose from {CONTROLLERS}")
-    cfg = cfg or default_scenario_config(scenario if isinstance(scenario, str) else "", controller)
-    if cfg.max_ticks is not None and (isinstance(cfg.max_ticks, bool) or not (
-            isinstance(cfg.max_ticks, (int, np.integer)) and cfg.max_ticks >= 0)):
+    cfg = replace(cfg or default_scenario_config(scenario if isinstance(scenario, str) else "",
+                                                 controller))  # a checked copy
+    if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, (int, np.integer))
+                                          and cfg.max_ticks >= 0):
         raise ValueError(f"max_ticks must be a nonnegative integer, got {cfg.max_ticks!r}")
-    ctl_cfg = controller_config(cfg, controller)
 
     if isinstance(scenario, str):
         name = scenario
@@ -245,9 +230,9 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     flags = np.zeros(ticks, dtype=int)
 
     if controller == "kin_mpc":
-        mpc = KinematicMpc(model, ctl_cfg)
+        mpc = KinematicMpc(model, cfg)
     elif controller == "dyn_mpc":
-        mpc = DynamicMpc(model, ctl_cfg, posture=posture)
+        mpc = DynamicMpc(model, cfg, posture=posture)
 
     rotations, positions = traj.poses.rotation_matrix, traj.poses.translation
     for tick in range(ticks):

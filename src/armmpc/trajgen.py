@@ -22,7 +22,7 @@ from .nominal import POSITION, TaskSpec, default_task_hierarchy
 from .robot_model import RobotModel, _frozen, require_number
 
 SCENARIOS = ("payload_pick_place", "singularity_pass", "circle_2dof")
-SCENARIO_DURATIONS = {"payload_pick_place": 3.0, "singularity_pass": 4.0, "circle_2dof": 2.0}  # s
+SCENARIO_DURATIONS = {"payload_pick_place": 1.0, "singularity_pass": 4.0, "circle_2dof": 2.0}  # s
 
 
 @dataclass(frozen=True, eq=False)

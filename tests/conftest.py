@@ -129,9 +129,15 @@ def make_rpr():
     )
 
 
+def rotvec_from_matrix(rot):
+    """Logarithm map: the rotation vector of a rotation matrix, norm <= pi,
+    as an array; the pose error's kernel kinematics._rotvec."""
+    return np.array(kinematics._rotvec(np.asarray(rot, dtype=float)))
+
+
 def rotvec_to_matrix(v):
     """Exponential map (Rodrigues): the rotation matrix of the rotation
-    vector v, the oracle that kinematics.rotvec_from_matrix inverts."""
+    vector v, the oracle that rotvec_from_matrix inverts."""
     x, y, z = np.asarray(v, dtype=float)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     angle = math.sqrt(x * x + y * y + z * z)
@@ -141,10 +147,19 @@ def rotvec_to_matrix(v):
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
 
 
+def inverse_dynamics(model, q, qd, qdd):
+    """Joint forces u = M(q) qdd + b(q, qd), a batch of one through the
+    derivative pass at a RigidBodyState. Raises ValueError for a q, qd or qdd
+    that is not finite."""
+    st = dynamics.RigidBodyState(model, dynamics._finite(model.check_q(q), "q"), qd)
+    qdd = dynamics._finite(model.check_q(qdd, "qdd"), "qdd")
+    return dynamics._id_derivatives(st.chain, *dynamics._spatial((st,)), qdd[None])[0, :, -1]
+
+
 def id_derivatives_fd(model, q, qd, qdd, h=1e-6):
     """Central finite differences of inverse dynamics, d tau/dq and d tau/dqd."""
-    return (_central_difference(lambda x: dynamics.inverse_dynamics(model, x, qd, qdd), q, h),
-            _central_difference(lambda x: dynamics.inverse_dynamics(model, q, x, qdd), qd, h))
+    return (_central_difference(lambda x: inverse_dynamics(model, x, qd, qdd), q, h),
+            _central_difference(lambda x: inverse_dynamics(model, q, x, qdd), qd, h))
 
 
 def repeat_pose(pose, count):

@@ -339,3 +339,42 @@ def test_an_output_path_that_cannot_be_created_is_a_config_error(runner, tmp_pat
     assert result.exit_code == 2, result.output
     assert len(result.output.strip().splitlines()) == 1, result.output
     assert "cannot" in result.output and str(blocker) in result.output
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "2"],
+     "circle_2dof_osc_log.csv"),
+    (["run", "--scenario", "circle_2dof", "--controller", "osc", "--max-ticks", "2"],
+     "circle_2dof_osc_metrics.txt"),
+    (["bench-horizon", "--horizons", "2", "--ticks", "2"], "bench_horizon.csv"),
+], ids=["run-log", "run-metrics", "bench-horizon"])
+def test_an_artifact_path_that_cannot_be_written_is_a_config_error(runner, tmp_path, monkeypatch,
+                                                                   args, artifact):
+    # a directory where an artifact goes used to end in an IsADirectoryError
+    # traceback (exit 1) after the whole run or timing
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the artifact paths were checked")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    monkeypatch.setattr(cli, "bench_horizon", unreachable)
+    (tmp_path / artifact).mkdir()
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert len(result.output.strip().splitlines()) == 1, result.output
+    assert "cannot write" in result.output and str(tmp_path / artifact) in result.output
+
+
+@pytest.mark.parametrize("scenario, samples", [
+    ("payload_pick_place", 1001), ("singularity_pass", 4001), ("circle_2dof", 2001)])
+def test_export_traj_writes_the_samples_that_run_ticks(runner, tmp_path, scenario, samples):
+    # one duration per scenario: the exported move is the one every run tracks
+    traj = tmp_path / "traj.csv"
+    result = runner.invoke(main, ["export-traj", "--scenario", scenario, "--dt", "1e-3",
+                                  "--out", str(traj)])
+    assert result.exit_code == 0, result.output
+    with open(traj) as fh:
+        assert len(list(csv.reader(fh))) - 1 == samples
+    result = runner.invoke(main, ["run", "--scenario", scenario, "--controller", "osc",
+                                  "--dt", "1e-3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert f"{scenario}_osc: {samples} ticks" in result.output

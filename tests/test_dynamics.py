@@ -22,15 +22,14 @@ from armmpc.dynamics import (
     bias_forces,
     dynamics_derivatives,
     forward_dynamics,
-    inverse_dynamics,
     mass_matrix,
 )
 from armmpc.kinematics import ChainState, _crm, jacobian_dot
 from armmpc.mpc_dynamic import linearize_stage
 from armmpc.robot_model import PayloadSpec, RigidTransform, RobotModel, attach_payload
 
-from conftest import (id_derivatives_fd, make_rpr, point_jacobian_pass, random_config,
-                      sequential_jacobian_dot)
+from conftest import (id_derivatives_fd, inverse_dynamics, make_rpr, point_jacobian_pass,
+                      random_config, sequential_jacobian_dot)
 
 
 def chain_model(name, desk_model):

@@ -22,11 +22,11 @@ from armmpc.kinematics import (
     quat_from_matrix,
     quat_to_matrix,
     pose_error_raw,
-    rotvec_from_matrix,
 )
 from armmpc.kinematics import _skew
 
-from conftest import make_pendulum, make_rpr, random_config, rotvec_to_matrix, sequential_frames
+from conftest import (make_pendulum, make_rpr, random_config, rotvec_from_matrix, rotvec_to_matrix,
+                      sequential_frames)
 
 
 def fd_jacobian(model, q, h=1e-6):

@@ -346,12 +346,12 @@ def test_free_stack_plan_matches_least_squares_oracle(desk_model_large, monkeypa
     # The solver's own eps (about 1.1 here, against 1.7e5 for H's smallest
     # eigenvalue) moves the plan by eps |z| / lambda_min, about 1.4e-5 rad
     # at |z| = pi/2, so the solver runs at a hundredth of it
-    from armmpc.simulator import controller_config, default_scenario_config
+    from armmpc.simulator import default_scenario_config
     from armmpc.trajgen import SINGULARITY_START_CONFIG
 
     regularization = qp._regularization
     monkeypatch.setattr(qp, "_regularization", lambda h: 1e-2 * regularization(h))
-    cfg = controller_config(default_scenario_config("singularity_pass", "kin_mpc"), "kin_mpc")
+    cfg = default_scenario_config("singularity_pass", "kin_mpc")
     traj = scenario_trajectory("singularity_pass", desk_model_large, cfg.dt)
     controller = KinematicMpc(desk_model_large, cfg)
     q, compared = SINGULARITY_START_CONFIG, 0

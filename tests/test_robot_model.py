@@ -6,10 +6,12 @@ import pytest
 
 from armmpc import bundled_model_path, load_model
 from armmpc.robot_model import (
+    JointSpec,
     LinkInertia,
     ModelError,
     ModelParseError,
     PayloadSpec,
+    RigidTransform,
     attach_payload,
     model_from_dict,
     rpy_to_matrix,
@@ -182,6 +184,31 @@ def test_scalar_fields_reject_a_bool(make, field, value):
     # float(True) is 1.0: each of these used to take True as 1 and False as 0
     with pytest.raises(ValueError, match=f"{field} must be a number"):
         make(value)
+
+
+def test_the_callers_arrays_stay_writable():
+    # each spec keeps a read-only copy; the caller's own array used to be
+    # frozen in place
+    def arrays(*shapes):
+        return [np.eye(3) if shape == (3, 3) else np.array([0.0, 0.0, 1.0]) for shape in shapes]
+
+    builds = {
+        "payload": (lambda c, i: PayloadSpec(mass=1.0, com_offset=c, inertia_tensor=i),
+                    arrays((3,), (3, 3)), ("com_offset", "inertia_tensor")),
+        "joint": (lambda a: JointSpec(axis=a, parent_transform=RigidTransform.identity(),
+                                      q_limits=(-1.0, 1.0), v_limit=1.0, u_limit=1.0),
+                  arrays((3,)), ("axis",)),
+        "link": (lambda c, i: LinkInertia(mass=1.0, com=c, inertia_tensor=i),
+                 arrays((3,), (3, 3)), ("com", "inertia_tensor")),
+        "transform": (RigidTransform, arrays((3, 3), (3,)), ("rotation", "translation")),
+        "gravity": (lambda g: make_pendulum(gravity=g), arrays((3,)), ("gravity",)),
+    }
+    for name, (build, args, attrs) in builds.items():
+        built = build(*args)
+        for arg, attr in zip(args, attrs):
+            assert arg.flags.writeable, (name, attr)
+            kept = getattr(built, attr)
+            assert not kept.flags.writeable and not np.shares_memory(kept, arg), (name, attr)
 
 
 def test_inverted_q_limits_rejected(tmp_path):

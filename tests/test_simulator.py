@@ -1,11 +1,14 @@
 import filecmp
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from armmpc import load_bundled_model, nominal
+from armmpc import load_bundled_model, nominal, simulator
 from armmpc.dynamics import bias_forces, mass_matrix
 from armmpc.kinematics import ChainState, forward_kinematics, pose_error_raw
+from armmpc.mpc_dynamic import DynamicMpcConfig
+from armmpc.mpc_kinematic import KinematicMpcConfig
 from armmpc.nominal import default_task_hierarchy
 from armmpc.simulator import (
     PositionLoopGains,
@@ -158,11 +161,63 @@ def test_run_scenario_flags_degraded_ticks_and_runs_empty(desk_model):
 
 @pytest.mark.parametrize("max_ticks", [-1, 2.5, "3", True])  # True used to run one tick
 def test_run_scenario_rejects_bad_max_ticks(desk_model, max_ticks):
+    # a bool is refused as the config is built, as for every run setting;
+    # run_scenario refuses the others, and a bool set after the build
     q0 = np.zeros(6)
     traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
-    cfg = ScenarioConfig(max_ticks=max_ticks)
-    with pytest.raises(ValueError, match="max_ticks must be a nonnegative integer"):
+    if isinstance(max_ticks, bool):
+        with pytest.raises(ValueError, match="max_ticks must be a number"):
+            ScenarioConfig(max_ticks=max_ticks)
+        cfg = ScenarioConfig()
+        cfg.max_ticks = max_ticks
+    else:
+        cfg = ScenarioConfig(max_ticks=max_ticks)
+    with pytest.raises(ValueError, match="max_ticks must be a (nonnegative integer|number)"):
         run_scenario((traj, q0), "osc", desk_model, cfg)
+
+
+# the run settings of the parent's ScenarioConfig, which declared them all
+SCENARIO_DEFAULTS = {
+    "dt": 1e-3, "horizon": 10, "svd_threshold": 1e-2, "task_weight": 10.0,
+    "damping_weight": 1e-4, "accel_weight": 0.0, "input_weight": 0.0, "terminal_pos_tol": 0.02,
+    "terminal_vel_tol": 0.2, "terminal_state_tol": 0.05, "payload": None,
+    "position_gains": PositionLoopGains(), "duration": None, "max_ticks": None,
+}
+
+
+def test_scenario_config_is_a_config_of_both_mpcs():
+    cfg = ScenarioConfig()
+    assert isinstance(cfg, KinematicMpcConfig) and isinstance(cfg, DynamicMpcConfig)
+    assert {f.name: getattr(cfg, f.name) for f in fields(cfg)} == SCENARIO_DEFAULTS
+    # its own fields, and the five defaults that differ from the MPCs' own
+    assert set(ScenarioConfig.__annotations__) == {
+        "payload", "position_gains", "duration", "max_ticks", "task_weight", "damping_weight",
+        "terminal_pos_tol", "terminal_vel_tol", "terminal_state_tol"}
+
+
+BAD_SETTINGS = {"horizon-zero": {"horizon": 0}, "weight-negative": {"accel_weight": -1.0},
+                "dt-nan": {"dt": float("nan")}, "tol-zero": {"terminal_state_tol": 0.0},
+                "svd-one": {"svd_threshold": 1.0}}
+
+
+@pytest.mark.parametrize("bad", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_a_bad_run_setting_is_refused_when_the_config_is_built(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ScenarioConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+@pytest.mark.parametrize("controller", ["osc", "kin_mpc", "dyn_mpc"])
+def test_run_scenario_refuses_a_setting_changed_after_the_build(desk_model, monkeypatch, bad,
+                                                                controller):
+    started = []  # the plant is set up right before the first tick
+    monkeypatch.setattr(simulator, "make_plant_state", lambda *args: started.append(args))
+    cfg = ScenarioConfig(max_ticks=1)
+    for name, value in bad.items():
+        setattr(cfg, name, value)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        run_scenario("circle_2dof", controller, desk_model, cfg)
+    assert not started
 
 
 def test_run_scenario_rejects_a_trajectory_at_another_dt(desk_model):

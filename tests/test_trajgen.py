@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armmpc.kinematics import (Pose, canonical_quat, forward_kinematics, quat_to_matrix,
-                               rotvec_from_matrix)
+from armmpc.kinematics import Pose, canonical_quat, forward_kinematics, quat_to_matrix
 from armmpc.nominal import default_task_hierarchy
 from armmpc.trajgen import (
     SINGULARITY_END_CONFIG,
@@ -22,7 +21,7 @@ from armmpc.trajgen import (
     waypoint_trajectory,
 )
 
-from conftest import rotvec_to_matrix
+from conftest import rotvec_from_matrix, rotvec_to_matrix
 
 
 def test_spline_constant_trajectory():
