@@ -12,6 +12,7 @@ import math
 import os
 import statistics
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,13 +21,16 @@ import numpy as np
 
 from . import BUNDLED_MODELS, bundled_model_path, load_model
 from .checks import CHECK_NAMES, run_checks
-from .robot_model import ModelError, PayloadSpec, reject_bools
+from .mpc_kinematic import KinematicMpc
+from .robot_model import ModelError, PayloadSpec, attach_payload, reject_bools
 from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
     ScenarioConfig,
     default_scenario_config,
+    make_plant_state,
     run_scenario,
+    step_position_plant,
     write_log_csv,
     write_metrics_report,
     write_timing_csv,
@@ -35,6 +39,7 @@ from .trajgen import (
     SCENARIO_DURATIONS,
     SCENARIOS,
     export_trajectory_csv,
+    scenario_initial_config,
     scenario_trajectory,
     step_count,
 )
@@ -241,29 +246,40 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
                   config_path=None) -> list[dict]:
     """Timing stats per horizon for the kinematic MPC on a fixed tick count.
 
-    Each horizon runs twice and the run with the faster median is kept,
-    damping transient machine-load noise. The repeats go round-robin (every
-    horizon once, then every horizon again), so a change of machine speed
-    between two horizons' runs does not decide their order.
+    The horizons are timed interleaved, tick by tick: on each tick every
+    horizon's controller steps once against its own position plant, set up
+    as run_scenario sets up a kin_mpc run, so a change of machine speed
+    reaches every horizon alike and cannot decide their order. Each step is
+    timed as run_scenario times it; the first 5 ticks (cold start) are left
+    out of the statistics.
     """
-    best: dict[int, dict] = {}
-    for _ in range(2):
-        for horizon in horizon_list:
-            cfg = _load_config(scenario, "kin_mpc", config_path,
-                               {"horizon": horizon, "dt": dt, "max_ticks": ticks})
-            result = run_scenario(scenario, "kin_mpc", model, cfg)
-            times = result.metrics.per_tick_solve_time
-            warm = times[min(5, len(times) - 1):]  # drop cold-start ticks
-            row = {
-                "horizon": horizon,
-                "ticks": len(times),
-                "min_ms": float(np.min(warm) * 1e3),
-                "median_ms": float(statistics.median(warm) * 1e3),
-                "p99_ms": float(np.percentile(warm, 99) * 1e3),
-            }
-            if horizon not in best or row["median_ms"] < best[horizon]["median_ms"]:
-                best[horizon] = row
-    return [best[horizon] for horizon in horizon_list]
+    runs = []
+    for horizon in horizon_list:
+        cfg = _load_config(scenario, "kin_mpc", config_path,
+                           {"horizon": horizon, "dt": dt, "max_ticks": ticks})
+        traj = scenario_trajectory(scenario, model, cfg.dt, duration=cfg.duration)
+        plant = model if cfg.payload is None else attach_payload(model, cfg.payload)
+        runs.append([KinematicMpc(plant, cfg), make_plant_state(plant, scenario_initial_config(
+            scenario, model)), traj, cfg, np.empty(min(traj.n_samples, ticks))])
+    for tick in range(max(run[4].size for run in runs)):
+        for run in runs:
+            mpc, state, traj, cfg, times = run
+            if tick < times.size:
+                t0 = time.perf_counter()
+                q_cmd = mpc.step(state.chain, traj, tick).q_cmd
+                times[tick] = time.perf_counter() - t0
+                run[1] = step_position_plant(state, q_cmd, cfg.dt, gains=cfg.position_gains)
+    rows = []
+    for horizon, (_, _, _, _, times) in zip(horizon_list, runs):
+        warm = times[min(5, times.size - 1):]  # drop cold-start ticks
+        rows.append({
+            "horizon": horizon,
+            "ticks": times.size,
+            "min_ms": float(np.min(warm) * 1e3),
+            "median_ms": float(statistics.median(warm) * 1e3),
+            "p99_ms": float(np.percentile(warm, 99) * 1e3),
+        })
+    return rows
 
 
 @main.command("check")

@@ -63,7 +63,11 @@ def _rotvec(rot: np.ndarray) -> tuple[float, float, float]:
     # read once into Python floats: the generic branch makes no small numpy
     # temporaries
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-    cos_angle = max(-1.0, min(1.0, (r00 + r11 + r22 - 1.0) * 0.5))
+    # clipped to [-1, 1] as max(-1.0, min(1.0, c)) would, a NaN to 1.0, with
+    # no builtin called
+    cos_angle = (r00 + r11 + r22 - 1.0) * 0.5
+    cos_angle = cos_angle if cos_angle < 1.0 else 1.0
+    cos_angle = cos_angle if cos_angle > -1.0 else -1.0
     angle = math.acos(cos_angle)
     if angle < 1e-7:
         # sin(a)/a ~ 1 to second order
@@ -197,7 +201,7 @@ class _Chain:
     sums over the links and the parts of each link inertia's Gram factor.
     """
 
-    __slots__ = ("n", "axes", "rot_pt", "rot_skew", "rot_skew2", "local_fixed",
+    __slots__ = ("n", "axes", "local_rest", "local_sin", "local_vers",
                  "ee", "a_base", "moves", "root_mass", "root_mass_eye",
                  "com", "root_inertia")
 
@@ -205,16 +209,19 @@ class _Chain:
         n = model.n
         self.n = n
         self.axes = np.array([j.axis for j in model.joints])
-        # rot_pt exp(q [a]x) = rot_pt + sin q rot_pt [a]x + (1 - cos q) rot_pt [a]x^2
+        # each joint's homogeneous local transform, rot_pt exp(q [a]x) and the
+        # constant translation from the parent link, is local_rest + sin q
+        # local_sin + (1 - cos q) local_vers, the last two zero outside the
+        # rotation block, where they hold rot_pt [a]x and rot_pt [a]x^2
         skew = _skew(self.axes)
-        self.rot_pt = np.array([j.parent_transform.rotation for j in model.joints])
-        self.rot_skew = self.rot_pt @ skew
-        self.rot_skew2 = self.rot_skew @ skew
-        # each joint's homogeneous local transform but its rotation block,
-        # which is left zero: the constant translation from the parent link
-        self.local_fixed = np.zeros((n, 4, 4))
-        self.local_fixed[:, :3, 3] = [j.parent_transform.translation for j in model.joints]
-        self.local_fixed[:, 3, 3] = 1.0
+        rot_pt = np.array([j.parent_transform.rotation for j in model.joints])
+        self.local_rest, self.local_sin, self.local_vers = np.zeros((3, n, 4, 4))
+        self.local_rest[:, :3, :3] = rot_pt
+        self.local_rest[:, :3, 3] = [j.parent_transform.translation for j in model.joints]
+        self.local_rest[:, 3, 3] = 1.0
+        rot_skew = rot_pt @ skew
+        self.local_sin[:, :3, :3] = rot_skew
+        self.local_vers[:, :3, :3] = rot_skew @ skew
         # end-effector transform from the last link, homogeneous 4 x 4
         self.ee = np.eye(4)
         self.ee[:3, :3] = model.ee_transform.rotation
@@ -236,11 +243,12 @@ class _Chain:
 class ChainState:
     """The chain at one configuration q, filled by its constructor.
 
-    The joint pass forms every joint's local rotation rot_pt exp(q [a]x) from
-    its parent link, as array operations over all joints, and its constant
-    translation, written into one (n, 4, 4) stack `local` of
-    homogeneous transforms; the link-frame Newton-Euler oracle of checks.py
-    reads it for its motion transforms. The world frames behind FK and J are the prefix products of
+    The joint pass forms every joint's homogeneous local transform from its
+    parent link, its rotation rot_pt exp(q [a]x) and its constant
+    translation, for all joints at once as three constant (n, 4, 4) stacks
+    weighted by 1, sin q and 1 - cos q: one stack `local`, which the
+    link-frame Newton-Euler oracle of checks.py reads for its motion
+    transforms. The world frames behind FK and J are the prefix products of
     that stack: link k's world transform is the product of the local
     transforms of joints 0..k, all n of them formed by a Hillis-Steele prefix
     scan (Hillis & Steele, 1986), ceil(log2 n) batched products of the stack
@@ -259,13 +267,14 @@ class ChainState:
         self.chain = c
         self.q = q = model.check_q(q)
         turn = q[:, None, None]
-        local = c.local_fixed.copy()
-        rot = np.sin(turn) * c.rot_skew
-        rot += (1.0 - np.cos(turn)) * c.rot_skew2
-        np.add(c.rot_pt, rot, out=local[:, :3, :3])
-        self.local = local
+        local = np.sin(turn) * c.local_sin
+        local += (1.0 - np.cos(turn)) * c.local_vers
+        # off the rotation block the turn's terms are +0.0, which keeps
+        # local_rest's entries there (a -0.0 reads +0.0)
+        local = self.local = c.local_rest + local
         world = local.copy()
-        shift = 1
+        np.matmul(local[:-1], local[1:], out=world[1:])  # the scan's first level
+        shift = 2
         while shift < c.n:
             world[shift:] = world[:-shift] @ world[shift:]
             shift *= 2
@@ -299,7 +308,7 @@ def forward_kinematics(model: RobotModel, q) -> Pose:
 def fk_jacobian_raw(model: RobotModel, q):
     """One chain pass: (ee rotation matrix, ee position, geometric Jacobian)."""
     st = ChainState(model, q)
-    return st.ee_rot, st.ee_pos, st.jacobian()
+    return st.ee_rot, st.ee_pos, st._jacobian
 
 
 def geometric_jacobian(model: RobotModel, q) -> np.ndarray:

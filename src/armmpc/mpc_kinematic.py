@@ -43,10 +43,10 @@ def _diff_offsets(n: int, steps: int, dt: float, q_prev, q_prev2):
     two positions before them, q_prev and q_prev2, enter only here."""
     q_prev, q_prev2 = np.asarray(q_prev, dtype=float), np.asarray(q_prev2, dtype=float)
     vel_off, acc_off = np.zeros((2, steps * n))
-    vel_off[:n] = -q_prev / dt
-    acc_off[:n] = (-2 * q_prev + q_prev2) / dt**2
+    np.divide(q_prev, -dt, out=vel_off[:n])  # -q_prev / dt, to the bit
+    np.divide(-2 * q_prev + q_prev2, dt**2, out=acc_off[:n])
     if steps >= 2:
-        acc_off[n:2 * n] = q_prev / dt**2
+        np.divide(q_prev, dt**2, out=acc_off[n:2 * n])
     return vel_off, acc_off
 
 
@@ -55,7 +55,9 @@ def _diff_matrices(n: int, steps: int, dt: float):
     """Constant banded operator matrices over a stack of steps blocks, shared
     read-only by every caller: the first and second backward differences D
     and D^2, one n x n identity block per entry. Adding 0.0 clears the
-    negative zeros that the -2 band of D^2 leaves off the block diagonals."""
+    negative zeros that the -2 band of D^2 leaves off the block diagonals.
+    Read-only, D is the QP's constant Ain, whose finiteness and pattern qp
+    derives once (qp._constant_rows)."""
     diff = np.eye(steps) - np.eye(steps, k=-1)
     vel_op = np.kron(diff, np.eye(n)) / dt
     acc_op = np.kron(diff @ diff, np.eye(n)) / dt**2 + 0.0
@@ -80,10 +82,12 @@ def _diff_cost(n: int, steps: int, dt: float, damping_weight: float, accel_weigh
 
 @lru_cache(maxsize=8)
 def _limit_rows(limits: JointLimits, steps: int) -> np.ndarray:
-    """q_min, q_max and v_max, one block per step, (3, steps * n): constant
-    for a limits object and a horizon, shared read-only by every caller."""
-    rows = np.repeat([[limits.q_min], [limits.q_max], [limits.v_max]], steps, axis=1)
-    rows = rows.reshape(3, -1)
+    """q_min, q_max, v_max and -v_max, one block per step, (4, steps * n):
+    constant for a limits object and a horizon, shared read-only by every
+    caller."""
+    rows = np.repeat([[limits.q_min], [limits.q_max], [limits.v_max], [-limits.v_max]], steps,
+                     axis=1)
+    rows = rows.reshape(4, -1)
     rows.setflags(write=False)
     return rows
 
@@ -127,8 +131,8 @@ def build_kin_qp(cfg: KinematicMpcConfig, rollout: NominalRollout, history,
     if cfg.accel_weight:
         grad += acc_op.T @ (cfg.accel_weight * acc_off)
 
-    lb, ub, vmax = _limit_rows(limits, cfg.horizon)
-    lin = -vmax - vel_off
+    lb, ub, vmax, vmin = _limit_rows(limits, cfg.horizon)
+    lin = vmin - vel_off
     uin = vmax - vel_off
 
     if terminal_widen is not None:
@@ -181,7 +185,8 @@ class KinematicMpc(RecedingHorizon):
                                        terminal_widen=widen),
             includes_end)
         last = self._history[0]
-        plan = None if degraded else np.vstack([last, solution.z_star.reshape(cfg.horizon, model.n)])
+        plan = None if degraded else np.concatenate(
+            [last[None], solution.z_star.reshape(cfg.horizon, model.n)])
         q_cmd = last.copy() if degraded else plan[1]
         self._history = (q_cmd.copy(), last)
         return KinStepResult(q_cmd=q_cmd, solution=solution, rollout=rollout, degraded=degraded,

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dsyevd
 
 from .dynamics import RigidBodyState
 from .kinematics import ChainState, fk_jacobian_raw, pose_error_raw
-from .robot_model import require_number
+from .robot_model import all_finite, require_number
 
 POSITION = "position"
 ORIENTATION = "orientation"
@@ -149,9 +149,8 @@ class NominalRollout:
                 raise ValueError(f"{name} must have n_p rows")
         if self.states and len(self.states) != steps - 1:
             raise ValueError("states must hold one chain state per stage")
-        for arr in (self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
-            if not np.isfinite(arr).all():
-                raise ValueError("rollout has non-finite entries")
+        if not all_finite(self.q_hat, self.qd_hat, self.j_stack, self.err_stack):
+            raise ValueError("rollout has non-finite entries")
 
 
 def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
@@ -214,7 +213,8 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
             raise np.linalg.LinAlgError("the matrix to invert is not finite")
         c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
         det = a * c00 + b * c01 + c * c02
-        cut = max(_CLOSED_FORM_MARGIN * floor, _CLOSED_FORM_FLOOR)
+        cut = _CLOSED_FORM_MARGIN * floor
+        cut = cut if cut > _CLOSED_FORM_FLOOR else _CLOSED_FORM_FLOOR
         trace = a + d + f
         # past entries of about 1e102 det or trace^3 overflows, and the closed
         # form with it (an infinite det would scale the adjugate to zero);
@@ -256,7 +256,8 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _hierarchy(tasks: tuple) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hierarchy(tasks: tuple) -> tuple[tuple, slice | np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
     """_levels' part that depends on the tasks alone, shared read-only by
     every rollout over the same task tuple."""
     levels, rows, gains, kp, kd = [], [], [], [], []
@@ -271,24 +272,29 @@ def _hierarchy(tasks: tuple) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray,
         n_g += dim
     if not levels:
         raise ValueError("the task hierarchy needs at least one level")
-    stacks = np.array(rows), np.array(gains), np.concatenate(kp), np.concatenate(kd)
+    stacks = np.array(gains), np.concatenate(kp), np.concatenate(kd)
     for arr in stacks:
         arr.setflags(write=False)
-    return (tuple(levels), *stacks)
+    # rows in order and without a gap (position above orientation) index as
+    # a slice, which gathers nothing
+    span = slice(rows[0], rows[-1] + 1)
+    return (tuple(levels), span if rows == list(range(span.start, span.stop)) else np.array(rows),
+            *stacks)
 
 
-def _levels(tasks, steps: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray,
+def _levels(tasks, steps: int, n: int) -> tuple[tuple, slice | np.ndarray, np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray, np.ndarray]:
     """The task hierarchy resolved: one (rows, out) per level in priority
     order, with rows the level's rows of the 6-pose and out its rows of the
-    stacks; the 6-pose row of each of the n_g stacked rows, its IK gain and
-    its OSC stiffness and damping, defaults filled in, (n_g,) each (levels
-    may overlap, so none is per pose row); and the empty (steps, n_g, n)
+    stacks; the 6-pose row of each of the n_g stacked rows (an index array,
+    or a slice where they run in order without a gap), its IK gain and its
+    OSC stiffness and damping, defaults filled in, (n_g,) each (levels may
+    overlap, so none is per pose row); and the empty (steps, n_g, n)
     projected-Jacobian and (steps, n_g) error stacks."""
     hierarchy = _hierarchy(tuple(tasks))
     if steps < 1:
         raise ValueError("a rollout needs at least one target")
-    n_g = hierarchy[1].size
+    n_g = hierarchy[2].size
     return (*hierarchy, np.empty((steps, n_g, n)), np.empty((steps, n_g)))
 
 
@@ -387,12 +393,14 @@ def ik_rollout(start: ChainState, rotations, positions, dt: float, rel_threshold
     for k in range(steps):
         err = err_stack[k] = pose_error_raw(rotations[k], positions[k], rot, pos)[pose_rows]
         ref_vel = gains * err + twists[k]  # every level's reference velocity
-        qd = None
+        qd = None  # summed into its row of qd_hat
         for (rows, out), _, _, jbar, _ in _prioritize(levels, jac, floor, j_stack[k]):
-            qd = jbar @ ref_vel[out] if qd is None else qd + jbar @ (ref_vel[out] - jac[rows] @ qd)
-        qd_hat[k] = qd
+            if qd is None:
+                qd = np.matmul(jbar, ref_vel[out], out=qd_hat[k])
+            else:
+                qd += jbar @ (ref_vel[out] - jac[rows] @ qd)
         if k + 1 < steps:
-            q = q_hat[k + 1] = q + dt * qd
+            q = np.add(q, dt * qd, out=q_hat[k + 1])
             rot, pos, jac = fk_jacobian_raw(model, q)
     return NominalRollout(q_hat=q_hat, qd_hat=qd_hat, j_stack=j_stack, err_stack=err_stack)
 

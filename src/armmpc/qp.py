@@ -72,6 +72,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, blas
 from scipy.linalg.lapack import dgbsv, dpbtrf, dpbtrs
 
+from .robot_model import all_finite
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
@@ -82,6 +84,28 @@ _DEGENERACY_TOL = 1e-12
 
 class QpDataError(ValueError):
     """Problem data is malformed (shapes, non-finite entries, crossed bounds)."""
+
+
+# id -> (Ain, whether finite, packed nonzeros) of the constant Ain seen last;
+# each entry keeps its array alive, so an id is not reused while kept
+_CONSTANT_ROWS: dict[int, tuple[np.ndarray, bool, bytes]] = {}
+
+
+def _constant_rows(ain: np.ndarray) -> tuple[bool, bytes] | None:
+    """(whether every entry is finite, the nonzeros packed into bytes) of an
+    ain that is read-only and owns its data, derived on its first sight and
+    kept for up to 8 such arrays (a few controllers' constant rows); None
+    for any other ain, whose facts are derived where they are read."""
+    kept = _CONSTANT_ROWS.get(id(ain))
+    if kept is not None:
+        return kept[1:]
+    if ain.flags.writeable or ain.base is not None:
+        return None
+    if len(_CONSTANT_ROWS) >= 8:
+        del _CONSTANT_ROWS[next(iter(_CONSTANT_ROWS))]
+    kept = _CONSTANT_ROWS[id(ain)] = (ain, bool(np.isfinite(ain).all()),
+                                      np.packbits(ain != 0).tobytes())
+    return kept[1:]
 
 
 def _regularization(ab: np.ndarray) -> float:
@@ -114,7 +138,9 @@ class QpProblem:
     form: lb and ub with -inf and +inf, Ain, lin and uin with no rows. The
     sides are gathered once, as sides = [lb; lin] over [ub; uin] of shape
     (2, d + m), with their finiteness, so a problem's arrays are not to be
-    changed once it is built."""
+    changed once it is built. An Ain that is read-only and owns its data
+    (the kinematic MPC's constant velocity rows) is taken as constant across
+    problems: its finiteness and nonzeros are derived once (_constant_rows)."""
 
     H: np.ndarray
     g: np.ndarray
@@ -127,27 +153,32 @@ class QpProblem:
     finite: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("H", "g", "lb", "ub", "Ain", "lin", "uin"):
-            if getattr(self, name) is not None:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.Ain is not None and (self.lin is None or self.uin is None):
+        H, g, lb, ub, Ain, lin, uin = [None if x is None else np.asarray(x, dtype=float) for x in
+                                       (self.H, self.g, self.lb, self.ub, self.Ain, self.lin, self.uin)]
+        if Ain is not None and (lin is None or uin is None):
             raise QpDataError("Ain requires lin and uin")
-        if self.H is None or self.g is None or self.g.ndim != 1 or not self.g.size:
+        if H is None or g is None or g.ndim != 1 or not g.size:
             raise QpDataError("H and g are required, g a vector of d >= 1 entries")
-        d = self.g.shape[0]
-        if self.H.ndim != 2 or not 1 <= self.H.shape[0] <= d or self.H.shape[1] != d:
+        d = g.shape[0]
+        if H.ndim != 2 or not 1 <= H.shape[0] <= d or H.shape[1] != d:
             raise QpDataError(f"H must be a lower band of shape (w + 1, {d}), 0 <= w < {d}, "
-                              f"got {self.H.shape}")
-        m = 0 if self.Ain is None or self.Ain.ndim == 0 else self.Ain.shape[0]
-        for name, absent, shape in (("lb", -np.inf, (d,)), ("ub", np.inf, (d,)),
-                                    ("Ain", 0.0, (m, d)), ("lin", 0.0, (m,)), ("uin", 0.0, (m,))):
-            if getattr(self, name) is None:  # the explicit form: no bound, no general row
-                setattr(self, name, np.full(shape, absent))
-            elif getattr(self, name).shape != shape:
-                raise QpDataError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        if not all(np.isfinite(a).all() for a in (self.H, self.g, self.Ain)):
+                              f"got {H.shape}")
+        m = 0 if Ain is None or Ain.ndim == 0 else Ain.shape[0]
+        # the explicit form: no bound, no general row
+        lb = np.full(d, -np.inf) if lb is None else lb
+        ub = np.full(d, np.inf) if ub is None else ub
+        Ain = np.zeros((m, d)) if Ain is None else Ain
+        lin = np.zeros(m) if lin is None else lin
+        uin = np.zeros(m) if uin is None else uin
+        for name, val, shape in (("lb", lb, (d,)), ("ub", ub, (d,)), ("Ain", Ain, (m, d)),
+                                 ("lin", lin, (m,)), ("uin", uin, (m,))):
+            if val.shape != shape:
+                raise QpDataError(f"{name} must have shape {shape}, got {val.shape}")
+        kept = _constant_rows(Ain)
+        if not ((all_finite(H, g) and kept[0]) if kept else all_finite(H, g, Ain)):
             raise QpDataError("H, g and Ain must be finite")
-        self.sides = np.concatenate([self.lb, self.lin, self.ub, self.uin]).reshape(2, d + m)
+        self.H, self.g, self.lb, self.ub, self.Ain, self.lin, self.uin = H, g, lb, ub, Ain, lin, uin
+        self.sides = np.concatenate([lb, lin, ub, uin]).reshape(2, d + m)
         self.finite = np.isfinite(self.sides)
         lo, hi = self.sides
         # a side that is not finite must be no bound: lo -inf, hi +inf (the
@@ -249,9 +280,11 @@ def _setup(shape: tuple, finite: bytes, pinned: bytes, nonzeros: bytes) -> QpStr
 def expand_constraints(p: QpProblem) -> QpStructure:
     """p's canonical rows: the cached structure of its pattern (see _setup)
     with p's values filled in."""
+    kept = _constant_rows(p.Ain)
     s = _setup(p.Ain.shape, p.finite.tobytes(), (p.sides[0] == p.sides[1]).tobytes(),
-               np.packbits(p.Ain != 0).tobytes())
-    return s._replace(b=s.sign * p.sides.ravel()[s.take], gen=p.Ain)
+               kept[1] if kept else np.packbits(p.Ain != 0).tobytes())
+    return QpStructure(s.sign * p.sides.ravel()[s.take], s.n_eq, s.src, s.sign, p.Ain,
+                       s.first, s.last, s.take)
 
 
 def _values(rows: QpStructure, z: np.ndarray) -> np.ndarray:
@@ -281,7 +314,7 @@ def _hessian(ab: np.ndarray) -> _Hessian:
     convexity check, and the KKT system of an empty working set."""
     band = regularized_hessian(ab)
     factor, info = dpbtrf(band, lower=1)
-    return _Hessian(band, factor if info == 0 and np.isfinite(factor).all() else None)
+    return _Hessian(band, factor if info == 0 and all_finite(factor) else None)
 
 
 class _Band(NamedTuple):
@@ -437,25 +470,38 @@ def _objective(g: np.ndarray, z: np.ndarray, hz: np.ndarray) -> float:
     return float(0.5 * z @ hz + g @ z)
 
 
+def _feasibility(rows: QpStructure, slack: np.ndarray) -> float:
+    """The largest violation among the rows' slacks a'z - b: |slack| on the
+    equality rows, -slack on the others, 0 if none; NaN if a slack is NaN
+    (np.maximum and the reductions keep a NaN that Python's max drops)."""
+    worst = (-slack[rows.n_eq:]).max(initial=0.0)
+    if rows.n_eq:
+        worst = np.maximum(np.abs(slack[:rows.n_eq]).max(), worst)
+    return float(worst)
+
+
 def _residuals(rows: QpStructure, hz: np.ndarray, g: np.ndarray, z: np.ndarray,
-               active_set, multipliers, slack=None) -> KktResiduals:
+               active_set, multipliers, slack=None, feasibility=None) -> KktResiduals:
     """KktResiduals of z, hz = (H + eps I) z; slack, if given, holds the
-    rows' a'z - b at z. An inactive row's multiplier is zero, so
-    complementarity and dual feasibility are taken over the active
-    inequality rows alone; a NaN slack of an inactive row still shows, in
-    the feasibility (np.maximum keeps a NaN that Python's max drops)."""
+    rows' a'z - b at z, and feasibility, if given, _feasibility of it. An
+    inactive row's multiplier is zero, so complementarity and dual
+    feasibility are taken over the active inequality rows alone (0 with no
+    active row); a NaN slack of an inactive row still shows, in the
+    feasibility."""
     ids = np.asarray(active_set, dtype=np.intp)
-    lam = np.asarray(multipliers, dtype=float)
     grad = hz + g
-    if ids.size:
-        grad -= _combine(rows, ids, lam)
     slack = _values(rows, z) - rows.b if slack is None else slack
+    if feasibility is None:
+        feasibility = _feasibility(rows, slack)
+    if not ids.size:
+        return KktResiduals(float(np.abs(grad).max(initial=0.0)), feasibility, 0.0, 0.0)
+    lam = np.asarray(multipliers, dtype=float)
+    grad -= _combine(rows, ids, lam)
     ineq = ids >= rows.n_eq
     lam_in = lam[ineq]
     return KktResiduals(
         stationarity=float(np.abs(grad).max(initial=0.0)),
-        feasibility=float(np.maximum(np.abs(slack[:rows.n_eq]).max(initial=0.0),
-                                     (-slack[rows.n_eq:]).max(initial=0.0))),
+        feasibility=feasibility,
         complementarity=float(np.abs(lam_in * slack[ids[ineq]]).max(initial=0.0)),
         dual_feasibility=max(0.0, -float(lam_in.min(initial=0.0))))
 
@@ -506,11 +552,14 @@ class QpSolver:
         h_reg = hess.band
 
         # one start: the equality rows plus the valid warm rows
-        start_rows = np.arange(rows.b.size) < rows.n_eq
+        start_ids = np.arange(rows.n_eq)
         if warm_start is not None:
             warm = _row_ids(warm_start)
-            start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
-        start = _kkt_start(rows, hess, p.g, np.flatnonzero(start_rows))
+            if warm.size:
+                start_rows = np.arange(rows.b.size) < rows.n_eq
+                start_rows[warm[(warm >= 0) & (warm < rows.b.size)]] = True
+                start_ids = np.flatnonzero(start_rows)
+        start = _kkt_start(rows, hess, p.g, start_ids)
         if warm_start is not None:
             sol = self._try_hot_start(p, rows, h_reg, start)
             if sol is not None:
@@ -638,13 +687,19 @@ class QpSolver:
         if start is None:
             return None
         ids, z, lam = start
+        if ids.size and not (lam[ids >= rows.n_eq] >= -1e-10).all():
+            return None
+        # one slack pass for the accept rule and the certificate: a largest
+        # violation within 1e-9 passes the rule's tolerance of every row,
+        # 1e-9 (1 + |b|), so only a larger one is judged row by row
         slack = _values(rows, z) - rows.b
-        if not ((lam[ids >= rows.n_eq] >= -1e-10).all()
-                and (slack[rows.n_eq:] >= -1e-9 * (1.0 + np.abs(rows.b[rows.n_eq:]))).all()):
+        feasibility = _feasibility(rows, slack)
+        if not (feasibility <= 1e-9 or (slack[rows.n_eq:]
+                                        >= -1e-9 * (1.0 + np.abs(rows.b[rows.n_eq:]))).all()):
             return None
         hz = _hz(h_reg, z)  # one product for the certificate and the objective
-        res = _residuals(rows, hz, p.g, z, ids, lam, slack)
-        if not res.max() <= 1e-8 * (1.0 + float(np.linalg.norm(p.g))):
+        res = _residuals(rows, hz, p.g, z, ids, lam, slack, feasibility)
+        if not res.max() <= 1e-8 * (1.0 + math.sqrt(p.g @ p.g)):
             return None
         obj = _objective(p.g, z, hz)
         return QpSolution(z, OPTIMAL, res, tuple(ids.tolist()), lam, 1, obj, [obj])

@@ -16,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.spatial.transform import Rotation
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
@@ -45,6 +46,20 @@ def require_number(value, name: str, error: type[ValueError] = ValueError) -> No
     """Raise error for a bool where a number is read: float(True) is 1.0."""
     if isinstance(value, (bool, np.bool_)):
         raise error(f"{name} must be a number, got {value!r}")
+
+
+def all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the float arrays is finite, in one pass: a NaN
+    or infinite entry makes the sum of squares NaN or infinite, so a finite
+    sum clears every entry; only a sum that is not, as finite entries past
+    about 1e154 give too, is checked entry by entry. The sums are BLAS dot
+    products, which raise no floating-point warning."""
+    total = 0.0
+    for arr in arrays:
+        flat = arr.ravel()
+        if flat.size:  # ddot refuses an empty vector
+            total += blas.ddot(flat, flat)  # a Python float: inf - inf is NaN, with no warning
+    return total - total == 0.0 or all(np.isfinite(arr).all() for arr in arrays)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -463,7 +463,9 @@ def test_kinematic_tick_stays_within_its_call_budget():
     # chain pass were trimmed, this tick made 329 Python and 567 C calls;
     # before the model kept its chain constants and each chain state filled
     # its J once, 254 and 414; before its targets came as array slices, not
-    # a list of Pose objects, 222 and 392
+    # a list of Pose objects, 222 and 392; before the one-pass hot start, the
+    # lighter QP intake and IK step and the joint pass over padded constants,
+    # 219 and 386
     counts = Counter()
     step = KinematicMpc.step
 
@@ -482,10 +484,10 @@ def test_kinematic_tick_stays_within_its_call_budget():
         cfg.max_ticks = 101
         simulator.run_scenario("singularity_pass", "kin_mpc", load_bundled_model("rs020n"), cfg)
     assert cfg.horizon == 10
-    assert counts["call"] <= 219 and counts["c_call"] <= 386, counts
+    assert counts["call"] <= 182 and counts["c_call"] <= 265, counts
 
 
-@pytest.mark.parametrize("controller, budget", [("osc", (13, 26)), ("dyn_mpc", (320, 530))])
+@pytest.mark.parametrize("controller, budget", [("osc", (13, 22)), ("dyn_mpc", (317, 472))])
 def test_operational_space_step_stays_within_its_call_budget(controller, budget):
     # the same measure for the operational-space step, at tick 100 of the
     # payload move on rs007n: the calls of osc_torque, the whole OSC
@@ -497,7 +499,9 @@ def test_operational_space_step_stays_within_its_call_budget(controller, budget)
     # effector, osc_rollout made 415 and 747; before the model kept its
     # chain constants and each chain state filled its J once, 14 and 27,
     # and 374 and 586; before the rollout's targets came as arrays, not
-    # Pose objects, osc_rollout made 323 and 535
+    # Pose objects, osc_rollout made 323 and 535; before the lighter pose
+    # error, truncated inverse, joint pass and rollout check, 13 and 26, and
+    # 320 and 530
     module, name = {"osc": (simulator, "osc_torque"),
                     "dyn_mpc": (mpc_dynamic, "osc_rollout")}[controller]
     call = getattr(module, name)

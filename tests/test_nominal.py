@@ -341,6 +341,22 @@ def test_ik_rollout_degenerate_window(desk_model, rng):
     np.testing.assert_allclose(roll.q_hat[0], q0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("stack", ["q_hat", "qd_hat", "j_stack", "err_stack"])
+def test_nominal_rollout_refuses_a_stack_that_is_not_finite(desk_model, rng, stack, value):
+    # each of the four stacks is checked; a finite entry whose square
+    # overflows is still finite and passes
+    q0 = random_config(desk_model, rng)
+    roll = ik_rollout(ChainState(desk_model, q0), *repeat_pose(forward_kinematics(desk_model, q0), 3),
+                      1e-3, 1e-2, pos_ori_tasks())
+    stacks = {name: getattr(roll, name).copy() for name in ("q_hat", "qd_hat", "j_stack", "err_stack")}
+    stacks[stack].flat[-1] = value
+    with pytest.raises(ValueError, match="rollout has non-finite entries"):
+        nominal.NominalRollout(**stacks)
+    stacks[stack].flat[-1] = 1e200
+    nominal.NominalRollout(**stacks)
+
+
 def test_rollouts_take_none_twists_as_zero_and_check_their_targets(desk_model, rng):
     q0 = random_config(desk_model, rng)
     targets = repeat_pose(forward_kinematics(desk_model, q0 + 0.05), 4)

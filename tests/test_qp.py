@@ -131,6 +131,12 @@ def test_crossed_bounds_rejected():
         QpProblem(H=np.ones((1, 1)), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: a constant Ain, as the kinematic MPC's."""
+    a.setflags(write=False)
+    return a
+
+
 @pytest.mark.parametrize("data", [
     {"H": np.array([[np.nan]]), "g": np.zeros(1)},
     {"H": np.array([[1.0, 1.0], [np.inf, 0.0]])},
@@ -146,13 +152,46 @@ def test_crossed_bounds_rejected():
     {"Ain": np.ones((1, 2)), "lin": np.zeros(2), "uin": np.ones(2)},
     {"Ain": np.ones((2, 2)), "lin": np.zeros(2), "uin": np.ones(1)},
     {"lin": np.zeros(1)},
+    {"Ain": np.array([[np.nan, 1.0]]), "lin": np.zeros(1), "uin": np.ones(1)},
+    {"Ain": np.array([[1.0, 0.0], [0.0, np.inf]]), "lin": np.zeros(2), "uin": np.ones(2)},
+    {"Ain": read_only(np.array([[1.0, np.nan]])), "lin": np.zeros(1), "uin": np.ones(1)},
+    {"g": np.array([1.0, np.nan])},
 ], ids=["H-nan", "H-band-inf", "H-1d", "H-no-rows", "H-past-d-rows", "H-wide", "ub-nan",
-        "lb-nan", "lb-long", "ub-column", "lin-nan", "lin-long", "uin-short", "lin-without-Ain"])
+        "lb-nan", "lb-long", "ub-column", "lin-nan", "lin-long", "uin-short", "lin-without-Ain",
+        "Ain-nan", "Ain-inf", "Ain-read-only-nan", "g-nan"])
 def test_nonfinite_rejected(data):
     # NaN and mis-shaped bound vectors are malformed data, not dropped bounds;
-    # H is a lower band of 1 to d rows of d finite entries
+    # H is a lower band of 1 to d rows of d finite entries, and g and Ain are
+    # finite, a read-only Ain too, whose facts are derived once and kept
     with pytest.raises(QpDataError):
         QpProblem(**{"H": np.ones((1, 2)), "g": np.ones(2), **data})
+
+
+def test_a_read_only_ain_keeps_its_own_pattern(rng):
+    # a read-only Ain that owns its data is taken as constant: its finiteness
+    # and nonzeros are derived on its first sight and kept with that array
+    # alone. Two such arrays of one shape but other nonzeros keep their own
+    # structures, and solve as writable copies of them do; a read-only view,
+    # whose base may still change, is not kept
+    for _ in range(10):
+        p = random_qp(rng, 5, 6)
+        sparse = p.Ain.copy()
+        sparse[:, 0] = 0.0
+        structures = []
+        for ain in (p.Ain.copy(), sparse):
+            fixed = ain.copy()
+            fixed.setflags(write=False)
+            probs = [QpProblem(H=p.H, g=p.g, lb=p.lb, ub=p.ub, Ain=a, lin=p.lin, uin=p.uin)
+                     for a in (fixed, ain)]
+            rows, ref_rows = (expand_constraints(prob) for prob in probs)
+            assert all(np.array_equal(x, y) for x, y in zip(rows, ref_rows))
+            sol, ref = (QpSolver().solve(prob) for prob in probs)
+            assert np.array_equal(sol.z_star, ref.z_star) and sol.active_set == ref.active_set
+            structures.append(rows.first)
+        assert not np.array_equal(*structures)
+    view = np.ones((2, 4))[:, :3]
+    view.setflags(write=False)
+    assert qp._constant_rows(view) is None
 
 
 @pytest.mark.parametrize("data", [
