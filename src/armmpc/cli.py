@@ -12,7 +12,6 @@ import math
 import os
 import statistics
 import sys
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,16 +20,14 @@ import numpy as np
 
 from . import BUNDLED_MODELS, bundled_model_path, load_model
 from .checks import CHECK_NAMES, run_checks
-from .mpc_kinematic import KinematicMpc
-from .robot_model import ModelError, PayloadSpec, attach_payload, reject_bools
+from .robot_model import ModelError, PayloadSpec, reject_bools
 from .simulator import (
     CONTROLLERS,
     PositionLoopGains,
     ScenarioConfig,
+    closed_loop,
     default_scenario_config,
-    make_plant_state,
     run_scenario,
-    step_position_plant,
     write_log_csv,
     write_metrics_report,
     write_timing_csv,
@@ -39,7 +36,6 @@ from .trajgen import (
     SCENARIO_DURATIONS,
     SCENARIOS,
     export_trajectory_csv,
-    scenario_initial_config,
     scenario_trajectory,
     step_count,
 )
@@ -98,7 +94,6 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
         cfg = replace(cfg)  # checked as it is built
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    _check_positive("duration", cfg.duration)
     _check_steps(scenario, cfg.dt, cfg.duration)
     if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, int) and cfg.max_ticks >= 1):
         raise ConfigError("max_ticks must be an integer >= 1")
@@ -246,40 +241,25 @@ def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
                   config_path=None) -> list[dict]:
     """Timing stats per horizon for the kinematic MPC on a fixed tick count.
 
-    The horizons are timed interleaved, tick by tick: on each tick every
-    horizon's controller steps once against its own position plant, set up
-    as run_scenario sets up a kin_mpc run, so a change of machine speed
-    reaches every horizon alike and cannot decide their order. Each step is
-    timed as run_scenario times it; the first 5 ticks (cold start) are left
-    out of the statistics.
+    Each horizon is one simulator.closed_loop, the loop and timer that
+    run_scenario drains, of a kin_mpc run truncated to `ticks`. The loops
+    are advanced in turn, one tick each, so a change of machine speed
+    reaches every horizon alike and cannot decide their order. The first 5
+    ticks (cold start) are left out of the statistics.
     """
-    runs = []
-    for horizon in horizon_list:
-        cfg = _load_config(scenario, "kin_mpc", config_path,
-                           {"horizon": horizon, "dt": dt, "max_ticks": ticks})
-        traj = scenario_trajectory(scenario, model, cfg.dt, duration=cfg.duration)
-        plant = model if cfg.payload is None else attach_payload(model, cfg.payload)
-        runs.append([KinematicMpc(plant, cfg), make_plant_state(plant, scenario_initial_config(
-            scenario, model)), traj, cfg, np.empty(min(traj.n_samples, ticks))])
-    for tick in range(max(run[4].size for run in runs)):
-        for run in runs:
-            mpc, state, traj, cfg, times = run
-            if tick < times.size:
-                t0 = time.perf_counter()
-                q_cmd = mpc.step(state.chain, traj, tick).q_cmd
-                times[tick] = time.perf_counter() - t0
-                run[1] = step_position_plant(state, q_cmd, cfg.dt, gains=cfg.position_gains)
-    rows = []
-    for horizon, (_, _, _, _, times) in zip(horizon_list, runs):
-        warm = times[min(5, times.size - 1):]  # drop cold-start ticks
-        rows.append({
-            "horizon": horizon,
-            "ticks": times.size,
-            "min_ms": float(np.min(warm) * 1e3),
-            "median_ms": float(statistics.median(warm) * 1e3),
-            "p99_ms": float(np.percentile(warm, 99) * 1e3),
-        })
-    return rows
+    loops = [closed_loop(scenario, "kin_mpc", model,
+                         _load_config(scenario, "kin_mpc", config_path,
+                                      {"horizon": horizon, "dt": dt, "max_ticks": ticks}))
+             for horizon in horizon_list]
+    times = np.array(list(zip(*loops)))  # one row per tick, one column per horizon
+    warm = times[min(5, len(times) - 1):]  # drop cold-start ticks
+    return [{
+        "horizon": horizon,
+        "ticks": len(times),
+        "min_ms": float(np.min(col) * 1e3),
+        "median_ms": float(statistics.median(col) * 1e3),
+        "p99_ms": float(np.percentile(col, 99) * 1e3),
+    } for horizon, col in zip(horizon_list, warm.T)]
 
 
 @main.command("check")

@@ -2,10 +2,11 @@
 
 Torque-controlled plants integrate clamped torques with semi-implicit Euler;
 position-controlled plants wrap the same integrator in a stiff joint-space
-PD + gravity compensation loop standing in for a vendor controller. Scenario
-runs tick a controller at 1/dt against the plant and record everything
-needed for the comparisons: accumulated task-error series, solve times,
-command logs, and saturation/degradation counters.
+PD + gravity compensation loop standing in for a vendor controller.
+closed_loop, the one closed loop, ticks a controller at 1/dt against the
+plant, times each controller call and records everything the comparisons
+need: accumulated task-error series, solve times, command logs, and
+saturation/degradation counters; run_scenario runs it to its end.
 
 Run logs split into two CSVs: `*_log.csv` holds the deterministic per-tick
 signals (bit-identical across reruns of the same config), `*_timing.csv`
@@ -145,10 +146,10 @@ class RunResult:
 @dataclass
 class ScenarioConfig(KinematicMpcConfig, DynamicMpcConfig):
     """One run's settings: a config of both MPCs, handed to either as it is,
-    plus the plant's and the run's own. HorizonConfig.__post_init__ checks
-    every controller setting when a config is built; the OSC reads dt and
-    svd_threshold. The five run defaults that differ from the MPCs' own are
-    declared here."""
+    plus the plant's and the run's own. Every setting is checked when a
+    config is built, the controllers' by HorizonConfig.__post_init__; the
+    OSC reads dt and svd_threshold. The five run defaults that differ from
+    the MPCs' own are declared here."""
 
     task_weight: float = 10.0
     damping_weight: float = 1e-4
@@ -159,6 +160,14 @@ class ScenarioConfig(KinematicMpcConfig, DynamicMpcConfig):
     position_gains: PositionLoopGains = field(default_factory=PositionLoopGains)
     duration: float | None = None  # None: the scenario's own (trajgen.SCENARIO_DURATIONS)
     max_ticks: int | None = None  # truncate the run (benchmarks)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_ticks is not None and not (isinstance(self.max_ticks, (int, np.integer))
+                                               and self.max_ticks >= 0):
+            raise ValueError(f"max_ticks must be a nonnegative integer, got {self.max_ticks!r}")
+        if self.duration is not None and not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
 def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
@@ -181,24 +190,22 @@ def default_scenario_config(scenario: str, controller: str) -> ScenarioConfig:
     return ScenarioConfig(task_weight=100.0, damping_weight=1e-3)
 
 
-def run_scenario(scenario, controller: str, model: RobotModel,
-                 cfg: ScenarioConfig | None = None) -> RunResult:
-    """Tick the chosen controller against the matching plant over a scenario.
+def closed_loop(scenario, controller: str, model: RobotModel, cfg: ScenarioConfig | None = None):
+    """The closed loop of one run, as a generator: the chosen controller
+    ticked against the matching plant over a scenario, one tick per step.
 
     scenario is a name from trajgen.SCENARIOS or a (TaskTrajectory, q0) pair,
     the trajectory sampled at cfg.dt; osc/dyn_mpc run on the torque plant,
-    kin_mpc on the position plant.
-    cfg.max_ticks, when set, is a nonnegative integer (0: no ticks). The
-    controller gets a checked copy of cfg, so a field set out of range after
-    cfg was built raises ValueError before the first tick.
+    kin_mpc on the position plant. cfg.max_ticks, when set, truncates the
+    run (0: no ticks). The controller gets a checked copy of cfg, so a field
+    set out of range after cfg was built raises ValueError before the first
+    tick. Each step yields that tick's controller wall time in seconds; the
+    generator returns the RunResult.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; choose from {CONTROLLERS}")
     cfg = replace(cfg or default_scenario_config(scenario if isinstance(scenario, str) else "",
                                                  controller))  # a checked copy
-    if cfg.max_ticks is not None and not (isinstance(cfg.max_ticks, (int, np.integer))
-                                          and cfg.max_ticks >= 0):
-        raise ValueError(f"max_ticks must be a nonnegative integer, got {cfg.max_ticks!r}")
 
     if isinstance(scenario, str):
         name = scenario
@@ -262,6 +269,7 @@ def run_scenario(scenario, controller: str, model: RobotModel,
             state = step_torque_plant(state, cmd, cfg.dt)
         u_log[tick] = state.last_u
         flags[tick] = degraded | 2 * (state.saturation_count > sat_before)
+        yield solve_t[tick]
 
     if controller == "kin_mpc":
         qdd = np.diff(cmd_log, 2, axis=0) / cfg.dt**2
@@ -283,6 +291,18 @@ def run_scenario(scenario, controller: str, model: RobotModel,
     )
     return RunResult(metrics, t_log, q_log, qd_log, u_log, cmd_log, pos_err, ori_err,
                      flags, controller, name)
+
+
+def run_scenario(scenario, controller: str, model: RobotModel,
+                 cfg: ScenarioConfig | None = None) -> RunResult:
+    """Run closed_loop(scenario, controller, model, cfg) to its end and
+    return its RunResult."""
+    loop = closed_loop(scenario, controller, model, cfg)
+    try:
+        while True:
+            next(loop)
+    except StopIteration as done:
+        return done.value
 
 
 def ik_baseline_sequence(model: RobotModel, traj: TaskTrajectory, q0,

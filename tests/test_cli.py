@@ -1,12 +1,16 @@
 import csv
 import json
+from collections import defaultdict
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from armmpc import bundled_model_path, cli
+from armmpc import bundled_model_path, cli, default_scenario_config, run_scenario
 from armmpc.checks import CheckResult
-from armmpc.cli import main
+from armmpc.cli import bench_horizon, main
+from armmpc.mpc_kinematic import KinematicMpc
 
 
 @pytest.fixture
@@ -142,7 +146,7 @@ def test_bad_duration_flag_is_config_error(runner, tmp_path):
         "--duration", "-2", "--out", str(tmp_path / "o"),
     ])
     assert result.exit_code == 2, result.output
-    assert "duration must be a positive number" in result.output
+    assert "duration must be finite and > 0" in result.output
     assert not (tmp_path / "o").exists()
 
 
@@ -189,6 +193,28 @@ def test_bench_horizon_single(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["horizon", "ticks", "min_ms", "median_ms", "p99_ms"]
     assert len(rows) == 2
+
+
+def test_bench_horizon_steps_run_scenarios_loop(desk_model_large, monkeypatch):
+    # each horizon's commands are those of run_scenario's kin_mpc run at that
+    # horizon, bit for bit, though the horizons are stepped interleaved
+    commands = defaultdict(list)
+    step = KinematicMpc.step
+
+    def spy(self, state, traj, tick):
+        res = step(self, state, traj, tick)
+        commands[self.cfg.horizon].append(res.q_cmd.copy())
+        return res
+
+    monkeypatch.setattr(KinematicMpc, "step", spy)
+    rows = bench_horizon(desk_model_large, "singularity_pass", [5, 10], ticks=40)
+    monkeypatch.undo()
+    assert [(row["horizon"], row["ticks"]) for row in rows] == [(5, 40), (10, 40)]
+    for horizon in (5, 10):
+        cfg = replace(default_scenario_config("singularity_pass", "kin_mpc"),
+                      horizon=horizon, max_ticks=40)
+        alone = run_scenario("singularity_pass", "kin_mpc", desk_model_large, cfg)
+        np.testing.assert_array_equal(np.array(commands[horizon]), alone.cmd)
 
 
 def test_bench_horizon_monotone_pair(runner, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 import filecmp
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from armmpc.nominal import default_task_hierarchy
 from armmpc.simulator import (
     PositionLoopGains,
     ScenarioConfig,
+    closed_loop,
     default_scenario_config,
     ik_baseline_sequence,
     make_plant_state,
@@ -161,17 +162,14 @@ def test_run_scenario_flags_degraded_ticks_and_runs_empty(desk_model):
 
 @pytest.mark.parametrize("max_ticks", [-1, 2.5, "3", True])  # True used to run one tick
 def test_run_scenario_rejects_bad_max_ticks(desk_model, max_ticks):
-    # a bool is refused as the config is built, as for every run setting;
-    # run_scenario refuses the others, and a bool set after the build
+    # refused as the config is built, as every run setting is, and by
+    # run_scenario's checked copy when set after the build
     q0 = np.zeros(6)
     traj = TaskTrajectory(dt=1e-3, poses=(forward_kinematics(desk_model, q0),) * 2)
-    if isinstance(max_ticks, bool):
-        with pytest.raises(ValueError, match="max_ticks must be a number"):
-            ScenarioConfig(max_ticks=max_ticks)
-        cfg = ScenarioConfig()
-        cfg.max_ticks = max_ticks
-    else:
-        cfg = ScenarioConfig(max_ticks=max_ticks)
+    with pytest.raises(ValueError, match="max_ticks must be a (nonnegative integer|number)"):
+        ScenarioConfig(max_ticks=max_ticks)
+    cfg = ScenarioConfig()
+    cfg.max_ticks = max_ticks
     with pytest.raises(ValueError, match="max_ticks must be a (nonnegative integer|number)"):
         run_scenario((traj, q0), "osc", desk_model, cfg)
 
@@ -197,7 +195,12 @@ def test_scenario_config_is_a_config_of_both_mpcs():
 
 BAD_SETTINGS = {"horizon-zero": {"horizon": 0}, "weight-negative": {"accel_weight": -1.0},
                 "dt-nan": {"dt": float("nan")}, "tol-zero": {"terminal_state_tol": 0.0},
-                "svd-one": {"svd_threshold": 1.0}}
+                "svd-one": {"svd_threshold": 1.0},
+                "max-ticks-negative": {"max_ticks": -1}, "max-ticks-fraction": {"max_ticks": 2.5},
+                "max-ticks-str": {"max_ticks": "3"}, "duration-zero": {"duration": 0.0},
+                "duration-negative": {"duration": -1.0},
+                "duration-nan": {"duration": float("nan")},
+                "duration-inf": {"duration": float("inf")}}
 
 
 @pytest.mark.parametrize("bad", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
@@ -218,6 +221,29 @@ def test_run_scenario_refuses_a_setting_changed_after_the_build(desk_model, monk
     with pytest.raises(ValueError, match=next(iter(bad))):
         run_scenario("circle_2dof", controller, desk_model, cfg)
     assert not started
+
+
+def test_interleaved_loops_leak_no_state(desk_model, desk_model_large):
+    # the module-level caches the controllers share (QP structures, band
+    # slots, difference operators, task hierarchies) hold pure functions of
+    # their keys: runs stepped in turn log what each logs alone
+    runs = [("singularity_pass", "kin_mpc", desk_model_large),
+            ("payload_pick_place", "dyn_mpc", desk_model),
+            ("payload_pick_place", "osc", desk_model)]
+
+    def config(scenario, controller):
+        return replace(default_scenario_config(scenario, controller), max_ticks=60)
+
+    loops = [closed_loop(s, c, m, config(s, c)) for s, c, m in runs]
+    for _ in range(60):
+        for loop in loops:
+            next(loop)
+    for loop, (scenario, controller, model) in zip(loops, runs):
+        with pytest.raises(StopIteration) as done:
+            next(loop)
+        alone = run_scenario(scenario, controller, model, config(scenario, controller))
+        for name in ("q", "qd", "u", "cmd", "pos_err", "ori_err", "flags"):
+            np.testing.assert_array_equal(getattr(done.value.value, name), getattr(alone, name))
 
 
 def test_run_scenario_rejects_a_trajectory_at_another_dt(desk_model):
