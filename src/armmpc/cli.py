@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import statistics
 import sys
@@ -100,15 +99,11 @@ def _load_config(scenario: str, controller: str, config_path, overrides: dict):
     return cfg
 
 
-def _check_positive(name: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be a positive number")
-
-
 def _check_steps(scenario: str, dt: float, duration: float | None) -> None:
-    """A ConfigError unless the scenario's duration is a whole number of dt steps."""
+    """A ConfigError unless the duration (None: the scenario's own) and dt are
+    finite and > 0 and the duration is a whole number of dt steps."""
     try:
-        step_count(duration or SCENARIO_DURATIONS[scenario], dt)
+        step_count(SCENARIO_DURATIONS[scenario] if duration is None else duration, dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -215,11 +210,16 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
     if ticks < 1:
         raise ConfigError("ticks must be >= 1")
     model = _resolve_model(model_arg, scenario)
+    # the listed horizons and the tick count override the file's, as flags do
+    cfg = _load_config(scenario, "kin_mpc", config_path,
+                       {"horizon": horizon_list[0], "dt": dt, "max_ticks": ticks})
     for horizon in horizon_list:  # every config error before the output directory
-        _load_config(scenario, "kin_mpc", config_path, {"horizon": horizon, "dt": dt})
+        try:
+            replace(cfg, horizon=horizon, max_ticks=ticks)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
     path, = _output_paths(out, "bench_horizon.csv")
-    rows = bench_horizon(model, scenario, horizon_list, ticks, dt=dt,
-                         config_path=config_path)
+    rows = bench_horizon(model, scenario, horizon_list, ticks, cfg=cfg)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon", "ticks", "min_ms", "median_ms", "p99_ms"])
@@ -237,19 +237,19 @@ def cmd_bench_horizon(model_arg, scenario, horizons, ticks, dt, out, config_path
     sys.exit(EXIT_OK)
 
 
-def bench_horizon(model, scenario: str, horizon_list, ticks: int, dt=None,
-                  config_path=None) -> list[dict]:
+def bench_horizon(model, scenario: str, horizon_list, ticks: int,
+                  cfg: ScenarioConfig | None = None) -> list[dict]:
     """Timing stats per horizon for the kinematic MPC on a fixed tick count.
 
     Each horizon is one simulator.closed_loop, the loop and timer that
-    run_scenario drains, of a kin_mpc run truncated to `ticks`. The loops
+    run_scenario drains, of a kin_mpc run of cfg (None: the scenario's
+    default config) at that horizon, truncated to `ticks`. The loops
     are advanced in turn, one tick each, so a change of machine speed
     reaches every horizon alike and cannot decide their order. The first 5
     ticks (cold start) are left out of the statistics.
     """
-    loops = [closed_loop(scenario, "kin_mpc", model,
-                         _load_config(scenario, "kin_mpc", config_path,
-                                      {"horizon": horizon, "dt": dt, "max_ticks": ticks}))
+    cfg = default_scenario_config(scenario, "kin_mpc") if cfg is None else cfg
+    loops = [closed_loop(scenario, "kin_mpc", model, replace(cfg, horizon=horizon, max_ticks=ticks))
              for horizon in horizon_list]
     times = np.array(list(zip(*loops)))  # one row per tick, one column per horizon
     warm = times[min(5, len(times) - 1):]  # drop cold-start ticks
@@ -295,8 +295,6 @@ def cmd_check(model_arg, which, seed):
 @click.option("--out", type=click.Path(), default="trajectory.csv")
 def cmd_export_traj(model_arg, scenario, dt, duration, out):
     """Write a scenario trajectory as CSV (t, px, py, pz, qw, qx, qy, qz)."""
-    _check_positive("dt", dt)
-    _check_positive("duration", duration)
     _check_steps(scenario, dt, duration)
     model = _resolve_model(model_arg, scenario)
     traj = scenario_trajectory(scenario, model, dt, duration=duration)

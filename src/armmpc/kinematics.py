@@ -15,9 +15,11 @@ the spatial pass of dynamics.RigidBodyState.
 Conventions: world-frame quantities throughout; Jacobians are 6 x n with
 linear rows first (0:3) and angular rows last (3:6); orientation errors are
 rotation vectors log(R_target R_current^T); quaternions are (w, x, y, z),
-w >= 0. A Pose is one pose or a stack of m (a trajectory's samples); the
-kernels canonical_quat, quat_to_matrix and the log map are hand-written
-(under 4 us for one, scipy 13-47 us), other conversions are scipy's.
+w >= 0. A Pose is one pose or a stack of m (a trajectory's samples). The
+per-tick log map and pose_error_raw are hand-written (under 4 us a call,
+scipy's log map about 50 us); canonical_quat and quat_to_matrix serve
+Pose.__post_init__ alone, at set-up, on one pose or a stack, each row a
+single pose's bits; other conversions are scipy's.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .robot_model import RobotModel, _frozen
 
 
 # ---------------------------------------------------------------------------
-# the per-tick quaternion / rotation-vector kernels
+# the quaternion / rotation-vector kernels: Pose's two at set-up, the log
+# map per tick
 
 
 def canonical_quat(q: np.ndarray) -> np.ndarray:

@@ -173,34 +173,21 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
     return (vt[keep].T / sigma[keep]) @ u[:, keep].T
 
 
-# The closed-form 3 x 3 path is taken only when the smallest eigenvalue
-# clears the cut by this factor, and never below _CLOSED_FORM_FLOOR of the
-# largest: the trigonometric eigenvalues err by up to about 1e-8 of the
-# largest one next to a double eigenvalue (acos is steep at +-1), so a
-# smallest eigenvalue within that of the cut is left to LAPACK.
-_CLOSED_FORM_MARGIN = 2.0
-_CLOSED_FORM_FLOOR = 1e-6
-
-
 def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
     """Pseudoinverse of a symmetric positive semidefinite matrix with its
     eigenvalues below floor * lambda_max dropped (the zero matrix if
     lambda_max <= 0); a LinAlgError if an entry is not finite.
 
-    A 3 x 3 matrix is first tested in closed form, on Python floats from its
-    upper triangle, for whether its smallest eigenvalue clears the cut by
-    _CLOSED_FORM_MARGIN (and _CLOSED_FORM_FLOOR); if so, every direction is
-    kept and the inverse is the adjugate over the determinant. The test
-    reads the extreme eigenvalues off the trigonometric solution of the
-    characteristic cubic (Smith, 1961), unless det >= t trace^3 for that
-    relative cut t settles it first: with the eigenvalues r1 <= r2 <= 1 of
-    the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3, so r1 >= 6.75 t
-    there, far past the trigonometric eigenvalues' error, and both tests
-    agree. Otherwise, for a matrix whose det or trace^3 overflows (entries
-    past about 1e102) and for other sizes, the truncation runs on LAPACK's
-    dsyevd over the lower triangle, called directly: the routine and the
-    triangle that np.linalg.eigh uses, so the same bits, at less than half
-    of eigh's time on a 3 x 3; a nonzero info is a LinAlgError, as in eigh.
+    A 3 x 3 matrix with det > 0 and det >= floor trace^3, read as Python
+    floats from its upper triangle, keeps every direction, and its inverse is
+    the adjugate over the determinant: with the eigenvalues r1 <= r2 <= 1 of
+    the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3 <= r1 / 6.75, so
+    there r1 >= 6.75 floor and the truncation would drop nothing. Otherwise,
+    for a matrix whose det or trace^3 overflows (entries past about 1e102)
+    and for other sizes, the truncation runs on LAPACK's dsyevd over the
+    lower triangle, called directly: the routine and the triangle that
+    np.linalg.eigh uses, so the same bits, at less than half of eigh's time
+    on a 3 x 3; a nonzero info is a LinAlgError, as in eigh.
     """
     if not 0.0 < floor < 1.0:
         raise ValueError("the relative eigenvalue floor must lie in (0, 1)")
@@ -213,31 +200,12 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
             raise np.linalg.LinAlgError("the matrix to invert is not finite")
         c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
         det = a * c00 + b * c01 + c * c02
-        cut = _CLOSED_FORM_MARGIN * floor
-        cut = cut if cut > _CLOSED_FORM_FLOOR else _CLOSED_FORM_FLOOR
         trace = a + d + f
+        cube = trace * trace * trace
         # past entries of about 1e102 det or trace^3 overflows, and the closed
         # form with it (an infinite det would scale the adjugate to zero);
-        # x - x is 0.0 for a finite x alone. The test itself keeps its own
-        # order of products, cut * trace * trace * trace, and so its rounding
-        cube = trace * trace * trace
-        closed = det - det == 0.0 and cube - cube == 0.0
-        kept = closed and det > 0.0 and det >= cut * trace * trace * trace
-        if closed and not kept:
-            mean = trace / 3.0
-            a0, d0, f0 = a - mean, d - mean, f - mean
-            p = math.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0)
-            if p > 0.0:
-                # eigenvalues mean + 2 p cos(phi + 2 pi k / 3), with cos(3 phi)
-                # half the determinant of (sym - mean I) / p
-                det0 = a0 * (d0 * f0 - e * e) - b * (b * f0 - c * e) + c * (b * e - c * d0)
-                phi = math.acos(max(-1.0, min(1.0, det0 / (2.0 * p * p * p)))) / 3.0
-                hi = mean + 2.0 * p * math.cos(phi)
-                lo = mean + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-            else:
-                hi = lo = mean
-            kept = hi > 0.0 and lo >= cut * hi
-        if kept:
+        # x - x is 0.0 for a finite x alone
+        if det - det == 0.0 and cube - cube == 0.0 and det > 0.0 and det >= floor * cube:
             c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
             inv_det = 1.0 / det
             c00, c01, c02 = c00 * inv_det, c01 * inv_det, c02 * inv_det

@@ -84,7 +84,11 @@ class TaskTrajectory:
 def step_count(span: float, dt: float) -> int:
     """The number of dt steps in span, a ValueError naming both unless span
     is a whole number of them (to 1e-9 of a step): an even sampling of the
-    span would otherwise stop short of its end or shorten its last step."""
+    span would otherwise stop short of its end or shorten its last step. A
+    span or dt that is not finite and > 0 is a ValueError naming it."""
+    for name, value in (("duration", span), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     steps = span / dt
     count = round(steps)
     if abs(steps - count) > 1e-9:

@@ -238,6 +238,33 @@ def test_bench_horizon_monotone_pair(runner, tmp_path, monkeypatch):
     assert "median step time is not nondecreasing in the horizon" in result.output
 
 
+def test_bench_horizon_reads_its_config_file_once(runner, tmp_path, monkeypatch):
+    # four horizons used to read and parse the file eight times, twice each;
+    # every horizon's loop runs the file's config at that horizon and tick count
+    config = tmp_path / "horizon.json"
+    config.write_text(json.dumps({"task_weight": 1500.0}))
+    reads, cfgs = [], []
+    read_text = type(config).read_text
+
+    def counting(path, *args, **kwargs):
+        if path == config:
+            reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    def fixed_loop(scenario, controller, model, cfg):
+        cfgs.append(cfg)
+        return iter([1e-3] * cfg.max_ticks)
+
+    monkeypatch.setattr(type(config), "read_text", counting)
+    monkeypatch.setattr(cli, "closed_loop", fixed_loop)
+    result = runner.invoke(main, ["bench-horizon", "--horizons", "2,5,10,20", "--ticks", "12",
+                                  "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert len(reads) == 1
+    assert [(c.horizon, c.max_ticks, c.task_weight) for c in cfgs] == [
+        (h, 12, 1500.0) for h in (2, 5, 10, 20)]
+
+
 def test_bench_horizon_bad_list(runner):
     result = runner.invoke(main, ["bench-horizon", "--horizons", "a,b"])
     assert result.exit_code == 2
@@ -340,7 +367,7 @@ def test_export_traj_bad_step_or_duration_is_config_error(runner, tmp_path, flag
         "export-traj", "--scenario", "circle_2dof", flag, value, "--out", str(out),
     ])
     assert result.exit_code == 2, result.output
-    assert f"{flag[2:]} must be a positive number" in result.output
+    assert f"{flag[2:]} must be finite and > 0" in result.output
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from armmpc import dynamics, nominal
 from armmpc.dynamics import RigidBodyState, bias_forces, forward_dynamics, mass_matrix
@@ -99,27 +100,40 @@ def dsyevd_calls(monkeypatch):
     return calls
 
 
-MARGIN = nominal._CLOSED_FORM_MARGIN
+def hand_off_spectrum(floor, ratio, r2=0.5):
+    """Eigenvalues 1, r2 and r1 of a 3 x 3 with det / trace^3 = ratio * floor,
+    around the closed form's hand-off at ratio 1: r1 r2 / (1 + r1 + r2)^3
+    grows with r1 up to (1 + r2) / 2, and r1 is about 6.75 ratio floor, far
+    above the cut at floor."""
+    r1 = brentq(lambda r: r * r2 / (1.0 + r + r2)**3 - ratio * floor, 0.0, 0.5 * (1.0 + r2),
+                xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return np.array([1.0, r2, r1])
 
 
-@pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
-@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
-def test_pinv_closed_form_hands_off_at_its_margin(rng, dsyevd_calls, ratio, rel_threshold):
-    # 3 x 6 inputs whose Gram eigenvalues have lambda_min / (rel**2 lambda_max)
-    # = ratio: just around the closed-form path's hand-off margin, or just
-    # around the cut itself. Above the margin the Gram matrix is inverted in
-    # closed form (no dsyevd), below it dsyevd truncates; either way the result
-    # matches the SVD path within the Gram path's tolerance
+@pytest.mark.parametrize("ratio", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("at", ["hand-off", "cut"])
+@pytest.mark.parametrize("rel_threshold", [1e-2, 0.1])
+def test_pinv_closed_form_hands_off_at_its_margin(rng, dsyevd_calls, ratio, at, rel_threshold):
+    # 3 x 6 inputs whose Gram matrix has det / trace^3 = ratio * rel**2, just
+    # around the closed-form path's hand-off, or lambda_min / (rel**2
+    # lambda_max) = ratio, just around the cut itself. Above the hand-off the
+    # Gram matrix is inverted in closed form (no dsyevd), below it dsyevd
+    # truncates; either way the result matches the SVD path within the Gram
+    # path's tolerance
     tol = 100 * np.finfo(float).eps / rel_threshold**2
-    kept = 3 if ratio > 1 else 2
-    sigma = 3.0 * np.geomspace(1.0, rel_threshold * np.sqrt(ratio), 3)
+    if at == "hand-off":
+        sigma = 3.0 * np.sqrt(hand_off_spectrum(rel_threshold**2, ratio))
+        kept, calls = 3, (0 if ratio > 1 else 1)
+    else:
+        sigma = 3.0 * np.geomspace(1.0, rel_threshold * np.sqrt(ratio), 3)
+        kept, calls = (3 if ratio > 1 else 2), 1
     for _ in range(20):
         u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         jac = (u * sigma) @ v.T
         del dsyevd_calls[:]
         gram_path = gram_pinv(jac, rel_threshold)
-        assert len(dsyevd_calls) == (0 if ratio > MARGIN else 1)
+        assert len(dsyevd_calls) == calls
         svd_path = compact_svd_pinv(jac, rel_threshold)
         assert np.linalg.matrix_rank(gram_path) == np.linalg.matrix_rank(svd_path) == kept
         assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
@@ -130,15 +144,14 @@ def test_pinv_closed_form_hands_off_at_its_margin(rng, dsyevd_calls, ratio, rel_
        st.integers(0, 2**32 - 1))
 def test_pinv_determinant_test_keeps_only_far_past_the_cut(log_r1, log_r2, floor, seed):
     # with eigenvalues r1 <= r2 <= 1, det / trace^3 = r1 r2 / (1 + r1 + r2)^3:
-    # where det >= t trace^3 lets the closed form skip the cubic, the smallest
-    # eigenvalue clears the relative cut t by 6.75, so the trigonometric test
-    # would keep every direction too, and the inverse is the plain inverse
+    # where det >= floor trace^3 takes the closed form, the smallest
+    # eigenvalue clears the cut by 6.75, so the truncation would keep every
+    # direction too, and the inverse is the plain inverse
     r1, r2 = sorted((10.0**log_r1, 10.0**log_r2))
     u = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
     sym = (u * [r1, r2, 1.0]) @ u.T
-    cut = max(MARGIN * floor, nominal._CLOSED_FORM_FLOOR)
-    if np.linalg.det(sym) >= 1.01 * cut * np.trace(sym)**3:
-        assert r1 >= 6.75 * cut
+    if np.linalg.det(sym) >= 1.01 * floor * np.trace(sym)**3:
+        assert r1 >= 6.75 * floor
         np.testing.assert_allclose(nominal._psd_pinv(sym, floor) @ sym, np.eye(3),
                                    atol=1e-12 / r1)
 
@@ -161,16 +174,22 @@ def test_pinv_gram_path_rank_one_and_zero(rng, rank, rel_threshold):
             assert np.abs(gram_path - svd_path).max() <= tol * np.abs(svd_path).max()
 
 
-@pytest.mark.parametrize("ratio", [MARGIN * (1 - 1e-6), MARGIN * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6])
-@pytest.mark.parametrize("rel_threshold", [1e-2, 0.2])
-def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, dsyevd_calls, ratio, rel_threshold):
+@pytest.mark.parametrize("ratio", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("at", ["hand-off", "cut"])
+@pytest.mark.parametrize("rel_threshold", [1e-4, 1e-2])
+def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, dsyevd_calls, ratio, at, rel_threshold):
     # the task-space inertia's input J M^-1 J' (3 x 3, J 3 x 6), built so its
-    # eigenvalues have lambda_min / (rel lambda_max) = ratio; the truncation
-    # acts on the matrix's own eigenvalues, so a kept direction at the cut
-    # carries about eps / rel_threshold relative error
+    # eigenvalues have det / trace^3 = ratio * rel, around the closed form's
+    # hand-off, or lambda_min / (rel lambda_max) = ratio, around the cut; the
+    # truncation acts on the matrix's own eigenvalues, so a kept direction at
+    # the cut carries about eps / rel_threshold relative error
     tol = 100 * np.finfo(float).eps / rel_threshold
-    kept = 3 if ratio > 1 else 2
-    lam = 3.0 * np.geomspace(1.0, rel_threshold * ratio, 3)
+    if at == "hand-off":
+        lam = 3.0 * hand_off_spectrum(rel_threshold, ratio)
+        kept, calls = 3, (0 if ratio > 1 else 1)
+    else:
+        lam = 3.0 * np.geomspace(1.0, rel_threshold * ratio, 3)
+        kept, calls = (3 if ratio > 1 else 2), 1
     for _ in range(20):
         a = rng.standard_normal((6, 6))
         minv = a @ a.T + 6.0 * np.eye(6)
@@ -181,7 +200,7 @@ def test_psd_pinv_of_osc_form_matches_truncated_svd(rng, dsyevd_calls, ratio, re
         sym = jac @ minv @ jac.T
         del dsyevd_calls[:]
         got = nominal._psd_pinv(sym, rel_threshold)
-        assert len(dsyevd_calls) == (0 if ratio > MARGIN else 1)
+        assert len(dsyevd_calls) == calls
         left, sv, right = np.linalg.svd(sym)
         keep = sv >= rel_threshold * sv[0]
         ref = (right[keep].T / sv[keep]) @ left[:, keep].T
@@ -204,7 +223,7 @@ def eigh_pinv(sym, floor):
 def test_psd_pinv_is_the_eigh_truncation_to_the_bit(rng, dsyevd_calls, size, spectrum):
     # the OSC's J W J' (J size x 6 with W SPD, not exactly symmetric), its
     # smallest eigenvalue at 1e-3 of the cut, or at 1.5 times the cut: kept,
-    # yet inside the closed form's margin, so a 3 x 3 goes to LAPACK too;
+    # yet with det / trace^3 below the floor, so a 3 x 3 goes to LAPACK too;
     # dsyevd is the routine and the triangle eigh uses, so the same bits
     floor = 1e-2
     low = {"truncated": 1e-3 * floor, "full-rank": 1.5 * floor, "zero": 1.0}[spectrum]
@@ -223,6 +242,22 @@ def test_psd_pinv_is_the_eigh_truncation_to_the_bit(rng, dsyevd_calls, size, spe
         np.testing.assert_array_equal(got, eigh_pinv(sym, floor))
         rank = {"truncated": size - 1, "full-rank": size, "zero": 0}[spectrum]
         assert np.linalg.matrix_rank(got) == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1e-4, 1e-2]), st.floats(-1e-3, 1e-3), st.floats(0.1, 1.0),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_psd_pinv_is_the_truncation_on_both_sides_of_the_hand_off(floor, offset, r2, log_scale,
+                                                                  seed):
+    # det / trace^3 = (1 + offset) floor: the closed form just above the
+    # hand-off and dsyevd just below it give the same inverse, the eigh
+    # truncation's, which keeps every direction on both sides
+    lam = 10.0**log_scale * hand_off_spectrum(floor, 1.0 + offset, r2)
+    u = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+    sym = (u * lam) @ u.T
+    ref = eigh_pinv(sym, floor)
+    assert np.linalg.matrix_rank(ref) == 3
+    assert np.abs(nominal._psd_pinv(sym, floor) - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_psd_pinv_of_a_huge_3x3_is_left_to_lapack(rng, dsyevd_calls):

@@ -18,6 +18,7 @@ from armmpc.trajgen import (
     quaternion_interp,
     scenario_initial_config,
     scenario_trajectory,
+    step_count,
     waypoint_trajectory,
 )
 
@@ -67,6 +68,19 @@ def test_scenario_of_no_whole_number_of_steps_rejected(desk_model, scenario):
     with pytest.raises(ValueError, match="not a whole number of steps"):
         scenario_trajectory(scenario, desk_model, 0.3, duration=1.0)
     assert scenario_trajectory(scenario, desk_model, 0.25, duration=1.0).n_samples == 5
+
+
+@pytest.mark.parametrize("scenario", ["singularity_pass", "payload_pick_place", "circle_2dof"])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_scenario_with_a_dt_not_finite_and_positive_is_rejected(desk_model, scenario, dt):
+    # the same value as a span is refused too; dt 0 or below used to end in an OverflowError, a ZeroDivisionError or an
+    # IndexError, and step_count(1.0, -1e-3) counted -1000 steps
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0"):
+        scenario_trajectory(scenario, desk_model, dt)
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0"):
+        step_count(1.0, dt)
+    with pytest.raises(ValueError, match=r"^duration must be finite and > 0"):
+        step_count(dt, 1e-3)
 
 
 def test_spline_duplicate_times_rejected():
