@@ -55,9 +55,7 @@ def _diff_matrices(n: int, steps: int, dt: float):
     """Constant banded operator matrices over a stack of steps blocks, shared
     read-only by every caller: the first and second backward differences D
     and D^2, one n x n identity block per entry. Adding 0.0 clears the
-    negative zeros that the -2 band of D^2 leaves off the block diagonals.
-    Read-only, D is the QP's constant Ain, whose finiteness and pattern qp
-    derives once (qp._constant_rows)."""
+    negative zeros that the -2 band of D^2 leaves off the block diagonals."""
     diff = np.eye(steps) - np.eye(steps, k=-1)
     vel_op = np.kron(diff, np.eye(n)) / dt
     acc_op = np.kron(diff @ diff, np.eye(n)) / dt**2 + 0.0

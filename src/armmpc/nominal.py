@@ -41,7 +41,9 @@ _SELECTOR_ROWS = {
 
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
-    """One task level: what part of the pose it controls and its gains."""
+    """One task level: what part of the pose it controls and its gains; kp
+    and kd are kept as read-only copies, since _hierarchy caches what it
+    derives from a spec."""
 
     priority: int
     selector: str
@@ -61,11 +63,12 @@ class TaskSpec:
         for name in ("kp", "kd"):
             val = getattr(self, name)
             if val is not None:
-                arr = np.asarray(val, dtype=float)
+                arr = np.array(val, dtype=float)
                 if arr.shape != (self.dim,):
                     raise ValueError(f"{name} must have shape ({self.dim},)")
                 if not np.all(np.isfinite(arr) & (arr >= 0)):
                     raise ValueError(f"{name} must be finite and entrywise nonnegative")
+                arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
     @property
@@ -174,18 +177,20 @@ def compact_svd_pinv(jac: np.ndarray, rel_threshold: float) -> np.ndarray:
 
 
 def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
-    """Pseudoinverse of a symmetric positive semidefinite matrix with its
-    eigenvalues below floor * lambda_max dropped (the zero matrix if
+    """Pseudoinverse of a symmetric matrix with its eigenvalues below floor *
+    lambda_max dropped, every negative one among them (the zero matrix if
     lambda_max <= 0); a LinAlgError if an entry is not finite.
 
-    A 3 x 3 matrix with det > 0 and det >= floor trace^3, read as Python
-    floats from its upper triangle, keeps every direction, and its inverse is
-    the adjugate over the determinant: with the eigenvalues r1 <= r2 <= 1 of
+    A 3 x 3 matrix, read as Python floats from its upper triangle, that is
+    positive definite by Sylvester's test (a > 0, a d > b^2, det > 0) and
+    has det >= floor trace^3 keeps every direction, and its inverse is the
+    adjugate over the determinant: with the eigenvalues r1 <= r2 <= 1 of
     the largest's, det / trace^3 = r1 r2 / (1 + r1 + r2)^3 <= r1 / 6.75, so
     there r1 >= 6.75 floor and the truncation would drop nothing. Otherwise,
-    for a matrix whose det or trace^3 overflows (entries past about 1e102)
-    and for other sizes, the truncation runs on LAPACK's dsyevd over the
-    lower triangle, called directly: the routine and the triangle that
+    for an indefinite matrix (det > 0 too with two negative eigenvalues), a
+    matrix whose det or trace^3 overflows (entries past about 1e102) and
+    other sizes, the truncation runs on LAPACK's dsyevd over the lower
+    triangle, called directly: the routine and the triangle that
     np.linalg.eigh uses, so the same bits, at less than half of eigh's time
     on a 3 x 3; a nonzero info is a LinAlgError, as in eigh.
     """
@@ -205,7 +210,8 @@ def _psd_pinv(sym: np.ndarray, floor: float) -> np.ndarray:
         # past entries of about 1e102 det or trace^3 overflows, and the closed
         # form with it (an infinite det would scale the adjugate to zero);
         # x - x is 0.0 for a finite x alone
-        if det - det == 0.0 and cube - cube == 0.0 and det > 0.0 and det >= floor * cube:
+        if (det - det == 0.0 and cube - cube == 0.0 and det > 0.0 and det >= floor * cube
+                and a > 0.0 and a * d > b * b):
             c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
             inv_det = 1.0 / det
             c00, c01, c02 = c00 * inv_det, c01 * inv_det, c02 * inv_det

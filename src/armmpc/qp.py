@@ -86,28 +86,6 @@ class QpDataError(ValueError):
     """Problem data is malformed (shapes, non-finite entries, crossed bounds)."""
 
 
-# id -> (Ain, whether finite, packed nonzeros) of the constant Ain seen last;
-# each entry keeps its array alive, so an id is not reused while kept
-_CONSTANT_ROWS: dict[int, tuple[np.ndarray, bool, bytes]] = {}
-
-
-def _constant_rows(ain: np.ndarray) -> tuple[bool, bytes] | None:
-    """(whether every entry is finite, the nonzeros packed into bytes) of an
-    ain that is read-only and owns its data, derived on its first sight and
-    kept for up to 8 such arrays (a few controllers' constant rows); None
-    for any other ain, whose facts are derived where they are read."""
-    kept = _CONSTANT_ROWS.get(id(ain))
-    if kept is not None:
-        return kept[1:]
-    if ain.flags.writeable or ain.base is not None:
-        return None
-    if len(_CONSTANT_ROWS) >= 8:
-        del _CONSTANT_ROWS[next(iter(_CONSTANT_ROWS))]
-    kept = _CONSTANT_ROWS[id(ain)] = (ain, bool(np.isfinite(ain).all()),
-                                      np.packbits(ain != 0).tobytes())
-    return kept[1:]
-
-
 def _regularization(ab: np.ndarray) -> float:
     """The solver's diagonal regularization eps = 1e-9 max(tr(H), d)/d of
     H's lower band ab, whose row 0 is H's diagonal."""
@@ -138,9 +116,7 @@ class QpProblem:
     form: lb and ub with -inf and +inf, Ain, lin and uin with no rows. The
     sides are gathered once, as sides = [lb; lin] over [ub; uin] of shape
     (2, d + m), with their finiteness, so a problem's arrays are not to be
-    changed once it is built. An Ain that is read-only and owns its data
-    (the kinematic MPC's constant velocity rows) is taken as constant across
-    problems: its finiteness and nonzeros are derived once (_constant_rows)."""
+    changed once it is built."""
 
     H: np.ndarray
     g: np.ndarray
@@ -174,8 +150,7 @@ class QpProblem:
                                  ("lin", lin, (m,)), ("uin", uin, (m,))):
             if val.shape != shape:
                 raise QpDataError(f"{name} must have shape {shape}, got {val.shape}")
-        kept = _constant_rows(Ain)
-        if not ((all_finite(H, g) and kept[0]) if kept else all_finite(H, g, Ain)):
+        if not all_finite(H, g, Ain):
             raise QpDataError("H, g and Ain must be finite")
         self.H, self.g, self.lb, self.ub, self.Ain, self.lin, self.uin = H, g, lb, ub, Ain, lin, uin
         self.sides = np.concatenate([lb, lin, ub, uin]).reshape(2, d + m)
@@ -280,9 +255,8 @@ def _setup(shape: tuple, finite: bytes, pinned: bytes, nonzeros: bytes) -> QpStr
 def expand_constraints(p: QpProblem) -> QpStructure:
     """p's canonical rows: the cached structure of its pattern (see _setup)
     with p's values filled in."""
-    kept = _constant_rows(p.Ain)
     s = _setup(p.Ain.shape, p.finite.tobytes(), (p.sides[0] == p.sides[1]).tobytes(),
-               kept[1] if kept else np.packbits(p.Ain != 0).tobytes())
+               np.packbits(p.Ain != 0).tobytes())
     return QpStructure(s.sign * p.sides.ravel()[s.take], s.n_eq, s.src, s.sign, p.Ain,
                        s.first, s.last, s.take)
 

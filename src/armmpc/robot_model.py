@@ -179,12 +179,18 @@ class PayloadSpec:
 
 @dataclass(frozen=True, eq=False)
 class JointLimits:
-    """Per-joint bounds collected into arrays for controller consumption."""
+    """Per-joint bounds collected into arrays for controller consumption,
+    each a read-only float copy: mpc_kinematic caches the rows it builds
+    from a limits object."""
 
     q_min: np.ndarray
     q_max: np.ndarray
     v_max: np.ndarray
     u_max: np.ndarray
+
+    def __post_init__(self):
+        for name in ("q_min", "q_max", "v_max", "u_max"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +229,10 @@ class RobotModel:
     @cached_property
     def limits(self) -> JointLimits:
         return JointLimits(
-            q_min=_frozen(np.array([j.q_limits[0] for j in self.joints])),
-            q_max=_frozen(np.array([j.q_limits[1] for j in self.joints])),
-            v_max=_frozen(np.array([j.v_limit for j in self.joints])),
-            u_max=_frozen(np.array([j.u_limit for j in self.joints])),
+            q_min=[j.q_limits[0] for j in self.joints],
+            q_max=[j.q_limits[1] for j in self.joints],
+            v_max=[j.v_limit for j in self.joints],
+            u_max=[j.u_limit for j in self.joints],
         )
 
     def check_q(self, q, name: str = "q") -> np.ndarray:

@@ -162,6 +162,23 @@ def loose_limits(n):
                        u_max=np.ones(n))
 
 
+def test_joint_limits_keep_read_only_copies_of_their_arrays():
+    # _limit_rows caches the rows it builds from a limits object, so the
+    # limits must not share the caller's arrays
+    bounds = np.full(2, -1.0), np.ones(2), np.full(2, 2.0), np.full(2, 3.0)
+    limits = JointLimits(*bounds)
+    rows = mpc_kinematic._limit_rows(limits, 2)
+    for arr in bounds:
+        arr[:] = 0.5
+    np.testing.assert_array_equal(limits.q_max, 1.0)
+    expected = np.repeat([[-1.0], [1.0], [2.0], [-2.0]], 4, axis=1)
+    for got in (rows, mpc_kinematic._limit_rows(limits, 2)):
+        np.testing.assert_array_equal(got, expected)
+    for name in ("q_min", "q_max", "v_max", "u_max"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(limits, name)[0] = 0.0
+
+
 def make_traj_holding(model, q0, steps, dt, tasks=None):
     pose = forward_kinematics(model, q0)
     from armmpc.nominal import default_task_hierarchy

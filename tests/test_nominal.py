@@ -275,6 +275,17 @@ def test_psd_pinv_of_a_huge_3x3_is_left_to_lapack(rng, dsyevd_calls):
     np.testing.assert_allclose(got @ sym, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("spectrum, expected", [([1.0, -2.0, -2.0], [1.0, 0.0, 0.0]),
+                                                ([-1.0, -2.0, 2.0], [0.0, 0.0, 0.5])])
+def test_psd_pinv_of_an_indefinite_3x3_drops_its_negative_directions(spectrum, expected):
+    # det > 0 with two negative eigenvalues: not positive definite by
+    # Sylvester's test, so the truncation drops them, as for any other size
+    got = nominal._psd_pinv(np.diag(spectrum), 1e-2)
+    np.testing.assert_array_equal(got, np.diag(expected))
+    four = nominal._psd_pinv(np.diag(spectrum + [0.5]), 1e-2)
+    np.testing.assert_allclose(four[:3, :3], np.diag(expected), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("size", [3, 6])
 @pytest.mark.parametrize("where", [(0, 0), (2, 1), (1, 2)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -286,6 +297,20 @@ def test_psd_pinv_rejects_a_matrix_that_is_not_finite(size, where, value):
     sym[where] = value
     with pytest.raises(np.linalg.LinAlgError, match="not finite"):
         nominal._psd_pinv(sym, 1e-2)
+
+
+def test_task_spec_keeps_read_only_copies_of_its_gains():
+    # _hierarchy caches what it derives from a spec, so a spec must not
+    # share the caller's gain arrays
+    kp, kd = np.full(3, 80.0), np.full(3, 8.0)
+    spec = TaskSpec(priority=1, selector=POSITION, kp=kp, kd=kd)
+    cached = nominal._hierarchy((spec,))
+    kp[:], kd[:] = 1.0, 1.0
+    for got in (spec.kp, cached[3], nominal._hierarchy((spec,))[3]):
+        np.testing.assert_array_equal(got, 80.0)
+    np.testing.assert_array_equal(nominal._hierarchy((spec,))[4], 8.0)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.kp[0] = 1.0
 
 
 def test_pinv_bad_threshold():

@@ -162,17 +162,15 @@ def read_only(a: np.ndarray) -> np.ndarray:
 def test_nonfinite_rejected(data):
     # NaN and mis-shaped bound vectors are malformed data, not dropped bounds;
     # H is a lower band of 1 to d rows of d finite entries, and g and Ain are
-    # finite, a read-only Ain too, whose facts are derived once and kept
+    # finite, a read-only Ain too
     with pytest.raises(QpDataError):
         QpProblem(**{"H": np.ones((1, 2)), "g": np.ones(2), **data})
 
 
-def test_a_read_only_ain_keeps_its_own_pattern(rng):
-    # a read-only Ain that owns its data is taken as constant: its finiteness
-    # and nonzeros are derived on its first sight and kept with that array
-    # alone. Two such arrays of one shape but other nonzeros keep their own
-    # structures, and solve as writable copies of them do; a read-only view,
-    # whose base may still change, is not kept
+def test_an_ain_is_keyed_by_its_content_read_only_or_not(rng):
+    # every problem's structure is keyed by its own Ain's nonzeros: a
+    # read-only Ain expands and solves as a writable copy of it does, and two
+    # Ains of one shape but other nonzeros keep their own spans
     for _ in range(10):
         p = random_qp(rng, 5, 6)
         sparse = p.Ain.copy()
@@ -189,9 +187,35 @@ def test_a_read_only_ain_keeps_its_own_pattern(rng):
             assert np.array_equal(sol.z_star, ref.z_star) and sol.active_set == ref.active_set
             structures.append(rows.first)
         assert not np.array_equal(*structures)
-    view = np.ones((2, 4))[:, :3]
-    view.setflags(write=False)
-    assert qp._constant_rows(view) is None
+
+
+def test_a_refrozen_ain_is_read_afresh(rng):
+    # numpy lets an array's owner make it writable again, so a read-only Ain
+    # may change between problems: a NaN written into it is still rejected,
+    # and nonzeros moved to other columns solve as a fresh copy of it does
+    d = 6
+    h = rng.standard_normal((d, d))
+    kw = dict(H=lower_band(h @ h.T + d * np.eye(d), d - 1), g=rng.standard_normal(d),
+              lb=np.full(d, -2.0), ub=np.full(d, 2.0), lin=np.array([0.5, -1.0]),
+              uin=np.array([0.5, 1.0]))
+    block = rng.standard_normal((2, 2))  # a pinned row, then a two-sided one
+    ain = np.zeros((2, d))
+    ain[:, :2] = block
+    ain.setflags(write=False)
+    assert QpSolver().solve(QpProblem(Ain=ain, **kw)).status == OPTIMAL
+    ain.setflags(write=True)
+    ain[1, 1] = np.nan
+    ain.setflags(write=False)
+    with pytest.raises(QpDataError):
+        QpProblem(Ain=ain, **kw)
+    ain.setflags(write=True)
+    ain[:] = 0.0
+    ain[:, d - 2:] = block
+    ain.setflags(write=False)
+    sol = QpSolver().solve(QpProblem(Ain=ain, **kw))
+    ref = QpSolver().solve(QpProblem(Ain=ain.copy(), **kw))
+    assert ref.status == OPTIMAL
+    assert np.array_equal(sol.z_star, ref.z_star) and sol.active_set == ref.active_set
 
 
 @pytest.mark.parametrize("data", [
